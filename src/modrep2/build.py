@@ -12,10 +12,8 @@ from .classfun import (ClassFunction, dedupe, geo_ind, induce, inf_ind,
 from .dixon import character_degrees
 from .groups import ProductGroup, aut_group
 from .orbits import CongruenceDual, cuspidal_parameters, eta_dual, inner_types
-from .rings import (character_group, make_ring, twisting_characters,
-                    unit_group)
-
-TOL = 1e-6
+from .rings import (MTOL, TOL, character_group, make_ring,
+                    twisting_characters, unit_group)
 
 
 class IrrFamily:
@@ -94,9 +92,7 @@ def cuspidal_rect_count(l, q):
 
 def build_rank1(backend, q, level):
     """All linear characters of the rank-one automorphism group."""
-    A = unit_group(make_ring(backend, q, level))
-    out = [ClassFunction(A, np.array([ch(e) for e in A.elements]))
-           for ch in character_group(A)]
+    out = _abelian_charfuns(unit_group(make_ring(backend, q, level)))
     assert len(out) == q ** (level - 1) * (q - 1)
     return out
 
@@ -197,7 +193,7 @@ def build_cuspidal_nonrect(G):
         A = G.subgroup("cuspidal_abelian", u_hat=u_hat, w_hat=w_hat)
         eta = dict(zip(D.K.elements, D.values(eta_dual(u_hat, w_hat))))
         exts = [chi for chi in linear_characters(N)
-                if all(abs(chi(k) - eta[k]) < 1e-9 for k in D.K.elements)]
+                if all(abs(chi(k) - eta[k]) < MTOL for k in D.K.elements)]
         inter = sum(1 for a in A.elements if a in D.K.index)
         assert len(exts) == A.order // inter
         members.extend(induce(N, chi) for chi in exts)

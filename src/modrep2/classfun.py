@@ -7,9 +7,7 @@ import numpy as np
 
 from .groups import aut_group
 from .orbits import CongruenceDual, inner_types
-from .rings import character_group, twisting_characters, unit_group
-
-TOL = 1e-6
+from .rings import TOL, character_group, twisting_characters, unit_group
 
 
 class ClassFunction:

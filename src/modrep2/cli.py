@@ -5,7 +5,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from collections import Counter
 
@@ -38,9 +37,6 @@ def _add_common(p):
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--cap", type=int, default=500000,
                    help="refuse jobs whose group order exceeds this")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("MODREP2_THREADS", "1")),
-                   help="parallelism hint (current implementation is serial)")
 
 
 def _rep_str(rep):

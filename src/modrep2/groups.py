@@ -3,37 +3,34 @@
 A module type is a pair lam = (l1, l2) with l1 >= l2 >= 0 of column levels.
 The full automorphism group of o_{l1} x o_{l2} is realized on 4-tuples
 (a, b, c, d) of ring codes: a is a level-l1 unit, d a level-l2 unit, c is a
-level-l2 entry, and b is the level-l2 coefficient of the canonical embedding
-pi^(l1-l2) * o_{l1} -> wait-free shorthand for the off-diagonal map; in the
-square case l1 == l2 the tuple is an honest invertible 2x2 matrix.  One
+level-l2 entry, and b is the level-l2 coefficient of the off-diagonal map
+o_{l2} -> o_{l1}, x2 -> pi^(l1-l2) * b * x2 on canonical lifts; in the square
+case l1 == l2 the tuple is an honest invertible 2x2 matrix.  One
 multiplication formula covers both shapes.
 """
 
-import random
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from modrep2.rings import SimpleAbelianGroup, make_ring
+from modrep2.rings import (SimpleAbelianGroup, _key, closure, make_ring,
+                           orbit_partition)
 
 
 def greedy_generators(G):
     """Small generating list: scan elements in order, keep those outside the
-    running closure."""
+    running span.  Every element lies in the span, so the element list is a
+    group exactly when the span is no larger; otherwise raise ValueError."""
     gens = []
-    closure = {G.identity}
+    span = {G.identity}
     for e in G.elements:
-        if e not in closure:
+        if e not in span:
             gens.append(e)
-            frontier = list(closure)
-            while frontier:
-                x = frontier.pop()
-                for t in gens:
-                    y = G.mul(x, t)
-                    if y not in closure:
-                        closure.add(y)
-                        frontier.append(y)
+            closure(span, span, gens, G.mul)
+    if len(span) != len(G.elements):
+        raise ValueError("%s is not closed: its elements generate %d, not %d"
+                         % (G.name or "element list", len(span), len(G.elements)))
     return gens
 
 
@@ -79,18 +76,17 @@ class GroupBase:
     def assert_generating(self):
         if getattr(self, "_gen_checked", False):
             return
-        closure = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            x = frontier.pop()
-            for t in self.gens:
-                y = self.mul(x, t)
-                if y not in closure:
-                    closure.add(y)
-                    frontier.append(y)
-        assert len(closure) == self.order, \
-            "generators span %d of %d elements" % (len(closure), self.order)
+        span = closure({self.identity}, [self.identity], self.gens, self.mul)
+        assert len(span) == self.order, \
+            "generators span %d of %d elements" % (len(span), self.order)
         self._gen_checked = True
+
+    def conj_orbits(self, points):
+        """Orbits of conjugation on points, a union of classes, through the
+        generators; each move carries its inverse, computed once."""
+        mul = self.mul
+        return orbit_partition(points, [(t, self.inv(t)) for t in self.gens],
+                               lambda x, m: mul(mul(m[1], x), m[0]))
 
     def _compute_classes(self):
         n = self.order
@@ -98,35 +94,7 @@ class GroupBase:
             cls_of = np.arange(n, dtype=np.int64)
             return (list(self.elements), np.ones(n, dtype=np.int64), cls_of)
         self.assert_generating()
-        mul, inv, idx = self.mul, self.inv, self.index
-        dirs = []
-        seen = set()
-        for g in self.gens:
-            for t in (g, inv(g)):
-                if t not in seen:
-                    seen.add(t)
-                    dirs.append((t, inv(t)))
-        cls_of = np.full(n, -1, dtype=np.int64)
-        reps, sizes = [], []
-        for i0 in range(n):
-            if cls_of[i0] >= 0:
-                continue
-            c = len(reps)
-            reps.append(self.elements[i0])
-            cls_of[i0] = c
-            stack = [self.elements[i0]]
-            size = 1
-            while stack:
-                x = stack.pop()
-                for t, ti in dirs:
-                    y = mul(mul(ti, x), t)
-                    j = idx[y]
-                    if cls_of[j] < 0:
-                        cls_of[j] = c
-                        size += 1
-                        stack.append(y)
-            sizes.append(size)
-        assert sum(sizes) == n
+        reps, sizes, cls_of = self.conj_orbits(self.elements)
         return (reps, np.array(sizes, dtype=np.int64), cls_of)
 
     def _classes(self):
@@ -155,10 +123,6 @@ class GroupBase:
     def identity_class(self):
         return self.cls_index(self.identity)
 
-    def class_members(self, c):
-        cls_of = self._classes()[2]
-        return [self.elements[i] for i in np.nonzero(cls_of == c)[0]]
-
     def commutator_subgroup(self):
         """Normal closure of the commutators of the generators."""
         self.assert_generating()
@@ -168,17 +132,9 @@ class GroupBase:
             for h in self.gens:
                 seeds.add(mul(inv(g), mul(inv(h), mul(g, h))))
         seeds.discard(self.identity)
-        sgens = sorted(seeds, key=_elem_key)
+        sgens = sorted(seeds, key=_key)
         while True:
-            S = {self.identity}
-            frontier = [self.identity]
-            while frontier:
-                x = frontier.pop()
-                for t in sgens:
-                    y = mul(x, t)
-                    if y not in S:
-                        S.add(y)
-                        frontier.append(y)
+            S = closure({self.identity}, [self.identity], sgens, mul)
             new = []
             for t in self.gens:
                 ti = inv(t)
@@ -188,16 +144,12 @@ class GroupBase:
                         new.append(y)
             if not new:
                 break
-            sgens.extend(sorted(set(new), key=_elem_key))
+            sgens.extend(sorted(set(new), key=_key))
         members = [e for e in self.elements if e in S]
         return Subgroup(self, members, name=self.name + ".derived")
 
     def abelianization(self):
         return QuotientGroup(self, self.commutator_subgroup())
-
-
-def _elem_key(e):
-    return e if isinstance(e, tuple) else (e,)
 
 
 class AutGroup(GroupBase):
@@ -448,27 +400,10 @@ class Subgroup(GroupBase):
         if self.identity not in self.index:
             raise ValueError("subgroup %s misses the identity" % name)
         self.name = (parent.name + "." + name) if name else parent.name + ".sub"
-        self._check_closed()
-        self.gens = greedy_generators(self)
-        self._gen_checked = True  # greedy construction spans the member list
+        self.gens = greedy_generators(self)  # refuses a member list that is no group
+        self._gen_checked = True
         self.is_abelian = all(self.mul(x, y) == self.mul(y, x)
                               for x in self.gens for y in self.gens)
-
-    def _check_closed(self):
-        n = self.order
-        mem = self.index
-        for e in self.elements:
-            if self.inv(e) not in mem:
-                raise ValueError("subgroup %s not closed under inverse" % self.name)
-        if n <= 600:
-            pairs = ((x, y) for x in self.elements for y in self.elements)
-        else:
-            rng = random.Random(0)
-            pairs = ((self.elements[rng.randrange(n)], self.elements[rng.randrange(n)])
-                     for _ in range(50000))
-        for x, y in pairs:
-            if self.mul(x, y) not in mem:
-                raise ValueError("subgroup %s not closed under product" % self.name)
 
     @property
     def parent_index(self):
@@ -492,15 +427,8 @@ class QuotientGroup(GroupBase):
             for x in N.gens:
                 if pmul(pmul(ti, x), t) not in N.index:
                     raise ValueError("subgroup is not normal")
-        rep_of = {}
-        reps = []
-        for h in parent.elements:
-            if h in rep_of:
-                continue
-            reps.append(h)
-            for x in N.elements:
-                rep_of[pmul(h, x)] = h
-        assert len(rep_of) == parent.order
+        reps, _, coset_of = orbit_partition(parent.elements, N.gens, pmul)
+        rep_of = {h: reps[c] for h, c in zip(parent.elements, coset_of.tolist())}
         self.rep_of = rep_of
         self.elements = reps
         self.index = {e: i for i, e in enumerate(reps)}

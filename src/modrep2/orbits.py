@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 
-from modrep2.rings import MTOL, make_ring
+from modrep2.rings import make_ring, orbit_partition
 
 
 class CongruenceDual:
@@ -95,35 +95,11 @@ class CongruenceDual:
                 wp % self.Rs.size, zp % self.Rs.size)
 
     def orbits(self):
-        """Orbit decomposition of the dual under the group action: list of
-        (representative, size), plus an index array aligned with self.duals."""
-        if self._orbit_data is not None:
-            return self._orbit_data
-        n = len(self.duals)
-        orbit_of = np.full(n, -1, dtype=np.int64)
-        reps, sizes = [], []
-        dirs = list(dict.fromkeys(
-            t for g in self.G.gens for t in (g, self.G.inv(g))))
-        for j0 in range(n):
-            if orbit_of[j0] >= 0:
-                continue
-            o = len(reps)
-            reps.append(self.duals[j0])
-            orbit_of[j0] = o
-            stack = [self.duals[j0]]
-            size = 1
-            while stack:
-                t = stack.pop()
-                for g in dirs:
-                    t2 = self.act(g, t)
-                    j = self.dual_index[t2]
-                    if orbit_of[j] < 0:
-                        orbit_of[j] = o
-                        size += 1
-                        stack.append(t2)
-            sizes.append(size)
-        assert sum(sizes) == n
-        self._orbit_data = (reps, sizes, orbit_of)
+        """Orbit decomposition of the dual under the group action:
+        (reps, sizes, orbit_of), with orbit_of aligned with self.duals."""
+        if self._orbit_data is None:
+            self._orbit_data = orbit_partition(self.duals, self.G.gens,
+                                               lambda t, g: self.act(g, t))
         return self._orbit_data
 
     def invariants(self, theta):
@@ -204,28 +180,8 @@ def orbits_on_kernel(G):
     """Conjugation orbits of the whole group on the depth-(1,0) congruence
     subgroup's elements: list of (representative, size)."""
     K = G.subgroup("congruence", i=1, sigma=0)
-    idx = {k: j for j, k in enumerate(K.elements)}
-    seen = np.zeros(K.order, dtype=bool)
-    dirs = list(dict.fromkeys(t for g in G.gens for t in (g, G.inv(g))))
-    out = []
-    for j0, k0 in enumerate(K.elements):
-        if seen[j0]:
-            continue
-        seen[j0] = True
-        stack = [k0]
-        size = 1
-        while stack:
-            x = stack.pop()
-            for t in dirs:
-                y = G.conj(x, t)
-                j = idx[y]
-                if not seen[j]:
-                    seen[j] = True
-                    size += 1
-                    stack.append(y)
-        out.append((k0, size))
-    assert sum(s for _, s in out) == K.order
-    return out
+    reps, sizes, _ = G.conj_orbits(K.elements)
+    return list(zip(reps, sizes))
 
 
 def _cyclic_span(G, m):
@@ -298,28 +254,9 @@ def embeddings(G, mu):
 
 def grassmannian_orbits(G, mu):
     """Orbit sizes of the group acting on embeddings of the type-mu module."""
-    embs = embeddings(G, mu)
-    index = {e: j for j, e in enumerate(embs)}
-    seen = np.zeros(len(embs), dtype=bool)
-    dirs = list(dict.fromkeys(t for g in G.gens for t in (g, G.inv(g))))
-    sizes = []
-    for j0, e0 in enumerate(embs):
-        if seen[j0]:
-            continue
-        seen[j0] = True
-        stack = [e0]
-        size = 1
-        while stack:
-            y1, y2 = stack.pop()
-            for g in dirs:
-                e2 = (G.module_act(g, y1), G.module_act(g, y2))
-                j = index[e2]
-                if not seen[j]:
-                    seen[j] = True
-                    size += 1
-                    stack.append(e2)
-        sizes.append(size)
-    assert sum(sizes) == len(embs)
+    _, sizes, _ = orbit_partition(
+        embeddings(G, mu), G.gens,
+        lambda e, g: (G.module_act(g, e[0]), G.module_act(g, e[1])))
     return sizes
 
 

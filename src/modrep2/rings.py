@@ -273,6 +273,39 @@ def make_ring(backend, q, level):
     return LocalRing(backend, q, level)
 
 
+def closure(seen, frontier, moves, act):
+    """Grow the set seen, in place, until it is closed under x -> act(x, t)
+    for every t in moves; frontier lists the members not yet swept.  For a
+    finite group acting through generators this is the orbit, with no need
+    for the inverse moves."""
+    frontier = list(frontier)
+    while frontier:
+        x = frontier.pop()
+        for t in moves:
+            y = act(x, t)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def orbit_partition(points, moves, act):
+    """Orbits of a finite set closed under the moves: (reps, sizes, orbit_of),
+    each representative the first of its orbit in points, and orbit_of an
+    index array aligned with points."""
+    index = {x: j for j, x in enumerate(points)}
+    orbit_of = [-1] * len(points)
+    reps, sizes = [], []
+    for j, x in enumerate(points):
+        if orbit_of[j] < 0:
+            orbit = closure({x}, [x], moves, act)
+            for y in orbit:
+                orbit_of[index[y]] = len(reps)
+            reps.append(x)
+            sizes.append(len(orbit))
+    return reps, sizes, np.array(orbit_of, dtype=np.int64)
+
+
 class SimpleAbelianGroup:
     """Finite abelian group on hashable elements, with the class-function protocol
     (every element is its own conjugacy class)."""
@@ -373,13 +406,8 @@ def _abelian_basis(A):
     for _ in range(m - 1):
         powers.append(A.mul(powers[-1], g))
     pindex = {e: i for i, e in enumerate(powers)}
-    rep = {}
-    reps = []
-    for e in els:
-        if e not in rep:
-            reps.append(e)
-            for pw in powers:
-                rep[A.mul(e, pw)] = e
+    reps, _, coset_of = orbit_partition(els, [g], A.mul)
+    rep = {e: reps[c] for e, c in zip(els, coset_of.tolist())}
     Q = SimpleAbelianGroup(reps,
                            lambda x, y: rep[A.mul(x, y)],
                            lambda x: rep[A.inv(x)],

@@ -12,9 +12,7 @@ from .classfun import (ClassFunction, geo_ind, geo_res, inf_ind, inf_res,
 from .dixon import character_degrees
 from .groups import aut_group, class_count_formula, order_formula
 from .orbits import CongruenceDual, inner_types, orbits_on_kernel
-from .rings import character_group, unit_group
-
-TOL = 1e-6
+from .rings import MTOL, TOL, character_group, unit_group
 
 
 class VerifyReport:
@@ -52,10 +50,6 @@ def expected_dual_orbit_table(q, lam):
             "split": (q * (q - 1) // 2, q * q + q),
             "jordan": (q, q * q - 1),
             "irreducible": (q * (q - 1) // 2, q * q - q)}
-
-
-def _abelian_charfun(A, ch):
-    return ClassFunction(A, np.array([ch(e) for e in A.elements]))
 
 
 def _check_geo_adjoint(G, members):
@@ -134,7 +128,7 @@ def _check_mixed_composition(G):
             continue
         for t2 in character_group(unit_group(Gm.R2)):
             lift = [c for c in character_group(unit_group(G.R2))
-                    if all(abs(c(u) - t2(u % q)) < 1e-9 for u in units2)]
+                    if all(abs(c(u) - t2(u % q)) < MTOL for u in units2)]
             if len(lift) != 1:
                 return False
             lhs = geo_ind(G, t1, lift[0])

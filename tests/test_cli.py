@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -150,11 +151,27 @@ def test_usage_errors_exit_2():
     assert e.value.code == 2
 
 
-def test_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("MODREP2_THREADS", "4")
-    rc, out = run(capsys, "zeta", "--p", "2", "--lambda", "2,1")
+# sha256 of the JSON stdout of the commands that print orbit representatives;
+# each representative must stay the first of its orbit in enumeration order.
+PINNED_OUTPUT = [
+    (("classes", "--p", "2", "--lambda", "2,2"),
+     "4904d9a1ff734db8cc3ec0feb8bb0c45d15f14f5bc67c09b47bdcbe12140c70e"),
+    (("classes", "--p", "3", "--lambda", "2,1"),
+     "d37eeb77170df6051bfa9392af665cf1d4c1911f51b729472e3ca3c76d7f9a8d"),
+    (("classes", "--backend", "tpoly", "--q", "4", "--lambda", "1,1"),
+     "59ca8b773afa3d0383fe2fdea4518aee4867c9882286b5db2181c1545c8ed024"),
+    (("orbits", "--p", "2", "--lambda", "2,2"),
+     "5bb91c9739ae5fbf6eeeb58c37731910a103b3758eda0cd5cbc0de613d5b58c3"),
+    (("orbits", "--p", "3", "--lambda", "3,2"),
+     "2284ed18427caf99480a13bb47ab8f59f8eb0a58c1126aa470566a0bd81500e9"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_OUTPUT)
+def test_pinned_representatives(capsys, argv, digest):
+    rc, out = run(capsys, *argv)
     assert rc == 0
-    assert json.loads(out)["zeta"] == {"1": 4, "2": 1}
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_tpoly_backend(capsys):

@@ -145,6 +145,21 @@ def test_subgroup_validation():
     assert H.order == 32
 
 
+# Member lists above 600 elements get the same exact closure check.
+def test_large_member_list_not_closed_refused():
+    G = aut_group("padic", 3, (3, 2))
+    upper = G.subgroup("parabolic_upper").elements
+    outside = next(g for g in G.elements if g[2] != 0)
+    with pytest.raises(ValueError):
+        G.subgroup("custom", members=upper + [outside])
+
+
+def test_large_member_list_closed_accepted():
+    G = aut_group("padic", 3, (3, 2))
+    H = G.subgroup("custom", members=[g for g in G.elements if g[2] == 0])
+    assert H.order == 972 == len(G.subgroup("parabolic_upper").elements)
+
+
 def test_heisenberg_and_floor_center():
     G = aut_group("padic", 2, (3, 1))
     H = G.subgroup("heisenberg")
