@@ -9,7 +9,7 @@ case l1 == l2 the tuple is an honest invertible 2x2 matrix.  One
 multiplication formula covers both shapes.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -70,9 +70,6 @@ class GroupBase:
             n += 1
         return n
 
-    def conj(self, x, t):
-        return self.mul(self.mul(self.inv(t), x), t)
-
     def assert_generating(self):
         if getattr(self, "_gen_checked", False):
             return
@@ -86,7 +83,17 @@ class GroupBase:
         generators; each move carries its inverse, computed once."""
         mul = self.mul
         return orbit_partition(points, [(t, self.inv(t)) for t in self.gens],
-                               lambda x, m: mul(mul(m[1], x), m[0]))
+                               lambda x, m: mul(mul(m[1], x), m[0]),
+                               self.index if points is self.elements else None)
+
+    def right_mul(self, idx, h):
+        """Element indices of elements[idx] * elements[h], for index arrays
+        idx and h that broadcast together; element by element through mul."""
+        idx, h = np.broadcast_arrays(idx, h)
+        els, index, mul = self.elements, self.index, self.mul
+        out = [index[mul(els[x], els[y])]
+               for x, y in zip(idx.ravel().tolist(), h.ravel().tolist())]
+        return np.array(out, dtype=np.intp).reshape(idx.shape)
 
     def _compute_classes(self):
         n = self.order
@@ -228,6 +235,41 @@ class AutGroup(GroupBase):
             gens.append((0, 1, 1, 0))
         self.gens = gens
         self.name = "Aut(%s,q=%d,%s)" % (backend, q, (l1, l2))
+
+    @cached_property
+    def _arrays(self):
+        """Array form of the group, built on first use: the ring add/mul
+        tables, the (n, 4) element array as four columns, and the dense table
+        from the mixed-radix code ((a*s2 + b)*s2 + c)*s2 + d to element index,
+        -1 off the group."""
+        s2 = self.s2
+        tables = tuple(np.array(t, dtype=np.intp) for t in
+                       (self.R1.add, self.R1.mul, self.R2.add, self.R2.mul))
+        E = np.array(self.elements, dtype=np.intp)
+        code = ((E[:, 0] * s2 + E[:, 1]) * s2 + E[:, 2]) * s2 + E[:, 3]
+        table = np.full(self.s1 * s2 ** 3, -1, dtype=np.intp)
+        table[code] = np.arange(len(E))
+        dd = self.l1 - self.l2
+        return tables, tuple(E.T), table, self.R1.pi_pow(dd), self.R2.pi_pow(dd)
+
+    def right_mul(self, idx, h):
+        """Element indices of elements[idx] * elements[h], the tuple mul done
+        as whole-array table lookups; idx and h are index arrays that
+        broadcast together.  Raises if a product is not an element rather
+        than let index -1 wrap around."""
+        (A1, M1, A2, M2), (ea, eb, ec, ed), table, d1c, d2c = self._arrays
+        a, b, c, d = ea[idx], eb[idx], ec[idx], ed[idx]
+        A, B, C, D = ea[h], eb[h], ec[h], ed[h]
+        s2 = self.s2
+        code = A1[M1[a, A], M1[d1c, M2[b, C]]]
+        code = code * s2 + A2[M2[a % s2, B], M2[b, D]]
+        code = code * s2 + A2[M2[c, A % s2], M2[d, C]]
+        code = code * s2 + A2[M2[d, D], M2[d2c, M2[c, B]]]
+        out = table[code]
+        if (out < 0).any():
+            raise ValueError("%s: %d products are not group elements"
+                             % (self.name, int((out < 0).sum())))
+        return out
 
     def module_act(self, g, m):
         """Action on module elements (x1, x2) with x1 at level l1, x2 at level l2."""
@@ -427,7 +469,8 @@ class QuotientGroup(GroupBase):
             for x in N.gens:
                 if pmul(pmul(ti, x), t) not in N.index:
                     raise ValueError("subgroup is not normal")
-        reps, _, coset_of = orbit_partition(parent.elements, N.gens, pmul)
+        reps, _, coset_of = orbit_partition(parent.elements, N.gens, pmul,
+                                            parent.index)
         rep_of = {h: reps[c] for h, c in zip(parent.elements, coset_of.tolist())}
         self.rep_of = rep_of
         self.elements = reps

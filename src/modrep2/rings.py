@@ -289,11 +289,13 @@ def closure(seen, frontier, moves, act):
     return seen
 
 
-def orbit_partition(points, moves, act):
+def orbit_partition(points, moves, act, index=None):
     """Orbits of a finite set closed under the moves: (reps, sizes, orbit_of),
     each representative the first of its orbit in points, and orbit_of an
-    index array aligned with points."""
-    index = {x: j for j, x in enumerate(points)}
+    index array aligned with points.  index maps each point to its position,
+    when the caller already holds that dict."""
+    if index is None:
+        index = {x: j for j, x in enumerate(points)}
     orbit_of = [-1] * len(points)
     reps, sizes = [], []
     for j, x in enumerate(points):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from modrep2.groups import (AutGroup, ProductGroup, QuotientGroup, Subgroup,
@@ -97,7 +98,28 @@ def test_classes_are_conjugation_stable():
     els = G.elements
     for _ in range(2000):
         g, t = els[rng.randrange(len(els))], els[rng.randrange(len(els))]
-        assert G.cls_index(G.conj(g, t)) == G.cls_index(g)
+        assert G.cls_index(G.mul(G.mul(G.inv(t), g), t)) == G.cls_index(g)
+
+
+@pytest.mark.parametrize("backend,q,lam", [("padic", 2, (3, 2)),
+                                           ("tpoly", 4, (1, 1))])
+def test_right_mul_matches_tuple_mul(backend, q, lam):
+    G = aut_group(backend, q, lam)
+    idx = np.arange(G.order)
+    for t in G.gens:
+        want = [G.index[G.mul(g, t)] for g in G.elements]
+        assert G.right_mul(idx, G.index[t]).tolist() == want
+        assert G.right_mul(idx[:, None], [G.index[t]]).ravel().tolist() == want
+
+
+def test_right_mul_refuses_non_elements():
+    G = AutGroup("padic", 2, (2, 1))
+    t = G.gens[0]
+    prod = G.right_mul(0, G.index[t])
+    table = G._arrays[2]
+    table[table == prod] = -1
+    with pytest.raises(ValueError, match="not group elements"):
+        G.right_mul(0, G.index[t])
 
 
 SUBGROUP_ORDERS = [
