@@ -51,7 +51,11 @@ class ClassFunction:
         return ClassFunction(self.group, np.conj(self.vals))
 
     def fingerprint(self):
-        return tuple((round(z.real, 6), round(z.imag, 6)) for z in self.vals)
+        """Values rounded to 6 decimals as (re, im) pairs of Python floats,
+        the same numbers as round() on each numpy scalar, so -0.0 and 0.0
+        stay one key."""
+        r = np.round(self.vals, 6)
+        return tuple(zip(r.real.tolist(), r.imag.tolist()))
 
 
 def dedupe(funcs):

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .rings import is_prime
+from .rings import _check, is_prime
 
 
 def group_exponent(G):
@@ -31,13 +31,6 @@ def dixon_prime(exponent, bound):
     while not is_prime(r):
         r += exponent
     return r
-
-
-def _check(ok, what, expected, computed):
-    """Invariant check that survives python -O."""
-    if not ok:
-        raise AssertionError("%s: expected %s, computed %s"
-                             % (what, expected, computed))
 
 
 def _class_matrix(G, members, rep_idx, cls_of):

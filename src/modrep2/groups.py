@@ -14,24 +14,9 @@ from itertools import product
 
 import numpy as np
 
-from modrep2.rings import (SimpleAbelianGroup, _key, closure, make_ring,
+from modrep2.rings import (FiniteGroup, SimpleAbelianGroup, _check, _key,
+                           closure, greedy_generators, make_ring,
                            orbit_partition)
-
-
-def greedy_generators(G):
-    """Small generating list: scan elements in order, keep those outside the
-    running span.  Every element lies in the span, so the element list is a
-    group exactly when the span is no larger; otherwise raise ValueError."""
-    gens = []
-    span = {G.identity}
-    for e in G.elements:
-        if e not in span:
-            gens.append(e)
-            closure(span, span, gens, G.mul)
-    if len(span) != len(G.elements):
-        raise ValueError("%s is not closed: its elements generate %d, not %d"
-                         % (G.name or "element list", len(span), len(G.elements)))
-    return gens
 
 
 def generators_of(G):
@@ -45,7 +30,7 @@ def additive_generators(ring):
     return [ring.pi_mul(p ** i, j) for j in range(ring.level) for i in range(ring.f)]
 
 
-class GroupBase:
+class GroupBase(FiniteGroup):
     """Shared machinery: conjugacy classes by orbit sweep, commutators,
     abelianization.  Subclasses fill elements, index, mul, inv, identity, gens."""
 
@@ -53,38 +38,43 @@ class GroupBase:
     is_abelian = False
 
     @property
-    def order(self):
-        return len(self.elements)
+    def root(self):
+        """The group whose right_mul serves this group's sweeps."""
+        return self
 
-    def pow(self, x, k):
-        out = self.identity
-        base = x if k >= 0 else self.inv(x)
-        for _ in range(abs(k)):
-            out = self.mul(out, base)
-        return out
-
-    def element_order(self, x):
-        n, y = 1, x
-        while y != self.identity:
-            y = self.mul(y, x)
-            n += 1
-        return n
+    def sweep(self, points, moves):
+        """orbit_partition of points under x -> l * x * r for each move
+        (l, r), l None for the identity: permutations from the root group's
+        right_mul and a root-to-point lookup, both for this sweep only."""
+        R = self.root
+        if points is R.elements:
+            idx, pos = np.arange(R.order), None
+        else:
+            idx = np.array([R.index[x] for x in points], dtype=np.intp)
+            pos = np.full(R.order, -1, dtype=np.int32)
+            pos[idx] = np.arange(len(idx), dtype=np.int32)
+        perms = []
+        for l, r in moves:
+            y = R.right_mul(idx, R.index[r])
+            if l is not None:
+                y = R.right_mul(R.index[l], y)
+            perms.append(y if pos is None else pos[y])
+        return orbit_partition(points, perms)
 
     def assert_generating(self):
+        """Exact span check: right multiplication by the generators sweeps
+        the identity's orbit over every element."""
         if getattr(self, "_gen_checked", False):
             return
-        span = closure({self.identity}, [self.identity], self.gens, self.mul)
-        assert len(span) == self.order, \
-            "generators span %d of %d elements" % (len(span), self.order)
+        _, sizes, _ = self.sweep(self.elements, [(None, t) for t in self.gens])
+        _check(sizes[0] == self.order, "%s: elements spanned by the generators"
+               % self.name, self.order, sizes[0])
         self._gen_checked = True
 
     def conj_orbits(self, points):
         """Orbits of conjugation on points, a union of classes, through the
         generators; each move carries its inverse, computed once."""
-        mul = self.mul
-        return orbit_partition(points, [(t, self.inv(t)) for t in self.gens],
-                               lambda x, m: mul(mul(m[1], x), m[0]),
-                               self.index if points is self.elements else None)
+        return self.sweep(points, [(self.inv(t), t) for t in self.gens])
 
     def right_mul(self, idx, h):
         """Element indices of elements[idx] * elements[h], for index arrays
@@ -96,39 +86,11 @@ class GroupBase:
         return np.array(out, dtype=np.intp).reshape(idx.shape)
 
     def _compute_classes(self):
-        n = self.order
         if self.is_abelian:
-            cls_of = np.arange(n, dtype=np.int64)
-            return (list(self.elements), np.ones(n, dtype=np.int64), cls_of)
+            return super()._compute_classes()
         self.assert_generating()
         reps, sizes, cls_of = self.conj_orbits(self.elements)
         return (reps, np.array(sizes, dtype=np.int64), cls_of)
-
-    def _classes(self):
-        data = getattr(self, "_class_data", None)
-        if data is None:
-            data = self._compute_classes()
-            self._class_data = data
-        return data
-
-    @property
-    def class_reps(self):
-        return self._classes()[0]
-
-    @property
-    def class_sizes(self):
-        return self._classes()[1]
-
-    @property
-    def class_count(self):
-        return len(self._classes()[0])
-
-    def cls_index(self, e):
-        return int(self._classes()[2][self.index[e]])
-
-    @property
-    def identity_class(self):
-        return self.cls_index(self.identity)
 
     def commutator_subgroup(self):
         """Normal closure of the commutators of the generators."""
@@ -210,6 +172,7 @@ class AutGroup(GroupBase):
 
         self.mul, self.inv, self.det = mul, inv, det
         self.identity = (1, 0, 0, 1)
+        self.name = "Aut(%s,q=%d,%s)" % (backend, q, (l1, l2))
         self._subgroup_cache = {}
 
         if self.rect:
@@ -220,7 +183,8 @@ class AutGroup(GroupBase):
             self.elements = [(a, b, c, d) for a in R1.units for b in range(s2)
                              for c in range(s2) for d in R2.units]
             expect = q ** (l1 + 3 * l2 - 2) * (q - 1) ** 2
-        assert len(self.elements) == expect
+        _check(len(self.elements) == expect, "%s elements" % self.name,
+               expect, len(self.elements))
         self.index = {g: i for i, g in enumerate(self.elements)}
 
         gens = []
@@ -234,23 +198,23 @@ class AutGroup(GroupBase):
         if self.rect:
             gens.append((0, 1, 1, 0))
         self.gens = gens
-        self.name = "Aut(%s,q=%d,%s)" % (backend, q, (l1, l2))
 
     @cached_property
     def _arrays(self):
         """Array form of the group, built on first use: the ring add/mul
-        tables, the (n, 4) element array as four columns, and the dense table
-        from the mixed-radix code ((a*s2 + b)*s2 + c)*s2 + d to element index,
-        -1 off the group."""
+        tables, the (n, 4) element array as four int32 columns, and the dense
+        int32 table from the mixed-radix code ((a*s2 + b)*s2 + c)*s2 + d to
+        element index, -1 off the group."""
         s2 = self.s2
         tables = tuple(np.array(t, dtype=np.intp) for t in
                        (self.R1.add, self.R1.mul, self.R2.add, self.R2.mul))
         E = np.array(self.elements, dtype=np.intp)
         code = ((E[:, 0] * s2 + E[:, 1]) * s2 + E[:, 2]) * s2 + E[:, 3]
-        table = np.full(self.s1 * s2 ** 3, -1, dtype=np.intp)
-        table[code] = np.arange(len(E))
+        table = np.full(self.s1 * s2 ** 3, -1, dtype=np.int32)
+        table[code] = np.arange(len(E), dtype=np.int32)
         dd = self.l1 - self.l2
-        return tables, tuple(E.T), table, self.R1.pi_pow(dd), self.R2.pi_pow(dd)
+        return (tables, tuple(E.T.astype(np.int32)), table,
+                self.R1.pi_pow(dd), self.R2.pi_pow(dd))
 
     def right_mul(self, idx, h):
         """Element indices of elements[idx] * elements[h], the tuple mul done
@@ -448,6 +412,10 @@ class Subgroup(GroupBase):
                               for x in self.gens for y in self.gens)
 
     @property
+    def root(self):
+        return self.parent.root
+
+    @property
     def parent_index(self):
         assert self.parent.order % self.order == 0
         return self.parent.order // self.order
@@ -469,8 +437,8 @@ class QuotientGroup(GroupBase):
             for x in N.gens:
                 if pmul(pmul(ti, x), t) not in N.index:
                     raise ValueError("subgroup is not normal")
-        reps, _, coset_of = orbit_partition(parent.elements, N.gens, pmul,
-                                            parent.index)
+        reps, _, coset_of = parent.sweep(parent.elements,
+                                         [(None, g) for g in N.gens])
         rep_of = {h: reps[c] for h, c in zip(parent.elements, coset_of.tolist())}
         self.rep_of = rep_of
         self.elements = reps

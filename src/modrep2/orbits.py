@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 
-from modrep2.rings import make_ring, orbit_partition
+from modrep2.rings import act_perms, make_ring, orbit_partition
 
 
 class CongruenceDual:
@@ -98,8 +98,8 @@ class CongruenceDual:
         """Orbit decomposition of the dual under the group action:
         (reps, sizes, orbit_of), with orbit_of aligned with self.duals."""
         if self._orbit_data is None:
-            self._orbit_data = orbit_partition(self.duals, self.G.gens,
-                                               lambda t, g: self.act(g, t))
+            self._orbit_data = orbit_partition(self.duals, act_perms(
+                self.duals, self.G.gens, lambda t, g: self.act(g, t)))
         return self._orbit_data
 
     def invariants(self, theta):
@@ -254,9 +254,9 @@ def embeddings(G, mu):
 
 def grassmannian_orbits(G, mu):
     """Orbit sizes of the group acting on embeddings of the type-mu module."""
-    _, sizes, _ = orbit_partition(
-        embeddings(G, mu), G.gens,
-        lambda e, g: (G.module_act(g, e[0]), G.module_act(g, e[1])))
+    emb = embeddings(G, mu)
+    _, sizes, _ = orbit_partition(emb, act_perms(
+        emb, G.gens, lambda e, g: (G.module_act(g, e[0]), G.module_act(g, e[1]))))
     return sizes
 
 

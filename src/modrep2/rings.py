@@ -25,6 +25,13 @@ MTOL = 1e-9   # equality tolerance for unit-circle values
 BACKENDS = ("padic", "tpoly")
 
 
+def _check(ok, what, expected, computed):
+    """Invariant check that survives python -O."""
+    if not ok:
+        raise AssertionError("%s: expected %s, computed %s"
+                             % (what, expected, computed))
+
+
 def is_prime(n):
     if n < 2:
         return False
@@ -289,48 +296,66 @@ def closure(seen, frontier, moves, act):
     return seen
 
 
-def orbit_partition(points, moves, act, index=None):
-    """Orbits of a finite set closed under the moves: (reps, sizes, orbit_of),
-    each representative the first of its orbit in points, and orbit_of an
-    index array aligned with points.  index maps each point to its position,
-    when the caller already holds that dict."""
-    if index is None:
-        index = {x: j for j, x in enumerate(points)}
-    orbit_of = [-1] * len(points)
-    reps, sizes = [], []
-    for j, x in enumerate(points):
-        if orbit_of[j] < 0:
-            orbit = closure({x}, [x], moves, act)
-            for y in orbit:
-                orbit_of[index[y]] = len(reps)
-            reps.append(x)
-            sizes.append(len(orbit))
-    return reps, sizes, np.array(orbit_of, dtype=np.int64)
+def greedy_generators(G):
+    """Small generating list: scan elements in order, keep those outside the
+    running span.  Every element lies in the span, so the element list is a
+    group exactly when the span is no larger; otherwise raise ValueError."""
+    gens = []
+    span = {G.identity}
+    for e in G.elements:
+        if e not in span:
+            gens.append(e)
+            closure(span, span, gens, G.mul)
+    if len(span) != len(G.elements):
+        raise ValueError("%s is not closed: its elements generate %d, not %d"
+                         % (G.name or "element list", len(span), len(G.elements)))
+    return gens
 
 
-class SimpleAbelianGroup:
-    """Finite abelian group on hashable elements, with the class-function protocol
-    (every element is its own conjugacy class)."""
+def act_perms(points, moves, act):
+    """Each move as the list of positions of act(x, move) over the points x,
+    -1 for an image off the points; one act call per point and move."""
+    index = {x: j for j, x in enumerate(points)}
+    return [[index.get(act(x, t), -1) for x in points] for t in moves]
 
-    is_abelian = True
 
-    def __init__(self, elements, mul, inv, identity, name=""):
-        self.elements = list(elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        assert len(self.index) == len(self.elements)
-        self._mul, self._inv = mul, inv
-        self.identity = identity
-        self.name = name
+def orbit_partition(points, perms):
+    """Orbits of points under permutations of their positions (integer
+    arrays): (reps, sizes, orbit_of), each representative the first of its
+    orbit in points and orbits numbered in that order.  Labels, the least
+    position seen so far in each orbit, are pulled from and pushed to the
+    images and shortened by pointer jumping until nothing changes.  Raises
+    ValueError if an image is off the points (-1)."""
+    n = len(points)
+    perms = [np.asarray(P, dtype=np.int32) for P in perms]
+    off = sum(int((P < 0).sum()) for P in perms)
+    if off:
+        raise ValueError("points are not closed under the moves: %d images "
+                         "are off the %d points" % (off, n))
+    lab = np.arange(n, dtype=np.int32)
+    while True:
+        old = lab.copy()
+        for P in perms:
+            np.minimum(lab, lab[P], out=lab)
+            lab[P] = np.minimum(lab[P], lab)
+        while not np.array_equal(lab[lab], lab):
+            lab = lab[lab]
+        if np.array_equal(lab, old):
+            break
+    is_first = lab == np.arange(n)
+    orbit_of = (np.cumsum(is_first) - 1)[lab]
+    first = np.flatnonzero(is_first).tolist()
+    return [points[j] for j in first], np.bincount(orbit_of).tolist(), orbit_of
+
+
+class FiniteGroup:
+    """Order, powers, element orders and the class-function protocol, through
+    the elements, index, mul, inv and identity that every group class
+    provides; classes are computed once, on first use."""
 
     @property
     def order(self):
         return len(self.elements)
-
-    def mul(self, x, y):
-        return self._mul(x, y)
-
-    def inv(self, x):
-        return self._inv(x)
 
     def pow(self, x, k):
         out = self.identity
@@ -346,25 +371,58 @@ class SimpleAbelianGroup:
             n += 1
         return n
 
-    # class-function protocol
+    def _compute_classes(self):
+        """Every element its own class."""
+        n = self.order
+        return (list(self.elements), np.ones(n, dtype=np.int64),
+                np.arange(n, dtype=np.int64))
+
+    def _classes(self):
+        data = getattr(self, "_class_data", None)
+        if data is None:
+            data = self._compute_classes()
+            self._class_data = data
+        return data
+
     @property
     def class_reps(self):
-        return self.elements
+        return self._classes()[0]
 
     @property
     def class_sizes(self):
-        return np.ones(len(self.elements), dtype=np.int64)
-
-    def cls_index(self, e):
-        return self.index[e]
+        return self._classes()[1]
 
     @property
     def class_count(self):
-        return len(self.elements)
+        return len(self._classes()[0])
+
+    def cls_index(self, e):
+        return int(self._classes()[2][self.index[e]])
 
     @property
     def identity_class(self):
-        return self.index[self.identity]
+        return self.cls_index(self.identity)
+
+
+class SimpleAbelianGroup(FiniteGroup):
+    """Finite abelian group on hashable elements, with the class-function protocol
+    (every element is its own conjugacy class)."""
+
+    is_abelian = True
+
+    def __init__(self, elements, mul, inv, identity, name=""):
+        self.elements = list(elements)
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        assert len(self.index) == len(self.elements)
+        self._mul, self._inv = mul, inv
+        self.identity = identity
+        self.name = name
+
+    def mul(self, x, y):
+        return self._mul(x, y)
+
+    def inv(self, x):
+        return self._inv(x)
 
 
 def unit_group(ring):
@@ -382,17 +440,13 @@ def additive_group(ring):
 
 
 def _assert_abelian(A):
-    els = A.elements
-    n = len(els)
-    if n <= 128:
-        pairs = ((x, y) for x in els for y in els)
-    else:
-        step = max(1, n // 64)
-        sample = els[::step]
-        pairs = ((x, y) for x in sample for y in els)
-    for x, y in pairs:
-        if A.mul(x, y) != A.mul(y, x):
-            raise ValueError("group is not abelian")
+    """Exact: the elements form a group (greedy_generators refuses a list
+    that is not closed) whose generators commute pairwise."""
+    gens = greedy_generators(A)
+    bad = [(x, y) for x in gens for y in gens if A.mul(x, y) != A.mul(y, x)]
+    if bad:
+        raise ValueError("group is not abelian: %r and %r do not commute"
+                         % bad[0])
 
 
 def _abelian_basis(A):
@@ -408,7 +462,7 @@ def _abelian_basis(A):
     for _ in range(m - 1):
         powers.append(A.mul(powers[-1], g))
     pindex = {e: i for i, e in enumerate(powers)}
-    reps, _, coset_of = orbit_partition(els, [g], A.mul)
+    reps, _, coset_of = orbit_partition(els, act_perms(els, [g], A.mul))
     rep = {e: reps[c] for e, c in zip(els, coset_of.tolist())}
     Q = SimpleAbelianGroup(reps,
                            lambda x, y: rep[A.mul(x, y)],

@@ -179,3 +179,37 @@ def test_is_cuspidal_small():
     assert is_cuspidal(G, sign)
     B = G.subgroup("borel")
     assert not is_cuspidal(G, induce(B, trivial(B)))
+
+
+def _round_each(vals):
+    """Per-entry reference: numpy's scalar round on each real and imaginary
+    part."""
+    return tuple((round(z.real, 6), round(z.imag, 6)) for z in vals)
+
+
+def _bits(fp):
+    return [(float(re).hex(), float(im).hex()) for re, im in fp]
+
+
+def test_fingerprint_matches_per_entry_round():
+    G = aut_group("padic", 3, (2, 1))
+    k = G.class_count
+    rng = np.random.default_rng(5)
+    roots = np.exp(2j * np.pi * np.arange(k) / 12) * rng.integers(-9, 10, k)
+    ties = (rng.integers(-10 ** 6, 10 ** 6, k) + 0.5) * 1e-6
+    tiny = np.full(k, -1e-12) + 1j * np.where(np.arange(k) % 2, 1e-12, -1e-12)
+    for vals in (roots, ties + 1j * ties[::-1], tiny, rng.normal(size=k)):
+        fp = ClassFunction(G, vals).fingerprint()
+        assert all(type(x) is float for pair in fp for x in pair)
+        assert _bits(fp) == _bits(_round_each(ClassFunction(G, vals).vals))
+
+
+def test_dedupe_signed_zero_is_one_key():
+    G = aut_group("padic", 2, (2, 1))
+    v = np.ones(G.class_count, dtype=np.complex128)
+    neg = v.copy()
+    neg[1] = complex(-1e-12, -0.0)
+    v[1] = 0.0
+    a, b = ClassFunction(G, v), ClassFunction(G, neg)
+    assert np.signbit(b.fingerprint()[1][0])
+    assert dedupe([a, b]) == [a]

@@ -151,8 +151,9 @@ def test_usage_errors_exit_2():
     assert e.value.code == 2
 
 
-# sha256 of the JSON stdout of the commands that print orbit representatives;
-# each representative must stay the first of its orbit in enumeration order.
+# sha256 of the JSON stdout of the commands that print orbit representatives,
+# where each representative must stay the first of its orbit in enumeration
+# order, and of reports that depend on fingerprints and the class order.
 PINNED_OUTPUT = [
     (("classes", "--p", "2", "--lambda", "2,2"),
      "4904d9a1ff734db8cc3ec0feb8bb0c45d15f14f5bc67c09b47bdcbe12140c70e"),
@@ -164,6 +165,12 @@ PINNED_OUTPUT = [
      "5bb91c9739ae5fbf6eeeb58c37731910a103b3758eda0cd5cbc0de613d5b58c3"),
     (("orbits", "--p", "3", "--lambda", "3,2"),
      "2284ed18427caf99480a13bb47ab8f59f8eb0a58c1126aa470566a0bd81500e9"),
+    (("construct", "--p", "2", "--lambda", "3,2"),
+     "754ff4f419b50276195954f81bacd4e411ef6e8f1a5249ff21324f4d81b67564"),
+    (("construct", "--p", "3", "--lambda", "2,2"),
+     "aba3aaa2c9015e2a7ac5f2c18dcf50faf63563aa381da01053e97deb64684db2"),
+    (("verify-all", "--p", "2", "--lambda", "3,3"),
+     "410afeb10de37bf6a4cfcf4e2b58a2f47c71011fe2293d2e18a5a2247bf5e75f"),
 ]
 
 

@@ -1,11 +1,18 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from modrep2.groups import (AutGroup, ProductGroup, QuotientGroup, Subgroup,
                             aut_group, class_count_formula, order_formula)
-from modrep2.rings import SimpleAbelianGroup, make_ring
+from modrep2.rings import (SimpleAbelianGroup, act_perms, closure, make_ring,
+                           orbit_partition)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 ORDER_CASES = [
     ("padic", 2, (1, 1), 6), ("padic", 3, (1, 1), 48), ("tpoly", 4, (1, 1), 180),
@@ -329,3 +336,77 @@ def test_rank_one_group():
     assert G.class_count == 4
     assert G.det(3) == 3
     assert aut_group("padic", 2, (3, 0)) is G
+
+
+def closure_orbits(points, moves, act):
+    """Tuple reference for orbit_partition: one closure per new orbit."""
+    index = {x: j for j, x in enumerate(points)}
+    orbit_of = [-1] * len(points)
+    reps, sizes = [], []
+    for j, x in enumerate(points):
+        if orbit_of[j] < 0:
+            orbit = closure({x}, [x], moves, act)
+            for y in orbit:
+                orbit_of[index[y]] = len(reps)
+            reps.append(x)
+            sizes.append(len(orbit))
+    return reps, sizes, orbit_of
+
+
+def _floor_quotient():
+    G = aut_group("padic", 2, (2, 2))
+    return QuotientGroup(G, G.subgroup("floor_kernel"))
+
+
+SWEEP_CASES = {
+    "padic-2-(3,2)": lambda: aut_group("padic", 2, (3, 2)),
+    "padic-3-(2,1)": lambda: aut_group("padic", 3, (2, 1)),
+    "tpoly-4-(1,1)": lambda: aut_group("tpoly", 4, (1, 1)),
+    "parabolic_upper": lambda: aut_group("padic", 2, (3, 2)).subgroup(
+        "parabolic_upper"),
+    "quotient": _floor_quotient,
+    "product": lambda: ProductGroup(aut_group("padic", 2, (1, 1)),
+                                    aut_group("padic", 2, (1, 1))),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_array_orbits_match_closure_reference(case):
+    G = SWEEP_CASES[case]()
+
+    def conj(x, t):
+        return G.mul(G.mul(G.inv(t), x), t)
+    reps, sizes, orbit_of = G.conj_orbits(G.elements)
+    assert (reps, sizes, orbit_of.tolist()) == \
+        closure_orbits(G.elements, G.gens, conj)
+    got = orbit_partition(G.elements, act_perms(G.elements, G.gens, conj))
+    assert (got[0], got[1], got[2].tolist()) == (reps, sizes, orbit_of.tolist())
+    if isinstance(G, QuotientGroup):
+        P = G.parent
+        assert G.elements == closure_orbits(P.elements, G.N.gens, P.mul)[0]
+
+
+def test_points_not_closed_refused():
+    G = aut_group("padic", 2, (3, 2))
+    upper = G.subgroup("parabolic_upper").elements
+    with pytest.raises(ValueError, match="not closed under the moves"):
+        G.conj_orbits(upper)
+    points = [0, 1, 2]
+    with pytest.raises(ValueError, match="not closed under the moves"):
+        orbit_partition(points, act_perms(points, [1], lambda x, t: (x + t) % 4))
+
+
+def test_truncated_generators_refused_under_optimize():
+    code = ("from modrep2.groups import AutGroup\n"
+            "G = AutGroup('padic', 2, (3, 2))\n"
+            "G.gens = G.gens[:2]\n"
+            "try:\n"
+            "    G.class_count\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n"
+            "    raise SystemExit(3)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert "expected 128, computed" in proc.stdout

@@ -3,8 +3,8 @@ import cmath
 import pytest
 
 from modrep2.rings import (FiniteField, MTOL, TOL, SimpleAbelianGroup,
-                           additive_group, character_group, make_ring,
-                           twisting_characters, unit_group)
+                           _assert_abelian, additive_group, character_group,
+                           make_ring, twisting_characters, unit_group)
 
 SMALL = [("padic", 2, 3), ("padic", 3, 2), ("tpoly", 2, 3), ("tpoly", 4, 2)]
 
@@ -162,6 +162,22 @@ def test_character_group_rejects_nonabelian():
                            (0, 1, 2))
     with pytest.raises(ValueError):
         character_group(A)
+
+
+def test_abelian_check_is_exact_on_large_lists():
+    # C64 x S3 listed so that every sixth element is central: a check that
+    # tests only every (n // 64)-th element against the rest sees no clash
+    s3 = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
+    els = [(c, s) for c in range(64) for s in s3]
+    step = len(els) // 64
+    assert all(s == s3[0] for _, s in els[::step])
+    A = SimpleAbelianGroup(
+        els, lambda x, y: ((x[0] + y[0]) % 64, tuple(x[1][i] for i in y[1])),
+        lambda x: ((-x[0]) % 64, tuple(sorted(range(3), key=lambda i: x[1][i]))),
+        (0, s3[0]))
+    with pytest.raises(ValueError, match="not abelian"):
+        _assert_abelian(A)
+    _assert_abelian(unit_group(make_ring("padic", 3, 5)))
 
 
 def test_twisting_characters():
