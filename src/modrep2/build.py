@@ -12,7 +12,7 @@ from .classfun import (ClassFunction, dedupe, geo_ind, induce, inf_ind,
 from .dixon import character_degrees
 from .groups import ProductGroup, aut_group
 from .orbits import CongruenceDual, cuspidal_parameters, eta_dual, inner_types
-from .rings import (MTOL, TOL, character_group, make_ring,
+from .rings import (MTOL, TOL, _check, character_group, make_ring,
                     twisting_characters, unit_group)
 
 
@@ -386,7 +386,10 @@ def assemble(backend, q, lam):
                            True)
     elif lam == (1, 1):
         zeta = dict(Counter(character_degrees(G)))
-        assert zeta == green_gl2(q)
+        green = green_gl2(q)
+        _check(zeta == green, "Dixon degrees of %s q=%d (1,1) against "
+               "green_gl2" % (backend, q), sorted(green.items()),
+               sorted(zeta.items()))
         asm = AssembledSet(G, backend, q, lam, [], None, zeta, False)
         asm.checks["dixon_matches_green"] = True
     elif l2 == 1:

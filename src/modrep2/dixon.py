@@ -7,8 +7,11 @@ the degree multisets produced by the explicit constructions.
 
 Overflow: every matrix entry is reduced below r (class-matrix entries count
 members of one class, fewer than |G| < r), so a product of two entries is
-below r^2 and a dot product of length at most k below k*r^2, which
-character_degrees requires to stay under 2^63; int64 never overflows."""
+below r^2 and a dot product of length at most k below k*r^2.  The split
+takes its larger matrix products through float64 BLAS (_mm), which is exact
+while every dot product stays below 2^53, so character_degrees refuses a
+prime with (k+1)*r^2 >= 2^53; the smaller products and the row reductions
+run in int64, far below 2^63."""
 
 import math
 
@@ -60,14 +63,18 @@ def _rref(B, r):
         f = B[:, col].copy()
         f[row] = 0
         # the pivot row is zero left of col, so those columns stay as they are
-        B[:, col:] = (B[:, col:] - np.outer(f, B[row, col:])) % r
+        T = np.outer(f, B[row, col:])
+        np.subtract(B[:, col:], T, out=T)
+        T %= r
+        B[:, col:] = T
         pivots.append(col)
         row += 1
     return B[:row], pivots
 
 
 def _nullspace(A, r):
-    """Basis of the kernel of A mod r, as rows: one per free column."""
+    """Basis K of the kernel of A mod r, as rows, one per free column of
+    rref(A); returns (K, free) with K[:, free] the identity."""
     n = A.shape[1]
     R, pivots = _rref(A, r)
     free = np.ones(n, dtype=bool)
@@ -76,7 +83,20 @@ def _nullspace(A, r):
     K = np.zeros((free.size, n), dtype=np.int64)
     K[np.arange(free.size), free] = 1
     K[:, pivots] = (-R[:, free]).T % r
-    return K
+    return K, free
+
+
+def _mm(A, B, r):
+    """A @ B mod r through float64 BLAS: exact while every dot product stays
+    below 2^53, which character_degrees guarantees.  A product of fewer
+    than 4096 multiply-adds stays in numpy's int64 loop, which is as fast
+    there, so the oracle on a group with fewer than 16 classes never pages
+    in BLAS (about 0.4 MB of memory)."""
+    dtype = np.float64 if A.size * B.shape[-1] >= 4096 else np.int64
+    P = (np.asarray(A, dtype=dtype) @ np.asarray(B, dtype=dtype)).astype(
+        np.int64, copy=False)
+    P %= r
+    return P
 
 
 def _charpoly(A, r):
@@ -108,13 +128,109 @@ def _charpoly(A, r):
     return P[n, ::-1]
 
 
+def _sqrt_mod(a, r):
+    """A square root of a modulo the odd prime r, or None when a is not a
+    square (Tonelli-Shanks)."""
+    a %= r
+    if a == 0:
+        return 0
+    if pow(a, (r - 1) // 2, r) != 1:
+        return None
+    q, s = r - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (r - 1) // 2, r) != r - 1:
+        z += 1
+    m, c, t, x = s, pow(z, q, r), pow(a, q, r), pow(a, (q + 1) // 2, r)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % r, i + 1
+        b = pow(c, 1 << (m - i - 1), r)
+        m, c, t, x = i, b * b % r, t * b * b % r, x * b % r
+    return x
+
+
 def _roots(coeffs, r):
-    """All roots in F_r, by evaluating at every point."""
-    xs = np.arange(r, dtype=np.int64)
-    acc = np.full(r, coeffs[0], dtype=np.int64)
-    for c in coeffs[1:]:
-        acc = (acc * xs + c) % r
-    return [int(x) for x in xs[acc == 0]]
+    """Distinct roots in F_r of a polynomial of degree >= 1, leading
+    coefficient first, ascending: a quadratic by its formula with a square
+    root mod r, anything else by evaluating at every point, 2^16 at a time."""
+    if len(coeffs) == 3:
+        inv = pow(int(coeffs[0]), -1, r)
+        b, c = int(coeffs[1]) * inv % r, int(coeffs[2]) * inv % r
+        s = _sqrt_mod(b * b - 4 * c, r)
+        if s is None:
+            return []
+        half = (r + 1) // 2
+        return sorted({(-b + s) * half % r, (-b - s) * half % r})
+    roots = []
+    for lo in range(0, r, 1 << 16):
+        xs = np.arange(lo, min(lo + (1 << 16), r), dtype=np.int64)
+        acc = np.full(xs.size, coeffs[0], dtype=np.int64)
+        for c in coeffs[1:]:
+            acc *= xs
+            acc += c
+            acc %= r
+        roots.extend(xs[acc == 0].tolist())
+    return roots
+
+
+def _multiplicities(coeffs, roots, r):
+    """Multiplicity of each root of the polynomial, by synthetic division
+    of the deflated polynomial."""
+    p = [int(c) for c in coeffs]
+    mult = []
+    for lam in roots:
+        m = 0
+        while len(p) > 1:
+            q = [p[0]]
+            for c in p[1:]:
+                q.append((q[-1] * lam + c) % r)
+            if q[-1]:
+                break
+            p, m = q[:-1], m + 1
+        mult.append(m)
+    return mult
+
+
+def _eigenspaces(R, r):
+    """Eigenspaces {x : x R = lam x} of a diagonalisable, non-scalar R mod
+    r, as pairs (E, P): a row basis E with E[:, P] the identity.
+
+    The roots of the characteristic polynomial are peeled largest
+    multiplicity first.  C is a basis of the sum of the eigenspaces not yet
+    peeled, with C[:, pc] = I and C R = RC C.  For each root but the last,
+    M = RC - lam I is diagonalisable, so F_r^c is the left kernel of M (the
+    eigenspace, in C coordinates) plus the row space of M (the sum of the
+    other eigenspaces, invariant under RC); C moves to the row space.  The
+    last eigenspace is what is left of C.  Later kernels thus run on ever
+    smaller matrices."""
+    d = R.shape[0]
+    coeffs = _charpoly(R, r)
+    roots = _roots(coeffs, r)
+    peel = sorted(zip(_multiplicities(coeffs, roots, r), roots),
+                  key=lambda t: -t[0])
+    _check(sum(m for m, _ in peel) == d, "roots of the characteristic "
+           "polynomial in F_r, with multiplicity", d, peel)
+    C, pc, RC = None, np.arange(d), R  # C None: the identity
+    spaces = []
+    for m, lam in peel[:-1]:
+        M = (RC - lam * np.eye(len(pc), dtype=np.int64)) % r
+        K, free = _nullspace(M.T, r)
+        _check(K.shape[0] == m, "dimension of the eigenspace of %d" % lam,
+               m, K.shape[0])
+        spaces.append((K if C is None else _mm(K, C, r), pc[free]))
+        W, pw = _rref(M, r)
+        C = W if C is None else _mm(W, C, r)
+        pc, RC = pc[pw], _mm(W, RC, r)[:, pw]
+    m, lam = peel[-1]
+    off = np.count_nonzero(RC - lam * np.eye(len(pc), dtype=np.int64))
+    _check(len(pc) == m and not off, "dimension of the last eigenspace, of "
+           "%d, and entries of its restricted matrix off %d I" % (lam, lam),
+           (m, 0), (len(pc), off))
+    spaces.append((C, pc))
+    return spaces
 
 
 def _inverses(x, r):
@@ -134,9 +250,9 @@ def character_degrees(G, r_override=None):
     if not (is_prime(r) and r > G.order and (r - 1) % exponent == 0):
         raise ValueError("Dixon prime must be a prime r > |G| = %d with "
                          "r = 1 mod exponent %d, got %d" % (G.order, exponent, r))
-    if k * r * r >= 2 ** 63:
-        raise ValueError("Dixon prime %d too large for int64 arithmetic with "
-                         "%d classes" % (r, k))
+    if (k + 1) * r * r >= 2 ** 53:
+        raise ValueError("Dixon prime %d too large for exact float64 products "
+                         "with %d classes" % (r, k))
     reps, sizes, cls_of = G._classes()
     rep_idx = np.array([G.index[x] for x in reps], dtype=np.intp)
     jstar = cls_of[[G.index[G.inv(x)] for x in reps]]
@@ -145,45 +261,47 @@ def character_degrees(G, r_override=None):
     ic = G.identity_class
     # The class algebra over F_r is split semisimple (r > |G|, r = 1 mod the
     # exponent), so each restricted matrix R is diagonalisable: a block
-    # splits under class i exactly when R is not scalar.
-    spaces = [(np.eye(k, dtype=np.int64), list(range(k)))]
+    # splits under class i exactly when R is not scalar.  Blocks of one
+    # dimension d are stacked: blocks[d] = (B, P), B of shape (n, d, k) with
+    # B[b][:, P[b]] = I, so row j of B[b] N^T in the span of B[b] is
+    # R[b, j] @ B[b] with R[b] = (B[b] N^T)[:, P[b]].
+    blocks = {k: (np.eye(k, dtype=np.int64)[None], np.arange(k)[None])}
     for i in range(k):
         if i == ic:
             continue
-        if all(B.shape[0] == 1 for B, _ in spaces):
+        if list(blocks) == [1]:
             break
-        N = None
-        split = []
-        for B, piv in spaces:
-            d = B.shape[0]
+        t = jstar[i]
+        NT = _class_matrix(G, by_class[starts[t]:starts[t + 1]], rep_idx,
+                           cls_of).T.astype(np.float64)
+        parts = {}
+        for d, (B, P) in blocks.items():
             if d == 1:
-                split.append((B, piv))
+                parts.setdefault(1, []).append((B, P))
                 continue
-            if N is None:
-                t = jstar[i]
-                N = _class_matrix(G, by_class[starts[t]:starts[t + 1]],
-                                  rep_idx, cls_of)
-            Bi = B @ N.T % r
-            R = Bi[:, piv]
-            off = np.count_nonzero(R @ B % r != Bi)
-            _check(not off, "entries of B N^T off the span of a block of "
+            Bi = _mm(B.reshape(-1, k), NT, r).reshape(B.shape)
+            R = np.take_along_axis(Bi, P[:, None, :], axis=2)
+            off = np.count_nonzero(_mm(R, B, r) != Bi)
+            _check(not off, "entries of B N^T off the span of the blocks of "
                    "dimension %d under class %d" % (d, i), 0, off)
-            if not np.count_nonzero(R - R[0, 0] * np.eye(d, dtype=np.int64)):
-                split.append((B, piv))
-                continue
-            for lam in _roots(_charpoly(R, r), r):
-                Kb = _nullspace((R.T - lam * np.eye(d, dtype=np.int64)) % r, r)
-                if Kb.shape[0]:
-                    # B is row-reduced with pivot columns piv, so E @ B is the
-                    # row-reduced basis of Kb @ B, with pivot columns piv[P].
-                    E, P = _rref(Kb, r)
-                    split.append((E @ B % r, [piv[p] for p in P]))
-        _check(sum(B.shape[0] for B, _ in split) == k,
-               "eigenspace dimensions after class %d" % i, k,
-               sum(B.shape[0] for B, _ in split))
-        spaces = split
-    _check(len(spaces) == k, "one-dimensional common eigenspaces", k, len(spaces))
-    V = np.array([B[0] for B, _ in spaces])
+            del Bi  # k x k on the first split, which sets the peak memory
+            scalar = (R == R[:, :1, :1] * np.eye(d, dtype=np.int64)).all(
+                axis=(1, 2))
+            if scalar.any():
+                parts.setdefault(d, []).append((B[scalar], P[scalar]))
+            for b in np.flatnonzero(~scalar):
+                # (E @ B[b])[:, P[b][Q]] = E[:, Q] = I
+                for E, Q in _eigenspaces(R[b], r):
+                    parts.setdefault(len(Q), []).append(
+                        (_mm(E, B[b], r)[None], P[b][Q][None]))
+        blocks = {d: (np.concatenate([B for B, _ in ps]),
+                      np.concatenate([P for _, P in ps]))
+                  for d, ps in parts.items()}
+        dims = sum(B.shape[0] * d for d, (B, _) in blocks.items())
+        _check(dims == k, "eigenspace dimensions after class %d" % i, k, dims)
+    count = sum(B.shape[0] for B, _ in blocks.values())
+    _check(list(blocks) == [1], "one-dimensional common eigenspaces", k, count)
+    V = blocks[1][0][:, 0]
     _check(np.count_nonzero(V[:, ic]) == k, "eigenvectors nonzero at the "
            "identity class", k, np.count_nonzero(V[:, ic]))
     W = V * _inverses(V[:, ic], r)[:, None] % r

@@ -1,7 +1,11 @@
 """Construction and assembly tests: family counts, zeta polynomials, the
 cuspidal battery, and the induction-restriction compatibility identities."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from modrep2.rings import (character_group, make_ring, twisting_characters,
                            unit_group)
 
 TOL = 1e-6
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_green_base():
@@ -340,3 +346,20 @@ def test_one_dim_count_is_abelianization_order():
                             ("padic", 3, (2, 1))]:
         a = assemble(backend, q, lam)
         assert a.zeta[1] == a.G.abelianization().order
+
+
+def test_dixon_against_green_checked_under_optimize():
+    # a wrong green_gl2 must stop assemble for (1,1) even under python -O,
+    # with both multisets in the message
+    code = ("import modrep2.build as b\n"
+            "b.green_gl2 = lambda q: {1: q + 1}\n"
+            "try:\n"
+            "    b.assemble('padic', 2, (1, 1))\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n"
+            "    raise SystemExit(3)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert "[(1, 3)]" in proc.stdout and "[(1, 2), (2, 1)]" in proc.stdout

@@ -1,5 +1,6 @@
 """The modular character-degree oracle against known degree multisets."""
 
+import math
 import os
 import random
 import subprocess
@@ -11,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modrep2.dixon import (_charpoly, _class_matrix, _nullspace, _rref,
+from modrep2.dixon import (_charpoly, _class_matrix, _eigenspaces, _mm,
+                           _nullspace, _roots, _rref, _sqrt_mod,
                            character_degrees, dixon_prime, group_exponent)
 from modrep2.groups import ProductGroup, aut_group
-from modrep2.rings import make_ring, unit_group
+from modrep2.rings import is_prime, make_ring, unit_group
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -169,7 +171,171 @@ def test_rref_and_nullspace():
             assert np.count_nonzero(R[:, c]) == 1
         # same row space: stacking A on R adds no rank
         assert len(_rref(np.vstack([A, R]), p)[1]) == len(piv)
-        K = _nullspace(A, p)
+        K, free = _nullspace(A, p)
         assert K.shape == (cols - len(piv), cols)
+        assert sorted(set(free) | set(piv)) == list(range(cols))
+        assert np.array_equal(K[:, free], np.eye(len(free)))
         assert not (A @ K.T % p).any()
         assert len(_rref(K, p)[1]) == K.shape[0]
+
+
+# r = 1 mod 8 for 17, 41, 97, 257 and 25057, so Tonelli-Shanks loops
+QUADRATIC_PRIMES = [3, 7, 13, 17, 41, 97, 257, 8803, 25057]
+
+
+def _scan_roots(coeffs, p):
+    xs = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, dtype=np.int64)
+    for c in coeffs:
+        acc = (acc * xs + int(c)) % p
+    return [int(x) for x in np.flatnonzero(acc == 0)]
+
+
+@pytest.mark.parametrize("p", QUADRATIC_PRIMES)
+def test_sqrt_mod(p):
+    squares = {x * x % p for x in range(p)}
+    for a in random.Random(p).sample(range(p), min(p, 300)):
+        s = _sqrt_mod(a, p)
+        assert (s is not None) == (a in squares)
+        if s is not None:
+            assert s * s % p == a
+
+
+@pytest.mark.parametrize("p", QUADRATIC_PRIMES)
+def test_quadratic_roots_match_scan(p):
+    rng = random.Random(p)
+    for _ in range(25):
+        a, b, u = rng.randrange(p), rng.randrange(p), rng.randrange(1, p)
+        coeffs = [u, -u * (a + b) % p, u * a * b % p]
+        assert _roots(coeffs, p) == sorted({a, b}) == _scan_roots(coeffs, p)
+    # and the ones without roots in F_p
+    for n in range(1, min(p, 40)):
+        coeffs = [1, 0, -n % p]
+        assert _roots(coeffs, p) == _scan_roots(coeffs, p)
+
+
+def _largest_admissible_prime(k, exponent):
+    r = math.isqrt((2 ** 53 - 1) // (k + 1))
+    r -= (r - 1) % exponent
+    while not is_prime(r):
+        r -= exponent
+    return r
+
+
+def _rref_int(rows, p):
+    """Row reduction in Python ints: (rows, pivot columns)."""
+    rows = [[x % p for x in row] for row in rows]
+    pivots, top = [], 0
+    for col in range(len(rows[0])):
+        sel = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[top], rows[sel] = rows[sel], rows[top]
+        inv = pow(rows[top][col], -1, p)
+        rows[top] = [x * inv % p for x in rows[top]]
+        for i in range(len(rows)):
+            if i != top and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[top])]
+        pivots.append(col)
+        top += 1
+    return rows[:top], pivots
+
+
+def test_exact_at_the_float64_bound():
+    # dot products of length k of entries up to r - 1 reach just under 2^53
+    k = 200
+    r = _largest_admissible_prime(k, 2)
+    assert 0.9999 * 2 ** 53 < (k + 1) * r * r < 2 ** 53
+    rng = random.Random(11)
+    # 4 x k by k x 8 runs through BLAS, 4 x 10 by 10 x 8 through int64
+    for n in (k, 10):
+        A = [[r - 1] * n] + [[rng.randrange(r - 50, r) for _ in range(n)]
+                             for _ in range(3)]
+        B = [[r - 1] * 8 for _ in range(n)]
+        for row in B[::3]:
+            row[1] = rng.randrange(r)
+        got = _mm(np.array(A), np.array(B), r)
+        assert got.tolist() == [[sum(a * b for a, b in zip(row, col)) % r
+                                 for col in zip(*B)] for row in A]
+    for rows, cols in [(6, 9), (9, 6), (8, 8)]:
+        M = [[r - 1 if rng.random() < 0.3 else rng.randrange(r - 50, r)
+              for _ in range(cols)] for _ in range(rows)]
+        M[-1] = [(x + y) % r for x, y in zip(M[0], M[1])]  # rank deficient
+        R, piv = _rref(np.array(M), r)
+        ref, ref_piv = _rref_int(M, r)
+        assert (R.tolist(), piv) == (ref, ref_piv)
+        K, free = _nullspace(np.array(M), r)
+        assert list(free) == [c for c in range(cols) if c not in ref_piv]
+        assert all(sum(x * y for x, y in zip(row, kr)) % r == 0
+                   for row in M for kr in K.tolist())
+
+
+def test_largest_admissible_prime_gives_the_same_degrees():
+    G = aut_group("padic", 2, (2, 1))
+    r = _largest_admissible_prime(G.class_count, group_exponent(G))
+    assert r > dixon_prime(group_exponent(G), G.order)
+    assert character_degrees(G, r_override=r) == character_degrees(G)
+
+
+def test_prime_above_the_float64_bound_rejected():
+    G = aut_group("padic", 2, (2, 1))
+    k, e = G.class_count, group_exponent(G)
+    r = _largest_admissible_prime(k, e) + e
+    while not is_prime(r):
+        r += e
+    assert (k + 1) * r * r >= 2 ** 53
+    with pytest.raises(ValueError, match="float64"):
+        character_degrees(G, r_override=r)
+    code = ("from modrep2.dixon import character_degrees\n"
+            "from modrep2.groups import aut_group\n"
+            "try:\n"
+            "    character_degrees(aut_group('padic', 2, (2, 1)), "
+            "r_override=%d)\n"
+            "except ValueError:\n"
+            "    raise SystemExit(3)\n" % r)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+
+
+def _space(rows, p):
+    return _rref(np.array(rows, dtype=np.int64).reshape(-1, 12), p)[0].tolist()
+
+
+def test_peeled_eigenspaces_match_per_eigenvalue_kernels():
+    # R = S^-1 D S: row j of S is a left eigenvector for D[j]; one eigenvalue
+    # of multiplicity d/2, a tie in multiplicity, and simple ones
+    p = 10007
+    D = [5] * 6 + [7, 7, 11, 11, 13, 17]
+    rng = random.Random(3)
+    d = len(D)
+    for _ in range(4):
+        while True:
+            S = np.array([[rng.randrange(p) for _ in range(d)]
+                          for _ in range(d)], dtype=np.int64)
+            rr, piv = _rref(np.hstack([S, np.eye(d, dtype=np.int64)]), p)
+            if piv[:d] == list(range(d)):
+                break
+        Sinv = rr[:, d:]
+        assert (S.astype(object).dot(Sinv.astype(object)) % p
+                == np.eye(d, dtype=int)).all()
+        perm = rng.sample(range(d), d)
+        R = (Sinv.astype(object).dot(np.diag([D[j] for j in perm]))
+             .dot(S.astype(object)) % p).astype(np.int64)
+        spaces = _eigenspaces(R, p)
+        dims = [len(P) for _, P in spaces]
+        assert dims[0] == 6 and dims == sorted(dims, reverse=True)
+        assert sum(dims) == d
+        seen = set()
+        for E, P in spaces:
+            assert np.array_equal(E[:, P], np.eye(len(P), dtype=np.int64))
+            lam = int(E[0].astype(object).dot(R.astype(object))[P[0]] % p)
+            seen.add(lam)
+            Kref, _ = _nullspace((R.T - lam * np.eye(d, dtype=np.int64)) % p,
+                                 p)
+            assert _space(E, p) == _space(Kref, p)
+            assert _space(E, p) == _space(
+                [S[i] for i in range(d) if D[perm[i]] == lam], p)
+        assert seen == set(D)
