@@ -13,7 +13,7 @@ from .dixon import character_degrees
 from .groups import ProductGroup, aut_group
 from .orbits import CongruenceDual, cuspidal_parameters, eta_dual, inner_types
 from .rings import (MTOL, TOL, _check, character_group, make_ring,
-                    twisting_characters, unit_group)
+                    twisting_characters, unit_characters, unit_group)
 
 
 class IrrFamily:
@@ -107,7 +107,7 @@ def _nontrivial_on(chi, members):
 
 
 def _unipotent_average(chi, U):
-    return sum(chi(u) for u in U.elements) / U.order
+    return chi.vals[chi.group.cls_of[U.idx]].sum() / U.order
 
 
 def build_l1(G):
@@ -191,10 +191,11 @@ def build_cuspidal_nonrect(G):
     for u_hat, w_hat in cuspidal_parameters(G):
         N = G.subgroup("cuspidal_normalizer", u_hat=u_hat, w_hat=w_hat)
         A = G.subgroup("cuspidal_abelian", u_hat=u_hat, w_hat=w_hat)
-        eta = dict(zip(D.K.elements, D.values(eta_dual(u_hat, w_hat))))
+        eta = D.values([eta_dual(u_hat, w_hat)])[0]
+        kcls = N.cls_of[N.positions(D.K.idx)]
         exts = [chi for chi in linear_characters(N)
-                if all(abs(chi(k) - eta[k]) < MTOL for k in D.K.elements)]
-        inter = sum(1 for a in A.elements if a in D.K.index)
+                if np.all(np.abs(chi.vals[kcls] - eta) < MTOL)]
+        inter = len(np.intersect1d(A.idx, D.K.idx, assume_unique=True))
         assert len(exts) == A.order // inter
         members.extend(induce(N, chi) for chi in exts)
     members = dedupe(members)
@@ -204,15 +205,11 @@ def build_cuspidal_nonrect(G):
     return fam
 
 
-def _unit_characters(ring):
-    return character_group(unit_group(ring))
-
-
 def _primitive_unit_characters(ring):
     """Unit characters nontrivial on the deepest congruence layer."""
     lvl = ring.level
     layer = [ring.add[1][ring.pi_mul(s, lvl - 1)] for s in range(1, ring.q)]
-    return [ch for ch in _unit_characters(ring)
+    return [ch for ch in unit_characters(ring)
             if any(abs(ch(u) - 1) > TOL for u in layer)]
 
 
@@ -224,14 +221,14 @@ def build_geometric(G):
 
     if l1 > l2:
         pairs = [(t1, t2) for t1 in _primitive_unit_characters(G.R1)
-                 for t2 in _unit_characters(G.R2)]
+                 for t2 in unit_characters(G.R2)]
         raw = [geo_ind(G, t1, t2) for t1, t2 in pairs]
         geo = dedupe(raw)
         assert len(geo) == len(raw) == q ** (l1 + l2 - 3) * (q - 1) ** 3
         geo_irred = IrrFamily("geo_irred", geo)
         assert geo_irred.degree == q ** l2
     else:
-        chars = _unit_characters(G.R1)
+        chars = unit_characters(G.R1)
         layer = [G.R1.add[1][G.R1.pi_mul(s, l1 - 1)] for s in range(1, q)]
         pairs = [(t1, t2) for t1 in chars for t2 in chars
                  if any(abs(t1(u) - t2(u)) > TOL for u in layer)]

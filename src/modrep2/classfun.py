@@ -5,9 +5,10 @@ depth-one spectrum used to sort irreducible characters into families."""
 
 import numpy as np
 
-from .groups import aut_group
+from .groups import ProductGroup, aut_group
 from .orbits import CongruenceDual, inner_types
-from .rings import TOL, character_group, twisting_characters, unit_group
+from .rings import (TOL, character_group, twisting_characters, unit_characters,
+                    unit_group)
 
 
 class ClassFunction:
@@ -84,11 +85,13 @@ def linear_characters(G):
 
 
 def induce(sub, f):
-    """Induction from a subgroup, through the class-fusion table."""
+    """Induction from a subgroup, through the class-fusion table: the
+    class-size-weighted values summed into parent classes by bincount."""
     G = sub.parent
-    out = np.zeros(G.class_count, dtype=np.complex128)
-    for j, c in enumerate(sub.fusion()):
-        out[c] += sub.class_sizes[j] * f.vals[j]
+    w = sub.class_sizes * f.vals
+    fus, k = sub.fusion(), G.class_count
+    out = (np.bincount(fus, w.real, minlength=k)
+           + 1j * np.bincount(fus, w.imag, minlength=k))
     out *= sub.parent_index / G.class_sizes
     return ClassFunction(G, out)
 
@@ -107,16 +110,17 @@ def inflate(G, f, hom):
 
 def invariants_pushforward(P, U, Q, hom, f):
     """Average a class function on P over the fibers of hom: P -> Q with
-    kernel U; on characters this computes the U-invariants functor."""
+    kernel U; on characters this computes the U-invariants functor.  The
+    products s * u, s a section of each class of Q, are one right_mul
+    gather, and P.positions refuses a product outside P."""
     assert f.group is P
     sec = {}
-    for x in P.elements:
-        sec.setdefault(hom(x), x)
+    for j, x in zip(P.idx.tolist(), P.elements):
+        sec.setdefault(hom(x), j)
     assert len(sec) == Q.order
-    vals = np.empty(Q.class_count, dtype=np.complex128)
-    for c, qrep in enumerate(Q.class_reps):
-        s = sec[qrep]
-        vals[c] = sum(f(P.mul(s, u)) for u in U.elements) / U.order
+    prods = P.root.right_mul([sec[r] for r in Q.class_reps], U.idx[:, None])
+    # summed over u row by row, in the order of U.elements
+    vals = f.vals[P.cls_of[P.positions(prods)]].sum(axis=0) / U.order
     return ClassFunction(Q, vals)
 
 
@@ -138,8 +142,6 @@ def torus_product(G):
     """Product of the two unit groups, the target of geo_res; one per group."""
     T = getattr(G, "_torus_product", None)
     if T is None:
-        from .groups import ProductGroup
-        from .rings import unit_group
         T = ProductGroup(unit_group(G.R1), unit_group(G.R2))
         G._torus_product = T
     return T
@@ -156,12 +158,7 @@ def geo_res(G, f, side="upper"):
 
 def congruence_kernel(G, m, side="embed"):
     """Kernel of the congruence-parabolic quotient map onto the (l1, m) group."""
-    tag = "parabolic_embed" if side == "embed" else "parabolic_quot"
-    P = G.subgroup(tag, m=m)
-    hom = _congruence_hom(G, m, side)
-    one = aut_group(G.backend, G.q, (G.l1, m)).identity
-    members = [g for g in P.elements if hom(g) == one]
-    return G.subgroup("custom", members=members, name="ker_%s_%d" % (side, m))
+    return G.subgroup("ker_" + side, m=m)
 
 
 def _congruence_hom(G, m, side):
@@ -202,7 +199,7 @@ def k_spectrum(G, chi):
     """Multiplicity of each depth-one congruence-kernel character in the
     restriction of chi, indexed like CongruenceDual(G, 1, 0).duals."""
     D = depth_one_dual(G)
-    v = np.array([chi(k) for k in D.K.elements])
+    v = chi.vals[G.cls_of[D.K.idx]]
     m = D._vm.conj() @ v / D.K.order
     assert np.all(np.abs(m.imag) < TOL)
     assert np.all(np.abs(m.real - np.round(m.real)) < TOL)
@@ -240,11 +237,11 @@ def is_cuspidal(G, chi):
     if G.R2.level >= 2:
         twists = twisting_characters(G.R2)
     else:
-        twists = character_group(unit_group(G.R2))
+        twists = unit_characters(G.R2)
     for tch in twists:
         tc = twist(chi, tch)
         for U in subs:
-            if abs(sum(tc(u) for u in U.elements)) > TOL * U.order:
+            if abs(tc.vals[G.cls_of[U.idx]].sum()) > TOL * U.order:
                 return False
     return True
 

@@ -202,9 +202,7 @@ def main(argv=None):
     except AssertionError as e:
         envelope["ok"] = False
         envelope["error"] = "internal check failed: %s" % e
-        text = json.dumps(envelope, sort_keys=True) + "\n"
-        _emit(text, args.out)
-        return 1
+        return _emit(json.dumps(envelope, sort_keys=True) + "\n", args.out, 1)
     envelope.update(payload)
 
     if args.format == "json":
@@ -213,19 +211,22 @@ def main(argv=None):
         text = _to_csv(args.command, envelope)
     else:
         text = _to_pretty(args.command, envelope)
-    _emit(text, args.out)
-
-    if args.command in ("verify-all", "ring-compare") and not envelope["ok"]:
-        return 1
-    return 0
+    failed = args.command in ("verify-all", "ring-compare") and not envelope["ok"]
+    return _emit(text, args.out, 1 if failed else 0)
 
 
-def _emit(text, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text, out, code):
+    """Write the report and return code, or 2 if it cannot be written."""
+    try:
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as e:
+        print("cannot write the report: %s" % e, file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -14,9 +14,8 @@ from itertools import product
 
 import numpy as np
 
-from modrep2.rings import (FiniteGroup, SimpleAbelianGroup, _check, _key,
-                           closure, greedy_generators, make_ring,
-                           orbit_partition)
+from modrep2.rings import (FiniteGroup, _check, greedy_generators, make_ring,
+                           unit_group)
 
 
 def generators_of(G):
@@ -37,30 +36,6 @@ class GroupBase(FiniteGroup):
     name = ""
     is_abelian = False
 
-    @property
-    def root(self):
-        """The group whose right_mul serves this group's sweeps."""
-        return self
-
-    def sweep(self, points, moves):
-        """orbit_partition of points under x -> l * x * r for each move
-        (l, r), l None for the identity: permutations from the root group's
-        right_mul and a root-to-point lookup, both for this sweep only."""
-        R = self.root
-        if points is R.elements:
-            idx, pos = np.arange(R.order), None
-        else:
-            idx = np.array([R.index[x] for x in points], dtype=np.intp)
-            pos = np.full(R.order, -1, dtype=np.int32)
-            pos[idx] = np.arange(len(idx), dtype=np.int32)
-        perms = []
-        for l, r in moves:
-            y = R.right_mul(idx, R.index[r])
-            if l is not None:
-                y = R.right_mul(R.index[l], y)
-            perms.append(y if pos is None else pos[y])
-        return orbit_partition(points, perms)
-
     def assert_generating(self):
         """Exact span check: right multiplication by the generators sweeps
         the identity's orbit over every element."""
@@ -76,15 +51,6 @@ class GroupBase(FiniteGroup):
         generators; each move carries its inverse, computed once."""
         return self.sweep(points, [(self.inv(t), t) for t in self.gens])
 
-    def right_mul(self, idx, h):
-        """Element indices of elements[idx] * elements[h], for index arrays
-        idx and h that broadcast together; element by element through mul."""
-        idx, h = np.broadcast_arrays(idx, h)
-        els, index, mul = self.elements, self.index, self.mul
-        out = [index[mul(els[x], els[y])]
-               for x, y in zip(idx.ravel().tolist(), h.ravel().tolist())]
-        return np.array(out, dtype=np.intp).reshape(idx.shape)
-
     def _compute_classes(self):
         if self.is_abelian:
             return super()._compute_classes()
@@ -93,29 +59,18 @@ class GroupBase(FiniteGroup):
         return (reps, np.array(sizes, dtype=np.int64), cls_of)
 
     def commutator_subgroup(self):
-        """Normal closure of the commutators of the generators."""
+        """Normal closure of the commutators [g, h] of the generators (one
+        of each pair; [h, g] is its inverse): the identity's orbit under right
+        multiplication by them and conjugation by the generators."""
         self.assert_generating()
-        mul, inv = self.mul, self.inv
-        seeds = set()
-        for g in self.gens:
-            for h in self.gens:
-                seeds.add(mul(inv(g), mul(inv(h), mul(g, h))))
-        seeds.discard(self.identity)
-        sgens = sorted(seeds, key=_key)
-        while True:
-            S = closure({self.identity}, [self.identity], sgens, mul)
-            new = []
-            for t in self.gens:
-                ti = inv(t)
-                for s in S:
-                    y = mul(mul(ti, s), t)
-                    if y not in S:
-                        new.append(y)
-            if not new:
-                break
-            sgens.extend(sorted(set(new), key=_key))
-        members = [e for e in self.elements if e in S]
-        return Subgroup(self, members, name=self.name + ".derived")
+        mul, inv, gens = self.mul, self.inv, self.gens
+        seeds = dict.fromkeys(mul(inv(g), mul(inv(h), mul(g, h)))
+                              for i, g in enumerate(gens) for h in gens[i + 1:])
+        seeds.pop(self.identity, None)
+        moves = [(None, s) for s in seeds] + [(inv(t), t) for t in gens]
+        _, _, orbit_of = self.sweep(self.elements, moves)
+        span = orbit_of == orbit_of[self.index[self.identity]]
+        return Subgroup(self, self.idx[span], name=self.name + ".derived")
 
     def abelianization(self):
         return QuotientGroup(self, self.commutator_subgroup())
@@ -191,9 +146,9 @@ class AutGroup(GroupBase):
         for t in additive_generators(R2):
             gens.append((1, t, 0, 1))
             gens.append((1, 0, t, 1))
-        for u in greedy_generators(_unit_sag(R1)):
+        for u in greedy_generators(unit_group(R1)):
             gens.append((u, 0, 0, 1))
-        for u in greedy_generators(_unit_sag(R2)):
+        for u in greedy_generators(unit_group(R2)):
             gens.append((1, 0, 0, u))
         if self.rect:
             gens.append((0, 1, 1, 0))
@@ -258,7 +213,8 @@ class AutGroup(GroupBase):
         group of type (l1, m); g must have val(c) >= l2 - m."""
         q = self.q
         a, b, c, d = g
-        assert self.R2.val[c] >= self.l2 - m
+        _check(self.R2.val[c] >= self.l2 - m, "embed_map: valuation of c",
+               self.l2 - m, self.R2.val[c])
         return (a, b % q ** m, c // q ** (self.l2 - m), d % q ** m)
 
     def quot_map(self, g, m):
@@ -266,164 +222,142 @@ class AutGroup(GroupBase):
         group of type (l1, m); g must have val(b) >= l2 - m."""
         q = self.q
         a, b, c, d = g
-        assert self.R2.val[b] >= self.l2 - m
+        _check(self.R2.val[b] >= self.l2 - m, "quot_map: valuation of b",
+               self.l2 - m, self.R2.val[b])
         return (a, b // q ** (self.l2 - m), c % q ** m, d % q ** m)
 
     def diag_map(self, g):
         """Diagonal part (a, d) of an upper- or lower-triangular element."""
         a, b, c, d = g
-        assert b == 0 or c == 0
+        _check(b == 0 or c == 0, "diag_map: an off-diagonal entry zero",
+               "b or c zero", g)
         return (a, d)
 
     def subgroup(self, tag, **kw):
-        if tag != "custom":
-            key = (tag, tuple(sorted(kw.items())))
-            if key not in self._subgroup_cache:
-                self._subgroup_cache[key] = self._make_subgroup(tag, **kw)
+        """A tag's subgroup, cached: a mask of lower bounds on val(a - 1),
+        val(b), val(c), val(d - 1) (a bound at the full level means equality
+        with 1 or 0), plus one condition for scalars and the cuspidal pair.
+        "custom" tuples are converted; a repeat or a non-element is refused."""
+        if tag == "custom":
+            pos = [self.index.get(g, -1) for g in kw["members"]]
+            if -1 in pos:
+                raise ValueError("custom member %r is not an element of %s"
+                                 % (kw["members"][pos.index(-1)], self.name))
+            mask = np.zeros(self.order, dtype=bool)
+            mask[pos] = True
+            if int(mask.sum()) != len(pos):
+                raise ValueError("custom members of %s repeat %d elements"
+                                 % (self.name, len(pos) - int(mask.sum())))
+            return Subgroup(self, np.flatnonzero(mask), kw.get("name", "custom"))
+        key = (tag, tuple(sorted(kw.items())))
+        if key in self._subgroup_cache:
             return self._subgroup_cache[key]
-        return self._make_subgroup(tag, **kw)
-
-    def _make_subgroup(self, tag, **kw):
-        l1, l2, q = self.l1, self.l2, self.q
-        R1, R2 = self.R1, self.R2
-        v1, v2 = R1.val, R2.val
-
-        def up1(x, j):
-            return v1[R1.sub(x, 1)] >= j
-
-        def up2(x, j):
-            return v2[R2.sub(x, 1)] >= j
-
-        if tag == "floor_kernel":
-            if l2 < 2:
-                raise ValueError("floor kernel needs column levels >= 2")
-            pred = lambda g: (up1(g[0], l1 - 1) and v2[g[1]] >= l2 - 1
-                              and v2[g[2]] >= l2 - 1 and up2(g[3], l2 - 1))
-        elif tag == "congruence":
-            i, sigma = kw["i"], kw["sigma"]
-            if not (0 <= sigma <= 1 and sigma <= i <= l2):
-                raise ValueError("congruence depth (%d,%d) out of range" % (i, sigma))
-            pred = lambda g: (up1(g[0], l1 - i) and v2[g[1]] >= l2 - i
-                              and v2[g[2]] >= l2 - i + sigma
-                              and up2(g[3], l2 - i + sigma))
-        elif tag == "parabolic_upper" or tag == "borel":
-            pred = lambda g: g[2] == 0
-        elif tag == "parabolic_lower":
-            pred = lambda g: g[1] == 0
-        elif tag == "parabolic_embed":
-            m = kw["m"]
-            pred = lambda g: v2[g[2]] >= l2 - m
-        elif tag == "parabolic_quot":
-            m = kw["m"]
-            pred = lambda g: v2[g[1]] >= l2 - m
-        elif tag == "unipotent_upper":
-            pred = lambda g: g[0] == 1 and g[2] == 0 and g[3] == 1
-        elif tag == "unipotent_lower":
-            pred = lambda g: g[0] == 1 and g[1] == 0 and g[3] == 1
-        elif tag == "unipotent_upper_floor":
-            pred = lambda g: (g[0] == 1 and g[2] == 0 and g[3] == 1
-                              and v2[g[1]] >= l2 - 1)
-        elif tag == "unipotent_lower_floor":
-            pred = lambda g: (g[0] == 1 and g[1] == 0 and g[3] == 1
-                              and v2[g[2]] >= l2 - 1)
-        elif tag == "floor_torus_a":
-            pred = lambda g: (up1(g[0], l1 - 1) and g[1] == 0 and g[2] == 0
-                              and g[3] == 1)
-        elif tag == "floor_torus_d":
-            pred = lambda g: (g[0] == 1 and g[1] == 0 and g[2] == 0
-                              and up2(g[3], l2 - 1))
-        elif tag == "scalars":
-            pred = lambda g: g[1] == 0 and g[2] == 0 and g[3] == g[0] % self.s2
-        elif tag == "torus":
-            pred = lambda g: g[1] == 0 and g[2] == 0
-        elif tag == "heisenberg":
-            if l2 != 1:
-                raise ValueError("heisenberg subgroup lives over column levels (l,1)")
-            pred = lambda g: up1(g[0], l1 - 1) and g[3] == 1
-        elif tag == "cuspidal_abelian":
-            return self._cuspidal_abelian(kw["u_hat"], kw["w_hat"])
-        elif tag == "cuspidal_normalizer":
-            return self._cuspidal_normalizer(kw["u_hat"], kw["w_hat"])
-        elif tag == "custom":
-            return Subgroup(self, kw["members"], name=kw.get("name", "custom"))
-        else:
+        l1, l2, s2 = self.l1, self.l2, self.s2
+        i, sigma, m = kw.get("i", 0), kw.get("sigma", 0), kw.get("m", 0)
+        u, w = kw.get("u_hat"), kw.get("w_hat")
+        l, eps = self.half_levels()
+        if tag == "floor_kernel" and l2 < 2:
+            raise ValueError("floor kernel needs column levels >= 2")
+        if tag == "congruence" and not (0 <= sigma <= 1 and sigma <= i <= l2):
+            raise ValueError("congruence depth (%d,%d) out of range" % (i, sigma))
+        if tag == "heisenberg" and l2 != 1:
+            raise ValueError("heisenberg subgroup lives over column levels (l,1)")
+        depths = {
+            "floor_kernel": (l1 - 1, l2 - 1, l2 - 1, l2 - 1),
+            "congruence": (l1 - i, l2 - i, l2 - i + sigma, l2 - i + sigma),
+            "parabolic_upper": (0, 0, l2, 0), "borel": (0, 0, l2, 0),
+            "parabolic_lower": (0, l2, 0, 0),
+            "parabolic_embed": (0, 0, l2 - m, 0),
+            "parabolic_quot": (0, l2 - m, 0, 0),
+            "ker_embed": (l1, m, l2, m), "ker_quot": (l1, l2, m, m),
+            "unipotent_upper": (l1, 0, l2, l2),
+            "unipotent_lower": (l1, l2, 0, l2),
+            "unipotent_upper_floor": (l1, l2 - 1, l2, l2),
+            "unipotent_lower_floor": (l1, l2, l2 - 1, l2),
+            "floor_torus_a": (l1 - 1, l2, l2, l2),
+            "floor_torus_d": (l1, l2, l2, l2 - 1),
+            "scalars": (0, l2, l2, 0), "torus": (0, l2, l2, 0),
+            "heisenberg": (l1 - 1, 0, 0, l2),
+            "cuspidal_abelian": (0, 0, 0, 0), "cuspidal_normalizer": (0, 0, 0, 0),
+        }
+        if tag not in depths:
             raise ValueError("unknown subgroup tag %r" % (tag,))
-        members = [g for g in self.elements if pred(g)]
-        return Subgroup(self, members, name=tag)
+        (A1, _, A2, M2), (a, b, c, d), _, _, _ = self._arrays
+        V1, V2, N2 = (np.array(t) for t in (self.R1.val, self.R2.val, self.R2.neg))
+        cols = (lambda: V1[A1[a, self.R1.neg[1]]], lambda: V2[b],
+                lambda: V2[c], lambda: V2[A2[d, N2[1]]])
+        mask = np.ones(self.order, dtype=bool)
+        for col, j in zip(cols, depths[tag]):
+            if j > 0:
+                mask &= col() >= j
+        if tag == "scalars":
+            mask &= d == a % s2
+        elif tag.startswith("cuspidal"):  # val(b - c w), val(d - a + c u)
+            v = make_ring(self.backend, self.q, l).val[u]
+            _check(v >= min(1, l), "%s: valuation of u_hat" % tag, min(1, l), v)
+            ab = tag == "cuspidal_abelian"
+            mask &= V2[A2[b, N2[M2[c, w]]]] >= (l2 if ab else l - eps)
+            mask &= V2[A2[d, N2[A2[a % s2, N2[M2[c, u]]]]]] >= (l2 if ab else l)
+        idx = np.flatnonzero(mask)
+        if tag == "cuspidal_abelian":  # every unit a and every c give a unit d
+            _check(len(idx) == len(self.R1.units) * s2,
+                   "cuspidal_abelian: members", len(self.R1.units) * s2, len(idx))
+        self._subgroup_cache[key] = Subgroup(self, idx, name=tag)
+        return self._subgroup_cache[key]
 
     def half_levels(self):
         """(l, eps) with l2 = 2l - eps: the depth at which cuspidal data lives."""
         eps = self.l2 % 2
         return ((self.l2 + eps) // 2, eps)
 
-    def _cuspidal_abelian(self, u_hat, w_hat):
-        R1, R2 = self.R1, self.R2
-        l, eps = self.half_levels()
-        assert make_ring(self.backend, self.q, l).val[u_hat] >= min(1, l)
-        ul = u_hat  # canonical lift to level l2 keeps the code
-        wl = w_hat
-        members = []
-        for a in R1.units:
-            abar = a % self.s2
-            for c in range(self.s2):
-                b = R2.mul[c][wl]
-                d = R2.add[abar][R2.neg[R2.mul[c][ul]]]
-                assert R2.val[d] == 0
-                members.append((a, b, c, d))
-        return Subgroup(self, members, name="cuspidal_abelian")
-
-    def _cuspidal_normalizer(self, u_hat, w_hat):
-        R2 = self.R2
-        l, eps = self.half_levels()
-        ul, wl = u_hat, w_hat
-        members = []
-        for g in self.elements:
-            a, b, c, d = g
-            if R2.val[R2.sub(b, R2.mul[c][wl])] < l - eps:
-                continue
-            want_d = R2.add[a % self.s2][R2.neg[R2.mul[c][ul]]]
-            if R2.val[R2.sub(d, want_d)] < l:
-                continue
-            members.append(g)
-        return Subgroup(self, members, name="cuspidal_normalizer")
-
-
-def _unit_sag(ring):
-    return SimpleAbelianGroup(ring.units, lambda x, y: ring.mul[x][y],
-                              lambda x: ring.inv[x], 1)
-
 
 class Subgroup(GroupBase):
-    """Subgroup given by an explicit member list; generators found greedily."""
+    """Subgroup given by idx, the sorted root indices of its members (the
+    root's lexicographic order); elements and index are derived on use."""
 
-    def __init__(self, parent, members, name=""):
-        self.parent = parent
-        self.elements = list(members)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        assert len(self.index) == len(self.elements)
+    def __init__(self, parent, idx, name=""):
+        self.parent, self.idx = parent, idx
         self.mul, self.inv = parent.mul, parent.inv
         self.identity = parent.identity
-        if self.identity not in self.index:
-            raise ValueError("subgroup %s misses the identity" % name)
         self.name = (parent.name + "." + name) if name else parent.name + ".sub"
         self.gens = greedy_generators(self)  # refuses a member list that is no group
         self._gen_checked = True
-        self.is_abelian = all(self.mul(x, y) == self.mul(y, x)
-                              for x in self.gens for y in self.gens)
+        g = np.array([self.root.index[t] for t in self.gens], dtype=np.intp)
+        prods = self.root.right_mul(g[:, None], g[None, :])
+        self.is_abelian = bool((prods == prods.T).all())
+        self._fusion = None
 
     @property
     def root(self):
         return self.parent.root
 
     @property
+    def order(self):
+        return len(self.idx)
+
+    @cached_property
+    def elements(self):
+        els = self.root.elements
+        return [els[j] for j in self.idx.tolist()]
+
+    @cached_property
+    def index(self):
+        return {e: j for j, e in enumerate(self.elements)}
+
+    @property
     def parent_index(self):
-        assert self.parent.order % self.order == 0
+        _check(self.parent.order % self.order == 0, "%s: parent order modulo "
+               "order" % self.name, 0, self.parent.order % self.order)
         return self.parent.order // self.order
 
     def fusion(self):
-        """Parent class index of each subgroup class."""
-        return np.array([self.parent.cls_index(rep) for rep in self.class_reps],
-                        dtype=np.int64)
+        """Parent class index of each subgroup class, computed once: parent
+        labels at the members' positions (a class lies in one parent class)."""
+        if self._fusion is None:
+            P = self.parent
+            self._fusion = np.empty(self.class_count, dtype=np.int64)
+            self._fusion[self.cls_of] = P.cls_of[P.positions(self.idx)]
+        return self._fusion
 
 
 class QuotientGroup(GroupBase):
@@ -432,11 +366,7 @@ class QuotientGroup(GroupBase):
     def __init__(self, parent, N):
         self.parent, self.N = parent, N
         pmul, pinv = parent.mul, parent.inv
-        for t in parent.gens:
-            ti = pinv(t)
-            for x in N.gens:
-                if pmul(pmul(ti, x), t) not in N.index:
-                    raise ValueError("subgroup is not normal")
+        parent.conj_orbits(N.elements)  # ValueError unless N is normal
         reps, _, coset_of = parent.sweep(parent.elements,
                                          [(None, g) for g in N.gens])
         rep_of = {h: reps[c] for h, c in zip(parent.elements, coset_of.tolist())}
@@ -501,7 +431,7 @@ def aut_group(backend, q, lam):
     l1, l2 = lam
     if l2 == 0:
         R = make_ring(backend, q, l1)
-        G = _unit_sag(R)
+        G = unit_group(R)
         G.name = "Aut(%s,q=%d,%s)" % (backend, q, (l1, 0))
         G.backend, G.q, G.lam = backend, q, (l1, 0)
         G.rect = False

@@ -47,13 +47,21 @@ class CongruenceDual:
         y = Rs.add[Rs.mul[wh][w]][Rs.mul[zh][z]]
         return Ri.psi(Ri.add[x][Ri.pi_mul(y, self.sigma)])
 
-    def values(self, theta):
-        """Values of theta over K.elements, in order."""
-        return np.array([self.pair(theta, k) for k in self.K.elements])
+    def values(self, thetas):
+        """pair(theta, k) for theta in thetas (rows) and k in K.elements
+        (columns), as one table gather on the coordinate arrays."""
+        Ri, Rs = self.Ri, self.Rs
+        Ai, Mi, As, Ms = (np.array(t) for t in (Ri.add, Ri.mul, Rs.add, Rs.mul))
+        T = np.array(thetas).T[:, :, None]
+        C = np.array(list(self.coords.values())).T[:, None, :]
+        x = Ai[Mi[T[0], C[0]], Mi[T[1], C[1]]]
+        y = As[Ms[T[2], C[2]], Ms[T[3], C[3]]]
+        psi = np.array([Ri.psi(z) for z in range(Ri.size)])
+        return psi[Ai[x, Ri.pi_mul(y, self.sigma)]]
 
     def value_matrix(self):
         """|duals| x |K| table of character values."""
-        return np.array([self.values(t) for t in self.duals])
+        return self.values(self.duals)
 
     def act(self, g, theta):
         """Dual of the conjugation action: (g.theta)(k) = theta(g^-1 k g)."""

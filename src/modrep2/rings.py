@@ -14,7 +14,7 @@ multiplication by the uniformizer is x * q, truncated.
 """
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -280,36 +280,25 @@ def make_ring(backend, q, level):
     return LocalRing(backend, q, level)
 
 
-def closure(seen, frontier, moves, act):
-    """Grow the set seen, in place, until it is closed under x -> act(x, t)
-    for every t in moves; frontier lists the members not yet swept.  For a
-    finite group acting through generators this is the orbit, with no need
-    for the inverse moves."""
-    frontier = list(frontier)
-    while frontier:
-        x = frontier.pop()
-        for t in moves:
-            y = act(x, t)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
-
-
 def greedy_generators(G):
-    """Small generating list: scan elements in order, keep those outside the
-    running span.  Every element lies in the span, so the element list is a
-    group exactly when the span is no larger; otherwise raise ValueError."""
-    gens = []
-    span = {G.identity}
-    for e in G.elements:
-        if e not in span:
-            gens.append(e)
-            closure(span, span, gens, G.mul)
-    if len(span) != len(G.elements):
-        raise ValueError("%s is not closed: its elements generate %d, not %d"
-                         % (G.name or "element list", len(span), len(G.elements)))
-    return gens
+    """Small generating list: the first element outside the span of those
+    kept so far, the identity's orbit under one right_mul permutation per
+    kept generator.  ValueError if the identity is missing, or, from
+    orbit_partition, if a product leaves a member list that is no group."""
+    R, idx = G.root, G.idx
+    pos = np.full(R.order, -1, dtype=np.int32)
+    pos[idx] = np.arange(len(idx), dtype=np.int32)
+    e = pos[R.index[G.identity]]
+    if e < 0:
+        raise ValueError("%s misses the identity" % G.name)
+    found, perms = [], []
+    span = np.arange(len(idx)) == e
+    while not span.all():
+        found.append(int(np.argmin(span)))
+        perms.append(pos[R.right_mul(idx, idx[found[-1]])])
+        orbit_of = orbit_partition(range(len(idx)), perms)[2]
+        span = orbit_of == orbit_of[e]
+    return [R.elements[i] for i in idx[found].tolist()]
 
 
 def act_perms(points, moves, act):
@@ -349,13 +338,69 @@ def orbit_partition(points, perms):
 
 
 class FiniteGroup:
-    """Order, powers, element orders and the class-function protocol, through
-    the elements, index, mul, inv and identity that every group class
-    provides; classes are computed once, on first use."""
+    """Order, powers, element orders, orbit sweeps and the class-function
+    protocol, through the elements, index, mul, inv and identity that every
+    group class provides; classes are computed once, on first use."""
 
     @property
     def order(self):
         return len(self.elements)
+
+    @property
+    def root(self):
+        """The group whose right_mul serves this group's sweeps."""
+        return self
+
+    @cached_property
+    def idx(self):
+        """Sorted root indices of the elements."""
+        return np.arange(self.order)
+
+    def positions(self, ridx):
+        """Positions of the root indices ridx; ValueError for non-members."""
+        pos = np.minimum(np.searchsorted(self.idx, ridx), len(self.idx) - 1)
+        if (self.idx[pos] != ridx).any():
+            raise ValueError("%s: root elements are not members" % self.name)
+        return pos
+
+    def right_mul(self, idx, h):
+        """Element indices of elements[idx] * elements[h], for index arrays
+        idx and h that broadcast together; element by element through mul.
+        Raises ValueError if a product is not an element."""
+        idx, h = np.broadcast_arrays(idx, h)
+        els, index, mul = self.elements, self.index, self.mul
+        out = np.array([index.get(mul(els[x], els[y]), -1) for x, y in
+                        zip(idx.ravel().tolist(), h.ravel().tolist())],
+                       dtype=np.intp).reshape(idx.shape)
+        if (out < 0).any():
+            raise ValueError("%s: %d products are not group elements"
+                             % (self.name, int((out < 0).sum())))
+        return out
+
+    def sweep(self, points, moves):
+        """orbit_partition of points under x -> l * x * r for each move
+        (l, r), l None for the identity: permutations from the root group's
+        right_mul and a root-to-point lookup, both for this sweep only."""
+        R = self.root
+        if points is R.elements:
+            idx, pos = np.arange(R.order), None
+        else:
+            idx = self.idx if points is self.elements else np.array(
+                [R.index[x] for x in points], dtype=np.intp)
+            pos = np.full(R.order, -1, dtype=np.int32)
+            pos[idx] = np.arange(len(idx), dtype=np.int32)
+        perms = []
+        for l, r in moves:
+            y = R.right_mul(idx, R.index[r])
+            if l is not None:
+                y = R.right_mul(R.index[l], y)
+            perms.append(y if pos is None else pos[y])
+        return orbit_partition(points, perms)
+
+    @property
+    def cls_of(self):
+        """Class index of each element, by position."""
+        return self._classes()[2]
 
     def pow(self, x, k):
         out = self.identity
@@ -414,15 +459,9 @@ class SimpleAbelianGroup(FiniteGroup):
         self.elements = list(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         assert len(self.index) == len(self.elements)
-        self._mul, self._inv = mul, inv
+        self.mul, self.inv = mul, inv
         self.identity = identity
         self.name = name
-
-    def mul(self, x, y):
-        return self._mul(x, y)
-
-    def inv(self, x):
-        return self._inv(x)
 
 
 def unit_group(ring):
@@ -462,7 +501,7 @@ def _abelian_basis(A):
     for _ in range(m - 1):
         powers.append(A.mul(powers[-1], g))
     pindex = {e: i for i, e in enumerate(powers)}
-    reps, _, coset_of = orbit_partition(els, act_perms(els, [g], A.mul))
+    reps, _, coset_of = A.sweep(A.elements, [(None, g)])
     rep = {e: reps[c] for e, c in zip(els, coset_of.tolist())}
     Q = SimpleAbelianGroup(reps,
                            lambda x, y: rep[A.mul(x, y)],
@@ -530,16 +569,21 @@ def character_group(A):
     return chars
 
 
+@lru_cache(maxsize=None)
+def unit_characters(ring):
+    """character_group(unit_group(ring)), computed once per ring."""
+    return character_group(unit_group(ring))
+
+
 def twisting_characters(ring):
     """The q unit-group characters extending the level-1 additive pattern on the
     principal congruence units 1 + pi^(level-1) * (residue field); indexed by the
     level-1 coefficient, with index 0 the trivial character."""
     if ring.level < 2:
         raise ValueError("twisting characters need level >= 2")
-    U = unit_group(ring)
-    chars = character_group(U)
+    chars = unit_characters(ring)
     r1 = make_ring(ring.backend, ring.q, 1)
-    one_plus = [u for u in U.elements if ring.val[ring.sub(u, 1)] >= ring.level - 1]
+    one_plus = [u for u in ring.units if ring.val[ring.sub(u, 1)] >= ring.level - 1]
     assert len(one_plus) == ring.q
     out = []
     for zh in range(ring.q):

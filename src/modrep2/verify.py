@@ -12,7 +12,7 @@ from .classfun import (ClassFunction, geo_ind, geo_res, inf_ind, inf_res,
 from .dixon import character_degrees
 from .groups import aut_group, class_count_formula, order_formula
 from .orbits import CongruenceDual, inner_types, orbits_on_kernel
-from .rings import MTOL, TOL, character_group, unit_group
+from .rings import MTOL, TOL, unit_characters
 
 
 class VerifyReport:
@@ -55,12 +55,10 @@ def expected_dual_orbit_table(q, lam):
 def _check_geo_adjoint(G, members):
     """<geo_ind(theta), chi> == <theta, geo_res(chi)> over all pairs."""
     T = torus_product(G)
-    chars1 = character_group(unit_group(G.R1))
-    chars2 = character_group(unit_group(G.R2))
     for side in ("upper", "lower"):
         ress = [geo_res(G, chi, side) for chi in members]
-        for t1 in chars1:
-            for t2 in chars2:
+        for t1 in unit_characters(G.R1):
+            for t2 in unit_characters(G.R2):
                 ind = geo_ind(G, t1, t2, side)
                 tf = ClassFunction(T, np.array([t1(x[0]) * t2(x[1])
                                                 for x in T.elements]))
@@ -88,13 +86,11 @@ def _check_parabolic_both_sides(G):
     """Upper and lower parabolic induction agree on inducing pairs and are
     reducible exactly off them; rectangular pairs also swap."""
     q = G.q
-    chars1 = character_group(unit_group(G.R1))
-    chars2 = character_group(unit_group(G.R2))
     R1 = G.R1
     layer = [R1.add[1][R1.pi_mul(s, R1.level - 1)] for s in range(1, q)]
     rect = G.l1 == G.l2
-    for t1 in chars1:
-        for t2 in chars2:
+    for t1 in unit_characters(G.R1):
+        for t2 in unit_characters(G.R2):
             up = geo_ind(G, t1, t2, "upper")
             lo = geo_ind(G, t1, t2, "lower")
             if rect:
@@ -122,13 +118,12 @@ def _check_mixed_composition(G):
     Gm = aut_group(G.backend, q, (G.l1, 1))
     R1 = G.R1
     layer = [R1.add[1][R1.pi_mul(s, R1.level - 1)] for s in range(1, q)]
-    units2 = unit_group(G.R2).elements
-    for t1 in character_group(unit_group(G.R1)):
+    for t1 in unit_characters(G.R1):
         if not any(abs(t1(u) - 1) > TOL for u in layer):
             continue
-        for t2 in character_group(unit_group(Gm.R2)):
-            lift = [c for c in character_group(unit_group(G.R2))
-                    if all(abs(c(u) - t2(u % q)) < MTOL for u in units2)]
+        for t2 in unit_characters(Gm.R2):
+            lift = [c for c in unit_characters(G.R2)
+                    if all(abs(c(u) - t2(u % q)) < MTOL for u in G.R2.units)]
             if len(lift) != 1:
                 return False
             lhs = geo_ind(G, t1, lift[0])

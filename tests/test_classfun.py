@@ -121,6 +121,27 @@ def test_congruence_kernel_orders():
             assert K.order == 2 ** (2 * (lam[1] - 1))
 
 
+def test_induce_matches_class_loop():
+    # bit for bit against the per-class accumulation the bincounts replaced
+    G = aut_group("padic", 2, (4, 2))
+    for H in (G.subgroup("parabolic_upper"), G.subgroup("ker_embed", m=1),
+              G.subgroup("cuspidal_normalizer", u_hat=0, w_hat=1)):
+        for chi in linear_characters(H):
+            want = np.zeros(G.class_count, dtype=np.complex128)
+            for j, c in enumerate(H.fusion()):
+                want[c] += H.class_sizes[j] * chi.vals[j]
+            want *= H.parent_index / G.class_sizes
+            assert np.array_equal(induce(H, chi).vals, want)
+
+
+def test_pushforward_refuses_a_kernel_outside_the_subgroup():
+    G = aut_group("padic", 2, (2, 2))
+    P = G.subgroup("parabolic_upper")
+    with pytest.raises(ValueError, match="not members"):
+        invariants_pushforward(P, G.subgroup("unipotent_lower"),
+                               torus_product(G), G.diag_map, trivial(P))
+
+
 def test_geo_ind_degree():
     G = aut_group("padic", 2, (3, 2))
     t1 = character_group(unit_group(G.R1))[0]

@@ -115,6 +115,15 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["zeta"] == {"1": 4, "2": 1}
 
 
+def test_unwritable_out_is_an_unusable_job(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    rc = main(["order", "--p", "2", "--lambda", "2,1", "--out", str(target)])
+    cap = capsys.readouterr()
+    assert rc == 2 and cap.out == ""
+    assert cap.err.count("\n") == 1 and "cannot write the report" in cap.err
+    assert not target.exists()
+
+
 def test_cap_exceeded(capsys):
     rc = main(["zeta", "--p", "3", "--lambda", "4,4"])
     err = capsys.readouterr().err

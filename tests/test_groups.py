@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modrep2.groups import (AutGroup, ProductGroup, QuotientGroup, Subgroup,
+from modrep2.groups import (AutGroup, ProductGroup, QuotientGroup,
                             aut_group, class_count_formula, order_formula)
-from modrep2.rings import (SimpleAbelianGroup, act_perms, closure, make_ring,
-                           orbit_partition)
+from modrep2.orbits import cuspidal_parameters
+from modrep2.rings import (SimpleAbelianGroup, act_perms, greedy_generators,
+                           make_ring, orbit_partition, unit_group)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -313,7 +314,7 @@ def test_quotient_group_projection():
             assert Q.project(G.mul(g, h)) == Q.mul(Q.project(g), Q.project(h))
     # a guaranteed non-normal example: a single off-diagonal involution in GL2(F3)
     G2 = aut_group("padic", 3, (1, 1))
-    H = Subgroup(G2, [(1, 0, 0, 1), (0, 1, 1, 0)], name="w")
+    H = G2.subgroup("custom", members=[(1, 0, 0, 1), (0, 1, 1, 0)], name="w")
     with pytest.raises(ValueError):
         QuotientGroup(G2, H)
 
@@ -336,6 +337,22 @@ def test_rank_one_group():
     assert G.class_count == 4
     assert G.det(3) == 3
     assert aut_group("padic", 2, (3, 0)) is G
+
+
+def closure(seen, frontier, moves, act):
+    """Grow the set seen, in place, until it is closed under x -> act(x, t)
+    for every t in moves; frontier lists the members not yet swept.  For a
+    finite group acting through generators this is the orbit, with no need
+    for the inverse moves."""
+    frontier = list(frontier)
+    while frontier:
+        x = frontier.pop()
+        for t in moves:
+            y = act(x, t)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
 
 
 def closure_orbits(points, moves, act):
@@ -410,3 +427,196 @@ def test_truncated_generators_refused_under_optimize():
                           capture_output=True, text=True)
     assert proc.returncode == 3, proc.stdout + proc.stderr
     assert "expected 128, computed" in proc.stdout
+
+
+def reference_members(G, tag, **kw):
+    """Tuple reference for the subgroup tags: the per-element predicate scan
+    and the cuspidal loops that the masks replaced."""
+    l1, l2, s2 = G.l1, G.l2, G.s2
+    R1, R2 = G.R1, G.R2
+    v1, v2 = R1.val, R2.val
+
+    def up1(x, j):
+        return v1[R1.sub(x, 1)] >= j
+
+    def up2(x, j):
+        return v2[R2.sub(x, 1)] >= j
+
+    i, sigma, m = kw.get("i"), kw.get("sigma"), kw.get("m")
+    u, w = kw.get("u_hat"), kw.get("w_hat")
+    l, eps = G.half_levels()
+    if tag in ("ker_embed", "ker_quot"):
+        hom = G.embed_map if tag == "ker_embed" else G.quot_map
+        one = aut_group(G.backend, G.q, (l1, m)).identity
+        P = G.subgroup("parabolic_" + tag[4:], m=m)
+        return [g for g in P.elements if hom(g, m) == one]
+    if tag == "cuspidal_abelian":
+        out = []
+        for a in R1.units:
+            for c in range(s2):
+                out.append((a, R2.mul[c][w], c, R2.add[a % s2][R2.neg[R2.mul[c][u]]]))
+        return out
+    preds = {
+        "floor_kernel": lambda g: (up1(g[0], l1 - 1) and v2[g[1]] >= l2 - 1
+                                   and v2[g[2]] >= l2 - 1 and up2(g[3], l2 - 1)),
+        "congruence": lambda g: (up1(g[0], l1 - i) and v2[g[1]] >= l2 - i
+                                 and v2[g[2]] >= l2 - i + sigma
+                                 and up2(g[3], l2 - i + sigma)),
+        "parabolic_upper": lambda g: g[2] == 0,
+        "borel": lambda g: g[2] == 0,
+        "parabolic_lower": lambda g: g[1] == 0,
+        "parabolic_embed": lambda g: v2[g[2]] >= l2 - m,
+        "parabolic_quot": lambda g: v2[g[1]] >= l2 - m,
+        "unipotent_upper": lambda g: g[0] == 1 and g[2] == 0 and g[3] == 1,
+        "unipotent_lower": lambda g: g[0] == 1 and g[1] == 0 and g[3] == 1,
+        "unipotent_upper_floor": lambda g: (g[0] == 1 and g[2] == 0
+                                            and g[3] == 1 and v2[g[1]] >= l2 - 1),
+        "unipotent_lower_floor": lambda g: (g[0] == 1 and g[1] == 0
+                                            and g[3] == 1 and v2[g[2]] >= l2 - 1),
+        "floor_torus_a": lambda g: (up1(g[0], l1 - 1) and g[1] == 0
+                                    and g[2] == 0 and g[3] == 1),
+        "floor_torus_d": lambda g: (g[0] == 1 and g[1] == 0 and g[2] == 0
+                                    and up2(g[3], l2 - 1)),
+        "scalars": lambda g: g[1] == 0 and g[2] == 0 and g[3] == g[0] % s2,
+        "torus": lambda g: g[1] == 0 and g[2] == 0,
+        "heisenberg": lambda g: up1(g[0], l1 - 1) and g[3] == 1,
+        "cuspidal_normalizer": lambda g: (
+            R2.val[R2.sub(g[1], R2.mul[g[2]][w])] >= l - eps
+            and R2.val[R2.sub(g[3], R2.add[g[0] % s2][R2.neg[R2.mul[g[2]][u]]])]
+            >= l),
+    }
+    return [g for g in G.elements if preds[tag](g)]
+
+
+def _tag_cases(lam):
+    l1, l2 = lam
+    cases = [(t, {}) for t in (
+        "parabolic_upper", "borel", "parabolic_lower", "unipotent_upper",
+        "unipotent_lower", "unipotent_upper_floor", "unipotent_lower_floor",
+        "floor_torus_a", "floor_torus_d", "scalars", "torus")]
+    cases += [("congruence", {"i": i, "sigma": s})
+              for i in range(l2 + 1) for s in (0, 1) if s <= i]
+    cases += [(t, {"m": m}) for t in ("parabolic_embed", "parabolic_quot",
+                                      "ker_embed", "ker_quot")
+              for m in range(1, l2 + 1)]
+    cases.append(("floor_kernel", {}) if l2 >= 2 else ("heisenberg", {}))
+    return cases
+
+
+@pytest.mark.parametrize("backend,q,lam", [
+    ("padic", 2, (3, 2)), ("padic", 3, (2, 2)), ("tpoly", 4, (2, 1))])
+def test_subgroup_masks_match_tuple_predicates(backend, q, lam):
+    G = aut_group(backend, q, lam)
+    for tag, kw in _tag_cases(lam):
+        H = G.subgroup(tag, **kw)
+        assert H.elements == reference_members(G, tag, **kw), (tag, kw)
+        assert H.idx.dtype == np.intp
+        assert np.all(np.diff(H.idx) > 0)
+        assert [G.elements[j] for j in H.idx] == H.elements
+
+
+def test_cuspidal_masks_match_tuple_construction():
+    G = aut_group("padic", 2, (5, 3))
+    for u, w in cuspidal_parameters(G):
+        for tag in ("cuspidal_abelian", "cuspidal_normalizer"):
+            H = G.subgroup(tag, u_hat=u, w_hat=w)
+            assert H.elements == sorted(reference_members(G, tag, u_hat=u,
+                                                          w_hat=w)), (tag, u, w)
+
+
+def greedy_reference(G):
+    """Tuple reference for greedy_generators: scan the elements in order and
+    keep those outside the running span, grown by closure."""
+    gens, span = [], {G.identity}
+    for e in G.elements:
+        if e not in span:
+            gens.append(e)
+            closure(span, span, gens, G.mul)
+    assert len(span) == len(G.elements)
+    return gens
+
+
+def test_greedy_generators_match_closure_reference():
+    G = aut_group("padic", 2, (3, 2))
+    subs = [G.subgroup(tag, **kw) for tag, kw in _tag_cases((3, 2))]
+    subs += [aut_group("tpoly", 4, (2, 1)).subgroup("heisenberg"),
+             aut_group("padic", 3, (2, 2)).subgroup("parabolic_upper"),
+             G.commutator_subgroup()]
+    for H in subs:
+        assert H.gens == greedy_reference(H), H.name
+    for backend, q, level in [("padic", 2, 5), ("padic", 3, 3), ("padic", 5, 2),
+                              ("tpoly", 4, 2), ("tpoly", 2, 4)]:
+        U = unit_group(make_ring(backend, q, level))
+        assert greedy_generators(U) == greedy_reference(U), (backend, q, level)
+    Q = G.abelianization()
+    assert greedy_generators(Q) == greedy_reference(Q)
+
+
+def normal_closure_reference(G):
+    """Tuple reference for commutator_subgroup: close the commutators of the
+    generators under multiplication, then under conjugation, until stable."""
+    mul, inv = G.mul, G.inv
+    seeds = {mul(inv(g), mul(inv(h), mul(g, h))) for g in G.gens for h in G.gens}
+    seeds.discard(G.identity)
+    sgens = sorted(seeds)
+    while True:
+        S = closure({G.identity}, [G.identity], sgens, mul)
+        new = {mul(mul(inv(t), s), t) for t in G.gens for s in S} - S
+        if not new:
+            return [e for e in G.elements if e in S]
+        sgens.extend(sorted(new))
+
+
+@pytest.mark.parametrize("case", ["padic-2-(2,1)", "padic-2-(3,2)",
+                                  "padic-3-(2,2)", "tpoly-4-(1,1)",
+                                  "parabolic_upper", "cuspidal_normalizer"])
+def test_commutator_subgroup_matches_normal_closure(case):
+    if case == "parabolic_upper":
+        G = aut_group("padic", 3, (2, 2)).subgroup("parabolic_upper")
+    elif case == "cuspidal_normalizer":
+        G = aut_group("padic", 2, (4, 2)).subgroup("cuspidal_normalizer",
+                                                   u_hat=0, w_hat=1)
+    else:
+        backend, q, lam = case.split("-")
+        G = aut_group(backend, int(q), tuple(int(x) for x in lam[1:-1].split(",")))
+    D = G.commutator_subgroup()
+    assert D.elements == normal_closure_reference(G)
+    assert D.parent is G and D.root is G.root
+
+
+def test_custom_members_refused():
+    G = aut_group("padic", 2, (3, 2))
+    with pytest.raises(ValueError, match="repeat 1 elements"):
+        G.subgroup("custom", members=[G.identity, (1, 1, 0, 1), G.identity])
+    with pytest.raises(ValueError, match="not an element"):
+        G.subgroup("custom", members=[G.identity, (2, 0, 0, 1)])
+    with pytest.raises(ValueError, match="misses the identity"):
+        G.subgroup("custom", members=[(3, 0, 0, 1)])
+    H = G.subgroup("custom", members=[(1, 0, 0, 3), (1, 0, 0, 1)])
+    assert H.elements == [(1, 0, 0, 1), (1, 0, 0, 3)]
+
+
+def test_positions_refuse_non_members():
+    G = aut_group("padic", 2, (3, 2))
+    U = G.subgroup("unipotent_upper")
+    assert U.positions(U.idx).tolist() == list(range(U.order))
+    outside = G.index[(1, 0, 1, 1)]
+    with pytest.raises(ValueError, match="not members"):
+        U.positions(np.array([U.idx[0], outside]))
+    with pytest.raises(ValueError, match="not members"):
+        U.positions(G.order - 1)
+
+
+def test_stabiliser_maps_checked_under_optimize():
+    code = ("from modrep2.groups import aut_group\n"
+            "G = aut_group('padic', 2, (3, 2))\n"
+            "try:\n"
+            "    G.embed_map((1, 0, 1, 1), 1)\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n"
+            "    raise SystemExit(3)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert "embed_map: valuation of c: expected 1, computed 0" in proc.stdout

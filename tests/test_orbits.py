@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from modrep2.groups import aut_group
@@ -54,6 +55,19 @@ def test_duals_are_characters_and_separate():
     assert len(rows) == K.order
     vm = D.value_matrix()
     assert vm.shape == (K.order, K.order)
+
+
+@pytest.mark.parametrize("backend,q,lam,depth", [
+    ("padic", 2, (3, 2), (1, 0)), ("padic", 3, (2, 2), (1, 0)),
+    ("tpoly", 4, (2, 2), (1, 0)), ("padic", 2, (4, 3), (2, 1)),
+    ("padic", 2, (5, 3), (2, 1)),
+])
+def test_value_gather_matches_pairing(backend, q, lam, depth):
+    # bit for bit against the per-pair loop, rows in duals order
+    D = CongruenceDual(aut_group(backend, q, lam), *depth)
+    want = np.array([[D.pair(t, k) for k in D.K.elements] for t in D.duals])
+    assert np.array_equal(D.value_matrix(), want)
+    assert np.array_equal(D.values(D.duals[3:5]), want[3:5])
 
 
 @pytest.mark.parametrize("backend,q,lam", [

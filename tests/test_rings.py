@@ -4,7 +4,8 @@ import pytest
 
 from modrep2.rings import (FiniteField, MTOL, TOL, SimpleAbelianGroup,
                            _assert_abelian, additive_group, character_group,
-                           make_ring, twisting_characters, unit_group)
+                           make_ring, twisting_characters, unit_characters,
+                           unit_group)
 
 SMALL = [("padic", 2, 3), ("padic", 3, 2), ("tpoly", 2, 3), ("tpoly", 4, 2)]
 
@@ -178,6 +179,26 @@ def test_abelian_check_is_exact_on_large_lists():
     with pytest.raises(ValueError, match="not abelian"):
         _assert_abelian(A)
     _assert_abelian(unit_group(make_ring("padic", 3, 5)))
+
+
+def test_tuple_right_mul_refuses_non_elements():
+    # {1, 3, 5} in (Z/8)^*: 3 * 5 = 7 is not in the list
+    A = SimpleAbelianGroup([1, 3, 5], lambda x, y: x * y % 8,
+                           lambda x: pow(x, -1, 8), 1)
+    assert A.right_mul([0, 1], 1).tolist() == [1, 0]
+    with pytest.raises(ValueError, match="1 products are not group elements"):
+        A.right_mul([0, 1, 2], 2)
+    with pytest.raises(ValueError, match="not group elements"):
+        _assert_abelian(A)
+
+
+def test_unit_characters_once_per_ring():
+    r = make_ring("padic", 3, 2)
+    chars = unit_characters(r)
+    assert unit_characters(make_ring("padic", 3, 2)) is chars
+    want = character_group(unit_group(r))
+    assert [c.exps for c in chars] == [c.exps for c in want]
+    assert [c.values for c in chars] == [c.values for c in want]
 
 
 def test_twisting_characters():
