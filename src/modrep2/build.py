@@ -6,11 +6,10 @@ from collections import Counter
 
 import numpy as np
 
-from .classfun import (ClassFunction, dedupe, geo_ind, induce, inf_ind,
-                       inflate, is_cuspidal, linear_characters, spectrum_kinds,
-                       twist)
+from .classfun import (ClassFunction, dedupe, geo_ind, ind, induce, inflate,
+                       is_cuspidal, linear_characters, spectrum_kinds, twist)
 from .dixon import character_degrees
-from .groups import ProductGroup, aut_group
+from .groups import aut_group
 from .orbits import CongruenceDual, cuspidal_parameters, eta_dual, inner_types
 from .rings import (MTOL, TOL, _check, character_group, make_ring,
                     twisting_characters, unit_characters, unit_group)
@@ -116,14 +115,8 @@ def build_l1(G):
     assert G.l2 == 1 and l1 >= 2
 
     # one-dimensionals factor through the reduced diagonal pair
-    A = ProductGroup(unit_group(make_ring(G.backend, q, l1 - 1)),
-                     unit_group(G.R2))
-    lift = q ** (l1 - 1)
-
-    def diag_red(g):
-        return (g[0] % lift, g[3])
-
-    one = dedupe([inflate(G, f, diag_red) for f in _abelian_charfuns(A)])
+    A, _ = G.hom("diag_red", [])
+    one = dedupe([inflate(G, f, "diag_red") for f in _abelian_charfuns(A)])
     one_dim = IrrFamily("one_dim", one)
     assert one_dim.count == q ** (l1 - 2) * (q - 1) ** 2
     assert one_dim.degree == 1
@@ -242,8 +235,8 @@ def build_geometric(G):
     floor = assemble(G.backend, q, (l1, 1))
     bp = floor.family("orbitB+").members
     bm = floor.family("orbitB-").members
-    raw = ([inf_ind(G, 1, f, "embed") for f in bp]
-           + [inf_ind(G, 1, f, "quot") for f in bm])
+    raw = ([ind(G, f, "embed", 1) for f in bp]
+           + [ind(G, f, "quot", 1) for f in bm])
     if l1 == l2:
         tws = twisting_characters(G.R2)
         raw = [twist(f, t) for f in raw for t in tws]
@@ -275,8 +268,8 @@ def build_infinitesimal(G):
         emb, quo = [], []
         for _, m in inner_types(G.lam):
             for f in cuspidal_members(G.backend, q, (l1, m)):
-                emb.append(inf_ind(G, m, f, "embed"))
-                quo.append(inf_ind(G, m, f, "quot"))
+                emb.append(ind(G, f, "embed", m))
+                quo.append(ind(G, f, "quot", m))
         emb, quo = dedupe(emb), dedupe(quo)
         expect = sum(q ** (l1 + m - 3) * (q - 1) ** 2
                      for _, m in inner_types(G.lam))
@@ -290,8 +283,8 @@ def build_infinitesimal(G):
         raw, total = [], 0
         for _, m in inner_types(G.lam):
             for f in cuspidal_members(G.backend, q, (l1, m)):
-                a = inf_ind(G, m, f, "embed")
-                b = inf_ind(G, m, f, "quot")
+                a = ind(G, f, "embed", m)
+                b = ind(G, f, "quot", m)
                 assert a.fingerprint() == b.fingerprint()
                 raw.extend(twist(a, t) for t in tws)
                 total += 1
@@ -397,7 +390,7 @@ def assemble(backend, q, lam):
     elif l1 > l2:
         sub = assemble(backend, q, (l1 - 1, l2 - 1))
         tws = twisting_characters(G.R2)
-        pulled = dedupe([twist(inflate(G, f, G.floor_map), t)
+        pulled = dedupe([twist(inflate(G, f, "floor"), t)
                          for f in sub.members for t in tws])
         assert len(pulled) == q * len(sub.members)
         fams = [IrrFamily("pullback_twist", pulled),

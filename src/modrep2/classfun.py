@@ -5,10 +5,9 @@ depth-one spectrum used to sort irreducible characters into families."""
 
 import numpy as np
 
-from .groups import ProductGroup, aut_group
 from .orbits import CongruenceDual, inner_types
-from .rings import (TOL, character_group, twisting_characters, unit_characters,
-                    unit_group)
+from .rings import (TOL, _check, character_group, twisting_characters,
+                    unit_characters)
 
 
 class ClassFunction:
@@ -19,12 +18,14 @@ class ClassFunction:
     def __init__(self, group, vals):
         self.group = group
         self.vals = np.asarray(vals, dtype=np.complex128)
-        assert self.vals.shape == (group.class_count,)
+        _check(self.vals.shape == (group.class_count,), "class function "
+               "values, one per class", (group.class_count,), self.vals.shape)
 
     @property
     def degree(self):
         d = self.vals[self.group.identity_class]
-        assert abs(d.imag) < TOL
+        _check(abs(d.imag) < TOL, "degree: a real value at the identity",
+               "imaginary part 0", d)
         return d.real
 
     def __call__(self, e):
@@ -32,7 +33,8 @@ class ClassFunction:
 
     def inner(self, other):
         """Hermitian inner product with class-size weights."""
-        assert other.group is self.group
+        _check(other.group is self.group, "inner: both on one group",
+               self.group.name, other.group.name)
         G = self.group
         return complex(np.sum(self.vals * np.conj(other.vals) * G.class_sizes)
                        / G.order)
@@ -41,15 +43,9 @@ class ClassFunction:
         """Inner product that must land on a non-negative integer."""
         v = self.inner(other)
         n = int(round(v.real))
-        assert abs(v - n) < TOL and n >= 0, v
+        _check(abs(v - n) < TOL and n >= 0, "mult: inner product",
+               "a non-negative integer", v)
         return n
-
-    def __mul__(self, other):
-        assert other.group is self.group
-        return ClassFunction(self.group, self.vals * other.vals)
-
-    def conj(self):
-        return ClassFunction(self.group, np.conj(self.vals))
 
     def fingerprint(self):
         """Values rounded to 6 decimals as (re, im) pairs of Python floats,
@@ -72,14 +68,14 @@ def is_irreducible(chi):
 
 
 def linear_characters(G):
-    """The one-dimensional characters, pulled back from the abelianization."""
+    """The one-dimensional characters, pulled back from the abelianization
+    through the cosets of the class representatives."""
     out = getattr(G, "_linear_chars", None)
     if out is None:
         Q = G.abelianization()
-        out = []
-        for ch in character_group(Q):
-            vals = np.array([ch(Q.project(rep)) for rep in G.class_reps])
-            out.append(ClassFunction(G, vals))
+        cos = Q.coset_of[G.positions(G.rep_idx)]
+        out = [ClassFunction(G, np.array([ch(x) for x in Q.elements])[cos])
+               for ch in character_group(Q)]
         G._linear_chars = out
     return out
 
@@ -97,93 +93,76 @@ def induce(sub, f):
 
 
 def restrict(sub, f):
-    assert f.group is sub.parent
+    _check(f.group is sub.parent, "restrict: a class function on the parent",
+           sub.parent.name, f.group.name)
     return ClassFunction(sub, f.vals[sub.fusion()])
 
 
-def inflate(G, f, hom):
-    """Pull back a class function along a homomorphism from G."""
-    Q = f.group
-    vals = np.array([f.vals[Q.cls_index(hom(rep))] for rep in G.class_reps])
-    return ClassFunction(G, vals)
+def inflate(G, f, kind, m=0):
+    """Pull back a class function on Q along the map kind from G's root
+    group onto Q (AutGroup.hom): its values at the images of G's class
+    representatives."""
+    Q, img = G.root.hom(kind, G.rep_idx, m)
+    _check(f.group is Q, "inflate: a class function on the target of "
+           + kind, Q.name, f.group.name)
+    return ClassFunction(G, f.vals[Q.cls_of[img]])
 
 
-def invariants_pushforward(P, U, Q, hom, f):
-    """Average a class function on P over the fibers of hom: P -> Q with
-    kernel U; on characters this computes the U-invariants functor.  The
-    products s * u, s a section of each class of Q, are one right_mul
-    gather, and P.positions refuses a product outside P."""
-    assert f.group is P
-    sec = {}
-    for j, x in zip(P.idx.tolist(), P.elements):
-        sec.setdefault(hom(x), j)
-    assert len(sec) == Q.order
-    prods = P.root.right_mul([sec[r] for r in Q.class_reps], U.idx[:, None])
-    # summed over u row by row, in the order of U.elements
-    vals = f.vals[P.cls_of[P.positions(prods)]].sum(axis=0) / U.order
-    return ClassFunction(Q, vals)
+def invariants_pushforward(P, kind, f, m=0):
+    """Average a class function on P over the fibers of the map kind onto
+    its target Q, which on characters takes the kernel's invariants: two
+    bincounts over the images of P; every fiber must have |P|/|Q| elements."""
+    _check(f.group is P, "invariants_pushforward: a class function on P",
+           P.name, f.group.name)
+    Q, img = P.root.hom(kind, P.idx, m)
+    n = P.order // Q.order
+    sizes = np.bincount(img, minlength=Q.order)
+    _check((sizes == n).all(), "%s: fiber sizes of %s onto %s"
+           % (P.name, kind, Q.name), n, sorted(set(sizes.tolist())))
+    w = f.vals[P.cls_of]
+    sums = (np.bincount(img, w.real, Q.order)
+            + 1j * np.bincount(img, w.imag, Q.order))
+    return ClassFunction(Q, sums[Q.rep_idx] / n)
 
 
 def twist(chi, uchar):
-    """Multiply by a unit-group character composed with the determinant."""
+    """Multiply by a unit-group character composed with the determinant:
+    the character's values gathered at the det codes of the class
+    representatives."""
     G = chi.group
-    dv = np.array([uchar(G.det(rep)) for rep in G.class_reps])
-    return ClassFunction(G, chi.vals * dv)
+    R2, codes = G.hom("det", G.rep_idx)
+    by_code = np.zeros(R2.size, dtype=np.complex128)
+    by_code[list(uchar.values)] = list(uchar.values.values())
+    return ClassFunction(G, chi.vals * by_code[codes])
+
+
+# side -> (parabolic, its map onto the torus or onto the (l1, m) group)
+_SIDES = {"upper": ("parabolic_upper", "diag"),
+          "lower": ("parabolic_lower", "diag"),
+          "embed": ("parabolic_embed", "embed"),
+          "quot": ("parabolic_quot", "quot")}
+
+
+def ind(G, f, side, m=0):
+    """Inflate f to the side's parabolic along its map and induce up to G."""
+    tag, kind = _SIDES[side]
+    P = G.subgroup(tag, m=m)
+    return induce(P, inflate(P, f, kind, m))
+
+
+def res(G, f, side, m=0):
+    """Adjoint of ind: restrict to the side's parabolic and average over the
+    kernel of its map."""
+    tag, kind = _SIDES[side]
+    P = G.subgroup(tag, m=m)
+    return invariants_pushforward(P, kind, restrict(P, f), m)
 
 
 def geo_ind(G, t1, t2, side="upper"):
     """Parabolic induction of a pair of unit-group characters."""
-    P = G.subgroup("parabolic_upper" if side == "upper" else "parabolic_lower")
-    vals = np.array([t1(rep[0]) * t2(rep[3]) for rep in P.class_reps])
-    return induce(P, ClassFunction(P, vals))
-
-
-def torus_product(G):
-    """Product of the two unit groups, the target of geo_res; one per group."""
-    T = getattr(G, "_torus_product", None)
-    if T is None:
-        T = ProductGroup(unit_group(G.R1), unit_group(G.R2))
-        G._torus_product = T
-    return T
-
-
-def geo_res(G, f, side="upper"):
-    """Unipotent-invariants of the restriction to the standard parabolic, as a
-    class function on the product of the two unit groups."""
-    P = G.subgroup("parabolic_upper" if side == "upper" else "parabolic_lower")
-    U = G.subgroup("unipotent_upper" if side == "upper" else "unipotent_lower")
-    return invariants_pushforward(P, U, torus_product(G), G.diag_map,
-                                  restrict(P, f))
-
-
-def congruence_kernel(G, m, side="embed"):
-    """Kernel of the congruence-parabolic quotient map onto the (l1, m) group."""
-    return G.subgroup("ker_" + side, m=m)
-
-
-def _congruence_hom(G, m, side):
-    if side == "embed":
-        return lambda g: G.embed_map(g, m)
-    return lambda g: G.quot_map(g, m)
-
-
-def inf_ind(G, m, f, side="embed"):
-    """Inflate a class function of the inner (l1, m) group through the
-    congruence parabolic and induce up."""
-    tag = "parabolic_embed" if side == "embed" else "parabolic_quot"
-    P = G.subgroup(tag, m=m)
-    return induce(P, inflate(P, f, _congruence_hom(G, m, side)))
-
-
-def inf_res(G, m, f, side="embed"):
-    """Adjoint of inf_ind: restrict to the congruence parabolic and average
-    over the kernel of its quotient map."""
-    tag = "parabolic_embed" if side == "embed" else "parabolic_quot"
-    P = G.subgroup(tag, m=m)
-    Gm = aut_group(G.backend, G.q, (G.l1, m))
-    ker = congruence_kernel(G, m, side)
-    return invariants_pushforward(P, ker, Gm, _congruence_hom(G, m, side),
-                                  restrict(P, f))
+    T = G.torus
+    return ind(G, ClassFunction(T, [t1(a) * t2(d) for a, d in T.elements]),
+               side)
 
 
 def depth_one_dual(G):
@@ -201,8 +180,9 @@ def k_spectrum(G, chi):
     D = depth_one_dual(G)
     v = chi.vals[G.cls_of[D.K.idx]]
     m = D._vm.conj() @ v / D.K.order
-    assert np.all(np.abs(m.imag) < TOL)
-    assert np.all(np.abs(m.real - np.round(m.real)) < TOL)
+    off = max(np.abs(m.imag).max(), np.abs(m.real - np.round(m.real)).max())
+    _check(off < TOL, "k_spectrum: integer multiplicities", "distance 0",
+           off)
     return np.round(m.real).astype(np.int64)
 
 
@@ -227,17 +207,11 @@ def is_cuspidal(G, chi):
         return False
     if G.l2 >= 2 and not is_primitive(G, chi):
         return False
-    subs = getattr(G, "_cuspidal_test_subs", None)
-    if subs is None:
-        subs = [G.subgroup("unipotent_upper"), G.subgroup("unipotent_lower")]
-        for _, m in inner_types(G.lam):
-            subs.append(congruence_kernel(G, m, "embed"))
-            subs.append(congruence_kernel(G, m, "quot"))
-        G._cuspidal_test_subs = subs
-    if G.R2.level >= 2:
-        twists = twisting_characters(G.R2)
-    else:
-        twists = unit_characters(G.R2)
+    subs = [G.subgroup("unipotent_upper"), G.subgroup("unipotent_lower")]
+    subs += [G.subgroup(tag, m=m) for _, m in inner_types(G.lam)
+             for tag in ("ker_embed", "ker_quot")]
+    twists = (twisting_characters(G.R2) if G.R2.level >= 2
+              else unit_characters(G.R2))
     for tch in twists:
         tc = twist(chi, tch)
         for U in subs:
@@ -255,7 +229,8 @@ def char_json(f):
     else:
         name = getattr(g, "name", None) or "group of order %d" % g.order
     d = f.degree
-    assert abs(d - round(d)) < TOL
+    _check(abs(d - round(d)) < TOL, "char_json: an integer degree", round(d),
+           d)
     return {"group": name, "degree": int(round(d)),
             "values": [[round(v.real, 9), round(v.imag, 9)]
                        for v in f.vals]}

@@ -199,9 +199,14 @@ def main(argv=None):
     except ValueError as e:
         print("invalid job: %s" % e, file=sys.stderr)
         return 2
-    except AssertionError as e:
+    except Exception as e:  # an internal fault: the JSON envelope, exit 1
+        import traceback  # imported on this path only, not by every job
+        at = traceback.extract_tb(e.__traceback__)[-1]
         envelope["ok"] = False
-        envelope["error"] = "internal check failed: %s" % e
+        envelope["error"] = ("internal check failed: %s" % e
+                             if isinstance(e, AssertionError) else
+                             "internal error: %s: %s (in %s, line %d)"
+                             % (type(e).__name__, e, at.name, at.lineno))
         return _emit(json.dumps(envelope, sort_keys=True) + "\n", args.out, 1)
     envelope.update(payload)
 

@@ -254,7 +254,7 @@ def character_degrees(G, r_override=None):
         raise ValueError("Dixon prime %d too large for exact float64 products "
                          "with %d classes" % (r, k))
     reps, sizes, cls_of = G._classes()
-    rep_idx = np.array([G.index[x] for x in reps], dtype=np.intp)
+    rep_idx = G.rep_idx  # G is a root group: indices are positions
     jstar = cls_of[[G.index[G.inv(x)] for x in reps]]
     by_class = np.argsort(cls_of, kind="stable")
     starts = np.concatenate(([0], np.cumsum(sizes)))

@@ -58,6 +58,12 @@ class GroupBase(FiniteGroup):
         reps, sizes, cls_of = self.conj_orbits(self.elements)
         return (reps, np.array(sizes, dtype=np.int64), cls_of)
 
+    def gens_commute(self):
+        """Whether the generators commute pairwise: one root right_mul."""
+        g = np.array([self.root.index[t] for t in self.gens], dtype=np.intp)
+        prods = self.root.right_mul(g[:, None], g[None, :])
+        return bool((prods == prods.T).all())
+
     def commutator_subgroup(self):
         """Normal closure of the commutators [g, h] of the generators (one
         of each pair; [h, g] is its inverse): the identity's orbit under right
@@ -128,7 +134,7 @@ class AutGroup(GroupBase):
         self.mul, self.inv, self.det = mul, inv, det
         self.identity = (1, 0, 0, 1)
         self.name = "Aut(%s,q=%d,%s)" % (backend, q, (l1, l2))
-        self._subgroup_cache = {}
+        self._subgroup_cache, self._tori = {}, {}
 
         if self.rect:
             self.elements = [g for g in product(range(s1), repeat=4)
@@ -174,9 +180,9 @@ class AutGroup(GroupBase):
     def right_mul(self, idx, h):
         """Element indices of elements[idx] * elements[h], the tuple mul done
         as whole-array table lookups; idx and h are index arrays that
-        broadcast together.  Raises if a product is not an element rather
-        than let index -1 wrap around."""
-        (A1, M1, A2, M2), (ea, eb, ec, ed), table, d1c, d2c = self._arrays
+        broadcast together.  The code is built one column at a time, which
+        bounds the full-size temporaries."""
+        (A1, M1, A2, M2), (ea, eb, ec, ed), _, d1c, d2c = self._arrays
         a, b, c, d = ea[idx], eb[idx], ec[idx], ed[idx]
         A, B, C, D = ea[h], eb[h], ec[h], ed[h]
         s2 = self.s2
@@ -184,9 +190,13 @@ class AutGroup(GroupBase):
         code = code * s2 + A2[M2[a % s2, B], M2[b, D]]
         code = code * s2 + A2[M2[c, A % s2], M2[d, C]]
         code = code * s2 + A2[M2[d, D], M2[d2c, M2[c, B]]]
-        out = table[code]
+        return self._element_at(code)
+
+    def _element_at(self, code):
+        """Element indices of codes; raises on -1 rather than wrap around."""
+        out = self._arrays[2][code]
         if (out < 0).any():
-            raise ValueError("%s: %d products are not group elements"
+            raise ValueError("%s: %d results are not group elements"
                              % (self.name, int((out < 0).sum())))
         return out
 
@@ -199,39 +209,54 @@ class AutGroup(GroupBase):
         y2 = R2.add[R2.mul[c][x1 % self.s2]][R2.mul[d][x2]]
         return (y1, y2)
 
-    def floor_map(self, g):
-        """Reduction onto the group of the floor type (l1-1, l2-1); needs l2 >= 2."""
-        if self.l2 < 2:
-            raise ValueError("floor reduction stops at column levels %r" % (self.lam,))
-        q = self.q
-        a, b, c, d = g
-        return (a % q ** (self.l1 - 1), b % q ** (self.l2 - 1),
-                c % q ** (self.l2 - 1), d % q ** (self.l2 - 1))
+    def hom(self, kind, idx, m=0):
+        """(Q, images): element indices in Q of the root indices idx under
+        the map kind, column-wise; Q is one object per (kind, m).  floor:
+        onto type (l1-1, l2-1).  embed, quot: from the depth-m stabilisers
+        (val(c), resp. val(b), >= l2-m) onto type (l1, m).  diag: (a, d) of
+        the parabolics onto torus.  diag_red: (a mod pi^(l1-1), d) of type
+        (l1, 1).  det: onto the codes of Q = R2.  Off the domain: _check."""
+        (_, _, A2, M2), cols, _, _, d2c = self._arrays
+        a, b, c, d = (x[idx] for x in cols)
+        q, l1, l2 = self.q, self.l1, self.l2
+        if kind == "det":
+            N2 = np.array(self.R2.neg)
+            return self.R2, A2[M2[a % self.s2, d], N2[M2[d2c, M2[b, c]]]]
+        if kind in ("diag", "diag_red"):
+            off = int(((b != 0) & (c != 0)).sum()) if kind == "diag" else 0
+            _check(not off, "hom diag: elements with b and c both nonzero",
+                   0, off)
+            _check(kind == "diag" or l2 == 1, "hom diag_red: level l2", 1, l2)
+            lv = l1 if kind == "diag" else l1 - 1
+            if lv not in self._tori:
+                self._tori[lv] = ProductGroup(unit_group(make_ring(
+                    self.backend, q, lv)), unit_group(self.R2))
+            T = self._tori[lv]
+            U1, U2 = T.G1.elements, T.G2.elements  # sorted unit codes
+            return T, (np.searchsorted(U1, a % q ** lv) * len(U2)
+                       + np.searchsorted(U2, d))
+        if kind == "floor":
+            if l2 < 2:
+                raise ValueError("floor reduction stops at column levels %r"
+                                 % (self.lam,))
+            Q, s1, s2 = (aut_group(self.backend, q, (l1 - 1, l2 - 1)),
+                         q ** (l1 - 1), q ** (l2 - 1))
+            a, b, c, d = a % s1, b % s2, c % s2, d % s2
+        elif kind in ("embed", "quot"):
+            emb = kind == "embed"
+            v = np.array(self.R2.val)[c if emb else b]
+            _check((v >= l2 - m).all(), "hom %s: valuation of %s"
+                   % (kind, "c" if emb else "b"), l2 - m, v.min(initial=l2))
+            Q, s, t = aut_group(self.backend, q, (l1, m)), q ** m, q ** (l2 - m)
+            b, c, d = (b % s, c // t, d % s) if emb else (b // t, c % s, d % s)
+        else:
+            raise ValueError("unknown map %r" % (kind,))
+        return Q, Q._element_at(((a * Q.s2 + b) * Q.s2 + c) * Q.s2 + d)
 
-    def embed_map(self, g, m):
-        """Coordinates of a depth-m embedded-submodule stabilizer element in the
-        group of type (l1, m); g must have val(c) >= l2 - m."""
-        q = self.q
-        a, b, c, d = g
-        _check(self.R2.val[c] >= self.l2 - m, "embed_map: valuation of c",
-               self.l2 - m, self.R2.val[c])
-        return (a, b % q ** m, c // q ** (self.l2 - m), d % q ** m)
-
-    def quot_map(self, g, m):
-        """Coordinates of a depth-m quotient-module stabilizer element in the
-        group of type (l1, m); g must have val(b) >= l2 - m."""
-        q = self.q
-        a, b, c, d = g
-        _check(self.R2.val[b] >= self.l2 - m, "quot_map: valuation of b",
-               self.l2 - m, self.R2.val[b])
-        return (a, b // q ** (self.l2 - m), c % q ** m, d % q ** m)
-
-    def diag_map(self, g):
-        """Diagonal part (a, d) of an upper- or lower-triangular element."""
-        a, b, c, d = g
-        _check(b == 0 or c == 0, "diag_map: an off-diagonal entry zero",
-               "b or c zero", g)
-        return (a, d)
+    @property
+    def torus(self):
+        """units(R1) x units(R2), the target of the diag map."""
+        return self.hom("diag", [])[0]
 
     def subgroup(self, tag, **kw):
         """A tag's subgroup, cached: a mask of lower bounds on val(a - 1),
@@ -249,12 +274,12 @@ class AutGroup(GroupBase):
                 raise ValueError("custom members of %s repeat %d elements"
                                  % (self.name, len(pos) - int(mask.sum())))
             return Subgroup(self, np.flatnonzero(mask), kw.get("name", "custom"))
-        key = (tag, tuple(sorted(kw.items())))
+        i, sigma, m = kw.get("i", 0), kw.get("sigma", 0), kw.get("m", 0)
+        u, w = kw.get("u_hat"), kw.get("w_hat")
+        key = (tag, i, sigma, m, u, w)
         if key in self._subgroup_cache:
             return self._subgroup_cache[key]
         l1, l2, s2 = self.l1, self.l2, self.s2
-        i, sigma, m = kw.get("i", 0), kw.get("sigma", 0), kw.get("m", 0)
-        u, w = kw.get("u_hat"), kw.get("w_hat")
         l, eps = self.half_levels()
         if tag == "floor_kernel" and l2 < 2:
             raise ValueError("floor kernel needs column levels >= 2")
@@ -322,9 +347,7 @@ class Subgroup(GroupBase):
         self.name = (parent.name + "." + name) if name else parent.name + ".sub"
         self.gens = greedy_generators(self)  # refuses a member list that is no group
         self._gen_checked = True
-        g = np.array([self.root.index[t] for t in self.gens], dtype=np.intp)
-        prods = self.root.right_mul(g[:, None], g[None, :])
-        self.is_abelian = bool((prods == prods.T).all())
+        self.is_abelian = self.gens_commute()
         self._fusion = None
 
     @property
@@ -361,29 +384,33 @@ class Subgroup(GroupBase):
 
 
 class QuotientGroup(GroupBase):
-    """Quotient by a normal subgroup; elements are first-seen coset representatives."""
+    """Quotient by a normal subgroup; elements are first-seen coset
+    representatives, and coset_of gives the coset of each parent position."""
 
     def __init__(self, parent, N):
         self.parent, self.N = parent, N
-        pmul, pinv = parent.mul, parent.inv
+        pmul, pinv, pindex = parent.mul, parent.inv, parent.index
         parent.conj_orbits(N.elements)  # ValueError unless N is normal
-        reps, _, coset_of = parent.sweep(parent.elements,
-                                         [(None, g) for g in N.gens])
-        rep_of = {h: reps[c] for h, c in zip(parent.elements, coset_of.tolist())}
-        self.rep_of = rep_of
+        reps, _, self.coset_of = parent.sweep(parent.elements,
+                                              [(None, g) for g in N.gens])
+        self._rep_ridx = parent.idx[[pindex[x] for x in reps]]
+        cos = self.coset_of.tolist()
         self.elements = reps
         self.index = {e: i for i, e in enumerate(reps)}
-        self.mul = lambda x, y: rep_of[pmul(x, y)]
-        self.inv = lambda x: rep_of[pinv(x)]
-        self.identity = rep_of[parent.identity]
-        self.gens = list(dict.fromkeys(rep_of[g] for g in parent.gens
-                                       if rep_of[g] != self.identity))
-        self.is_abelian = all(self.mul(x, y) == self.mul(y, x)
-                              for x in self.gens for y in self.gens)
+        self.mul = lambda x, y: reps[cos[pindex[pmul(x, y)]]]
+        self.inv = lambda x: reps[cos[pindex[pinv(x)]]]
+        self.identity = reps[cos[pindex[parent.identity]]]
+        self.gens = [x for x in dict.fromkeys(reps[cos[pindex[g]]]
+                                              for g in parent.gens)
+                     if x != self.identity]
+        self.is_abelian = self.gens_commute()
         self.name = parent.name + "/" + N.name.rsplit(".", 1)[-1]
 
-    def project(self, h):
-        return self.rep_of[h]
+    def right_mul(self, idx, h):
+        """Coset indices of the products of coset representatives, through
+        the parent's root right_mul."""
+        P, r = self.parent, self._rep_ridx
+        return self.coset_of[P.positions(P.root.right_mul(r[idx], r[h]))]
 
 
 class ProductGroup(GroupBase):

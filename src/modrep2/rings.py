@@ -402,6 +402,14 @@ class FiniteGroup:
         """Class index of each element, by position."""
         return self._classes()[2]
 
+    @cached_property
+    def rep_idx(self):
+        """Root indices (on a root group also positions) of the class
+        representatives, the first member of each class in class order."""
+        cls = self.cls_of
+        pos = np.flatnonzero(np.diff(np.maximum.accumulate(cls), prepend=-1))
+        return pos if self.root is self else self.idx[pos]
+
     def pow(self, x, k):
         out = self.identity
         base = x if k >= 0 else self.inv(x)

@@ -7,8 +7,8 @@ from collections import Counter
 import numpy as np
 
 from .build import assemble, cuspidal_rect_count, zeta_closed_form
-from .classfun import (ClassFunction, geo_ind, geo_res, inf_ind, inf_res,
-                       is_cuspidal, is_primitive, torus_product)
+from .classfun import (ClassFunction, geo_ind, ind, is_cuspidal, is_primitive,
+                       res)
 from .dixon import character_degrees
 from .groups import aut_group, class_count_formula, order_formula
 from .orbits import CongruenceDual, inner_types, orbits_on_kernel
@@ -53,31 +53,30 @@ def expected_dual_orbit_table(q, lam):
 
 
 def _check_geo_adjoint(G, members):
-    """<geo_ind(theta), chi> == <theta, geo_res(chi)> over all pairs."""
-    T = torus_product(G)
+    """<ind(theta), chi> == <theta, res(chi)> for torus characters theta."""
+    T = G.torus
     for side in ("upper", "lower"):
-        ress = [geo_res(G, chi, side) for chi in members]
+        ress = [res(G, chi, side) for chi in members]
         for t1 in unit_characters(G.R1):
             for t2 in unit_characters(G.R2):
-                ind = geo_ind(G, t1, t2, side)
-                tf = ClassFunction(T, np.array([t1(x[0]) * t2(x[1])
-                                                for x in T.elements]))
-                for chi, res in zip(members, ress):
-                    if ind.mult(chi) != res.mult(tf):
+                tf = ClassFunction(T, [t1(a) * t2(d) for a, d in T.elements])
+                up = ind(G, tf, side)
+                for chi, down in zip(members, ress):
+                    if up.mult(chi) != down.mult(tf):
                         return False
     return True
 
 
 def _check_inf_adjoint(G, members):
-    """<inf_ind(sigma), chi> == <sigma, inf_res(chi)> over all pairs."""
+    """<ind(sigma), chi> == <sigma, res(chi)> on the congruence sides."""
     for _, m in inner_types(G.lam):
         floor = assemble(G.backend, G.q, (G.l1, m))
         for side in ("embed", "quot"):
-            ress = [inf_res(G, m, chi, side) for chi in members]
+            ress = [res(G, chi, side, m) for chi in members]
             for sigma in floor.members:
-                ind = inf_ind(G, m, sigma, side)
-                for chi, res in zip(members, ress):
-                    if ind.mult(chi) != res.mult(sigma):
+                up = ind(G, sigma, side, m)
+                for chi, down in zip(members, ress):
+                    if up.mult(chi) != down.mult(sigma):
                         return False
     return True
 
@@ -129,7 +128,7 @@ def _check_mixed_composition(G):
             lhs = geo_ind(G, t1, lift[0])
             mid = geo_ind(Gm, t1, t2)
             for side in ("embed", "quot"):
-                if not np.allclose(lhs.vals, inf_ind(G, 1, mid, side).vals,
+                if not np.allclose(lhs.vals, ind(G, mid, side, 1).vals,
                                    atol=TOL):
                     return False
     return True
@@ -143,12 +142,12 @@ def _check_stable_chain(backend, q):
     floor = assemble(backend, q, (4, 1))
     for sigma in floor.family("orbitC").members:
         for side in ("embed", "quot"):
-            direct = inf_ind(G43, 1, sigma, side)
-            stepped = inf_ind(G43, 2, inf_ind(G42, 1, sigma, side), side)
+            direct = ind(G43, sigma, side, 1)
+            stepped = ind(G43, ind(G42, sigma, side, 1), side, 2)
             if not np.allclose(direct.vals, stepped.vals, atol=TOL):
                 return False
-            back = inf_res(G42, 1, inf_res(G43, 2, direct, side), side)
-            if not np.allclose(back.vals, inf_res(G43, 1, direct, side).vals,
+            back = res(G42, res(G43, direct, side, 2), side, 1)
+            if not np.allclose(back.vals, res(G43, direct, side, 1).vals,
                                atol=TOL):
                 return False
     return True
@@ -163,7 +162,7 @@ def _check_cuspidal_induction(G):
         floor = assemble(G.backend, G.q, (G.l1, m))
         for sigma in floor.family(label).members:
             for side in ("embed", "quot"):
-                f = inf_ind(G, m, sigma, side)
+                f = ind(G, sigma, side, m)
                 if f.mult(f) != 1:
                     return False
                 outs[side].append(f.fingerprint())

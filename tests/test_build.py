@@ -12,10 +12,9 @@ import pytest
 
 from modrep2.build import (assemble, build_rank1, cuspidal_rect_count,
                            green_gl2, zeta_closed_form)
-from modrep2.classfun import (congruence_kernel, geo_ind, induce, inf_ind,
-                              inf_res, inflate, is_cuspidal, is_primitive,
-                              k_spectrum, linear_characters, spectrum_kinds,
-                              twist, ClassFunction)
+from modrep2.classfun import (geo_ind, ind, induce, inflate, is_cuspidal,
+                              is_primitive, k_spectrum, linear_characters,
+                              res, spectrum_kinds, twist, ClassFunction)
 from modrep2.dixon import character_degrees
 from modrep2.groups import aut_group
 from modrep2.orbits import CongruenceDual
@@ -156,8 +155,8 @@ def _restriction_battery(G, chi, twists):
     """Invariant-vanishing of every twist under every kernel subgroup."""
     subs = [G.subgroup("unipotent_upper"), G.subgroup("unipotent_lower")]
     for m in range(1, G.l2):
-        subs.append(congruence_kernel(G, m, "embed"))
-        subs.append(congruence_kernel(G, m, "quot"))
+        subs.append(G.subgroup("ker_embed", m=m))
+        subs.append(G.subgroup("ker_quot", m=m))
     for t in twists:
         tc = ClassFunction(G, chi.vals * t.vals)
         for U in subs:
@@ -214,8 +213,8 @@ def test_restriction_splits_induction_on_cuspidal():
     floor = assemble("padic", 2, (3, 1))
     for sigma in floor.family("orbitC").members:
         for side in ("embed", "quot"):
-            up = inf_ind(G, 1, sigma, side)
-            back = inf_res(G, 1, up, side)
+            up = ind(G, sigma, side, 1)
+            back = res(G, up, side, 1)
             assert np.allclose(back.vals, sigma.vals, atol=TOL)
 
 
@@ -231,14 +230,18 @@ def test_induction_composes_through_intermediate_subgroup():
     G = aut_group("padic", 2, (3, 2))
     Gf = aut_group("padic", 2, (3, 1))
     P1 = G.subgroup("parabolic_embed", m=1)
-    phi = lambda g: G.embed_map(g, 1)
+    Q, img = G.hom("embed", P1.idx, 1)
+    assert Q is Gf
     for B in [Gf.subgroup("parabolic_upper"), _product_set_subgroup(Gf)]:
-        bset = set(B.index)
+        pre = P1.idx[np.isin(img, B.idx)]
         P2 = G.subgroup("custom", name="preimage",
-                        members=[g for g in P1.elements if phi(g) in bset])
+                        members=[G.elements[j] for j in pre.tolist()])
+        # the pullback from B to its preimage P2, read at P2's classes
+        _, at = G.hom("embed", P2.rep_idx, 1)
         for chi in linear_characters(B):
-            lhs = induce(P2, inflate(P2, chi, phi))
-            rhs = induce(P1, inflate(P1, induce(B, chi), phi))
+            pulled = ClassFunction(P2, chi.vals[B.cls_of[B.positions(at)]])
+            lhs = induce(P2, pulled)
+            rhs = induce(P1, inflate(P1, induce(B, chi), "embed", 1))
             assert np.allclose(lhs.vals, rhs.vals, atol=TOL)
 
 
@@ -250,12 +253,12 @@ def test_stable_functors_compose_along_tower():
     floor = assemble("padic", 2, (4, 1))
     for sigma in floor.family("orbitC").members:
         for side in ("embed", "quot"):
-            direct = inf_ind(G43, 1, sigma, side)
-            stepped = inf_ind(G43, 2, inf_ind(G42, 1, sigma, side), side)
+            direct = ind(G43, sigma, side, 1)
+            stepped = ind(G43, ind(G42, sigma, side, 1), side, 2)
             assert np.allclose(direct.vals, stepped.vals, atol=TOL)
             rho = direct
-            back = inf_res(G42, 1, inf_res(G43, 2, rho, side), side)
-            assert np.allclose(back.vals, inf_res(G43, 1, rho, side).vals,
+            back = res(G42, res(G43, rho, side, 2), side, 1)
+            assert np.allclose(back.vals, res(G43, rho, side, 1).vals,
                                atol=TOL)
 
 
@@ -277,7 +280,7 @@ def test_parabolic_induction_commutes_with_stable_induction():
                 lhs = geo_ind(G, t1, lift[0])
                 mid = geo_ind(Gm, t1, t2)
                 for side in ("embed", "quot"):
-                    rhs = inf_ind(G, 1, mid, side)
+                    rhs = ind(G, mid, side, 1)
                     assert np.allclose(lhs.vals, rhs.vals, atol=TOL)
 
 
@@ -290,7 +293,7 @@ def test_pullback_twist_spectrum_parameter():
             if all(abs(v - 1) < TOL for v in f.vals)]
     assert len(triv) == 1
     tws = twisting_characters(G.R2)
-    f = twist(inflate(G, triv[0], G.floor_map), tws[1])
+    f = twist(inflate(G, triv[0], "floor"), tws[1])
     D = CongruenceDual(G, 1, 0)
     mults = k_spectrum(G, f)
     support = [D.classify(t) for t, n in zip(D.duals, mults) if n > 0]

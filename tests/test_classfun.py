@@ -1,16 +1,23 @@
 """Induction, restriction, transfer maps and depth-one spectra."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from modrep2.classfun import (ClassFunction, congruence_kernel, dedupe,
-                              geo_ind, geo_res, induce, inf_ind, inf_res,
+from modrep2.classfun import (ClassFunction, dedupe, geo_ind, induce, ind,
                               inflate, invariants_pushforward, is_cuspidal,
                               is_irreducible, k_spectrum, linear_characters,
-                              restrict, spectrum_kinds, is_primitive,
-                              torus_product, twist)
+                              res, restrict, spectrum_kinds, is_primitive,
+                              twist)
 from modrep2.groups import aut_group
-from modrep2.rings import character_group, twisting_characters, unit_group
+from modrep2.rings import (character_group, twisting_characters, unit_group,
+                           unit_characters)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def indicator(G, c):
@@ -69,7 +76,7 @@ def test_inflation_preserves_inner_products():
     G = aut_group("padic", 2, (3, 2))
     Gf = aut_group("padic", 2, (2, 1))
     chars = linear_characters(Gf)
-    pulled = [inflate(G, f, G.floor_map) for f in chars]
+    pulled = [inflate(G, f, "floor") for f in chars]
     for a, fa in zip(chars, pulled):
         assert fa.degree == 1
         for b, fb in zip(chars, pulled):
@@ -80,9 +87,8 @@ def test_inflation_preserves_inner_products():
 def test_pushforward_of_trivial_is_trivial():
     G = aut_group("padic", 2, (2, 2))
     P = G.subgroup("parabolic_upper")
-    U = G.subgroup("unipotent_upper")
-    T = torus_product(G)
-    out = invariants_pushforward(P, U, T, G.diag_map, trivial(P))
+    out = invariants_pushforward(P, "diag", trivial(P))
+    assert out.group is G.torus
     assert np.allclose(out.vals, 1.0)
 
 
@@ -91,13 +97,14 @@ def test_pushforward_of_trivial_is_trivial():
 def test_geo_adjointness(lam, side):
     G = aut_group("padic", 2, lam)
     P = G.subgroup("parabolic_" + side)
-    T = torus_product(G)
+    T = G.torus
     for t in range(T.class_count):
         h = indicator(T, t)
-        ih = induce(P, inflate(P, h, G.diag_map))
+        ih = ind(G, h, side)
+        assert np.array_equal(ih.vals, induce(P, inflate(P, h, "diag")).vals)
         for c in range(G.class_count):
             g = indicator(G, c)
-            assert abs(ih.inner(g) - h.inner(geo_res(G, g, side))) < 1e-9
+            assert abs(ih.inner(g) - h.inner(res(G, g, side))) < 1e-9
 
 
 @pytest.mark.parametrize("lam", [(3, 2), (2, 2)])
@@ -107,17 +114,17 @@ def test_inf_adjointness(lam, side):
     Gm = aut_group("padic", 2, (lam[0], 1))
     for j in range(Gm.class_count):
         f = indicator(Gm, j)
-        fi = inf_ind(G, 1, f, side)
+        fi = ind(G, f, side, 1)
         for c in range(G.class_count):
             g = indicator(G, c)
-            assert abs(fi.inner(g) - f.inner(inf_res(G, 1, g, side))) < 1e-9
+            assert abs(fi.inner(g) - f.inner(res(G, g, side, 1))) < 1e-9
 
 
 def test_congruence_kernel_orders():
     for lam in [(3, 2), (2, 2)]:
         G = aut_group("padic", 2, lam)
         for side in ["embed", "quot"]:
-            K = congruence_kernel(G, 1, side)
+            K = G.subgroup("ker_" + side, m=1)
             assert K.order == 2 ** (2 * (lam[1] - 1))
 
 
@@ -135,11 +142,40 @@ def test_induce_matches_class_loop():
 
 
 def test_pushforward_refuses_a_kernel_outside_the_subgroup():
+    # the fiber check refuses a map that is not onto with equal fibers: the
+    # diagonal of the unipotent radical (one fiber) and of the scalars (not
+    # onto the torus)
     G = aut_group("padic", 2, (2, 2))
-    P = G.subgroup("parabolic_upper")
-    with pytest.raises(ValueError, match="not members"):
-        invariants_pushforward(P, G.subgroup("unipotent_lower"),
-                               torus_product(G), G.diag_map, trivial(P))
+    for tag in ("unipotent_upper", "scalars"):
+        P = G.subgroup(tag)
+        with pytest.raises(AssertionError, match="fiber sizes"):
+            invariants_pushforward(P, "diag", trivial(P))
+    upper = trivial(G.subgroup("parabolic_upper"))
+    with pytest.raises(AssertionError, match="a class function on P"):
+        invariants_pushforward(G.subgroup("parabolic_lower"), "diag", upper)
+
+
+def test_pushforward_matches_fiber_loop():
+    # the two bincounts against a loop over P's members, each mapped by the
+    # tuple map it replaced, on complex class functions
+    G = aut_group("padic", 3, (2, 2))
+    rng = np.random.default_rng(11)
+    for tag, kind, m, ref in [
+            ("parabolic_lower", "diag", 0, lambda g: (g[0], g[3])),
+            ("parabolic_embed", "embed", 1,
+             lambda g: (g[0], g[1] % 3, g[2] // 3, g[3] % 3)),
+            ("parabolic_quot", "quot", 1,
+             lambda g: (g[0], g[1] // 3, g[2] % 3, g[3] % 3))]:
+        P = G.subgroup(tag, m=m)
+        k = P.class_count
+        f = ClassFunction(P, rng.normal(size=k) + 1j * rng.normal(size=k))
+        out = invariants_pushforward(P, kind, f, m)
+        Q = out.group
+        want = np.zeros(Q.order, dtype=np.complex128)
+        for x in P.elements:
+            want[Q.index[ref(x)]] += f(x)
+        want = want[[Q.index[r] for r in Q.class_reps]] / (P.order // Q.order)
+        assert np.allclose(out.vals, want, rtol=0, atol=1e-12)
 
 
 def test_geo_ind_degree():
@@ -177,7 +213,7 @@ def test_k_spectrum_trivial_and_sums():
     mp = k_spectrum(G, pi)
     assert mp.sum() == pi.degree
     pulled = inflate(G, linear_characters(aut_group("padic", 2, (2, 1)))[1],
-                     G.floor_map)
+                     "floor")
     assert spectrum_kinds(G, pulled) == {"central"}
     assert not is_primitive(G, pulled)
 
@@ -234,3 +270,58 @@ def test_dedupe_signed_zero_is_one_key():
     a, b = ClassFunction(G, v), ClassFunction(G, neg)
     assert np.signbit(b.fingerprint()[1][0])
     assert dedupe([a, b]) == [a]
+
+
+def test_inflate_and_twist_match_representative_loop():
+    # bit for bit against the per-representative tuple loops they replaced
+    G = aut_group("padic", 3, (3, 2))
+    H = aut_group("tpoly", 4, (2, 1))
+    L = aut_group("tpoly", 2, (3, 2))
+    cases = [
+        (G, "floor", 0, lambda g: (g[0] % 9, g[1] % 3, g[2] % 3, g[3] % 3)),
+        (H, "diag_red", 0, lambda g: (g[0] % 4, g[3])),
+        (G.subgroup("parabolic_embed", m=1), "embed", 1,
+         lambda g: (g[0], g[1] % 3, g[2] // 3, g[3] % 3)),
+        (L.subgroup("parabolic_quot", m=1), "quot", 1,
+         lambda g: (g[0], g[1] // 2, g[2] % 2, g[3] % 2)),
+        (aut_group("padic", 3, (2, 2)).subgroup("parabolic_lower"), "diag", 0,
+         lambda g: (g[0], g[3])),
+    ]
+    rng = np.random.default_rng(7)
+    for S, kind, m, ref in cases:
+        Q = S.root.hom(kind, [], m)[0]
+        f = ClassFunction(Q, rng.normal(size=Q.class_count)
+                          + 1j * rng.normal(size=Q.class_count))
+        want = np.array([f.vals[Q.cls_index(ref(rep))] for rep in S.class_reps])
+        assert np.array_equal(inflate(S, f, kind, m).vals, want)
+    for K in (G, H, L):
+        chi = ClassFunction(K, rng.normal(size=K.class_count))
+        for uchar in unit_characters(K.R2):
+            dv = np.array([uchar(K.det(rep)) for rep in K.class_reps])
+            assert np.array_equal(twist(chi, uchar).vals, chi.vals * dv)
+
+
+def test_inflate_refuses_a_function_off_the_target():
+    G = aut_group("padic", 2, (3, 2))
+    f = trivial(aut_group("padic", 2, (2, 2)))
+    with pytest.raises(AssertionError, match="target of floor"):
+        inflate(G, f, "floor")
+
+
+def test_mult_refuses_a_non_integer_under_optimize():
+    code = ("import numpy as np\n"
+            "from modrep2.classfun import ClassFunction\n"
+            "from modrep2.groups import aut_group\n"
+            "G = aut_group('padic', 2, (1, 1))\n"
+            "f = ClassFunction(G, np.full(G.class_count, 0.5))\n"
+            "try:\n"
+            "    f.mult(f)\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n"
+            "    raise SystemExit(3)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert ("mult: inner product: expected a non-negative integer, "
+            "computed (0.25+0j)") in proc.stdout

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from modrep2 import cli
 from modrep2.cli import main
 
 
@@ -122,6 +123,21 @@ def test_unwritable_out_is_an_unusable_job(tmp_path, capsys):
     assert rc == 2 and cap.out == ""
     assert cap.err.count("\n") == 1 and "cannot write the report" in cap.err
     assert not target.exists()
+
+
+def test_internal_error_is_a_json_envelope(monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("missing")
+
+    monkeypatch.setitem(cli.COMMANDS, "order", broken)
+    rc = main(["order", "--p", "2", "--lambda", "2,1"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False and doc["command"] == "order"
+    assert doc["error"].startswith("internal error: KeyError: 'missing' "
+                                   "(in broken, line ")
+    assert "Traceback" not in out + err
 
 
 def test_cap_exceeded(capsys):

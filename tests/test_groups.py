@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modrep2.groups import (AutGroup, ProductGroup, QuotientGroup,
+from modrep2.groups import (AutGroup, ProductGroup, QuotientGroup, Subgroup,
                             aut_group, class_count_formula, order_formula)
 from modrep2.orbits import cuspidal_parameters
 from modrep2.rings import (SimpleAbelianGroup, act_perms, greedy_generators,
@@ -228,53 +228,127 @@ def test_subgroup_fusion_and_classes():
         assert G.cls_index(rep) == int(fus[j])
 
 
+# Tuple references for the index maps of AutGroup.hom: the element-at-a-time
+# maps they replaced.
+
+def floor_ref(G, g):
+    if G.l2 < 2:
+        raise ValueError("floor reduction stops at column levels %r" % (G.lam,))
+    q = G.q
+    a, b, c, d = g
+    return (a % q ** (G.l1 - 1), b % q ** (G.l2 - 1),
+            c % q ** (G.l2 - 1), d % q ** (G.l2 - 1))
+
+
+def embed_ref(G, g, m):
+    q = G.q
+    a, b, c, d = g
+    assert G.R2.val[c] >= G.l2 - m
+    return (a, b % q ** m, c // q ** (G.l2 - m), d % q ** m)
+
+
+def quot_ref(G, g, m):
+    q = G.q
+    a, b, c, d = g
+    assert G.R2.val[b] >= G.l2 - m
+    return (a, b // q ** (G.l2 - m), c % q ** m, d % q ** m)
+
+
+def diag_ref(G, g):
+    a, b, c, d = g
+    assert b == 0 or c == 0
+    return (a, d)
+
+
+def diag_red_ref(G, g):
+    return (g[0] % G.q ** (G.l1 - 1), g[3])
+
+
+def check_index_map(G, P, kind, ref, m=0):
+    """hom on P's members equals the tuple reference on every member, and
+    h[x t] = h[x] h[t] through right_mul on both sides for every x in P and
+    every generator t of P (so h is a homomorphism on P); returns (Q, img)."""
+    Q, img = G.hom(kind, P.idx, m)
+    assert img.tolist() == [Q.index[ref(g)] for g in P.elements]
+    for t in P.gens:
+        j = int(np.searchsorted(P.idx, G.index[t]))
+        _, lhs = G.hom(kind, G.right_mul(P.idx, G.index[t]), m)
+        assert np.array_equal(lhs, Q.right_mul(img, img[j]))
+    return Q, img
+
+
+MAP_CASES = [("padic", 2, (3, 2)), ("padic", 3, (2, 2)), ("tpoly", 2, (3, 2))]
+
+
 def test_floor_map_hom():
-    G = aut_group("padic", 2, (3, 2))
-    F = aut_group("padic", 2, (2, 1))
-    for g in G.elements:
-        assert G.floor_map(g) in F.index
-        for h in G.elements[::7]:
-            assert G.floor_map(G.mul(g, h)) == F.mul(G.floor_map(g), G.floor_map(h))
-    ker = [g for g in G.elements if G.floor_map(g) == F.identity]
-    assert len(ker) == 16
-    assert sorted(ker) == sorted(G.subgroup("floor_kernel").elements)
-    assert len({G.floor_map(g) for g in G.elements}) == F.order
+    for backend, q, lam in MAP_CASES:
+        G = aut_group(backend, q, lam)
+        F = aut_group(backend, q, (lam[0] - 1, lam[1] - 1))
+        Q, img = check_index_map(G, G, "floor", lambda g: floor_ref(G, g))
+        assert Q is F and G.hom("floor", [0])[0] is F
+        ker = G.idx[img == F.index[F.identity]]
+        assert len(ker) == G.order // F.order
+        assert np.array_equal(ker, G.subgroup("floor_kernel").idx)
+        assert len(set(img.tolist())) == F.order
+    assert len(G.subgroup("floor_kernel").idx) == 16  # tpoly q=2 (3,2)
     with pytest.raises(ValueError):
-        aut_group("padic", 2, (3, 1)).floor_map((1, 0, 0, 1))
+        aut_group("padic", 2, (3, 1)).hom("floor", [0])
 
 
 @pytest.mark.parametrize("side", ["embed", "quot"])
 def test_embed_quot_maps(side):
-    G = aut_group("padic", 2, (3, 2))
-    T = aut_group("padic", 2, (3, 1))
     m = 1
-    P = G.subgroup("parabolic_embed" if side == "embed" else "parabolic_quot", m=m)
-    f = (lambda g: G.embed_map(g, m)) if side == "embed" else (lambda g: G.quot_map(g, m))
-    img = set()
-    for g in P.elements:
-        assert f(g) in T.index
-        img.add(f(g))
-        for h in P.elements:
-            assert f(P.mul(g, h)) == T.mul(f(g), f(h))
-    assert img == set(T.elements)
-    ker = [g for g in P.elements if f(g) == T.identity]
-    assert len(ker) == P.order // T.order == 4
+    for backend, q, lam in MAP_CASES:
+        G = aut_group(backend, q, lam)
+        T = aut_group(backend, q, (lam[0], m))
+        P = G.subgroup("parabolic_" + side, m=m)
+        ref = embed_ref if side == "embed" else quot_ref
+        Q, img = check_index_map(G, P, side, lambda g: ref(G, g, m), m)
+        assert Q is T
+        assert set(img.tolist()) == set(range(T.order))
+        ker = P.idx[img == T.index[T.identity]]
+        assert len(ker) == P.order // T.order
+        assert np.array_equal(ker, G.subgroup("ker_" + side, m=m).idx)
+    assert len(ker) == 4  # tpoly q=2 (3,2)
 
 
 def test_diag_map_on_parabolic():
-    G = aut_group("padic", 3, (2, 2))
-    P = G.subgroup("parabolic_upper")
-    D = ProductGroup(
-        SimpleAbelianGroup(G.R1.units, lambda x, y: G.R1.mul[x][y],
-                           lambda x: G.R1.inv[x], 1),
-        SimpleAbelianGroup(G.R2.units, lambda x, y: G.R2.mul[x][y],
-                           lambda x: G.R2.inv[x], 1))
-    for g in P.elements[:200]:
-        assert G.diag_map(g) in D.index
-    for g in P.elements[:60]:
-        for h in P.elements[:60]:
-            assert G.diag_map(P.mul(g, h)) == D.mul(G.diag_map(g), G.diag_map(h))
-    assert {G.diag_map(g) for g in P.elements} == set(D.elements)
+    for backend, q, lam in [("padic", 2, (3, 2)), ("padic", 3, (2, 2)),
+                            ("tpoly", 4, (2, 1))]:
+        G = aut_group(backend, q, lam)
+        D = G.torus
+        e = [G.index[G.identity]]
+        assert D is G.torus and G.hom("diag", e)[0] is D
+        assert G.hom("diag", e, 0)[0] is D
+        assert D.elements[::len(G.R2.units)] == [(u, 1) for u in G.R1.units]
+        for side in ("upper", "lower"):
+            P = G.subgroup("parabolic_" + side)
+            _, img = check_index_map(G, P, "diag", lambda g: diag_ref(G, g))
+            assert set(img.tolist()) == set(range(D.order))
+
+
+@pytest.mark.parametrize("backend,q,l1", [("padic", 2, 3), ("tpoly", 4, 2)])
+def test_diag_red_and_det_maps(backend, q, l1):
+    G = aut_group(backend, q, (l1, 1))
+    A, img = check_index_map(G, G, "diag_red", lambda g: diag_red_ref(G, g))
+    assert A is G.hom("diag_red", [])[0]
+    assert A.order == len(A.G1.elements) * len(G.R2.units)
+    assert set(img.tolist()) == set(range(A.order))
+    R2, codes = G.hom("det", G.idx)
+    assert R2 is G.R2
+    assert codes.tolist() == [G.det(g) for g in G.elements]
+    with pytest.raises(AssertionError, match="diag_red: level l2"):
+        aut_group(backend, q, (l1, l1)).hom("diag_red", [0])
+
+
+def test_maps_refuse_elements_off_their_domain():
+    G = aut_group("padic", 2, (3, 2))
+    with pytest.raises(AssertionError, match="both nonzero"):
+        G.hom("diag", [G.index[(1, 1, 1, 1)]])
+    with pytest.raises(AssertionError, match="valuation of b"):
+        G.hom("quot", [G.index[(1, 1, 0, 1)]], 1)
+    with pytest.raises(ValueError, match="unknown map"):
+        G.hom("diagonal", [0])
 
 
 def test_module_action():
@@ -309,14 +383,45 @@ def test_quotient_group_projection():
     N = G.commutator_subgroup()
     Q = QuotientGroup(G, N)
     assert Q.order == 4
+
+    def project(g):
+        return Q.elements[Q.coset_of[G.index[g]]]
+
     for g in G.elements:
+        assert G.mul(g, G.inv(project(g))) in N.index
         for h in G.elements:
-            assert Q.project(G.mul(g, h)) == Q.mul(Q.project(g), Q.project(h))
+            assert project(G.mul(g, h)) == Q.mul(project(g), project(h))
     # a guaranteed non-normal example: a single off-diagonal involution in GL2(F3)
     G2 = aut_group("padic", 3, (1, 1))
     H = G2.subgroup("custom", members=[(1, 0, 0, 1), (0, 1, 1, 0)], name="w")
     with pytest.raises(ValueError):
         QuotientGroup(G2, H)
+
+
+def _quotients():
+    G = aut_group("padic", 2, (2, 1))
+    yield G, G.abelianization()
+    G = aut_group("padic", 2, (3, 2))
+    yield G, QuotientGroup(G, G.subgroup("floor_kernel"))  # not abelian
+    P = G.subgroup("parabolic_upper")
+    yield P, P.abelianization()
+    G = aut_group("tpoly", 4, (2, 1))
+    B = G.subgroup("borel")
+    yield B, QuotientGroup(B, Subgroup(B, G.subgroup("unipotent_upper").idx))
+    A = aut_group("padic", 3, (2, 2)).subgroup("torus")
+    yield A, A.abelianization()  # by the trivial subgroup
+
+
+def test_quotient_right_mul_matches_tuple_product():
+    for P, Q in _quotients():
+        n = Q.order
+        want = [[Q.coset_of[P.index[P.mul(x, y)]] for y in Q.elements]
+                for x in Q.elements]
+        got = Q.right_mul(np.arange(n)[:, None], np.arange(n)[None, :])
+        assert got.tolist() == want
+        assert Q.is_abelian == all(
+            w[i][j] == w[j][i] for w in [want] for i in range(n)
+            for j in range(n))
 
 
 def test_product_group():
@@ -446,10 +551,10 @@ def reference_members(G, tag, **kw):
     u, w = kw.get("u_hat"), kw.get("w_hat")
     l, eps = G.half_levels()
     if tag in ("ker_embed", "ker_quot"):
-        hom = G.embed_map if tag == "ker_embed" else G.quot_map
+        ref = embed_ref if tag == "ker_embed" else quot_ref
         one = aut_group(G.backend, G.q, (l1, m)).identity
         P = G.subgroup("parabolic_" + tag[4:], m=m)
-        return [g for g in P.elements if hom(g, m) == one]
+        return [g for g in P.elements if ref(G, g, m) == one]
     if tag == "cuspidal_abelian":
         out = []
         for a in R1.units:
@@ -611,7 +716,7 @@ def test_stabiliser_maps_checked_under_optimize():
     code = ("from modrep2.groups import aut_group\n"
             "G = aut_group('padic', 2, (3, 2))\n"
             "try:\n"
-            "    G.embed_map((1, 0, 1, 1), 1)\n"
+            "    G.hom('embed', [G.index[(1, 0, 1, 1)]], 1)\n"
             "except AssertionError as e:\n"
             "    print(e)\n"
             "    raise SystemExit(3)\n")
@@ -619,4 +724,4 @@ def test_stabiliser_maps_checked_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 3, proc.stdout + proc.stderr
-    assert "embed_map: valuation of c: expected 1, computed 0" in proc.stdout
+    assert "hom embed: valuation of c: expected 1, computed 0" in proc.stdout
