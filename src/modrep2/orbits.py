@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 
-from modrep2.rings import act_perms, make_ring, orbit_partition
+from modrep2.rings import _check, act_perms, make_ring, orbit_partition
 
 
 class CongruenceDual:
@@ -32,7 +32,10 @@ class CongruenceDual:
             w = R2.pi_div(c, G.l2 - i + sigma) % qs
             z = R2.pi_div(R2.sub(d, 1), G.l2 - i + sigma) % qs
             coords[g] = (u, v, w, z)
-        assert len(set(coords.values())) == self.K.order == qi * qi * qs * qs
+        distinct = len(set(coords.values()))
+        _check(distinct == self.K.order == qi * qi * qs * qs,
+               "distinct coordinates and order of the congruence kernel",
+               qi * qi * qs * qs, (distinct, self.K.order))
         self.coords = coords
         self.duals = list(product(range(qi), range(qi), range(qs), range(qs)))
         self.dual_index = {t: j for j, t in enumerate(self.duals)}
@@ -69,7 +72,8 @@ class CongruenceDual:
         if G.rect:
             # pairing is psi(tr(theta^T m)), so conjugating the coordinate matrix
             # by gbar turns into similarity of theta by the transpose of gbar
-            assert self.sigma == 0
+            _check(self.sigma == 0, "act: sigma on a square type", 0,
+                   self.sigma)
             Ri = self.Ri
             qi = Ri.size
             Mi, Ai, Ii, Ni = Ri.mul, Ri.add, Ri.inv, Ri.neg
@@ -122,7 +126,8 @@ class CongruenceDual:
 
     def classify(self, theta):
         """Orbit label at depth (1, 0): a (kind, parameter) pair."""
-        assert self.i == 1 and self.sigma == 0
+        _check((self.i, self.sigma) == (1, 0), "classify: depth", (1, 0),
+               (self.i, self.sigma))
         r = self.Ri
         q = self.G.q
         u, v, w, z = theta
@@ -155,16 +160,17 @@ class CongruenceDual:
         with labels collapsed to their kind."""
         reps, sizes, orbit_of = self.orbits()
         labels = [self.classify(t) for t in reps]
-        assert len(set(labels)) == len(labels)
-        for rep, lab in zip(reps, labels):
-            o = self.dual_index[rep]
-            for j, t in enumerate(self.duals):
-                if orbit_of[j] == orbit_of[o]:
-                    assert self.classify(t) == lab
+        _check(len(set(labels)) == len(labels), "distinct orbit labels",
+               len(labels), len(set(labels)))
+        # orbits are numbered in the order of their representatives
+        bad = [t for t, o in zip(self.duals, orbit_of.tolist())
+               if self.classify(t) != labels[o]]
+        _check(not bad, "duals labelled as their orbit's representative",
+               [], bad)
         table = {}
         for (kind, _), size in zip(labels, sizes):
             cnt, sz = table.get(kind, (0, size))
-            assert sz == size
+            _check(sz == size, "orbit size of kind %s" % kind, sz, size)
             table[kind] = (cnt + 1, size)
         return table
 
@@ -207,13 +213,14 @@ def module_type(G, S):
     n = len(S)
     while q ** total < n:
         total += 1
-    assert q ** total == n
+    _check(q ** total == n, "submodule order, a power of q", q ** total, n)
     cur = S
     m1 = 0
     while len(cur) > 1:
         cur = {(R1.pi_mul(x1, 1), R2.pi_mul(x2, 1)) for x1, x2 in cur}
         m1 += 1
-    assert m1 <= G.l1 and total - m1 <= m1
+    _check(m1 <= G.l1 and total - m1 <= m1, "submodule column type (m1, m2)",
+           "%d >= m1 >= m2" % G.l1, (m1, total - m1))
     return (m1, total - m1)
 
 
@@ -256,7 +263,7 @@ def embeddings(G, mu):
                      for s in range(G.q ** m1) for t in range(G.q ** m2)}
             if len(image) == n:
                 out.append((y1, y2))
-    assert out
+    _check(out, "embeddings of type %r" % (mu,), "at least one", 0)
     return out
 
 

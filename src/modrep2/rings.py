@@ -140,7 +140,8 @@ class FiniteField:
             for _ in range(f):
                 t = self.add[t][y]
                 y = self._pow(y, p)
-            assert t < p
+            _check(t < p, "F_%d: trace of %d in the prime field" % (q, x),
+                   "below %d" % p, t)
             self.trace.append(t)
 
     def _encode(self, coeffs):
@@ -210,7 +211,9 @@ class LocalRing:
                     self.inv[x] = self.mul[x].index(1)
         self.val = [self._valuation(x) for x in range(s)]
         self.units = tuple(x for x in range(s) if self.val[x] == 0)
-        assert len(self.units) == q ** (level - 1) * (q - 1)
+        _check(len(self.units) == q ** (level - 1) * (q - 1),
+               "units of the level-%d ring" % level,
+               q ** (level - 1) * (q - 1), len(self.units))
         self.one, self.zero = 1, 0
         self._psi = None
 
@@ -252,7 +255,8 @@ class LocalRing:
 
     def pi_div(self, x, j):
         """Exact division by the j-th uniformizer power (requires valuation >= j)."""
-        assert self.val[x] >= j
+        _check(self.val[x] >= j, "pi_div: valuation of the dividend, at least",
+               j, self.val[x])
         return x // self.q ** j
 
     def psi(self, x):
@@ -466,7 +470,8 @@ class SimpleAbelianGroup(FiniteGroup):
     def __init__(self, elements, mul, inv, identity, name=""):
         self.elements = list(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
-        assert len(self.index) == len(self.elements)
+        _check(len(self.index) == len(self.elements), "%s: distinct elements"
+               % name, len(self.elements), len(self.index))
         self.mul, self.inv = mul, inv
         self.identity = identity
         self.name = name
@@ -518,14 +523,14 @@ def _abelian_basis(A):
     out = [(g, m)]
     for ebar, k in _abelian_basis(Q):
         t = pindex[A.pow(ebar, k)]
-        assert t % k == 0
+        _check(t % k == 0, "exponent of g in a %d-th power, mod %d" % (k, k),
+               0, t % k)
         e = A.mul(ebar, A.pow(g, (-(t // k)) % m))
-        assert A.element_order(e) == k
+        order = A.element_order(e)
+        _check(order == k, "order of the lifted generator", k, order)
         out.append((e, k))
-    total = 1
-    for _, k in out:
-        total *= k
-    assert total == len(els)
+    total = math.prod(k for _, k in out)
+    _check(total == len(els), "product of the cyclic orders", len(els), total)
     return out
 
 
@@ -562,7 +567,7 @@ def character_group(A):
                 table[acc] = vec + (j,)
                 acc = A.mul(acc, g)
         dlog = table
-    assert len(dlog) == A.order
+    _check(len(dlog) == A.order, "discrete logarithms", A.order, len(dlog))
     roots = [[complex(math.cos(2 * math.pi * j / m), math.sin(2 * math.pi * j / m))
               for j in range(m)] for _, m in basis]
     chars = []
@@ -592,7 +597,8 @@ def twisting_characters(ring):
     chars = unit_characters(ring)
     r1 = make_ring(ring.backend, ring.q, 1)
     one_plus = [u for u in ring.units if ring.val[ring.sub(u, 1)] >= ring.level - 1]
-    assert len(one_plus) == ring.q
+    _check(len(one_plus) == ring.q, "principal congruence units at level %d"
+           % ring.level, ring.q, len(one_plus))
     out = []
     for zh in range(ring.q):
         want = {}

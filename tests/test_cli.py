@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from modrep2 import cli
 from modrep2.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -114,6 +120,16 @@ def test_out_file(tmp_path, capsys):
                   "--out", str(target))
     assert rc == 0 and out == ""
     assert json.loads(target.read_text())["zeta"] == {"1": 4, "2": 1}
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["order", "--p", "2", "--lambda", "2,1"]
+    rc, out = run(capsys, *argv)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "modrep2", *argv], env=env,
+                          capture_output=True, text=True)
+    assert rc == 0
+    assert (proc.returncode, proc.stdout) == (0, out), proc.stderr
 
 
 def test_unwritable_out_is_an_unusable_job(tmp_path, capsys):

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from modrep2 import dixon
 from modrep2.dixon import (_charpoly, _class_matrix, _eigenspaces, _mm,
                            _nullspace, _roots, _rref, _sqrt_mod,
                            character_degrees, dixon_prime, group_exponent)
@@ -93,6 +94,39 @@ def test_class_matrices_match_pair_count(q, lam):
         members = np.flatnonzero(cls_of == G.cls_index(G.inv(x)))
         assert np.array_equal(_class_matrix(G, members, rep_idx, cls_of),
                               brute[i])
+
+
+@pytest.mark.parametrize("backend,q,lam", [("padic", 2, (2, 2)),
+                                            ("padic", 3, (2, 1)),
+                                            ("tpoly", 2, (2, 1))])
+def test_central_translate_matrix_is_a_product(backend, q, lam):
+    # N_{zC} = N_z N_C: the matrix of a central translate splits nothing new
+    G = aut_group(backend, q, lam)
+    reps, sizes, cls_of = G._classes()
+    rep_idx = np.array([G.index[x] for x in reps])
+    N = [_class_matrix(G, np.flatnonzero(cls_of == G.cls_index(G.inv(x))),
+                       rep_idx, cls_of) for x in reps]
+    center = np.flatnonzero(sizes == 1)
+    assert len(center) > 1
+    for c in center:
+        for i, x in enumerate(reps):
+            zc = G.cls_index(G.mul(reps[c], x))
+            assert np.array_equal(N[zc], N[c] @ N[i]), (c, i)
+
+
+def test_central_translates_build_no_matrix(monkeypatch):
+    G = aut_group("padic", 2, (4, 4))
+    built = []
+
+    def counted(*args):
+        built.append(1)
+        return _class_matrix(*args)
+
+    monkeypatch.setattr(dixon, "_class_matrix", counted)
+    r = dixon_prime(group_exponent(G), G.order)
+    assert Counter(character_degrees(G, r_override=r)) == {
+        1: 16, 2: 20, 3: 16, 4: 24, 6: 36, 8: 48, 12: 72, 24: 16}
+    assert len(built) <= 40  # 132 with every class matrix built
 
 
 def _det_mod(M, p):
@@ -220,6 +254,28 @@ def _largest_admissible_prime(k, exponent):
     while not is_prime(r):
         r -= exponent
     return r
+
+
+def _poly_from_roots(roots, lead, p):
+    coeffs = [lead]
+    for a in roots:
+        coeffs = [(c - a * prev) % p for c, prev in zip(coeffs + [0],
+                                                        [0] + coeffs)]
+    return coeffs
+
+
+@pytest.mark.parametrize("p,degrees", [
+    (8803, range(3, 41)), (25057, range(3, 41)),
+    # the largest prime with exact float64 products at k = 1008
+    (_largest_admissible_prime(1008, 2), (3, 12, 40))])
+def test_roots_with_repeats_match_scan(p, degrees):
+    rng = random.Random(p)
+    for n in degrees:
+        distinct = rng.sample(range(p), rng.randrange(1, (n + 1) // 2 + 1))
+        roots = distinct + [rng.choice(distinct) for _ in range(n - len(distinct))]
+        coeffs = _poly_from_roots(roots, rng.randrange(1, p), p)
+        assert len(coeffs) == n + 1
+        assert _roots(coeffs, p) == sorted(distinct) == _scan_roots(coeffs, p)
 
 
 def _rref_int(rows, p):

@@ -1,4 +1,8 @@
 import cmath
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,8 @@ from modrep2.rings import (FiniteField, MTOL, TOL, SimpleAbelianGroup,
                            _assert_abelian, additive_group, character_group,
                            make_ring, twisting_characters, unit_characters,
                            unit_group)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SMALL = [("padic", 2, 3), ("padic", 3, 2), ("tpoly", 2, 3), ("tpoly", 4, 2)]
 
@@ -190,6 +196,23 @@ def test_tuple_right_mul_refuses_non_elements():
         A.right_mul([0, 1, 2], 2)
     with pytest.raises(ValueError, match="not group elements"):
         _assert_abelian(A)
+
+
+def test_repeated_element_refused_under_optimize():
+    # the check on distinct elements is a _check, so python -O keeps it
+    code = ("from modrep2.rings import SimpleAbelianGroup\n"
+            "try:\n"
+            "    SimpleAbelianGroup([1, 3, 3], lambda x, y: x * y % 8,\n"
+            "                       lambda x: x, 1, name='dup')\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n"
+            "    raise SystemExit(3)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert proc.stdout == ("dup: distinct elements: expected 3, "
+                           "computed 2\n")
 
 
 def test_unit_characters_once_per_ring():
