@@ -5,15 +5,23 @@ identity class, and read the degree from the second orthogonality relation.
 Everything is exact integer arithmetic, so this is an independent oracle for
 the degree multisets produced by the explicit constructions.
 
+Central blocks: for z in the centre Z, omega_chi(z C) = theta_chi(z)
+omega_chi(C), theta_chi the central character of chi.  So the split starts
+from the joint eigenspaces of the central class matrices, one block per
+F_r-character theta of Z, built from the Z-orbits on classes with no linear
+algebra (_central_blocks); every central matrix is scalar on every block,
+so no central class matrix is built.  With a trivial centre this is the
+single identity block.
+
 Fewer class matrices: for a central element z the class sum of z C is z
 times the class sum of C, so N_{zC} = N_z N_C, and a block left whole by
 N_z and N_C is left whole by N_{zC}.  Once the matrix of a non-central class
 C has been used, the matrices of its central translates z C are never
-built; central classes are never skipped.  The skip cannot change the
-degrees: any set of class matrices whose common eigenspaces are all lines
-gives the same eigenlines, and the final check on one-dimensional common
-eigenspaces raises if a skip ever left a block whole.  On padic q=2 (4,4)
-this builds 32 class matrices instead of 132.
+built.  The skip cannot change the degrees: any set of class matrices whose
+common eigenspaces are all lines gives the same eigenlines, and the final
+check on one-dimensional common eigenspaces raises if a skip ever left a
+block whole.  On padic q=2 (4,4) this builds 31 class matrices instead of
+132.
 
 Roots: a characteristic polynomial f of degree at most k < r has the same
 roots as its squarefree part f / gcd(f, f') mod r, whose degree is the
@@ -24,8 +32,10 @@ members of one class, fewer than |G| < r), so a product of two entries is
 below r^2 and a dot product of length at most k below k*r^2.  The split
 takes its larger matrix products through float64 BLAS (_mm), which is exact
 while every dot product stays below 2^53, so character_degrees refuses a
-prime with (k+1)*r^2 >= 2^53; the smaller products and the row reductions
-run in int64, far below 2^63."""
+prime with (k+1)*r^2 >= 2^53; the smaller products run in int64.  The
+row reduction (_rref) is lazy: it reduces only the pivot column and the
+pivot row at each step and the whole matrix once at the end, so an entry
+stays below r + k*r^2 < 2^63."""
 
 import math
 
@@ -76,29 +86,39 @@ def _class_matrix(G, members, rep_idx, cls_of):
 
 
 def _rref(B, r):
-    """Row-reduce mod r; returns (reduced rows, pivot columns)."""
+    """Row-reduce mod r; returns (reduced rows, pivot columns).
+
+    Lazy reduction: each step reduces only the pivot column (for the pivot
+    search and the multipliers) and the pivot row, and subtracts the
+    multiples of the pivot row from the trailing block unreduced; the rows
+    are reduced once at the end.  Each step moves an entry by less than
+    r^2, so with at most k pivots every entry stays below r + k*r^2 in
+    absolute value, under 2^63 whenever (k+1)*r^2 < 2^53, which
+    character_degrees requires of its prime."""
     B = B % r
     pivots = []
     row = 0
     for col in range(B.shape[1]):
         if row == B.shape[0]:
             break
-        nz = np.flatnonzero(B[row:, col])
+        nz = np.flatnonzero(B[row:, col] % r)
         if not nz.size:
             continue
         sel = row + int(nz[0])
-        B[[row, sel]] = B[[sel, row]]
-        B[row] = B[row] * pow(int(B[row, col]), -1, r) % r
-        f = B[:, col].copy()
+        if sel != row:
+            B[[row, sel]] = B[[sel, row]]
+        # the pivot row is 0 mod r left of col, so those columns stay as
+        # they are
+        prow = B[row, col:] % r * pow(int(B[row, col] % r), -1, r) % r
+        f = B[:, col] % r
         f[row] = 0
-        # the pivot row is zero left of col, so those columns stay as they are
-        T = np.outer(f, B[row, col:])
-        np.subtract(B[:, col:], T, out=T)
-        T %= r
-        B[:, col:] = T
+        B[:, col:] -= np.outer(f, prow)
+        B[row, col:] = prow
         pivots.append(col)
         row += 1
-    return B[:row], pivots
+    B = B[:row]
+    B %= r
+    return B, pivots
 
 
 def _nullspace(A, r):
@@ -297,6 +317,104 @@ def _eigenspaces(R, r):
     return spaces
 
 
+def _primitive_root(r):
+    """Least primitive root modulo the prime r."""
+    m = r - 1
+    ps = [p for p in range(2, math.isqrt(r) + 1) if m % p == 0 and is_prime(p)]
+    for p in ps:
+        while m % p == 0:
+            m //= p
+    ps += [m] * (m > 1)  # at most one prime factor above sqrt(r)
+    return next(g for g in range(2, r)
+                if all(pow(g, (r - 1) // p, r) != 1 for p in ps))
+
+
+def _center_characters(T, e, r):
+    """The characters Z -> F_r^* of an abelian group Z given by its
+    multiplication table T (T[a, b] the position of z_a z_b, e that of the
+    identity), as rows theta[t, a] = theta_t(z_a).
+
+    Cyclic decomposition Z = <g_1> x ... x <g_s>, by index sweeps through
+    T: x of largest order m modulo H = <g_1, ..., g_{j-1}> has x^m =
+    prod g_i^c_i with m | c_i (the order of x modulo g_1, ..., g_{i-1}
+    divides m_i, the largest order there), so g_j = x prod g_i^(-c_i/m) has
+    order m_j = m and <g_j> meets H trivially.  With zeta_m = g^((r-1)/m)
+    for a primitive root g mod r and c(z) the exponents of z, theta_t(z) =
+    prod_j zeta_{m_j}^(t_j c_j(z)) for 0 <= t_j < m_j."""
+    n = len(T)
+    ar = np.arange(n)
+    pw = [np.full(n, e)]  # pw[m, a]: the position of z_a^m
+    for _ in range(n):
+        pw.append(T[pw[-1], ar])
+    pw = np.array(pw)
+    inH, coord, gens, orders = ar == e, np.zeros((n, 0), np.int64), [], []
+    while not inH.all():
+        oh = np.argmax(inH[pw[1:]], axis=0) + 1  # order modulo H
+        x = int(np.argmax(oh))
+        m = int(oh[x])
+        for g, mg, c in zip(gens, orders, coord[pw[m, x]].tolist()):
+            x = int(T[x, pw[(-c // m) % mg, g]])
+        hs = np.flatnonzero(inH)
+        new = T[hs[:, None], pw[:m, x]]  # h x^i, each element once
+        coord = np.hstack([coord, np.zeros((n, 1), np.int64)])
+        coord[new, :-1] = coord[hs, None, :-1]
+        coord[new, -1] = np.arange(m)
+        inH[new] = True
+        gens.append(x)
+        orders.append(m)
+    E = math.lcm(*orders)
+    t = np.indices(orders).reshape(len(orders), n).T
+    L = t * (E // np.array(orders, dtype=np.int64)) @ coord.T % E
+    zeta = pow(_primitive_root(r), (r - 1) // E, r)
+    return np.array([pow(zeta, i, r) for i in range(E)], dtype=np.int64)[L]
+
+
+def _central_blocks(shift, central, e, r):
+    """The joint eigenspaces of the central class matrices, in the stacked
+    form of character_degrees, built with no linear algebra.
+
+    shift[a, i] is the class z_a C_i, for the central elements z_a whose
+    classes are central[a]; z_e is the identity.  A common eigenvector
+    omega_chi satisfies omega_chi(z C) = theta(z) omega_chi(C), theta the
+    central character of chi, so the eigenspace of theta has one row per
+    Z-orbit of classes whose stabiliser lies in ker theta: v[shift[a, c]] =
+    theta(z_a) at the orbit's least class c, zero off the orbit.  Their
+    supports are disjoint, so B[:, P] = I with P the orbit representatives,
+    and N_z is the scalar theta(z) on the block."""
+    n, k = shift.shape
+    pos = np.empty(k, dtype=np.intp)
+    pos[central] = np.arange(n)
+    T = pos[shift[:, central]]  # T[a, b]: the position of z_a z_b
+    theta = _center_characters(T, e, r)
+    off = (np.count_nonzero(theta[:, T] != theta[:, :, None]
+                            * theta[:, None, :] % r)
+           + np.count_nonzero(theta[:, e] != 1))
+    _check(not off, "entries of theta(z z') off theta(z) theta(z'), and of "
+           "theta(1) off 1, on the centre's table", 0, off)
+    distinct = len(set(map(tuple, theta.tolist())))
+    _check(distinct == n == len(theta), "distinct characters of the centre",
+           n, distinct)
+    reps = np.flatnonzero(shift.min(axis=0) == np.arange(k))
+    orbit = shift[:, reps]  # orbit[a, o]: the class z_a C_reps[o]
+    # ok[t, o]: the stabiliser of orbit o lies in ker theta_t
+    ok = ~((theta[:, :, None] != 1) & (orbit == reps)).any(axis=1)
+    dims = ok.sum(axis=1)
+    _check(dims.sum() == k, "central eigenspace dimensions", k, dims.sum())
+    blocks = {}
+    for d in set(dims.tolist()):  # np.unique would load numpy.ma, 0.7 MB
+        ts = np.flatnonzero(dims == d)
+        B = np.zeros((len(ts), d, k), dtype=np.int64)
+        for b, t in enumerate(ts):
+            B[b, np.arange(d)[:, None], orbit[:, ok[t]].T] = theta[t]
+        off = sum(np.count_nonzero(B[:, :, shift[a]]
+                                   != theta[ts, a, None, None] * B % r)
+                  for a in range(n))
+        _check(not off, "entries of v[z C] off theta(z) v[C] in the central "
+               "blocks of dimension %d" % d, 0, off)
+        blocks[d] = (B, np.stack([reps[ok[t]] for t in ts]))
+    return blocks
+
+
 def _inverses(x, r):
     """Elementwise inverses mod r of nonzero residues."""
     return np.array([pow(int(v), -1, r) for v in x], dtype=np.int64)
@@ -320,23 +438,27 @@ def character_degrees(G, r_override=None):
     _, sizes, cls_of = G._classes()
     rep_idx = G.rep_idx  # G is a root group: indices are positions
     jstar = cls_of[inv_idx]
+    ic = G.identity_class
     # shift[a, i]: the class z C_i for the a-th central element z
-    center = rep_idx[sizes == 1]
-    shift = cls_of[G.right_mul(center[:, None], rep_idx[None, :])]
-    covered = np.zeros(k, dtype=bool)
+    central = np.flatnonzero(sizes == 1)
+    shift = cls_of[G.right_mul(rep_idx[central][:, None], rep_idx[None, :])]
     by_class = np.argsort(cls_of, kind="stable")
     starts = np.concatenate(([0], np.cumsum(sizes)))
-    ic = G.identity_class
     # The class algebra over F_r is split semisimple (r > |G|, r = 1 mod the
     # exponent), so each restricted matrix R is diagonalisable: a block
     # splits under class i exactly when R is not scalar.  Blocks of one
     # dimension d are stacked: blocks[d] = (B, P), B of shape (n, d, k) with
     # B[b][:, P[b]] = I, so row j of B[b] N^T in the span of B[b] is
-    # R[b, j] @ B[b] with R[b] = (B[b] N^T)[:, P[b]].  Once class i is used,
-    # its central translates are covered (module docstring).
-    blocks = {k: (np.eye(k, dtype=np.int64)[None], np.arange(k)[None])}
+    # R[b, j] @ B[b] with R[b] = (B[b] N^T)[:, P[b]].  The split starts from
+    # the joint eigenspaces of the central classes, whose matrices are then
+    # scalar on every block; once class i is used, its central translates
+    # are covered (module docstring).
+    blocks = _central_blocks(shift, central,
+                             int(np.searchsorted(central, ic)), r)
+    covered = np.zeros(k, dtype=bool)
+    covered[central] = True
     for i in range(k):
-        if i == ic or covered[i]:
+        if covered[i]:
             continue
         if list(blocks) == [1]:
             break
@@ -368,8 +490,7 @@ def character_degrees(G, r_override=None):
                   for d, ps in parts.items()}
         dims = sum(B.shape[0] * d for d, (B, _) in blocks.items())
         _check(dims == k, "eigenspace dimensions after class %d" % i, k, dims)
-        if sizes[i] > 1:
-            covered[shift[:, i]] = True
+        covered[shift[:, i]] = True
     count = sum(B.shape[0] for B, _ in blocks.values())
     _check(list(blocks) == [1], "one-dimensional common eigenspaces", k, count)
     V = blocks[1][0][:, 0]

@@ -118,15 +118,151 @@ def test_central_translates_build_no_matrix(monkeypatch):
     G = aut_group("padic", 2, (4, 4))
     built = []
 
-    def counted(*args):
-        built.append(1)
-        return _class_matrix(*args)
+    def counted(G, members, *args):
+        built.append(len(members))
+        return _class_matrix(G, members, *args)
 
     monkeypatch.setattr(dixon, "_class_matrix", counted)
     r = dixon_prime(group_exponent(G), G.order)
     assert Counter(character_degrees(G, r_override=r)) == {
         1: 16, 2: 20, 3: 16, 4: 24, 6: 36, 8: 48, 12: 72, 24: 16}
     assert len(built) <= 40  # 132 with every class matrix built
+    assert min(built) > 1  # the central blocks leave no central class to use
+
+
+@pytest.mark.parametrize("group", [
+    ("padic", 2, (2, 2)), ("padic", 3, (2, 1)),
+    ("tpoly", 4, (2, 1)),  # centre C3 x C2 x C2, not cyclic
+    "S3xS3"])  # trivial centre
+def test_central_blocks_are_joint_eigenspaces(group):
+    if group == "S3xS3":
+        S3 = aut_group("padic", 2, (1, 1))
+        G = ProductGroup(S3, S3)
+    else:
+        G = aut_group(*group)
+    reps, sizes, cls_of = G._classes()
+    k = len(reps)
+    rep_idx = np.array([G.index[x] for x in reps])
+    central = np.flatnonzero(sizes == 1)
+    # shift[a, i]: the class z_a C_i, from tuple products
+    shift = np.array([[G.cls_index(G.mul(reps[c], x)) for x in reps]
+                      for c in central])
+    N = [_class_matrix(G, np.array([G.index[G.inv(reps[c])]]), rep_idx,
+                       cls_of) for c in central]
+    r = dixon_prime(group_exponent(G), G.order)
+    blocks = dixon._central_blocks(
+        shift, central, int(np.searchsorted(central, G.identity_class)), r)
+    assert sum(B.shape[0] * d for d, (B, _) in blocks.items()) == k
+    eigen = set()
+    for d, (B, P) in blocks.items():
+        assert B.shape[1:] == (d, k) and P.shape == (B.shape[0], d)
+        for E, Q in zip(B, P):
+            assert np.array_equal(E[:, Q], np.eye(d, dtype=np.int64))
+            # theta(z) read off the row, v[z C] = theta(z) v[C], is the
+            # eigenvalue of N_z on the whole block
+            thetas = tuple(int(E[0, shift[a, Q[0]]]) for a in range(len(N)))
+            for Nz, theta in zip(N, thetas):
+                assert not ((E @ Nz.T - theta * E) % r).any(), (theta, Q)
+            eigen.add(thetas)
+    # one block per joint eigenvalue: the blocks are whole eigenspaces
+    assert len(eigen) == sum(len(B) for B, _ in blocks.values()) == len(central)
+    if group == "S3xS3":
+        assert list(blocks) == [k]
+
+
+def test_center_check_raises_under_optimize():
+    # a non-homomorphism, then repeated characters, must each be refused
+    code = ("from modrep2 import dixon\n"
+            "from modrep2.groups import aut_group\n"
+            "orig = dixon._center_characters\n"
+            "def square_one(T, e, r):\n"
+            "    theta = orig(T, e, r)\n"
+            "    g = (e + 1) % len(T)\n"
+            "    theta[:, g] = theta[:, g] * theta[:, g] % r\n"
+            "    return theta\n"
+            "def repeat_one(T, e, r):\n"
+            "    theta = orig(T, e, r)\n"
+            "    theta[1] = theta[0]\n"
+            "    return theta\n"
+            "for bad in (square_one, repeat_one):\n"
+            "    dixon._center_characters = bad\n"
+            "    try:\n"
+            "        dixon.character_degrees(aut_group('padic', 3, (2, 1)))\n"
+            "    except AssertionError as exc:\n"
+            "        print(exc)\n"
+            "    else:\n"
+            "        raise SystemExit(4)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    hom, distinct = proc.stdout.splitlines()
+    assert hom.startswith("entries of theta(z z') off theta(z) theta(z')")
+    assert hom.endswith(": expected 0, computed %s" % hom.split()[-1])
+    assert int(hom.split()[-1]) > 0
+    assert distinct == ("distinct characters of the centre: expected 6, "
+                        "computed 5")
+
+
+def _identity_start_degrees(G, r):
+    """The split as it was before the central blocks: from the identity
+    block, central classes used like the others, translates of a used
+    non-central class skipped.  A reference for character_degrees."""
+    k = G.class_count
+    _, inv_idx = dixon._rep_powers(G)
+    _, sizes, cls_of = G._classes()
+    rep_idx, ic = G.rep_idx, G.identity_class
+    jstar = cls_of[inv_idx]
+    center = rep_idx[sizes == 1]
+    shift = cls_of[G.right_mul(center[:, None], rep_idx[None, :])]
+    by_class = np.argsort(cls_of, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    covered = np.zeros(k, dtype=bool)
+    blocks = {k: (np.eye(k, dtype=np.int64)[None], np.arange(k)[None])}
+    for i in range(k):
+        if i == ic or covered[i] or list(blocks) == [1]:
+            continue
+        t = jstar[i]
+        NT = _class_matrix(G, by_class[starts[t]:starts[t + 1]], rep_idx,
+                           cls_of).T
+        parts = {}
+        for d, (B, P) in blocks.items():
+            if d == 1:
+                parts.setdefault(1, []).append((B, P))
+                continue
+            Bi = _mm(B.reshape(-1, k), NT, r).reshape(B.shape)
+            R = np.take_along_axis(Bi, P[:, None, :], axis=2)
+            assert np.array_equal(_mm(R, B, r), Bi)
+            for b in range(len(B)):
+                if (R[b] == R[b, 0, 0] * np.eye(d, dtype=np.int64)).all():
+                    parts.setdefault(d, []).append((B[b:b + 1], P[b:b + 1]))
+                    continue
+                for E, Q in _eigenspaces(R[b], r):
+                    parts.setdefault(len(Q), []).append(
+                        (_mm(E, B[b], r)[None], P[b][Q][None]))
+        blocks = {d: (np.concatenate([B for B, _ in ps]),
+                      np.concatenate([P for _, P in ps]))
+                  for d, ps in parts.items()}
+        if sizes[i] > 1:
+            covered[shift[:, i]] = True
+    assert list(blocks) == [1]
+    V = blocks[1][0][:, 0]
+    W = V * dixon._inverses(V[:, ic], r)[:, None] % r
+    s = (W * W[:, jstar] % r * dixon._inverses(sizes, r) % r).sum(axis=1) % r
+    d2 = G.order * dixon._inverses(s, r) % r
+    return sorted(math.isqrt(int(x)) for x in d2)
+
+
+@pytest.mark.parametrize("backend,q,lam", [
+    ("padic", 2, (2, 2)), ("padic", 3, (2, 1)), ("padic", 2, (3, 2)),
+    ("padic", 3, (2, 2)), ("tpoly", 4, (1, 1)), ("tpoly", 4, (2, 1))])
+def test_central_start_matches_identity_start(backend, q, lam):
+    G = aut_group(backend, q, lam)
+    r1 = dixon_prime(group_exponent(G), G.order)
+    r2 = dixon_prime(group_exponent(G), r1)
+    assert character_degrees(G) == _identity_start_degrees(G, r1)
+    assert (character_degrees(G, r_override=r2)
+            == _identity_start_degrees(G, r2))
 
 
 def _det_mod(M, p):
@@ -325,6 +461,20 @@ def test_exact_at_the_float64_bound():
         assert list(free) == [c for c in range(cols) if c not in ref_piv]
         assert all(sum(x * y for x, y in zip(row, kr)) % r == 0
                    for row in M for kr in K.tolist())
+
+
+def test_lazy_rref_exact_over_many_pivots():
+    # the trailing block is reduced only at the end: 40 unreduced updates
+    # with entries near r at the largest prime admitted for k = 1008
+    r = _largest_admissible_prime(1008, 2)
+    rng = random.Random(13)
+    for rows, cols in [(40, 48), (48, 40), (40, 40)]:
+        M = [[rng.randrange(r - 50, r) if rng.random() < 0.5
+              else rng.randrange(r) for _ in range(cols)]
+             for _ in range(rows)]
+        M[5] = [(2 * x + y) % r for x, y in zip(M[0], M[3])]
+        R, piv = _rref(np.array(M), r)
+        assert (R.tolist(), piv) == _rref_int(M, r)
 
 
 def test_largest_admissible_prime_gives_the_same_degrees():
