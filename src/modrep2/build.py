@@ -23,8 +23,11 @@ class IrrFamily:
         self.label = label
         if members is not None:
             members = sorted(members, key=lambda f: f.fingerprint())
-            assert all(f.mult(f) == 1 for f in members)
-            assert len({f.fingerprint() for f in members}) == len(members)
+            off = [n for n in (f.mult(f) for f in members) if n != 1]
+            _check(not off, "%s: norms other than 1" % label, [], off)
+            fps = {f.fingerprint() for f in members}
+            _check(len(fps) == len(members), "%s: distinct fingerprints"
+                   % label, len(members), len(fps))
             self.count = len(members)
             degs = sorted({int(round(f.degree)) for f in members})
             self.degree = degs[0] if len(degs) == 1 else None
@@ -59,7 +62,8 @@ def zeta_closed_form(q, lam):
     """Degree-count dictionary {degree: multiplicity} by the closed
     recursion; coinciding degrees merge."""
     l1, l2 = lam
-    assert l1 >= l2 >= 0 and l1 >= 1
+    _check(l1 >= l2 >= 0 and l1 >= 1, "zeta_closed_form: module type",
+           "l1 >= l2 >= 0, l1 >= 1", lam)
     if l2 == 0:
         return {1: q ** (l1 - 1) * (q - 1)}
     if l1 == 1:
@@ -92,7 +96,8 @@ def cuspidal_rect_count(l, q):
 def build_rank1(backend, q, level):
     """All linear characters of the rank-one automorphism group."""
     out = _abelian_charfuns(unit_group(make_ring(backend, q, level)))
-    assert len(out) == q ** (level - 1) * (q - 1)
+    n = q ** (level - 1) * (q - 1)
+    _check(len(out) == n, "rank-one linear characters", n, len(out))
     return out
 
 
@@ -112,14 +117,16 @@ def _unipotent_average(chi, U):
 def build_l1(G):
     """Complete labeled irreducible families of a depth-one group."""
     q, l1 = G.q, G.l1
-    assert G.l2 == 1 and l1 >= 2
+    _check(G.l2 == 1 and l1 >= 2, "build_l1: module type", "(l1 >= 2, 1)",
+           G.lam)
 
     # one-dimensionals factor through the reduced diagonal pair
     A, _ = G.hom("diag_red", [])
     one = dedupe([inflate(G, f, "diag_red") for f in _abelian_charfuns(A)])
     one_dim = IrrFamily("one_dim", one)
-    assert one_dim.count == q ** (l1 - 2) * (q - 1) ** 2
-    assert one_dim.degree == 1
+    n = q ** (l1 - 2) * (q - 1) ** 2
+    _check(one_dim.count == n, "one_dim: count", n, one_dim.count)
+    _check(one_dim.degree == 1, "one_dim: degree", 1, one_dim.degree)
 
     Z = G.subgroup("floor_torus_a")
     H = G.subgroup("heisenberg")
@@ -132,20 +139,24 @@ def build_l1(G):
             if _nontrivial_on(chi, Z.elements)]
     heis = dedupe(heis)
     heis_q = IrrFamily("heis_q", heis)
-    assert heis_q.count == q ** (l1 - 2) * (q - 1) ** 3
-    assert heis_q.degree == q
+    n = q ** (l1 - 2) * (q - 1) ** 3
+    _check(heis_q.count == n, "heis_q: count", n, heis_q.count)
+    _check(heis_q.degree == q, "heis_q: degree", q, heis_q.degree)
 
     # the (q-1)-dimensional family: induced from the product of the scalars
     # with the depth-one Heisenberg subgroup
     dh_members = sorted({G.mul(s, h) for s in S.elements for h in H.elements})
     DH = G.subgroup("custom", members=dh_members, name="DH")
-    assert DH.order == q ** (l1 + 1) * (q - 1)
+    n = q ** (l1 + 1) * (q - 1)
+    _check(DH.order == n, "DH: order", n, DH.order)
     dh = [induce(DH, chi) for chi in linear_characters(DH)
           if not _nontrivial_on(chi, Z.elements)
           and _nontrivial_on(chi, H.elements)]
     dh = dedupe(dh)
-    assert len(dh) == q ** (l1 - 2) * (q * q - 1)
-    assert all(int(round(f.degree)) == q - 1 for f in dh)
+    n = q ** (l1 - 2) * (q * q - 1)
+    _check(len(dh) == n, "dh: count", n, len(dh))
+    degs = sorted({int(round(f.degree)) for f in dh})
+    _check(degs == [q - 1], "dh: degrees", [q - 1], degs)
 
     Up = G.subgroup("unipotent_upper")
     Um = G.subgroup("unipotent_lower")
@@ -153,7 +164,8 @@ def build_l1(G):
     for f in dh:
         has_p = abs(_unipotent_average(f, Up)) > TOL
         has_m = abs(_unipotent_average(f, Um)) > TOL
-        assert not (has_p and has_m)
+        _check(not (has_p and has_m), "dh: nonzero averages on the upper "
+               "and lower unipotents", "not both", (has_p, has_m))
         if has_p:
             bp.append(f)
         elif has_m:
@@ -163,13 +175,18 @@ def build_l1(G):
     orbit_bp = IrrFamily("orbitB+", bp)
     orbit_bm = IrrFamily("orbitB-", bm)
     orbit_c = IrrFamily("orbitC", cusp)
-    assert orbit_bp.count == orbit_bm.count == q ** (l1 - 2) * (q - 1)
-    assert orbit_c.count == q ** (l1 - 2) * (q - 1) ** 2
-    assert all(is_cuspidal(G, f) for f in orbit_c.members)
+    n = q ** (l1 - 2) * (q - 1)
+    _check(orbit_bp.count == orbit_bm.count == n, "orbitB+, orbitB-: counts",
+           (n, n), (orbit_bp.count, orbit_bm.count))
+    _check(orbit_c.count == n * (q - 1), "orbitC: count", n * (q - 1),
+           orbit_c.count)
+    off = sum(not is_cuspidal(G, f) for f in orbit_c.members)
+    _check(not off, "orbitC: members that are not cuspidal", 0, off)
 
     fams = [one_dim, orbit_bp, orbit_bm, orbit_c, heis_q]
     total = sum(f.count * f.degree ** 2 for f in fams)
-    assert total == G.order
+    _check(total == G.order, "depth one: sum of count * degree^2", G.order,
+           total)
     return fams
 
 
@@ -177,7 +194,8 @@ def build_cuspidal_nonrect(G):
     """The cuspidal family for l1 > l2 >= 2: extend each anisotropic kernel
     character to its stabilizer and induce."""
     q, l1, l2 = G.q, G.l1, G.l2
-    assert l1 > l2 >= 2
+    _check(l1 > l2 >= 2, "build_cuspidal_nonrect: module type",
+           "l1 > l2 >= 2", G.lam)
     l, eps = G.half_levels()
     D = CongruenceDual(G, l, eps)
     members = []
@@ -189,12 +207,14 @@ def build_cuspidal_nonrect(G):
         exts = [chi for chi in linear_characters(N)
                 if np.all(np.abs(chi.vals[kcls] - eta) < MTOL)]
         inter = len(np.intersect1d(A.idx, D.K.idx, assume_unique=True))
-        assert len(exts) == A.order // inter
+        _check(len(exts) == A.order // inter, "cuspidal (%d, %d): extensions"
+               " of eta" % (u_hat, w_hat), A.order // inter, len(exts))
         members.extend(induce(N, chi) for chi in exts)
     members = dedupe(members)
     fam = IrrFamily("cuspidal_nonrect", members)
-    assert fam.count == q ** (l1 + l2 - 3) * (q - 1) ** 2
-    assert fam.degree == q ** (l2 - 1) * (q - 1)
+    n, deg = q ** (l1 + l2 - 3) * (q - 1) ** 2, q ** (l2 - 1) * (q - 1)
+    _check(fam.count == n, "cuspidal_nonrect: count", n, fam.count)
+    _check(fam.degree == deg, "cuspidal_nonrect: degree", deg, fam.degree)
     return fam
 
 
@@ -210,16 +230,19 @@ def build_geometric(G):
     """Geometric families: (irreducible parabolic inductions, stable range
     inductions of the one-sided depth-one characters)."""
     q, l1, l2 = G.q, G.l1, G.l2
-    assert l2 >= 2
+    _check(l2 >= 2, "build_geometric: level l2", ">= 2", l2)
 
     if l1 > l2:
         pairs = [(t1, t2) for t1 in _primitive_unit_characters(G.R1)
                  for t2 in unit_characters(G.R2)]
         raw = [geo_ind(G, t1, t2) for t1, t2 in pairs]
         geo = dedupe(raw)
-        assert len(geo) == len(raw) == q ** (l1 + l2 - 3) * (q - 1) ** 3
+        n = q ** (l1 + l2 - 3) * (q - 1) ** 3
+        _check(len(geo) == len(raw) == n, "geo_irred: distinct and raw "
+               "inductions", (n, n), (len(geo), len(raw)))
         geo_irred = IrrFamily("geo_irred", geo)
-        assert geo_irred.degree == q ** l2
+        _check(geo_irred.degree == q ** l2, "geo_irred: degree", q ** l2,
+               geo_irred.degree)
     else:
         chars = unit_characters(G.R1)
         layer = [G.R1.add[1][G.R1.pi_mul(s, l1 - 1)] for s in range(1, q)]
@@ -227,10 +250,14 @@ def build_geometric(G):
                  if any(abs(t1(u) - t2(u)) > TOL for u in layer)]
         raw = [geo_ind(G, t1, t2) for t1, t2 in pairs]
         geo = dedupe(raw)
-        assert 2 * len(geo) == len(raw)
-        assert len(geo) == q ** (2 * l1 - 3) * (q - 1) ** 3 // 2
+        _check(2 * len(geo) == len(raw), "geo_irred: raw inductions, twice "
+               "the distinct", 2 * len(geo), len(raw))
+        n = q ** (2 * l1 - 3) * (q - 1) ** 3 // 2
+        _check(len(geo) == n, "geo_irred: count", n, len(geo))
         geo_irred = IrrFamily("geo_irred", geo)
-        assert geo_irred.degree == q ** (l1 - 1) * (q + 1)
+        deg = q ** (l1 - 1) * (q + 1)
+        _check(geo_irred.degree == deg, "geo_irred: degree", deg,
+               geo_irred.degree)
 
     floor = assemble(G.backend, q, (l1, 1))
     bp = floor.family("orbitB+").members
@@ -241,14 +268,18 @@ def build_geometric(G):
         tws = twisting_characters(G.R2)
         raw = [twist(f, t) for f in raw for t in tws]
         split = dedupe(raw)
-        assert len(split) == q ** (l1 - 1) * (q - 1)
+        n = q ** (l1 - 1) * (q - 1)
+        _check(len(split) == n, "geo_split: count", n, len(split))
         expect_deg = q ** (l1 - 2) * (q * q - 1)
     else:
         split = dedupe(raw)
-        assert len(split) == len(raw) == 2 * q ** (l1 - 2) * (q - 1)
+        n = 2 * q ** (l1 - 2) * (q - 1)
+        _check(len(split) == len(raw) == n, "geo_split: distinct and raw "
+               "inductions", (n, n), (len(split), len(raw)))
         expect_deg = q ** (l2 - 1) * (q - 1)
     geo_split = IrrFamily("geo_split", split)
-    assert geo_split.degree == expect_deg
+    _check(geo_split.degree == expect_deg, "geo_split: degree", expect_deg,
+           geo_split.degree)
     return geo_irred, geo_split
 
 
@@ -263,7 +294,7 @@ def build_infinitesimal(G):
     """Stable range inductions of the cuspidal characters of every inner
     type, through both the embedding and the quotient maps."""
     q, l1, l2 = G.q, G.l1, G.l2
-    assert l2 >= 2
+    _check(l2 >= 2, "build_infinitesimal: level l2", ">= 2", l2)
     if l1 > l2:
         emb, quo = [], []
         for _, m in inner_types(G.lam):
@@ -273,11 +304,15 @@ def build_infinitesimal(G):
         emb, quo = dedupe(emb), dedupe(quo)
         expect = sum(q ** (l1 + m - 3) * (q - 1) ** 2
                      for _, m in inner_types(G.lam))
-        assert len(emb) == len(quo) == expect
-        assert not set(f.fingerprint() for f in emb) & \
-            set(f.fingerprint() for f in quo)
+        _check(len(emb) == len(quo) == expect, "inf_embed, inf_quot: counts",
+               (expect, expect), (len(emb), len(quo)))
+        shared = len({f.fingerprint() for f in emb}
+                     & {f.fingerprint() for f in quo})
+        _check(not shared, "inf_embed, inf_quot: shared members", 0, shared)
         fams = [IrrFamily("inf_embed", emb), IrrFamily("inf_quot", quo)]
-        assert fams[0].degree == fams[1].degree == q ** (l2 - 1) * (q - 1)
+        deg = q ** (l2 - 1) * (q - 1)
+        _check(fams[0].degree == fams[1].degree == deg, "inf_embed, inf_quot:"
+               " degrees", (deg, deg), (fams[0].degree, fams[1].degree))
     else:
         tws = twisting_characters(G.R2)
         raw, total = [], 0
@@ -285,14 +320,19 @@ def build_infinitesimal(G):
             for f in cuspidal_members(G.backend, q, (l1, m)):
                 a = ind(G, f, "embed", m)
                 b = ind(G, f, "quot", m)
-                assert a.fingerprint() == b.fingerprint()
+                fa, fb = a.fingerprint(), b.fingerprint()
+                _check(fa == fb, "inf (%d, %d): embed and quot inductions "
+                       "coincide" % (l1, m), fa, fb)
                 raw.extend(twist(a, t) for t in tws)
                 total += 1
         members = dedupe(raw)
-        assert len(members) == q * total
+        _check(len(members) == q * total, "inf_embed: count", q * total,
+               len(members))
         fams = [IrrFamily("inf_embed", members,
                           provenance={"note": "embed and quot coincide"})]
-        assert fams[0].degree == q ** (l1 - 2) * (q * q - 1)
+        deg = q ** (l1 - 2) * (q * q - 1)
+        _check(fams[0].degree == deg, "inf_embed: degree", deg,
+               fams[0].degree)
     return fams
 
 
@@ -335,7 +375,8 @@ def _check_orthonormal(asm):
     M = np.array([f.vals for f in asm.members])
     w = asm.G.class_sizes / asm.G.order
     gram = (M * w) @ M.conj().T
-    assert np.allclose(gram, np.eye(len(asm.members)), atol=TOL)
+    off = int((~np.isclose(gram, np.eye(len(asm.members)), atol=TOL)).sum())
+    _check(not off, "Gram matrix entries off the identity", 0, off)
     asm.checks["orthonormal"] = True
 
 
@@ -345,15 +386,21 @@ def _check_spectra(asm):
             continue
         for f in fam.members:
             kinds = spectrum_kinds(asm.G, f)
-            assert len(kinds) == 1 and kinds <= _SPECTRUM_OF[fam.label], \
-                (fam.label, kinds)
+            _check(len(kinds) == 1 and kinds <= _SPECTRUM_OF[fam.label],
+                   "%s: spectrum kind, one of" % fam.label,
+                   sorted(_SPECTRUM_OF[fam.label]), sorted(kinds))
     asm.checks["spectrum_families"] = True
 
 
 def _check_totals(asm):
-    assert asm.zeta == zeta_closed_form(asm.q, asm.lam)
-    assert sum(d * d * n for d, n in asm.zeta.items()) == asm.G.order
-    assert sum(asm.zeta.values()) == asm.G.class_count
+    want = zeta_closed_form(asm.q, asm.lam)
+    _check(asm.zeta == want, "degree counts against the closed form",
+           sorted(want.items()), sorted(asm.zeta.items()))
+    total = sum(d * d * n for d, n in asm.zeta.items())
+    _check(total == asm.G.order, "sum of squared degrees", asm.G.order, total)
+    k = sum(asm.zeta.values())
+    _check(k == asm.G.class_count, "number of characters",
+           asm.G.class_count, k)
     asm.checks["zeta_closed_form"] = True
     asm.checks["sum_of_squares"] = True
     asm.checks["class_count"] = True
@@ -392,14 +439,16 @@ def assemble(backend, q, lam):
         tws = twisting_characters(G.R2)
         pulled = dedupe([twist(inflate(G, f, "floor"), t)
                          for f in sub.members for t in tws])
-        assert len(pulled) == q * len(sub.members)
+        _check(len(pulled) == q * len(sub.members), "pullback_twist: count",
+               q * len(sub.members), len(pulled))
         fams = [IrrFamily("pullback_twist", pulled),
                 build_cuspidal_nonrect(G)]
         fams.extend(build_infinitesimal(G))
         geo_irred, geo_split = build_geometric(G)
         fams.extend([geo_split, geo_irred])
         members = [f for fam in fams for f in fam.members]
-        assert len(dedupe(members)) == len(members)
+        n = len(dedupe(members))
+        _check(n == len(members), "distinct members", len(members), n)
         zeta = dict(Counter(int(round(f.degree)) for f in members))
         asm = AssembledSet(G, backend, q, lam, fams, members, zeta, True)
     else:
@@ -413,7 +462,8 @@ def assemble(backend, q, lam):
         fams.extend([geo_split, geo_irred,
                      IrrFamily("cuspidal_rect_count", count=cn, degree=cd)])
         members = [f for fam in fams if fam.members for f in fam.members]
-        assert len(dedupe(members)) == len(members)
+        n = len(dedupe(members))
+        _check(n == len(members), "distinct members", len(members), n)
         zeta = Counter()
         for fam in fams:
             zeta.update(fam.degree_counter())

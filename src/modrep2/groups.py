@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from modrep2.rings import (FiniteGroup, _check, greedy_generators, make_ring,
-                           unit_group)
+                           noncommuting_pair, unit_group)
 
 
 def generators_of(G):
@@ -60,20 +60,23 @@ class GroupBase(FiniteGroup):
 
     def gens_commute(self):
         """Whether the generators commute pairwise: one root right_mul."""
-        g = np.array([self.root.index[t] for t in self.gens], dtype=np.intp)
-        prods = self.root.right_mul(g[:, None], g[None, :])
-        return bool((prods == prods.T).all())
+        return noncommuting_pair(self.root, self.gens) is None
 
     def commutator_subgroup(self):
         """Normal closure of the commutators [g, h] of the generators (one
-        of each pair; [h, g] is its inverse): the identity's orbit under right
-        multiplication by them and conjugation by the generators."""
+        of each pair; [h, g] is its inverse), formed by three batched root
+        right_mul calls: the identity's orbit under right multiplication by
+        them and conjugation by the generators."""
         self.assert_generating()
-        mul, inv, gens = self.mul, self.inv, self.gens
-        seeds = dict.fromkeys(mul(inv(g), mul(inv(h), mul(g, h)))
-                              for i, g in enumerate(gens) for h in gens[i + 1:])
-        seeds.pop(self.identity, None)
-        moves = [(None, s) for s in seeds] + [(inv(t), t) for t in gens]
+        R, inv, gens = self.root, self.inv, self.gens
+        g = np.array([R.index[t] for t in gens], dtype=np.intp)
+        gi = np.array([R.index[inv(t)] for t in gens], dtype=np.intp)
+        i, j = np.triu_indices(len(gens), 1)
+        seeds = R.right_mul(gi[i], R.right_mul(gi[j], R.right_mul(g[i], g[j])))
+        seeds = dict.fromkeys(seeds.tolist())
+        seeds.pop(R.index[self.identity], None)
+        moves = ([(None, R.elements[s]) for s in seeds]
+                 + [(inv(t), t) for t in gens])
         _, _, orbit_of = self.sweep(self.elements, moves)
         span = orbit_of == orbit_of[self.index[self.identity]]
         return Subgroup(self, self.idx[span], name=self.name + ".derived")
@@ -177,19 +180,36 @@ class AutGroup(GroupBase):
         return (tables, tuple(E.T.astype(np.int32)), table,
                 self.R1.pi_pow(dd), self.R2.pi_pow(dd))
 
+    @cached_property
+    def _mul_tables(self):
+        """The product kernel's tables, built once from the ring tables, for
+        level-l2 pairs x, y, X, Y, a level-l1 u and a level-l2 z:
+        dot[((x*s2 + y)*s2 + X)*s2 + Y] = x*X + y*Y and low[same] = y*Y +
+        pi^(l1-l2)*x*X at level l2, and lift[u*s2 + z] = u + pi^(l1-l2)*z at
+        level l1: s1*s2 + 2*s2^4 entries in all."""
+        (A1, M1, A2, M2), _, _, d1c, d2c = self._arrays
+        xX, yY = M2[:, None, :, None], M2[None, :, None, :]
+        A2 = A2.astype(np.int16)
+        return (A2[xX, yY].ravel(), A2[M2[d2c, xX], yY].ravel(),
+                A1[:, M1[d1c, :self.s2]].astype(np.int32).ravel())
+
     def right_mul(self, idx, h):
-        """Element indices of elements[idx] * elements[h], the tuple mul done
-        as whole-array table lookups; idx and h are index arrays that
-        broadcast together.  The code is built one column at a time, which
-        bounds the full-size temporaries."""
-        (A1, M1, A2, M2), (ea, eb, ec, ed), _, d1c, d2c = self._arrays
+        """Element indices of elements[idx] * elements[h]; idx and h are
+        index arrays that broadcast together.  For g = (a, b, c, d) and
+        h = (A, B, C, D) the product is (lift[a*A, b*C], dot[(a, b), (B, D)],
+        dot[(c, d), (A, C)], low[(c, d), (B, D)]) with the tables of
+        _mul_tables, so each coordinate is one gather; the row and column
+        operands are formed on the broadcast inputs before they meet."""
+        (_, M1, _, M2), (ea, eb, ec, ed), _, _, _ = self._arrays
+        dot, low, lift = self._mul_tables
+        s2 = self.s2
         a, b, c, d = ea[idx], eb[idx], ec[idx], ed[idx]
         A, B, C, D = ea[h], eb[h], ec[h], ed[h]
-        s2 = self.s2
-        code = A1[M1[a, A], M1[d1c, M2[b, C]]]
-        code = code * s2 + A2[M2[a % s2, B], M2[b, D]]
-        code = code * s2 + A2[M2[c, A % s2], M2[d, C]]
-        code = code * s2 + A2[M2[d, D], M2[d2c, M2[c, B]]]
+        cd, BD = (c * s2 + d) * (s2 * s2), B * s2 + D
+        code = lift[M1[a, A] * s2 + M2[b, C]]
+        code = code * s2 + dot[(a % s2 * s2 + b) * (s2 * s2) + BD]
+        code = code * s2 + dot[cd + (A % s2 * s2 + C)]
+        code = code * s2 + low[cd + BD]
         return self._element_at(code)
 
     def _element_at(self, code):

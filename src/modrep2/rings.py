@@ -361,7 +361,14 @@ class FiniteGroup:
         return np.arange(self.order)
 
     def positions(self, ridx):
-        """Positions of the root indices ridx; ValueError for non-members."""
+        """Positions of the root indices ridx; ValueError for non-members.
+        On a root group idx is arange(order), so positions are ridx."""
+        if self.root is self:
+            r = np.asarray(ridx)
+            if ((r < 0) | (r >= self.order)).any():
+                raise ValueError("%s: root elements are not members"
+                                 % self.name)
+            return ridx
         pos = np.minimum(np.searchsorted(self.idx, ridx), len(self.idx) - 1)
         if (self.idx[pos] != ridx).any():
             raise ValueError("%s: root elements are not members" % self.name)
@@ -491,14 +498,22 @@ def additive_group(ring):
                               name="additive(%s,%d,%d)" % (ring.backend, ring.q, ring.level))
 
 
+def noncommuting_pair(R, elems):
+    """The first pair of elems, elements of the root group R, that do not
+    commute, or None: one right_mul of their indices against themselves."""
+    g = np.array([R.index[x] for x in elems], dtype=np.intp)
+    prods = R.right_mul(g[:, None], g[None, :])
+    bad = np.argwhere(prods != prods.T)
+    return (elems[bad[0, 0]], elems[bad[0, 1]]) if len(bad) else None
+
+
 def _assert_abelian(A):
     """Exact: the elements form a group (greedy_generators refuses a list
     that is not closed) whose generators commute pairwise."""
-    gens = greedy_generators(A)
-    bad = [(x, y) for x in gens for y in gens if A.mul(x, y) != A.mul(y, x)]
+    bad = noncommuting_pair(A.root, greedy_generators(A))
     if bad:
         raise ValueError("group is not abelian: %r and %r do not commute"
-                         % bad[0])
+                         % bad)
 
 
 def _abelian_basis(A):

@@ -1,6 +1,7 @@
 """Construction and assembly tests: family counts, zeta polynomials, the
 cuspidal battery, and the induction-restriction compatibility identities."""
 
+import json
 import os
 import subprocess
 import sys
@@ -366,3 +367,24 @@ def test_dixon_against_green_checked_under_optimize():
                           capture_output=True, text=True)
     assert proc.returncode == 3, proc.stdout + proc.stderr
     assert "[(1, 3)]" in proc.stdout and "[(1, 2), (2, 1)]" in proc.stdout
+
+
+def test_wrong_closed_form_fails_verify_all_under_optimize():
+    # the construction checks are not bare asserts: under python -O a wrong
+    # closed form still stops assemble, and verify-all exits 1 with the JSON
+    # error envelope naming both degree counts
+    code = ("import sys\n"
+            "import modrep2.build as b\n"
+            "from modrep2.cli import main\n"
+            "b.zeta_closed_form = lambda q, lam: {1: 1}\n"
+            "sys.exit(main(['verify-all', '--p', '2', '--lambda', '2,1']))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["ok"] is False and doc["command"] == "verify-all"
+    assert doc["error"] == ("internal check failed: degree counts against the "
+                            "closed form: expected [(1, 1)], computed "
+                            "[(1, 4), (2, 1)]")
+    assert "Traceback" not in proc.stdout + proc.stderr

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modrep2.groups import (AutGroup, ProductGroup, QuotientGroup, Subgroup,
                             aut_group, class_count_formula, order_formula)
@@ -118,6 +120,38 @@ def test_right_mul_matches_tuple_mul(backend, q, lam):
         want = [G.index[G.mul(g, t)] for g in G.elements]
         assert G.right_mul(idx, G.index[t]).tolist() == want
         assert G.right_mul(idx[:, None], [G.index[t]]).ravel().tolist() == want
+
+
+KERNEL_TYPES = [("padic", 2, (4, 2)), ("padic", 2, (3, 1)), ("padic", 3, (2, 2)),
+                ("padic", 5, (2, 1)), ("tpoly", 4, (2, 2)), ("tpoly", 2, (3, 3))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(KERNEL_TYPES), st.data())
+def test_right_mul_outer_products_match_tuple_mul(case, data):
+    # padic q=2 (4,2) and (3,1) have the offset pi^2 between the levels,
+    # q=5 (2,1) the offset pi; the square types have none
+    G = aut_group(*case)
+    draw = st.lists(st.integers(0, G.order - 1), min_size=1, max_size=12)
+    x, y = np.array(data.draw(draw)), np.array(data.draw(draw))
+    els = G.elements
+    want = [[G.index[G.mul(els[i], els[j])] for j in y.tolist()]
+            for i in x.tolist()]
+    assert G.right_mul(x[:, None], y[None, :]).tolist() == want
+
+
+def test_right_mul_tables_stay_small_on_skewed_types():
+    # s1 = 512, s2 = 2: a table over (a, b) x (A, C) would have 2^20 entries
+    G = aut_group("padic", 2, (9, 1))
+    tables = G._mul_tables
+    assert sum(t.size for t in tables) <= G.s1 * G.s2 + 2 * G.s2 ** 4
+    assert all((t if t.base is None else t.base).size == t.size
+               for t in tables)
+    x = np.arange(G.order)
+    y = x[::-1]
+    els = G.elements
+    assert G.right_mul(x, y).tolist() == [
+        G.index[G.mul(els[i], els[j])] for i, j in zip(x.tolist(), y.tolist())]
 
 
 def test_right_mul_refuses_non_elements():
@@ -710,6 +744,11 @@ def test_positions_refuse_non_members():
         U.positions(np.array([U.idx[0], outside]))
     with pytest.raises(ValueError, match="not members"):
         U.positions(G.order - 1)
+    # on the root group positions are the root indices themselves
+    assert G.positions(U.idx) is U.idx
+    for bad in (-1, G.order, np.array([0, G.order])):
+        with pytest.raises(ValueError, match="not members"):
+            G.positions(bad)
 
 
 def test_stabiliser_maps_checked_under_optimize():
