@@ -23,6 +23,17 @@ check on one-dimensional common eigenspaces raises if a skip ever left a
 block whole.  On padic q=2 (4,4) this builds 31 class matrices instead of
 132.
 
+Twists: for a linear character lambda of G, omega_{chi lambda} is
+omega_chi times lambda elementwise, and its central character is theta
+lambda|_Z.  The twists used are those through det, and on non-square types
+also through a mod pi^(l1-l2) (_twists); only the central block of one
+theta per orbit {theta lambda|_Z} is built and split, and the eigenlines of
+the other blocks of the orbit are the split ones times lambda, mod r.  The
+copies are exact: on every class matrix N, of class t, built or central,
+lambda(C_j) = lambda(C_t) lambda(C_m) wherever N[j, m] != 0 is checked, so
+D_lambda N = lambda(C_t) N D_lambda and a common eigenline times lambda is
+one again.  A group with no det map has the trivial twist group alone.
+
 Roots: a characteristic polynomial f of degree at most k < r has the same
 roots as its squarefree part f / gcd(f, f') mod r, whose degree is the
 number of distinct eigenvalues; only that part is solved or scanned.
@@ -41,7 +52,7 @@ import math
 
 import numpy as np
 
-from .rings import _check, is_prime
+from .rings import _check, is_prime, make_ring
 
 
 def _rep_powers(G):
@@ -369,40 +380,108 @@ def _center_characters(T, e, r):
     return np.array([pow(zeta, i, r) for i in range(E)], dtype=np.int64)[L]
 
 
-def _central_blocks(shift, central, e, r):
-    """The joint eigenspaces of the central class matrices, in the stacked
-    form of character_degrees, built with no linear algebra.
-
-    shift[a, i] is the class z_a C_i, for the central elements z_a whose
-    classes are central[a]; z_e is the identity.  A common eigenvector
-    omega_chi satisfies omega_chi(z C) = theta(z) omega_chi(C), theta the
-    central character of chi, so the eigenspace of theta has one row per
-    Z-orbit of classes whose stabiliser lies in ker theta: v[shift[a, c]] =
-    theta(z_a) at the orbit's least class c, zero off the orbit.  Their
-    supports are disjoint, so B[:, P] = I with P the orbit representatives,
-    and N_z is the scalar theta(z) on the block."""
-    n, k = shift.shape
-    pos = np.empty(k, dtype=np.intp)
-    pos[central] = np.arange(n)
-    T = pos[shift[:, central]]  # T[a, b]: the position of z_a z_b
+def _characters(T, e, r, name, group):
+    """_center_characters on the table T of an abelian group, checked
+    exactly: every row is a homomorphism with value 1 at the identity e,
+    and the rows are distinct, so they are all |T| characters."""
     theta = _center_characters(T, e, r)
     off = (np.count_nonzero(theta[:, T] != theta[:, :, None]
                             * theta[:, None, :] % r)
            + np.count_nonzero(theta[:, e] != 1))
-    _check(not off, "entries of theta(z z') off theta(z) theta(z'), and of "
-           "theta(1) off 1, on the centre's table", 0, off)
+    _check(not off, "entries of %s(z z') off %s(z) %s(z'), and of %s(1) "
+           "off 1, on %s's table" % ((name,) * 4 + (group,)), 0, off)
     distinct = len(set(map(tuple, theta.tolist())))
-    _check(distinct == n == len(theta), "distinct characters of the centre",
-           n, distinct)
+    _check(distinct == len(T) == len(theta), "distinct characters of %s"
+           % group, len(T), distinct)
+    return theta
+
+
+def _twists(G, r):
+    """Lam[t, C] = lambda_t(C): the linear characters lambda: G -> F_r^*
+    that factor through det, into units(R2), and on non-square types also
+    through a -> a mod pi^(l1-l2), into the units of that level (a
+    homomorphism, since a' = a A + pi^(l1-l2) b C).  Both maps are onto,
+    so the characters of the product of the unit groups, tabulated by
+    _characters, stay distinct on G; row 0 is the trivial character.  A
+    group with no det map gets the trivial twist group alone."""
+    k = G.class_count
+    if getattr(G, "hom", None) is None:
+        return np.ones((1, k), dtype=np.int64)
+    (a, _, _, _), dd = G._arrays[1], G.l1 - G.l2
+    maps = [("det", G.R2, G.hom("det", G.rep_idx)[1])]
+    if dd:
+        maps.append(("a mod pi^%d" % dd, make_ring(G.backend, G.q, dd),
+                     a[G.rep_idx] % G.q ** dd))
+    # code[C]: the position of the image of C in the product of the unit
+    # groups, mixed radix; T its table; 1 is the least unit, so e = 0
+    code, T = np.zeros(k, dtype=np.intp), np.zeros((1, 1), dtype=np.intp)
+    for what, R, x in maps:
+        bad = np.count_nonzero(np.array(R.val)[x])
+        _check(not bad, "%s values at the class representatives that are "
+               "not units" % what, 0, bad)
+        U = np.array(R.units)
+        TU = np.searchsorted(U, np.array(R.mul)[U[:, None], U[None, :]])
+        code = code * len(U) + np.searchsorted(U, x)
+        T = (T[:, None, :, None] * len(U) + TU[None, :, None, :]).reshape(
+            len(T) * len(U), -1)
+    Lam = _characters(T, 0, r, "lambda", "the twist group")[:, code]
+    distinct = len(set(map(tuple, Lam.tolist())))
+    _check(distinct == len(Lam), "distinct twists on the classes", len(Lam),
+           distinct)
+    return Lam
+
+
+def _check_twists(Lam, j, t, m, r, what):
+    """The twist certificate on the class matrix N of class t, given its
+    nonzero entries N[j, m] (arrays that broadcast together):
+    lambda(C_j) = lambda(C_t) lambda(C_m) there, so D_lambda N =
+    lambda(C_t) N D_lambda and v D_lambda is a common eigenline whenever v
+    is one.  Lam holds the rows that write eigenlines."""
+    L = Lam.T  # the twists last, so that j, t and m broadcast in front
+    off = np.count_nonzero(L[j] != L[t] * L[m] % r)
+    _check(not off, "entries of lambda(C_j) off lambda(C_t) lambda(C_m) "
+           "where N[j, m] != 0, on %s" % what, 0, off)
+
+
+def _central_blocks(shift, theta, mu, r):
+    """The joint eigenspaces of the central class matrices, one per twist
+    orbit of central characters, in the stacked form of character_degrees,
+    built with no linear algebra.
+
+    shift[a, i] is the class z_a C_i for the central elements z_a, and
+    theta[t, a] = theta_t(z_a) the characters of the centre Z.  A common
+    eigenvector omega_chi satisfies omega_chi(z C) = theta(z) omega_chi(C),
+    theta the central character of chi, so the eigenspace of theta has one
+    row per Z-orbit of classes whose stabiliser lies in ker theta:
+    v[shift[a, c]] = theta(z_a) at the orbit's least class c, zero off the
+    orbit.  Their supports are disjoint, so B[:, P] = I with P the orbit
+    representatives, and N_z is the scalar theta(z) on the block.
+
+    mu[j] are the distinct restrictions to Z of the twists, mu[0] = 1.
+    Twisting by lambda carries the eigenspace of theta onto that of theta
+    lambda|_Z, so only the representatives of the orbits {theta mu_j}, the
+    least index of each, are built; the others are checked to have the same
+    dimension."""
+    n, k = shift.shape
+    index = {row: s for s, row in enumerate(map(tuple, theta.tolist()))}
+    img = [index.get(row, -1) for row in map(
+        tuple, (theta[None] * mu[:, None] % r).reshape(-1, n).tolist())]
+    _check(-1 not in img, "products theta lambda|_Z among the central "
+           "characters", len(img), len(img) - img.count(-1))
+    img = np.array(img).reshape(len(mu), n)  # img[j, s]: theta_s mu_j
     reps = np.flatnonzero(shift.min(axis=0) == np.arange(k))
     orbit = shift[:, reps]  # orbit[a, o]: the class z_a C_reps[o]
     # ok[t, o]: the stabiliser of orbit o lies in ker theta_t
     ok = ~((theta[:, :, None] != 1) & (orbit == reps)).any(axis=1)
     dims = ok.sum(axis=1)
     _check(dims.sum() == k, "central eigenspace dimensions", k, dims.sum())
+    off = np.count_nonzero(dims[img] != dims)
+    _check(not off, "dimensions of the central blocks of theta lambda|_Z off "
+           "those of theta", 0, off)
+    lead = np.flatnonzero(img.min(axis=0) == np.arange(n))
     blocks = {}
-    for d in set(dims.tolist()):  # np.unique would load numpy.ma, 0.7 MB
-        ts = np.flatnonzero(dims == d)
+    for d in set(dims[lead].tolist()):  # np.unique would load numpy.ma, 0.7 MB
+        ts = lead[dims[lead] == d]
         B = np.zeros((len(ts), d, k), dtype=np.int64)
         for b, t in enumerate(ts):
             B[b, np.arange(d)[:, None], orbit[:, ok[t]].T] = theta[t]
@@ -420,28 +499,31 @@ def _inverses(x, r):
     return np.array([pow(int(v), -1, r) for v in x], dtype=np.int64)
 
 
-def character_degrees(G, r_override=None):
-    """Sorted degree multiset of the irreducible characters of G."""
-    if getattr(G, "is_abelian", False):
-        return [1] * G.order
-    if r_override is None and getattr(G, "_degree_multiset", None) is not None:
-        return list(G._degree_multiset)
+def _eigenlines(G, jstar, r):
+    """The k common eigenvectors of the class matrices of the root group G
+    over F_r, one row per irreducible character, scaled to 1 at the
+    identity class; jstar[i] is the class of the inverses of C_i."""
     k = G.class_count
-    exponent, inv_idx = _rep_powers(G)
-    r = r_override if r_override is not None else dixon_prime(exponent, G.order)
-    if not (is_prime(r) and r > G.order and (r - 1) % exponent == 0):
-        raise ValueError("Dixon prime must be a prime r > |G| = %d with "
-                         "r = 1 mod exponent %d, got %d" % (G.order, exponent, r))
-    if (k + 1) * r * r >= 2 ** 53:
-        raise ValueError("Dixon prime %d too large for exact float64 products "
-                         "with %d classes" % (r, k))
     _, sizes, cls_of = G._classes()
     rep_idx = G.rep_idx  # G is a root group: indices are positions
-    jstar = cls_of[inv_idx]
     ic = G.identity_class
     # shift[a, i]: the class z C_i for the a-th central element z
     central = np.flatnonzero(sizes == 1)
     shift = cls_of[G.right_mul(rep_idx[central][:, None], rep_idx[None, :])]
+    pos = np.empty(k, dtype=np.intp)
+    pos[central] = np.arange(len(central))
+    # the centre's table: pos[shift[a, central[b]]] is the position of z_a z_b
+    theta = _characters(pos[shift[:, central]],
+                        int(np.searchsorted(central, ic)), r, "theta",
+                        "the centre")
+    # one twist per restriction to the centre, the trivial one first
+    Lam, first = _twists(G, r), {}
+    for t, row in enumerate(map(tuple, Lam[:, central].tolist())):
+        first.setdefault(row, t)
+    Lam = Lam[list(first.values())]
+    # N_z of a central z is nonzero at (z C_m, C_m) alone
+    _check_twists(Lam[1:], shift, central[:, None], np.arange(k)[None], r,
+                  "the central classes")
     by_class = np.argsort(cls_of, kind="stable")
     starts = np.concatenate(([0], np.cumsum(sizes)))
     # The class algebra over F_r is split semisimple (r > |G|, r = 1 mod the
@@ -450,11 +532,10 @@ def character_degrees(G, r_override=None):
     # dimension d are stacked: blocks[d] = (B, P), B of shape (n, d, k) with
     # B[b][:, P[b]] = I, so row j of B[b] N^T in the span of B[b] is
     # R[b, j] @ B[b] with R[b] = (B[b] N^T)[:, P[b]].  The split starts from
-    # the joint eigenspaces of the central classes, whose matrices are then
-    # scalar on every block; once class i is used, its central translates
-    # are covered (module docstring).
-    blocks = _central_blocks(shift, central,
-                             int(np.searchsorted(central, ic)), r)
+    # the joint eigenspaces of the central classes, one per twist orbit,
+    # whose matrices are then scalar on every block; once class i is used,
+    # its central translates are covered (module docstring).
+    blocks = _central_blocks(shift, theta, Lam[:, central], r)
     covered = np.zeros(k, dtype=bool)
     covered[central] = True
     for i in range(k):
@@ -463,8 +544,11 @@ def character_degrees(G, r_override=None):
         if list(blocks) == [1]:
             break
         t = jstar[i]
-        NT = _class_matrix(G, by_class[starts[t]:starts[t + 1]], rep_idx,
-                           cls_of).T.astype(np.float64)
+        N = _class_matrix(G, by_class[starts[t]:starts[t + 1]], rep_idx,
+                          cls_of)
+        j, m = divmod(np.flatnonzero(N), k)
+        _check_twists(Lam[1:], j, t, m, r, "class %d" % i)
+        NT = N.T.astype(np.float64)
         parts = {}
         for d, (B, P) in blocks.items():
             if d == 1:
@@ -488,15 +572,38 @@ def character_degrees(G, r_override=None):
         blocks = {d: (np.concatenate([B for B, _ in ps]),
                       np.concatenate([P for _, P in ps]))
                   for d, ps in parts.items()}
-        dims = sum(B.shape[0] * d for d, (B, _) in blocks.items())
-        _check(dims == k, "eigenspace dimensions after class %d" % i, k, dims)
+        dims = sum(B.shape[0] * d for d, (B, _) in blocks.items()) * len(Lam)
+        _check(dims == k, "eigenspace dimensions after class %d, times %d "
+               "twists" % (i, len(Lam)), k, dims)
         covered[shift[:, i]] = True
-    count = sum(B.shape[0] for B, _ in blocks.values())
-    _check(list(blocks) == [1], "one-dimensional common eigenspaces", k, count)
-    V = blocks[1][0][:, 0]
+    count = sum(B.shape[0] for B, _ in blocks.values()) * len(Lam)
+    _check(list(blocks) == [1] and count == k, "one-dimensional common "
+           "eigenspaces, times %d twists" % len(Lam), k, count)
+    # the eigenlines of the other blocks of each orbit: v lambda elementwise
+    V = (blocks[1][0][:, 0][None] * Lam[:, None] % r).reshape(k, k)
     _check(np.count_nonzero(V[:, ic]) == k, "eigenvectors nonzero at the "
            "identity class", k, np.count_nonzero(V[:, ic]))
-    W = V * _inverses(V[:, ic], r)[:, None] % r
+    return V * _inverses(V[:, ic], r)[:, None] % r
+
+
+def character_degrees(G, r_override=None):
+    """Sorted degree multiset of the irreducible characters of G."""
+    if getattr(G, "is_abelian", False):
+        return [1] * G.order
+    if r_override is None and getattr(G, "_degree_multiset", None) is not None:
+        return list(G._degree_multiset)
+    k = G.class_count
+    exponent, inv_idx = _rep_powers(G)
+    r = r_override if r_override is not None else dixon_prime(exponent, G.order)
+    if not (is_prime(r) and r > G.order and (r - 1) % exponent == 0):
+        raise ValueError("Dixon prime must be a prime r > |G| = %d with "
+                         "r = 1 mod exponent %d, got %d" % (G.order, exponent, r))
+    if (k + 1) * r * r >= 2 ** 53:
+        raise ValueError("Dixon prime %d too large for exact float64 products "
+                         "with %d classes" % (r, k))
+    _, sizes, cls_of = G._classes()
+    jstar = cls_of[inv_idx]
+    W = _eigenlines(G, jstar, r)
     s = (W * W[:, jstar] % r * _inverses(sizes, r) % r).sum(axis=1) % r
     _check(np.count_nonzero(s) == k, "nonzero norms", k, np.count_nonzero(s))
     d2 = G.order * _inverses(s, r) % r

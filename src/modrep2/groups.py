@@ -23,12 +23,6 @@ def generators_of(G):
     return g if g is not None else greedy_generators(G)
 
 
-def additive_generators(ring):
-    """Generators of (o_level, +) as an abelian p-group: one per digit slot."""
-    p = ring.field.p if ring.field else ring.q
-    return [ring.pi_mul(p ** i, j) for j in range(ring.level) for i in range(ring.f)]
-
-
 class GroupBase(FiniteGroup):
     """Shared machinery: conjugacy classes by orbit sweep, commutators,
     abelianization.  Subclasses fill elements, index, mul, inv, identity, gens."""
@@ -151,10 +145,9 @@ class AutGroup(GroupBase):
                expect, len(self.elements))
         self.index = {g: i for i, g in enumerate(self.elements)}
 
-        gens = []
-        for t in additive_generators(R2):
-            gens.append((1, t, 0, 1))
-            gens.append((1, 0, t, 1))
+        # two unipotents: conjugation by the diagonal units scales b and c
+        # by units, whose sums fill R2
+        gens = [(1, 1, 0, 1), (1, 0, 1, 1)]
         for u in greedy_generators(unit_group(R1)):
             gens.append((u, 0, 0, 1))
         for u in greedy_generators(unit_group(R2)):

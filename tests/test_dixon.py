@@ -130,6 +130,15 @@ def test_central_translates_build_no_matrix(monkeypatch):
     assert min(built) > 1  # the central blocks leave no central class to use
 
 
+def _centre_characters(G, shift, central, r):
+    """The characters theta[t, a] of the centre, from shift[a, i] = z_a C_i."""
+    pos = np.empty(G.class_count, dtype=np.intp)
+    pos[central] = np.arange(len(central))
+    return dixon._characters(
+        pos[shift[:, central]], int(np.searchsorted(central, G.identity_class)),
+        r, "theta", "the centre")
+
+
 @pytest.mark.parametrize("group", [
     ("padic", 2, (2, 2)), ("padic", 3, (2, 1)),
     ("tpoly", 4, (2, 1)),  # centre C3 x C2 x C2, not cyclic
@@ -150,8 +159,10 @@ def test_central_blocks_are_joint_eigenspaces(group):
     N = [_class_matrix(G, np.array([G.index[G.inv(reps[c])]]), rep_idx,
                        cls_of) for c in central]
     r = dixon_prime(group_exponent(G), G.order)
+    theta = _centre_characters(G, shift, central, r)
+    # the trivial twist group: every central character leads its own orbit
     blocks = dixon._central_blocks(
-        shift, central, int(np.searchsorted(central, G.identity_class)), r)
+        shift, theta, np.ones((1, len(central)), dtype=np.int64), r)
     assert sum(B.shape[0] * d for d, (B, _) in blocks.items()) == k
     eigen = set()
     for d, (B, P) in blocks.items():
@@ -263,6 +274,103 @@ def test_central_start_matches_identity_start(backend, q, lam):
     assert character_degrees(G) == _identity_start_degrees(G, r1)
     assert (character_degrees(G, r_override=r2)
             == _identity_start_degrees(G, r2))
+
+
+def _trivial_twists(G, r):
+    return np.ones((1, G.class_count), dtype=np.int64)
+
+
+def _eigenline_set(G, r):
+    _, inv_idx = dixon._rep_powers(G)
+    W = dixon._eigenlines(G, G.cls_of[inv_idx], r)
+    assert W.shape == (G.class_count,) * 2
+    return set(map(tuple, W.tolist()))
+
+
+@pytest.mark.parametrize("backend,q,lam", [
+    ("padic", 3, (3, 2)), ("padic", 2, (5, 3)), ("padic", 3, (2, 2)),
+    ("tpoly", 4, (2, 2))])
+def test_twisted_eigenlines_match_all_blocks(backend, q, lam, monkeypatch):
+    # the eigenlines written as twists of the orbit representatives' are the
+    # ones the split finds from every central block
+    G = aut_group(backend, q, lam)
+    e = group_exponent(G)
+    r1 = dixon_prime(e, G.order)
+    for r in (r1, dixon_prime(e, r1)):
+        twisted = _eigenline_set(G, r)
+        with monkeypatch.context() as m:
+            m.setattr(dixon, "_twists", _trivial_twists)
+            assert _eigenline_set(G, r) == twisted
+        assert len(twisted) == G.class_count
+
+
+@pytest.mark.parametrize("backend,q,lam,orbit", [
+    ("padic", 3, (3, 2), 6), ("padic", 2, (4, 4), 2), ("tpoly", 4, (2, 2), 3),
+    ("padic", 3, (2, 1), 2)])
+def test_central_blocks_one_per_twist_orbit(backend, q, lam, orbit):
+    G = aut_group(backend, q, lam)
+    sizes, cls_of, rep_idx = G.class_sizes, G.cls_of, G.rep_idx
+    k = len(sizes)
+    central = np.flatnonzero(sizes == 1)
+    shift = cls_of[G.right_mul(rep_idx[central][:, None], rep_idx[None, :])]
+    r = dixon_prime(group_exponent(G), G.order)
+    theta = _centre_characters(G, shift, central, r)
+    Lam = dixon._twists(G, r)
+    assert (Lam[0] == 1).all() and len(set(map(tuple, Lam.tolist()))) == len(Lam)
+    mu = np.array(list(dict.fromkeys(map(tuple, Lam[:, central].tolist()))))
+    assert len(mu) == orbit
+    every = dixon._central_blocks(shift, theta, mu[:1], r)
+    lead = dixon._central_blocks(shift, theta, mu, r)
+    # the representatives' blocks, one per orbit, are among all the blocks
+    for d, (B, P) in lead.items():
+        rows = set(map(bytes, every[d][0]))
+        assert all(bytes(E) in rows for E in B)
+    count = sum(len(B) for B, _ in lead.values())
+    assert count * orbit == len(central)
+    assert (sum(len(B) * d for d, (B, _) in lead.items()) * orbit
+            == sum(len(B) * d for d, (B, _) in every.items()) == k)
+    # a restriction that is no character of G maps theta off the characters
+    with pytest.raises(AssertionError, match="products theta lambda"):
+        dixon._central_blocks(shift, theta, np.vstack([mu[:1], 2 * mu[:1]]), r)
+
+
+def test_twist_certificate_raises_under_optimize():
+    # a twist wrong at one class breaks the identity on the central classes;
+    # one wrong on a whole Z-orbit of classes keeps that one and breaks the
+    # identity on the first class matrix built
+    code = ("import numpy as np\n"
+            "from modrep2 import dixon\n"
+            "from modrep2.groups import aut_group\n"
+            "G = aut_group('padic', 3, (3, 2))\n"
+            "central = np.flatnonzero(G.class_sizes == 1)\n"
+            "zc = G.cls_of[G.right_mul(G.rep_idx[central][:, None],\n"
+            "                          G.rep_idx[None, :])]\n"
+            "c = int(np.flatnonzero(G.class_sizes > 1)[-1])\n"
+            "orig = dixon._twists\n"
+            "for cols in ([c], sorted(set(zc[:, c].tolist()))):\n"
+            "    def bad(G, r):\n"
+            "        Lam = orig(G, r)\n"
+            "        t = next(t for t, row in enumerate(Lam[:, central])\n"
+            "                 if (row != 1).any())\n"
+            "        Lam[t, cols] = Lam[t, cols] * 2 % r\n"
+            "        return Lam\n"
+            "    dixon._twists = bad\n"
+            "    try:\n"
+            "        dixon.character_degrees(G)\n"
+            "    except AssertionError as exc:\n"
+            "        print(exc)\n"
+            "    else:\n"
+            "        raise SystemExit(4)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    one, orbit = proc.stdout.splitlines()
+    head = "entries of lambda(C_j) off lambda(C_t) lambda(C_m) where N[j, m] != 0"
+    assert one.startswith(head + ", on the central classes: expected 0, ")
+    assert orbit.startswith(head + ", on class ")
+    for line in (one, orbit):
+        assert int(line.split()[-1]) > 0
 
 
 def _det_mod(M, p):

@@ -568,6 +568,45 @@ def test_truncated_generators_refused_under_optimize():
     assert "expected 128, computed" in proc.stdout
 
 
+def test_generators_without_lower_unipotent_refused_under_optimize():
+    # on non-square types there is no swap to conjugate (1, 1, 0, 1) into
+    # (1, 0, 1, 1): the rest span only the upper parabolic
+    code = ("from modrep2.groups import AutGroup\n"
+            "for backend, q, lam in [('padic', 2, (3, 2)), ('padic', 3, (2, 1)),\n"
+            "                        ('tpoly', 4, (2, 1))]:\n"
+            "    G = AutGroup(backend, q, lam)\n"
+            "    assert (1, 0, 1, 1) in G.gens\n"
+            "    G.gens = [t for t in G.gens if t != (1, 0, 1, 1)]\n"
+            "    try:\n"
+            "        G.class_count\n"
+            "    except AssertionError as e:\n"
+            "        print(e)\n"
+            "    else:\n"
+            "        raise SystemExit(4)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3
+    # the upper parabolic: every c = 0, one in q^l2 elements
+    for line, (q, lam) in zip(lines, [(2, (3, 2)), (3, (2, 1)), (4, (2, 1))]):
+        n = order_formula(q, lam)
+        assert line.endswith("elements spanned by the generators: expected "
+                             "%d, computed %d" % (n, n // q ** lam[1])), line
+
+
+def test_generators_are_two_unipotents_units_and_swap():
+    for backend, q, lam in [("padic", 2, (3, 2)), ("padic", 3, (2, 2)),
+                            ("tpoly", 4, (2, 2)), ("tpoly", 2, (3, 1))]:
+        G = aut_group(backend, q, lam)
+        assert G.gens[:2] == [(1, 1, 0, 1), (1, 0, 1, 1)]
+        assert ((0, 1, 1, 0) in G.gens) == G.rect
+        rest = G.gens[2:len(G.gens) - G.rect]
+        assert all(t[1:3] == (0, 0) and 1 in (t[0], t[3]) for t in rest)
+        G.assert_generating()
+
+
 def reference_members(G, tag, **kw):
     """Tuple reference for the subgroup tags: the per-element predicate scan
     and the cuspidal loops that the masks replaced."""
