@@ -9,7 +9,7 @@ import numpy as np
 from .classfun import (ClassFunction, dedupe, geo_ind, ind, induce, inflate,
                        is_cuspidal, linear_characters, spectrum_kinds, twist)
 from .dixon import character_degrees
-from .groups import aut_group
+from .groups import Subgroup, aut_group
 from .orbits import CongruenceDual, cuspidal_parameters, eta_dual, inner_types
 from .rings import (MTOL, TOL, _check, character_group, make_ring,
                     twisting_characters, unit_characters, unit_group)
@@ -95,15 +95,11 @@ def cuspidal_rect_count(l, q):
 
 def build_rank1(backend, q, level):
     """All linear characters of the rank-one automorphism group."""
-    out = _abelian_charfuns(unit_group(make_ring(backend, q, level)))
+    A = unit_group(make_ring(backend, q, level))
+    out = [ClassFunction(A, ch.values) for ch in character_group(A)]
     n = q ** (level - 1) * (q - 1)
     _check(len(out) == n, "rank-one linear characters", n, len(out))
     return out
-
-
-def _abelian_charfuns(A):
-    return [ClassFunction(A, np.array([ch(e) for e in A.elements]))
-            for ch in character_group(A)]
 
 
 def _nontrivial_on(chi, members):
@@ -122,7 +118,8 @@ def build_l1(G):
 
     # one-dimensionals factor through the reduced diagonal pair
     A, _ = G.hom("diag_red", [])
-    one = dedupe([inflate(G, f, "diag_red") for f in _abelian_charfuns(A)])
+    one = dedupe([inflate(G, ClassFunction(A, ch.values), "diag_red")
+                  for ch in character_group(A)])
     one_dim = IrrFamily("one_dim", one)
     n = q ** (l1 - 2) * (q - 1) ** 2
     _check(one_dim.count == n, "one_dim: count", n, one_dim.count)
@@ -144,9 +141,11 @@ def build_l1(G):
     _check(heis_q.degree == q, "heis_q: degree", q, heis_q.degree)
 
     # the (q-1)-dimensional family: induced from the product of the scalars
-    # with the depth-one Heisenberg subgroup
-    dh_members = sorted({G.mul(s, h) for s in S.elements for h in H.elements})
-    DH = G.subgroup("custom", members=dh_members, name="DH")
+    # with the depth-one Heisenberg subgroup, its members sorted and once
+    # each (a bincount: np.unique would import numpy.ma, about 25 ms and
+    # 1 MB per process)
+    DH = Subgroup(G, np.flatnonzero(np.bincount(G.right_mul(
+        S.idx[:, None], H.idx[None, :]).ravel())), "DH")
     n = q ** (l1 + 1) * (q - 1)
     _check(DH.order == n, "DH: order", n, DH.order)
     dh = [induce(DH, chi) for chi in linear_characters(DH)

@@ -6,8 +6,8 @@ depth-one spectrum used to sort irreducible characters into families."""
 import numpy as np
 
 from .orbits import CongruenceDual, inner_types
-from .rings import (TOL, _check, character_group, twisting_characters,
-                    unit_characters)
+from .rings import (TOL, _check, character_exponents, roots_of_unity,
+                    twisting_characters, unit_characters)
 
 
 class ClassFunction:
@@ -68,14 +68,15 @@ def is_irreducible(chi):
 
 
 def linear_characters(G):
-    """The one-dimensional characters, pulled back from the abelianization
-    through the cosets of the class representatives."""
+    """The one-dimensional characters, pulled back from the abelianization:
+    its exponent rows gathered at the cosets of the class representatives."""
     out = getattr(G, "_linear_chars", None)
     if out is None:
         Q = G.abelianization()
         cos = Q.coset_of[G.positions(G.rep_idx)]
-        out = [ClassFunction(G, np.array([ch(x) for x in Q.elements])[cos])
-               for ch in character_group(Q)]
+        _, E, L = character_exponents(Q.right_mul, Q.order,
+                                      Q.index[Q.identity], Q.name, Q.elements)
+        out = [ClassFunction(G, v) for v in roots_of_unity(E)[L[:, cos]]]
         G._linear_chars = out
     return out
 
@@ -132,7 +133,7 @@ def twist(chi, uchar):
     G = chi.group
     R2, codes = G.hom("det", G.rep_idx)
     by_code = np.zeros(R2.size, dtype=np.complex128)
-    by_code[list(uchar.values)] = list(uchar.values.values())
+    by_code[uchar.group.elements] = uchar.values
     return ClassFunction(G, chi.vals * by_code[codes])
 
 

@@ -11,7 +11,9 @@ from the joint eigenspaces of the central class matrices, one block per
 F_r-character theta of Z, built from the Z-orbits on classes with no linear
 algebra (_central_blocks); every central matrix is scalar on every block,
 so no central class matrix is built.  With a trivial centre this is the
-single identity block.
+single identity block.  The characters theta of Z, and those of the twist
+group below, are the certified exponent rows L of the abelian engine
+rings.character_exponents, read in F_r as zeta^L (_fr_characters).
 
 Fewer class matrices: for a central element z the class sum of z C is z
 times the class sum of C, so N_{zC} = N_z N_C, and a block left whole by
@@ -52,7 +54,7 @@ import math
 
 import numpy as np
 
-from .rings import _check, is_prime, make_ring
+from .rings import _check, character_exponents, is_prime, make_ring
 
 
 def _rep_powers(G):
@@ -340,60 +342,17 @@ def _primitive_root(r):
                 if all(pow(g, (r - 1) // p, r) != 1 for p in ps))
 
 
-def _center_characters(T, e, r):
-    """The characters Z -> F_r^* of an abelian group Z given by its
-    multiplication table T (T[a, b] the position of z_a z_b, e that of the
-    identity), as rows theta[t, a] = theta_t(z_a).
-
-    Cyclic decomposition Z = <g_1> x ... x <g_s>, by index sweeps through
-    T: x of largest order m modulo H = <g_1, ..., g_{j-1}> has x^m =
-    prod g_i^c_i with m | c_i (the order of x modulo g_1, ..., g_{i-1}
-    divides m_i, the largest order there), so g_j = x prod g_i^(-c_i/m) has
-    order m_j = m and <g_j> meets H trivially.  With zeta_m = g^((r-1)/m)
-    for a primitive root g mod r and c(z) the exponents of z, theta_t(z) =
-    prod_j zeta_{m_j}^(t_j c_j(z)) for 0 <= t_j < m_j."""
-    n = len(T)
-    ar = np.arange(n)
-    pw = [np.full(n, e)]  # pw[m, a]: the position of z_a^m
-    for _ in range(n):
-        pw.append(T[pw[-1], ar])
-    pw = np.array(pw)
-    inH, coord, gens, orders = ar == e, np.zeros((n, 0), np.int64), [], []
-    while not inH.all():
-        oh = np.argmax(inH[pw[1:]], axis=0) + 1  # order modulo H
-        x = int(np.argmax(oh))
-        m = int(oh[x])
-        for g, mg, c in zip(gens, orders, coord[pw[m, x]].tolist()):
-            x = int(T[x, pw[(-c // m) % mg, g]])
-        hs = np.flatnonzero(inH)
-        new = T[hs[:, None], pw[:m, x]]  # h x^i, each element once
-        coord = np.hstack([coord, np.zeros((n, 1), np.int64)])
-        coord[new, :-1] = coord[hs, None, :-1]
-        coord[new, -1] = np.arange(m)
-        inH[new] = True
-        gens.append(x)
-        orders.append(m)
-    E = math.lcm(*orders)
-    t = np.indices(orders).reshape(len(orders), n).T
-    L = t * (E // np.array(orders, dtype=np.int64)) @ coord.T % E
+def _fr_characters(T, e, r, what):
+    """The characters of the abelian group with table T (T[a, b] the
+    position of z_a z_b, e that of the identity) in F_r: theta[t, a] =
+    zeta^L[t, a] for the certified rows L of rings.character_exponents and
+    zeta = g^((r-1)/E) of order E, g a primitive root mod r."""
+    _, E, L = character_exponents(lambda x, h: T[x, h], len(T), e, what,
+                                  range(len(T)))
+    _check((r - 1) % E == 0, "%s: r - 1 mod the exponent E = %d" % (what, E),
+           0, (r - 1) % E)
     zeta = pow(_primitive_root(r), (r - 1) // E, r)
     return np.array([pow(zeta, i, r) for i in range(E)], dtype=np.int64)[L]
-
-
-def _characters(T, e, r, name, group):
-    """_center_characters on the table T of an abelian group, checked
-    exactly: every row is a homomorphism with value 1 at the identity e,
-    and the rows are distinct, so they are all |T| characters."""
-    theta = _center_characters(T, e, r)
-    off = (np.count_nonzero(theta[:, T] != theta[:, :, None]
-                            * theta[:, None, :] % r)
-           + np.count_nonzero(theta[:, e] != 1))
-    _check(not off, "entries of %s(z z') off %s(z) %s(z'), and of %s(1) "
-           "off 1, on %s's table" % ((name,) * 4 + (group,)), 0, off)
-    distinct = len(set(map(tuple, theta.tolist())))
-    _check(distinct == len(T) == len(theta), "distinct characters of %s"
-           % group, len(T), distinct)
-    return theta
 
 
 def _twists(G, r):
@@ -401,8 +360,8 @@ def _twists(G, r):
     that factor through det, into units(R2), and on non-square types also
     through a -> a mod pi^(l1-l2), into the units of that level (a
     homomorphism, since a' = a A + pi^(l1-l2) b C).  Both maps are onto,
-    so the characters of the product of the unit groups, tabulated by
-    _characters, stay distinct on G; row 0 is the trivial character.  A
+    so the characters of the product of the unit groups, from its table by
+    _fr_characters, stay distinct on G; row 0 is the trivial character.  A
     group with no det map gets the trivial twist group alone."""
     k = G.class_count
     if getattr(G, "hom", None) is None:
@@ -424,7 +383,7 @@ def _twists(G, r):
         code = code * len(U) + np.searchsorted(U, x)
         T = (T[:, None, :, None] * len(U) + TU[None, :, None, :]).reshape(
             len(T) * len(U), -1)
-    Lam = _characters(T, 0, r, "lambda", "the twist group")[:, code]
+    Lam = _fr_characters(T, 0, r, "the twist group")[:, code]
     distinct = len(set(map(tuple, Lam.tolist())))
     _check(distinct == len(Lam), "distinct twists on the classes", len(Lam),
            distinct)
@@ -513,9 +472,8 @@ def _eigenlines(G, jstar, r):
     pos = np.empty(k, dtype=np.intp)
     pos[central] = np.arange(len(central))
     # the centre's table: pos[shift[a, central[b]]] is the position of z_a z_b
-    theta = _characters(pos[shift[:, central]],
-                        int(np.searchsorted(central, ic)), r, "theta",
-                        "the centre")
+    theta = _fr_characters(pos[shift[:, central]],
+                           int(np.searchsorted(central, ic)), r, "the centre")
     # one twist per restriction to the centre, the trivial one first
     Lam, first = _twists(G, r), {}
     for t, row in enumerate(map(tuple, Lam[:, central].tolist())):

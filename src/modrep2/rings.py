@@ -15,7 +15,6 @@ multiplication by the uniformizer is x * q, truncated.
 
 import math
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -342,9 +341,9 @@ def orbit_partition(points, perms):
 
 
 class FiniteGroup:
-    """Order, powers, element orders, orbit sweeps and the class-function
-    protocol, through the elements, index, mul, inv and identity that every
-    group class provides; classes are computed once, on first use."""
+    """Order, orbit sweeps and the class-function protocol, through the
+    elements, index, mul, inv and identity that every group class provides;
+    classes are computed once, on first use."""
 
     @property
     def order(self):
@@ -421,20 +420,6 @@ class FiniteGroup:
         pos = np.flatnonzero(np.diff(np.maximum.accumulate(cls), prepend=-1))
         return pos if self.root is self else self.idx[pos]
 
-    def pow(self, x, k):
-        out = self.identity
-        base = x if k >= 0 else self.inv(x)
-        for _ in range(abs(k)):
-            out = self.mul(out, base)
-        return out
-
-    def element_order(self, x):
-        n, y = 1, x
-        while y != self.identity:
-            y = self.mul(y, x)
-            n += 1
-        return n
-
     def _compute_classes(self):
         """Every element its own class."""
         n = self.order
@@ -491,13 +476,6 @@ def unit_group(ring):
                               name="units(%s,%d,%d)" % (ring.backend, ring.q, ring.level))
 
 
-def additive_group(ring):
-    return SimpleAbelianGroup(range(ring.size),
-                              lambda x, y: ring.add[x][y],
-                              lambda x: ring.neg[x], 0,
-                              name="additive(%s,%d,%d)" % (ring.backend, ring.q, ring.level))
-
-
 def noncommuting_pair(R, elems):
     """The first pair of elems, elements of the root group R, that do not
     commute, or None: one right_mul of their indices against themselves."""
@@ -507,94 +485,111 @@ def noncommuting_pair(R, elems):
     return (elems[bad[0, 0]], elems[bad[0, 1]]) if len(bad) else None
 
 
-def _assert_abelian(A):
-    """Exact: the elements form a group (greedy_generators refuses a list
-    that is not closed) whose generators commute pairwise."""
-    bad = noncommuting_pair(A.root, greedy_generators(A))
-    if bad:
-        raise ValueError("group is not abelian: %r and %r do not commute"
-                         % bad)
+def _powers(mul, x, m, e):
+    """Indices of x^0, ..., x^(m-1), by doubling: two mul calls a step."""
+    p = np.array([e])
+    while len(p) < m:
+        p = np.concatenate([p, mul(p, mul(p[-1], x))])
+    return p[:m]
 
 
-def _abelian_basis(A):
-    """Cyclic decomposition [(g, order)] by peeling a maximal-order element."""
-    els = list(A.elements)
-    if len(els) == 1:
-        return []
-    orders = {e: A.element_order(e) for e in els}
-    m = max(orders.values())
-    # deterministic choice: maximal order, then least element
-    g = min((e for e in els if orders[e] == m), key=_key)
-    powers = [A.identity]
-    for _ in range(m - 1):
-        powers.append(A.mul(powers[-1], g))
-    pindex = {e: i for i, e in enumerate(powers)}
-    reps, _, coset_of = A.sweep(A.elements, [(None, g)])
-    rep = {e: reps[c] for e, c in zip(els, coset_of.tolist())}
-    Q = SimpleAbelianGroup(reps,
-                           lambda x, y: rep[A.mul(x, y)],
-                           lambda x: rep[A.inv(x)],
-                           rep[A.identity])
-    out = [(g, m)]
-    for ebar, k in _abelian_basis(Q):
-        t = pindex[A.pow(ebar, k)]
-        _check(t % k == 0, "exponent of g in a %d-th power, mod %d" % (k, k),
-               0, t % k)
-        e = A.mul(ebar, A.pow(g, (-(t // k)) % m))
-        order = A.element_order(e)
-        _check(order == k, "order of the lifted generator", k, order)
-        out.append((e, k))
-    total = math.prod(k for _, k in out)
-    _check(total == len(els), "product of the cyclic orders", len(els), total)
-    return out
+def _decompose(mul, n, e, elements):
+    """(gens, orders, E, L) for character_exponents: A = <g_1> x ... x
+    <g_s> by index sweeps.  x of largest order m modulo H = <g_1, ...,
+    g_{j-1}> has x^m = prod g_i^c_i with m | c_i (the order of x modulo
+    g_1, ..., g_{i-1} divides m_i, the largest order there), so g_j = x
+    prod g_i^(-c_i/m) has order m_j = m and <g_j> meets H trivially.  With
+    c(a) the exponents of a, L[t, a] = sum_j t_j c_j(a) E/m_j mod E for
+    0 <= t_j < m_j.  ValueError if g_j and an earlier generator do not
+    commute: the group is not abelian (and H need not be a group)."""
+    ar = np.arange(n)
+    inH, coord, gens, pows = ar == e, np.zeros((n, 0), np.int64), [], []
+    while not inH.all():
+        oh, y, k = np.zeros(n, np.int64), ar, 1
+        while not oh.all():  # the order of each element modulo H
+            oh[(oh == 0) & inH[y]] = k
+            y, k = mul(y, ar), k + 1
+        x = int(np.argmax(oh))
+        m = int(oh[x])
+        for p, c in zip(pows, coord[_powers(mul, x, m + 1, e)[-1]].tolist()):
+            x = int(mul(x, p[(-c // m) % len(p)]))
+        bad = np.flatnonzero(mul(gens, x) != mul(x, gens))
+        if bad.size:
+            raise ValueError("group is not abelian: %r and %r do not commute"
+                             % (elements[gens[bad[0]]], elements[x]))
+        hs = np.flatnonzero(inH)
+        gens.append(x)
+        pows.append(_powers(mul, x, m, e))
+        new = mul(hs[:, None], pows[-1][None, :])
+        coord = np.hstack([coord, np.zeros((n, 1), np.int64)])
+        coord[new, :-1] = coord[hs, None, :-1]
+        coord[new, -1] = np.arange(m)
+        inH[new] = True
+    orders = [len(p) for p in pows]
+    E = math.lcm(*orders)
+    t = np.indices(orders).reshape(len(orders), n).T
+    return gens, orders, E, t * (E // np.array(orders, np.int64)) @ coord.T % E
 
 
-def _key(e):
-    return e if isinstance(e, tuple) else (e,)
+def character_exponents(mul, n, e, name, elements):
+    """(orders, E, L) of the abelian group of order n with index product
+    mul (index arrays that broadcast together) and identity index e: the
+    cyclic orders, their lcm E, and the exponent matrix with chi_t(a) =
+    zeta_E^L[t, a], the trivial row first.  ValueError, naming two
+    elements, if the group is not abelian, and from mul if a product is
+    not an element.  Exact certificate in O(n^2 s) for the s generators,
+    which commute (_decompose): their right multiplications sweep one
+    orbit, so they generate the group; L[t, e] = 0 and L[t, a g_j] =
+    L[t, a] + L[t, g_j] mod E, so each row is a homomorphism onto Z/E; and
+    the n rows are distinct, so they are all n characters."""
+    gens, orders, E, L = _decompose(mul, n, e, elements)
+    perms = [mul(np.arange(n), g) for g in gens]
+    sizes = orbit_partition(range(n), perms)[1]
+    _check(sizes == [n], "%s: orbits of the generators' right "
+           "multiplications" % name, [n], sizes)
+    off = np.count_nonzero(L[:, e]) + sum(
+        np.count_nonzero((L[:, P] - L - L[:, g, None]) % E)
+        for g, P in zip(gens, perms))
+    _check(not off, "entries of L[t, a g] off L[t, a] + L[t, g] mod E, and "
+           "of L[t, 1] off 0, on %s" % name, 0, off)
+    distinct = len({row.tobytes() for row in L})
+    _check(distinct == len(L) == n, "distinct characters of %s" % name, n,
+           distinct)
+    return orders, E, L
+
+
+def roots_of_unity(E):
+    """zeta_E^j = exp(2 pi i j / E) for j < E."""
+    return np.array([complex(math.cos(2 * math.pi * j / E),
+                             math.sin(2 * math.pi * j / E))
+                     for j in range(E)])
 
 
 class AbelianCharacter:
-    """Tabulated homomorphism from a finite abelian group to the unit circle."""
+    """A character of a finite abelian group: its exponent row over the
+    group's elements, in element order, into a table of E-th roots of 1."""
 
-    __slots__ = ("group", "exps", "values")
+    __slots__ = ("group", "row", "roots")
 
-    def __init__(self, group, exps, values):
-        self.group, self.exps, self.values = group, exps, values
+    def __init__(self, group, row, roots):
+        self.group, self.row, self.roots = group, row, roots
+
+    @property
+    def values(self):
+        return self.roots[self.row]
 
     def __call__(self, e):
-        return self.values[e]
-
-    def is_trivial_on(self, elems):
-        return all(abs(self.values[e] - 1.0) < MTOL for e in elems)
+        return self.roots[self.row[self.group.index[e]]]
 
 
 def character_group(A):
-    """All |A| complex characters of a finite abelian group, by brute-force
-    cyclic decomposition; deterministic order with the trivial character first."""
-    _assert_abelian(A)
-    basis = _abelian_basis(A)
-    dlog = {A.identity: ()}
-    for g, m in basis:
-        table = {}
-        for e, vec in dlog.items():
-            acc = e
-            for j in range(m):
-                table[acc] = vec + (j,)
-                acc = A.mul(acc, g)
-        dlog = table
-    _check(len(dlog) == A.order, "discrete logarithms", A.order, len(dlog))
-    roots = [[complex(math.cos(2 * math.pi * j / m), math.sin(2 * math.pi * j / m))
-              for j in range(m)] for _, m in basis]
-    chars = []
-    for exps in product(*[range(m) for _, m in basis]):
-        values = {}
-        for e, vec in dlog.items():
-            z = complex(1.0)
-            for i, (j, a) in enumerate(zip(vec, exps)):
-                z *= roots[i][(j * a) % basis[i][1]]
-            values[e] = z
-        chars.append(AbelianCharacter(A, exps, values))
-    return chars
+    """All |A| complex characters of a finite abelian group, the trivial
+    one first, from character_exponents on its right_mul; ValueError if A
+    is not abelian."""
+    _, E, L = character_exponents(A.right_mul, A.order, A.index[A.identity],
+                                  A.name, A.elements)
+    roots = roots_of_unity(E)
+    return [AbelianCharacter(A, row, roots) for row in L]
 
 
 @lru_cache(maxsize=None)
@@ -614,16 +609,12 @@ def twisting_characters(ring):
     one_plus = [u for u in ring.units if ring.val[ring.sub(u, 1)] >= ring.level - 1]
     _check(len(one_plus) == ring.q, "principal congruence units at level %d"
            % ring.level, ring.q, len(one_plus))
-    out = []
-    for zh in range(ring.q):
-        want = {}
-        for u in one_plus:
-            s = ring.pi_div(ring.sub(u, 1), ring.level - 1)
-            want[u] = r1.psi(r1.mul[zh][s])
-        for ch in chars:
-            if all(abs(ch(u) - want[u]) < MTOL for u in one_plus):
-                out.append(ch)
-                break
-        else:
-            raise AssertionError("no unit character extends the level-1 pattern %d" % zh)
-    return out
+    s = [ring.pi_div(ring.sub(u, 1), ring.level - 1) for u in one_plus]
+    vals = np.array([[ch(u) for u in one_plus] for ch in chars])
+    want = np.array([[r1.psi(r1.mul[zh][x]) for x in s] for zh in range(ring.q)])
+    ext = (np.abs(vals[None] - want[:, None]) < MTOL).all(axis=2)
+    n = len(ring.units) // ring.q  # the extensions of each pattern
+    for zh, count in enumerate(ext.sum(axis=1).tolist()):
+        _check(count == n, "unit characters extending the level-1 pattern %d"
+               % zh, n, count)
+    return [chars[i] for i in ext.argmax(axis=1).tolist()]

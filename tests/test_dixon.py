@@ -134,9 +134,9 @@ def _centre_characters(G, shift, central, r):
     """The characters theta[t, a] of the centre, from shift[a, i] = z_a C_i."""
     pos = np.empty(G.class_count, dtype=np.intp)
     pos[central] = np.arange(len(central))
-    return dixon._characters(
+    return dixon._fr_characters(
         pos[shift[:, central]], int(np.searchsorted(central, G.identity_class)),
-        r, "theta", "the centre")
+        r, "the centre")
 
 
 @pytest.mark.parametrize("group", [
@@ -182,21 +182,21 @@ def test_central_blocks_are_joint_eigenspaces(group):
 
 
 def test_center_check_raises_under_optimize():
-    # a non-homomorphism, then repeated characters, must each be refused
-    code = ("from modrep2 import dixon\n"
+    # the engine's certificate must refuse a non-homomorphism, then repeated
+    # characters, on the centre's rows
+    code = ("from modrep2 import dixon, rings\n"
             "from modrep2.groups import aut_group\n"
-            "orig = dixon._center_characters\n"
-            "def square_one(T, e, r):\n"
-            "    theta = orig(T, e, r)\n"
-            "    g = (e + 1) % len(T)\n"
-            "    theta[:, g] = theta[:, g] * theta[:, g] % r\n"
-            "    return theta\n"
-            "def repeat_one(T, e, r):\n"
-            "    theta = orig(T, e, r)\n"
-            "    theta[1] = theta[0]\n"
-            "    return theta\n"
-            "for bad in (square_one, repeat_one):\n"
-            "    dixon._center_characters = bad\n"
+            "orig = rings._decompose\n"
+            "def double_one(mul, n, e, elements):\n"
+            "    gens, orders, E, L = orig(mul, n, e, elements)\n"
+            "    L[:, (e + 1) % n] *= 2\n"
+            "    return gens, orders, E, L\n"
+            "def repeat_one(mul, n, e, elements):\n"
+            "    gens, orders, E, L = orig(mul, n, e, elements)\n"
+            "    L[1] = L[0]\n"
+            "    return gens, orders, E, L\n"
+            "for bad in (double_one, repeat_one):\n"
+            "    rings._decompose = bad\n"
             "    try:\n"
             "        dixon.character_degrees(aut_group('padic', 3, (2, 1)))\n"
             "    except AssertionError as exc:\n"
@@ -208,7 +208,8 @@ def test_center_check_raises_under_optimize():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     hom, distinct = proc.stdout.splitlines()
-    assert hom.startswith("entries of theta(z z') off theta(z) theta(z')")
+    assert hom.startswith("entries of L[t, a g] off L[t, a] + L[t, g] mod E,"
+                          " and of L[t, 1] off 0, on the centre")
     assert hom.endswith(": expected 0, computed %s" % hom.split()[-1])
     assert int(hom.split()[-1]) > 0
     assert distinct == ("distinct characters of the centre: expected 6, "

@@ -1,15 +1,21 @@
 import cmath
+import math
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modrep2.rings import (FiniteField, MTOL, TOL, SimpleAbelianGroup,
-                           _assert_abelian, additive_group, character_group,
-                           make_ring, twisting_characters, unit_characters,
-                           unit_group)
+from modrep2.groups import aut_group
+from modrep2.rings import (BACKENDS, FiniteField, MTOL, TOL,
+                           SimpleAbelianGroup, character_exponents,
+                           character_group, make_ring, prime_power,
+                           twisting_characters, unit_characters, unit_group)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -126,8 +132,13 @@ def test_psi_additive_primitive_nondegenerate(backend, q, level):
     assert len(rows) == r.size
 
 
+def _additive_group(r):
+    return SimpleAbelianGroup(range(r.size), lambda x, y: r.add[x][y],
+                              lambda x: r.neg[x], 0)
+
+
 def test_character_group_cyclic4():
-    A = additive_group(make_ring("padic", 2, 2))
+    A = _additive_group(make_ring("padic", 2, 2))
     chars = character_group(A)
     assert len(chars) == 4
     assert all(abs(chars[0](e) - 1) < MTOL for e in A.elements)
@@ -153,7 +164,7 @@ def test_character_group_klein_and_cyclic6():
 
 def test_character_orthogonality():
     for A in (unit_group(make_ring("padic", 3, 2)),
-              additive_group(make_ring("tpoly", 4, 1))):
+              _additive_group(make_ring("tpoly", 4, 1))):
         chars = character_group(A)
         n = A.order
         for i, ci in enumerate(chars):
@@ -183,8 +194,8 @@ def test_abelian_check_is_exact_on_large_lists():
         lambda x: ((-x[0]) % 64, tuple(sorted(range(3), key=lambda i: x[1][i]))),
         (0, s3[0]))
     with pytest.raises(ValueError, match="not abelian"):
-        _assert_abelian(A)
-    _assert_abelian(unit_group(make_ring("padic", 3, 5)))
+        character_group(A)
+    assert len(character_group(unit_group(make_ring("padic", 3, 5)))) == 162
 
 
 def test_tuple_right_mul_refuses_non_elements():
@@ -195,7 +206,7 @@ def test_tuple_right_mul_refuses_non_elements():
     with pytest.raises(ValueError, match="1 products are not group elements"):
         A.right_mul([0, 1, 2], 2)
     with pytest.raises(ValueError, match="not group elements"):
-        _assert_abelian(A)
+        character_group(A)
 
 
 def test_repeated_element_refused_under_optimize():
@@ -220,15 +231,16 @@ def test_unit_characters_once_per_ring():
     chars = unit_characters(r)
     assert unit_characters(make_ring("padic", 3, 2)) is chars
     want = character_group(unit_group(r))
-    assert [c.exps for c in chars] == [c.exps for c in want]
-    assert [c.values for c in chars] == [c.values for c in want]
+    assert [c.row.tolist() for c in chars] == [c.row.tolist() for c in want]
+    assert all(np.array_equal(c.values, w.values)
+               for c, w in zip(chars, want))
 
 
 def test_twisting_characters():
     r = make_ring("padic", 2, 2)
     tw = twisting_characters(r)
     assert len(tw) == 2
-    assert tw[0].is_trivial_on(r.units)
+    assert all(abs(tw[0](u) - 1.0) < MTOL for u in r.units)
     assert abs(tw[1](3) + 1) < MTOL
     r = make_ring("padic", 3, 2)
     tw = twisting_characters(r)
@@ -250,3 +262,193 @@ def test_tpoly_padic_differ_at_level2():
     assert rp.add[1][1] == 2 and rt.add[1][1] == 0  # char 4 vs char 2
     assert rt.mul[3][3] == 1  # (1+t)^2 = 1 in char 2
     assert rp.mul[3][3] == 1  # 9 = 1 mod 4, same code by coincidence
+
+
+def test_twisting_characters_missing_pattern_raises_under_optimize():
+    # without the unit characters that extend the level-1 pattern 1, the
+    # check names the pattern with expected and computed counts
+    code = ("import cmath\n"
+            "from modrep2 import rings\n"
+            "r = rings.make_ring('padic', 3, 2)\n"
+            "zeta = cmath.exp(2j * cmath.pi / 3)\n"
+            "keep = [ch for ch in rings.unit_characters(r)\n"
+            "        if abs(ch(4) - zeta) > 1e-6]\n"
+            "rings.unit_characters = lambda ring: keep\n"
+            "try:\n"
+            "    rings.twisting_characters(r)\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n"
+            "    raise SystemExit(3)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert proc.stdout == ("unit characters extending the level-1 pattern "
+                           "1: expected 2, computed 0\n")
+
+
+def test_character_group_certificate_raises_under_optimize():
+    # one corrupted exponent is refused by the certificate, not returned
+    code = ("from modrep2 import rings\n"
+            "orig = rings._decompose\n"
+            "def corrupt(*args):\n"
+            "    gens, orders, E, L = orig(*args)\n"
+            "    L[2, 3] = (L[2, 3] + 1) % E\n"
+            "    return gens, orders, E, L\n"
+            "rings._decompose = corrupt\n"
+            "try:\n"
+            "    rings.character_group(rings.unit_group(\n"
+            "        rings.make_ring('padic', 3, 2)))\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n"
+            "    raise SystemExit(3)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    msg = proc.stdout.strip()
+    assert msg.startswith("entries of L[t, a g] off L[t, a] + L[t, g] mod E, "
+                          "and of L[t, 1] off 0, on units(padic,3,2): "
+                          "expected 0, computed ")
+    assert int(msg.split()[-1]) > 0
+
+
+# The brute-force engine that character_exponents replaced, as a reference:
+# _abelian_basis, _key and character_group as they were, with the removed
+# FiniteGroup.pow and element_order as the functions _pow and _order.
+
+def _pow(A, x, k):
+    out = A.identity
+    base = x if k >= 0 else A.inv(x)
+    for _ in range(abs(k)):
+        out = A.mul(out, base)
+    return out
+
+
+def _order(A, x):
+    n, y = 1, x
+    while y != A.identity:
+        y = A.mul(y, x)
+        n += 1
+    return n
+
+
+def _abelian_basis(A):
+    """Cyclic decomposition [(g, order)] by peeling a maximal-order element."""
+    els = list(A.elements)
+    if len(els) == 1:
+        return []
+    orders = {e: _order(A, e) for e in els}
+    m = max(orders.values())
+    # deterministic choice: maximal order, then least element
+    g = min((e for e in els if orders[e] == m), key=_key)
+    powers = [A.identity]
+    for _ in range(m - 1):
+        powers.append(A.mul(powers[-1], g))
+    pindex = {e: i for i, e in enumerate(powers)}
+    reps, _, coset_of = A.sweep(A.elements, [(None, g)])
+    rep = {e: reps[c] for e, c in zip(els, coset_of.tolist())}
+    Q = SimpleAbelianGroup(reps,
+                           lambda x, y: rep[A.mul(x, y)],
+                           lambda x: rep[A.inv(x)],
+                           rep[A.identity])
+    out = [(g, m)]
+    for ebar, k in _abelian_basis(Q):
+        t = pindex[_pow(A, ebar, k)]
+        assert t % k == 0
+        e = A.mul(ebar, _pow(A, g, (-(t // k)) % m))
+        assert _order(A, e) == k
+        out.append((e, k))
+    assert math.prod(k for _, k in out) == len(els)
+    return out
+
+
+def _key(e):
+    return e if isinstance(e, tuple) else (e,)
+
+
+def _reference_characters(A):
+    """[(exps, values)] for every character, the trivial one first."""
+    basis = _abelian_basis(A)
+    dlog = {A.identity: ()}
+    for g, m in basis:
+        table = {}
+        for e, vec in dlog.items():
+            acc = e
+            for j in range(m):
+                table[acc] = vec + (j,)
+                acc = A.mul(acc, g)
+        dlog = table
+    assert len(dlog) == A.order
+    roots = [[complex(math.cos(2 * math.pi * j / m), math.sin(2 * math.pi * j / m))
+              for j in range(m)] for _, m in basis]
+    chars = []
+    for exps in product(*[range(m) for _, m in basis]):
+        values = {}
+        for e, vec in dlog.items():
+            z = complex(1.0)
+            for i, (j, a) in enumerate(zip(vec, exps)):
+                z *= roots[i][(j * a) % basis[i][1]]
+            values[e] = z
+        chars.append((exps, values))
+    return chars
+
+
+def _small_unit_rings():
+    out = []
+    for backend in BACKENDS:
+        for q in range(2, 32 if backend == "padic" else 17):
+            try:
+                p, f = prime_power(q)
+            except ValueError:
+                continue
+            if backend == "padic" and f != 1:
+                continue
+            level = 1
+            while q ** (level - 1) * (q - 1) <= 256 and q ** level <= 4096:
+                out.append(("units", backend, q, level))
+                level += 1
+    return out
+
+
+ENGINE_CASES = _small_unit_rings() + [
+    (kind, backend, q, lam) for kind in ("abelianization", "torus")
+    for backend, q, lam in [
+        ("padic", 2, (1, 1)), ("padic", 3, (1, 1)), ("tpoly", 4, (1, 1)),
+        ("padic", 2, (2, 1)), ("padic", 3, (2, 1)), ("tpoly", 2, (2, 1)),
+        ("padic", 2, (3, 1)), ("padic", 2, (2, 2)), ("padic", 2, (3, 2))]]
+
+
+def _exponents(vals, E):
+    """Exponent k of the E-th root of unity within MTOL of each value."""
+    k = np.rint(np.angle(vals) * E / (2 * np.pi)).astype(np.int64) % E
+    assert np.abs(vals - np.exp(2j * np.pi * k / E)).max() < MTOL
+    return k
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(ENGINE_CASES))
+def test_engine_matches_reference(case):
+    kind, backend, q, arg = case
+    if kind == "units":
+        A = unit_group(make_ring(backend, q, arg))
+    else:
+        G = aut_group(backend, q, arg)
+        A = G.abelianization() if kind == "abelianization" else G.torus
+    orders, E, L = character_exponents(A.right_mul, A.order,
+                                       A.index[A.identity], A.name, A.elements)
+    assert math.prod(orders) == A.order and E == math.lcm(*orders)
+    chars = character_group(A)
+    ref = _reference_characters(A)
+    assert len(chars) == len(ref) == A.order
+    assert not L[0].any()
+    assert np.abs(chars[0].values - 1).max() < MTOL
+    assert all(abs(v - 1) < MTOL for v in ref[0][1].values())
+    # the same multiset of value vectors, in element order
+    new = np.array([ch.values for ch in chars])
+    old = np.array([[vals[e] for e in A.elements] for _, vals in ref])
+    kn, ko = _exponents(new, E), _exponents(old, E)
+    sn = np.lexsort(kn.T[::-1])
+    so = np.lexsort(ko.T[::-1])
+    assert np.array_equal(kn[sn], ko[so])
+    assert np.abs(new[sn] - old[so]).max() < MTOL
