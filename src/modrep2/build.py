@@ -22,7 +22,10 @@ class IrrFamily:
                  provenance=None):
         self.label = label
         if members is not None:
-            members = sorted(members, key=lambda f: f.fingerprint())
+            # in the order of the rounded values read as (re, im) pairs,
+            # first entry most significant (-0.0 and 0.0 compare equal)
+            keys = np.round([f.vals for f in members], 6).view(np.float64)
+            members = [members[i] for i in np.lexsort(keys.T[::-1])]
             off = [n for n in (f.mult(f) for f in members) if n != 1]
             _check(not off, "%s: norms other than 1" % label, [], off)
             fps = {f.fingerprint() for f in members}
@@ -102,8 +105,11 @@ def build_rank1(backend, q, level):
     return out
 
 
-def _nontrivial_on(chi, members):
-    return any(abs(chi(x) - 1) > TOL for x in members)
+def _nontrivial_on(chi, S):
+    """Whether chi is not 1 on some member of the subgroup S."""
+    H = chi.group
+    return bool((np.abs(chi.vals[H.cls_of[H.positions(S.idx)]] - 1)
+                 > TOL).any())
 
 
 def _unipotent_average(chi, U):
@@ -133,7 +139,7 @@ def build_l1(G):
     # nontrivial on the central depth-one slice
     B = G.subgroup("parabolic_upper")
     heis = [induce(B, chi) for chi in linear_characters(B)
-            if _nontrivial_on(chi, Z.elements)]
+            if _nontrivial_on(chi, Z)]
     heis = dedupe(heis)
     heis_q = IrrFamily("heis_q", heis)
     n = q ** (l1 - 2) * (q - 1) ** 3
@@ -149,8 +155,7 @@ def build_l1(G):
     n = q ** (l1 + 1) * (q - 1)
     _check(DH.order == n, "DH: order", n, DH.order)
     dh = [induce(DH, chi) for chi in linear_characters(DH)
-          if not _nontrivial_on(chi, Z.elements)
-          and _nontrivial_on(chi, H.elements)]
+          if not _nontrivial_on(chi, Z) and _nontrivial_on(chi, H)]
     dh = dedupe(dh)
     n = q ** (l1 - 2) * (q * q - 1)
     _check(len(dh) == n, "dh: count", n, len(dh))
@@ -371,10 +376,15 @@ _ASSEMBLED = {}
 
 
 def _check_orthonormal(asm):
+    """Gram matrix against the identity, np.isclose on every entry, in row
+    blocks (M (B w)^H)^H: no k x k array besides the stacked values M."""
     M = np.array([f.vals for f in asm.members])
     w = asm.G.class_sizes / asm.G.order
-    gram = (M * w) @ M.conj().T
-    off = int((~np.isclose(gram, np.eye(len(asm.members)), atol=TOL)).sum())
+    k, off = len(M), 0
+    for s in range(0, k, 256):
+        gram = (M @ (M[s:s + 256] * w).conj().T).conj().T
+        off += int((~np.isclose(gram, np.eye(len(gram), k, s),
+                                atol=TOL)).sum())
     _check(not off, "Gram matrix entries off the identity", 0, off)
     asm.checks["orthonormal"] = True
 

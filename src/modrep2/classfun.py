@@ -48,11 +48,10 @@ class ClassFunction:
         return n
 
     def fingerprint(self):
-        """Values rounded to 6 decimals as (re, im) pairs of Python floats,
-        the same numbers as round() on each numpy scalar, so -0.0 and 0.0
-        stay one key."""
-        r = np.round(self.vals, 6)
-        return tuple(zip(r.real.tolist(), r.imag.tolist()))
+        """The bytes of the values rounded to 6 decimals, the same numbers
+        as round() on each real and imaginary part; adding 0.0 turns -0.0
+        into 0.0, so the two stay one key."""
+        return (np.round(self.vals, 6) + 0.0).tobytes()
 
 
 def dedupe(funcs):
@@ -74,8 +73,8 @@ def linear_characters(G):
     if out is None:
         Q = G.abelianization()
         cos = Q.coset_of[G.positions(G.rep_idx)]
-        _, E, L = character_exponents(Q.right_mul, Q.order,
-                                      Q.index[Q.identity], Q.name, Q.elements)
+        _, E, L = character_exponents(Q.right_mul, Q.order, Q.identity_pos,
+                                      Q.name, Q.elements_at)
         out = [ClassFunction(G, v) for v in roots_of_unity(E)[L[:, cos]]]
         G._linear_chars = out
     return out
@@ -159,11 +158,20 @@ def res(G, f, side, m=0):
     return invariants_pushforward(P, kind, restrict(P, f), m)
 
 
+def torus_character(G, t1, t2):
+    """t1 x t2 on G.torus = units(R1) x units(R2): the outer product of
+    their values, whose groups must list the units as the factors do."""
+    T = G.torus
+    _check(t1.group.elements == T.G1.elements
+           and t2.group.elements == T.G2.elements, "the characters' unit "
+           "groups, listed as the torus factors", T.name,
+           (t1.group.name, t2.group.name))
+    return ClassFunction(T, np.outer(t1.values, t2.values).ravel())
+
+
 def geo_ind(G, t1, t2, side="upper"):
     """Parabolic induction of a pair of unit-group characters."""
-    T = G.torus
-    return ind(G, ClassFunction(T, [t1(a) * t2(d) for a, d in T.elements]),
-               side)
+    return ind(G, torus_character(G, t1, t2), side)
 
 
 def depth_one_dual(G):

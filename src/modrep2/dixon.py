@@ -59,20 +59,9 @@ from .rings import _check, character_exponents, is_prime, make_ring
 
 def _rep_powers(G):
     """The exponent of G and the root indices of the inverses of the class
-    representatives, from one power sweep of rep_idx through the root's
-    right_mul: rep^m for m = 1, 2, ... until every entry is the identity;
-    the inverse of rep is rep^(order - 1)."""
-    R, rep = G.root, G.rep_idx
-    e = R.index[G.identity]
-    order = np.zeros(len(rep), dtype=np.int64)
-    inv = np.empty(len(rep), dtype=np.intp)
-    prev, x, m = np.full(len(rep), e), rep, 1
-    while True:
-        new = (x == e) & (order == 0)
-        order[new], inv[new] = m, prev[new]
-        if order.all():
-            return math.lcm(*order.tolist()), inv
-        prev, x, m = x, R.right_mul(x, rep), m + 1
+    representatives, from one power sweep of rep_idx through the root."""
+    order, inv = G.root.power_sweep(G.rep_idx)
+    return math.lcm(*order.tolist()), inv
 
 
 def group_exponent(G):
@@ -348,7 +337,7 @@ def _fr_characters(T, e, r, what):
     zeta^L[t, a] for the certified rows L of rings.character_exponents and
     zeta = g^((r-1)/E) of order E, g a primitive root mod r."""
     _, E, L = character_exponents(lambda x, h: T[x, h], len(T), e, what,
-                                  range(len(T)))
+                                  list)
     _check((r - 1) % E == 0, "%s: r - 1 mod the exponent E = %d" % (what, E),
            0, (r - 1) % E)
     zeta = pow(_primitive_root(r), (r - 1) // E, r)
@@ -463,7 +452,7 @@ def _eigenlines(G, jstar, r):
     over F_r, one row per irreducible character, scaled to 1 at the
     identity class; jstar[i] is the class of the inverses of C_i."""
     k = G.class_count
-    _, sizes, cls_of = G._classes()
+    sizes, cls_of = G._classes()
     rep_idx = G.rep_idx  # G is a root group: indices are positions
     ic = G.identity_class
     # shift[a, i]: the class z C_i for the a-th central element z
@@ -559,7 +548,7 @@ def character_degrees(G, r_override=None):
     if (k + 1) * r * r >= 2 ** 53:
         raise ValueError("Dixon prime %d too large for exact float64 products "
                          "with %d classes" % (r, k))
-    _, sizes, cls_of = G._classes()
+    sizes, cls_of = G._classes()
     jstar = cls_of[inv_idx]
     W = _eigenlines(G, jstar, r)
     s = (W * W[:, jstar] % r * _inverses(sizes, r) % r).sum(axis=1) % r

@@ -5,56 +5,82 @@ The full automorphism group of o_{l1} x o_{l2} is realized on 4-tuples
 (a, b, c, d) of ring codes: a is a level-l1 unit, d a level-l2 unit, c is a
 level-l2 entry, and b is the level-l2 coefficient of the off-diagonal map
 o_{l2} -> o_{l1}, x2 -> pi^(l1-l2) * b * x2 on canonical lifts; in the square
-case l1 == l2 the tuple is an honest invertible 2x2 matrix.  One
-multiplication formula covers both shapes.
+case l1 == l2 the tuple is an honest invertible 2x2 matrix.  The elements are
+kept as four columns of codes and handled by index, one product kernel for
+both shapes; tuples are built only for output and lookups by element.
 """
 
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 
 from modrep2.rings import (FiniteGroup, _check, greedy_generators, make_ring,
-                           noncommuting_pair, unit_group)
-
-
-def generators_of(G):
-    g = getattr(G, "gens", None)
-    return g if g is not None else greedy_generators(G)
+                           unit_group)
 
 
 class GroupBase(FiniteGroup):
     """Shared machinery: conjugacy classes by orbit sweep, commutators,
-    abelianization.  Subclasses fill elements, index, mul, inv, identity, gens."""
+    abelianization.  Subclasses fill gen_idx, the generators' root indices;
+    the tuple elements, index, gens, identity, mul and inv derive on use
+    from elements_at, for output and lookups by element."""
 
     name = ""
     is_abelian = False
+
+    @cached_property
+    def elements(self):
+        return self.elements_at(np.arange(self.order))
+
+    @cached_property
+    def index(self):
+        return {e: i for i, e in enumerate(self.elements)}
+
+    @cached_property
+    def gens(self):
+        return self.elements_at(self.positions(self.gen_idx))
+
+    @cached_property
+    def identity(self):
+        return self.elements_at([self.identity_pos])[0]
+
+    def mul(self, x, y):
+        R = self.root
+        i, j = R.positions(R.locate([x, y]))
+        return R.elements_at([R.right_mul(i, j)])[0]
+
+    def inv(self, x):
+        R = self.root
+        return R.elements_at(R.power_sweep(R.positions(R.locate([x])))[1])[0]
 
     def assert_generating(self):
         """Exact span check: right multiplication by the generators sweeps
         the identity's orbit over every element."""
         if getattr(self, "_gen_checked", False):
             return
-        _, sizes, _ = self.sweep(self.elements, [(None, t) for t in self.gens])
+        _, sizes, _ = self.sweep([(None, t) for t in self.gen_idx])
         _check(sizes[0] == self.order, "%s: elements spanned by the generators"
                % self.name, self.order, sizes[0])
         self._gen_checked = True
 
-    def conj_orbits(self, points):
-        """Orbits of conjugation on points, a union of classes, through the
-        generators; each move carries its inverse, computed once."""
-        return self.sweep(points, [(self.inv(t), t) for t in self.gens])
+    def conj_orbits(self, idx=None):
+        """Orbits of conjugation on the root elements idx (by default this
+        group's elements), a union of classes, through the generators; each
+        move carries its inverse, from one power sweep."""
+        g = self.gen_idx
+        return self.sweep(list(zip(self.root.power_sweep(g)[1], g)), idx)
 
     def _compute_classes(self):
         if self.is_abelian:
             return super()._compute_classes()
         self.assert_generating()
-        reps, sizes, cls_of = self.conj_orbits(self.elements)
-        return (reps, np.array(sizes, dtype=np.int64), cls_of)
+        _, sizes, cls_of = self.conj_orbits()
+        return np.array(sizes, dtype=np.int64), cls_of
 
     def gens_commute(self):
         """Whether the generators commute pairwise: one root right_mul."""
-        return noncommuting_pair(self.root, self.gens) is None
+        g = self.gen_idx
+        prods = self.root.right_mul(g[:, None], g[None, :])
+        return bool((prods == prods.T).all())
 
     def commutator_subgroup(self):
         """Normal closure of the commutators [g, h] of the generators (one
@@ -62,18 +88,16 @@ class GroupBase(FiniteGroup):
         right_mul calls: the identity's orbit under right multiplication by
         them and conjugation by the generators."""
         self.assert_generating()
-        R, inv, gens = self.root, self.inv, self.gens
-        g = np.array([R.index[t] for t in gens], dtype=np.intp)
-        gi = np.array([R.index[inv(t)] for t in gens], dtype=np.intp)
-        i, j = np.triu_indices(len(gens), 1)
+        R, g = self.root, self.gen_idx
+        gi = R.power_sweep(g)[1]
+        i, j = np.triu_indices(len(g), 1)
         seeds = R.right_mul(gi[i], R.right_mul(gi[j], R.right_mul(g[i], g[j])))
         seeds = dict.fromkeys(seeds.tolist())
-        seeds.pop(R.index[self.identity], None)
-        moves = ([(None, R.elements[s]) for s in seeds]
-                 + [(inv(t), t) for t in gens])
-        _, _, orbit_of = self.sweep(self.elements, moves)
-        span = orbit_of == orbit_of[self.index[self.identity]]
-        return Subgroup(self, self.idx[span], name=self.name + ".derived")
+        seeds.pop(R.identity_pos, None)
+        moves = [(None, s) for s in seeds] + list(zip(gi, g))
+        _, _, orbit_of = self.sweep(moves)
+        span = np.flatnonzero(orbit_of == orbit_of[self.identity_pos])
+        return Subgroup(self, self.ridx(span), name=self.name + ".derived")
 
     def abelianization(self):
         return QuotientGroup(self, self.commutator_subgroup())
@@ -95,83 +119,69 @@ class AutGroup(GroupBase):
         s1, s2 = R1.size, R2.size
         self.s1, self.s2 = s1, s2
         dd = l1 - l2
-        d1c, d2c = R1.pi_pow(dd), R2.pi_pow(dd)
-        A1, M1, I1, N1 = R1.add, R1.mul, R1.inv, R1.neg
-        A2, M2, I2, N2 = R2.add, R2.mul, R2.inv, R2.neg
-
-        def mul(g, h):
-            a, b, c, d = g
-            A, B, C, D = h
-            return (A1[M1[a][A]][M1[d1c][M2[b][C]]],
-                    A2[M2[a % s2][B]][M2[b][D]],
-                    A2[M2[c][A % s2]][M2[d][C]],
-                    A2[M2[d][D]][M2[d2c][M2[c][B]]])
-
-        def det(g):
-            a, b, c, d = g
-            return A2[M2[a % s2][d]][N2[M2[d2c][M2[b][c]]]]
-
-        if self.rect:
-            def inv(g):
-                a, b, c, d = g
-                di = I1[det(g)]
-                return (M1[di][d], N1[M1[di][b]], N1[M1[di][c]], M1[di][a])
-        else:
-            def inv(g):
-                a, b, c, d = g
-                ai, dinv = I1[a], I2[d]
-                ai2 = ai % s2
-                t = M2[M2[ai2][dinv]][M2[b][c]]
-                ei = I1[A1[1][N1[M1[d1c][t]]]]
-                ei2 = ei % s2
-                u = M2[ei2][ai2]
-                return (M1[ei][ai], N2[M2[u][M2[dinv][b]]],
-                        N2[M2[u][M2[dinv][c]]], M2[ei2][dinv])
-
-        self.mul, self.inv, self.det = mul, inv, det
         self.identity = (1, 0, 0, 1)
         self.name = "Aut(%s,q=%d,%s)" % (backend, q, (l1, l2))
         self._subgroup_cache, self._tori = {}, {}
 
-        if self.rect:
-            self.elements = [g for g in product(range(s1), repeat=4)
-                             if R1.val[det(g)] == 0]
-            expect = q ** (4 * l1 - 3) * (q - 1) * (q * q - 1)
-        else:
-            self.elements = [(a, b, c, d) for a in R1.units for b in range(s2)
-                             for c in range(s2) for d in R2.units]
-            expect = q ** (l1 + 3 * l2 - 2) * (q - 1) ** 2
-        _check(len(self.elements) == expect, "%s elements" % self.name,
-               expect, len(self.elements))
-        self.index = {g: i for i, g in enumerate(self.elements)}
+        # (a, b, c, d) is an element when its determinant a*d - pi^(l1-l2)*b*c
+        # is a unit, which is decided mod pi: a mask over the mixed-radix
+        # codes ((a*s2 + b)*s2 + c)*s2 + d gathered from the residue field's
+        # table, so the elements come out in code (lexicographic) order
+        F = make_ring(backend, q, 1)
+        M, A, N = (np.array(t) for t in (F.mul, F.add, F.neg))
+        r = np.arange(q)
+        unit = A[M[r[:, None, None, None], r],
+                 N[M[F.pi_pow(dd), M[r[:, None, None], r[:, None]]]]] != 0
+        i1, i2 = np.arange(s1) % q, np.arange(s2) % q
+        mask = unit[i1[:, None, None, None], i2[:, None, None], i2[:, None],
+                    i2].ravel()
+        code = np.flatnonzero(mask)
+        n = order_formula(q, self.lam)
+        _check(len(code) == n, "%s elements" % self.name, n, len(code))
+        table = np.full(mask.size, -1, dtype=np.int32)
+        table[code] = np.arange(len(code), dtype=np.int32)
+        cols = tuple(x.astype(np.int32) for x in
+                     np.unravel_index(code, (s1, s2, s2, s2)))
+        tables = tuple(np.array(t, dtype=np.intp)
+                       for t in (R1.add, R1.mul, R2.add, R2.mul))
+        # the ring tables, the element columns, the code table (-1 off the
+        # group) and the two powers of pi that the product kernel reads
+        self._arrays = (tables, cols, table, R1.pi_pow(dd), R2.pi_pow(dd))
 
         # two unipotents: conjugation by the diagonal units scales b and c
         # by units, whose sums fill R2
         gens = [(1, 1, 0, 1), (1, 0, 1, 1)]
-        for u in greedy_generators(unit_group(R1)):
-            gens.append((u, 0, 0, 1))
-        for u in greedy_generators(unit_group(R2)):
-            gens.append((1, 0, 0, u))
+        for u in greedy_generators(unit_group(R1)).tolist():
+            gens.append((R1.units[u], 0, 0, 1))
+        for u in greedy_generators(unit_group(R2)).tolist():
+            gens.append((1, 0, 0, R2.units[u]))
         if self.rect:
             gens.append((0, 1, 1, 0))
         self.gens = gens
 
-    @cached_property
-    def _arrays(self):
-        """Array form of the group, built on first use: the ring add/mul
-        tables, the (n, 4) element array as four int32 columns, and the dense
-        int32 table from the mixed-radix code ((a*s2 + b)*s2 + c)*s2 + d to
-        element index, -1 off the group."""
-        s2 = self.s2
-        tables = tuple(np.array(t, dtype=np.intp) for t in
-                       (self.R1.add, self.R1.mul, self.R2.add, self.R2.mul))
-        E = np.array(self.elements, dtype=np.intp)
-        code = ((E[:, 0] * s2 + E[:, 1]) * s2 + E[:, 2]) * s2 + E[:, 3]
-        table = np.full(self.s1 * s2 ** 3, -1, dtype=np.int32)
-        table[code] = np.arange(len(E), dtype=np.int32)
-        dd = self.l1 - self.l2
-        return (tables, tuple(E.T.astype(np.int32)), table,
-                self.R1.pi_pow(dd), self.R2.pi_pow(dd))
+    @property
+    def order(self):
+        return len(self._arrays[1][0])
+
+    @property
+    def gen_idx(self):
+        return self.locate(self.gens)
+
+    def elements_at(self, pos):
+        """4-tuples of the elements at pos, from the columns."""
+        return list(zip(*(c[pos].tolist() for c in self._arrays[1])))
+
+    def locate(self, elems):
+        """Element indices of 4-tuples through the code table, -1 for a
+        tuple that is no element; no tuple -> index dict is kept."""
+        E = np.array(elems, dtype=np.int64).reshape(-1, 4).T
+        dims = (self.s1, self.s2, self.s2, self.s2)
+        ok = ((E >= 0) & (E < np.array(dims)[:, None])).all(axis=0)
+        code = np.ravel_multi_index(E, dims, mode="clip")
+        return np.where(ok, self._arrays[2][code], -1).astype(np.intp)
+
+    def det(self, g):
+        return int(self.hom("det", self.positions(self.locate([g])))[1][0])
 
     @cached_property
     def _mul_tables(self):
@@ -277,10 +287,10 @@ class AutGroup(GroupBase):
         with 1 or 0), plus one condition for scalars and the cuspidal pair.
         "custom" tuples are converted; a repeat or a non-element is refused."""
         if tag == "custom":
-            pos = [self.index.get(g, -1) for g in kw["members"]]
-            if -1 in pos:
+            pos = self.locate(kw["members"])
+            if (pos < 0).any():
                 raise ValueError("custom member %r is not an element of %s"
-                                 % (kw["members"][pos.index(-1)], self.name))
+                                 % (kw["members"][np.argmin(pos)], self.name))
             mask = np.zeros(self.order, dtype=bool)
             mask[pos] = True
             if int(mask.sum()) != len(pos):
@@ -351,14 +361,13 @@ class AutGroup(GroupBase):
 
 class Subgroup(GroupBase):
     """Subgroup given by idx, the sorted root indices of its members (the
-    root's lexicographic order); elements and index are derived on use."""
+    root's lexicographic order); tuples are derived on use."""
 
     def __init__(self, parent, idx, name=""):
         self.parent, self.idx = parent, idx
-        self.mul, self.inv = parent.mul, parent.inv
         self.identity = parent.identity
         self.name = (parent.name + "." + name) if name else parent.name + ".sub"
-        self.gens = greedy_generators(self)  # refuses a member list that is no group
+        self.gen_idx = greedy_generators(self)  # refuses a list that is no group
         self._gen_checked = True
         self.is_abelian = self.gens_commute()
         self._fusion = None
@@ -371,14 +380,8 @@ class Subgroup(GroupBase):
     def order(self):
         return len(self.idx)
 
-    @cached_property
-    def elements(self):
-        els = self.root.elements
-        return [els[j] for j in self.idx.tolist()]
-
-    @cached_property
-    def index(self):
-        return {e: j for j, e in enumerate(self.elements)}
+    def elements_at(self, pos):
+        return self.root.elements_at(self.idx[pos])
 
     @property
     def parent_index(self):
@@ -397,27 +400,28 @@ class Subgroup(GroupBase):
 
 
 class QuotientGroup(GroupBase):
-    """Quotient by a normal subgroup; elements are first-seen coset
-    representatives, and coset_of gives the coset of each parent position."""
+    """Quotient by a normal subgroup on coset indices: cosets are numbered
+    by their first-seen representatives, and coset_of gives the coset of
+    each parent position; tuples are derived on use."""
 
     def __init__(self, parent, N):
         self.parent, self.N = parent, N
-        pmul, pinv, pindex = parent.mul, parent.inv, parent.index
-        parent.conj_orbits(N.elements)  # ValueError unless N is normal
-        reps, _, self.coset_of = parent.sweep(parent.elements,
-                                              [(None, g) for g in N.gens])
-        self._rep_ridx = parent.idx[[pindex[x] for x in reps]]
-        cos = self.coset_of.tolist()
-        self.elements = reps
-        self.index = {e: i for i, e in enumerate(reps)}
-        self.mul = lambda x, y: reps[cos[pindex[pmul(x, y)]]]
-        self.inv = lambda x: reps[cos[pindex[pinv(x)]]]
-        self.identity = reps[cos[pindex[parent.identity]]]
-        self.gens = [x for x in dict.fromkeys(reps[cos[pindex[g]]]
-                                              for g in parent.gens)
-                     if x != self.identity]
+        parent.conj_orbits(N.idx)  # ValueError unless N is normal
+        reps, _, self.coset_of = parent.sweep([(None, g) for g in N.gen_idx])
+        self._rep_ridx = parent.ridx(np.array(reps, dtype=np.intp))
+        self.identity_pos = e = int(self.coset_of[parent.identity_pos])
+        gens = self.coset_of[parent.positions(parent.gen_idx)].tolist()
+        self.gen_idx = np.array([x for x in dict.fromkeys(gens) if x != e],
+                                dtype=np.intp)
         self.is_abelian = self.gens_commute()
         self.name = parent.name + "/" + N.name.rsplit(".", 1)[-1]
+
+    @property
+    def order(self):
+        return len(self._rep_ridx)
+
+    def elements_at(self, pos):
+        return self.parent.root.elements_at(self._rep_ridx[pos])
 
     def right_mul(self, idx, h):
         """Coset indices of the products of coset representatives, through
@@ -438,8 +442,11 @@ class ProductGroup(GroupBase):
         self.mul = lambda x, y: (m1(x[0], y[0]), m2(x[1], y[1]))
         self.inv = lambda x: (i1(x[0]), i2(x[1]))
         self.identity = (G1.identity, G2.identity)
-        self.gens = ([(g, G2.identity) for g in generators_of(G1)]
-                     + [(G1.identity, h) for h in generators_of(G2)])
+        self.gens = ([(g, G2.identity)
+                      for g in G1.elements_at(greedy_generators(G1))]
+                     + [(G1.identity, h)
+                        for h in G2.elements_at(greedy_generators(G2))])
+        self.gen_idx = self.locate(self.gens)
         self.is_abelian = (getattr(G1, "is_abelian", False)
                            and getattr(G2, "is_abelian", False))
         self.name = "(%s)x(%s)" % (getattr(G1, "name", "?"), getattr(G2, "name", "?"))
@@ -476,6 +483,5 @@ def aut_group(backend, q, lam):
         G.backend, G.q, G.lam = backend, q, (l1, 0)
         G.rect = False
         G.det = lambda x: x
-        G.gens = greedy_generators(G)
         return G
     return AutGroup(backend, q, lam)

@@ -22,41 +22,34 @@ class CongruenceDual:
         self.K = G.subgroup("congruence", i=i, sigma=sigma)
         self.Ri = make_ring(G.backend, G.q, i)
         self.Rs = make_ring(G.backend, G.q, i - sigma)
-        R1, R2 = G.R1, G.R2
         qi, qs = self.Ri.size, self.Rs.size
-        coords = {}
-        for g in self.K.elements:
-            a, b, c, d = g
-            u = R1.pi_div(R1.sub(a, 1), G.l1 - i) % qi
-            v = R2.pi_div(b, G.l2 - i) % qi
-            w = R2.pi_div(c, G.l2 - i + sigma) % qs
-            z = R2.pi_div(R2.sub(d, 1), G.l2 - i + sigma) % qs
-            coords[g] = (u, v, w, z)
-        distinct = len(set(coords.values()))
+        # a - 1, b, c, d - 1 of the members (positions of K), divided by
+        # pi^j for their depths j (q^j divides a code of valuation >= j),
+        # which leaves them below the coordinate sizes qi, qi, qs, qs
+        (A1, _, A2, _), cols, _, _, _ = G._arrays
+        a, b, c, d = (x[self.K.idx] for x in cols)
+        x = np.stack([A1[a, G.R1.neg[1]], b, c, A2[d, G.R2.neg[1]]])
+        pj = G.q ** np.array([G.l1 - i, G.l2 - i, G.l2 - i + sigma,
+                              G.l2 - i + sigma])[:, None]
+        off = np.count_nonzero(x % pj)
+        _check(not off, "congruence kernel: entries of a-1, b, c, d-1 below "
+               "their depths", 0, off)
+        self.coords = (x // pj).T
+        distinct = len(set(map(tuple, self.coords.tolist())))
         _check(distinct == self.K.order == qi * qi * qs * qs,
                "distinct coordinates and order of the congruence kernel",
                qi * qi * qs * qs, (distinct, self.K.order))
-        self.coords = coords
         self.duals = list(product(range(qi), range(qi), range(qs), range(qs)))
-        self.dual_index = {t: j for j, t in enumerate(self.duals)}
         self._orbit_data = None
 
-    def pair(self, theta, k):
-        """Value of the dual character theta at the kernel element k."""
-        u, v, w, z = self.coords[k]
-        uh, vh, wh, zh = theta
-        Ri, Rs = self.Ri, self.Rs
-        x = Ri.add[Ri.mul[uh][u]][Ri.mul[vh][v]]
-        y = Rs.add[Rs.mul[wh][w]][Rs.mul[zh][z]]
-        return Ri.psi(Ri.add[x][Ri.pi_mul(y, self.sigma)])
-
     def values(self, thetas):
-        """pair(theta, k) for theta in thetas (rows) and k in K.elements
-        (columns), as one table gather on the coordinate arrays."""
+        """Values of the dual characters thetas (rows) at K's members
+        (columns): psi(uh u + vh v + pi^sigma (wh w + zh z)) at level i, as
+        one table gather on the coordinate arrays."""
         Ri, Rs = self.Ri, self.Rs
         Ai, Mi, As, Ms = (np.array(t) for t in (Ri.add, Ri.mul, Rs.add, Rs.mul))
         T = np.array(thetas).T[:, :, None]
-        C = np.array(list(self.coords.values())).T[:, None, :]
+        C = self.coords.T[:, None, :]
         x = Ai[Mi[T[0], C[0]], Mi[T[1], C[1]]]
         y = As[Ms[T[2], C[2]], Ms[T[3], C[3]]]
         psi = np.array([Ri.psi(z) for z in range(Ri.size)])
@@ -66,52 +59,22 @@ class CongruenceDual:
         """|duals| x |K| table of character values."""
         return self.values(self.duals)
 
-    def act(self, g, theta):
-        """Dual of the conjugation action: (g.theta)(k) = theta(g^-1 k g)."""
-        G = self.G
-        if G.rect:
-            # pairing is psi(tr(theta^T m)), so conjugating the coordinate matrix
-            # by gbar turns into similarity of theta by the transpose of gbar
-            _check(self.sigma == 0, "act: sigma on a square type", 0,
-                   self.sigma)
-            Ri = self.Ri
-            qi = Ri.size
-            Mi, Ai, Ii, Ni = Ri.mul, Ri.add, Ri.inv, Ri.neg
-            a, b, c, d = (x % qi for x in g)
-            u, v, w, z = theta
-            di = Ii[Ai[Mi[a][d]][Ni[Mi[b][c]]]]
-            p11 = Mi[di][Ai[Mi[d][u]][Ni[Mi[c][w]]]]
-            p12 = Mi[di][Ai[Mi[d][v]][Ni[Mi[c][z]]]]
-            p21 = Mi[di][Ai[Mi[a][w]][Ni[Mi[b][u]]]]
-            p22 = Mi[di][Ai[Mi[a][z]][Ni[Mi[b][v]]]]
-            return (Ai[Mi[p11][a]][Mi[p12][b]], Ai[Mi[p11][c]][Mi[p12][d]],
-                    Ai[Mi[p21][a]][Mi[p22][b]], Ai[Mi[p21][c]][Mi[p22][d]])
-        R = G.R1
-        M, A, I, Ng = R.mul, R.add, R.inv, R.neg
-        dl = R.pi_pow(G.l1 - G.l2)
-        a, b, c, d = g
-        ai, di = I[a], I[d]
-        u, v, w, z = theta
-        ba, cd = M[b][ai], M[c][di]
-        ca, bd = M[c][ai], M[b][di]
-        da, ad = M[d][ai], M[a][di]
-        ei = I[A[1][Ng[M[dl][M[M[ai][di]][M[b][c]]]]]]
-        up = M[ei][A[A[u][M[dl][M[ba][v]]]]
-                   [Ng[A[M[dl][M[cd][w]]][M[M[dl][dl]][M[M[ba][cd]][z]]]]]]
-        vp = M[ei][A[A[M[da][v]][M[ca][u]]]
-                   [Ng[A[M[dl][M[ca][z]]][M[dl][M[M[ca][cd]][w]]]]]]
-        wp = M[ei][A[A[M[ad][w]][M[dl][M[bd][z]]]]
-                   [Ng[A[M[bd][u]][M[dl][M[M[bd][ba]][v]]]]]]
-        zp = M[ei][A[A[z][M[cd][w]]][Ng[A[M[ba][v]][M[M[ba][cd]][u]]]]]
-        return (up % self.Ri.size, vp % self.Ri.size,
-                wp % self.Rs.size, zp % self.Rs.size)
-
     def orbits(self):
-        """Orbit decomposition of the dual under the group action:
-        (reps, sizes, orbit_of), with orbit_of aligned with self.duals."""
+        """Orbit decomposition of the dual under the group action (g.theta)(k)
+        = theta(g^-1 k g): (reps, sizes, orbit_of), with orbit_of aligned with
+        self.duals.  Conjugating K's members by a generator permutes the
+        columns of the value matrix; each permuted row is the value row of
+        the moved dual, found bit for bit."""
         if self._orbit_data is None:
-            self._orbit_data = orbit_partition(self.duals, act_perms(
-                self.duals, self.G.gens, lambda t, g: self.act(g, t)))
+            G, K, V = self.G, self.K, self.value_matrix()
+            row = {r.tobytes(): j for j, r in enumerate(V)}
+            _check(len(row) == len(V), "distinct value rows of the duals",
+                   len(V), len(row))
+            g = G.gen_idx
+            perms = [[row.get(r.tobytes(), -1) for r in V[:, K.positions(
+                G.right_mul(gi, G.right_mul(K.idx, t)))]]
+                for gi, t in zip(G.power_sweep(g)[1], g)]
+            self._orbit_data = orbit_partition(self.duals, perms)
         return self._orbit_data
 
     def invariants(self, theta):
@@ -192,10 +155,10 @@ def cuspidal_parameters(G):
 
 def orbits_on_kernel(G):
     """Conjugation orbits of the whole group on the depth-(1,0) congruence
-    subgroup's elements: list of (representative, size)."""
+    subgroup's elements: list of (representative's root index, size)."""
     K = G.subgroup("congruence", i=1, sigma=0)
-    reps, sizes, _ = G.conj_orbits(K.elements)
-    return list(zip(reps, sizes))
+    reps, sizes, _ = G.conj_orbits(K.idx)
+    return list(zip(K.idx[reps].tolist(), sizes))
 
 
 def _cyclic_span(G, m):

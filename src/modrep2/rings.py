@@ -284,14 +284,15 @@ def make_ring(backend, q, level):
 
 
 def greedy_generators(G):
-    """Small generating list: the first element outside the span of those
-    kept so far, the identity's orbit under one right_mul permutation per
-    kept generator.  ValueError if the identity is missing, or, from
-    orbit_partition, if a product leaves a member list that is no group."""
+    """Root indices of a small generating list: the first element outside
+    the span of those kept so far, the identity's orbit under one right_mul
+    permutation per kept generator.  ValueError if the identity is missing,
+    or, from orbit_partition, if a product leaves a member list that is no
+    group."""
     R, idx = G.root, G.idx
     pos = np.full(R.order, -1, dtype=np.int32)
     pos[idx] = np.arange(len(idx), dtype=np.int32)
-    e = pos[R.index[G.identity]]
+    e = pos[R.identity_pos]
     if e < 0:
         raise ValueError("%s misses the identity" % G.name)
     found, perms = [], []
@@ -301,7 +302,7 @@ def greedy_generators(G):
         perms.append(pos[R.right_mul(idx, idx[found[-1]])])
         orbit_of = orbit_partition(range(len(idx)), perms)[2]
         span = orbit_of == orbit_of[e]
-    return [R.elements[i] for i in idx[found].tolist()]
+    return idx[np.array(found, dtype=np.intp)]
 
 
 def act_perms(points, moves, act):
@@ -341,9 +342,10 @@ def orbit_partition(points, perms):
 
 
 class FiniteGroup:
-    """Order, orbit sweeps and the class-function protocol, through the
-    elements, index, mul, inv and identity that every group class provides;
-    classes are computed once, on first use."""
+    """Order, orbit sweeps and the class-function protocol on element
+    positions, through the root group's right_mul; the tuple elements,
+    index, mul, inv and identity that every group class provides serve
+    lookups by element.  Classes are computed once, on first use."""
 
     @property
     def order(self):
@@ -358,6 +360,21 @@ class FiniteGroup:
     def idx(self):
         """Sorted root indices of the elements."""
         return np.arange(self.order)
+
+    def ridx(self, pos):
+        """Root indices of the elements at the positions pos."""
+        return pos if self.root is self else self.idx[pos]
+
+    @cached_property
+    def identity_pos(self):
+        return int(self.positions(self.root.locate([self.identity])[0]))
+
+    def elements_at(self, pos):
+        return [self.elements[i] for i in np.asarray(pos).tolist()]
+
+    def locate(self, elems):
+        """Positions of the elements elems, -1 for a non-member."""
+        return np.array([self.index.get(g, -1) for g in elems], dtype=np.intp)
 
     def positions(self, ridx):
         """Positions of the root indices ridx; ValueError for non-members.
@@ -387,46 +404,62 @@ class FiniteGroup:
                              % (self.name, int((out < 0).sum())))
         return out
 
-    def sweep(self, points, moves):
-        """orbit_partition of points under x -> l * x * r for each move
-        (l, r), l None for the identity: permutations from the root group's
-        right_mul and a root-to-point lookup, both for this sweep only."""
+    def power_sweep(self, ridx):
+        """(orders, inverses) of the elements ridx of this root group, from
+        one power sweep through right_mul: x^m for m = 1, 2, ... until every
+        entry is the identity; the inverse of x is x^(order - 1)."""
+        x = ridx = np.asarray(ridx, dtype=np.intp)
+        e, n = self.identity_pos, len(ridx)
+        order, inv = np.zeros(n, dtype=np.int64), np.empty(n, dtype=np.intp)
+        prev, m = np.full(n, e), 1
+        while True:
+            new = (x == e) & (order == 0)
+            order[new], inv[new] = m, prev[new]
+            if order.all():
+                return order, inv
+            prev, x, m = x, self.right_mul(x, ridx), m + 1
+
+    def sweep(self, moves, idx=None):
+        """orbit_partition of the positions of the root elements idx (sorted
+        root indices, by default this group's elements) under x -> l * x * r
+        for each move (l, r) of root indices, l None for the identity:
+        permutations from the root group's right_mul and a root-to-point
+        lookup, both for this sweep only."""
         R = self.root
-        if points is R.elements:
-            idx, pos = np.arange(R.order), None
-        else:
-            idx = self.idx if points is self.elements else np.array(
-                [R.index[x] for x in points], dtype=np.intp)
+        if idx is None:
+            idx = self.idx if R is not self else np.arange(R.order)
+        pos = None
+        if len(idx) < R.order:
             pos = np.full(R.order, -1, dtype=np.int32)
             pos[idx] = np.arange(len(idx), dtype=np.int32)
         perms = []
         for l, r in moves:
-            y = R.right_mul(idx, R.index[r])
+            y = R.right_mul(idx, r)
             if l is not None:
-                y = R.right_mul(R.index[l], y)
+                y = R.right_mul(l, y)
             perms.append(y if pos is None else pos[y])
-        return orbit_partition(points, perms)
+        return orbit_partition(range(len(idx)), perms)
 
     @property
     def cls_of(self):
         """Class index of each element, by position."""
-        return self._classes()[2]
+        return self._classes()[1]
 
     @cached_property
     def rep_idx(self):
         """Root indices (on a root group also positions) of the class
         representatives, the first member of each class in class order."""
         cls = self.cls_of
-        pos = np.flatnonzero(np.diff(np.maximum.accumulate(cls), prepend=-1))
-        return pos if self.root is self else self.idx[pos]
+        return self.ridx(np.flatnonzero(np.diff(np.maximum.accumulate(cls),
+                                                prepend=-1)))
 
     def _compute_classes(self):
         """Every element its own class."""
         n = self.order
-        return (list(self.elements), np.ones(n, dtype=np.int64),
-                np.arange(n, dtype=np.int64))
+        return np.ones(n, dtype=np.int64), np.arange(n, dtype=np.int64)
 
     def _classes(self):
+        """(class sizes, class index of each position)."""
         data = getattr(self, "_class_data", None)
         if data is None:
             data = self._compute_classes()
@@ -435,22 +468,22 @@ class FiniteGroup:
 
     @property
     def class_reps(self):
-        return self._classes()[0]
+        return self.root.elements_at(self.rep_idx)
 
     @property
     def class_sizes(self):
-        return self._classes()[1]
+        return self._classes()[0]
 
     @property
     def class_count(self):
         return len(self._classes()[0])
 
     def cls_index(self, e):
-        return int(self._classes()[2][self.index[e]])
+        return int(self.cls_of[self.positions(self.root.locate([e])[0])])
 
     @property
     def identity_class(self):
-        return self.cls_index(self.identity)
+        return int(self.cls_of[self.identity_pos])
 
 
 class SimpleAbelianGroup(FiniteGroup):
@@ -476,15 +509,6 @@ def unit_group(ring):
                               name="units(%s,%d,%d)" % (ring.backend, ring.q, ring.level))
 
 
-def noncommuting_pair(R, elems):
-    """The first pair of elems, elements of the root group R, that do not
-    commute, or None: one right_mul of their indices against themselves."""
-    g = np.array([R.index[x] for x in elems], dtype=np.intp)
-    prods = R.right_mul(g[:, None], g[None, :])
-    bad = np.argwhere(prods != prods.T)
-    return (elems[bad[0, 0]], elems[bad[0, 1]]) if len(bad) else None
-
-
 def _powers(mul, x, m, e):
     """Indices of x^0, ..., x^(m-1), by doubling: two mul calls a step."""
     p = np.array([e])
@@ -493,7 +517,7 @@ def _powers(mul, x, m, e):
     return p[:m]
 
 
-def _decompose(mul, n, e, elements):
+def _decompose(mul, n, e, elements_at):
     """(gens, orders, E, L) for character_exponents: A = <g_1> x ... x
     <g_s> by index sweeps.  x of largest order m modulo H = <g_1, ...,
     g_{j-1}> has x^m = prod g_i^c_i with m | c_i (the order of x modulo
@@ -516,7 +540,7 @@ def _decompose(mul, n, e, elements):
         bad = np.flatnonzero(mul(gens, x) != mul(x, gens))
         if bad.size:
             raise ValueError("group is not abelian: %r and %r do not commute"
-                             % (elements[gens[bad[0]]], elements[x]))
+                             % tuple(elements_at([gens[bad[0]], x])))
         hs = np.flatnonzero(inH)
         gens.append(x)
         pows.append(_powers(mul, x, m, e))
@@ -531,18 +555,18 @@ def _decompose(mul, n, e, elements):
     return gens, orders, E, t * (E // np.array(orders, np.int64)) @ coord.T % E
 
 
-def character_exponents(mul, n, e, name, elements):
+def character_exponents(mul, n, e, name, elements_at):
     """(orders, E, L) of the abelian group of order n with index product
     mul (index arrays that broadcast together) and identity index e: the
     cyclic orders, their lcm E, and the exponent matrix with chi_t(a) =
-    zeta_E^L[t, a], the trivial row first.  ValueError, naming two
-    elements, if the group is not abelian, and from mul if a product is
-    not an element.  Exact certificate in O(n^2 s) for the s generators,
+    zeta_E^L[t, a], the trivial row first.  ValueError, naming two elements
+    by elements_at, if the group is not abelian, and from mul if a product
+    is not an element.  Exact certificate in O(n^2 s) for the s generators,
     which commute (_decompose): their right multiplications sweep one
     orbit, so they generate the group; L[t, e] = 0 and L[t, a g_j] =
     L[t, a] + L[t, g_j] mod E, so each row is a homomorphism onto Z/E; and
     the n rows are distinct, so they are all n characters."""
-    gens, orders, E, L = _decompose(mul, n, e, elements)
+    gens, orders, E, L = _decompose(mul, n, e, elements_at)
     perms = [mul(np.arange(n), g) for g in gens]
     sizes = orbit_partition(range(n), perms)[1]
     _check(sizes == [n], "%s: orbits of the generators' right "
@@ -586,8 +610,8 @@ def character_group(A):
     """All |A| complex characters of a finite abelian group, the trivial
     one first, from character_exponents on its right_mul; ValueError if A
     is not abelian."""
-    _, E, L = character_exponents(A.right_mul, A.order, A.index[A.identity],
-                                  A.name, A.elements)
+    _, E, L = character_exponents(A.right_mul, A.order, A.identity_pos,
+                                  A.name, A.elements_at)
     roots = roots_of_unity(E)
     return [AbelianCharacter(A, row, roots) for row in L]
 

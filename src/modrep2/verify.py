@@ -7,8 +7,8 @@ from collections import Counter
 import numpy as np
 
 from .build import assemble, cuspidal_rect_count, zeta_closed_form
-from .classfun import (ClassFunction, geo_ind, ind, is_cuspidal, is_primitive,
-                       res)
+from .classfun import (geo_ind, ind, is_cuspidal, is_primitive, res,
+                       torus_character)
 from .dixon import character_degrees
 from .groups import aut_group, class_count_formula, order_formula
 from .orbits import CongruenceDual, inner_types, orbits_on_kernel
@@ -54,12 +54,11 @@ def expected_dual_orbit_table(q, lam):
 
 def _check_geo_adjoint(G, members):
     """<ind(theta), chi> == <theta, res(chi)> for torus characters theta."""
-    T = G.torus
     for side in ("upper", "lower"):
         ress = [res(G, chi, side) for chi in members]
         for t1 in unit_characters(G.R1):
             for t2 in unit_characters(G.R2):
-                tf = ClassFunction(T, [t1(a) * t2(d) for a, d in T.elements])
+                tf = torus_character(G, t1, t2)
                 up = ind(G, tf, side)
                 for chi, down in zip(members, ress):
                     if up.mult(chi) != down.mult(tf):

@@ -11,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modrep2.build import (assemble, build_rank1, cuspidal_rect_count,
-                           green_gl2, zeta_closed_form)
+from modrep2.build import (IrrFamily, _check_orthonormal, assemble,
+                           build_rank1, cuspidal_rect_count, green_gl2,
+                           zeta_closed_form)
 from modrep2.classfun import (geo_ind, ind, induce, inflate, is_cuspidal,
                               is_primitive, k_spectrum, linear_characters,
-                              res, spectrum_kinds, twist, ClassFunction)
+                              res, spectrum_kinds, twist, ClassFunction,
+                              dedupe)
 from modrep2.dixon import character_degrees
 from modrep2.groups import aut_group
 from modrep2.orbits import CongruenceDual
@@ -388,3 +390,56 @@ def test_wrong_closed_form_fails_verify_all_under_optimize():
                             "closed form: expected [(1, 1)], computed "
                             "[(1, 4), (2, 1)]")
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def _tuple_fingerprint(f):
+    """The key IrrFamily sorted its members by before the bytes key: the
+    rounded values as (re, im) pairs of Python floats."""
+    r = np.round(f.vals, 6)
+    return tuple(zip(r.real.tolist(), r.imag.tolist()))
+
+
+@pytest.mark.parametrize("backend,q,lam", [("padic", 2, (3, 2)),
+                                           ("tpoly", 4, (2, 1))])
+def test_family_order_matches_tuple_fingerprint_sort(backend, q, lam):
+    a = assemble(backend, q, lam)
+    # negatives bring -0.0 entries and ties broken deep in the vector
+    fs = dedupe(list(a.members) + [ClassFunction(a.G, -f.vals)
+                                   for f in a.members]
+                + [ClassFunction(a.G, f.vals.conj()) for f in a.members])
+    rng = np.random.default_rng(3)
+    shuffled = [fs[i] for i in rng.permutation(len(fs))]
+    fam = IrrFamily("mixed", shuffled)
+    assert fam.members == sorted(shuffled, key=_tuple_fingerprint)
+    assert fam.count == len(fs) > len(a.members)
+
+
+class _Stub:
+    pass
+
+
+def _gram_asm(vals):
+    asm, G = _Stub(), _Stub()
+    k = vals.shape[1]
+    G.class_sizes, G.order, G.class_count = np.ones(k), k, k
+    asm.G, asm.checks = G, {}
+    asm.members = [ClassFunction(G, v) for v in vals]
+    return asm
+
+
+def test_orthonormal_check_in_blocks_counts_every_entry():
+    # k = 600: three row blocks; the count must be the whole-matrix
+    # np.isclose count, default rtol included
+    k = 600
+    F = np.exp(2j * np.pi * np.outer(np.arange(k), np.arange(k)) / k)
+    asm = _gram_asm(F)
+    _check_orthonormal(asm)
+    assert asm.checks == {"orthonormal": True}
+    F[[3, 300, 599], [5, 7, 11]] *= 1.01
+    F[100] *= 1 + 3e-6  # a diagonal entry off by 6e-6: within the rtol
+    gram = (F * (np.ones(k) / k)) @ F.conj().T  # the whole-matrix check
+    want = int((~np.isclose(gram, np.eye(k), atol=TOL)).sum())
+    assert want > 3 and np.isclose(gram[100, 100], 1, atol=TOL)
+    with pytest.raises(AssertionError, match=r"off the identity: expected "
+                       r"0, computed %d$" % want):
+        _check_orthonormal(_gram_asm(F))

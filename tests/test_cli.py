@@ -238,3 +238,24 @@ def test_char_json_export():
     assert doc["group"] == "padic q=2 lambda=(2,1)"
     assert doc["values"][0] == [2.0, 0.0]
     assert all(len(v) == 2 for v in doc["values"])
+
+
+def test_no_root_tuples_on_dixon_construct_verify_all():
+    # the root groups of every job keep their elements as code columns:
+    # no tuple list and no tuple -> index dict is built
+    code = ("import gc, os\n"
+            "from modrep2 import cli\n"
+            "from modrep2.groups import AutGroup\n"
+            "for cmd in ('dixon', 'construct', 'verify-all'):\n"
+            "    for job in (['--p', '2', '--lambda', '3,2'],\n"
+            "                ['--backend', 'tpoly', '--q', '4', '--lambda', '2,1']):\n"
+            "        assert cli.main([cmd] + job + ['--out', os.devnull]) == 0\n"
+            "roots = [g for g in gc.get_objects() if isinstance(g, AutGroup)]\n"
+            "print(len(roots), sorted(g.name for g in roots\n"
+            "                         if {'elements', 'index'} & set(vars(g))))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    count, built = proc.stdout.split(" ", 1)
+    assert int(count) >= 6 and built.strip() == "[]", proc.stdout

@@ -81,7 +81,7 @@ def test_product_group_degrees():
 def test_class_matrices_match_pair_count(q, lam):
     G = aut_group("padic", q, lam)
     k = G.class_count
-    reps, _, cls_of = G._classes()
+    reps, cls_of = G.class_reps, G.cls_of
     rep_of = {x: m for m, x in enumerate(reps)}
     brute = np.zeros((k, k, k), dtype=np.int64)
     for x in G.elements:
@@ -102,7 +102,7 @@ def test_class_matrices_match_pair_count(q, lam):
 def test_central_translate_matrix_is_a_product(backend, q, lam):
     # N_{zC} = N_z N_C: the matrix of a central translate splits nothing new
     G = aut_group(backend, q, lam)
-    reps, sizes, cls_of = G._classes()
+    reps, sizes, cls_of = G.class_reps, G.class_sizes, G.cls_of
     rep_idx = np.array([G.index[x] for x in reps])
     N = [_class_matrix(G, np.flatnonzero(cls_of == G.cls_index(G.inv(x))),
                        rep_idx, cls_of) for x in reps]
@@ -149,7 +149,7 @@ def test_central_blocks_are_joint_eigenspaces(group):
         G = ProductGroup(S3, S3)
     else:
         G = aut_group(*group)
-    reps, sizes, cls_of = G._classes()
+    reps, sizes, cls_of = G.class_reps, G.class_sizes, G.cls_of
     k = len(reps)
     rep_idx = np.array([G.index[x] for x in reps])
     central = np.flatnonzero(sizes == 1)
@@ -222,7 +222,7 @@ def _identity_start_degrees(G, r):
     non-central class skipped.  A reference for character_degrees."""
     k = G.class_count
     _, inv_idx = dixon._rep_powers(G)
-    _, sizes, cls_of = G._classes()
+    sizes, cls_of = G._classes()
     rep_idx, ic = G.rep_idx, G.identity_class
     jstar = cls_of[inv_idx]
     center = rep_idx[sizes == 1]

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,84 @@ def test_orders(backend, q, lam, n):
     assert G.order == n == order_formula(q, lam)
 
 
+def tuple_ops(G):
+    """The tuple closures (mul, inv, det) that AutGroup carried before the
+    index kernels, kept as the reference for them."""
+    R1, R2 = G.R1, G.R2
+    s2 = G.s2
+    dd = G.l1 - G.l2
+    d1c, d2c = R1.pi_pow(dd), R2.pi_pow(dd)
+    A1, M1, I1, N1 = R1.add, R1.mul, R1.inv, R1.neg
+    A2, M2, I2, N2 = R2.add, R2.mul, R2.inv, R2.neg
+
+    def mul(g, h):
+        a, b, c, d = g
+        A, B, C, D = h
+        return (A1[M1[a][A]][M1[d1c][M2[b][C]]],
+                A2[M2[a % s2][B]][M2[b][D]],
+                A2[M2[c][A % s2]][M2[d][C]],
+                A2[M2[d][D]][M2[d2c][M2[c][B]]])
+
+    def det(g):
+        a, b, c, d = g
+        return A2[M2[a % s2][d]][N2[M2[d2c][M2[b][c]]]]
+
+    if G.rect:
+        def inv(g):
+            a, b, c, d = g
+            di = I1[det(g)]
+            return (M1[di][d], N1[M1[di][b]], N1[M1[di][c]], M1[di][a])
+    else:
+        def inv(g):
+            a, b, c, d = g
+            ai, dinv = I1[a], I2[d]
+            ai2 = ai % s2
+            t = M2[M2[ai2][dinv]][M2[b][c]]
+            ei = I1[A1[1][N1[M1[d1c][t]]]]
+            ei2 = ei % s2
+            u = M2[ei2][ai2]
+            return (M1[ei][ai], N2[M2[u][M2[dinv][b]]],
+                    N2[M2[u][M2[dinv][c]]], M2[ei2][dinv])
+
+    return mul, inv, det
+
+
+def reference_elements(G):
+    """The tuple comprehensions that enumerated AutGroup's elements before
+    the code columns: every 4-tuple with a unit determinant on square
+    types, a product of ranges otherwise."""
+    R1, R2, s1, s2, det = G.R1, G.R2, G.s1, G.s2, tuple_ops(G)[2]
+    if G.rect:
+        return [g for g in product(range(s1), repeat=4)
+                if R1.val[det(g)] == 0]
+    return [(a, b, c, d) for a in R1.units for b in range(s2)
+            for c in range(s2) for d in R2.units]
+
+
+# square types enumerate s1^4 tuples in the reference: s1 <= 16
+ENUM_TYPES = [(backend, q, (l1, l2))
+              for backend, qs in (("padic", (2, 3, 5, 7)), ("tpoly", (2, 4, 8)))
+              for q in qs for l1 in range(1, 6) for l2 in range(1, l1 + 1)
+              if (q ** l1 <= 16 if l1 == l2 else order_formula(q, (l1, l2))
+                  <= 40000)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(ENUM_TYPES))
+def test_elements_match_tuple_enumeration(case):
+    G = AutGroup(*case)
+    ref = reference_elements(G)
+    assert G.elements == ref and G.order == len(ref)
+    a, b, c, d = G._arrays[1]
+    assert all(x.dtype == np.int32 for x in (a, b, c, d))
+    # tuple -> index through the code table, refusing non-elements
+    assert G.locate(ref).tolist() == list(range(G.order))
+    s1, s2 = G.s1, G.s2
+    bad = [(0, 0, 0, 0), (s1, 0, 0, 1), (1, s2, 0, 1), (1, 0, 0, -1)]
+    assert G.locate(bad).tolist() == [-1] * 4
+    assert "index" not in vars(G) and "elements" in vars(G)
+
+
 def test_group_axioms_exhaustive_small():
     for backend, q, lam in [("padic", 2, (1, 1)), ("padic", 2, (2, 1))]:
         G = aut_group(backend, q, lam)
@@ -54,9 +133,12 @@ def test_group_axioms_sampled(backend, q, lam):
     G = aut_group(backend, q, lam)
     rng = random.Random(1)
     els = G.elements
-    for g in els:
-        assert G.mul(g, G.inv(g)) == G.identity
-        assert G.mul(G.inv(g), g) == G.identity
+    # every inverse, from one power sweep, against the tuple reference
+    idx = np.arange(G.order)
+    inv = G.power_sweep(idx)[1]
+    e = G.identity_pos
+    assert (G.right_mul(idx, inv) == e).all() and (G.right_mul(inv, idx) == e).all()
+    assert G.elements_at(inv) == [tuple_ops(G)[1](g) for g in els]
     for _ in range(2000):
         g, h, k = (els[rng.randrange(len(els))] for _ in range(3))
         assert G.mul(g, h) in G.index
@@ -115,9 +197,10 @@ def test_classes_are_conjugation_stable():
                                            ("tpoly", 4, (1, 1))])
 def test_right_mul_matches_tuple_mul(backend, q, lam):
     G = aut_group(backend, q, lam)
+    mul = tuple_ops(G)[0]
     idx = np.arange(G.order)
     for t in G.gens:
-        want = [G.index[G.mul(g, t)] for g in G.elements]
+        want = [G.index[mul(g, t)] for g in G.elements]
         assert G.right_mul(idx, G.index[t]).tolist() == want
         assert G.right_mul(idx[:, None], [G.index[t]]).ravel().tolist() == want
 
@@ -134,8 +217,8 @@ def test_right_mul_outer_products_match_tuple_mul(case, data):
     G = aut_group(*case)
     draw = st.lists(st.integers(0, G.order - 1), min_size=1, max_size=12)
     x, y = np.array(data.draw(draw)), np.array(data.draw(draw))
-    els = G.elements
-    want = [[G.index[G.mul(els[i], els[j])] for j in y.tolist()]
+    els, mul = G.elements, tuple_ops(G)[0]
+    want = [[G.index[mul(els[i], els[j])] for j in y.tolist()]
             for i in x.tolist()]
     assert G.right_mul(x[:, None], y[None, :]).tolist() == want
 
@@ -149,9 +232,9 @@ def test_right_mul_tables_stay_small_on_skewed_types():
                for t in tables)
     x = np.arange(G.order)
     y = x[::-1]
-    els = G.elements
+    els, mul = G.elements, tuple_ops(G)[0]
     assert G.right_mul(x, y).tolist() == [
-        G.index[G.mul(els[i], els[j])] for i, j in zip(x.tolist(), y.tolist())]
+        G.index[mul(els[i], els[j])] for i, j in zip(x.tolist(), y.tolist())]
 
 
 def test_right_mul_refuses_non_elements():
@@ -370,7 +453,7 @@ def test_diag_red_and_det_maps(backend, q, l1):
     assert set(img.tolist()) == set(range(A.order))
     R2, codes = G.hom("det", G.idx)
     assert R2 is G.R2
-    assert codes.tolist() == [G.det(g) for g in G.elements]
+    assert codes.tolist() == [tuple_ops(G)[2](g) for g in G.elements]
     with pytest.raises(AssertionError, match="diag_red: level l2"):
         aut_group(backend, q, (l1, l1)).hom("diag_red", [0])
 
@@ -532,7 +615,8 @@ def test_array_orbits_match_closure_reference(case):
 
     def conj(x, t):
         return G.mul(G.mul(G.inv(t), x), t)
-    reps, sizes, orbit_of = G.conj_orbits(G.elements)
+    reps, sizes, orbit_of = G.conj_orbits()
+    reps = [G.elements[j] for j in reps]
     assert (reps, sizes, orbit_of.tolist()) == \
         closure_orbits(G.elements, G.gens, conj)
     got = orbit_partition(G.elements, act_perms(G.elements, G.gens, conj))
@@ -544,7 +628,7 @@ def test_array_orbits_match_closure_reference(case):
 
 def test_points_not_closed_refused():
     G = aut_group("padic", 2, (3, 2))
-    upper = G.subgroup("parabolic_upper").elements
+    upper = G.subgroup("parabolic_upper").idx
     with pytest.raises(ValueError, match="not closed under the moves"):
         G.conj_orbits(upper)
     points = [0, 1, 2]
@@ -725,9 +809,10 @@ def test_greedy_generators_match_closure_reference():
     for backend, q, level in [("padic", 2, 5), ("padic", 3, 3), ("padic", 5, 2),
                               ("tpoly", 4, 2), ("tpoly", 2, 4)]:
         U = unit_group(make_ring(backend, q, level))
-        assert greedy_generators(U) == greedy_reference(U), (backend, q, level)
+        assert U.elements_at(greedy_generators(U)) == greedy_reference(U), \
+            (backend, q, level)
     Q = G.abelianization()
-    assert greedy_generators(Q) == greedy_reference(Q)
+    assert Q.elements_at(greedy_generators(Q)) == greedy_reference(Q)
 
 
 def normal_closure_reference(G):

@@ -346,7 +346,8 @@ def _abelian_basis(A):
     for _ in range(m - 1):
         powers.append(A.mul(powers[-1], g))
     pindex = {e: i for i, e in enumerate(powers)}
-    reps, _, coset_of = A.sweep(A.elements, [(None, g)])
+    reps, _, coset_of = A.sweep([(None, A.index[g])])
+    reps = A.elements_at(reps)
     rep = {e: reps[c] for e, c in zip(els, coset_of.tolist())}
     Q = SimpleAbelianGroup(reps,
                            lambda x, y: rep[A.mul(x, y)],
@@ -436,7 +437,8 @@ def test_engine_matches_reference(case):
         G = aut_group(backend, q, arg)
         A = G.abelianization() if kind == "abelianization" else G.torus
     orders, E, L = character_exponents(A.right_mul, A.order,
-                                       A.index[A.identity], A.name, A.elements)
+                                       A.index[A.identity], A.name,
+                                       A.elements_at)
     assert math.prod(orders) == A.order and E == math.lcm(*orders)
     chars = character_group(A)
     ref = _reference_characters(A)
