@@ -11,8 +11,8 @@ from .classfun import (ClassFunction, dedupe, geo_ind, ind, induce, inflate,
 from .dixon import character_degrees
 from .groups import Subgroup, aut_group
 from .orbits import CongruenceDual, cuspidal_parameters, eta_dual, inner_types
-from .rings import (MTOL, TOL, _check, character_group, make_ring,
-                    twisting_characters, unit_characters, unit_group)
+from .rings import (MTOL, TOL, _check, character_group, twisting_characters,
+                    unit_characters)
 
 
 class IrrFamily:
@@ -98,7 +98,7 @@ def cuspidal_rect_count(l, q):
 
 def build_rank1(backend, q, level):
     """All linear characters of the rank-one automorphism group."""
-    A = unit_group(make_ring(backend, q, level))
+    A = aut_group(backend, q, (level, 0))
     out = [ClassFunction(A, ch.values) for ch in character_group(A)]
     n = q ** (level - 1) * (q - 1)
     _check(len(out) == n, "rank-one linear characters", n, len(out))
@@ -456,8 +456,6 @@ def assemble(backend, q, lam):
         geo_irred, geo_split = build_geometric(G)
         fams.extend([geo_split, geo_irred])
         members = [f for fam in fams for f in fam.members]
-        n = len(dedupe(members))
-        _check(n == len(members), "distinct members", len(members), n)
         zeta = dict(Counter(int(round(f.degree)) for f in members))
         asm = AssembledSet(G, backend, q, lam, fams, members, zeta, True)
     else:
@@ -471,8 +469,6 @@ def assemble(backend, q, lam):
         fams.extend([geo_split, geo_irred,
                      IrrFamily("cuspidal_rect_count", count=cn, degree=cd)])
         members = [f for fam in fams if fam.members for f in fam.members]
-        n = len(dedupe(members))
-        _check(n == len(members), "distinct members", len(members), n)
         zeta = Counter()
         for fam in fams:
             zeta.update(fam.degree_counter())

@@ -73,8 +73,7 @@ def linear_characters(G):
     if out is None:
         Q = G.abelianization()
         cos = Q.coset_of[G.positions(G.rep_idx)]
-        _, E, L = character_exponents(Q.right_mul, Q.order, Q.identity_pos,
-                                      Q.name, Q.elements_at)
+        _, E, L = character_exponents(Q)
         out = [ClassFunction(G, v) for v in roots_of_unity(E)[L[:, cos]]]
         G._linear_chars = out
     return out
@@ -162,8 +161,8 @@ def torus_character(G, t1, t2):
     """t1 x t2 on G.torus = units(R1) x units(R2): the outer product of
     their values, whose groups must list the units as the factors do."""
     T = G.torus
-    _check(t1.group.elements == T.G1.elements
-           and t2.group.elements == T.G2.elements, "the characters' unit "
+    _check([t1.group.elements, t2.group.elements]
+           == [U.elements for U in T.factors], "the characters' unit "
            "groups, listed as the torus factors", T.name,
            (t1.group.name, t2.group.name))
     return ClassFunction(T, np.outer(t1.values, t2.values).ravel())
@@ -175,11 +174,10 @@ def geo_ind(G, t1, t2, side="upper"):
 
 
 def depth_one_dual(G):
-    """Memoized depth-one congruence dual with a cached value matrix."""
+    """The depth-one congruence dual of G, built once per group."""
     D = getattr(G, "_depth_one_dual", None)
     if D is None:
         D = G._depth_one_dual = CongruenceDual(G, 1, 0)
-        D._vm = D.value_matrix()
     return D
 
 
@@ -188,7 +186,7 @@ def k_spectrum(G, chi):
     restriction of chi, indexed like CongruenceDual(G, 1, 0).duals."""
     D = depth_one_dual(G)
     v = chi.vals[G.cls_of[D.K.idx]]
-    m = D._vm.conj() @ v / D.K.order
+    m = D.value_matrix.conj() @ v / D.K.order
     off = max(np.abs(m.imag).max(), np.abs(m.real - np.round(m.real)).max())
     _check(off < TOL, "k_spectrum: integer multiplicities", "distance 0",
            off)

@@ -9,9 +9,9 @@ import sys
 from collections import Counter
 
 from .build import assemble
+from .classfun import depth_one_dual
 from .dixon import character_degrees
 from .groups import aut_group, order_formula
-from .orbits import CongruenceDual
 from .verify import ring_compare, verify_all
 
 
@@ -58,7 +58,7 @@ def cmd_classes(args):
 
 def cmd_orbits(args):
     G = aut_group(args.backend, args.q, args.lam)
-    D = CongruenceDual(G, 1, 0)
+    D = depth_one_dual(G)
     reps, sizes, _ = D.orbits()
     rows = [{"rep": _rep_str(t), "size": int(n), "label": D.classify(t)[0]}
             for t, n in zip(reps, sizes)]

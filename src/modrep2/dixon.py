@@ -34,7 +34,7 @@ the other blocks of the orbit are the split ones times lambda, mod r.  The
 copies are exact: on every class matrix N, of class t, built or central,
 lambda(C_j) = lambda(C_t) lambda(C_m) wherever N[j, m] != 0 is checked, so
 D_lambda N = lambda(C_t) N D_lambda and a common eigenline times lambda is
-one again.  A group with no det map has the trivial twist group alone.
+one again.
 
 Roots: a characteristic polynomial f of degree at most k < r has the same
 roots as its squarefree part f / gcd(f, f') mod r, whose degree is the
@@ -54,7 +54,8 @@ import math
 
 import numpy as np
 
-from .rings import _check, character_exponents, is_prime, make_ring
+from .rings import (TableGroup, _check, character_exponents, direct_product,
+                    is_prime, make_ring, unit_group)
 
 
 def _rep_powers(G):
@@ -331,15 +332,13 @@ def _primitive_root(r):
                 if all(pow(g, (r - 1) // p, r) != 1 for p in ps))
 
 
-def _fr_characters(T, e, r, what):
-    """The characters of the abelian group with table T (T[a, b] the
-    position of z_a z_b, e that of the identity) in F_r: theta[t, a] =
+def _fr_characters(A, r):
+    """The characters of the abelian group A in F_r: theta[t, a] =
     zeta^L[t, a] for the certified rows L of rings.character_exponents and
     zeta = g^((r-1)/E) of order E, g a primitive root mod r."""
-    _, E, L = character_exponents(lambda x, h: T[x, h], len(T), e, what,
-                                  list)
-    _check((r - 1) % E == 0, "%s: r - 1 mod the exponent E = %d" % (what, E),
-           0, (r - 1) % E)
+    _, E, L = character_exponents(A)
+    _check((r - 1) % E == 0, "%s: r - 1 mod the exponent E = %d"
+           % (A.name, E), 0, (r - 1) % E)
     zeta = pow(_primitive_root(r), (r - 1) // E, r)
     return np.array([pow(zeta, i, r) for i in range(E)], dtype=np.int64)[L]
 
@@ -349,30 +348,24 @@ def _twists(G, r):
     that factor through det, into units(R2), and on non-square types also
     through a -> a mod pi^(l1-l2), into the units of that level (a
     homomorphism, since a' = a A + pi^(l1-l2) b C).  Both maps are onto,
-    so the characters of the product of the unit groups, from its table by
-    _fr_characters, stay distinct on G; row 0 is the trivial character.  A
-    group with no det map gets the trivial twist group alone."""
-    k = G.class_count
-    if getattr(G, "hom", None) is None:
-        return np.ones((1, k), dtype=np.int64)
+    so the characters of the direct product of the unit groups, by
+    _fr_characters, stay distinct on G; row 0 is the trivial character."""
     (a, _, _, _), dd = G._arrays[1], G.l1 - G.l2
     maps = [("det", G.R2, G.hom("det", G.rep_idx)[1])]
     if dd:
         maps.append(("a mod pi^%d" % dd, make_ring(G.backend, G.q, dd),
                      a[G.rep_idx] % G.q ** dd))
-    # code[C]: the position of the image of C in the product of the unit
-    # groups, mixed radix; T its table; 1 is the least unit, so e = 0
-    code, T = np.zeros(k, dtype=np.intp), np.zeros((1, 1), dtype=np.intp)
+    # code[C]: the position of the image of C in the product, mixed radix
+    code, A = 0, None
     for what, R, x in maps:
-        bad = np.count_nonzero(np.array(R.val)[x])
+        U = unit_group(R)
+        pos = U.locate(x.tolist())
+        bad = np.count_nonzero(pos < 0)
         _check(not bad, "%s values at the class representatives that are "
                "not units" % what, 0, bad)
-        U = np.array(R.units)
-        TU = np.searchsorted(U, np.array(R.mul)[U[:, None], U[None, :]])
-        code = code * len(U) + np.searchsorted(U, x)
-        T = (T[:, None, :, None] * len(U) + TU[None, :, None, :]).reshape(
-            len(T) * len(U), -1)
-    Lam = _fr_characters(T, 0, r, "the twist group")[:, code]
+        code = code * U.order + pos
+        A = U if A is None else direct_product(A, U)
+    Lam = _fr_characters(A, r)[:, code]
     distinct = len(set(map(tuple, Lam.tolist())))
     _check(distinct == len(Lam), "distinct twists on the classes", len(Lam),
            distinct)
@@ -458,11 +451,10 @@ def _eigenlines(G, jstar, r):
     # shift[a, i]: the class z C_i for the a-th central element z
     central = np.flatnonzero(sizes == 1)
     shift = cls_of[G.right_mul(rep_idx[central][:, None], rep_idx[None, :])]
-    pos = np.empty(k, dtype=np.intp)
-    pos[central] = np.arange(len(central))
-    # the centre's table: pos[shift[a, central[b]]] is the position of z_a z_b
-    theta = _fr_characters(pos[shift[:, central]],
-                           int(np.searchsorted(central, ic)), r, "the centre")
+    # the centre on its classes, z_a z_b at the position of shift[a,
+    # central[b]] in central
+    theta = _fr_characters(TableGroup(central.tolist(), np.searchsorted(
+        central, shift[:, central]), ic, "the centre"), r)
     # one twist per restriction to the centre, the trivial one first
     Lam, first = _twists(G, r), {}
     for t, row in enumerate(map(tuple, Lam[:, central].tolist())):

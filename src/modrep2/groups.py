@@ -14,43 +14,15 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from modrep2.rings import (FiniteGroup, _check, greedy_generators, make_ring,
-                           unit_group)
+from modrep2.rings import (FiniteGroup, _check, direct_product,
+                           greedy_generators, make_ring, unit_group)
 
 
 class GroupBase(FiniteGroup):
-    """Shared machinery: conjugacy classes by orbit sweep, commutators,
-    abelianization.  Subclasses fill gen_idx, the generators' root indices;
-    the tuple elements, index, gens, identity, mul and inv derive on use
-    from elements_at, for output and lookups by element."""
+    """Shared machinery on generators (gen_idx): conjugacy classes by
+    orbit sweep, commutators, abelianization."""
 
-    name = ""
     is_abelian = False
-
-    @cached_property
-    def elements(self):
-        return self.elements_at(np.arange(self.order))
-
-    @cached_property
-    def index(self):
-        return {e: i for i, e in enumerate(self.elements)}
-
-    @cached_property
-    def gens(self):
-        return self.elements_at(self.positions(self.gen_idx))
-
-    @cached_property
-    def identity(self):
-        return self.elements_at([self.identity_pos])[0]
-
-    def mul(self, x, y):
-        R = self.root
-        i, j = R.positions(R.locate([x, y]))
-        return R.elements_at([R.right_mul(i, j)])[0]
-
-    def inv(self, x):
-        R = self.root
-        return R.elements_at(R.power_sweep(R.positions(R.locate([x])))[1])[0]
 
     def assert_generating(self):
         """Exact span check: right multiplication by the generators sweeps
@@ -151,10 +123,8 @@ class AutGroup(GroupBase):
         # two unipotents: conjugation by the diagonal units scales b and c
         # by units, whose sums fill R2
         gens = [(1, 1, 0, 1), (1, 0, 1, 1)]
-        for u in greedy_generators(unit_group(R1)).tolist():
-            gens.append((R1.units[u], 0, 0, 1))
-        for u in greedy_generators(unit_group(R2)).tolist():
-            gens.append((1, 0, 0, R2.units[u]))
+        gens += [(u, 0, 0, 1) for u in unit_group(R1).gens]
+        gens += [(1, 0, 0, u) for u in unit_group(R2).gens]
         if self.rect:
             gens.append((0, 1, 1, 0))
         self.gens = gens
@@ -252,10 +222,10 @@ class AutGroup(GroupBase):
             _check(kind == "diag" or l2 == 1, "hom diag_red: level l2", 1, l2)
             lv = l1 if kind == "diag" else l1 - 1
             if lv not in self._tori:
-                self._tori[lv] = ProductGroup(unit_group(make_ring(
+                self._tori[lv] = direct_product(unit_group(make_ring(
                     self.backend, q, lv)), unit_group(self.R2))
             T = self._tori[lv]
-            U1, U2 = T.G1.elements, T.G2.elements  # sorted unit codes
+            U1, U2 = (U.elements for U in T.factors)  # sorted unit codes
             return T, (np.searchsorted(U1, a % q ** lv) * len(U2)
                        + np.searchsorted(U2, d))
         if kind == "floor":
@@ -430,28 +400,6 @@ class QuotientGroup(GroupBase):
         return self.coset_of[P.positions(P.root.right_mul(r[idx], r[h]))]
 
 
-class ProductGroup(GroupBase):
-    """Direct product; elements are pairs."""
-
-    def __init__(self, G1, G2):
-        self.G1, self.G2 = G1, G2
-        self.elements = [(x, y) for x in G1.elements for y in G2.elements]
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        m1, m2 = G1.mul, G2.mul
-        i1, i2 = G1.inv, G2.inv
-        self.mul = lambda x, y: (m1(x[0], y[0]), m2(x[1], y[1]))
-        self.inv = lambda x: (i1(x[0]), i2(x[1]))
-        self.identity = (G1.identity, G2.identity)
-        self.gens = ([(g, G2.identity)
-                      for g in G1.elements_at(greedy_generators(G1))]
-                     + [(G1.identity, h)
-                        for h in G2.elements_at(greedy_generators(G2))])
-        self.gen_idx = self.locate(self.gens)
-        self.is_abelian = (getattr(G1, "is_abelian", False)
-                           and getattr(G2, "is_abelian", False))
-        self.name = "(%s)x(%s)" % (getattr(G1, "name", "?"), getattr(G2, "name", "?"))
-
-
 def class_count_formula(q, lam):
     """Closed-form number of conjugacy classes of the type-lam automorphism group."""
     l1, l2 = lam
@@ -477,8 +425,7 @@ def aut_group(backend, q, lam):
     the abelian unit group on raw ring codes."""
     l1, l2 = lam
     if l2 == 0:
-        R = make_ring(backend, q, l1)
-        G = unit_group(R)
+        G = unit_group(make_ring(backend, q, l1))
         G.name = "Aut(%s,q=%d,%s)" % (backend, q, (l1, 0))
         G.backend, G.q, G.lam = backend, q, (l1, 0)
         G.rect = False

@@ -1,6 +1,7 @@
 """Dual characters of congruence kernels, the conjugation action on them,
 orbit classification, and submodule geometry."""
 
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -55,8 +56,9 @@ class CongruenceDual:
         psi = np.array([Ri.psi(z) for z in range(Ri.size)])
         return psi[Ai[x, Ri.pi_mul(y, self.sigma)]]
 
+    @cached_property
     def value_matrix(self):
-        """|duals| x |K| table of character values."""
+        """|duals| x |K| table of character values, computed once."""
         return self.values(self.duals)
 
     def orbits(self):
@@ -66,7 +68,7 @@ class CongruenceDual:
         columns of the value matrix; each permuted row is the value row of
         the moved dual, found bit for bit."""
         if self._orbit_data is None:
-            G, K, V = self.G, self.K, self.value_matrix()
+            G, K, V = self.G, self.K, self.value_matrix
             row = {r.tobytes(): j for j, r in enumerate(V)}
             _check(len(row) == len(V), "distinct value rows of the duals",
                    len(V), len(row))

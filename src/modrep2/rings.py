@@ -342,14 +342,10 @@ def orbit_partition(points, perms):
 
 
 class FiniteGroup:
-    """Order, orbit sweeps and the class-function protocol on element
-    positions, through the root group's right_mul; the tuple elements,
-    index, mul, inv and identity that every group class provides serve
-    lookups by element.  Classes are computed once, on first use."""
-
-    @property
-    def order(self):
-        return len(self.elements)
+    """Orbit sweeps and the class-function protocol on element positions,
+    through the root group's right_mul; the tuple elements, index, gens,
+    identity, mul and inv derive from elements_at, for output and lookups
+    by element.  Classes are computed once, on first use."""
 
     @property
     def root(self):
@@ -361,6 +357,36 @@ class FiniteGroup:
         """Sorted root indices of the elements."""
         return np.arange(self.order)
 
+    @cached_property
+    def gen_idx(self):
+        """Root indices of generators, by greedy_generators."""
+        return greedy_generators(self)
+
+    @cached_property
+    def elements(self):
+        return self.elements_at(np.arange(self.order))
+
+    @cached_property
+    def index(self):
+        return {e: i for i, e in enumerate(self.elements)}
+
+    @cached_property
+    def gens(self):
+        return self.elements_at(self.positions(self.gen_idx))
+
+    @cached_property
+    def identity(self):
+        return self.elements_at([self.identity_pos])[0]
+
+    def mul(self, x, y):
+        R = self.root
+        i, j = R.positions(R.locate([x, y]))
+        return R.elements_at([R.right_mul(i, j)])[0]
+
+    def inv(self, x):
+        R = self.root
+        return R.elements_at(R.power_sweep(R.positions(R.locate([x])))[1])[0]
+
     def ridx(self, pos):
         """Root indices of the elements at the positions pos."""
         return pos if self.root is self else self.idx[pos]
@@ -368,9 +394,6 @@ class FiniteGroup:
     @cached_property
     def identity_pos(self):
         return int(self.positions(self.root.locate([self.identity])[0]))
-
-    def elements_at(self, pos):
-        return [self.elements[i] for i in np.asarray(pos).tolist()]
 
     def locate(self, elems):
         """Positions of the elements elems, -1 for a non-member."""
@@ -389,20 +412,6 @@ class FiniteGroup:
         if (self.idx[pos] != ridx).any():
             raise ValueError("%s: root elements are not members" % self.name)
         return pos
-
-    def right_mul(self, idx, h):
-        """Element indices of elements[idx] * elements[h], for index arrays
-        idx and h that broadcast together; element by element through mul.
-        Raises ValueError if a product is not an element."""
-        idx, h = np.broadcast_arrays(idx, h)
-        els, index, mul = self.elements, self.index, self.mul
-        out = np.array([index.get(mul(els[x], els[y]), -1) for x, y in
-                        zip(idx.ravel().tolist(), h.ravel().tolist())],
-                       dtype=np.intp).reshape(idx.shape)
-        if (out < 0).any():
-            raise ValueError("%s: %d products are not group elements"
-                             % (self.name, int((out < 0).sum())))
-        return out
 
     def power_sweep(self, ridx):
         """(orders, inverses) of the elements ridx of this root group, from
@@ -486,27 +495,58 @@ class FiniteGroup:
         return int(self.cls_of[self.identity_pos])
 
 
-class SimpleAbelianGroup(FiniteGroup):
-    """Finite abelian group on hashable elements, with the class-function protocol
-    (every element is its own conjugacy class)."""
+class TableGroup(FiniteGroup):
+    """Finite abelian group on hashable elements, multiplied by index
+    through its Cayley table (table[i, j] the position of elements[i] *
+    elements[j], -1 for a product off the elements), with the
+    class-function protocol (every element is its own conjugacy class)."""
 
     is_abelian = True
 
-    def __init__(self, elements, mul, inv, identity, name=""):
-        self.elements = list(elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
+    def __init__(self, elements, table, identity, name=""):
+        self.elements, self.table = list(elements), table
         _check(len(self.index) == len(self.elements), "%s: distinct elements"
                % name, len(self.elements), len(self.index))
-        self.mul, self.inv = mul, inv
-        self.identity = identity
-        self.name = name
+        self.identity, self.name = identity, name
+
+    @property
+    def order(self):
+        return len(self.table)
+
+    def elements_at(self, pos):
+        return [self.elements[i] for i in np.asarray(pos).tolist()]
+
+    def right_mul(self, idx, h):
+        """Element indices of elements[idx] * elements[h], for index arrays
+        idx and h that broadcast together: one table gather.  Raises
+        ValueError if a product is not an element."""
+        out = self.table[idx, h]
+        if (out < 0).any():
+            raise ValueError("%s: %d products are not group elements"
+                             % (self.name, int((out < 0).sum())))
+        return out
 
 
 def unit_group(ring):
-    return SimpleAbelianGroup(ring.units,
-                              lambda x, y: ring.mul[x][y],
-                              lambda x: ring.inv[x], 1,
-                              name="units(%s,%d,%d)" % (ring.backend, ring.q, ring.level))
+    """The units of ring in code order, 1 first; their table is the ring's
+    products of units, mapped to positions by one searchsorted."""
+    U = np.array(ring.units)
+    rows = np.array([ring.mul[u] for u in ring.units])
+    return TableGroup(ring.units, np.searchsorted(U, rows[:, U]), 1,
+                      name="units(%s,%d,%d)" % (ring.backend, ring.q,
+                                                ring.level))
+
+
+def direct_product(A, B):
+    """A x B on the pairs (a, b), a-major, as a TableGroup whose table is
+    the Kronecker sum of the factors' tables; factors holds (A, B)."""
+    n = B.order
+    P = TableGroup([(x, y) for x in A.elements for y in B.elements],
+                   (A.table[:, None, :, None] * n
+                    + B.table[None, :, None, :]).reshape(A.order * n, -1),
+                   (A.identity, B.identity), "(%s)x(%s)" % (A.name, B.name))
+    P.factors = (A, B)
+    return P
 
 
 def _powers(mul, x, m, e):
@@ -517,7 +557,7 @@ def _powers(mul, x, m, e):
     return p[:m]
 
 
-def _decompose(mul, n, e, elements_at):
+def _decompose(A):
     """(gens, orders, E, L) for character_exponents: A = <g_1> x ... x
     <g_s> by index sweeps.  x of largest order m modulo H = <g_1, ...,
     g_{j-1}> has x^m = prod g_i^c_i with m | c_i (the order of x modulo
@@ -526,6 +566,7 @@ def _decompose(mul, n, e, elements_at):
     c(a) the exponents of a, L[t, a] = sum_j t_j c_j(a) E/m_j mod E for
     0 <= t_j < m_j.  ValueError if g_j and an earlier generator do not
     commute: the group is not abelian (and H need not be a group)."""
+    mul, n, e = A.right_mul, A.order, A.identity_pos
     ar = np.arange(n)
     inH, coord, gens, pows = ar == e, np.zeros((n, 0), np.int64), [], []
     while not inH.all():
@@ -540,7 +581,7 @@ def _decompose(mul, n, e, elements_at):
         bad = np.flatnonzero(mul(gens, x) != mul(x, gens))
         if bad.size:
             raise ValueError("group is not abelian: %r and %r do not commute"
-                             % tuple(elements_at([gens[bad[0]], x])))
+                             % tuple(A.elements_at([gens[bad[0]], x])))
         hs = np.flatnonzero(inH)
         gens.append(x)
         pows.append(_powers(mul, x, m, e))
@@ -555,19 +596,19 @@ def _decompose(mul, n, e, elements_at):
     return gens, orders, E, t * (E // np.array(orders, np.int64)) @ coord.T % E
 
 
-def character_exponents(mul, n, e, name, elements_at):
-    """(orders, E, L) of the abelian group of order n with index product
-    mul (index arrays that broadcast together) and identity index e: the
-    cyclic orders, their lcm E, and the exponent matrix with chi_t(a) =
-    zeta_E^L[t, a], the trivial row first.  ValueError, naming two elements
-    by elements_at, if the group is not abelian, and from mul if a product
+def character_exponents(A):
+    """(orders, E, L) of the abelian group A, multiplied by its right_mul:
+    the cyclic orders, their lcm E, and the exponent matrix with chi_t(a) =
+    zeta_E^L[t, a], the trivial row first.  ValueError, naming two
+    elements, if the group is not abelian, and from right_mul if a product
     is not an element.  Exact certificate in O(n^2 s) for the s generators,
     which commute (_decompose): their right multiplications sweep one
     orbit, so they generate the group; L[t, e] = 0 and L[t, a g_j] =
     L[t, a] + L[t, g_j] mod E, so each row is a homomorphism onto Z/E; and
     the n rows are distinct, so they are all n characters."""
-    gens, orders, E, L = _decompose(mul, n, e, elements_at)
-    perms = [mul(np.arange(n), g) for g in gens]
+    gens, orders, E, L = _decompose(A)
+    n, e, name = A.order, A.identity_pos, A.name
+    perms = [A.right_mul(np.arange(n), g) for g in gens]
     sizes = orbit_partition(range(n), perms)[1]
     _check(sizes == [n], "%s: orbits of the generators' right "
            "multiplications" % name, [n], sizes)
@@ -610,8 +651,7 @@ def character_group(A):
     """All |A| complex characters of a finite abelian group, the trivial
     one first, from character_exponents on its right_mul; ValueError if A
     is not abelian."""
-    _, E, L = character_exponents(A.right_mul, A.order, A.identity_pos,
-                                  A.name, A.elements_at)
+    _, E, L = character_exponents(A)
     roots = roots_of_unity(E)
     return [AbelianCharacter(A, row, roots) for row in L]
 

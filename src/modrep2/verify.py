@@ -7,11 +7,11 @@ from collections import Counter
 import numpy as np
 
 from .build import assemble, cuspidal_rect_count, zeta_closed_form
-from .classfun import (geo_ind, ind, is_cuspidal, is_primitive, res,
-                       torus_character)
+from .classfun import (depth_one_dual, geo_ind, ind, is_cuspidal,
+                       is_primitive, res, torus_character)
 from .dixon import character_degrees
 from .groups import aut_group, class_count_formula, order_formula
-from .orbits import CongruenceDual, inner_types, orbits_on_kernel
+from .orbits import inner_types, orbits_on_kernel
 from .rings import MTOL, TOL, unit_characters
 
 
@@ -188,7 +188,7 @@ def verify_all(backend, q, lam):
             {k: True for k in a.checks}, a.checks)
 
     if l2 >= 2:
-        D = CongruenceDual(G, 1, 0)
+        D = depth_one_dual(G)
         table = {k: list(v) for k, v in sorted(D.orbit_table().items())}
         rep.add("dual_orbit_table", "depth-one dual orbit census",
                 {k: list(v) for k, v in

@@ -65,6 +65,7 @@ def test_rank1():
     assert len(out) == 2
     a = assemble("padic", 3, (2, 0))
     assert a.zeta == {1: 6} and a.complete
+    assert a.members[0].group is a.G
 
 
 FAMILY_TABLES = {
@@ -390,6 +391,30 @@ def test_wrong_closed_form_fails_verify_all_under_optimize():
                             "closed form: expected [(1, 1)], computed "
                             "[(1, 4), (2, 1)]")
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_repeated_member_refused_under_optimize():
+    # a member repeated across two families (inf_embed and geo_split share
+    # a degree on l1 > l2, so the counts still match the closed form) puts
+    # a 1 off the Gram diagonal twice, and python -O keeps the check
+    code = ("import modrep2.build as b\n"
+            "orig = b.build_geometric\n"
+            "def repeat(G):\n"
+            "    geo_irred, geo_split = orig(G)\n"
+            "    geo_split.members[0] = b.build_infinitesimal(G)[0].members[0]\n"
+            "    return geo_irred, geo_split\n"
+            "b.build_geometric = repeat\n"
+            "try:\n"
+            "    b.assemble('padic', 2, (3, 2))\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n"
+            "    raise SystemExit(3)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert proc.stdout == ("Gram matrix entries off the identity: expected 0, "
+                           "computed 2\n")
 
 
 def _tuple_fingerprint(f):

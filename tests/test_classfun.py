@@ -14,8 +14,8 @@ from modrep2.classfun import (ClassFunction, dedupe, geo_ind, induce, ind,
                               res, restrict, spectrum_kinds, is_primitive,
                               torus_character, twist)
 from modrep2.groups import aut_group
-from modrep2.rings import (SimpleAbelianGroup, character_group,
-                           twisting_characters, unit_group, unit_characters)
+from modrep2.rings import (TableGroup, character_group, twisting_characters,
+                           unit_group, unit_characters)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -200,9 +200,9 @@ def test_torus_character_matches_element_loop(backend, q, lam):
             got = torus_character(G, t1, t2).vals
             assert np.abs(got - want).max() < 1e-15
     # a character whose group lists the units in another order is refused
-    R = G.R2
-    U = SimpleAbelianGroup(R.units[::-1], lambda x, y: R.mul[x][y],
-                           lambda x: R.inv[x], 1, name="reversed")
+    U = unit_group(G.R2)
+    U = TableGroup(U.elements[::-1], U.order - 1 - U.table[::-1, ::-1], 1,
+                   name="reversed")
     with pytest.raises(AssertionError, match="listed as the torus factors"):
         torus_character(G, unit_characters(G.R1)[0], character_group(U)[1])
 

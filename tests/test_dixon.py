@@ -16,8 +16,8 @@ from modrep2 import dixon
 from modrep2.dixon import (_charpoly, _class_matrix, _eigenspaces, _mm,
                            _nullspace, _roots, _rref, _sqrt_mod,
                            character_degrees, dixon_prime, group_exponent)
-from modrep2.groups import ProductGroup, aut_group
-from modrep2.rings import is_prime, make_ring, unit_group
+from modrep2.groups import aut_group
+from modrep2.rings import TableGroup, is_prime, make_ring, unit_group
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -70,11 +70,6 @@ def test_bad_override_rejected_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 3, proc.stdout + proc.stderr
-
-
-def test_product_group_degrees():
-    S3 = aut_group("padic", 2, (1, 1))
-    assert Counter(character_degrees(ProductGroup(S3, S3))) == {1: 4, 2: 4, 4: 1}
 
 
 @pytest.mark.parametrize("q,lam", [(2, (2, 1)), (3, (1, 1))])
@@ -134,21 +129,17 @@ def _centre_characters(G, shift, central, r):
     """The characters theta[t, a] of the centre, from shift[a, i] = z_a C_i."""
     pos = np.empty(G.class_count, dtype=np.intp)
     pos[central] = np.arange(len(central))
-    return dixon._fr_characters(
-        pos[shift[:, central]], int(np.searchsorted(central, G.identity_class)),
-        r, "the centre")
+    return dixon._fr_characters(TableGroup(
+        central.tolist(), pos[shift[:, central]], G.identity_class,
+        "the centre"), r)
 
 
 @pytest.mark.parametrize("group", [
     ("padic", 2, (2, 2)), ("padic", 3, (2, 1)),
     ("tpoly", 4, (2, 1)),  # centre C3 x C2 x C2, not cyclic
-    "S3xS3"])  # trivial centre
+    pytest.param(("padic", 2, (1, 1)), id="GL2F2")])  # trivial centre
 def test_central_blocks_are_joint_eigenspaces(group):
-    if group == "S3xS3":
-        S3 = aut_group("padic", 2, (1, 1))
-        G = ProductGroup(S3, S3)
-    else:
-        G = aut_group(*group)
+    G = aut_group(*group)
     reps, sizes, cls_of = G.class_reps, G.class_sizes, G.cls_of
     k = len(reps)
     rep_idx = np.array([G.index[x] for x in reps])
@@ -177,7 +168,7 @@ def test_central_blocks_are_joint_eigenspaces(group):
             eigen.add(thetas)
     # one block per joint eigenvalue: the blocks are whole eigenspaces
     assert len(eigen) == sum(len(B) for B, _ in blocks.values()) == len(central)
-    if group == "S3xS3":
+    if group[1:] == (2, (1, 1)):
         assert list(blocks) == [k]
 
 
@@ -187,12 +178,12 @@ def test_center_check_raises_under_optimize():
     code = ("from modrep2 import dixon, rings\n"
             "from modrep2.groups import aut_group\n"
             "orig = rings._decompose\n"
-            "def double_one(mul, n, e, elements):\n"
-            "    gens, orders, E, L = orig(mul, n, e, elements)\n"
-            "    L[:, (e + 1) % n] *= 2\n"
+            "def double_one(A):\n"
+            "    gens, orders, E, L = orig(A)\n"
+            "    L[:, (A.identity_pos + 1) % A.order] *= 2\n"
             "    return gens, orders, E, L\n"
-            "def repeat_one(mul, n, e, elements):\n"
-            "    gens, orders, E, L = orig(mul, n, e, elements)\n"
+            "def repeat_one(A):\n"
+            "    gens, orders, E, L = orig(A)\n"
             "    L[1] = L[0]\n"
             "    return gens, orders, E, L\n"
             "for bad in (double_one, repeat_one):\n"

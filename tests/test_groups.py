@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modrep2.groups import (AutGroup, ProductGroup, QuotientGroup, Subgroup,
-                            aut_group, class_count_formula, order_formula)
+from modrep2.groups import (AutGroup, QuotientGroup, Subgroup, aut_group,
+                            class_count_formula, order_formula)
 from modrep2.orbits import cuspidal_parameters
-from modrep2.rings import (SimpleAbelianGroup, act_perms, greedy_generators,
+from modrep2.rings import (act_perms, direct_product, greedy_generators,
                            make_ring, orbit_partition, unit_group)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -247,6 +247,52 @@ def test_right_mul_refuses_non_elements():
         G.right_mul(0, G.index[t])
 
 
+# Every kind of root group's index kernel: AutGroup, unit groups of both
+# backends, the direct products (both tori and a product of unit groups of
+# two backends) and a quotient
+ROOT_KERNELS = {
+    "aut-padic-2-(2,1)": lambda: aut_group("padic", 2, (2, 1)),
+    "aut-padic-3-(1,1)": lambda: aut_group("padic", 3, (1, 1)),
+    "aut-tpoly-2-(2,2)": lambda: aut_group("tpoly", 2, (2, 2)),
+    "aut-padic-3-(3,2)": lambda: aut_group("padic", 3, (3, 2)),
+    "units-padic-3-3": lambda: unit_group(make_ring("padic", 3, 3)),
+    "units-padic-2-5": lambda: unit_group(make_ring("padic", 2, 5)),
+    "units-tpoly-4-2": lambda: unit_group(make_ring("tpoly", 4, 2)),
+    "units-tpoly-2-4": lambda: unit_group(make_ring("tpoly", 2, 4)),
+    "torus-padic-3-(2,2)": lambda: aut_group("padic", 3, (2, 2)).torus,
+    "torus-tpoly-2-(3,2)": lambda: aut_group("tpoly", 2, (3, 2)).torus,
+    "diag_red-padic-2-(4,1)": lambda: aut_group("padic", 2, (4, 1)).hom(
+        "diag_red", [])[0],
+    "units-padic-2-3-x-tpoly-4-1": lambda: direct_product(
+        unit_group(make_ring("padic", 2, 3)),
+        unit_group(make_ring("tpoly", 4, 1))),
+    "abelianization-padic-2-(3,2)": lambda: aut_group(
+        "padic", 2, (3, 2)).abelianization(),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(ROOT_KERNELS)), st.integers(0, 2 ** 32 - 1))
+def test_root_kernel_laws(case, seed):
+    G = ROOT_KERNELS[case]()
+    mul, e = G.right_mul, G.identity_pos
+    x, y, z = np.random.default_rng(seed).integers(G.order, size=(3, 200))
+    assert np.array_equal(mul(mul(x, y), z), mul(x, mul(y, z)))
+    assert np.array_equal(mul(x, e), x) and np.array_equal(mul(e, x), x)
+    assert G.elements_at([e]) == [G.identity]
+    order, inv = G.power_sweep(x)
+    assert (mul(x, inv) == e).all() and (mul(inv, x) == e).all()
+    assert (G.order % order == 0).all()
+    if hasattr(G, "factors"):
+        A, B = G.factors
+        n = B.order
+        assert G.elements_at(x) == list(zip(A.elements_at(x // n),
+                                            B.elements_at(x % n)))
+        assert G.elements_at(mul(x, y)) == list(zip(
+            A.elements_at(A.right_mul(x // n, y // n)),
+            B.elements_at(B.right_mul(x % n, y % n))))
+
+
 SUBGROUP_ORDERS = [
     ("floor_kernel", {}, 16),
     ("congruence", {"i": 1, "sigma": 0}, 16),
@@ -449,7 +495,7 @@ def test_diag_red_and_det_maps(backend, q, l1):
     G = aut_group(backend, q, (l1, 1))
     A, img = check_index_map(G, G, "diag_red", lambda g: diag_red_ref(G, g))
     assert A is G.hom("diag_red", [])[0]
-    assert A.order == len(A.G1.elements) * len(G.R2.units)
+    assert A.order == len(A.factors[0].elements) * len(G.R2.units)
     assert set(img.tolist()) == set(range(A.order))
     R2, codes = G.hom("det", G.idx)
     assert R2 is G.R2
@@ -542,15 +588,11 @@ def test_quotient_right_mul_matches_tuple_product():
 
 
 def test_product_group():
-    r = make_ring("padic", 2, 2)
-    U = SimpleAbelianGroup(r.units, lambda x, y: r.mul[x][y], lambda x: r.inv[x], 1)
-    G = aut_group("padic", 2, (1, 1))
-    P = ProductGroup(G, U)
-    assert P.order == 12
-    assert P.class_count == 6
-    assert not P.is_abelian
-    P2 = ProductGroup(U, U)
-    assert P2.is_abelian and P2.class_count == 4
+    U = unit_group(make_ring("padic", 2, 2))
+    P = direct_product(U, U)
+    assert P.factors == (U, U) and P.elements == [(1, 1), (1, 3), (3, 1),
+                                                  (3, 3)]
+    assert P.is_abelian and P.order == P.class_count == 4
 
 
 def test_rank_one_group():
@@ -604,8 +646,6 @@ SWEEP_CASES = {
     "parabolic_upper": lambda: aut_group("padic", 2, (3, 2)).subgroup(
         "parabolic_upper"),
     "quotient": _floor_quotient,
-    "product": lambda: ProductGroup(aut_group("padic", 2, (1, 1)),
-                                    aut_group("padic", 2, (1, 1))),
 }
 
 

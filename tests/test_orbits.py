@@ -108,7 +108,7 @@ def test_duals_are_characters_and_separate():
         rows.add(tuple(round(vals[k].real, 6) + 1j * round(vals[k].imag, 6)
                        for k in K.elements))
     assert len(rows) == K.order
-    vm = D.value_matrix()
+    vm = D.value_matrix
     assert vm.shape == (K.order, K.order)
 
 
@@ -122,7 +122,7 @@ def test_value_gather_matches_pairing(backend, q, lam, depth):
     D = CongruenceDual(aut_group(backend, q, lam), *depth)
     want = np.array([[pair(D, t, k) for k in range(D.K.order)]
                      for t in D.duals])
-    assert np.array_equal(D.value_matrix(), want)
+    assert np.array_equal(D.value_matrix, want)
     assert np.array_equal(D.values(D.duals[3:5]), want[3:5])
 
 

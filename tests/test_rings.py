@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modrep2.groups import aut_group
-from modrep2.rings import (BACKENDS, FiniteField, MTOL, TOL,
-                           SimpleAbelianGroup, character_exponents,
-                           character_group, make_ring, prime_power,
-                           twisting_characters, unit_characters, unit_group)
+from modrep2.rings import (BACKENDS, FiniteField, MTOL, TOL, TableGroup,
+                           character_exponents, character_group, make_ring,
+                           prime_power, twisting_characters, unit_characters,
+                           unit_group)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -132,9 +132,18 @@ def test_psi_additive_primitive_nondegenerate(backend, q, level):
     assert len(rows) == r.size
 
 
+def tabulate(elements, mul, identity, name=""):
+    """The TableGroup of a product given on elements, -1 where a product
+    leaves them."""
+    elements = list(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    return TableGroup(elements, np.array(
+        [[index.get(mul(x, y), -1) for y in elements] for x in elements]),
+        identity, name)
+
+
 def _additive_group(r):
-    return SimpleAbelianGroup(range(r.size), lambda x, y: r.add[x][y],
-                              lambda x: r.neg[x], 0)
+    return tabulate(range(r.size), lambda x, y: r.add[x][y], 0)
 
 
 def test_character_group_cyclic4():
@@ -175,9 +184,7 @@ def test_character_orthogonality():
 
 def test_character_group_rejects_nonabelian():
     s3 = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
-    A = SimpleAbelianGroup(s3, lambda x, y: tuple(x[i] for i in y),
-                           lambda x: tuple(sorted(range(3), key=lambda i: x[i])),
-                           (0, 1, 2))
+    A = tabulate(s3, lambda x, y: tuple(x[i] for i in y), (0, 1, 2))
     with pytest.raises(ValueError):
         character_group(A)
 
@@ -189,9 +196,8 @@ def test_abelian_check_is_exact_on_large_lists():
     els = [(c, s) for c in range(64) for s in s3]
     step = len(els) // 64
     assert all(s == s3[0] for _, s in els[::step])
-    A = SimpleAbelianGroup(
+    A = tabulate(
         els, lambda x, y: ((x[0] + y[0]) % 64, tuple(x[1][i] for i in y[1])),
-        lambda x: ((-x[0]) % 64, tuple(sorted(range(3), key=lambda i: x[1][i]))),
         (0, s3[0]))
     with pytest.raises(ValueError, match="not abelian"):
         character_group(A)
@@ -200,8 +206,7 @@ def test_abelian_check_is_exact_on_large_lists():
 
 def test_tuple_right_mul_refuses_non_elements():
     # {1, 3, 5} in (Z/8)^*: 3 * 5 = 7 is not in the list
-    A = SimpleAbelianGroup([1, 3, 5], lambda x, y: x * y % 8,
-                           lambda x: pow(x, -1, 8), 1)
+    A = tabulate([1, 3, 5], lambda x, y: x * y % 8, 1)
     assert A.right_mul([0, 1], 1).tolist() == [1, 0]
     with pytest.raises(ValueError, match="1 products are not group elements"):
         A.right_mul([0, 1, 2], 2)
@@ -211,10 +216,11 @@ def test_tuple_right_mul_refuses_non_elements():
 
 def test_repeated_element_refused_under_optimize():
     # the check on distinct elements is a _check, so python -O keeps it
-    code = ("from modrep2.rings import SimpleAbelianGroup\n"
+    code = ("import numpy as np\n"
+            "from modrep2.rings import TableGroup\n"
             "try:\n"
-            "    SimpleAbelianGroup([1, 3, 3], lambda x, y: x * y % 8,\n"
-            "                       lambda x: x, 1, name='dup')\n"
+            "    TableGroup([1, 3, 3], np.zeros((3, 3), dtype=int), 1,\n"
+            "               name='dup')\n"
             "except AssertionError as e:\n"
             "    print(e)\n"
             "    raise SystemExit(3)\n")
@@ -315,50 +321,55 @@ def test_character_group_certificate_raises_under_optimize():
 
 # The brute-force engine that character_exponents replaced, as a reference:
 # _abelian_basis, _key and character_group as they were, with the removed
-# FiniteGroup.pow and element_order as the functions _pow and _order.
+# FiniteGroup.pow and element_order as the functions _pow and _order, on
+# the tuple product mul of _table_mul.
 
-def _pow(A, x, k):
+def _table_mul(A):
+    """A's product on elements, read from one right_mul over all pairs."""
+    ar = np.arange(A.order)
+    T = A.right_mul(ar[:, None], ar[None, :]).tolist()
+    els, index = A.elements, A.index
+    return lambda x, y: els[T[index[x]][index[y]]]
+
+
+def _pow(A, mul, x, k):
     out = A.identity
-    base = x if k >= 0 else A.inv(x)
-    for _ in range(abs(k)):
-        out = A.mul(out, base)
+    for _ in range(k):
+        out = mul(out, x)
     return out
 
 
-def _order(A, x):
+def _order(A, mul, x):
     n, y = 1, x
     while y != A.identity:
-        y = A.mul(y, x)
+        y = mul(y, x)
         n += 1
     return n
 
 
 def _abelian_basis(A):
     """Cyclic decomposition [(g, order)] by peeling a maximal-order element."""
-    els = list(A.elements)
+    els, mul = list(A.elements), _table_mul(A)
     if len(els) == 1:
         return []
-    orders = {e: _order(A, e) for e in els}
+    orders = {e: _order(A, mul, e) for e in els}
     m = max(orders.values())
     # deterministic choice: maximal order, then least element
     g = min((e for e in els if orders[e] == m), key=_key)
     powers = [A.identity]
     for _ in range(m - 1):
-        powers.append(A.mul(powers[-1], g))
+        powers.append(mul(powers[-1], g))
     pindex = {e: i for i, e in enumerate(powers)}
     reps, _, coset_of = A.sweep([(None, A.index[g])])
     reps = A.elements_at(reps)
     rep = {e: reps[c] for e, c in zip(els, coset_of.tolist())}
-    Q = SimpleAbelianGroup(reps,
-                           lambda x, y: rep[A.mul(x, y)],
-                           lambda x: rep[A.inv(x)],
-                           rep[A.identity])
+    Q = tabulate(reps, lambda x, y: rep[mul(x, y)], rep[A.identity])
     out = [(g, m)]
     for ebar, k in _abelian_basis(Q):
-        t = pindex[_pow(A, ebar, k)]
+        t = pindex[_pow(A, mul, ebar, k)]
         assert t % k == 0
-        e = A.mul(ebar, _pow(A, g, (-(t // k)) % m))
-        assert _order(A, e) == k
+        e = mul(ebar, _pow(A, mul, g, (-(t // k)) % m))
+        assert _order(A, mul, e) == k
         out.append((e, k))
     assert math.prod(k for _, k in out) == len(els)
     return out
@@ -370,7 +381,7 @@ def _key(e):
 
 def _reference_characters(A):
     """[(exps, values)] for every character, the trivial one first."""
-    basis = _abelian_basis(A)
+    basis, mul = _abelian_basis(A), _table_mul(A)
     dlog = {A.identity: ()}
     for g, m in basis:
         table = {}
@@ -378,7 +389,7 @@ def _reference_characters(A):
             acc = e
             for j in range(m):
                 table[acc] = vec + (j,)
-                acc = A.mul(acc, g)
+                acc = mul(acc, g)
         dlog = table
     assert len(dlog) == A.order
     roots = [[complex(math.cos(2 * math.pi * j / m), math.sin(2 * math.pi * j / m))
@@ -436,9 +447,7 @@ def test_engine_matches_reference(case):
     else:
         G = aut_group(backend, q, arg)
         A = G.abelianization() if kind == "abelianization" else G.torus
-    orders, E, L = character_exponents(A.right_mul, A.order,
-                                       A.index[A.identity], A.name,
-                                       A.elements_at)
+    orders, E, L = character_exponents(A)
     assert math.prod(orders) == A.order and E == math.lcm(*orders)
     chars = character_group(A)
     ref = _reference_characters(A)

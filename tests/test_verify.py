@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from modrep2.verify import (VerifyReport, expected_dual_orbit_table,
                             ring_compare, verify_all)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_report_row_shape_and_json():
@@ -42,3 +49,23 @@ def test_ring_compare_rows():
     assert r.ok
     assert [row["name"] for row in r.rows] == ["zeta_equal",
                                                "class_count_equal"]
+
+
+def test_depth_one_value_matrix_built_once():
+    # the spectrum checks and the orbit census share one depth-one dual, so
+    # its |K| x |K| value matrix is built once per group (in a fresh
+    # process: the groups and their duals are cached)
+    code = ("from modrep2 import orbits\n"
+            "from modrep2.verify import verify_all\n"
+            "built, values = [], orbits.CongruenceDual.values\n"
+            "def counted(self, thetas):\n"
+            "    if len(thetas) == len(self.duals):\n"
+            "        built.append(self.G.name)\n"
+            "    return values(self, thetas)\n"
+            "orbits.CongruenceDual.values = counted\n"
+            "print(verify_all('padic', 3, (2, 2)).ok, built)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "True ['Aut(padic,q=3,(2, 2))']\n"
