@@ -105,11 +105,11 @@ def build_rank1(backend, q, level):
     return out
 
 
-def _nontrivial_on(chi, S):
-    """Whether chi is not 1 on some member of the subgroup S."""
-    H = chi.group
-    return bool((np.abs(chi.vals[H.cls_of[H.positions(S.idx)]] - 1)
-                 > TOL).any())
+def _nontrivial_on(H, L, cos, S):
+    """Per exponent row of H's linear characters (L, cos as returned by
+    linear_characters), whether it is not 1 on some member of the subgroup
+    S: exact, on the exponents."""
+    return L[:, cos[H.positions(S.idx)]].any(axis=1)
 
 
 def _unipotent_average(chi, U):
@@ -138,9 +138,9 @@ def build_l1(G):
     # the q-dimensional family: induced from the triangular subgroup,
     # nontrivial on the central depth-one slice
     B = G.subgroup("parabolic_upper")
-    heis = [induce(B, chi) for chi in linear_characters(B)
-            if _nontrivial_on(chi, Z)]
-    heis = dedupe(heis)
+    roots, L, cos = linear_characters(B)
+    heis = dedupe([induce(B, roots[row[cos]])
+                   for row in L[_nontrivial_on(B, L, cos, Z)]])
     heis_q = IrrFamily("heis_q", heis)
     n = q ** (l1 - 2) * (q - 1) ** 3
     _check(heis_q.count == n, "heis_q: count", n, heis_q.count)
@@ -154,9 +154,9 @@ def build_l1(G):
         S.idx[:, None], H.idx[None, :]).ravel())), "DH")
     n = q ** (l1 + 1) * (q - 1)
     _check(DH.order == n, "DH: order", n, DH.order)
-    dh = [induce(DH, chi) for chi in linear_characters(DH)
-          if not _nontrivial_on(chi, Z) and _nontrivial_on(chi, H)]
-    dh = dedupe(dh)
+    roots, L, cos = linear_characters(DH)
+    keep = ~_nontrivial_on(DH, L, cos, Z) & _nontrivial_on(DH, L, cos, H)
+    dh = dedupe([induce(DH, roots[row[cos]]) for row in L[keep]])
     n = q ** (l1 - 2) * (q * q - 1)
     _check(len(dh) == n, "dh: count", n, len(dh))
     degs = sorted({int(round(f.degree)) for f in dh})
@@ -207,13 +207,13 @@ def build_cuspidal_nonrect(G):
         N = G.subgroup("cuspidal_normalizer", u_hat=u_hat, w_hat=w_hat)
         A = G.subgroup("cuspidal_abelian", u_hat=u_hat, w_hat=w_hat)
         eta = D.values([eta_dual(u_hat, w_hat)])[0]
-        kcls = N.cls_of[N.positions(D.K.idx)]
-        exts = [chi for chi in linear_characters(N)
-                if np.all(np.abs(chi.vals[kcls] - eta) < MTOL)]
+        roots, L, cos = linear_characters(N)
+        at_k = L[:, cos[N.positions(D.K.idx)]]
+        exts = L[(np.abs(roots[at_k] - eta) < MTOL).all(axis=1)]
         inter = len(np.intersect1d(A.idx, D.K.idx, assume_unique=True))
         _check(len(exts) == A.order // inter, "cuspidal (%d, %d): extensions"
                " of eta" % (u_hat, w_hat), A.order // inter, len(exts))
-        members.extend(induce(N, chi) for chi in exts)
+        members.extend(induce(N, roots[row[cos]]) for row in exts)
     members = dedupe(members)
     fam = IrrFamily("cuspidal_nonrect", members)
     n, deg = q ** (l1 + l2 - 3) * (q - 1) ** 2, q ** (l2 - 1) * (q - 1)

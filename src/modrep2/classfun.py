@@ -66,35 +66,27 @@ def is_irreducible(chi):
     return chi.mult(chi) == 1
 
 
-def linear_characters(G):
-    """The one-dimensional characters, pulled back from the abelianization:
-    its exponent rows gathered at the cosets of the class representatives."""
-    out = getattr(G, "_linear_chars", None)
-    if out is None:
-        Q = G.abelianization()
-        cos = Q.coset_of[G.positions(G.rep_idx)]
-        _, E, L = character_exponents(Q)
-        out = [ClassFunction(G, v) for v in roots_of_unity(E)[L[:, cos]]]
-        G._linear_chars = out
-    return out
+def linear_characters(H):
+    """The one-dimensional characters of H as exponent rows at its members,
+    pulled back from the abelianization Q: (roots, L, cos) with chi_t at
+    the member at position p equal to roots[L[t, cos[p]]], cos the coset of
+    each member; no class data of H is read."""
+    Q = H.abelianization()
+    _, E, L = character_exponents(Q)
+    return roots_of_unity(E), L, Q.coset_of
 
 
-def induce(sub, f):
-    """Induction from a subgroup, through the class-fusion table: the
-    class-size-weighted values summed into parent classes by bincount."""
-    G = sub.parent
-    w = sub.class_sizes * f.vals
-    fus, k = sub.fusion(), G.class_count
-    out = (np.bincount(fus, w.real, minlength=k)
-           + 1j * np.bincount(fus, w.imag, minlength=k))
-    out *= sub.parent_index / G.class_sizes
+def induce(P, vals):
+    """Induction to P's root group G of the class function of P with values
+    vals at P's members (by position): one bincount of the values into the
+    root classes of the members, scaled by |G| / (|P| |C|); no class data
+    of P is read."""
+    G = P.root
+    cls, k = P.root_cls, G.class_count
+    out = (np.bincount(cls, vals.real, k)
+           + 1j * np.bincount(cls, vals.imag, k))
+    out *= (G.order // P.order) / G.class_sizes
     return ClassFunction(G, out)
-
-
-def restrict(sub, f):
-    _check(f.group is sub.parent, "restrict: a class function on the parent",
-           sub.parent.name, f.group.name)
-    return ClassFunction(sub, f.vals[sub.fusion()])
 
 
 def inflate(G, f, kind, m=0):
@@ -108,17 +100,19 @@ def inflate(G, f, kind, m=0):
 
 
 def invariants_pushforward(P, kind, f, m=0):
-    """Average a class function on P over the fibers of the map kind onto
-    its target Q, which on characters takes the kernel's invariants: two
-    bincounts over the images of P; every fiber must have |P|/|Q| elements."""
-    _check(f.group is P, "invariants_pushforward: a class function on P",
-           P.name, f.group.name)
-    Q, img = P.root.hom(kind, P.idx, m)
+    """Restrict a class function f on P's root group to P and average it
+    over the fibers of the map kind onto its target Q, which on characters
+    takes the kernel's invariants: f read at the members' root classes and
+    two bincounts over their images; every fiber must have |P|/|Q|
+    elements."""
+    _check(f.group is P.root, "invariants_pushforward: a class function on "
+           "the root group of P", P.root.name, f.group.name)
+    Q, img, _ = P.pullback(kind, m)
     n = P.order // Q.order
     sizes = np.bincount(img, minlength=Q.order)
     _check((sizes == n).all(), "%s: fiber sizes of %s onto %s"
            % (P.name, kind, Q.name), n, sorted(set(sizes.tolist())))
-    w = f.vals[P.cls_of]
+    w = f.vals[P.root_cls]
     sums = (np.bincount(img, w.real, Q.order)
             + 1j * np.bincount(img, w.imag, Q.order))
     return ClassFunction(Q, sums[Q.rep_idx] / n)
@@ -143,18 +137,21 @@ _SIDES = {"upper": ("parabolic_upper", "diag"),
 
 
 def ind(G, f, side, m=0):
-    """Inflate f to the side's parabolic along its map and induce up to G."""
+    """Inflate f to the side's parabolic along its map and induce up to G:
+    f read at the pulled-back classes of the members."""
     tag, kind = _SIDES[side]
     P = G.subgroup(tag, m=m)
-    return induce(P, inflate(P, f, kind, m))
+    Q, _, cls = P.pullback(kind, m)
+    _check(f.group is Q, "ind: a class function on the target of " + kind,
+           Q.name, f.group.name)
+    return induce(P, f.vals[cls])
 
 
 def res(G, f, side, m=0):
     """Adjoint of ind: restrict to the side's parabolic and average over the
     kernel of its map."""
     tag, kind = _SIDES[side]
-    P = G.subgroup(tag, m=m)
-    return invariants_pushforward(P, kind, restrict(P, f), m)
+    return invariants_pushforward(G.subgroup(tag, m=m), kind, f, m)
 
 
 def torus_character(G, t1, t2):
@@ -186,7 +183,7 @@ def k_spectrum(G, chi):
     restriction of chi, indexed like CongruenceDual(G, 1, 0).duals."""
     D = depth_one_dual(G)
     v = chi.vals[G.cls_of[D.K.idx]]
-    m = D.value_matrix.conj() @ v / D.K.order
+    m = np.conj(D.value_matrix @ np.conj(v)) / D.K.order  # no conjugated copy
     off = max(np.abs(m.imag).max(), np.abs(m.real - np.round(m.real)).max())
     _check(off < TOL, "k_spectrum: integer multiplicities", "distance 0",
            off)

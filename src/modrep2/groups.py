@@ -37,9 +37,9 @@ class GroupBase(FiniteGroup):
     def conj_orbits(self, idx=None):
         """Orbits of conjugation on the root elements idx (by default this
         group's elements), a union of classes, through the generators; each
-        move carries its inverse, from one power sweep."""
+        move carries its inverse, from the root's inverse kernel."""
         g = self.gen_idx
-        return self.sweep(list(zip(self.root.power_sweep(g)[1], g)), idx)
+        return self.sweep(list(zip(self.root.inverse(g), g)), idx)
 
     def _compute_classes(self):
         if self.is_abelian:
@@ -61,7 +61,7 @@ class GroupBase(FiniteGroup):
         them and conjugation by the generators."""
         self.assert_generating()
         R, g = self.root, self.gen_idx
-        gi = R.power_sweep(g)[1]
+        gi = R.inverse(g)
         i, j = np.triu_indices(len(g), 1)
         seeds = R.right_mul(gi[i], R.right_mul(gi[j], R.right_mul(g[i], g[j])))
         seeds = dict.fromkeys(seeds.tolist())
@@ -184,6 +184,20 @@ class AutGroup(GroupBase):
         code = code * s2 + dot[cd + (A % s2 * s2 + C)]
         code = code * s2 + low[cd + BD]
         return self._element_at(code)
+
+    def inverse(self, ridx):
+        """Element indices of the inverses, in closed form: with Delta =
+        (a*d - pi^(l1-l2)*b*c)^-1 at level l1 (b, c, d lift as their codes),
+        (a, b, c, d)^-1 = (d*Delta, -b*Delta, -c*Delta, a*Delta), the last
+        three reduced to level l2: the adjugate over the lift of d, whose
+        product with g is the identity at both levels."""
+        (A1, M1, _, _), cols, _, d1c, _ = self._arrays
+        N1, I1 = np.array(self.R1.neg), np.array([x or 0 for x in self.R1.inv])
+        a, b, c, d = (x[ridx] for x in cols)
+        D = I1[A1[M1[a, d], N1[M1[d1c, M1[b, c]]]]]
+        s2 = self.s2
+        code = (M1[d, D] * s2 + N1[M1[b, D]] % s2) * s2 + N1[M1[c, D]] % s2
+        return self._element_at(code * s2 + M1[a, D] % s2)
 
     def _element_at(self, code):
         """Element indices of codes; raises on -1 rather than wrap around."""
@@ -340,7 +354,7 @@ class Subgroup(GroupBase):
         self.gen_idx = greedy_generators(self)  # refuses a list that is no group
         self._gen_checked = True
         self.is_abelian = self.gens_commute()
-        self._fusion = None
+        self._pullbacks = {}
 
     @property
     def root(self):
@@ -353,20 +367,19 @@ class Subgroup(GroupBase):
     def elements_at(self, pos):
         return self.root.elements_at(self.idx[pos])
 
-    @property
-    def parent_index(self):
-        _check(self.parent.order % self.order == 0, "%s: parent order modulo "
-               "order" % self.name, 0, self.parent.order % self.order)
-        return self.parent.order // self.order
+    @cached_property
+    def root_cls(self):
+        """The root group's class index of each member, by position."""
+        return self.root.cls_of[self.idx]
 
-    def fusion(self):
-        """Parent class index of each subgroup class, computed once: parent
-        labels at the members' positions (a class lies in one parent class)."""
-        if self._fusion is None:
-            P = self.parent
-            self._fusion = np.empty(self.class_count, dtype=np.int64)
-            self._fusion[self.cls_of] = P.cls_of[P.positions(self.idx)]
-        return self._fusion
+    def pullback(self, kind, m=0):
+        """(Q, img, Q.cls_of[img]): the members' images under the root's
+        map kind onto Q (AutGroup.hom) and their classes there, cached per
+        (kind, m)."""
+        if (kind, m) not in self._pullbacks:
+            Q, img = self.root.hom(kind, self.idx, m)
+            self._pullbacks[kind, m] = Q, img, Q.cls_of[img]
+        return self._pullbacks[kind, m]
 
 
 class QuotientGroup(GroupBase):

@@ -75,7 +75,7 @@ class CongruenceDual:
             g = G.gen_idx
             perms = [[row.get(r.tobytes(), -1) for r in V[:, K.positions(
                 G.right_mul(gi, G.right_mul(K.idx, t)))]]
-                for gi, t in zip(G.power_sweep(g)[1], g)]
+                for gi, t in zip(G.inverse(g), g)]
             self._orbit_data = orbit_partition(self.duals, perms)
         return self._orbit_data
 

@@ -285,23 +285,26 @@ def make_ring(backend, q, level):
 
 def greedy_generators(G):
     """Root indices of a small generating list: the first element outside
-    the span of those kept so far, the identity's orbit under one right_mul
-    permutation per kept generator.  ValueError if the identity is missing,
-    or, from orbit_partition, if a product leaves a member list that is no
-    group."""
+    the span of those kept so far, the identity's orbit under right
+    multiplication by them, whose labels take in one move per kept
+    generator (hook).  ValueError if the identity is missing, from hook if
+    the members are not closed, or if the identity times a member is
+    another element (the span would never grow)."""
     R, idx = G.root, G.idx
     pos = np.full(R.order, -1, dtype=np.int32)
     pos[idx] = np.arange(len(idx), dtype=np.int32)
     e = pos[R.identity_pos]
     if e < 0:
         raise ValueError("%s misses the identity" % G.name)
-    found, perms = [], []
-    span = np.arange(len(idx)) == e
-    while not span.all():
+    found, lab = [], np.arange(len(idx), dtype=np.int32)
+    while not (span := lab == lab[e]).all():
         found.append(int(np.argmin(span)))
-        perms.append(pos[R.right_mul(idx, idx[found[-1]])])
-        orbit_of = orbit_partition(range(len(idx)), perms)[2]
-        span = orbit_of == orbit_of[e]
+        P = pos[R.right_mul(idx, idx[found[-1]])]
+        lab = hook(lab, P, "%s: right multiplication by member %d"
+                   % (G.name, found[-1]))
+        if P[e] != found[-1]:
+            raise ValueError("%s: the identity times member %d is member %d"
+                             % (G.name, found[-1], P[e]))
     return idx[np.array(found, dtype=np.intp)]
 
 
@@ -312,30 +315,47 @@ def act_perms(points, moves, act):
     return [[index.get(act(x, t), -1) for x in points] for t in moves]
 
 
+def hook(lab, P, name="move"):
+    """Orbit labels lab (each the least position of its orbit) merged
+    along the move P, a permutation of the positions, by hooking after
+    Shiloach and Vishkin: each round hooks the larger label across an edge
+    x -> P[x] onto the least one met (np.minimum.at), at least one per
+    round, and pointer jumping flattens the labels.  lab may be
+    overwritten.  ValueError, naming the move, if an image is off the
+    points (-1) or repeated."""
+    P = np.asarray(P, dtype=np.intp)
+    n = len(lab)
+    if (P < 0).any():
+        raise ValueError("%s sends %d of the %d points off them: they are "
+                         "not closed under the moves"
+                         % (name, int((P < 0).sum()), n))
+    hits = np.bincount(P, minlength=n)
+    if len(P) != n or (hits != 1).any():
+        raise ValueError("%s is not a permutation of the %d points: %d of "
+                         "them are not hit once" % (name, n,
+                                                    int((hits != 1).sum())))
+    while True:
+        a, b = lab, lab[P]
+        cut = a != b
+        if not cut.any():
+            return lab
+        a, b = a[cut], b[cut]
+        np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(nxt := lab[lab], lab):
+            lab = nxt
+
+
 def orbit_partition(points, perms):
     """Orbits of points under permutations of their positions (integer
     arrays): (reps, sizes, orbit_of), each representative the first of its
-    orbit in points and orbits numbered in that order.  Labels, the least
-    position seen so far in each orbit, are pulled from and pushed to the
-    images and shortened by pointer jumping until nothing changes.  Raises
-    ValueError if an image is off the points (-1)."""
-    n = len(points)
-    perms = [np.asarray(P, dtype=np.int32) for P in perms]
-    off = sum(int((P < 0).sum()) for P in perms)
-    if off:
-        raise ValueError("points are not closed under the moves: %d images "
-                         "are off the %d points" % (off, n))
-    lab = np.arange(n, dtype=np.int32)
-    while True:
-        old = lab.copy()
-        for P in perms:
-            np.minimum(lab, lab[P], out=lab)
-            lab[P] = np.minimum(lab[P], lab)
-        while not np.array_equal(lab[lab], lab):
-            lab = lab[lab]
-        if np.array_equal(lab, old):
-            break
-    is_first = lab == np.arange(n)
+    orbit in points and orbits numbered in that order.  Labels start as
+    the positions and take in one move at a time (hook, which refuses a
+    move off the points or no permutation); a merge never parts two
+    points, so one pass over the moves suffices."""
+    lab = np.arange(len(points), dtype=np.int32)
+    for j, P in enumerate(perms):
+        lab = hook(lab, P, "move %d" % j)
+    is_first = lab == np.arange(len(points))
     orbit_of = (np.cumsum(is_first) - 1)[lab]
     first = np.flatnonzero(is_first).tolist()
     return [points[j] for j in first], np.bincount(orbit_of).tolist(), orbit_of
@@ -385,7 +405,7 @@ class FiniteGroup:
 
     def inv(self, x):
         R = self.root
-        return R.elements_at(R.power_sweep(R.positions(R.locate([x])))[1])[0]
+        return R.elements_at(R.inverse(R.positions(R.locate([x]))))[0]
 
     def ridx(self, pos):
         """Root indices of the elements at the positions pos."""
@@ -427,6 +447,11 @@ class FiniteGroup:
             if order.all():
                 return order, inv
             prev, x, m = x, self.right_mul(x, ridx), m + 1
+
+    def inverse(self, ridx):
+        """Root indices of the inverses of the elements ridx of this root
+        group, by power_sweep."""
+        return self.power_sweep(ridx)[1]
 
     def sweep(self, moves, idx=None):
         """orbit_partition of the positions of the root elements idx (sorted

@@ -240,12 +240,13 @@ def test_induction_composes_through_intermediate_subgroup():
         pre = P1.idx[np.isin(img, B.idx)]
         P2 = G.subgroup("custom", name="preimage",
                         members=[G.elements[j] for j in pre.tolist()])
-        # the pullback from B to its preimage P2, read at P2's classes
-        _, at = G.hom("embed", P2.rep_idx, 1)
-        for chi in linear_characters(B):
-            pulled = ClassFunction(P2, chi.vals[B.cls_of[B.positions(at)]])
-            lhs = induce(P2, pulled)
-            rhs = induce(P1, inflate(P1, induce(B, chi), "embed", 1))
+        # the pullback from B to its preimage P2, read at P2's members
+        _, at = G.hom("embed", P2.idx, 1)
+        roots, L, cos = linear_characters(B)
+        for row in L:
+            lhs = induce(P2, roots[row[cos[B.positions(at)]]])
+            up = inflate(P1, induce(B, roots[row[cos]]), "embed", 1)
+            rhs = induce(P1, up.vals[P1.cls_of])
             assert np.allclose(lhs.vals, rhs.vals, atol=TOL)
 
 
@@ -353,6 +354,30 @@ def test_one_dim_count_is_abelianization_order():
                             ("padic", 3, (2, 1))]:
         a = assemble(backend, q, lam)
         assert a.zeta[1] == a.G.abelianization().order
+
+
+def test_assemble_builds_no_subgroup_classes():
+    # every transfer reads the root's classes at the members: no subgroup
+    # (parabolic, normalizer, B, DH or derived subgroup, cached or not)
+    # sweeps its own classes or keeps linear characters as class functions
+    code = ("import gc\n"
+            "from modrep2.build import assemble\n"
+            "from modrep2.groups import Subgroup\n"
+            "swept = []\n"
+            "classes = Subgroup._compute_classes\n"
+            "Subgroup._compute_classes = lambda H: (swept.append(H.name),\n"
+            "                                       classes(H))[1]\n"
+            "assemble('padic', 2, (4, 3))\n"
+            "subs = [H for H in gc.get_objects() if isinstance(H, Subgroup)]\n"
+            "print(len(subs), swept,\n"
+            "      [H.name for H in subs if '_class_data' in vars(H)\n"
+            "       or '_linear_chars' in vars(H)])\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    n, rest = proc.stdout.split(" ", 1)
+    assert int(n) > 20 and rest == "[] []\n", proc.stdout
 
 
 def test_dixon_against_green_checked_under_optimize():

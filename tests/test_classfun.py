@@ -11,7 +11,7 @@ import pytest
 from modrep2.classfun import (ClassFunction, dedupe, geo_ind, induce, ind,
                               inflate, invariants_pushforward, is_cuspidal,
                               is_irreducible, k_spectrum, linear_characters,
-                              res, restrict, spectrum_kinds, is_primitive,
+                              res, spectrum_kinds, is_primitive,
                               torus_character, twist)
 from modrep2.groups import aut_group
 from modrep2.rings import (TableGroup, character_group, twisting_characters,
@@ -30,11 +30,51 @@ def trivial(G):
     return ClassFunction(G, np.ones(G.class_count))
 
 
+# Class-level references: the transfers through a subgroup's own classes
+# (the fusion of its classes into the root's) that the member-level kernel
+# of classfun replaced.
+
+def fusion(H):
+    """Root class index of each class of the subgroup H."""
+    fus = np.empty(H.class_count, dtype=np.int64)
+    fus[H.cls_of] = H.root_cls
+    return fus
+
+
+def restrict(H, f):
+    """A class function on H's root group read at H's classes."""
+    assert f.group is H.root
+    return ClassFunction(H, f.vals[fusion(H)])
+
+
+def induce_by_fusion(H, f):
+    """Induction of a class function f on H: its class-size-weighted
+    values summed into root classes through the fusion."""
+    G = H.root
+    w = H.class_sizes * f.vals
+    out = (np.bincount(fusion(H), w.real, G.class_count)
+           + 1j * np.bincount(fusion(H), w.imag, G.class_count))
+    return ClassFunction(G, out * (G.order // H.order) / G.class_sizes)
+
+
+def on_members(f):
+    """A class function on a subgroup read at its members, for induce."""
+    return f.vals[f.group.cls_of]
+
+
+def class_linear_characters(G):
+    """The exponent rows of linear_characters(G) as class functions,
+    read at the cosets of G's class representatives."""
+    roots, L, cos = linear_characters(G)
+    return [ClassFunction(G, v)
+            for v in roots[L[:, cos[G.positions(G.rep_idx)]]]]
+
+
 def test_linear_character_counts():
     for backend, q, lam, n in [("padic", 2, (1, 1), 2), ("padic", 3, (1, 1), 2),
                                ("padic", 2, (2, 1), 4), ("padic", 3, (2, 2), 6)]:
         G = aut_group(backend, q, lam)
-        chars = linear_characters(G)
+        chars = class_linear_characters(G)
         assert len(chars) == n
         for chi in chars:
             assert chi.degree == 1
@@ -45,7 +85,7 @@ def test_linear_character_counts():
 
 def test_linear_characters_multiplicative():
     G = aut_group("padic", 2, (2, 1))
-    for chi in linear_characters(G):
+    for chi in class_linear_characters(G):
         for x in G.elements:
             for y in G.gens:
                 assert abs(chi(G.mul(x, y)) - chi(x) * chi(y)) < 1e-9
@@ -56,7 +96,7 @@ def test_frobenius_reciprocity():
     B = G.subgroup("borel")
     for j in range(B.class_count):
         f = indicator(B, j)
-        fi = induce(B, f)
+        fi = induce(B, on_members(f))
         for c in range(G.class_count):
             g = indicator(G, c)
             assert abs(fi.inner(g) - f.inner(restrict(B, g))) < 1e-9
@@ -66,8 +106,8 @@ def test_induced_trivial_degree_and_permutation_character():
     for q, expect in [(2, 3), (3, 4)]:
         G = aut_group("padic", q, (1, 1))
         B = G.subgroup("borel")
-        pi = induce(B, trivial(B))
-        assert pi.degree == B.parent_index == expect
+        pi = induce(B, np.ones(B.order))
+        assert pi.degree == G.order // B.order == expect
         assert pi.mult(pi) == 2
         assert pi.mult(trivial(G)) == 1
 
@@ -75,7 +115,7 @@ def test_induced_trivial_degree_and_permutation_character():
 def test_inflation_preserves_inner_products():
     G = aut_group("padic", 2, (3, 2))
     Gf = aut_group("padic", 2, (2, 1))
-    chars = linear_characters(Gf)
+    chars = class_linear_characters(Gf)
     pulled = [inflate(G, f, "floor") for f in chars]
     for a, fa in zip(chars, pulled):
         assert fa.degree == 1
@@ -87,7 +127,7 @@ def test_inflation_preserves_inner_products():
 def test_pushforward_of_trivial_is_trivial():
     G = aut_group("padic", 2, (2, 2))
     P = G.subgroup("parabolic_upper")
-    out = invariants_pushforward(P, "diag", trivial(P))
+    out = invariants_pushforward(P, "diag", trivial(G))
     assert out.group is G.torus
     assert np.allclose(out.vals, 1.0)
 
@@ -101,7 +141,8 @@ def test_geo_adjointness(lam, side):
     for t in range(T.class_count):
         h = indicator(T, t)
         ih = ind(G, h, side)
-        assert np.array_equal(ih.vals, induce(P, inflate(P, h, "diag")).vals)
+        up = induce(P, on_members(inflate(P, h, "diag")))
+        assert np.array_equal(ih.vals, up.vals)
         for c in range(G.class_count):
             g = indicator(G, c)
             assert abs(ih.inner(g) - h.inner(res(G, g, side))) < 1e-9
@@ -129,16 +170,53 @@ def test_congruence_kernel_orders():
 
 
 def test_induce_matches_class_loop():
-    # bit for bit against the per-class accumulation the bincounts replaced
+    # against the per-class accumulation through the fusion of a subgroup's
+    # own classes that the member-level bincount replaced; the sums run in
+    # another order, so equal up to float64 rounding
     G = aut_group("padic", 2, (4, 2))
     for H in (G.subgroup("parabolic_upper"), G.subgroup("ker_embed", m=1),
               G.subgroup("cuspidal_normalizer", u_hat=0, w_hat=1)):
-        for chi in linear_characters(H):
+        roots, L, cos = linear_characters(H)
+        for row, chi in zip(L, class_linear_characters(H)):
+            assert np.array_equal(roots[row[cos]], on_members(chi))
             want = np.zeros(G.class_count, dtype=np.complex128)
-            for j, c in enumerate(H.fusion()):
+            for j, c in enumerate(fusion(H)):
                 want[c] += H.class_sizes[j] * chi.vals[j]
-            want *= H.parent_index / G.class_sizes
-            assert np.array_equal(induce(H, chi).vals, want)
+            want *= (G.order // H.order) / G.class_sizes
+            got = induce(H, roots[row[cos]]).vals
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+            assert np.allclose(got, induce_by_fusion(H, chi).vals, rtol=0,
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("backend,q,lam", [("padic", 2, (4, 2)),
+                                           ("padic", 3, (2, 2)),
+                                           ("tpoly", 2, (3, 2))])
+def test_member_transfers_match_fusion_reference(backend, q, lam):
+    # ind and res through the members against the class-level transfers
+    # through the parabolic's own classes (inflate at its classes, then
+    # induce_by_fusion; restrict, then average over the fibers), on random
+    # complex class functions; equal up to float64 rounding of sums in
+    # another order
+    G = aut_group(backend, q, lam)
+    rng = np.random.default_rng(3)
+    k = G.class_count
+    g = ClassFunction(G, rng.normal(size=k) + 1j * rng.normal(size=k))
+    for side, tag, kind in [("upper", "parabolic_upper", "diag"),
+                            ("lower", "parabolic_lower", "diag"),
+                            ("embed", "parabolic_embed", "embed"),
+                            ("quot", "parabolic_quot", "quot")]:
+        P = G.subgroup(tag, m=1)
+        Q, img = G.hom(kind, P.idx, 1)
+        k = Q.class_count
+        f = ClassFunction(Q, rng.normal(size=k) + 1j * rng.normal(size=k))
+        want = induce_by_fusion(P, inflate(P, f, kind, 1))
+        assert np.allclose(ind(G, f, side, 1).vals, want.vals, rtol=0,
+                           atol=1e-9)
+        sums = np.zeros(Q.order, dtype=np.complex128)
+        np.add.at(sums, img, on_members(restrict(P, g)))
+        want = sums[Q.rep_idx] / (P.order // Q.order)
+        assert np.allclose(res(G, g, side, 1).vals, want, rtol=0, atol=1e-9)
 
 
 def test_pushforward_refuses_a_kernel_outside_the_subgroup():
@@ -149,17 +227,19 @@ def test_pushforward_refuses_a_kernel_outside_the_subgroup():
     for tag in ("unipotent_upper", "scalars"):
         P = G.subgroup(tag)
         with pytest.raises(AssertionError, match="fiber sizes"):
-            invariants_pushforward(P, "diag", trivial(P))
+            invariants_pushforward(P, "diag", trivial(G))
     upper = trivial(G.subgroup("parabolic_upper"))
-    with pytest.raises(AssertionError, match="a class function on P"):
+    with pytest.raises(AssertionError, match="on the root group of P"):
         invariants_pushforward(G.subgroup("parabolic_lower"), "diag", upper)
 
 
 def test_pushforward_matches_fiber_loop():
     # the two bincounts against a loop over P's members, each mapped by the
-    # tuple map it replaced, on complex class functions
+    # tuple map it replaced, on complex class functions of the root group
     G = aut_group("padic", 3, (2, 2))
     rng = np.random.default_rng(11)
+    k = G.class_count
+    f = ClassFunction(G, rng.normal(size=k) + 1j * rng.normal(size=k))
     for tag, kind, m, ref in [
             ("parabolic_lower", "diag", 0, lambda g: (g[0], g[3])),
             ("parabolic_embed", "embed", 1,
@@ -167,8 +247,6 @@ def test_pushforward_matches_fiber_loop():
             ("parabolic_quot", "quot", 1,
              lambda g: (g[0], g[1] // 3, g[2] % 3, g[3] % 3))]:
         P = G.subgroup(tag, m=m)
-        k = P.class_count
-        f = ClassFunction(P, rng.normal(size=k) + 1j * rng.normal(size=k))
         out = invariants_pushforward(P, kind, f, m)
         Q = out.group
         want = np.zeros(Q.order, dtype=np.complex128)
@@ -230,11 +308,11 @@ def test_k_spectrum_trivial_and_sums():
     assert m[0] == 1 and m.sum() == 1
     assert spectrum_kinds(G, trivial(G)) == {"central"}
     B = G.subgroup("borel")
-    pi = induce(B, trivial(B))
+    pi = induce(B, np.ones(B.order))
     mp = k_spectrum(G, pi)
     assert mp.sum() == pi.degree
-    pulled = inflate(G, linear_characters(aut_group("padic", 2, (2, 1)))[1],
-                     "floor")
+    sign = class_linear_characters(aut_group("padic", 2, (2, 1)))[1]
+    pulled = inflate(G, sign, "floor")
     assert spectrum_kinds(G, pulled) == {"central"}
     assert not is_primitive(G, pulled)
 
@@ -252,11 +330,11 @@ def test_k_spectrum_of_deep_parabolic_induction():
 
 def test_is_cuspidal_small():
     G = aut_group("padic", 2, (1, 1))
-    triv, sign = linear_characters(G)
+    triv, sign = class_linear_characters(G)
     assert not is_cuspidal(G, triv)
     assert is_cuspidal(G, sign)
     B = G.subgroup("borel")
-    assert not is_cuspidal(G, induce(B, trivial(B)))
+    assert not is_cuspidal(G, induce(B, np.ones(B.order)))
 
 
 def _round_each(vals):

@@ -14,7 +14,7 @@ from modrep2.groups import (AutGroup, QuotientGroup, Subgroup, aut_group,
                             class_count_formula, order_formula)
 from modrep2.orbits import cuspidal_parameters
 from modrep2.rings import (act_perms, direct_product, greedy_generators,
-                           make_ring, orbit_partition, unit_group)
+                           hook, make_ring, orbit_partition, unit_group)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -282,6 +282,7 @@ def test_root_kernel_laws(case, seed):
     assert G.elements_at([e]) == [G.identity]
     order, inv = G.power_sweep(x)
     assert (mul(x, inv) == e).all() and (mul(inv, x) == e).all()
+    assert np.array_equal(G.inverse(x), inv)
     assert (G.order % order == 0).all()
     if hasattr(G, "factors"):
         A, B = G.factors
@@ -291,6 +292,21 @@ def test_root_kernel_laws(case, seed):
         assert G.elements_at(mul(x, y)) == list(zip(
             A.elements_at(A.right_mul(x // n, y // n)),
             B.elements_at(B.right_mul(x % n, y % n))))
+
+
+@pytest.mark.parametrize("backend,q,lam", [
+    ("padic", 2, (3, 2)), ("padic", 3, (2, 2)), ("padic", 5, (1, 1)),
+    ("padic", 2, (4, 1)), ("tpoly", 4, (2, 1)), ("tpoly", 2, (2, 2)),
+    ("tpoly", 4, (1, 1))])
+def test_inverse_kernel_over_all_elements(backend, q, lam):
+    # the closed-form inverses against the identity on both sides, and
+    # against the power sweep they replace
+    G = aut_group(backend, q, lam)
+    g, e = np.arange(G.order), G.identity_pos
+    inv = G.inverse(g)
+    assert (G.right_mul(g, inv) == e).all()
+    assert (G.right_mul(inv, g) == e).all()
+    assert np.array_equal(inv, G.power_sweep(g)[1])
 
 
 SUBGROUP_ORDERS = [
@@ -384,11 +400,11 @@ def test_cuspidal_subgroups_inside_normalizer():
 def test_subgroup_fusion_and_classes():
     G = aut_group("padic", 2, (3, 2))
     H = G.subgroup("parabolic_upper")
-    fus = H.fusion()
-    assert len(fus) == H.class_count
     assert int(H.class_sizes.sum()) == H.order
+    assert H.root_cls.tolist() == [G.cls_index(x) for x in H.elements]
+    # a class of H lies in one root class
     for j, rep in enumerate(H.class_reps):
-        assert G.cls_index(rep) == int(fus[j])
+        assert set(H.root_cls[H.cls_of == j].tolist()) == {G.cls_index(rep)}
 
 
 # Tuple references for the index maps of AutGroup.hom: the element-at-a-time
@@ -664,6 +680,61 @@ def test_array_orbits_match_closure_reference(case):
     if isinstance(G, QuotientGroup):
         P = G.parent
         assert G.elements == closure_orbits(P.elements, G.N.gens, P.mul)[0]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), max_size=4))))
+def test_hooking_engine_matches_closure_reference(case):
+    # moves taken in one call, in reverse, and one at a time with the labels
+    # read after each (as greedy_generators does) give one partition, the
+    # closure reference's; the labels are the least positions of the orbits
+    n, perms = case
+    points = list(range(n))
+    ref = closure_orbits(points, range(len(perms)), lambda x, t: perms[t][x])
+    got = orbit_partition(points, perms)
+    assert (got[0], got[1], got[2].tolist()) == ref
+    assert orbit_partition(points, perms[::-1])[2].tolist() == ref[2]
+    lab = np.arange(n, dtype=np.int32)
+    for j, P in enumerate(perms):
+        lab = hook(lab, P)
+        reps, _, orbit_of = orbit_partition(points, perms[:j + 1])
+        assert np.array_equal(lab, np.array(reps)[orbit_of])
+
+
+def test_move_not_a_permutation_refused():
+    with pytest.raises(ValueError, match="move 1 is not a permutation of the "
+                       "3 points: 2 of them are not hit once"):
+        orbit_partition([0, 1, 2], [[1, 2, 0], [0, 0, 1]])
+
+
+def test_corrupted_unit_table_refused_fast():
+    # a unit table rolled by one row (right multiplication still permutes,
+    # but the identity's row moved) and one with one row rolled (a column is
+    # no permutation): greedy_generators refuses each within a second, where
+    # it used to loop without end
+    code = ("import time\n"
+            "import numpy as np\n"
+            "from modrep2.rings import make_ring, unit_group\n"
+            "for roll in ('table', 'row'):\n"
+            "    U = unit_group(make_ring('padic', 3, 3))\n"
+            "    if roll == 'table':\n"
+            "        U.table = np.roll(U.table, 1, axis=0)\n"
+            "    else:\n"
+            "        U.table[1] = np.roll(U.table[1], 1)\n"
+            "    t = time.perf_counter()\n"
+            "    try:\n"
+            "        U.gen_idx\n"
+            "    except ValueError as e:\n"
+            "        print('%.3f' % (time.perf_counter() - t), e)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout + proc.stderr
+    assert "the identity times member 1 is member" in lines[0]
+    assert "is not a permutation of the 18 points" in lines[1]
+    assert all(float(line.split()[0]) < 1 for line in lines), lines
 
 
 def test_points_not_closed_refused():
