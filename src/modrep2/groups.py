@@ -185,6 +185,11 @@ class AutGroup(GroupBase):
         code = code * s2 + low[cd + BD]
         return self._element_at(code)
 
+    @cached_property
+    def _inv_tables(self):
+        """Negation and inversion at level l1 as arrays (0 at non-units)."""
+        return np.array(self.R1.neg), np.array([x or 0 for x in self.R1.inv])
+
     def inverse(self, ridx):
         """Element indices of the inverses, in closed form: with Delta =
         (a*d - pi^(l1-l2)*b*c)^-1 at level l1 (b, c, d lift as their codes),
@@ -192,7 +197,7 @@ class AutGroup(GroupBase):
         three reduced to level l2: the adjugate over the lift of d, whose
         product with g is the identity at both levels."""
         (A1, M1, _, _), cols, _, d1c, _ = self._arrays
-        N1, I1 = np.array(self.R1.neg), np.array([x or 0 for x in self.R1.inv])
+        N1, I1 = self._inv_tables
         a, b, c, d = (x[ridx] for x in cols)
         D = I1[A1[M1[a, d], N1[M1[d1c, M1[b, c]]]]]
         s2 = self.s2

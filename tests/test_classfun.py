@@ -170,20 +170,26 @@ def test_congruence_kernel_orders():
 
 
 def test_induce_matches_class_loop():
+    # bit for bit against the accumulation over the members in member order;
     # against the per-class accumulation through the fusion of a subgroup's
-    # own classes that the member-level bincount replaced; the sums run in
-    # another order, so equal up to float64 rounding
+    # own classes, whose sums run in another order, up to float64 rounding
     G = aut_group("padic", 2, (4, 2))
     for H in (G.subgroup("parabolic_upper"), G.subgroup("ker_embed", m=1),
               G.subgroup("cuspidal_normalizer", u_hat=0, w_hat=1)):
         roots, L, cos = linear_characters(H)
         for row, chi in zip(L, class_linear_characters(H)):
-            assert np.array_equal(roots[row[cos]], on_members(chi))
+            vals = roots[row[cos]]
+            assert np.array_equal(vals, on_members(chi))
+            got = induce(H, vals).vals
+            want = np.zeros(G.class_count, dtype=np.complex128)
+            for p, c in enumerate(H.root_cls):
+                want[c] += vals[p]
+            want *= (G.order // H.order) / G.class_sizes
+            assert np.array_equal(got, want)
             want = np.zeros(G.class_count, dtype=np.complex128)
             for j, c in enumerate(fusion(H)):
                 want[c] += H.class_sizes[j] * chi.vals[j]
             want *= (G.order // H.order) / G.class_sizes
-            got = induce(H, roots[row[cos]]).vals
             assert np.allclose(got, want, rtol=0, atol=1e-12)
             assert np.allclose(got, induce_by_fusion(H, chi).vals, rtol=0,
                                atol=1e-12)
