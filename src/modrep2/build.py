@@ -224,10 +224,8 @@ def build_cuspidal_nonrect(G):
 
 def _primitive_unit_characters(ring):
     """Unit characters nontrivial on the deepest congruence layer."""
-    lvl = ring.level
-    layer = [ring.add[1][ring.pi_mul(s, lvl - 1)] for s in range(1, ring.q)]
     return [ch for ch in unit_characters(ring)
-            if any(abs(ch(u) - 1) > TOL for u in layer)]
+            if any(abs(ch(u) - 1) > TOL for u in ring.one_plus)]
 
 
 def build_geometric(G):
@@ -249,9 +247,8 @@ def build_geometric(G):
                geo_irred.degree)
     else:
         chars = unit_characters(G.R1)
-        layer = [G.R1.add[1][G.R1.pi_mul(s, l1 - 1)] for s in range(1, q)]
         pairs = [(t1, t2) for t1 in chars for t2 in chars
-                 if any(abs(t1(u) - t2(u)) > TOL for u in layer)]
+                 if any(abs(t1(u) - t2(u)) > TOL for u in G.R1.one_plus)]
         raw = [geo_ind(G, t1, t2) for t1, t2 in pairs]
         geo = dedupe(raw)
         _check(2 * len(geo) == len(raw), "geo_irred: raw inductions, twice "

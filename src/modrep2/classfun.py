@@ -62,10 +62,6 @@ def dedupe(funcs):
     return list(seen.values())
 
 
-def is_irreducible(chi):
-    return chi.mult(chi) == 1
-
-
 def linear_characters(H):
     """The one-dimensional characters of H as exponent rows at its members,
     pulled back from the abelianization Q: (roots, L, cos) with chi_t at
@@ -194,7 +190,7 @@ def spectrum_kinds(G, chi):
     """Set of orbit labels supporting the depth-one spectrum of chi."""
     D = depth_one_dual(G)
     m = k_spectrum(G, chi)
-    return {D.classify(t)[0] for t, n in zip(D.duals, m) if n > 0}
+    return {D.labels[j][0] for j in np.flatnonzero(m > 0).tolist()}
 
 
 def is_primitive(G, chi):
@@ -222,19 +218,3 @@ def is_cuspidal(G, chi):
             if abs(tc.vals[G.cls_of[U.idx]].sum()) > TOL * U.order:
                 return False
     return True
-
-
-def char_json(f):
-    """Serialize a class function as a JSON-ready dict, one [re, im] pair per
-    conjugacy class in the group's canonical class order."""
-    g = f.group
-    if hasattr(g, "lam"):
-        name = "%s q=%d lambda=(%d,%d)" % (g.backend, g.q, g.lam[0], g.lam[1])
-    else:
-        name = getattr(g, "name", None) or "group of order %d" % g.order
-    d = f.degree
-    _check(abs(d - round(d)) < TOL, "char_json: an integer degree", round(d),
-           d)
-    return {"group": name, "degree": int(round(d)),
-            "values": [[round(v.real, 9), round(v.imag, 9)]
-                       for v in f.vals]}

@@ -54,8 +54,8 @@ import math
 
 import numpy as np
 
-from .rings import (TableGroup, _check, character_exponents, direct_product,
-                    is_prime, make_ring, unit_group)
+from .rings import (TableGroup, _check, _poly_divmod, character_exponents,
+                    direct_product, is_prime, make_ring, unit_group)
 
 
 def _rep_powers(G):
@@ -63,11 +63,6 @@ def _rep_powers(G):
     representatives, from one power sweep of rep_idx through the root."""
     order, inv = G.root.power_sweep(G.rep_idx)
     return math.lcm(*order.tolist()), inv
-
-
-def group_exponent(G):
-    """Least common multiple of the element orders, from class representatives."""
-    return _rep_powers(G)[0]
 
 
 def dixon_prime(exponent, bound):
@@ -202,23 +197,6 @@ def _sqrt_mod(a, r):
         b = pow(c, 1 << (m - i - 1), r)
         m, c, t, x = i, b * b % r, t * b * b % r, x * b % r
     return x
-
-
-def _poly_divmod(a, b, r):
-    """Quotient and remainder of a by b mod r, coefficients leading first,
-    b with a nonzero leading coefficient; the remainder has no leading
-    zeros (empty for zero).  One vector update per quotient coefficient."""
-    a = np.array(a, dtype=np.int64) % r
-    nb, n = len(b), max(len(a) - len(b) + 1, 0)
-    inv = pow(int(b[0]), -1, r)
-    quo = np.zeros(n, dtype=np.int64)
-    for s in range(n):
-        c = quo[s] = int(a[s]) * inv % r
-        if c:
-            a[s:s + nb] = (a[s:s + nb] - c * b) % r
-    rem = a[n:]
-    nz = np.flatnonzero(rem)
-    return quo, rem[nz[0]:] if nz.size else rem[:0]
 
 
 def _squarefree(f, r):

@@ -100,7 +100,7 @@ class AutGroup(GroupBase):
         # codes ((a*s2 + b)*s2 + c)*s2 + d gathered from the residue field's
         # table, so the elements come out in code (lexicographic) order
         F = make_ring(backend, q, 1)
-        M, A, N = (np.array(t) for t in (F.mul, F.add, F.neg))
+        M, A, N = F.mul, F.add, F.neg
         r = np.arange(q)
         unit = A[M[r[:, None, None, None], r],
                  N[M[F.pi_pow(dd), M[r[:, None, None], r[:, None]]]]] != 0
@@ -114,7 +114,8 @@ class AutGroup(GroupBase):
         table[code] = np.arange(len(code), dtype=np.int32)
         cols = tuple(x.astype(np.int32) for x in
                      np.unravel_index(code, (s1, s2, s2, s2)))
-        tables = tuple(np.array(t, dtype=np.intp)
+        # intp: the product kernel forms mixed-radix codes from these
+        tables = tuple(t.astype(np.intp)
                        for t in (R1.add, R1.mul, R2.add, R2.mul))
         # the ring tables, the element columns, the code table (-1 off the
         # group) and the two powers of pi that the product kernel reads
@@ -160,9 +161,9 @@ class AutGroup(GroupBase):
         dot[((x*s2 + y)*s2 + X)*s2 + Y] = x*X + y*Y and low[same] = y*Y +
         pi^(l1-l2)*x*X at level l2, and lift[u*s2 + z] = u + pi^(l1-l2)*z at
         level l1: s1*s2 + 2*s2^4 entries in all."""
-        (A1, M1, A2, M2), _, _, d1c, d2c = self._arrays
+        A1, M1, A2, M2 = self.R1.add, self.R1.mul, self.R2.add, self.R2.mul
+        _, _, _, d1c, d2c = self._arrays
         xX, yY = M2[:, None, :, None], M2[None, :, None, :]
-        A2 = A2.astype(np.int16)
         return (A2[xX, yY].ravel(), A2[M2[d2c, xX], yY].ravel(),
                 A1[:, M1[d1c, :self.s2]].astype(np.int32).ravel())
 
@@ -185,11 +186,6 @@ class AutGroup(GroupBase):
         code = code * s2 + low[cd + BD]
         return self._element_at(code)
 
-    @cached_property
-    def _inv_tables(self):
-        """Negation and inversion at level l1 as arrays (0 at non-units)."""
-        return np.array(self.R1.neg), np.array([x or 0 for x in self.R1.inv])
-
     def inverse(self, ridx):
         """Element indices of the inverses, in closed form: with Delta =
         (a*d - pi^(l1-l2)*b*c)^-1 at level l1 (b, c, d lift as their codes),
@@ -197,7 +193,7 @@ class AutGroup(GroupBase):
         three reduced to level l2: the adjugate over the lift of d, whose
         product with g is the identity at both levels."""
         (A1, M1, _, _), cols, _, d1c, _ = self._arrays
-        N1, I1 = self._inv_tables
+        N1, I1 = self.R1.neg, self.R1.inv
         a, b, c, d = (x[ridx] for x in cols)
         D = I1[A1[M1[a, d], N1[M1[d1c, M1[b, c]]]]]
         s2 = self.s2
@@ -212,15 +208,6 @@ class AutGroup(GroupBase):
                              % (self.name, int((out < 0).sum())))
         return out
 
-    def module_act(self, g, m):
-        """Action on module elements (x1, x2) with x1 at level l1, x2 at level l2."""
-        a, b, c, d = g
-        x1, x2 = m
-        R1, R2 = self.R1, self.R2
-        y1 = R1.add[R1.mul[a][x1]][R1.mul[self.R1.pi_pow(self.l1 - self.l2)][R1.mul[b][x2]]]
-        y2 = R2.add[R2.mul[c][x1 % self.s2]][R2.mul[d][x2]]
-        return (y1, y2)
-
     def hom(self, kind, idx, m=0):
         """(Q, images): element indices in Q of the root indices idx under
         the map kind, column-wise; Q is one object per (kind, m).  floor:
@@ -232,7 +219,7 @@ class AutGroup(GroupBase):
         a, b, c, d = (x[idx] for x in cols)
         q, l1, l2 = self.q, self.l1, self.l2
         if kind == "det":
-            N2 = np.array(self.R2.neg)
+            N2 = self.R2.neg
             return self.R2, A2[M2[a % self.s2, d], N2[M2[d2c, M2[b, c]]]]
         if kind in ("diag", "diag_red"):
             off = int(((b != 0) & (c != 0)).sum()) if kind == "diag" else 0
@@ -256,7 +243,7 @@ class AutGroup(GroupBase):
             a, b, c, d = a % s1, b % s2, c % s2, d % s2
         elif kind in ("embed", "quot"):
             emb = kind == "embed"
-            v = np.array(self.R2.val)[c if emb else b]
+            v = self.R2.val[c if emb else b]
             _check((v >= l2 - m).all(), "hom %s: valuation of %s"
                    % (kind, "c" if emb else "b"), l2 - m, v.min(initial=l2))
             Q, s, t = aut_group(self.backend, q, (l1, m)), q ** m, q ** (l2 - m)
@@ -320,7 +307,7 @@ class AutGroup(GroupBase):
         if tag not in depths:
             raise ValueError("unknown subgroup tag %r" % (tag,))
         (A1, _, A2, M2), (a, b, c, d), _, _, _ = self._arrays
-        V1, V2, N2 = (np.array(t) for t in (self.R1.val, self.R2.val, self.R2.neg))
+        V1, V2, N2 = self.R1.val, self.R2.val, self.R2.neg
         cols = (lambda: V1[A1[a, self.R1.neg[1]]], lambda: V2[b],
                 lambda: V2[c], lambda: V2[A2[d, N2[1]]])
         mask = np.ones(self.order, dtype=bool)

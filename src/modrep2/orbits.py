@@ -1,12 +1,12 @@
 """Dual characters of congruence kernels, the conjugation action on them,
-orbit classification, and submodule geometry."""
+and orbit classification."""
 
 from functools import cached_property
 from itertools import product
 
 import numpy as np
 
-from modrep2.rings import _check, act_perms, make_ring, orbit_partition
+from modrep2.rings import _check, make_ring, orbit_partition
 
 
 class CongruenceDual:
@@ -48,13 +48,11 @@ class CongruenceDual:
         (columns): psi(uh u + vh v + pi^sigma (wh w + zh z)) at level i, as
         one table gather on the coordinate arrays."""
         Ri, Rs = self.Ri, self.Rs
-        Ai, Mi, As, Ms = (np.array(t) for t in (Ri.add, Ri.mul, Rs.add, Rs.mul))
         T = np.array(thetas).T[:, :, None]
         C = self.coords.T[:, None, :]
-        x = Ai[Mi[T[0], C[0]], Mi[T[1], C[1]]]
-        y = As[Ms[T[2], C[2]], Ms[T[3], C[3]]]
-        psi = np.array([Ri.psi(z) for z in range(Ri.size)])
-        return psi[Ai[x, Ri.pi_mul(y, self.sigma)]]
+        x = Ri.add[Ri.mul[T[0], C[0]], Ri.mul[T[1], C[1]]]
+        y = Rs.add[Rs.mul[T[2], C[2]], Rs.mul[T[3], C[3]]]
+        return Ri.psi[Ri.add[x, Ri.pi_mul(y, self.sigma)]]
 
     @cached_property
     def value_matrix(self):
@@ -79,16 +77,6 @@ class CongruenceDual:
             self._orbit_data = orbit_partition(self.duals, perms)
         return self._orbit_data
 
-    def invariants(self, theta):
-        """(shifted trace, determinant) of a dual character, constant on orbits:
-        trace at level i, determinant at level i - sigma."""
-        Ri = self.Ri
-        u, v, w, z = theta
-        dl = Ri.pi_pow(self.G.l1 - self.G.l2)
-        tr = Ri.add[u][Ri.mul[dl][z]]
-        det = Ri.add[Ri.mul[u][z]][Ri.neg[Ri.mul[w][v]]] % self.Rs.size
-        return (tr, det)
-
     def classify(self, theta):
         """Orbit label at depth (1, 0): a (kind, parameter) pair."""
         _check((self.i, self.sigma) == (1, 0), "classify: depth", (1, 0),
@@ -108,17 +96,22 @@ class CongruenceDual:
                 if v == 0 and w == 0 and u == s and z == s:
                     return ("scalar", s)
                 return ("jordan", s)
-            return ("irreducible", (tr, det))
+            return ("irreducible", (int(tr), int(det)))
         if u != 0:
             s = r.add[z][r.neg[r.mul[r.mul[v][w]][r.inv[u]]]]
-            return ("generic", (u, s))
+            return ("generic", (u, int(s)))
         if v == 0 and w == 0:
             return ("central", z)
         if v == 0:
             return ("nilp_lower", None)
         if w == 0:
             return ("nilp_upper", None)
-        return ("off_diag", r.mul[v][w])
+        return ("off_diag", int(r.mul[v][w]))
+
+    @cached_property
+    def labels(self):
+        """classify of each dual, aligned with self.duals, computed once."""
+        return [self.classify(t) for t in self.duals]
 
     def orbit_table(self):
         """Labelled orbit census: {label: (orbit count, orbit size)} at depth (1,0),
@@ -128,8 +121,8 @@ class CongruenceDual:
         _check(len(set(labels)) == len(labels), "distinct orbit labels",
                len(labels), len(set(labels)))
         # orbits are numbered in the order of their representatives
-        bad = [t for t, o in zip(self.duals, orbit_of.tolist())
-               if self.classify(t) != labels[o]]
+        bad = [t for t, o, lab in zip(self.duals, orbit_of.tolist(),
+                                      self.labels) if lab != labels[o]]
         _check(not bad, "duals labelled as their orbit's representative",
                [], bad)
         table = {}
@@ -151,7 +144,7 @@ def cuspidal_parameters(G):
     l, eps = G.half_levels()
     Rl = make_ring(G.backend, G.q, l)
     Rs = make_ring(G.backend, G.q, l - eps)
-    us = [x for x in range(Rl.size) if Rl.val[x] >= 1]
+    us = np.flatnonzero(Rl.val >= 1).tolist()
     return [(u, w) for u in us for w in Rs.units]
 
 
@@ -161,95 +154,6 @@ def orbits_on_kernel(G):
     K = G.subgroup("congruence", i=1, sigma=0)
     reps, sizes, _ = G.conj_orbits(K.idx)
     return list(zip(K.idx[reps].tolist(), sizes))
-
-
-def _cyclic_span(G, m):
-    R1, R2 = G.R1, G.R2
-    s2 = G.s2
-    x1, x2 = m
-    return frozenset((R1.mul[r][x1], R2.mul[r % s2][x2]) for r in range(G.s1))
-
-
-def module_type(G, S):
-    """Column type (m1, m2) of a submodule S of the rank-two module."""
-    R1, R2 = G.R1, G.R2
-    q = G.q
-    total = 0
-    n = len(S)
-    while q ** total < n:
-        total += 1
-    _check(q ** total == n, "submodule order, a power of q", q ** total, n)
-    cur = S
-    m1 = 0
-    while len(cur) > 1:
-        cur = {(R1.pi_mul(x1, 1), R2.pi_mul(x2, 1)) for x1, x2 in cur}
-        m1 += 1
-    _check(m1 <= G.l1 and total - m1 <= m1, "submodule column type (m1, m2)",
-           "%d >= m1 >= m2" % G.l1, (m1, total - m1))
-    return (m1, total - m1)
-
-
-def all_submodules(G):
-    """Every submodule of the rank-two module, as frozensets; two generators
-    always suffice, so take pairwise sums of the cyclic submodules."""
-    R1, R2 = G.R1, G.R2
-    M = [(x1, x2) for x1 in range(G.s1) for x2 in range(G.s2)]
-    cyclic = list(dict.fromkeys(_cyclic_span(G, m) for m in M))
-    seen = set()
-    out = []
-    for C1 in cyclic:
-        for C2 in cyclic:
-            S = frozenset((R1.add[x1][y1], R2.add[x2][y2])
-                          for x1, x2 in C1 for y1, y2 in C2)
-            if S not in seen:
-                seen.add(S)
-                out.append(S)
-    return out
-
-
-def embeddings(G, mu):
-    """All injective module maps from the type-mu module into the rank-two
-    module, as generator-image pairs (y1, y2)."""
-    m1, m2 = mu
-    l1, l2 = G.lam
-    if not (m1 >= m2 >= 0 and m1 <= l1 and m2 <= l2):
-        raise ValueError("type %r does not embed in type %r" % (mu, G.lam))
-    R1, R2 = G.R1, G.R2
-    s2 = G.s2
-    M = [(x1, x2) for x1 in range(G.s1) for x2 in range(G.s2)]
-    Y1 = [y for y in M if R1.pi_mul(y[0], m1) == 0 and R2.pi_mul(y[1], m1) == 0]
-    Y2 = [y for y in M if R1.pi_mul(y[0], m2) == 0 and R2.pi_mul(y[1], m2) == 0]
-    n = G.q ** (m1 + m2)
-    out = []
-    for y1 in Y1:
-        for y2 in Y2:
-            image = {(R1.add[R1.mul[s][y1[0]]][R1.mul[t][y2[0]]],
-                      R2.add[R2.mul[s % s2][y1[1]]][R2.mul[t % s2][y2[1]]])
-                     for s in range(G.q ** m1) for t in range(G.q ** m2)}
-            if len(image) == n:
-                out.append((y1, y2))
-    _check(out, "embeddings of type %r" % (mu,), "at least one", 0)
-    return out
-
-
-def grassmannian_orbits(G, mu):
-    """Orbit sizes of the group acting on embeddings of the type-mu module."""
-    emb = embeddings(G, mu)
-    _, sizes, _ = orbit_partition(emb, act_perms(
-        emb, G.gens, lambda e, g: (G.module_act(g, e[0]), G.module_act(g, e[1]))))
-    return sizes
-
-
-def grassmannian_transitive(G, mu):
-    return len(grassmannian_orbits(G, mu)) == 1
-
-
-def symmetric_type(lam, mu):
-    """Closed-form predicate for single-orbit submodule types."""
-    l1, l2 = lam
-    if l1 == l2:
-        return True
-    return mu[0] == l1
 
 
 def inner_types(lam):

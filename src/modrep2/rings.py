@@ -59,105 +59,104 @@ def prime_power(q):
     return p, f
 
 
-def _digits(x, base, n):
-    out = []
-    for _ in range(n):
-        out.append(x % base)
-        x //= base
-    return out
-
-
-def _poly_divmod(a, b, p):
-    """Little-endian polynomial division over F_p; b monic."""
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    quo = [0] * max(da - db + 1, 1)
-    for i in range(da - db, -1, -1):
-        c = a[i + db] % p
+def _poly_divmod(a, b, r):
+    """Quotient and remainder of a by b mod r, coefficients leading first,
+    b with a nonzero leading coefficient; the remainder has no leading
+    zeros (empty for zero).  One vector update per quotient coefficient."""
+    a, b = np.array(a, dtype=np.int64) % r, np.asarray(b, dtype=np.int64)
+    nb, n = len(b), max(len(a) - len(b) + 1, 0)
+    inv = pow(int(b[0]), -1, r)
+    quo = np.zeros(n, dtype=np.int64)
+    for s in range(n):
+        c = quo[s] = int(a[s]) * inv % r
         if c:
-            quo[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] = (a[i + j] - c * bj) % p
-    return quo, a[:db] if db else [0]
+            a[s:s + nb] = (a[s:s + nb] - c * b) % r
+    rem = a[n:]
+    nz = np.flatnonzero(rem)
+    return quo, rem[nz[0]:] if nz.size else rem[:0]
+
+
+def _digits(x, base, n):
+    return [x // base ** i % base for i in range(n)]
 
 
 def _poly_irreducible(m, p):
-    """Brute irreducibility over F_p: no monic divisor of degree 1..deg/2."""
+    """Brute irreducibility over F_p of m (constant coefficient first): no
+    monic divisor of degree 1..deg/2."""
     deg = len(m) - 1
-    for d in range(1, deg // 2 + 1):
-        for code in range(p ** d):
-            cand = _digits(code, p, d) + [1]
-            _, rem = _poly_divmod(m, cand, p)
-            if not any(rem):
-                return False
-    return True
+    return all(_poly_divmod(m[::-1], [1] + _digits(c, p, d)[::-1], p)[1].size
+               for d in range(1, deg // 2 + 1) for c in range(p ** d))
+
+
+def _poly_tables(cadd, cmul, n, top):
+    """(add, mul) of C[t]/(M) on codes of n base-b digits, the constant
+    coefficient lowest, for the coefficient ring C with b x b tables cadd,
+    cmul and M monic of degree n, t^n = top mod M (a code; 0 for M = t^n).
+    Sums and the scalar rows sm[a] = a * y act digit by digit, so each
+    table takes one more digit per step by broadcasting.  Products follow
+    x = x0 + t x', x y = x0 y + t (x' y): the rows of the x with n digits
+    come from those of the x' with n - 1 digits, one gather per digit."""
+    b = len(cadd)
+    add, sm = cadd, cmul
+    for _ in range(n - 1):
+        add = (add[:, None, :, None] * b + cadd[None, :, None, :]).reshape(
+            len(add) * b, -1)
+        sm = (sm[:, :, None] * b + cmul[:, None, :]).reshape(b, -1)
+    s = len(add)
+    c = np.arange(s)
+    shift = add[c % (s // b) * b, sm[c // (s // b), top]]  # t * c
+    mul = np.empty((s, s), dtype=np.int16)
+    mul[:b] = sm
+    for k in range(1, n):
+        lo, hi = b ** (k - 1), b ** k
+        mul[hi:hi * b] = add[sm[None], shift[mul[lo:hi, None]]].reshape(-1, s)
+    return add, mul
+
+
+def _solve(table, e):
+    """y with table[x, y[x]] = e for each x, and y[x] = 0 where there is no
+    such entry (the inverse of a non-unit)."""
+    return (table == e).argmax(axis=1).astype(np.int16)
 
 
 class FiniteField:
-    """F_q table arithmetic; modulus is the first monic irreducible in code order."""
+    """F_q as int16 tables on codes: the base-p digits of a code are its
+    coefficients, the constant one lowest, modulo the first monic
+    irreducible in code order."""
 
     def __init__(self, q):
         p, f = prime_power(q)
         self.p, self.f, self.q = p, f, q
-        if f == 1:
-            self.modulus = None
-            self.add = [[(x + y) % p for y in range(p)] for x in range(p)]
-            self.mul = [[(x * y) % p for y in range(p)] for x in range(p)]
-        else:
-            for code in range(q):
-                m = _digits(code, p, f) + [1]
-                if _poly_irreducible(m, p):
-                    self.modulus = m
-                    break
-            add = []
-            mul = []
-            for x in range(q):
-                dx = _digits(x, p, f)
-                add.append([self._encode([(a + b) % p for a, b in zip(dx, _digits(y, p, f))])
-                            for y in range(q)])
-                row = []
-                for y in range(q):
-                    dy = _digits(y, p, f)
-                    prod = [0] * (2 * f - 1)
-                    for i, a in enumerate(dx):
-                        if a:
-                            for j, b in enumerate(dy):
-                                prod[i + j] = (prod[i + j] + a * b) % p
-                    _, rem = _poly_divmod(prod, self.modulus, p)
-                    row.append(self._encode(rem + [0] * (f - len(rem))))
-                mul.append(row)
-            self.add = add
-            self.mul = mul
-        self.neg = [self.add[x].index(0) for x in range(q)]
-        self.inv = [None] * q
-        for x in range(1, q):
-            self.inv[x] = self.mul[x].index(1)
+        self.modulus, top = None, 0
+        if f > 1:
+            self.modulus = next(m for m in (_digits(c, p, f) + [1]
+                                            for c in range(q))
+                                if _poly_irreducible(m, p))
+            top = sum(-a % p * p ** i for i, a in enumerate(self.modulus[:f]))
+        x = np.arange(p)
+        self.add, self.mul = _poly_tables(
+            ((x[:, None] + x) % p).astype(np.int16),
+            (np.outer(x, x) % p).astype(np.int16), f, top)
+        self.neg, self.inv = _solve(self.add, 0), _solve(self.mul, 1)
         # Tr(x) = x + x^p + ... + x^(p^(f-1)), landing in the prime field
-        self.trace = []
-        for x in range(q):
-            t, y = 0, x
-            for _ in range(f):
-                t = self.add[t][y]
-                y = self._pow(y, p)
-            _check(t < p, "F_%d: trace of %d in the prime field" % (q, x),
-                   "below %d" % p, t)
-            self.trace.append(t)
-
-    def _encode(self, coeffs):
-        return sum(c * self.p ** i for i, c in enumerate(coeffs))
-
-    def _pow(self, x, k):
-        out = 1
-        for _ in range(k):
-            out = self.mul[out][x]
-        return out
+        t = y = np.arange(q)
+        for _ in range(f - 1):
+            z = y
+            for _ in range(p - 1):
+                z = self.mul[z, y]
+            t, y = self.add[t, z], z
+        bad = np.flatnonzero(t >= p)
+        _check(not bad.size, "F_%d: traces in the prime field" % q,
+               "below %d" % p, dict(zip(bad.tolist(), t[bad].tolist())))
+        self.trace = t.astype(np.int16)
 
 
 MAX_RING_SIZE = 4096
 
 
 class LocalRing:
-    """One level of a backend tower; every operation is a table lookup on codes."""
+    """One level of a backend tower: add, mul, neg, inv (0 at non-units)
+    and val as int16 tables on codes, which are below MAX_RING_SIZE."""
 
     def __init__(self, backend, q, level):
         if backend not in BACKENDS:
@@ -169,113 +168,63 @@ class LocalRing:
             raise ValueError("padic backend requires prime residue size, got %d" % q)
         self.backend, self.q, self.level = backend, q, level
         self.p, self.f = p, f
-        self.size = q ** level
-        if self.size > MAX_RING_SIZE:
+        self.size = s = q ** level
+        if s > MAX_RING_SIZE:
             raise ValueError("ring size %d exceeds the table-arithmetic bound %d"
-                             % (self.size, MAX_RING_SIZE))
-        s = self.size
+                             % (s, MAX_RING_SIZE))
+        c = np.arange(s, dtype=np.int16)
         if backend == "padic":
             self.field = None
-            self.add = [[(x + y) % s for y in range(s)] for x in range(s)]
-            self.mul = [[(x * y) % s for y in range(s)] for x in range(s)]
-            self.neg = [(-x) % s for x in range(s)]
-            self.inv = [pow(x, -1, s) if x % p else None for x in range(s)]
+            # codes are below 2^12: sums stay in int16, and products are
+            # taken in int32 for 512 rows at a time
+            self.add = np.add.outer(c, c) % s
+            self.mul = np.empty((s, s), dtype=np.int16)
+            for i in range(0, s, 512):
+                self.mul[i:i + 512] = np.multiply.outer(
+                    c[i:i + 512].astype(np.int32), c) % s
         else:
-            fq = FiniteField(q)
-            self.field = fq
-            digs = [_digits(x, q, level) for x in range(s)]
-            add = []
-            mul = []
-            for x in range(s):
-                dx = digs[x]
-                add.append([self._encode([fq.add[a][b] for a, b in zip(dx, digs[y])])
-                            for y in range(s)])
-                row = []
-                for y in range(s):
-                    dy = digs[y]
-                    out = [0] * level
-                    for i in range(level):
-                        if dx[i]:
-                            fm = fq.mul[dx[i]]
-                            for j in range(level - i):
-                                out[i + j] = fq.add[out[i + j]][fm[dy[j]]]
-                    row.append(self._encode(out))
-                mul.append(row)
-            self.add = add
-            self.mul = mul
-            self.neg = [self.add[x].index(0) for x in range(s)]
-            self.inv = [None] * s
-            for x in range(s):
-                if x % q:
-                    self.inv[x] = self.mul[x].index(1)
-        self.val = [self._valuation(x) for x in range(s)]
-        self.units = tuple(x for x in range(s) if self.val[x] == 0)
+            self.field = FiniteField(q)
+            self.add, self.mul = _poly_tables(self.field.add, self.field.mul,
+                                              level, 0)
+        self.neg, self.inv = _solve(self.add, 0), _solve(self.mul, 1)
+        self.val = sum(c % q ** j == 0 for j in range(1, level + 1)).astype(
+            np.int16)
+        self.units = tuple(np.flatnonzero(self.val == 0).tolist())
         _check(len(self.units) == q ** (level - 1) * (q - 1),
                "units of the level-%d ring" % level,
                q ** (level - 1) * (q - 1), len(self.units))
-        self.one, self.zero = 1, 0
-        self._psi = None
-
-    def _encode(self, coeffs):
-        return sum(c * self.q ** i for i, c in enumerate(coeffs))
-
-    def _valuation(self, x):
-        if x == 0:
-            return self.level
-        v = 0
-        while x % self.q == 0:
-            x //= self.q
-            v += 1
-        return v
-
-    def sub(self, x, y):
-        return self.add[x][self.neg[y]]
-
-    def unit(self, x):
-        return self.val[x] == 0
-
-    def reduce_to(self, x, m):
-        """Reduction map onto the level-m ring of the same tower."""
-        if not 1 <= m <= self.level:
-            raise ValueError("target level %d out of range" % m)
-        return x % self.q ** m
-
-    def lift_to(self, x, m):
-        """Canonical section into the level-m ring (m >= self.level): identity on codes."""
-        if m < self.level:
-            raise ValueError("lift target below current level")
-        return x
 
     def pi_pow(self, j):
         return self.q ** j % self.size if j < self.level else 0
 
     def pi_mul(self, x, j):
-        return x * self.q ** j % self.size
+        """x * pi^j on codes, 0 <= j <= level (scalars or int16 arrays): the
+        low digits move up by j, with no product above the ring size."""
+        return x % (self.size // self.q ** j) * self.q ** j
 
-    def pi_div(self, x, j):
-        """Exact division by the j-th uniformizer power (requires valuation >= j)."""
-        _check(self.val[x] >= j, "pi_div: valuation of the dividend, at least",
-               j, self.val[x])
-        return x // self.q ** j
+    @cached_property
+    def one_plus(self):
+        """The principal congruence units 1 + pi^(level-1) s, s = 0, ..., q-1
+        in s order (1 first); level >= 2."""
+        if self.level < 2:
+            raise ValueError("principal congruence units need level >= 2")
+        layer = self.add[1, self.pi_mul(np.arange(self.q), self.level - 1)]
+        units = np.array(self.units)
+        found = units[self.val[self.add[units, self.neg[1]]] >= self.level - 1]
+        _check(sorted(layer.tolist()) == found.tolist(),
+               "principal congruence units at level %d" % self.level,
+               found.tolist(), sorted(layer.tolist()))
+        return tuple(layer.tolist())
 
-    def psi(self, x):
-        """Fixed primitive additive character at this level."""
-        if self._psi is None:
-            if self.backend == "padic":
-                self._psi = tuple(complex(math.cos(2 * math.pi * y / self.size),
-                                          math.sin(2 * math.pi * y / self.size))
-                                  for y in range(self.size))
-            else:
-                fq = self.field
-                vals = []
-                for y in range(self.size):
-                    t = 0
-                    for d in _digits(y, self.q, self.level):
-                        t = (t + fq.trace[d]) % self.p
-                    vals.append(complex(math.cos(2 * math.pi * t / self.p),
-                                        math.sin(2 * math.pi * t / self.p)))
-                self._psi = tuple(vals)
-        return self._psi[x]
+    @cached_property
+    def psi(self):
+        """Values of a fixed primitive additive character at this level, by
+        code."""
+        if self.backend == "padic":
+            return roots_of_unity(self.size)
+        c, q = np.arange(self.size), self.q
+        t = sum(self.field.trace[c // q ** j % q] for j in range(self.level))
+        return roots_of_unity(self.p)[t % self.p]
 
 
 @lru_cache(maxsize=None)
@@ -306,13 +255,6 @@ def greedy_generators(G):
             raise ValueError("%s: the identity times member %d is member %d"
                              % (G.name, found[-1], P[e]))
     return idx[np.array(found, dtype=np.intp)]
-
-
-def act_perms(points, moves, act):
-    """Each move as the list of positions of act(x, move) over the points x,
-    -1 for an image off the points; one act call per point and move."""
-    index = {x: j for j, x in enumerate(points)}
-    return [[index.get(act(x, t), -1) for x in points] for t in moves]
 
 
 def hook(lab, P, name="move"):
@@ -556,10 +498,8 @@ def unit_group(ring):
     """The units of ring in code order, 1 first; their table is the ring's
     products of units, mapped to positions by one searchsorted."""
     U = np.array(ring.units)
-    rows = np.array([ring.mul[u] for u in ring.units])
-    return TableGroup(ring.units, np.searchsorted(U, rows[:, U]), 1,
-                      name="units(%s,%d,%d)" % (ring.backend, ring.q,
-                                                ring.level))
+    return TableGroup(ring.units, np.searchsorted(U, ring.mul[np.ix_(U, U)]),
+                      1, "units(%s,%d,%d)" % (ring.backend, ring.q, ring.level))
 
 
 def direct_product(A, B):
@@ -691,16 +631,11 @@ def twisting_characters(ring):
     """The q unit-group characters extending the level-1 additive pattern on the
     principal congruence units 1 + pi^(level-1) * (residue field); indexed by the
     level-1 coefficient, with index 0 the trivial character."""
-    if ring.level < 2:
-        raise ValueError("twisting characters need level >= 2")
+    one_plus = ring.one_plus  # ValueError below level 2
     chars = unit_characters(ring)
     r1 = make_ring(ring.backend, ring.q, 1)
-    one_plus = [u for u in ring.units if ring.val[ring.sub(u, 1)] >= ring.level - 1]
-    _check(len(one_plus) == ring.q, "principal congruence units at level %d"
-           % ring.level, ring.q, len(one_plus))
-    s = [ring.pi_div(ring.sub(u, 1), ring.level - 1) for u in one_plus]
     vals = np.array([[ch(u) for u in one_plus] for ch in chars])
-    want = np.array([[r1.psi(r1.mul[zh][x]) for x in s] for zh in range(ring.q)])
+    want = r1.psi[r1.mul]  # want[zh, s] = psi(zh s), s the coefficient
     ext = (np.abs(vals[None] - want[:, None]) < MTOL).all(axis=2)
     n = len(ring.units) // ring.q  # the extensions of each pattern
     for zh, count in enumerate(ext.sum(axis=1).tolist()):

@@ -83,9 +83,7 @@ def _check_inf_adjoint(G, members):
 def _check_parabolic_both_sides(G):
     """Upper and lower parabolic induction agree on inducing pairs and are
     reducible exactly off them; rectangular pairs also swap."""
-    q = G.q
-    R1 = G.R1
-    layer = [R1.add[1][R1.pi_mul(s, R1.level - 1)] for s in range(1, q)]
+    layer = G.R1.one_plus
     rect = G.l1 == G.l2
     for t1 in unit_characters(G.R1):
         for t2 in unit_characters(G.R2):
@@ -114,10 +112,8 @@ def _check_mixed_composition(G):
     floor parabolic induction."""
     q = G.q
     Gm = aut_group(G.backend, q, (G.l1, 1))
-    R1 = G.R1
-    layer = [R1.add[1][R1.pi_mul(s, R1.level - 1)] for s in range(1, q)]
     for t1 in unit_characters(G.R1):
-        if not any(abs(t1(u) - 1) > TOL for u in layer):
+        if not any(abs(t1(u) - 1) > TOL for u in G.R1.one_plus):
             continue
         for t2 in unit_characters(Gm.R2):
             lift = [c for c in unit_characters(G.R2)

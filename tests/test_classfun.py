@@ -10,7 +10,7 @@ import pytest
 
 from modrep2.classfun import (ClassFunction, dedupe, geo_ind, induce, ind,
                               inflate, invariants_pushforward, is_cuspidal,
-                              is_irreducible, k_spectrum, linear_characters,
+                              k_spectrum, linear_characters,
                               res, spectrum_kinds, is_primitive,
                               torus_character, twist)
 from modrep2.groups import aut_group
@@ -78,7 +78,7 @@ def test_linear_character_counts():
         assert len(chars) == n
         for chi in chars:
             assert chi.degree == 1
-            assert is_irreducible(chi)
+            assert chi.mult(chi) == 1
         gram = [[a.mult(b) for b in chars] for a in chars]
         assert gram == [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -299,7 +299,7 @@ def test_twist():
     t1 = twist(one, tw[1])
     assert np.allclose(t0.vals, one.vals)
     assert not np.allclose(t1.vals, one.vals)
-    assert t1.degree == 1 and is_irreducible(t1)
+    assert t1.degree == 1 and t1.mult(t1) == 1
     for x in G.elements[:50]:
         for y in G.gens:
             assert abs(t1(G.mul(x, y)) - t1(x) * t1(y)) < 1e-9
@@ -328,7 +328,7 @@ def test_k_spectrum_of_deep_parabolic_induction():
     u1 = twisting_characters(G.R1)[1]
     u2 = twisting_characters(G.R2)[0]
     chi = geo_ind(G, u1, u2)
-    assert is_irreducible(chi)
+    assert chi.mult(chi) == 1
     assert k_spectrum(G, chi).sum() == chi.degree
     assert spectrum_kinds(G, chi) == {"generic"}
     assert is_primitive(G, chi)

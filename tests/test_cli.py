@@ -229,17 +229,6 @@ def test_tpoly_backend(capsys):
     assert json.loads(out)["zeta"] == {"1": 9, "3": 15, "4": 27}
 
 
-def test_char_json_export():
-    from modrep2.build import assemble
-    from modrep2.classfun import char_json
-    a = assemble("padic", 2, (2, 1))
-    doc = char_json(a.family("heis_q").members[0])
-    assert doc["degree"] == 2
-    assert doc["group"] == "padic q=2 lambda=(2,1)"
-    assert doc["values"][0] == [2.0, 0.0]
-    assert all(len(v) == 2 for v in doc["values"])
-
-
 def test_no_root_tuples_on_dixon_construct_verify_all():
     # the root groups of every job keep their elements as code columns:
     # no tuple list and no tuple -> index dict is built

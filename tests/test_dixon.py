@@ -14,8 +14,8 @@ import pytest
 
 from modrep2 import dixon
 from modrep2.dixon import (_charpoly, _class_matrix, _eigenspaces, _mm,
-                           _nullspace, _roots, _rref, _sqrt_mod,
-                           character_degrees, dixon_prime, group_exponent)
+                           _nullspace, _rep_powers, _roots, _rref, _sqrt_mod,
+                           character_degrees, dixon_prime)
 from modrep2.groups import aut_group
 from modrep2.rings import TableGroup, is_prime, make_ring, unit_group
 
@@ -45,7 +45,7 @@ def test_degree_multisets(backend, q, lam, expect):
 
 def test_prime_independence():
     G = aut_group("padic", 3, (2, 1))
-    e = group_exponent(G)
+    e = _rep_powers(G)[0]
     r1 = dixon_prime(e, G.order)
     r2 = dixon_prime(e, r1)
     assert r2 > r1 > G.order
@@ -118,7 +118,7 @@ def test_central_translates_build_no_matrix(monkeypatch):
         return _class_matrix(G, members, *args)
 
     monkeypatch.setattr(dixon, "_class_matrix", counted)
-    r = dixon_prime(group_exponent(G), G.order)
+    r = dixon_prime(_rep_powers(G)[0], G.order)
     assert Counter(character_degrees(G, r_override=r)) == {
         1: 16, 2: 20, 3: 16, 4: 24, 6: 36, 8: 48, 12: 72, 24: 16}
     assert len(built) <= 40  # 132 with every class matrix built
@@ -149,7 +149,7 @@ def test_central_blocks_are_joint_eigenspaces(group):
                       for c in central])
     N = [_class_matrix(G, np.array([G.index[G.inv(reps[c])]]), rep_idx,
                        cls_of) for c in central]
-    r = dixon_prime(group_exponent(G), G.order)
+    r = dixon_prime(_rep_powers(G)[0], G.order)
     theta = _centre_characters(G, shift, central, r)
     # the trivial twist group: every central character leads its own orbit
     blocks = dixon._central_blocks(
@@ -261,8 +261,8 @@ def _identity_start_degrees(G, r):
     ("padic", 3, (2, 2)), ("tpoly", 4, (1, 1)), ("tpoly", 4, (2, 1))])
 def test_central_start_matches_identity_start(backend, q, lam):
     G = aut_group(backend, q, lam)
-    r1 = dixon_prime(group_exponent(G), G.order)
-    r2 = dixon_prime(group_exponent(G), r1)
+    r1 = dixon_prime(_rep_powers(G)[0], G.order)
+    r2 = dixon_prime(_rep_powers(G)[0], r1)
     assert character_degrees(G) == _identity_start_degrees(G, r1)
     assert (character_degrees(G, r_override=r2)
             == _identity_start_degrees(G, r2))
@@ -286,7 +286,7 @@ def test_twisted_eigenlines_match_all_blocks(backend, q, lam, monkeypatch):
     # the eigenlines written as twists of the orbit representatives' are the
     # ones the split finds from every central block
     G = aut_group(backend, q, lam)
-    e = group_exponent(G)
+    e = _rep_powers(G)[0]
     r1 = dixon_prime(e, G.order)
     for r in (r1, dixon_prime(e, r1)):
         twisted = _eigenline_set(G, r)
@@ -305,7 +305,7 @@ def test_central_blocks_one_per_twist_orbit(backend, q, lam, orbit):
     k = len(sizes)
     central = np.flatnonzero(sizes == 1)
     shift = cls_of[G.right_mul(rep_idx[central][:, None], rep_idx[None, :])]
-    r = dixon_prime(group_exponent(G), G.order)
+    r = dixon_prime(_rep_powers(G)[0], G.order)
     theta = _centre_characters(G, shift, central, r)
     Lam = dixon._twists(G, r)
     assert (Lam[0] == 1).all() and len(set(map(tuple, Lam.tolist()))) == len(Lam)
@@ -416,8 +416,8 @@ def test_charpoly_matches_determinant_expansion():
 
 
 def test_exponents():
-    assert group_exponent(aut_group("padic", 2, (1, 1))) == 6
-    assert group_exponent(aut_group("padic", 2, (2, 1))) == 4
+    assert _rep_powers(aut_group("padic", 2, (1, 1)))[0] == 6
+    assert _rep_powers(aut_group("padic", 2, (2, 1)))[0] == 4
     assert dixon_prime(6, 6) == 7
     assert dixon_prime(6, 7) == 13
 
@@ -579,14 +579,14 @@ def test_lazy_rref_exact_over_many_pivots():
 
 def test_largest_admissible_prime_gives_the_same_degrees():
     G = aut_group("padic", 2, (2, 1))
-    r = _largest_admissible_prime(G.class_count, group_exponent(G))
-    assert r > dixon_prime(group_exponent(G), G.order)
+    r = _largest_admissible_prime(G.class_count, _rep_powers(G)[0])
+    assert r > dixon_prime(_rep_powers(G)[0], G.order)
     assert character_degrees(G, r_override=r) == character_degrees(G)
 
 
 def test_prime_above_the_float64_bound_rejected():
     G = aut_group("padic", 2, (2, 1))
-    k, e = G.class_count, group_exponent(G)
+    k, e = G.class_count, _rep_powers(G)[0]
     r = _largest_admissible_prime(k, e) + e
     while not is_prime(r):
         r += e

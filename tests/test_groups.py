@@ -13,10 +13,17 @@ from hypothesis import strategies as st
 from modrep2.groups import (AutGroup, QuotientGroup, Subgroup, aut_group,
                             class_count_formula, order_formula)
 from modrep2.orbits import cuspidal_parameters
-from modrep2.rings import (act_perms, direct_product, greedy_generators,
-                           hook, make_ring, orbit_partition, unit_group)
+from modrep2.rings import (direct_product, greedy_generators, hook,
+                           make_ring, orbit_partition, unit_group)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def act_perms(points, moves, act):
+    """Each move as the list of positions of act(x, move) over the points x,
+    -1 for an image off the points."""
+    index = {x: j for j, x in enumerate(points)}
+    return [[index.get(act(x, t), -1) for x in points] for t in moves]
 
 ORDER_CASES = [
     ("padic", 2, (1, 1), 6), ("padic", 3, (1, 1), 48), ("tpoly", 4, (1, 1), 180),
@@ -235,6 +242,20 @@ def test_right_mul_tables_stay_small_on_skewed_types():
     els, mul = G.elements, tuple_ops(G)[0]
     assert G.right_mul(x, y).tolist() == [
         G.index[mul(els[i], els[j])] for i, j in zip(x.tolist(), y.tolist())]
+
+
+@pytest.mark.parametrize("lam", [(12, 1), (12, 2)])
+def test_kernels_on_the_largest_ring_match_tuple_ops(lam):
+    # padic q=2 at level 12: ring codes reach 4095 and element codes 32767,
+    # resp. 262143 on (12, 2), where an int16 code would wrap; right_mul
+    # and inverse against the tuple formulas on sampled elements
+    G = aut_group("padic", 2, lam)
+    mul, inv, _ = tuple_ops(G)
+    x, y = np.random.default_rng(5).integers(0, G.order, (2, 3000))
+    gx, gy = G.elements_at(x), G.elements_at(y)
+    assert G.right_mul(x, y).tolist() == G.locate(
+        [mul(g, h) for g, h in zip(gx, gy)]).tolist()
+    assert G.inverse(x).tolist() == G.locate([inv(g) for g in gx]).tolist()
 
 
 def test_right_mul_refuses_non_elements():
@@ -530,18 +551,6 @@ def test_maps_refuse_elements_off_their_domain():
         G.hom("diagonal", [0])
 
 
-def test_module_action():
-    G = aut_group("padic", 2, (3, 2))
-    M = [(x1, x2) for x1 in range(8) for x2 in range(4)]
-    for g in G.elements[::11]:
-        imgs = {G.module_act(g, m) for m in M}
-        assert len(imgs) == len(M)
-        assert G.module_act(G.identity, (3, 2)) == (3, 2)
-        for h in G.elements[::13]:
-            for m in M[::5]:
-                assert G.module_act(G.mul(g, h), m) == G.module_act(g, G.module_act(h, m))
-
-
 def test_commutator_and_abelianization():
     G = aut_group("padic", 2, (1, 1))  # GL2(F2), symmetric group on 3 letters
     D = G.commutator_subgroup()
@@ -810,10 +819,10 @@ def reference_members(G, tag, **kw):
     v1, v2 = R1.val, R2.val
 
     def up1(x, j):
-        return v1[R1.sub(x, 1)] >= j
+        return v1[R1.add[x][R1.neg[1]]] >= j
 
     def up2(x, j):
-        return v2[R2.sub(x, 1)] >= j
+        return v2[R2.add[x][R2.neg[1]]] >= j
 
     i, sigma, m = kw.get("i"), kw.get("sigma"), kw.get("m")
     u, w = kw.get("u_hat"), kw.get("w_hat")
@@ -854,9 +863,9 @@ def reference_members(G, tag, **kw):
         "torus": lambda g: g[1] == 0 and g[2] == 0,
         "heisenberg": lambda g: up1(g[0], l1 - 1) and g[3] == 1,
         "cuspidal_normalizer": lambda g: (
-            R2.val[R2.sub(g[1], R2.mul[g[2]][w])] >= l - eps
-            and R2.val[R2.sub(g[3], R2.add[g[0] % s2][R2.neg[R2.mul[g[2]][u]]])]
-            >= l),
+            R2.val[R2.add[g[1]][R2.neg[R2.mul[g[2]][w]]]] >= l - eps
+            and R2.val[R2.add[g[3]][R2.neg[
+                R2.add[g[0] % s2][R2.neg[R2.mul[g[2]][u]]]]]] >= l),
     }
     return [g for g in G.elements if preds[tag](g)]
 

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from modrep2.groups import aut_group
-from modrep2.orbits import (CongruenceDual, all_submodules, cuspidal_parameters,
-                            eta_dual, grassmannian_orbits, grassmannian_transitive,
-                            inner_types, module_type, orbits_on_kernel,
-                            symmetric_type)
-from modrep2.rings import _check, act_perms, orbit_partition
+from modrep2.orbits import (CongruenceDual, cuspidal_parameters, eta_dual,
+                            inner_types, orbits_on_kernel)
+from modrep2.rings import _check, orbit_partition
+
+
+def act_perms(points, moves, act):
+    """Each move as the list of positions of act(x, move) over the points x,
+    -1 for an image off the points."""
+    index = {x: j for j, x in enumerate(points)}
+    return [[index.get(act(x, t), -1) for x in points] for t in moves]
 
 
 # Tuple references for CongruenceDual: the per-element pairing that values()
@@ -21,7 +26,7 @@ def pair(D, theta, k):
     Ri, Rs = D.Ri, D.Rs
     x = Ri.add[Ri.mul[uh][u]][Ri.mul[vh][v]]
     y = Rs.add[Rs.mul[wh][w]][Rs.mul[zh][z]]
-    return Ri.psi(Ri.add[x][Ri.pi_mul(y, D.sigma)])
+    return Ri.psi[Ri.add[x][Ri.pi_mul(y, D.sigma)]]
 
 
 def act(D, g, theta):
@@ -204,19 +209,6 @@ def test_orbit_tables(backend, q, lam, table):
     assert sum(c * s for c, s in got.values()) == q ** 4
 
 
-def test_invariants_constant_on_orbits():
-    for backend, q, lam in [("padic", 2, (3, 2)), ("padic", 3, (3, 2)),
-                            ("padic", 2, (4, 3))]:
-        G = aut_group(backend, q, lam)
-        D = CongruenceDual(G, *G.half_levels())
-        reps, sizes, orbit_of = D.orbits()
-        inv_of_orbit = {}
-        for j, theta in enumerate(D.duals):
-            o = int(orbit_of[j])
-            v = D.invariants(theta)
-            assert inv_of_orbit.setdefault(o, v) == v
-
-
 def test_eta_invariants_and_stability():
     for backend, q, lam in [("padic", 2, (3, 2)), ("padic", 3, (3, 2))]:
         G = aut_group(backend, q, lam)
@@ -224,7 +216,6 @@ def test_eta_invariants_and_stability():
         D = CongruenceDual(G, l, eps)
         for u_hat, w_hat in cuspidal_parameters(G):
             theta = eta_dual(u_hat, w_hat)
-            assert D.invariants(theta) == (u_hat, D.Rs.neg[w_hat])
             N = G.subgroup("cuspidal_normalizer", u_hat=u_hat, w_hat=w_hat)
             for n in N.elements:
                 assert act(D, n, theta) == theta
@@ -265,38 +256,6 @@ def test_orbits_on_kernel(backend, q, lam, n):
     orbs = orbits_on_kernel(G)
     assert len(orbs) == n == (q * q + q if G.rect else q * q + q + 1)
     assert sum(s for _, s in orbs) == q ** 4
-
-
-def test_submodule_census():
-    G = aut_group("padic", 2, (3, 2))
-    subs = all_submodules(G)
-    from collections import Counter
-    census = Counter(module_type(G, S) for S in subs)
-    assert census[(0, 0)] == 1 and census[(3, 2)] == 1
-    assert census[(1, 0)] == 3 and census[(1, 1)] == 1
-    assert sum(len(S) == 2 ** 5 for S in subs) == 1
-
-
-def test_grassmannian_examples():
-    assert grassmannian_transitive(aut_group("padic", 2, (2, 2)), (2, 1))
-    assert not grassmannian_transitive(aut_group("padic", 2, (2, 1)), (1, 1))
-    assert grassmannian_transitive(aut_group("padic", 2, (2, 1)), (2, 0))
-    with pytest.raises(ValueError):
-        grassmannian_orbits(aut_group("padic", 2, (2, 1)), (2, 2))
-
-
-def test_symmetric_type_matches_transitivity():
-    for backend, q, lams in [("padic", 2, [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]),
-                             ("padic", 3, [(1, 1), (2, 1), (2, 2)]),
-                             ("tpoly", 2, [(2, 1), (2, 2)])]:
-        for lam in lams:
-            G = aut_group(backend, q, lam)
-            types = sorted({module_type(G, S) for S in all_submodules(G)})
-            for mu in types:
-                if mu == (0, 0):
-                    continue
-                assert grassmannian_transitive(G, mu) == symmetric_type(lam, mu), \
-                    (backend, q, lam, mu)
 
 
 def test_inner_types():

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modrep2.groups import aut_group
-from modrep2.rings import (BACKENDS, FiniteField, MTOL, TOL, TableGroup,
-                           character_exponents, character_group, make_ring,
-                           prime_power, twisting_characters, unit_characters,
-                           unit_group)
+from modrep2.rings import (BACKENDS, MAX_RING_SIZE, FiniteField, LocalRing,
+                           MTOL, TOL, TableGroup, character_exponents,
+                           character_group, make_ring, prime_power,
+                           twisting_characters, unit_characters, unit_group)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -67,29 +67,27 @@ def test_valuation_strata(backend, q, level):
 
 @pytest.mark.parametrize("backend,q,level", SMALL)
 def test_reduction_is_hom(backend, q, level):
+    # reduction to level m is x % q^m on codes: the groups' maps rely on it
     r = make_ring(backend, q, level)
     for m in range(1, level):
         rm = make_ring(backend, q, m)
         for x in range(r.size):
             for y in range(r.size):
-                xb, yb = r.reduce_to(x, m), r.reduce_to(y, m)
-                assert r.reduce_to(r.add[x][y], m) == rm.add[xb][yb]
-                assert r.reduce_to(r.mul[x][y], m) == rm.mul[xb][yb]
-        # lift is a section of reduce
-        for x in range(rm.size):
-            assert r.reduce_to(rm.lift_to(x, level), m) == x
+                xb, yb = x % rm.size, y % rm.size
+                assert r.add[x][y] % rm.size == rm.add[xb][yb]
+                assert r.mul[x][y] % rm.size == rm.mul[xb][yb]
 
 
 def test_inverse_table():
     r = make_ring("padic", 2, 3)
-    assert r.inv[3] == 3 and r.inv[2] is None and r.mul[2][4] == 0
+    assert r.inv[3] == 3 and r.inv[2] == 0 and r.mul[2][4] == 0
     for backend, q, level in SMALL:
         r = make_ring(backend, q, level)
         for u in r.units:
             assert r.mul[u][r.inv[u]] == 1
         for x in range(r.size):
-            if not r.unit(x):
-                assert r.inv[x] is None
+            if r.val[x] > 0:
+                assert r.inv[x] == 0
 
 
 def test_uniformizer_shifts():
@@ -98,22 +96,200 @@ def test_uniformizer_shifts():
         for x in range(r.size):
             for j in range(level + 1):
                 assert r.pi_mul(x, j) == r.mul[x][r.pi_pow(j)]
-                if r.val[x] >= j:
-                    assert r.pi_mul(r.pi_div(x, j), j) == x or r.val[x] + 0 > level - j
-        # pi_div really inverts pi_mul on low-valuation input
-        for x in range(r.size // q):
-            assert r.pi_div(r.pi_mul(x, 1), 1) == x
+                if r.val[x] >= j:  # q^j divides the code
+                    assert x % q ** j == 0 and r.pi_mul(x // q ** j, j) == x
+    # on int16 arrays too, where x * q^j would wrap on the large rings
+    for backend, q, level in SMALL + [("padic", 2, 12), ("tpoly", 3, 7)]:
+        r = make_ring(backend, q, level)
+        c = np.arange(r.size, dtype=np.int16)
+        for j in range(level + 1):
+            assert np.array_equal(r.pi_mul(c, j), r.mul[:, r.pi_pow(j)])
 
 
 def test_finite_field_f4():
     f = FiniteField(4)
     assert f.modulus == [1, 1, 1]  # X^2 + X + 1, the first irreducible in code order
     assert f.mul[2][2] == 3 and f.mul[2][3] == 1
-    assert f.trace == [0, 0, 1, 1]
+    assert f.trace.tolist() == [0, 0, 1, 1]
     f9 = FiniteField(9)
     assert f9.p == 3 and f9.f == 2
     for x in range(1, 9):
         assert f9.mul[x][f9.inv[x]] == 1
+
+
+# The list-of-lists table builders that the array tables replaced, as the
+# reference for them: per-pair digit loops, None for the inverse of a
+# non-unit.
+
+def _digits(x, base, n):
+    out = []
+    for _ in range(n):
+        out.append(x % base)
+        x //= base
+    return out
+
+
+def _ref_poly_divmod(a, b, p):
+    """Little-endian polynomial division over F_p; b monic."""
+    a = list(a)
+    db, da = len(b) - 1, len(a) - 1
+    quo = [0] * max(da - db + 1, 1)
+    for i in range(da - db, -1, -1):
+        c = a[i + db] % p
+        if c:
+            quo[i] = c
+            for j, bj in enumerate(b):
+                a[i + j] = (a[i + j] - c * bj) % p
+    return quo, a[:db] if db else [0]
+
+
+def _ref_irreducible(m, p):
+    deg = len(m) - 1
+    for d in range(1, deg // 2 + 1):
+        for code in range(p ** d):
+            _, rem = _ref_poly_divmod(m, _digits(code, p, d) + [1], p)
+            if not any(rem):
+                return False
+    return True
+
+
+def reference_field(q):
+    """(modulus, add, mul, neg, inv, trace) of F_q as lists."""
+    p, f = prime_power(q)
+
+    def encode(coeffs):
+        return sum(c * p ** i for i, c in enumerate(coeffs))
+
+    if f == 1:
+        modulus = None
+        add = [[(x + y) % p for y in range(p)] for x in range(p)]
+        mul = [[(x * y) % p for y in range(p)] for x in range(p)]
+    else:
+        modulus = next(m for m in (_digits(c, p, f) + [1] for c in range(q))
+                       if _ref_irreducible(m, p))
+        add, mul = [], []
+        for x in range(q):
+            dx = _digits(x, p, f)
+            add.append([encode([(a + b) % p for a, b in
+                                zip(dx, _digits(y, p, f))])
+                        for y in range(q)])
+            row = []
+            for y in range(q):
+                dy = _digits(y, p, f)
+                prod = [0] * (2 * f - 1)
+                for i, a in enumerate(dx):
+                    for j, b in enumerate(dy):
+                        prod[i + j] = (prod[i + j] + a * b) % p
+                _, rem = _ref_poly_divmod(prod, modulus, p)
+                row.append(encode(rem + [0] * (f - len(rem))))
+            mul.append(row)
+    neg = [add[x].index(0) for x in range(q)]
+    inv = [None] + [mul[x].index(1) for x in range(1, q)]
+    trace = []
+    for x in range(q):
+        t, y = 0, x
+        for _ in range(f):
+            t = add[t][y]
+            z = 1
+            for _ in range(p):
+                z = mul[z][y]
+            y = z
+        trace.append(t)
+    return modulus, add, mul, neg, inv, trace
+
+
+def reference_ring(backend, q, level):
+    """(add, mul, neg, inv, val) of the level-`level` ring as lists."""
+    s = q ** level
+    if backend == "padic":
+        add = [[(x + y) % s for y in range(s)] for x in range(s)]
+        mul = [[(x * y) % s for y in range(s)] for x in range(s)]
+        inv = [pow(x, -1, s) if x % q else None for x in range(s)]
+    else:
+        _, fadd, fmul, _, _, _ = reference_field(q)
+        digs = [_digits(x, q, level) for x in range(s)]
+
+        def encode(coeffs):
+            return sum(c * q ** i for i, c in enumerate(coeffs))
+
+        add, mul = [], []
+        for x in range(s):
+            dx = digs[x]
+            add.append([encode([fadd[a][b] for a, b in zip(dx, digs[y])])
+                        for y in range(s)])
+            row = []
+            for y in range(s):
+                out = [0] * level
+                for i in range(level):
+                    for j in range(level - i):
+                        out[i + j] = fadd[out[i + j]][fmul[dx[i]][digs[y][j]]]
+                row.append(encode(out))
+            mul.append(row)
+        inv = [mul[x].index(1) if x % q else None for x in range(s)]
+    neg = [add[x].index(0) for x in range(s)]
+    val = []
+    for x in range(s):
+        v = 0 if x else level
+        while x and x % q == 0:
+            x, v = x // q, v + 1
+        val.append(v)
+    return add, mul, neg, inv, val
+
+
+def _check_tables(got, want):
+    for t, w in zip(got, want):
+        assert t.dtype == np.int16
+        assert t.tolist() == [0 if x is None else x for x in w]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_field_tables_match_reference(q):
+    f = FiniteField(q)
+    modulus, *want = reference_field(q)
+    assert f.modulus == modulus
+    _check_tables([f.add, f.mul, f.neg, f.inv, f.trace], want)
+    assert (f.inv[1:] != 0).all() and f.inv[0] == 0
+
+
+def _small_rings():
+    out = []
+    for backend in BACKENDS:
+        for q in range(2, 257):
+            try:
+                f = prime_power(q)[1]
+            except ValueError:
+                continue
+            out += [(backend, q, level) for level in range(1, 9)
+                    if q ** level <= 256 and (backend == "tpoly" or f == 1)]
+    return out
+
+
+@pytest.mark.parametrize("backend,q,level", _small_rings())
+def test_ring_tables_match_reference(backend, q, level):
+    r = LocalRing(backend, q, level)
+    want = reference_ring(backend, q, level)
+    _check_tables([r.add, r.mul, r.neg, r.inv, r.val], want)
+    # the inverse reads 0 exactly at the non-units
+    assert ((r.inv == 0) == (r.val > 0)).all()
+    assert r.units == tuple(x for x in range(r.size) if want[4][x] == 0)
+
+
+def test_largest_padic_ring_is_small():
+    # the level-12 tables of Z/4096 are two int16 arrays of 32 MB; lists of
+    # lists took about 1.2 GB there.  The peak is the child's VmHWM: its
+    # ru_maxrss starts from the parent's high-water mark, which exec keeps
+    code = ("from modrep2.rings import make_ring\n"
+            "r = make_ring('padic', 2, 12)\n"
+            "hwm = [line for line in open('/proc/self/status')\n"
+            "       if line.startswith('VmHWM:')]\n"
+            "print(r.size, hwm[0].split()[1])\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    size, peak_kb = proc.stdout.split()
+    assert int(size) == MAX_RING_SIZE
+    assert int(peak_kb) < 150 * 1024, peak_kb
 
 
 @pytest.mark.parametrize("backend,q,level", SMALL)
@@ -121,13 +297,13 @@ def test_psi_additive_primitive_nondegenerate(backend, q, level):
     r = make_ring(backend, q, level)
     for x in range(r.size):
         for y in range(r.size):
-            assert abs(r.psi(r.add[x][y]) - r.psi(x) * r.psi(y)) < MTOL
+            assert abs(r.psi[r.add[x][y]] - r.psi[x] * r.psi[y]) < MTOL
     # primitive: nontrivial somewhere on the top valuation stratum
     top = [x for x in range(r.size) if r.val[x] >= level - 1 and x != 0]
-    assert any(abs(r.psi(x) - 1) > MTOL for x in top)
+    assert any(abs(r.psi[x] - 1) > MTOL for x in top)
     # nondegenerate: a -> psi(a*.) separates elements
-    rows = {tuple(round(r.psi(r.mul[a][x]).real, 9) +
-                  1j * round(r.psi(r.mul[a][x]).imag, 9) for x in range(r.size))
+    rows = {tuple(round(r.psi[r.mul[a][x]].real, 9) +
+                  1j * round(r.psi[r.mul[a][x]].imag, 9) for x in range(r.size))
             for a in range(r.size)}
     assert len(rows) == r.size
 
@@ -253,13 +429,17 @@ def test_twisting_characters():
     assert len(tw) == 3
     assert abs(tw[1](4) - cmath.exp(2j * cmath.pi / 3)) < MTOL
     assert abs(tw[2](4) - cmath.exp(4j * cmath.pi / 3)) < MTOL
-    # restrictions to the principal units are pairwise distinct
-    one_plus = [u for u in r.units if r.val[r.sub(u, 1)] >= 1]
-    rows = {tuple(round(ch(u).real, 6) for u in one_plus) +
-            tuple(round(ch(u).imag, 6) for u in one_plus) for ch in tw}
+    # restrictions to the principal units 1 + 3s, in s order, are pairwise
+    # distinct
+    assert r.one_plus == (1, 4, 7)
+    assert make_ring("tpoly", 4, 3).one_plus == (1, 17, 33, 49)
+    rows = {tuple(round(ch(u).real, 6) for u in r.one_plus) +
+            tuple(round(ch(u).imag, 6) for u in r.one_plus) for ch in tw}
     assert len(rows) == 3
     with pytest.raises(ValueError):
         twisting_characters(make_ring("padic", 2, 1))
+    with pytest.raises(ValueError):
+        make_ring("tpoly", 4, 1).one_plus
 
 
 def test_tpoly_padic_differ_at_level2():

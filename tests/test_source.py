@@ -1,0 +1,37 @@
+"""Source-level guards on src/modrep2."""
+
+import ast
+from pathlib import Path
+
+PKG = Path(__file__).resolve().parent.parent / "src" / "modrep2"
+
+# Names defined for callers outside the package: the command line entry
+# point, and the tuple product and inverse that tests check the index
+# kernels against.
+ALLOWED = {"main", "mul", "inv"}
+
+
+def test_every_definition_is_reached_from_src():
+    """Every function, method and class that src/modrep2 defines is named
+    somewhere in src/modrep2 outside its own definition: as a name, an
+    attribute or an imported name.  Dunder methods are called by Python."""
+    defs, refs = [], []
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((node.name, path.name, node.lineno,
+                             node.end_lineno))
+            elif isinstance(node, ast.Name):
+                refs.append((node.id, path.name, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, path.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                refs.extend((a.name, path.name, node.lineno)
+                            for a in node.names)
+    unused = sorted(
+        "%s:%d %s" % (f, start, name) for name, f, start, end in defs
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in ALLOWED
+        and not any(n == name and not (g == f and start <= line <= end)
+                    for n, g, line in refs))
+    assert not unused, "defined but never reached from src: %s" % unused
