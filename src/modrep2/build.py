@@ -22,17 +22,8 @@ class IrrFamily:
                  provenance=None):
         self.label = label
         if members is not None:
-            # in the order of the rounded values read as (re, im) pairs,
-            # first entry most significant (-0.0 and 0.0 compare equal)
-            keys = np.round([f.vals for f in members], 6).view(np.float64)
-            members = [members[i] for i in np.lexsort(keys.T[::-1])]
-            off = [n for n in (f.mult(f) for f in members) if n != 1]
-            _check(not off, "%s: norms other than 1" % label, [], off)
-            fps = {f.fingerprint() for f in members}
-            _check(len(fps) == len(members), "%s: distinct fingerprints"
-                   % label, len(members), len(fps))
+            members, degs = _checked_members(label, members)
             self.count = len(members)
-            degs = sorted({int(round(f.degree)) for f in members})
             self.degree = degs[0] if len(degs) == 1 else None
         else:
             self.count = count
@@ -49,6 +40,39 @@ class IrrFamily:
 
     def __repr__(self):
         return "IrrFamily(%s, count=%d)" % (self.label, self.count)
+
+
+def _checked_members(label, members):
+    """(members, sorted distinct degrees), the members in the order of their
+    values rounded to 6 decimals read as (re, im) pairs, first entry most
+    significant, all checked on their stacked values: norms integers within
+    TOL and equal to 1, distinct fingerprints (equal rows sort next to each
+    other) and real values at the identity."""
+    if not members:
+        return members, []
+    G = members[0].group
+    V = np.array([f.vals for f in members])
+    w = G.class_sizes / G.order
+    norms = (np.einsum("ij,ij,j->i", V.real, V.real, w)
+             + np.einsum("ij,ij,j->i", V.imag, V.imag, w))
+    n = np.round(norms)
+    bad = np.abs(norms - n) >= TOL
+    _check(not bad.any(), "%s: norms, integers within %g" % (label, TOL),
+           "integers", norms[bad].tolist())
+    _check((n == 1).all(), "%s: norms other than 1" % label, [],
+           n[n != 1].astype(np.int64).tolist())
+    d = V[:, G.identity_class]
+    off = np.abs(d.imag) >= TOL
+    _check(not off.any(), "%s: degrees, real values at the identity" % label,
+           "imaginary parts 0", d[off].tolist())
+    degs = sorted(set(np.round(d.real).astype(np.int64).tolist()))
+    R = V.round(6, out=V)  # the fingerprints' numbers, in place
+    R += 0.0  # -0.0 reads 0.0
+    order = np.lexsort(R.view(np.float64).T[::-1])
+    R = R[order]
+    fps = len(R) - int((R[1:] == R[:-1]).all(axis=1).sum())
+    _check(fps == len(R), "%s: distinct fingerprints" % label, len(R), fps)
+    return [members[i] for i in order.tolist()], degs
 
 
 def green_gl2(q):

@@ -114,9 +114,9 @@ class AutGroup(GroupBase):
         table[code] = np.arange(len(code), dtype=np.int32)
         cols = tuple(x.astype(np.int32) for x in
                      np.unravel_index(code, (s1, s2, s2, s2)))
-        # intp: the product kernel forms mixed-radix codes from these
-        tables = tuple(t.astype(np.intp)
-                       for t in (R1.add, R1.mul, R2.add, R2.mul))
+        # M1 is widened to intp: the kernels form codes M1[a, A] * s2, which
+        # would wrap in int16; the other tables are only indexed or added
+        tables = (R1.add, R1.mul.astype(np.intp), R2.add, R2.mul)
         # the ring tables, the element columns, the code table (-1 off the
         # group) and the two powers of pi that the product kernel reads
         self._arrays = (tables, cols, table, R1.pi_pow(dd), R2.pi_pow(dd))
@@ -167,13 +167,30 @@ class AutGroup(GroupBase):
         return (A2[xX, yY].ravel(), A2[M2[d2c, xX], yY].ravel(),
                 A1[:, M1[d1c, :self.s2]].astype(np.int32).ravel())
 
+    @cached_property
+    def _lines(self):
+        """Each element's codes a*s2 + b, c*s2 + d (its rows) and a*s2 + c,
+        b*s2 + d (its columns), which the translations read, in the
+        narrowest unsigned dtype that holds them."""
+        a, b, c, d = self._arrays[1]
+        s2, dt = self.s2, np.min_scalar_type(self.s1 * self.s2 - 1)
+        return tuple(x.astype(dt) for x in (a * s2 + b, c * s2 + d,
+                                            a * s2 + c, b * s2 + d))
+
     def right_mul(self, idx, h):
         """Element indices of elements[idx] * elements[h]; idx and h are
         index arrays that broadcast together.  For g = (a, b, c, d) and
         h = (A, B, C, D) the product is (lift[a*A, b*C], dot[(a, b), (B, D)],
         dot[(c, d), (A, C)], low[(c, d), (B, D)]) with the tables of
         _mul_tables, so each coordinate is one gather; the row and column
-        operands are formed on the broadcast inputs before they meet."""
+        operands are formed on the broadcast inputs before they meet.  A
+        product by one element whose other side is larger than the two
+        translation tables (s1*s2 + s2^2 entries) goes through _translate."""
+        tables = self.s2 * (self.s1 + self.s2)
+        if np.ndim(h) == 0 and np.size(idx) > tables:
+            return self._translate(idx, h, left=False)
+        if np.ndim(idx) == 0 and np.size(h) > tables:
+            return self._translate(h, idx, left=True)
         (_, M1, _, M2), (ea, eb, ec, ed), _, _, _ = self._arrays
         dot, low, lift = self._mul_tables
         s2 = self.s2
@@ -185,6 +202,33 @@ class AutGroup(GroupBase):
         code = code * s2 + dot[cd + (A % s2 * s2 + C)]
         code = code * s2 + low[cd + BD]
         return self._element_at(code)
+
+    def _translate(self, y, g, left):
+        """Element indices of y * g (left False) or g * y (left True) for
+        one element g.  In y * g the product's a and b depend only on y's
+        row (a, b) and its c and d on the row (c, d); in g * y its a and c
+        depend only on y's column (A, C) and its b and d on (B, D).  So the
+        code is the sum of two tables over those pairs, s1*s2 and s2^2
+        entries, read at y's line codes.  With g fixed, the kernel's
+        gathers from dot and low become rows or columns of them."""
+        M1, M2 = self._arrays[0][1::2]
+        dot, low, lift = self._mul_tables
+        s = np.int32(self.s2)  # int16 entries times s stay in int32
+        dot, low = dot.reshape(s * s, -1), low.reshape(s * s, -1)
+        pair = np.arange(self.s1)[:, None] % s * s + np.arange(s)
+        if left:  # g = (a, b, c, d) times y's (A, C), then (B, D)
+            a, b, c, d = (x[g] for x in self._arrays[1])
+            t1 = (lift[M1[a, :, None] * s + M2[b]] * s * s
+                  + dot[c * s + d][pair]) * s
+            t2 = dot[a % s * s + b] * s * s + low[c * s + d]
+            u1, u2 = self._lines[2:]
+        else:  # y's (a, b), then (c, d), times g = (A, B, C, D)
+            A, B, C, D = (x[g] for x in self._arrays[1])
+            t1 = (lift[M1[:, A, None] * s + M2[:, C]] * s
+                  + dot[:, B * s + D][pair]) * s * s
+            t2 = dot[:, A % s * s + C] * s + low[:, B * s + D]
+            u1, u2 = self._lines[:2]
+        return self._element_at(t1.ravel()[u1[y]] + t2[u2[y]])
 
     def inverse(self, ridx):
         """Element indices of the inverses, in closed form: with Delta =
@@ -377,7 +421,8 @@ class Subgroup(GroupBase):
 class QuotientGroup(GroupBase):
     """Quotient by a normal subgroup on coset indices: cosets are numbered
     by their first-seen representatives, and coset_of gives the coset of
-    each parent position; tuples are derived on use."""
+    each parent position; products are read from the Cayley table, tuples
+    are derived on use."""
 
     def __init__(self, parent, N):
         self.parent, self.N = parent, N
@@ -388,8 +433,33 @@ class QuotientGroup(GroupBase):
         gens = self.coset_of[parent.positions(parent.gen_idx)].tolist()
         self.gen_idx = np.array([x for x in dict.fromkeys(gens) if x != e],
                                 dtype=np.intp)
-        self.is_abelian = self.gens_commute()
         self.name = parent.name + "/" + N.name.rsplit(".", 1)[-1]
+        self.table = self._cayley_table()
+        self.is_abelian = self.gens_commute()
+
+    def _cayley_table(self):
+        """table[x, y] = x * y on coset indices, breadth first from the
+        identity: with move[x] = x * g for a generator g (one root product
+        of the representatives), column y * g is move applied to column y.
+        Every coset must be reached."""
+        P, r, e = self.parent, self._rep_ridx, self.identity_pos
+        moves = [self.coset_of[P.positions(P.root.right_mul(r, r[g]))]
+                 for g in self.gen_idx]
+        T = np.full((len(r), len(r)), -1, dtype=np.int32)  # T[y]: column y
+        T[e] = np.arange(len(r))
+        front = np.array([e])
+        while front.size:
+            new = [front[:0]]  # no moves: the trivial group
+            for move in moves:
+                y = move[front]
+                fresh = T[y, 0] < 0
+                T[y[fresh]] = move[T[front[fresh]]]
+                new.append(y[fresh])
+            front = np.concatenate(new)
+        missing = int((T[:, 0] < 0).sum())
+        _check(not missing, "%s: cosets reached by the generators"
+               % self.name, len(r), len(r) - missing)
+        return T.T
 
     @property
     def order(self):
@@ -399,10 +469,8 @@ class QuotientGroup(GroupBase):
         return self.parent.root.elements_at(self._rep_ridx[pos])
 
     def right_mul(self, idx, h):
-        """Coset indices of the products of coset representatives, through
-        the parent's root right_mul."""
-        P, r = self.parent, self._rep_ridx
-        return self.coset_of[P.positions(P.root.right_mul(r[idx], r[h]))]
+        """Coset indices of the products, one gather from the table."""
+        return self.table[idx, h]
 
 
 def class_count_formula(q, lam):

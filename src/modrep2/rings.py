@@ -577,9 +577,15 @@ def character_exponents(A):
     sizes = orbit_partition(range(n), perms)[1]
     _check(sizes == [n], "%s: orbits of the generators' right "
            "multiplications" % name, [n], sizes)
-    off = np.count_nonzero(L[:, e]) + sum(
-        np.count_nonzero((L[:, P] - L - L[:, g, None]) % E)
-        for g, P in zip(gens, perms))
+    # by element, in a dtype that holds the differences, down to -2E
+    T = np.ascontiguousarray(L.T, dtype=np.min_scalar_type(-2 * E))
+    off = np.count_nonzero(T[e])
+    for g, P in zip(gens, perms):
+        D = T[P]
+        D -= T
+        D -= T[g]
+        D %= E
+        off += np.count_nonzero(D)
     _check(not off, "entries of L[t, a g] off L[t, a] + L[t, g] mod E, and "
            "of L[t, 1] off 0, on %s" % name, 0, off)
     distinct = len({row.tobytes() for row in L})

@@ -442,6 +442,30 @@ def test_repeated_member_refused_under_optimize():
                            "computed 2\n")
 
 
+def test_family_checks_raise_under_optimize():
+    # IrrFamily's stacked checks survive python -O and name the expected and
+    # computed values: a norm-2 member (the sum of two irreducibles), a
+    # member given twice, and a half character (norm 1/4)
+    code = ("from modrep2.build import IrrFamily, assemble\n"
+            "from modrep2.classfun import ClassFunction\n"
+            "a, b = assemble('padic', 2, (2, 1)).members[:2]\n"
+            "two = ClassFunction(a.group, a.vals + b.vals)\n"
+            "half = ClassFunction(a.group, a.vals / 2)\n"
+            "for members in ([a, two, b], [b, a, b], [half, b]):\n"
+            "    try:\n"
+            "        IrrFamily('fam', members)\n"
+            "    except AssertionError as e:\n"
+            "        print(e)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == ("fam: norms other than 1: expected [], computed "
+                           "[2]\nfam: distinct fingerprints: expected 3, "
+                           "computed 2\nfam: norms, integers within 1e-06: "
+                           "expected integers, computed [0.25]\n")
+
+
 def _tuple_fingerprint(f):
     """The key IrrFamily sorted its members by before the bytes key: the
     rounded values as (re, im) pairs of Python floats."""

@@ -258,6 +258,49 @@ def test_kernels_on_the_largest_ring_match_tuple_ops(lam):
     assert G.inverse(x).tolist() == G.locate([inv(g) for g in gx]).tolist()
 
 
+@pytest.mark.parametrize("backend,q,lam", [
+    ("padic", 2, (3, 3)), ("padic", 3, (3, 2)), ("padic", 3, (3, 1)),
+    ("tpoly", 4, (1, 1)), ("tpoly", 2, (3, 2))])
+def test_translations_match_kernel(backend, q, lam):
+    # a product by one element over every element takes the translation
+    # tables on either side; array-by-array products take the kernel.  For
+    # every generator and 20 drawn elements, on square and non-square
+    # types of both backends
+    G = aut_group(backend, q, lam)
+    n = G.order
+    assert n > G.s2 * (G.s1 + G.s2)
+    x = np.arange(n)
+    hs = G.gen_idx.tolist()
+    hs += np.random.default_rng(11).integers(0, n, 20).tolist()
+    for h in hs:
+        full = np.full(n, h)
+        right, left = G.right_mul(x, full), G.right_mul(full, x)
+        assert np.array_equal(G._translate(x, h, left=False), right)
+        assert np.array_equal(G._translate(x, h, left=True), left)
+        assert np.array_equal(G.right_mul(x, h), right)
+        assert np.array_equal(G.right_mul(h, x), left)
+        assert np.array_equal(G.right_mul(x[::-1, None], np.int64(h)),
+                              right[::-1, None])
+
+
+def test_aut_group_on_the_largest_ring_is_small():
+    # only the level-l1 product table is widened to intp for the kernels;
+    # with all four widened the peak was 440 MB.  VmHWM of a fresh process,
+    # as in test_largest_padic_ring_is_small
+    code = ("from modrep2.groups import aut_group\n"
+            "G = aut_group('padic', 2, (12, 1))\n"
+            "hwm = [line for line in open('/proc/self/status')\n"
+            "       if line.startswith('VmHWM:')]\n"
+            "print(G.order, hwm[0].split()[1])\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    order, peak_kb = proc.stdout.split()
+    assert int(order) == 8192
+    assert int(peak_kb) < 350 * 1024, peak_kb
+
+
 def test_right_mul_refuses_non_elements():
     G = AutGroup("padic", 2, (2, 1))
     t = G.gens[0]
@@ -610,6 +653,21 @@ def test_quotient_right_mul_matches_tuple_product():
         assert Q.is_abelian == all(
             w[i][j] == w[j][i] for w in [want] for i in range(n)
             for j in range(n))
+
+
+def test_quotient_table_matches_root_products():
+    # the breadth-first table against the representatives' products in the
+    # root group, every pair; G / floor_kernel is not abelian
+    cases = list(_quotients())
+    G = aut_group("padic", 3, (2, 2))
+    cases.append((G, QuotientGroup(G, G.subgroup("floor_kernel"))))
+    for P, Q in cases:
+        r = Q._rep_ridx
+        want = Q.coset_of[P.positions(P.root.right_mul(r[:, None],
+                                                       r[None, :]))]
+        assert Q.table.shape == (Q.order, Q.order)
+        assert np.array_equal(Q.table, want)
+    assert not cases[1][1].is_abelian and not cases[-1][1].is_abelian
 
 
 def test_product_group():

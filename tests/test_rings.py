@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modrep2 import rings
 from modrep2.groups import aut_group
 from modrep2.rings import (BACKENDS, MAX_RING_SIZE, FiniteField, LocalRing,
                            MTOL, TOL, TableGroup, character_exponents,
@@ -497,6 +498,35 @@ def test_character_group_certificate_raises_under_optimize():
                           "and of L[t, 1] off 0, on units(padic,3,2): "
                           "expected 0, computed ")
     assert int(msg.split()[-1]) > 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: unit_group(make_ring("padic", 3, 2)),  # E = 6: int8 differences
+    lambda: aut_group("padic", 2, (2, 1)).abelianization(),  # two factors
+    lambda: unit_group(make_ring("padic", 2, 9)),  # E = 128: int16
+], ids=["units-3-2", "abelianization-2-(2,1)", "units-2-9"])
+def test_certificate_refuses_one_wrong_entry(make, monkeypatch):
+    # one entry of L off by each nonzero shift, at every position of the
+    # small groups and at 60 drawn ones of the order-256 group, including
+    # the identity's column, is refused by the certificate
+    A = make()
+    gens, orders, E, L = rings._decompose(A)
+    n = A.order
+    cells = [(t, a) for t in range(n) for a in range(n)]
+    if n > 16:
+        rng = np.random.default_rng(7)
+        cells = [(int(t), A.identity_pos) for t in rng.integers(1, n, 5)]
+        cells += [tuple(x) for x in rng.integers(0, n, (55, 2)).tolist()]
+    for t, a in cells:
+        for shift in {1, E - 1}:
+            bad = L.copy()
+            bad[t, a] = (bad[t, a] + shift) % E
+            monkeypatch.setattr(rings, "_decompose",
+                                lambda A, bad=bad: (gens, orders, E, bad))
+            with pytest.raises(AssertionError, match="entries of L"):
+                character_exponents(A)
+    monkeypatch.setattr(rings, "_decompose", lambda A: (gens, orders, E, L))
+    assert character_exponents(A)[2] is L
 
 
 # The brute-force engine that character_exponents replaced, as a reference:
