@@ -5,6 +5,25 @@ identity class, and read the degree from the second orthogonality relation.
 Everything is exact integer arithmetic, so this is an independent oracle for
 the degree multisets produced by the explicit constructions.
 
+The prime (J. D. Dixon, Numer. Math. 10, 1967): the least r = 1 mod the
+exponent with r > max(2 sqrt|G|, k).  r = 1 mod the exponent gives r not
+dividing |G|, so the class algebra over F_r is split semisimple; r > k keeps
+every characteristic polynomial's degree below r (_squarefree).  The
+orthogonality relation gives d^2 mod r for each degree d, and since
+d <= sqrt|G| < r/2, d is the square root of d^2 mod r below r/2
+(_read_degrees); the integers then check 1 <= d, d^2 <= |G| and
+sum d^2 = |G|.  On padic q=2 (6,5) r is 2017 (k = 2000 sets the bound),
+against 524353 above |G|; on q=7 (2,2) it is 7057.
+
+Class matrices (_class_matrix): the products x * rep_m of a class's members
+by the k representatives are read from the representatives' right
+translation tables, T1[m, row1(x)] + T2[m, row2(x)]
+(AutGroup._translation_tables), and their classes from one code -> class
+table, -1 off the group (_class_tables).  The tables are built once per
+character_degrees call, k*(s1*s2 + s2^2) int32 entries and s1*s2^3 of the
+narrowest signed dtype: 24 + 4 MB on padic q=2 (6,5), 46 + 12 MB on
+q=7 (2,2).
+
 Central blocks: for z in the centre Z, omega_chi(z C) = theta_chi(z)
 omega_chi(C), theta_chi the central character of chi.  So the split starts
 from the joint eigenspaces of the central class matrices, one block per
@@ -41,14 +60,16 @@ roots as its squarefree part f / gcd(f, f') mod r, whose degree is the
 number of distinct eigenvalues; only that part is solved or scanned.
 
 Overflow: every matrix entry is reduced below r (class-matrix entries count
-members of one class, fewer than |G| < r), so a product of two entries is
-below r^2 and a dot product of length at most k below k*r^2.  The split
-takes its larger matrix products through float64 BLAS (_mm), which is exact
-while every dot product stays below 2^53, so character_degrees refuses a
-prime with (k+1)*r^2 >= 2^53; the smaller products run in int64.  The
-row reduction (_rref) is lazy: it reduces only the pivot column and the
-pivot row at each step and the whole matrix once at the end, so an entry
-stays below r + k*r^2 < 2^63."""
+members of one class, so a matrix is reduced mod r when its class has at
+least r members), so a product of two entries is below r^2 and a dot
+product of length at most k below k*r^2.  The split takes its larger matrix
+products through float64 BLAS (_mm), which is exact while every dot product
+stays below 2^53, so character_degrees refuses a prime with
+(k+1)*r^2 >= 2^53; the smaller products run in int64.  At the default
+prime (k+1)*r^2 is far below 2^53 = 9.0e15: 8.1e9 on padic q=2 (6,5),
+1.2e11 on q=7 (2,2).  The row reduction (_rref) is lazy: it reduces only
+the pivot column and the pivot row at each step and the whole matrix once
+at the end, so an entry stays below r + k*r^2 < 2^63."""
 
 import math
 
@@ -73,14 +94,43 @@ def dixon_prime(exponent, bound):
     return r
 
 
-def _class_matrix(G, members, rep_idx, cls_of):
+def _class_tables(G):
+    """What _class_matrix reads, built once per character_degrees call:
+    the right translations by the k class representatives stacked,
+    T1[m, u1[x]] + T2[m, u2[x]] the code of x * rep_m
+    (AutGroup._translation_tables), and the code -> class table, in the
+    narrowest signed dtype, -1 off the group (sizes: module docstring)."""
+    T1, T2, u1, u2 = G._translation_tables(G.rep_idx, left=False)
+    table = G._arrays[2]
+    cls = np.full(table.size, -1, dtype=np.min_scalar_type(-G.class_count))
+    cls[table >= 0] = G.cls_of  # the elements are in code order
+    return T1, T2, u1, u2, cls
+
+
+def _product_classes(G, tables, members):
+    """j[m, x] = the class of members[x] * rep_m, from the tables of
+    _class_tables; raises on a code off the group rather than wrap around."""
+    T1, T2, u1, u2, cls = tables
+    # np.take: several times faster than fancy indexing on these gathers
+    code = T1.take(u1[members], axis=1)
+    code += T2.take(u2[members], axis=1)
+    j = cls.take(code)
+    off = np.count_nonzero(j < 0)
+    if off:
+        raise ValueError("%s: %d products are not group elements"
+                         % (G.name, off))
+    return j
+
+
+def _class_matrix(G, tables, members):
     """N[j, m] = #{x in C_i : x^-1 * rep_m in C_j}, counted from members, the
-    element indices of the inverse class C_i^-1: one whole-array product
-    members x reps, its classes, and a bincount."""
-    k = len(rep_idx)
-    j = cls_of[G.right_mul(members[:, None], rep_idx[None, :])]
-    return np.bincount((j * k + np.arange(k)).ravel(),
-                       minlength=k * k).reshape(k, k)
+    element indices of the inverse class C_i^-1: the classes of the
+    products members x reps (_product_classes) and one bincount, counted as
+    N^T so that each representative's counts stay in one row."""
+    k = len(tables[0])
+    idx = _product_classes(G, tables, members).astype(np.intp)
+    idx += np.arange(0, k * k, k)[:, None]
+    return np.bincount(idx.ravel(), minlength=k * k).reshape(k, k).T
 
 
 def _rref(B, r):
@@ -426,9 +476,10 @@ def _eigenlines(G, jstar, r):
     sizes, cls_of = G._classes()
     rep_idx = G.rep_idx  # G is a root group: indices are positions
     ic = G.identity_class
+    tables = _class_tables(G)
     # shift[a, i]: the class z C_i for the a-th central element z
     central = np.flatnonzero(sizes == 1)
-    shift = cls_of[G.right_mul(rep_idx[central][:, None], rep_idx[None, :])]
+    shift = _product_classes(G, tables, rep_idx[central]).T
     # the centre on its classes, z_a z_b at the position of shift[a,
     # central[b]] in central
     theta = _fr_characters(TableGroup(central.tolist(), np.searchsorted(
@@ -443,15 +494,16 @@ def _eigenlines(G, jstar, r):
                   "the central classes")
     by_class = np.argsort(cls_of, kind="stable")
     starts = np.concatenate(([0], np.cumsum(sizes)))
-    # The class algebra over F_r is split semisimple (r > |G|, r = 1 mod the
-    # exponent), so each restricted matrix R is diagonalisable: a block
-    # splits under class i exactly when R is not scalar.  Blocks of one
-    # dimension d are stacked: blocks[d] = (B, P), B of shape (n, d, k) with
-    # B[b][:, P[b]] = I, so row j of B[b] N^T in the span of B[b] is
-    # R[b, j] @ B[b] with R[b] = (B[b] N^T)[:, P[b]].  The split starts from
-    # the joint eigenspaces of the central classes, one per twist orbit,
-    # whose matrices are then scalar on every block; once class i is used,
-    # its central translates are covered (module docstring).
+    # The class algebra over F_r is split semisimple (r = 1 mod the
+    # exponent, so r does not divide |G|), so each restricted matrix R is
+    # diagonalisable: a block splits under class i exactly when R is not
+    # scalar.  Blocks of one dimension d are stacked: blocks[d] = (B, P), B
+    # of shape (n, d, k) with B[b][:, P[b]] = I, so row j of B[b] N^T in the
+    # span of B[b] is R[b, j] @ B[b] with R[b] = (B[b] N^T)[:, P[b]].  The
+    # split starts from the joint eigenspaces of the central classes, one
+    # per twist orbit, whose matrices are then scalar on every block; once
+    # class i is used, its central translates are covered (module
+    # docstring).
     blocks = _central_blocks(shift, theta, Lam[:, central], r)
     covered = np.zeros(k, dtype=bool)
     covered[central] = True
@@ -461,11 +513,12 @@ def _eigenlines(G, jstar, r):
         if list(blocks) == [1]:
             break
         t = jstar[i]
-        N = _class_matrix(G, by_class[starts[t]:starts[t + 1]], rep_idx,
-                          cls_of)
-        j, m = divmod(np.flatnonzero(N), k)
+        NT = _class_matrix(G, tables, by_class[starts[t]:starts[t + 1]]).T
+        m, j = divmod(np.flatnonzero(NT), k)
         _check_twists(Lam[1:], j, t, m, r, "class %d" % i)
-        NT = N.T.astype(np.float64)
+        if sizes[t] >= r:  # a count can reach r only in a class that large
+            NT %= r
+        NT = NT.astype(np.float64)
         parts = {}
         for d, (B, P) in blocks.items():
             if d == 1:
@@ -503,6 +556,25 @@ def _eigenlines(G, jstar, r):
     return V * _inverses(V[:, ic], r)[:, None] % r
 
 
+def _read_degrees(d2, r, order):
+    """The degrees from their squares d2 mod r: each degree d is the square
+    root of d^2 mod r below r/2, since d <= sqrt|G| < r/2.  Checked in the
+    integers: 1 <= d, d^2 <= |G| and sum d^2 = |G|."""
+    roots = {a: _sqrt_mod(a, r) for a in set(d2.tolist())}
+    bad = sorted(a for a, s in roots.items() if s is None)
+    _check(not bad, "squared degrees mod %d with a square root" % r,
+           "squares", "non-squares %s" % bad)
+    d = np.array([min(roots[a], r - roots[a]) for a in d2.tolist()],
+                 dtype=np.int64)
+    bad = (d < 1) | (d * d > order)
+    _check(not bad.any(), "square roots below r/2 of the squared degrees "
+           "mod %d, in [1, sqrt |G|]" % r, "roots in [1, %d]" % math.isqrt(
+               order), "%s for %s" % (d[bad].tolist(), d2[bad].tolist()))
+    _check(int((d * d).sum()) == order, "sum of squared degrees, read from "
+           "%s mod %d" % (sorted(roots), r), order, int((d * d).sum()))
+    return sorted(d.tolist())
+
+
 def character_degrees(G, r_override=None):
     """Sorted degree multiset of the irreducible characters of G."""
     if getattr(G, "is_abelian", False):
@@ -511,10 +583,12 @@ def character_degrees(G, r_override=None):
         return list(G._degree_multiset)
     k = G.class_count
     exponent, inv_idx = _rep_powers(G)
-    r = r_override if r_override is not None else dixon_prime(exponent, G.order)
-    if not (is_prime(r) and r > G.order and (r - 1) % exponent == 0):
-        raise ValueError("Dixon prime must be a prime r > |G| = %d with "
-                         "r = 1 mod exponent %d, got %d" % (G.order, exponent, r))
+    bound = max(math.isqrt(4 * G.order), k)  # r > bound: r > 2 sqrt|G|, r > k
+    r = r_override if r_override is not None else dixon_prime(exponent, bound)
+    if not (is_prime(r) and r > bound and (r - 1) % exponent == 0):
+        raise ValueError("Dixon prime must be a prime r > max(2 sqrt|G|, k) = "
+                         "%d with r = 1 mod exponent %d, got %d"
+                         % (bound, exponent, r))
     if (k + 1) * r * r >= 2 ** 53:
         raise ValueError("Dixon prime %d too large for exact float64 products "
                          "with %d classes" % (r, k))
@@ -523,14 +597,7 @@ def character_degrees(G, r_override=None):
     W = _eigenlines(G, jstar, r)
     s = (W * W[:, jstar] % r * _inverses(sizes, r) % r).sum(axis=1) % r
     _check(np.count_nonzero(s) == k, "nonzero norms", k, np.count_nonzero(s))
-    d2 = G.order * _inverses(s, r) % r
-    degrees = np.rint(np.sqrt(d2)).astype(np.int64)
-    bad = (degrees * degrees != d2) | (d2 < 1) | (d2 > G.order)
-    _check(not bad.any(), "squared degrees: squares in [1, |G|]",
-           "squares", d2[bad].tolist())
-    _check(int(d2.sum()) == G.order, "sum of squared degrees", G.order,
-           int(d2.sum()))
-    degrees = sorted(degrees.tolist())
+    degrees = _read_degrees(G.order * _inverses(s, r) % r, r, G.order)
     if r_override is None:
         try:
             G._degree_multiset = degrees

@@ -203,32 +203,45 @@ class AutGroup(GroupBase):
         code = code * s2 + low[cd + BD]
         return self._element_at(code)
 
-    def _translate(self, y, g, left):
-        """Element indices of y * g (left False) or g * y (left True) for
-        one element g.  In y * g the product's a and b depend only on y's
-        row (a, b) and its c and d on the row (c, d); in g * y its a and c
-        depend only on y's column (A, C) and its b and d on (B, D).  So the
-        code is the sum of two tables over those pairs, s1*s2 and s2^2
-        entries, read at y's line codes.  With g fixed, the kernel's
-        gathers from dot and low become rows or columns of them."""
-        M1, M2 = self._arrays[0][1::2]
+    def _translation_tables(self, g, left):
+        """(t1, t2, u1, u2): the product code of y * g (left False) or
+        g * y (left True) is t1[u1[y]] + t2[u2[y]], for one element g or
+        stacked over an array of them (t1[..., u1[y]] + t2[..., u2[y]]).
+        In y * g the product's a and b depend only on y's row (a, b) and
+        its c and d on the row (c, d); in g * y its a and c depend only on
+        y's column (A, C) and its b and d on (B, D).  So the code is the
+        sum of two tables over those pairs, s1*s2 and s2^2 int32 entries
+        per g, read at y's line codes u1, u2.  With g fixed, the kernel's
+        gathers from dot and low become rows or columns of them.  Stacked,
+        the int16 ring tables times s stay in int32, so no int64 temporary
+        of the tables' size is formed; for one element the level-l1 table
+        is the intp one, whose products index lift on numpy's fast path."""
         dot, low, lift = self._mul_tables
-        s = np.int32(self.s2)  # int16 entries times s stay in int32
+        s = np.int32(self.s2)
         dot, low = dot.reshape(s * s, -1), low.reshape(s * s, -1)
         pair = np.arange(self.s1)[:, None] % s * s + np.arange(s)
+        # rows of the tables at g's coordinates, g's shape in front: a view
+        # for one element
+        a, b, c, d = (x[g] for x in self._arrays[1])
+        M1 = self.R1.mul if a.ndim else self._arrays[0][1]
+        M2 = self.R2.mul
         if left:  # g = (a, b, c, d) times y's (A, C), then (B, D)
-            a, b, c, d = (x[g] for x in self._arrays[1])
-            t1 = (lift[M1[a, :, None] * s + M2[b]] * s * s
-                  + dot[c * s + d][pair]) * s
+            t1 = (lift[M1[a][..., :, None] * s + M2[b][..., None, :]] * s * s
+                  + dot[c * s + d][..., pair]) * s
             t2 = dot[a % s * s + b] * s * s + low[c * s + d]
             u1, u2 = self._lines[2:]
         else:  # y's (a, b), then (c, d), times g = (A, B, C, D)
-            A, B, C, D = (x[g] for x in self._arrays[1])
-            t1 = (lift[M1[:, A, None] * s + M2[:, C]] * s
-                  + dot[:, B * s + D][pair]) * s * s
-            t2 = dot[:, A % s * s + C] * s + low[:, B * s + D]
+            t1 = (lift[M1.T[a][..., :, None] * s + M2.T[c][..., None, :]] * s
+                  + dot.T[b * s + d][..., pair]) * s * s
+            t2 = dot.T[a % s * s + c] * s + low.T[b * s + d]
             u1, u2 = self._lines[:2]
-        return self._element_at(t1.ravel()[u1[y]] + t2[u2[y]])
+        return t1.reshape(t2.shape[:-1] + (-1,)), t2, u1, u2
+
+    def _translate(self, y, g, left):
+        """Element indices of y * g (left False) or g * y (left True) for
+        one element g, from _translation_tables."""
+        t1, t2, u1, u2 = self._translation_tables(g, left)
+        return self._element_at(t1[u1[y]] + t2[u2[y]])
 
     def inverse(self, ridx):
         """Element indices of the inverses, in closed form: with Delta =

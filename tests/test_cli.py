@@ -212,6 +212,12 @@ PINNED_OUTPUT = [
      "aba3aaa2c9015e2a7ac5f2c18dcf50faf63563aa381da01053e97deb64684db2"),
     (("verify-all", "--p", "2", "--lambda", "3,3"),
      "410afeb10de37bf6a4cfcf4e2b58a2f47c71011fe2293d2e18a5a2247bf5e75f"),
+    (("dixon", "--p", "2", "--lambda", "4,4"),
+     "69a51c33eeb5bde9b93545bd3623b2dc62b6b5c9f1dec9e0e6ede955a75ea132"),
+    (("dixon", "--p", "3", "--lambda", "3,2"),
+     "eac6a8f8f09570900a541d6a91a6221327223a4ba161d091a44c6963337cd5eb"),
+    (("dixon", "--backend", "tpoly", "--q", "4", "--lambda", "2,2"),
+     "140d5528991857504c476477574281637d361b40ed9d27f2d41cf1a445d96654"),
 ]
 
 

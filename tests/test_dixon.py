@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from modrep2 import dixon
-from modrep2.dixon import (_charpoly, _class_matrix, _eigenspaces, _mm,
-                           _nullspace, _rep_powers, _roots, _rref, _sqrt_mod,
+from modrep2.dixon import (_charpoly, _class_matrix, _class_tables,
+                           _eigenspaces, _mm, _nullspace, _product_classes,
+                           _rep_powers, _roots, _rref, _sqrt_mod,
                            character_degrees, dixon_prime)
 from modrep2.groups import aut_group
 from modrep2.rings import TableGroup, is_prime, make_ring, unit_group
@@ -72,6 +73,110 @@ def test_bad_override_rejected_under_optimize():
     assert proc.returncode == 3, proc.stdout + proc.stderr
 
 
+def _default_prime(G, monkeypatch):
+    """The prime character_degrees picks by default, read off its call of
+    _eigenlines, with the cached degrees put aside."""
+    seen = []
+
+    def spy(G, jstar, r):
+        seen.append(r)
+        return eigenlines(G, jstar, r)
+
+    eigenlines = dixon._eigenlines
+    monkeypatch.setattr(G, "_degree_multiset", None, raising=False)
+    monkeypatch.setattr(dixon, "_eigenlines", spy)
+    degrees = character_degrees(G)
+    monkeypatch.undo()
+    return seen[0], degrees
+
+
+# the first three have k > 2 sqrt|G|, so the class count sets the bound
+K_BOUND = [("padic", 2, (8, 1)), ("padic", 3, (4, 1)), ("tpoly", 4, (2, 1))]
+
+
+@pytest.mark.parametrize("backend,q,lam", K_BOUND + [
+    ("padic", 2, (3, 3)), ("padic", 2, (4, 4)), ("padic", 3, (2, 2))])
+def test_default_prime_is_the_least_above_the_bound(backend, q, lam,
+                                                    monkeypatch):
+    G = aut_group(backend, q, lam)
+    k, e = G.class_count, _rep_powers(G)[0]
+    r, _ = _default_prime(G, monkeypatch)
+    assert is_prime(r) and (r - 1) % e == 0
+    assert r * r > 4 * G.order and r > k
+    # no smaller prime = 1 mod e clears both terms
+    assert not any(is_prime(x) and x * x > 4 * G.order and x > k
+                   for x in range(r - e, 1, -e))
+    if (backend, q, lam) in K_BOUND:
+        assert k * k > 4 * G.order
+
+
+@pytest.mark.parametrize("backend,q,lam", K_BOUND + [("padic", 2, (3, 3))])
+def test_default_prime_gives_the_degrees_of_a_prime_above_the_order(
+        backend, q, lam, monkeypatch):
+    G = aut_group(backend, q, lam)
+    r_big = dixon_prime(_rep_powers(G)[0], G.order)
+    r, degrees = _default_prime(G, monkeypatch)
+    assert r < r_big
+    assert degrees == character_degrees(G, r_override=r_big)
+
+
+def test_override_at_or_below_the_bound_rejected_under_optimize():
+    # 257 = 1 mod 64 lies above 2 sqrt|G| = 45.3 but not above k = 320 on
+    # padic q=2 (8,1); 5 = 1 mod 4 is at both terms, 2 sqrt 8 = 5.7 and
+    # k = 5, on (2,1); the next primes = 1 mod the exponent are accepted
+    code = ("from modrep2.dixon import character_degrees\n"
+            "from modrep2.groups import aut_group\n"
+            "for lam, r in (((8, 1), 257), ((2, 1), 5)):\n"
+            "    G = aut_group('padic', 2, lam)\n"
+            "    try:\n"
+            "        character_degrees(G, r_override=r)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+            "    else:\n"
+            "        raise SystemExit(4)\n"
+            "print(character_degrees(aut_group('padic', 2, (8, 1)), 449)\n"
+            "      == character_degrees(aut_group('padic', 2, (8, 1))))\n"
+            "print(character_degrees(aut_group('padic', 2, (2, 1)), 13))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == ("Dixon prime must be a prime r > max(2 sqrt|G|, k) = "
+                        "320 with r = 1 mod exponent 64, got 257")
+    assert lines[1].endswith("= 5 with r = 1 mod exponent 4, got 5")
+    assert lines[2:] == ["True", "[1, 1, 1, 1, 2]"]
+
+
+def test_degree_readout_raises_under_optimize():
+    # GL2(F2), |G| = 6, at r = 7 > 2 sqrt 6 with squares 1, 2, 4 mod 7: the
+    # squared degrees 1, 1, 4 read back; 3 has no square root; the root of 2
+    # below 7/2 is 3, whose square exceeds |G|; 1, 1, 1 sum to 3, not 6
+    code = ("import numpy as np\n"
+            "from modrep2.dixon import _read_degrees\n"
+            "print(_read_degrees(np.array([4, 1, 1]), 7, 6))\n"
+            "for d2 in ([1, 1, 3], [1, 1, 2], [1, 1, 1]):\n"
+            "    try:\n"
+            "        _read_degrees(np.array(d2), 7, 6)\n"
+            "    except AssertionError as exc:\n"
+            "        print(exc)\n"
+            "    else:\n"
+            "        raise SystemExit(4)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    ok, nonsquare, large, total = proc.stdout.splitlines()
+    assert ok == "[1, 1, 2]"
+    assert nonsquare == ("squared degrees mod 7 with a square root: expected "
+                         "squares, computed non-squares [3]")
+    assert large == ("square roots below r/2 of the squared degrees mod 7, in "
+                     "[1, sqrt |G|]: expected roots in [1, 2], computed [3] "
+                     "for [2]")
+    assert total == ("sum of squared degrees, read from [1] mod 7: expected 6,"
+                     " computed 3")
+
+
 @pytest.mark.parametrize("q,lam", [(2, (2, 1)), (3, (1, 1))])
 def test_class_matrices_match_pair_count(q, lam):
     G = aut_group("padic", q, lam)
@@ -84,11 +189,40 @@ def test_class_matrices_match_pair_count(q, lam):
             m = rep_of.get(G.mul(x, y))
             if m is not None:
                 brute[G.cls_index(x), G.cls_index(y), m] += 1
-    rep_idx = np.array([G.index[x] for x in reps])
+    tables = _class_tables(G)
     for i, x in enumerate(reps):
         members = np.flatnonzero(cls_of == G.cls_index(G.inv(x)))
-        assert np.array_equal(_class_matrix(G, members, rep_idx, cls_of),
-                              brute[i])
+        assert np.array_equal(_class_matrix(G, tables, members), brute[i])
+
+
+@pytest.mark.parametrize("backend,q,lam", [
+    ("padic", 2, (3, 3)), ("padic", 3, (3, 2)), ("padic", 2, (3, 1)),
+    ("tpoly", 4, (2, 1))])
+def test_class_tables_match_kernel_products(backend, q, lam):
+    # every class times every representative, against the general kernel
+    G = aut_group(backend, q, lam)
+    k, cls_of, rep_idx = G.class_count, G.cls_of, G.rep_idx
+    tables = _class_tables(G)
+    assert tables[0].dtype == tables[1].dtype == np.int32
+    assert tables[4].dtype == np.min_scalar_type(-k)
+    for t in range(k):
+        members = np.flatnonzero(cls_of == t)
+        j = cls_of[G.right_mul(members[:, None], rep_idx[None, :])]
+        assert np.array_equal(_product_classes(G, tables, members), j.T)
+        N = np.bincount((j * k + np.arange(k)).ravel(),
+                        minlength=k * k).reshape(k, k)
+        assert np.array_equal(_class_matrix(G, tables, members), N), t
+
+
+def test_code_table_off_the_group_refused():
+    G = aut_group("padic", 2, (3, 1))
+    T1, T2, u1, u2, cls = _class_tables(G)
+    members = np.flatnonzero(G.cls_of == G.class_count - 1)
+    # the code of members[-1] * rep_3 read as no element
+    cls = cls.copy()
+    cls[T1[3, u1[members[-1]]] + T2[3, u2[members[-1]]]] = -1
+    with pytest.raises(ValueError, match="1 products are not group elements"):
+        _class_matrix(G, (T1, T2, u1, u2, cls), members)
 
 
 @pytest.mark.parametrize("backend,q,lam", [("padic", 2, (2, 2)),
@@ -98,9 +232,10 @@ def test_central_translate_matrix_is_a_product(backend, q, lam):
     # N_{zC} = N_z N_C: the matrix of a central translate splits nothing new
     G = aut_group(backend, q, lam)
     reps, sizes, cls_of = G.class_reps, G.class_sizes, G.cls_of
-    rep_idx = np.array([G.index[x] for x in reps])
-    N = [_class_matrix(G, np.flatnonzero(cls_of == G.cls_index(G.inv(x))),
-                       rep_idx, cls_of) for x in reps]
+    tables = _class_tables(G)
+    N = [_class_matrix(G, tables,
+                       np.flatnonzero(cls_of == G.cls_index(G.inv(x))))
+         for x in reps]
     center = np.flatnonzero(sizes == 1)
     assert len(center) > 1
     for c in center:
@@ -113,9 +248,9 @@ def test_central_translates_build_no_matrix(monkeypatch):
     G = aut_group("padic", 2, (4, 4))
     built = []
 
-    def counted(G, members, *args):
+    def counted(G, tables, members):
         built.append(len(members))
-        return _class_matrix(G, members, *args)
+        return _class_matrix(G, tables, members)
 
     monkeypatch.setattr(dixon, "_class_matrix", counted)
     r = dixon_prime(_rep_powers(G)[0], G.order)
@@ -140,15 +275,15 @@ def _centre_characters(G, shift, central, r):
     pytest.param(("padic", 2, (1, 1)), id="GL2F2")])  # trivial centre
 def test_central_blocks_are_joint_eigenspaces(group):
     G = aut_group(*group)
-    reps, sizes, cls_of = G.class_reps, G.class_sizes, G.cls_of
+    reps, sizes = G.class_reps, G.class_sizes
     k = len(reps)
-    rep_idx = np.array([G.index[x] for x in reps])
     central = np.flatnonzero(sizes == 1)
     # shift[a, i]: the class z_a C_i, from tuple products
     shift = np.array([[G.cls_index(G.mul(reps[c], x)) for x in reps]
                       for c in central])
-    N = [_class_matrix(G, np.array([G.index[G.inv(reps[c])]]), rep_idx,
-                       cls_of) for c in central]
+    tables = _class_tables(G)
+    N = [_class_matrix(G, tables, np.array([G.index[G.inv(reps[c])]]))
+         for c in central]
     r = dixon_prime(_rep_powers(G)[0], G.order)
     theta = _centre_characters(G, shift, central, r)
     # the trivial twist group: every central character leads its own orbit
@@ -215,6 +350,7 @@ def _identity_start_degrees(G, r):
     _, inv_idx = dixon._rep_powers(G)
     sizes, cls_of = G._classes()
     rep_idx, ic = G.rep_idx, G.identity_class
+    tables = _class_tables(G)
     jstar = cls_of[inv_idx]
     center = rep_idx[sizes == 1]
     shift = cls_of[G.right_mul(center[:, None], rep_idx[None, :])]
@@ -226,8 +362,7 @@ def _identity_start_degrees(G, r):
         if i == ic or covered[i] or list(blocks) == [1]:
             continue
         t = jstar[i]
-        NT = _class_matrix(G, by_class[starts[t]:starts[t + 1]], rep_idx,
-                           cls_of).T
+        NT = _class_matrix(G, tables, by_class[starts[t]:starts[t + 1]]).T
         parts = {}
         for d, (B, P) in blocks.items():
             if d == 1:

@@ -281,6 +281,13 @@ def test_translations_match_kernel(backend, q, lam):
         assert np.array_equal(G.right_mul(h, x), left)
         assert np.array_equal(G.right_mul(x[::-1, None], np.int64(h)),
                               right[::-1, None])
+    # the tables stacked over all of them, in int32, row m that of hs[m]
+    for left in (False, True):
+        T1, T2, _, _ = G._translation_tables(np.array(hs), left)
+        assert T1.dtype == T2.dtype == np.int32
+        for m, h in enumerate(hs):
+            t1, t2, _, _ = G._translation_tables(h, left)
+            assert np.array_equal(T1[m], t1) and np.array_equal(T2[m], t2)
 
 
 def test_aut_group_on_the_largest_ring_is_small():
