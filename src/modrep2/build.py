@@ -7,16 +7,18 @@ from collections import Counter
 import numpy as np
 
 from .classfun import (ClassFunction, dedupe, geo_ind, ind, induce, inflate,
-                       is_cuspidal, linear_characters, spectrum_kinds, twist)
+                       is_cuspidal, linear_characters, member_sums, row_order,
+                       spectrum_kinds, stack, twist)
 from .dixon import character_degrees
 from .groups import Subgroup, aut_group
 from .orbits import CongruenceDual, cuspidal_parameters, eta_dual, inner_types
 from .rings import (MTOL, TOL, _check, character_group, twisting_characters,
-                    unit_characters)
+                    unit_characters, values_at)
 
 
 class IrrFamily:
-    """A labeled batch of irreducible characters, or a count-only record."""
+    """A labeled batch of irreducible characters (one stack), or a
+    count-only record."""
 
     def __init__(self, label, members=None, count=None, degree=None,
                  provenance=None):
@@ -33,7 +35,7 @@ class IrrFamily:
 
     def degree_counter(self):
         if self.members is not None:
-            return Counter(int(round(f.degree)) for f in self.members)
+            return _degree_counts(self.members)
         if self.degree is None:
             return Counter(self.provenance["zeta"])
         return Counter({self.degree: self.count})
@@ -42,19 +44,19 @@ class IrrFamily:
         return "IrrFamily(%s, count=%d)" % (self.label, self.count)
 
 
+def _degree_counts(funcs):
+    return Counter(np.round(funcs.degrees).astype(np.int64).tolist())
+
+
 def _checked_members(label, members):
-    """(members, sorted distinct degrees), the members in the order of their
-    values rounded to 6 decimals read as (re, im) pairs, first entry most
-    significant, all checked on their stacked values: norms integers within
+    """(members, sorted distinct degrees), the members in the order of
+    row_order, all checked on their stacked values: norms integers within
     TOL and equal to 1, distinct fingerprints (equal rows sort next to each
     other) and real values at the identity."""
-    if not members:
+    if not len(members):
         return members, []
-    G = members[0].group
-    V = np.array([f.vals for f in members])
-    w = G.class_sizes / G.order
-    norms = (np.einsum("ij,ij,j->i", V.real, V.real, w)
-             + np.einsum("ij,ij,j->i", V.imag, V.imag, w))
+    G, V = members.group, members.vals
+    norms = members.norms()
     n = np.round(norms)
     bad = np.abs(norms - n) >= TOL
     _check(not bad.any(), "%s: norms, integers within %g" % (label, TOL),
@@ -66,13 +68,10 @@ def _checked_members(label, members):
     _check(not off.any(), "%s: degrees, real values at the identity" % label,
            "imaginary parts 0", d[off].tolist())
     degs = sorted(set(np.round(d.real).astype(np.int64).tolist()))
-    R = V.round(6, out=V)  # the fingerprints' numbers, in place
-    R += 0.0  # -0.0 reads 0.0
-    order = np.lexsort(R.view(np.float64).T[::-1])
-    R = R[order]
-    fps = len(R) - int((R[1:] == R[:-1]).all(axis=1).sum())
-    _check(fps == len(R), "%s: distinct fingerprints" % label, len(R), fps)
-    return [members[i] for i in order.tolist()], degs
+    order, repeat = row_order(members)
+    _check(not repeat.any(), "%s: distinct fingerprints" % label, len(V),
+           len(V) - int(repeat.sum()))
+    return members[order], degs
 
 
 def green_gl2(q):
@@ -123,7 +122,7 @@ def cuspidal_rect_count(l, q):
 def build_rank1(backend, q, level):
     """All linear characters of the rank-one automorphism group."""
     A = aut_group(backend, q, (level, 0))
-    out = [ClassFunction(A, ch.values) for ch in character_group(A)]
+    out = ClassFunction(A, [ch.values for ch in character_group(A)])
     n = q ** (level - 1) * (q - 1)
     _check(len(out) == n, "rank-one linear characters", n, len(out))
     return out
@@ -136,10 +135,6 @@ def _nontrivial_on(H, L, cos, S):
     return L[:, cos[H.positions(S.idx)]].any(axis=1)
 
 
-def _unipotent_average(chi, U):
-    return chi.vals[chi.group.cls_of[U.idx]].sum() / U.order
-
-
 def build_l1(G):
     """Complete labeled irreducible families of a depth-one group."""
     q, l1 = G.q, G.l1
@@ -148,8 +143,9 @@ def build_l1(G):
 
     # one-dimensionals factor through the reduced diagonal pair
     A, _ = G.hom("diag_red", [])
-    one = dedupe([inflate(G, ClassFunction(A, ch.values), "diag_red")
-                  for ch in character_group(A)])
+    one = dedupe(inflate(G, ClassFunction(A, [ch.values for ch in
+                                              character_group(A)]),
+                         "diag_red"))
     one_dim = IrrFamily("one_dim", one)
     n = q ** (l1 - 2) * (q - 1) ** 2
     _check(one_dim.count == n, "one_dim: count", n, one_dim.count)
@@ -163,8 +159,7 @@ def build_l1(G):
     # nontrivial on the central depth-one slice
     B = G.subgroup("parabolic_upper")
     roots, L, cos = linear_characters(B)
-    heis = dedupe([induce(B, roots[row[cos]])
-                   for row in L[_nontrivial_on(B, L, cos, Z)]])
+    heis = dedupe(induce(B, roots[L[_nontrivial_on(B, L, cos, Z)][:, cos]]))
     heis_q = IrrFamily("heis_q", heis)
     n = q ** (l1 - 2) * (q - 1) ** 3
     _check(heis_q.count == n, "heis_q: count", n, heis_q.count)
@@ -180,35 +175,27 @@ def build_l1(G):
     _check(DH.order == n, "DH: order", n, DH.order)
     roots, L, cos = linear_characters(DH)
     keep = ~_nontrivial_on(DH, L, cos, Z) & _nontrivial_on(DH, L, cos, H)
-    dh = dedupe([induce(DH, roots[row[cos]]) for row in L[keep]])
+    dh = dedupe(induce(DH, roots[L[keep][:, cos]]))
     n = q ** (l1 - 2) * (q * q - 1)
     _check(len(dh) == n, "dh: count", n, len(dh))
-    degs = sorted({int(round(f.degree)) for f in dh})
+    degs = sorted(_degree_counts(dh))
     _check(degs == [q - 1], "dh: degrees", [q - 1], degs)
 
-    Up = G.subgroup("unipotent_upper")
-    Um = G.subgroup("unipotent_lower")
-    bp, bm, cusp = [], [], []
-    for f in dh:
-        has_p = abs(_unipotent_average(f, Up)) > TOL
-        has_m = abs(_unipotent_average(f, Um)) > TOL
-        _check(not (has_p and has_m), "dh: nonzero averages on the upper "
-               "and lower unipotents", "not both", (has_p, has_m))
-        if has_p:
-            bp.append(f)
-        elif has_m:
-            bm.append(f)
-        else:
-            cusp.append(f)
-    orbit_bp = IrrFamily("orbitB+", bp)
-    orbit_bm = IrrFamily("orbitB-", bm)
-    orbit_c = IrrFamily("orbitC", cusp)
+    has_p, has_m = (np.abs(member_sums(U, dh) / U.order) > TOL for U in
+                    (G.subgroup("unipotent_upper"),
+                     G.subgroup("unipotent_lower")))
+    both = int((has_p & has_m).sum())
+    _check(not both, "dh: members with nonzero averages on the upper and "
+           "lower unipotents", 0, both)
+    orbit_bp = IrrFamily("orbitB+", dh[has_p])
+    orbit_bm = IrrFamily("orbitB-", dh[has_m])
+    orbit_c = IrrFamily("orbitC", dh[~(has_p | has_m)])
     n = q ** (l1 - 2) * (q - 1)
     _check(orbit_bp.count == orbit_bm.count == n, "orbitB+, orbitB-: counts",
            (n, n), (orbit_bp.count, orbit_bm.count))
     _check(orbit_c.count == n * (q - 1), "orbitC: count", n * (q - 1),
            orbit_c.count)
-    off = sum(not is_cuspidal(G, f) for f in orbit_c.members)
+    off = int((~is_cuspidal(G, orbit_c.members)).sum())
     _check(not off, "orbitC: members that are not cuspidal", 0, off)
 
     fams = [one_dim, orbit_bp, orbit_bm, orbit_c, heis_q]
@@ -226,7 +213,7 @@ def build_cuspidal_nonrect(G):
            "l1 > l2 >= 2", G.lam)
     l, eps = G.half_levels()
     D = CongruenceDual(G, l, eps)
-    members = []
+    parts = []
     for u_hat, w_hat in cuspidal_parameters(G):
         N = G.subgroup("cuspidal_normalizer", u_hat=u_hat, w_hat=w_hat)
         A = G.subgroup("cuspidal_abelian", u_hat=u_hat, w_hat=w_hat)
@@ -237,19 +224,19 @@ def build_cuspidal_nonrect(G):
         inter = len(np.intersect1d(A.idx, D.K.idx, assume_unique=True))
         _check(len(exts) == A.order // inter, "cuspidal (%d, %d): extensions"
                " of eta" % (u_hat, w_hat), A.order // inter, len(exts))
-        members.extend(induce(N, roots[row[cos]]) for row in exts)
-    members = dedupe(members)
-    fam = IrrFamily("cuspidal_nonrect", members)
+        parts.append(induce(N, roots[exts[:, cos]]))
+    fam = IrrFamily("cuspidal_nonrect", dedupe(stack(parts)))
     n, deg = q ** (l1 + l2 - 3) * (q - 1) ** 2, q ** (l2 - 1) * (q - 1)
     _check(fam.count == n, "cuspidal_nonrect: count", n, fam.count)
     _check(fam.degree == deg, "cuspidal_nonrect: degree", deg, fam.degree)
     return fam
 
 
-def _primitive_unit_characters(ring):
+def primitive_unit_characters(ring):
     """Unit characters nontrivial on the deepest congruence layer."""
-    return [ch for ch in unit_characters(ring)
-            if any(abs(ch(u) - 1) > TOL for u in ring.one_plus)]
+    chars = unit_characters(ring)
+    keep = (np.abs(values_at(chars, ring.one_plus) - 1) > TOL).any(axis=1)
+    return [ch for ch, k in zip(chars, keep.tolist()) if k]
 
 
 def build_geometric(G):
@@ -259,9 +246,8 @@ def build_geometric(G):
     _check(l2 >= 2, "build_geometric: level l2", ">= 2", l2)
 
     if l1 > l2:
-        pairs = [(t1, t2) for t1 in _primitive_unit_characters(G.R1)
-                 for t2 in unit_characters(G.R2)]
-        raw = [geo_ind(G, t1, t2) for t1, t2 in pairs]
+        t1s, t2s = primitive_unit_characters(G.R1), unit_characters(G.R2)
+        raw = geo_ind(G, [a for a in t1s for _ in t2s], t2s * len(t1s))
         geo = dedupe(raw)
         n = q ** (l1 + l2 - 3) * (q - 1) ** 3
         _check(len(geo) == len(raw) == n, "geo_irred: distinct and raw "
@@ -271,9 +257,10 @@ def build_geometric(G):
                geo_irred.degree)
     else:
         chars = unit_characters(G.R1)
-        pairs = [(t1, t2) for t1 in chars for t2 in chars
-                 if any(abs(t1(u) - t2(u)) > TOL for u in G.R1.one_plus)]
-        raw = [geo_ind(G, t1, t2) for t1, t2 in pairs]
+        V = values_at(chars, G.R1.one_plus)
+        i, j = np.nonzero((np.abs(V[:, None] - V[None]) > TOL).any(axis=2))
+        raw = geo_ind(G, [chars[a] for a in i.tolist()],
+                      [chars[b] for b in j.tolist()])
         geo = dedupe(raw)
         _check(2 * len(geo) == len(raw), "geo_irred: raw inductions, twice "
                "the distinct", 2 * len(geo), len(raw))
@@ -285,14 +272,10 @@ def build_geometric(G):
                geo_irred.degree)
 
     floor = assemble(G.backend, q, (l1, 1))
-    bp = floor.family("orbitB+").members
-    bm = floor.family("orbitB-").members
-    raw = ([ind(G, f, "embed", 1) for f in bp]
-           + [ind(G, f, "quot", 1) for f in bm])
+    raw = stack([ind(G, floor.family("orbitB+").members, "embed", 1),
+                 ind(G, floor.family("orbitB-").members, "quot", 1)])
     if l1 == l2:
-        tws = twisting_characters(G.R2)
-        raw = [twist(f, t) for f in raw for t in tws]
-        split = dedupe(raw)
+        split = dedupe(twist(raw, twisting_characters(G.R2)))
         n = q ** (l1 - 1) * (q - 1)
         _check(len(split) == n, "geo_split: count", n, len(split))
         expect_deg = q ** (l1 - 2) * (q * q - 1)
@@ -323,16 +306,15 @@ def build_infinitesimal(G):
     if l1 > l2:
         emb, quo = [], []
         for _, m in inner_types(G.lam):
-            for f in cuspidal_members(G.backend, q, (l1, m)):
-                emb.append(ind(G, f, "embed", m))
-                quo.append(ind(G, f, "quot", m))
-        emb, quo = dedupe(emb), dedupe(quo)
+            sigma = cuspidal_members(G.backend, q, (l1, m))
+            emb.append(ind(G, sigma, "embed", m))
+            quo.append(ind(G, sigma, "quot", m))
+        emb, quo = dedupe(stack(emb)), dedupe(stack(quo))
         expect = sum(q ** (l1 + m - 3) * (q - 1) ** 2
                      for _, m in inner_types(G.lam))
         _check(len(emb) == len(quo) == expect, "inf_embed, inf_quot: counts",
                (expect, expect), (len(emb), len(quo)))
-        shared = len({f.fingerprint() for f in emb}
-                     & {f.fingerprint() for f in quo})
+        shared = len(set(emb.fingerprint()) & set(quo.fingerprint()))
         _check(not shared, "inf_embed, inf_quot: shared members", 0, shared)
         fams = [IrrFamily("inf_embed", emb), IrrFamily("inf_quot", quo)]
         deg = q ** (l2 - 1) * (q - 1)
@@ -342,15 +324,16 @@ def build_infinitesimal(G):
         tws = twisting_characters(G.R2)
         raw, total = [], 0
         for _, m in inner_types(G.lam):
-            for f in cuspidal_members(G.backend, q, (l1, m)):
-                a = ind(G, f, "embed", m)
-                b = ind(G, f, "quot", m)
-                fa, fb = a.fingerprint(), b.fingerprint()
-                _check(fa == fb, "inf (%d, %d): embed and quot inductions "
-                       "coincide" % (l1, m), fa, fb)
-                raw.extend(twist(a, t) for t in tws)
-                total += 1
-        members = dedupe(raw)
+            sigma = cuspidal_members(G.backend, q, (l1, m))
+            a = ind(G, sigma, "embed", m)
+            off = sum(x != y for x, y in zip(a.fingerprint(),
+                                             ind(G, sigma, "quot", m)
+                                             .fingerprint()))
+            _check(not off, "inf (%d, %d): members whose embed and quot "
+                   "inductions differ" % (l1, m), 0, off)
+            raw.append(twist(a, tws))
+            total += len(sigma)
+        members = dedupe(stack(raw))
         _check(len(members) == q * total, "inf_embed: count", q * total,
                len(members))
         fams = [IrrFamily("inf_embed", members,
@@ -373,18 +356,29 @@ _SPECTRUM_OF = {
 
 class AssembledSet:
     """The assembled irreducible data of one group: labeled families, the
-    degree-count dictionary, and the outcome of the structural checks."""
+    degree-count dictionary, and the outcome of the structural checks.  The
+    families keep the members' values, one stack each."""
 
-    def __init__(self, G, backend, q, lam, families, members, zeta, complete):
+    def __init__(self, G, backend, q, lam, families, zeta, complete):
         self.G = G
         self.backend = backend
         self.q = q
         self.lam = lam
         self.families = families
-        self.members = members
         self.zeta = zeta
         self.complete = complete
         self.checks = {}
+
+    def stacks(self):
+        """The member stacks of the explicit families, in family order."""
+        return [f.members for f in self.families if f.members is not None]
+
+    @property
+    def members(self):
+        """All explicit members as one new stack, in family order, or None
+        when no family lists its members."""
+        parts = self.stacks()
+        return stack(parts) if parts else None
 
     def family(self, label):
         for f in self.families:
@@ -397,15 +391,27 @@ _ASSEMBLED = {}
 
 
 def _check_orthonormal(asm):
-    """Gram matrix against the identity, np.isclose on every entry, in row
-    blocks (M (B w)^H)^H: no k x k array besides the stacked values M."""
-    M = np.array([f.vals for f in asm.members])
+    """Gram matrix of all members against the identity, entry by entry as
+    np.isclose(gram, identity, atol=TOL) reads it (|g - e| <= TOL + 1e-5
+    |e|), in blocks C (B w)^H for each family stack C and each row block B
+    of a stack: no k x k array and no joined copy of the members.  The
+    blocks are conjugate transposes of Gram blocks, which the real
+    identity does not tell apart."""
+    parts = [f.vals for f in asm.stacks()]
     w = asm.G.class_sizes / asm.G.order
-    k, off = len(M), 0
-    for s in range(0, k, 256):
-        gram = (M @ (M[s:s + 256] * w).conj().T).conj().T
-        off += int((~np.isclose(gram, np.eye(len(gram), k, s),
-                                atol=TOL)).sum())
+    off = 0
+    for A in parts:
+        for r in range(0, len(A), 256):
+            Bt = (A[r:r + 256] * w).conj().T
+            for C in parts:
+                g = C @ Bt
+                if C is A:
+                    diag = (np.arange(r, r + g.shape[1]),
+                            np.arange(g.shape[1]))
+                    g[diag] -= 1
+                    d = np.abs(g[diag])
+                    off -= int(((d > TOL) & (d <= TOL + 1e-5)).sum())
+                off += int((~(np.abs(g) <= TOL)).sum())
     _check(not off, "Gram matrix entries off the identity", 0, off)
     asm.checks["orthonormal"] = True
 
@@ -414,11 +420,12 @@ def _check_spectra(asm):
     for fam in asm.families:
         if fam.members is None or fam.label not in _SPECTRUM_OF:
             continue
-        for f in fam.members:
-            kinds = spectrum_kinds(asm.G, f)
-            _check(len(kinds) == 1 and kinds <= _SPECTRUM_OF[fam.label],
-                   "%s: spectrum kind, one of" % fam.label,
-                   sorted(_SPECTRUM_OF[fam.label]), sorted(kinds))
+        kinds, present = spectrum_kinds(asm.G, fam.members)
+        allowed = np.isin(kinds, sorted(_SPECTRUM_OF[fam.label]))
+        bad = (present.sum(axis=1) != 1) | (present & ~allowed).any(axis=1)
+        _check(not bad.any(), "%s: spectrum kind, one of" % fam.label,
+               sorted(_SPECTRUM_OF[fam.label]),
+               [k for k, on in zip(kinds, present[bad.argmax()]) if on])
     asm.checks["spectrum_families"] = True
 
 
@@ -445,59 +452,47 @@ def assemble(backend, q, lam):
     l1, l2 = lam
     G = aut_group(backend, q, lam)
 
-    if l2 == 0:
-        members = build_rank1(backend, q, l1)
-        fams = [IrrFamily("one_dim", members)]
-        asm = AssembledSet(G, backend, q, lam, fams, members,
-                           dict(Counter(int(round(f.degree)) for f in members)),
-                           True)
-    elif lam == (1, 1):
+    if lam == (1, 1):
         zeta = dict(Counter(character_degrees(G)))
         green = green_gl2(q)
         _check(zeta == green, "Dixon degrees of %s q=%d (1,1) against "
                "green_gl2" % (backend, q), sorted(green.items()),
                sorted(zeta.items()))
-        asm = AssembledSet(G, backend, q, lam, [], None, zeta, False)
+        asm = AssembledSet(G, backend, q, lam, [], zeta, False)
         asm.checks["dixon_matches_green"] = True
-    elif l2 == 1:
-        fams = build_l1(G)
-        members = [f for fam in fams for f in fam.members]
-        zeta = dict(Counter(int(round(f.degree)) for f in members))
-        asm = AssembledSet(G, backend, q, lam, fams, members, zeta, True)
-    elif l1 > l2:
-        sub = assemble(backend, q, (l1 - 1, l2 - 1))
-        tws = twisting_characters(G.R2)
-        pulled = dedupe([twist(inflate(G, f, "floor"), t)
-                         for f in sub.members for t in tws])
-        _check(len(pulled) == q * len(sub.members), "pullback_twist: count",
-               q * len(sub.members), len(pulled))
-        fams = [IrrFamily("pullback_twist", pulled),
-                build_cuspidal_nonrect(G)]
-        fams.extend(build_infinitesimal(G))
-        geo_irred, geo_split = build_geometric(G)
-        fams.extend([geo_split, geo_irred])
-        members = [f for fam in fams for f in fam.members]
-        zeta = dict(Counter(int(round(f.degree)) for f in members))
-        asm = AssembledSet(G, backend, q, lam, fams, members, zeta, True)
     else:
-        sub = assemble(backend, q, (l1 - 1, l2 - 1))
-        pull_zeta = {d: q * n for d, n in sub.zeta.items()}
-        fams = [IrrFamily("pullback_twist", count=sum(pull_zeta.values()),
-                          provenance={"zeta": pull_zeta})]
-        fams.extend(build_infinitesimal(G))
-        geo_irred, geo_split = build_geometric(G)
-        cn, cd = cuspidal_rect_count(l1, q)
-        fams.extend([geo_split, geo_irred,
-                     IrrFamily("cuspidal_rect_count", count=cn, degree=cd)])
-        members = [f for fam in fams if fam.members for f in fam.members]
+        if l2 == 0:
+            fams = [IrrFamily("one_dim", build_rank1(backend, q, l1))]
+        elif l2 == 1:
+            fams = build_l1(G)
+        elif l1 > l2:
+            sub = assemble(backend, q, (l1 - 1, l2 - 1))
+            # q * |sub| twists, all distinct: IrrFamily refuses repeats
+            fams = [IrrFamily("pullback_twist", twist(
+                inflate(G, sub.members, "floor"), twisting_characters(G.R2))),
+                    build_cuspidal_nonrect(G)]
+            fams.extend(build_infinitesimal(G))
+            fams.extend(build_geometric(G)[::-1])
+        else:
+            sub = assemble(backend, q, (l1 - 1, l2 - 1))
+            pull_zeta = {d: q * n for d, n in sub.zeta.items()}
+            fams = [IrrFamily("pullback_twist",
+                              count=sum(pull_zeta.values()),
+                              provenance={"zeta": pull_zeta})]
+            fams.extend(build_infinitesimal(G))
+            fams.extend(build_geometric(G)[::-1])
+            cn, cd = cuspidal_rect_count(l1, q)
+            fams.append(IrrFamily("cuspidal_rect_count", count=cn,
+                                  degree=cd))
         zeta = Counter()
         for fam in fams:
             zeta.update(fam.degree_counter())
-        zeta = {d: n for d, n in zeta.items() if n > 0}
-        asm = AssembledSet(G, backend, q, lam, fams, members, zeta, False)
+        asm = AssembledSet(G, backend, q, lam, fams,
+                           {d: n for d, n in zeta.items() if n > 0},
+                           l2 < 2 or l1 > l2)
 
     _check_totals(asm)
-    if asm.members:
+    if asm.stacks():
         _check_orthonormal(asm)
     if l2 >= 2:
         _check_spectra(asm)

@@ -1,7 +1,21 @@
 """Class functions on the rank-two automorphism groups and the transfer maps
 between levels: induction, restriction, inflation, kernel averaging, the
 parabolic pair and the two congruence pairs, determinant twists, and the
-depth-one spectrum used to sort irreducible characters into families."""
+depth-one spectrum used to sort irreducible characters into families.
+
+Everything moves by the stack.  A ClassFunction holds an (n, k) array of
+values, one row per function and one column per class of its group; a single
+class function is a stack of one row.  Every transfer takes a stack and
+returns a stack (or one entry per row), so a family moves between groups in
+a few numpy calls.  What does not depend on the rows is computed once and
+kept on the group it belongs to (_once): along each side, ind and res are
+linear maps stored as (source class, target class, count) triples from one
+pass over the parabolic's members (_Pairs); inflate keeps the classes of the
+representatives' images, twist the det codes of the representatives, and
+the cuspidality sums each subgroup's class counts.  A family's member order
+(row_order) is one stable sort of order-preserving byte keys of its rounded
+rows.  Wide temporaries are taken in row blocks of about _ENTRIES
+entries."""
 
 import numpy as np
 
@@ -9,57 +23,150 @@ from .orbits import CongruenceDual, inner_types
 from .rings import (TOL, _check, character_exponents, roots_of_unity,
                     twisting_characters, unit_characters)
 
+_ENTRIES = 1 << 16  # entries per row block of a wide temporary
+
+
+def _blocks(n, width):
+    """Row slices covering n rows, about _ENTRIES entries of the given
+    width each."""
+    step = max(1, _ENTRIES // max(width, 1))
+    return [slice(s, s + step) for s in range(0, n, step)]
+
+
+def _once(G, key, build):
+    """build(), kept on G under key: a map that does not depend on the
+    rows it is applied to."""
+    maps = vars(G).setdefault("_classfun_maps", {})
+    if key not in maps:
+        maps[key] = build()
+    return maps[key]
+
+
+def _rounded(V):
+    """V rounded to 6 decimals into a new C-ordered array, -0.0 read as
+    0.0."""
+    R = np.round(V, 6, out=np.empty(V.shape, V.dtype))
+    R += 0.0
+    return R
+
 
 class ClassFunction:
-    """Complex vector of values on the conjugacy classes of a fixed group."""
+    """A stack of class functions of one group: vals is an (n, k) complex
+    array, one row per function, one column per class."""
 
     __slots__ = ("group", "vals")
 
     def __init__(self, group, vals):
         self.group = group
-        self.vals = np.asarray(vals, dtype=np.complex128)
-        _check(self.vals.shape == (group.class_count,), "class function "
-               "values, one per class", (group.class_count,), self.vals.shape)
+        vals = np.asarray(vals, dtype=np.complex128)
+        self.vals = vals.reshape(1, -1) if vals.ndim == 1 else vals
+        _check(self.vals.ndim == 2
+               and self.vals.shape[1] == group.class_count, "class function "
+               "values, one column per class", (group.class_count,),
+               self.vals.shape)
 
-    @property
-    def degree(self):
-        d = self.vals[self.group.identity_class]
-        _check(abs(d.imag) < TOL, "degree: a real value at the identity",
-               "imaginary part 0", d)
-        return d.real
+    def __len__(self):
+        return len(self.vals)
+
+    def __getitem__(self, rows):
+        """The stack of the selected rows (a view for an int or a slice)."""
+        return ClassFunction(self.group, self.vals[rows])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
     def __call__(self, e):
-        return self.vals[self.group.cls_index(e)]
+        return self.vals[:, self.group.cls_index(e)]
+
+    @property
+    def degrees(self):
+        """The values at the identity, which must be real."""
+        d = self.vals[:, self.group.identity_class]
+        off = np.abs(d.imag) >= TOL
+        _check(not off.any(), "degrees: real values at the identity",
+               "imaginary parts 0", d[off].tolist())
+        return d.real
+
+    def norms(self):
+        """<f, f> of each row, the Gram diagonal without the matrix."""
+        G, V = self.group, self.vals
+        w = G.class_sizes / G.order
+        return (np.einsum("ij,ij,j->i", V.real, V.real, w)
+                + np.einsum("ij,ij,j->i", V.imag, V.imag, w))
 
     def inner(self, other):
-        """Hermitian inner product with class-size weights."""
+        """Hermitian inner products with class-size weights, (n, m)."""
         _check(other.group is self.group, "inner: both on one group",
                self.group.name, other.group.name)
         G = self.group
-        return complex(np.sum(self.vals * np.conj(other.vals) * G.class_sizes)
-                       / G.order)
+        return (self.vals * G.class_sizes) @ other.vals.conj().T / G.order
 
-    def mult(self, other):
-        """Inner product that must land on a non-negative integer."""
-        v = self.inner(other)
-        n = int(round(v.real))
-        _check(abs(v - n) < TOL and n >= 0, "mult: inner product",
-               "a non-negative integer", v)
-        return n
+    def mult(self, other=None):
+        """Inner products that must be non-negative integers: the (n, m)
+        matrix against other, or the norms of the rows if other is None."""
+        v = self.norms() if other is None else self.inner(other)
+        n = np.round(v.real)
+        bad = (np.abs(v - n) >= TOL) | (n < 0)
+        _check(not bad.any(), "mult: inner product", "a non-negative integer",
+               v[bad][0] if bad.any() else None)
+        return n.astype(np.int64)
 
     def fingerprint(self):
-        """The bytes of the values rounded to 6 decimals, the same numbers
-        as round() on each real and imaginary part; adding 0.0 turns -0.0
-        into 0.0, so the two stay one key."""
-        return (np.round(self.vals, 6) + 0.0).tobytes()
+        """Per row, the bytes of its values rounded to 6 decimals, the same
+        numbers as round() on each real and imaginary part; adding 0.0 turns
+        -0.0 into 0.0, so the two stay one key.  Rounded in row blocks."""
+        n, k = self.vals.shape
+        out = []
+        for rows in _blocks(n, k):
+            R = _rounded(self.vals[rows])
+            out.extend(R.view("V%d" % (16 * k)).ravel().tolist())
+        return out
+
+
+_SIGN = np.uint64(1 << 63)
+
+
+def row_order(funcs):
+    """(order, repeat): the stable order of the rows rounded to 6 decimals
+    (the fingerprints' numbers) read as (re, im) pairs, first entry most
+    significant, as np.lexsort would give on the columns, and whether each
+    row in that order equals the one before it.  Each row's key is its rounded
+    doubles as big-endian unsigned integers, every bit of the negatives
+    flipped and the sign bit of the others set, so that comparing keys
+    bytewise compares the rows; keys are built in row blocks, and one
+    stable argsort sorts them as one void field per row."""
+    n, k = funcs.vals.shape
+    key = np.empty((n, 2 * k), dtype=">u8")
+    for rows in _blocks(n, 2 * k):
+        bits = _rounded(funcs.vals[rows]).view(np.uint64)
+        bits ^= -(bits >> 63) | _SIGN
+        key[rows] = bits
+    order = np.argsort(key.view("V%d" % (16 * k)).ravel(), kind="stable")
+    repeat = np.zeros(n, dtype=bool)
+    for rows in _blocks(n - 1, 2 * k):
+        repeat[1:][rows] = (key[order[1:][rows]]
+                            == key[order[:-1][rows]]).all(axis=1)
+    return order, repeat
+
+
+def stack(parts):
+    """One stack of the rows of the given stacks, in order; all must be on
+    one group."""
+    G = parts[0].group
+    _check(all(p.group is G for p in parts), "stack: parts on one group",
+           G.name, sorted({p.group.name for p in parts}))
+    return ClassFunction(G, np.concatenate([p.vals for p in parts]))
 
 
 def dedupe(funcs):
-    """Drop duplicates by rounded value vectors, keeping first occurrences."""
-    seen = {}
-    for f in funcs:
-        seen.setdefault(f.fingerprint(), f)
-    return list(seen.values())
+    """Drop rows equal to an earlier one after rounding (equal
+    fingerprints), keeping first occurrences; funcs itself if no row
+    repeats.  The rows equal to the one before them in row_order's stable
+    order are the repeats."""
+    order, repeat = row_order(funcs)
+    if not repeat.any():
+        return funcs
+    return funcs[np.sort(order[~repeat])]
 
 
 def linear_characters(H):
@@ -73,56 +180,109 @@ def linear_characters(H):
 
 
 def induce(P, vals):
-    """Induction to P's root group G of the class function of P with values
-    vals at P's members (by position): one bincount of the values into the
-    root classes of the members, scaled by |G| / (|P| |C|); no class data
-    of P is read."""
+    """Induction to P's root group G of the class functions of P with the
+    rows of vals (n, |P|) as values at P's members (by position): one
+    bincount over the flattened (row, root class) indices, so each sum runs
+    in member order, scaled by |G| / (|P| |C|); no class data of P is
+    read."""
     G = P.root
-    cls, k = P.root_cls, G.class_count
-    out = (np.bincount(cls, vals.real, k)
-           + 1j * np.bincount(cls, vals.imag, k))
+    k = G.class_count
+    vals = np.atleast_2d(vals)
+    _check(vals.ndim == 2 and vals.shape[1] == P.order, "induce: values at "
+           "the members of " + P.name, ("n", P.order), vals.shape)
+    out = np.empty((len(vals), k), dtype=np.complex128)
+    for rows in _blocks(len(vals), P.order):
+        V = vals[rows]
+        at = (np.arange(len(V))[:, None] * k + P.root_cls).ravel()
+        out[rows] = (np.bincount(at, V.real.ravel(), len(V) * k)
+                     + 1j * np.bincount(at, V.imag.ravel(), len(V) * k)
+                     ).reshape(len(V), k)
     out *= (G.order // P.order) / G.class_sizes
     return ClassFunction(G, out)
 
 
 def inflate(G, f, kind, m=0):
-    """Pull back a class function on Q along the map kind from G's root
-    group onto Q (AutGroup.hom): its values at the images of G's class
-    representatives."""
-    Q, img = G.root.hom(kind, G.rep_idx, m)
+    """Pull back class functions on Q along the map kind from G's root
+    group onto Q (AutGroup.hom): their values at the classes of the images
+    of G's class representatives, found once per (G, kind, m)."""
+    def images():
+        Q, img = G.root.hom(kind, G.rep_idx, m)
+        return Q, Q.cls_of[img]
+
+    Q, cls = _once(G, ("inflate", kind, m), images)
     _check(f.group is Q, "inflate: a class function on the target of "
            + kind, Q.name, f.group.name)
-    return ClassFunction(G, f.vals[Q.cls_of[img]])
+    return ClassFunction(G, f.vals[:, cls])
+
+
+class _Pairs:
+    """A linear map between class functions kept as (source class, target
+    class, count) triples sorted by target: out[:, t] is the sum of count *
+    V[:, s] over the triples (s, t, count).  Built from one pair code
+    target * k_source + source per member; no dense matrix is formed."""
+
+    def __init__(self, code, k_src, k_dst):
+        code = np.sort(code)
+        first = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+        self.count = np.diff(np.r_[first, len(code)]).astype(np.float64)
+        self.dst, self.src = np.divmod(code[first], k_src)
+        self.starts = np.flatnonzero(np.r_[True, self.dst[1:]
+                                           != self.dst[:-1]])
+        self.cols = self.dst[self.starts]
+        self.k_dst = k_dst
+
+    def __call__(self, vals):
+        out = np.zeros((len(vals), self.k_dst), dtype=np.complex128)
+        for rows in _blocks(len(vals), len(self.src)):
+            T = vals[rows][:, self.src]
+            T *= self.count
+            out[rows, self.cols] = np.add.reduceat(T, self.starts, axis=1)
+        return out
+
+
+def count_maps(P, kind, m=0):
+    """(Q, up, down) for the map kind from the subgroup P onto Q, once per
+    (P, kind, m), from one pass over P's members: up counts the members by
+    (Q-class, root class) pair, down only the members over each Q-class's
+    representative (root class -> Q-class).  Every fiber must have |P|/|Q|
+    members; then up = |C_Q| * down on every pair (Frobenius reciprocity)."""
+    def build():
+        Q, img, cls = P.pullback(kind, m)
+        n = P.order // Q.order
+        sizes = np.bincount(img, minlength=Q.order)
+        _check((sizes == n).all(), "%s: fiber sizes of %s onto %s"
+               % (P.name, kind, Q.name), n, sorted(set(sizes.tolist())))
+        kQ, kG = Q.class_count, P.root.class_count
+        at = img == Q.rep_idx[cls]
+        return (Q, _Pairs(P.root_cls * kQ + cls, kQ, kG),
+                _Pairs(cls[at] * kG + P.root_cls[at], kG, kQ))
+
+    return _once(P, ("pairs", kind, m), build)
 
 
 def invariants_pushforward(P, kind, f, m=0):
-    """Restrict a class function f on P's root group to P and average it
+    """Restrict class functions f on P's root group to P and average them
     over the fibers of the map kind onto its target Q, which on characters
-    takes the kernel's invariants: f read at the members' root classes and
-    two bincounts over their images; every fiber must have |P|/|Q|
-    elements."""
+    takes the kernel's invariants: the count map down of count_maps, divided
+    by the fiber size |P|/|Q|."""
     _check(f.group is P.root, "invariants_pushforward: a class function on "
            "the root group of P", P.root.name, f.group.name)
-    Q, img, _ = P.pullback(kind, m)
-    n = P.order // Q.order
-    sizes = np.bincount(img, minlength=Q.order)
-    _check((sizes == n).all(), "%s: fiber sizes of %s onto %s"
-           % (P.name, kind, Q.name), n, sorted(set(sizes.tolist())))
-    w = f.vals[P.root_cls]
-    sums = (np.bincount(img, w.real, Q.order)
-            + 1j * np.bincount(img, w.imag, Q.order))
-    return ClassFunction(Q, sums[Q.rep_idx] / n)
+    Q, _, down = count_maps(P, kind, m)
+    return ClassFunction(Q, down(f.vals) / (P.order // Q.order))
 
 
-def twist(chi, uchar):
-    """Multiply by a unit-group character composed with the determinant:
-    the character's values gathered at the det codes of the class
-    representatives."""
+def twist(chi, uchars):
+    """Multiply each row by each unit-group character composed with the
+    determinant, rows in (row, character) order: the characters' values
+    gathered at the det codes of the class representatives, found once per
+    group."""
     G = chi.group
-    R2, codes = G.hom("det", G.rep_idx)
-    by_code = np.zeros(R2.size, dtype=np.complex128)
-    by_code[uchar.group.elements] = uchar.values
-    return ClassFunction(G, chi.vals * by_code[codes])
+    R2, codes = _once(G, "det", lambda: G.hom("det", G.rep_idx))
+    by_code = np.zeros((len(uchars), R2.size), dtype=np.complex128)
+    for t, uchar in enumerate(uchars):
+        by_code[t, uchar.group.elements] = uchar.values
+    out = chi.vals[:, None, :] * by_code[:, codes]
+    return ClassFunction(G, out.reshape(-1, G.class_count))
 
 
 # side -> (parabolic, its map onto the torus or onto the (l1, m) group)
@@ -133,14 +293,16 @@ _SIDES = {"upper": ("parabolic_upper", "diag"),
 
 
 def ind(G, f, side, m=0):
-    """Inflate f to the side's parabolic along its map and induce up to G:
-    f read at the pulled-back classes of the members."""
+    """Inflate f to the side's parabolic P along its map and induce up to
+    G: the count map up of count_maps, scaled by |G| / (|P| |C|)."""
     tag, kind = _SIDES[side]
     P = G.subgroup(tag, m=m)
-    Q, _, cls = P.pullback(kind, m)
+    Q, up, _ = count_maps(P, kind, m)
     _check(f.group is Q, "ind: a class function on the target of " + kind,
            Q.name, f.group.name)
-    return induce(P, f.vals[cls])
+    out = up(f.vals)
+    out *= (G.order // P.order) / G.class_sizes
+    return ClassFunction(G, out)
 
 
 def res(G, f, side, m=0):
@@ -151,70 +313,106 @@ def res(G, f, side, m=0):
 
 
 def torus_character(G, t1, t2):
-    """t1 x t2 on G.torus = units(R1) x units(R2): the outer product of
+    """The rows t1[i] x t2[i] on G.torus = units(R1) x units(R2), for two
+    equal-length lists of unit-group characters: the outer products of
     their values, whose groups must list the units as the factors do."""
     T = G.torus
-    _check([t1.group.elements, t2.group.elements]
-           == [U.elements for U in T.factors], "the characters' unit "
-           "groups, listed as the torus factors", T.name,
-           (t1.group.name, t2.group.name))
-    return ClassFunction(T, np.outer(t1.values, t2.values).ravel())
+    for a, b in {(id(a.group), id(b.group)): (a.group, b.group)
+                 for a, b in zip(t1, t2)}.values():
+        _check([a.elements, b.elements] == [U.elements for U in T.factors],
+               "the characters' unit groups, listed as the torus factors",
+               T.name, (a.name, b.name))
+    A = np.array([t.values for t in t1])
+    B = np.array([t.values for t in t2])
+    return ClassFunction(T, (A[:, :, None] * B[:, None, :]).reshape(len(A),
+                                                                    -1))
 
 
 def geo_ind(G, t1, t2, side="upper"):
-    """Parabolic induction of a pair of unit-group characters."""
+    """Parabolic induction of the pairs (t1[i], t2[i]) of unit-group
+    characters."""
     return ind(G, torus_character(G, t1, t2), side)
 
 
 def depth_one_dual(G):
     """The depth-one congruence dual of G, built once per group."""
-    D = getattr(G, "_depth_one_dual", None)
-    if D is None:
-        D = G._depth_one_dual = CongruenceDual(G, 1, 0)
-    return D
+    return _once(G, "depth_one_dual", lambda: CongruenceDual(G, 1, 0))
 
 
 def k_spectrum(G, chi):
     """Multiplicity of each depth-one congruence-kernel character in the
-    restriction of chi, indexed like CongruenceDual(G, 1, 0).duals."""
-    D = depth_one_dual(G)
-    v = chi.vals[G.cls_of[D.K.idx]]
-    m = np.conj(D.value_matrix @ np.conj(v)) / D.K.order  # no conjugated copy
-    off = max(np.abs(m.imag).max(), np.abs(m.real - np.round(m.real)).max())
+    restriction of each row, (n, duals) indexed like CongruenceDual(G, 1,
+    0).duals: the rows at the classes meeting K times the conjugated dual
+    values summed per class, found once per group."""
+    def by_class():
+        D = depth_one_dual(G)
+        cls = G.cls_of[D.K.idx]
+        cols = np.flatnonzero(np.bincount(cls, minlength=G.class_count))
+        A = D.value_matrix @ (cls[:, None] == cols).astype(np.float64)
+        return cols, A.conj().T / D.K.order
+
+    cols, A = _once(G, "k_spectrum", by_class)
+    m = chi.vals[:, cols] @ A
+    off = max(np.abs(m.imag).max(initial=0),
+              np.abs(m.real - np.round(m.real)).max(initial=0))
     _check(off < TOL, "k_spectrum: integer multiplicities", "distance 0",
            off)
     return np.round(m.real).astype(np.int64)
 
 
 def spectrum_kinds(G, chi):
-    """Set of orbit labels supporting the depth-one spectrum of chi."""
-    D = depth_one_dual(G)
-    m = k_spectrum(G, chi)
-    return {D.labels[j][0] for j in np.flatnonzero(m > 0).tolist()}
+    """(kinds, present): the orbit labels of G's depth-one duals, sorted,
+    and per row whether its depth-one spectrum meets each of them."""
+    def onehot():
+        labels = [lab[0] for lab in depth_one_dual(G).labels]
+        kinds = sorted(set(labels))
+        return kinds, np.array([[k == lab for k in kinds] for lab in labels])
+
+    kinds, hot = _once(G, "spectrum_kinds", onehot)
+    return kinds, (k_spectrum(G, chi) > 0).astype(np.int64) @ hot > 0
 
 
 def is_primitive(G, chi):
-    """True when the depth-one spectrum avoids the scalar-type characters,
-    so chi is not a twist of a pullback from the floor group."""
-    return not (spectrum_kinds(G, chi) & {"central", "scalar"})
+    """Per row, whether its depth-one spectrum avoids the scalar-type
+    characters, so it is not a twist of a pullback from the floor group."""
+    kinds, present = spectrum_kinds(G, chi)
+    return ~present[:, [kinds.index(k) for k in ("central", "scalar")
+                        if k in kinds]].any(axis=1)
+
+
+def _class_counts(U):
+    """The number of members of the subgroup U in each class of its root
+    group, found once per U."""
+    return _once(U, "class_counts", lambda: np.bincount(
+        U.root_cls, minlength=U.root.class_count).astype(np.float64))
+
+
+def member_sums(U, chi):
+    """Per row, the sum of its values over the members of the subgroup U of
+    its group: the rows times U's class counts."""
+    return chi.vals @ _class_counts(U)
 
 
 def is_cuspidal(G, chi):
-    """Irreducible, primitive, and every determinant twist of chi has no
+    """Per row: irreducible, primitive, and every determinant twist has no
     invariants under any unipotent or congruence kernel, i.e. all twists are
-    killed by all the restriction functors."""
-    if chi.mult(chi) != 1:
-        return False
-    if G.l2 >= 2 and not is_primitive(G, chi):
-        return False
-    subs = [G.subgroup("unipotent_upper"), G.subgroup("unipotent_lower")]
-    subs += [G.subgroup(tag, m=m) for _, m in inner_types(G.lam)
-             for tag in ("ker_embed", "ker_quot")]
-    twists = (twisting_characters(G.R2) if G.R2.level >= 2
-              else unit_characters(G.R2))
-    for tch in twists:
-        tc = twist(chi, tch)
-        for U in subs:
-            if abs(tc.vals[G.cls_of[U.idx]].sum()) > TOL * U.order:
-                return False
-    return True
+    killed by all the restriction functors.  The twisted sums over every
+    kernel are one product with the (classes, twists x kernels) matrix of
+    twist values times class counts, found once per group."""
+    def sums():
+        subs = [G.subgroup("unipotent_upper"), G.subgroup("unipotent_lower")]
+        subs += [G.subgroup(tag, m=m) for _, m in inner_types(G.lam)
+                 for tag in ("ker_embed", "ker_quot")]
+        twists = (twisting_characters(G.R2) if G.R2.level >= 2
+                  else unit_characters(G.R2))
+        T = twist(ClassFunction(G, np.ones(G.class_count)), twists).vals
+        counts = np.array([_class_counts(U) for U in subs])
+        W = (T[:, None, :] * counts[None, :, :]).reshape(-1, G.class_count)
+        bound = TOL * np.array([U.order for U in subs], dtype=np.float64)
+        return W.T, np.tile(bound, len(T))
+
+    ok = chi.mult() == 1
+    if G.l2 >= 2 and ok.any():
+        ok[ok] = is_primitive(G, chi[ok])
+    W, bound = _once(G, "cuspidal_sums", sums)
+    return ok & (np.abs(chi.vals @ W) <= bound).all(axis=1)

@@ -69,7 +69,7 @@ class GroupBase(FiniteGroup):
         moves = [(None, s) for s in seeds] + list(zip(gi, g))
         _, _, orbit_of = self.sweep(moves)
         span = np.flatnonzero(orbit_of == orbit_of[self.identity_pos])
-        return Subgroup(self, self.ridx(span), name=self.name + ".derived")
+        return Subgroup(self, self.ridx(span), name="derived")
 
     def abelianization(self):
         return QuotientGroup(self, self.commutator_subgroup())

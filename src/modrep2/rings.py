@@ -633,14 +633,16 @@ def unit_characters(ring):
     return character_group(unit_group(ring))
 
 
+@lru_cache(maxsize=None)
 def twisting_characters(ring):
     """The q unit-group characters extending the level-1 additive pattern on the
     principal congruence units 1 + pi^(level-1) * (residue field); indexed by the
-    level-1 coefficient, with index 0 the trivial character."""
+    level-1 coefficient, with index 0 the trivial character; computed once per
+    ring."""
     one_plus = ring.one_plus  # ValueError below level 2
     chars = unit_characters(ring)
     r1 = make_ring(ring.backend, ring.q, 1)
-    vals = np.array([[ch(u) for u in one_plus] for ch in chars])
+    vals = values_at(chars, one_plus)
     want = r1.psi[r1.mul]  # want[zh, s] = psi(zh s), s the coefficient
     ext = (np.abs(vals[None] - want[:, None]) < MTOL).all(axis=2)
     n = len(ring.units) // ring.q  # the extensions of each pattern
@@ -648,3 +650,10 @@ def twisting_characters(ring):
         _check(count == n, "unit characters extending the level-1 pattern %d"
                % zh, n, count)
     return [chars[i] for i in ext.argmax(axis=1).tolist()]
+
+
+def values_at(chars, elems):
+    """The values of characters of one abelian group at the given elements,
+    one row per character."""
+    pos = [chars[0].group.index[e] for e in elems]
+    return np.array([ch.values[pos] for ch in chars])

@@ -6,13 +6,14 @@ from collections import Counter
 
 import numpy as np
 
-from .build import assemble, cuspidal_rect_count, zeta_closed_form
+from .build import (assemble, cuspidal_rect_count,
+                    primitive_unit_characters, zeta_closed_form)
 from .classfun import (depth_one_dual, geo_ind, ind, is_cuspidal,
                        is_primitive, res, torus_character)
 from .dixon import character_degrees
 from .groups import aut_group, class_count_formula, order_formula
 from .orbits import inner_types, orbits_on_kernel
-from .rings import MTOL, TOL, unit_characters
+from .rings import MTOL, TOL, unit_characters, values_at
 
 
 class VerifyReport:
@@ -52,58 +53,58 @@ def expected_dual_orbit_table(q, lam):
             "irreducible": (q * (q - 1) // 2, q * q - q)}
 
 
+def _all_pairs(A, B):
+    """Two lists giving every pair (a, b), a in A, b in B, with a outer."""
+    return [a for a in A for _ in B], list(B) * len(A)
+
+
+def _adjoint(up, down, funcs, members):
+    """<up[i], chi[j]> == <down[j], funcs[i]>, all as integer matrices."""
+    return np.array_equal(up.mult(members), down.mult(funcs).T)
+
+
 def _check_geo_adjoint(G, members):
     """<ind(theta), chi> == <theta, res(chi)> for torus characters theta."""
-    for side in ("upper", "lower"):
-        ress = [res(G, chi, side) for chi in members]
-        for t1 in unit_characters(G.R1):
-            for t2 in unit_characters(G.R2):
-                tf = torus_character(G, t1, t2)
-                up = ind(G, tf, side)
-                for chi, down in zip(members, ress):
-                    if up.mult(chi) != down.mult(tf):
-                        return False
-    return True
+    thetas = torus_character(G, *_all_pairs(unit_characters(G.R1),
+                                            unit_characters(G.R2)))
+    return all(_adjoint(ind(G, thetas, side), res(G, members, side), thetas,
+                        members) for side in ("upper", "lower"))
 
 
 def _check_inf_adjoint(G, members):
     """<ind(sigma), chi> == <sigma, res(chi)> on the congruence sides."""
     for _, m in inner_types(G.lam):
-        floor = assemble(G.backend, G.q, (G.l1, m))
+        floor = assemble(G.backend, G.q, (G.l1, m)).members
         for side in ("embed", "quot"):
-            ress = [res(G, chi, side, m) for chi in members]
-            for sigma in floor.members:
-                up = ind(G, sigma, side, m)
-                for chi, down in zip(members, ress):
-                    if up.mult(chi) != down.mult(sigma):
-                        return False
+            if not _adjoint(ind(G, floor, side, m), res(G, members, side, m),
+                            floor, members):
+                return False
     return True
 
 
 def _check_parabolic_both_sides(G):
     """Upper and lower parabolic induction agree on inducing pairs and are
     reducible exactly off them; rectangular pairs also swap."""
-    layer = G.R1.one_plus
     rect = G.l1 == G.l2
-    for t1 in unit_characters(G.R1):
-        for t2 in unit_characters(G.R2):
-            up = geo_ind(G, t1, t2, "upper")
-            lo = geo_ind(G, t1, t2, "lower")
-            if rect:
-                inducing = any(abs(t1(u) - t2(u)) > TOL for u in layer)
-            else:
-                inducing = any(abs(t1(u) - 1) > TOL for u in layer)
-            if inducing:
-                if not np.allclose(up.vals, lo.vals, atol=TOL):
-                    return False
-                if up.mult(up) != 1:
-                    return False
-                if rect:
-                    sw = geo_ind(G, t2, t1, "upper")
-                    if not np.allclose(up.vals, sw.vals, atol=TOL):
-                        return False
-            elif up.mult(up) == 1:
-                return False
+    c1, c2 = unit_characters(G.R1), unit_characters(G.R2)
+    t1, t2 = _all_pairs(c1, c2)
+    up = geo_ind(G, t1, t2, "upper")
+    lo = geo_ind(G, t1, t2, "lower")
+    v1 = values_at(c1, G.R1.one_plus)
+    if rect:
+        v2 = values_at(c2, G.R1.one_plus)
+        inducing = (np.abs(v1[:, None] - v2[None]) > TOL).any(axis=2)
+    else:
+        inducing = np.repeat((np.abs(v1 - 1) > TOL).any(axis=1), len(c2))
+    inducing = inducing.ravel()
+    irreducible = up.mult() == 1
+    if not (irreducible == inducing).all():
+        return False
+    if not np.allclose(up.vals[inducing], lo.vals[inducing], atol=TOL):
+        return False
+    if rect:
+        sw = geo_ind(G, t2, t1, "upper")
+        return np.allclose(up.vals[inducing], sw.vals[inducing], atol=TOL)
     return True
 
 
@@ -112,21 +113,18 @@ def _check_mixed_composition(G):
     floor parabolic induction."""
     q = G.q
     Gm = aut_group(G.backend, q, (G.l1, 1))
-    for t1 in unit_characters(G.R1):
-        if not any(abs(t1(u) - 1) > TOL for u in G.R1.one_plus):
-            continue
-        for t2 in unit_characters(Gm.R2):
-            lift = [c for c in unit_characters(G.R2)
-                    if all(abs(c(u) - t2(u % q)) < MTOL for u in G.R2.units)]
-            if len(lift) != 1:
-                return False
-            lhs = geo_ind(G, t1, lift[0])
-            mid = geo_ind(Gm, t1, t2)
-            for side in ("embed", "quot"):
-                if not np.allclose(lhs.vals, ind(G, mid, side, 1).vals,
-                                   atol=TOL):
-                    return False
-    return True
+    c1 = primitive_unit_characters(G.R1)
+    units = G.R2.units
+    lifts = values_at(unit_characters(G.R2), units)
+    down = values_at(unit_characters(Gm.R2), [u % q for u in units])
+    match = (np.abs(down[:, None] - lifts[None]) < MTOL).all(axis=2)
+    if not (match.sum(axis=1) == 1).all():
+        return False
+    c2 = [unit_characters(G.R2)[i] for i in match.argmax(axis=1).tolist()]
+    lhs = geo_ind(G, *_all_pairs(c1, c2))
+    mid = geo_ind(Gm, *_all_pairs(c1, unit_characters(Gm.R2)))
+    return all(np.allclose(lhs.vals, ind(G, mid, side, 1).vals, atol=TOL)
+               for side in ("embed", "quot"))
 
 
 def _check_stable_chain(backend, q):
@@ -134,17 +132,16 @@ def _check_stable_chain(backend, q):
     two-step ones."""
     G43 = aut_group(backend, q, (4, 3))
     G42 = aut_group(backend, q, (4, 2))
-    floor = assemble(backend, q, (4, 1))
-    for sigma in floor.family("orbitC").members:
-        for side in ("embed", "quot"):
-            direct = ind(G43, sigma, side, 1)
-            stepped = ind(G43, ind(G42, sigma, side, 1), side, 2)
-            if not np.allclose(direct.vals, stepped.vals, atol=TOL):
-                return False
-            back = res(G42, res(G43, direct, side, 2), side, 1)
-            if not np.allclose(back.vals, res(G43, direct, side, 1).vals,
-                               atol=TOL):
-                return False
+    sigma = assemble(backend, q, (4, 1)).family("orbitC").members
+    for side in ("embed", "quot"):
+        direct = ind(G43, sigma, side, 1)
+        stepped = ind(G43, ind(G42, sigma, side, 1), side, 2)
+        if not np.allclose(direct.vals, stepped.vals, atol=TOL):
+            return False
+        back = res(G42, res(G43, direct, side, 2), side, 1)
+        if not np.allclose(back.vals, res(G43, direct, side, 1).vals,
+                           atol=TOL):
+            return False
     return True
 
 
@@ -154,13 +151,12 @@ def _check_cuspidal_induction(G):
     outs = {"embed": [], "quot": []}
     for _, m in inner_types(G.lam):
         label = "orbitC" if m == 1 else "cuspidal_nonrect"
-        floor = assemble(G.backend, G.q, (G.l1, m))
-        for sigma in floor.family(label).members:
-            for side in ("embed", "quot"):
-                f = ind(G, sigma, side, m)
-                if f.mult(f) != 1:
-                    return False
-                outs[side].append(f.fingerprint())
+        sigma = assemble(G.backend, G.q, (G.l1, m)).family(label).members
+        for side in ("embed", "quot"):
+            f = ind(G, sigma, side, m)
+            if not (f.mult() == 1).all():
+                return False
+            outs[side].extend(f.fingerprint())
     return all(len(set(v)) == len(v) for v in outs.values())
 
 
@@ -174,12 +170,14 @@ def verify_all(backend, q, lam):
             order_formula(q, lam), G.order)
     rep.add("class_count", "almost-cyclic class census formula",
             class_count_formula(q, lam), G.class_count)
+    # the oracle first, once: its peak memory then stacks on the group and
+    # its classes only, not on the assembled families
+    oracle = Counter(character_degrees(G))
     a = assemble(backend, q, lam)
     rep.add("zeta_closed_form", "degree-count recursion",
             _zeta_json(zeta_closed_form(q, lam)), _zeta_json(a.zeta))
     rep.add("zeta_degree_oracle", "independent modular eigenvalue splitting",
-            _zeta_json(a.zeta),
-            _zeta_json(Counter(character_degrees(G))))
+            _zeta_json(a.zeta), _zeta_json(oracle))
     rep.add("family_checks", "construction invariants",
             {k: True for k in a.checks}, a.checks)
 
@@ -200,14 +198,14 @@ def verify_all(backend, q, lam):
         rep.add("cuspidal_degree", "q^(l2-1)(q-1)",
                 q ** (l2 - 1) * (q - 1), fam.degree)
         rep.add("cuspidal_battery", "twist-and-restrict annihilation",
-                True, all(is_cuspidal(G, f) for f in fam.members))
-        prim = [f for f in a.members if is_primitive(G, f)]
-        fams = {lab: {f.fingerprint() for f in a.family(lab).members}
+                True, bool(is_cuspidal(G, fam.members).all()))
+        fams = {lab: set(a.family(lab).members.fingerprint())
                 for lab in ("cuspidal_nonrect", "inf_embed", "inf_quot",
                             "geo_split", "geo_irred")}
         tri = Counter()
-        for f in prim:
-            hits = [lab for lab, fps in fams.items() if f.fingerprint() in fps]
+        members = a.members
+        for fp in members[is_primitive(G, members)].fingerprint():
+            hits = [lab for lab, fps in fams.items() if fp in fps]
             tri[hits[0] if len(hits) == 1 else "unclassified"] += 1
         rep.add("primitive_trichotomy", "each primitive in exactly one family",
                 {lab: len(fps) for lab, fps in sorted(fams.items())},
@@ -215,25 +213,26 @@ def verify_all(backend, q, lam):
 
     if l1 == l2 >= 2:
         cn, cd = cuspidal_rect_count(l1, q)
-        remaining = Counter(character_degrees(G))
+        remaining = Counter(oracle)
         for d, n in assemble(backend, q, (l1 - 1, l2 - 1)).zeta.items():
             remaining[d] -= q * n
-        for f in a.members:
-            remaining[int(round(f.degree))] -= 1
+        explicit = Counter(np.round(a.members.degrees).astype(int).tolist())
+        remaining.subtract(explicit)
         remaining = {d: n for d, n in remaining.items() if n}
         rep.add("rect_subtraction", "unaccounted degrees = unconstructed "
                 "cuspidal count", {str(cd): cn}, _zeta_json(remaining))
-        degrees = sorted({int(round(f.degree)) for f in a.members} | {cd})
+        degrees = sorted(set(explicit) | {cd})
         rep.add("primitive_degree_polynomials", "report-only: degrees are "
                 "polynomial values in q of degree <= level",
                 sorted({q ** (l1 - 1) * (q - 1), q ** (l1 - 2) * (q * q - 1),
                         q ** (l1 - 1) * (q + 1)}), degrees)
 
     if q == 2 and lam in ((3, 2), (2, 2)):
+        members = a.members
         rep.add("geo_adjointness", "induction-restriction inner products",
-                True, _check_geo_adjoint(G, a.members))
+                True, _check_geo_adjoint(G, members))
         rep.add("inf_adjointness", "induction-restriction inner products",
-                True, _check_inf_adjoint(G, a.members))
+                True, _check_inf_adjoint(G, members))
         rep.add("parabolic_two_sided", "upper equals lower on inducing pairs",
                 True, _check_parabolic_both_sides(G))
         rep.add("mixed_composition", "parabolic then stable induction",

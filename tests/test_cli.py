@@ -218,6 +218,14 @@ PINNED_OUTPUT = [
      "eac6a8f8f09570900a541d6a91a6221327223a4ba161d091a44c6963337cd5eb"),
     (("dixon", "--backend", "tpoly", "--q", "4", "--lambda", "2,2"),
      "140d5528991857504c476477574281637d361b40ed9d27f2d41cf1a445d96654"),
+    (("construct", "--backend", "tpoly", "--q", "4", "--lambda", "2,2"),
+     "679179d30d4e9106ff7a3e866b21bf3d53d7c1ba619c33a3a2c8f8fe4e294322"),
+    (("construct", "--p", "2", "--lambda", "5,3"),
+     "53eba4fd0568b5d360f8526fda419d82f69cc71dbf45f7cba413fc3ad4d4ed13"),
+    (("verify-all", "--p", "2", "--lambda", "4,3"),
+     "b327e7a8c756d1276844c2bb13670d1187615c6bc36f9c014f8a3d4dd5eb335a"),
+    (("verify-all", "--backend", "tpoly", "--q", "2", "--lambda", "3,2"),
+     "d273a53fd2767e145c59e95b7ae1bfaa4633379fc2b92872dadf420111a744d7"),
 ]
 
 

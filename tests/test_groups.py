@@ -616,6 +616,14 @@ def test_commutator_and_abelianization():
     assert G.abelianization().order == 6
 
 
+def test_derived_subgroup_names_its_parent_once():
+    G = aut_group("padic", 2, (4, 2))
+    assert G.commutator_subgroup().name == "Aut(padic,q=2,(4, 2)).derived"
+    N = G.subgroup("cuspidal_normalizer", u_hat=0, w_hat=1)
+    assert N.commutator_subgroup().name == ("Aut(padic,q=2,(4, 2))."
+                                            "cuspidal_normalizer.derived")
+
+
 def test_quotient_group_projection():
     G = aut_group("padic", 2, (2, 1))
     N = G.commutator_subgroup()
