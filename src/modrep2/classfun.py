@@ -72,9 +72,6 @@ class ClassFunction:
         """The stack of the selected rows (a view for an int or a slice)."""
         return ClassFunction(self.group, self.vals[rows])
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
     def __call__(self, e):
         return self.vals[:, self.group.cls_index(e)]
 
