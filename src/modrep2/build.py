@@ -248,11 +248,9 @@ def build_geometric(G):
     if l1 > l2:
         t1s, t2s = primitive_unit_characters(G.R1), unit_characters(G.R2)
         raw = geo_ind(G, [a for a in t1s for _ in t2s], t2s * len(t1s))
-        geo = dedupe(raw)
         n = q ** (l1 + l2 - 3) * (q - 1) ** 3
-        _check(len(geo) == len(raw) == n, "geo_irred: distinct and raw "
-               "inductions", (n, n), (len(geo), len(raw)))
-        geo_irred = IrrFamily("geo_irred", geo)
+        _check(len(raw) == n, "geo_irred: raw inductions", n, len(raw))
+        geo_irred = IrrFamily("geo_irred", raw)  # refuses repeated rows
         _check(geo_irred.degree == q ** l2, "geo_irred: degree", q ** l2,
                geo_irred.degree)
     else:
@@ -280,10 +278,9 @@ def build_geometric(G):
         _check(len(split) == n, "geo_split: count", n, len(split))
         expect_deg = q ** (l1 - 2) * (q * q - 1)
     else:
-        split = dedupe(raw)
+        split = raw  # IrrFamily refuses repeated rows
         n = 2 * q ** (l1 - 2) * (q - 1)
-        _check(len(split) == len(raw) == n, "geo_split: distinct and raw "
-               "inductions", (n, n), (len(split), len(raw)))
+        _check(len(raw) == n, "geo_split: raw inductions", n, len(raw))
         expect_deg = q ** (l2 - 1) * (q - 1)
     geo_split = IrrFamily("geo_split", split)
     _check(geo_split.degree == expect_deg, "geo_split: degree", expect_deg,
@@ -309,7 +306,8 @@ def build_infinitesimal(G):
             sigma = cuspidal_members(G.backend, q, (l1, m))
             emb.append(ind(G, sigma, "embed", m))
             quo.append(ind(G, sigma, "quot", m))
-        emb, quo = dedupe(stack(emb)), dedupe(stack(quo))
+        # IrrFamily refuses repeated rows within each
+        emb, quo = stack(emb), stack(quo)
         expect = sum(q ** (l1 + m - 3) * (q - 1) ** 2
                      for _, m in inner_types(G.lam))
         _check(len(emb) == len(quo) == expect, "inf_embed, inf_quot: counts",
@@ -322,7 +320,7 @@ def build_infinitesimal(G):
                " degrees", (deg, deg), (fams[0].degree, fams[1].degree))
     else:
         tws = twisting_characters(G.R2)
-        raw, total = [], 0
+        raw = []
         for _, m in inner_types(G.lam):
             sigma = cuspidal_members(G.backend, q, (l1, m))
             a = ind(G, sigma, "embed", m)
@@ -332,11 +330,8 @@ def build_infinitesimal(G):
             _check(not off, "inf (%d, %d): members whose embed and quot "
                    "inductions differ" % (l1, m), 0, off)
             raw.append(twist(a, tws))
-            total += len(sigma)
-        members = dedupe(stack(raw))
-        _check(len(members) == q * total, "inf_embed: count", q * total,
-               len(members))
-        fams = [IrrFamily("inf_embed", members,
+        # q twists of each cuspidal; IrrFamily refuses repeated rows
+        fams = [IrrFamily("inf_embed", stack(raw),
                           provenance={"note": "embed and quot coincide"})]
         deg = q ** (l1 - 2) * (q * q - 1)
         _check(fams[0].degree == deg, "inf_embed: degree", deg,
@@ -393,25 +388,26 @@ _ASSEMBLED = {}
 def _check_orthonormal(asm):
     """Gram matrix of all members against the identity, entry by entry as
     np.isclose(gram, identity, atol=TOL) reads it (|g - e| <= TOL + 1e-5
-    |e|), in blocks C (B w)^H for each family stack C and each row block B
-    of a stack: no k x k array and no joined copy of the members.  The
-    blocks are conjugate transposes of Gram blocks, which the real
-    identity does not tell apart."""
-    parts = [f.vals for f in asm.stacks()]
+    |e|).  The members are cut into blocks of at most 256 rows of one
+    family stack; for blocks i <= j, B_j (B_i w)^H is the conjugate
+    transpose of the Gram block (i, j), and the Hermitian Gram matrix holds
+    its mirror image at (j, i), so entries off the identity count once on
+    the diagonal blocks and twice off them: no k x k array and no joined
+    copy of the members."""
     w = asm.G.class_sizes / asm.G.order
+    blocks = [f.vals[r:r + 256] for f in asm.stacks()
+              for r in range(0, len(f), 256)]
     off = 0
-    for A in parts:
-        for r in range(0, len(A), 256):
-            Bt = (A[r:r + 256] * w).conj().T
-            for C in parts:
-                g = C @ Bt
-                if C is A:
-                    diag = (np.arange(r, r + g.shape[1]),
-                            np.arange(g.shape[1]))
-                    g[diag] -= 1
-                    d = np.abs(g[diag])
-                    off -= int(((d > TOL) & (d <= TOL + 1e-5)).sum())
-                off += int((~(np.abs(g) <= TOL)).sum())
+    for i, B in enumerate(blocks):
+        Bt = (B * w).conj().T
+        g = B @ Bt
+        diag = np.diag_indices(len(B))
+        g[diag] -= 1
+        d = np.abs(g[diag])
+        off += int((~(np.abs(g) <= TOL)).sum())
+        off -= int(((d > TOL) & (d <= TOL + 1e-5)).sum())
+        for C in blocks[i + 1:]:
+            off += 2 * int((~(np.abs(C @ Bt) <= TOL)).sum())
     _check(not off, "Gram matrix entries off the identity", 0, off)
     asm.checks["orthonormal"] = True
 
