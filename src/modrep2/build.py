@@ -52,7 +52,8 @@ def _checked_members(label, members):
     """(members, sorted distinct degrees), the members in the order of
     row_order, all checked on their stacked values: norms integers within
     TOL and equal to 1, distinct fingerprints (equal rows sort next to each
-    other) and real values at the identity."""
+    other) and real values at the identity.  Members from dedupe come in
+    that order with their repeat flags, and are not keyed again."""
     if not len(members):
         return members, []
     G, V = members.group, members.vals
@@ -68,10 +69,13 @@ def _checked_members(label, members):
     _check(not off.any(), "%s: degrees, real values at the identity" % label,
            "imaginary parts 0", d[off].tolist())
     degs = sorted(set(np.round(d.real).astype(np.int64).tolist()))
-    order, repeat = row_order(members)
+    repeat = members.repeat
+    if repeat is None:
+        order, repeat = row_order(members)
+        members = members[order]
     _check(not repeat.any(), "%s: distinct fingerprints" % label, len(V),
            len(V) - int(repeat.sum()))
-    return members[order], degs
+    return members, degs
 
 
 def green_gl2(q):

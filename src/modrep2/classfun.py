@@ -52,12 +52,14 @@ def _rounded(V):
 
 class ClassFunction:
     """A stack of class functions of one group: vals is an (n, k) complex
-    array, one row per function, one column per class."""
+    array, one row per function, one column per class.  repeat is None, or
+    (on dedupe's output, whose rows are then in row_order's order) whether
+    each row's key equals the one before it."""
 
-    __slots__ = ("group", "vals")
+    __slots__ = ("group", "vals", "repeat")
 
     def __init__(self, group, vals):
-        self.group = group
+        self.group, self.repeat = group, None
         vals = np.asarray(vals, dtype=np.complex128)
         self.vals = vals.reshape(1, -1) if vals.ndim == 1 else vals
         _check(self.vals.ndim == 2
@@ -132,18 +134,30 @@ def row_order(funcs):
     flipped and the sign bit of the others set, so that comparing keys
     bytewise compares the rows; keys are built in row blocks, and one
     stable argsort sorts them as one void field per row."""
+    key, order = _keyed_order(funcs)
+    return order, _repeats(key, order)
+
+
+def _keyed_order(funcs):
+    """(key, order): row_order's keys, one row of big-endian uint64 per row
+    of funcs, and their stable order."""
     n, k = funcs.vals.shape
     key = np.empty((n, 2 * k), dtype=">u8")
     for rows in _blocks(n, 2 * k):
         bits = _rounded(funcs.vals[rows]).view(np.uint64)
         bits ^= -(bits >> 63) | _SIGN
         key[rows] = bits
-    order = np.argsort(key.view("V%d" % (16 * k)).ravel(), kind="stable")
-    repeat = np.zeros(n, dtype=bool)
-    for rows in _blocks(n - 1, 2 * k):
+    return key, np.argsort(key.view("V%d" % (16 * k)).ravel(), kind="stable")
+
+
+def _repeats(key, order):
+    """Whether each key in the given order equals the one before it."""
+    w = key.shape[1]
+    repeat = np.zeros(len(order), dtype=bool)
+    for rows in _blocks(len(order) - 1, w):
         repeat[1:][rows] = (key[order[1:][rows]]
                             == key[order[:-1][rows]]).all(axis=1)
-    return order, repeat
+    return repeat
 
 
 def stack(parts):
@@ -157,13 +171,16 @@ def stack(parts):
 
 def dedupe(funcs):
     """Drop rows equal to an earlier one after rounding (equal
-    fingerprints), keeping first occurrences; funcs itself if no row
-    repeats.  The rows equal to the one before them in row_order's stable
-    order are the repeats."""
-    order, repeat = row_order(funcs)
-    if not repeat.any():
-        return funcs
-    return funcs[np.sort(order[~repeat])]
+    fingerprints), keeping first occurrences, and hand the rest over in
+    row_order's order: the rows equal to the one before them in its stable
+    order are the repeats.  The result's repeat reads the same keys again
+    over the kept rows (all False), for IrrFamily's distinct-fingerprint
+    check, so a family is keyed once."""
+    key, order = _keyed_order(funcs)
+    keep = order[~_repeats(key, order)]
+    out = funcs[keep]
+    out.repeat = _repeats(key, keep)
+    return out
 
 
 def linear_characters(H):

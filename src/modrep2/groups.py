@@ -15,14 +15,25 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from modrep2.rings import (FiniteGroup, _check, direct_product,
-                           greedy_generators, make_ring, unit_group)
+                           greedy_generators, hook, label_orbits, make_ring,
+                           unit_group)
+
+SWAP = (0, 1, 1, 0)
+
+# A root group whose stacked right translation tables, n * s2 * (s1 + s2)
+# int32 entries over its n elements, stay within this many entries (512 KB)
+# multiplies by table (AutGroup._stacked).  Measured on a 2-core x86 box,
+# numpy 2.4: the tables cost about 10 ns an entry to build (0.93 ms for
+# padic q=2 (5,2), 73,728 entries; 1.47 ms for q=2 (3,3), 196,608), and cut
+# a product of every element by one from 36 to 17 us on (5,2) and from 41
+# to 23 us on (3,3); a construct job makes 44 to 137 products per group, so
+# (5,2) gains and (3,3) about breaks even.
+TABLE_ENTRIES = 1 << 17
 
 
 class GroupBase(FiniteGroup):
     """Shared machinery on generators (gen_idx): conjugacy classes by
     orbit sweep, commutators, abelianization."""
-
-    is_abelian = False
 
     def assert_generating(self):
         """Exact span check: right multiplication by the generators sweeps
@@ -48,8 +59,10 @@ class GroupBase(FiniteGroup):
         _, sizes, cls_of = self.conj_orbits()
         return np.array(sizes, dtype=np.int64), cls_of
 
-    def gens_commute(self):
-        """Whether the generators commute pairwise: one root right_mul."""
+    @cached_property
+    def is_abelian(self):
+        """Whether the generators commute pairwise: one root right_mul, on
+        first use (class computation and tests read it)."""
         g = self.gen_idx
         prods = self.root.right_mul(g[:, None], g[None, :])
         return bool((prods == prods.T).all())
@@ -121,14 +134,25 @@ class AutGroup(GroupBase):
         # group) and the two powers of pi that the product kernel reads
         self._arrays = (tables, cols, table, R1.pi_pow(dd), R2.pi_pow(dd))
 
-        # two unipotents: conjugation by the diagonal units scales b and c
-        # by units, whose sums fill R2
-        gens = [(1, 1, 0, 1), (1, 0, 1, 1)]
-        gens += [(u, 0, 0, 1) for u in unit_group(R1).gens]
-        gens += [(1, 0, 0, u) for u in unit_group(R2).gens]
-        if self.rect:
-            gens.append((0, 1, 1, 0))
-        self.gens = gens
+        # two unipotents u+, u- (conjugation by the diagonal units scales b
+        # and c by units, whose sums fill R2), diag(u, 1) and diag(1, v) for
+        # generators u, v of the unit groups, and the swap on square types.
+        # Classes conjugate by the conjugating set u+, u-, diag(1, v) only;
+        # the rest come with what certifies that their conjugations lie in
+        # its span (_certify_conjugating_set): diag(u, 1) with its partner
+        # diag(1, u mod pi^l2), whose product is central, and the swap with
+        # the word u+ * u-^-1 * u+ * diag(-1, 1) equal to it
+        up, low = (1, 1, 0, 1), (1, 0, 1, 1)
+        ones = [(1, 0, 0, v) for v in unit_group(R2).gens]
+        self._scalar_pairs = [((u, 0, 0, 1), (1, 0, 0, u % s2))
+                              for u in unit_group(R1).gens]
+        self._conj_gens = [up, low] + ones
+        self.gens = [up, low] + [g for g, _ in self._scalar_pairs] + ones
+        self._swap_word = None
+        if self.rect:  # R1 is R2
+            m1 = int(R1.neg[1])
+            self._swap_word = [up, (1, 0, m1, 1), up, (m1, 0, 0, 1)]
+            self.gens.append(SWAP)
 
     @property
     def order(self):
@@ -137,6 +161,86 @@ class AutGroup(GroupBase):
     @property
     def gen_idx(self):
         return self.locate(self.gens)
+
+    def _compute_classes(self):
+        """Span check and conjugacy classes in one streamed pass over the
+        generators g: the right translation x -> x * g is hooked into the
+        span labels and, for g in the conjugating set, the same array is
+        left-translated by g^-1 and hooked into the class labels; then it
+        is dropped, so at most two translations are alive.  The identity's
+        span must be every element, and the conjugating set is certified
+        (_certify_conjugating_set) before its orbits are taken as the
+        classes: s + |set| translations for s generators, not 3s."""
+        name, n, gi = self.name, self.order, self.gen_idx
+        c = np.flatnonzero(np.isin(gi, self.locate(self._conj_gens)))
+        inv = dict(zip(c.tolist(), self.inverse(gi[c]).tolist()))
+        x = np.arange(n)
+        span = np.arange(n, dtype=np.int32)
+        cls = span.copy()
+        for j, g in enumerate(gi.tolist()):
+            P = self.right_mul(x, g)
+            span = hook(span, P, "%s: right multiplication by generator %d"
+                        % (name, j))
+            if j in inv:
+                P = self.right_mul(inv[j], P)
+                cls = hook(cls, P, "%s: conjugation by generator %d"
+                           % (name, j))
+            del P
+        size = int(np.count_nonzero(span == span[self.identity_pos]))
+        _check(size == n, "%s: elements spanned by the generators" % name, n,
+               size)
+        self._gen_checked = True
+        self._certify_conjugating_set(gi)
+        _, sizes, cls_of = label_orbits(cls)
+        return np.array(sizes, dtype=np.int64), cls_of
+
+    def _certify_conjugating_set(self, gi):
+        """Exact certificate that conjugation by the conjugating set spans
+        every inner automorphism, given that the generators gi span the
+        group.  Conjugation by diag(u, 1) is conjugation by diag(1, ubar)^-1
+        (ubar = u mod pi^l2) times the scalar z = diag(u, 1) * diag(1, ubar),
+        so it is dropped once z has b = c = 0, commutes with every
+        generator (so is central) and has d = a mod pi^l2; diag(1, ubar)
+        lies in the span of the diag(1, v), which generate units(R2).  On
+        square types the swap is u+ * u-^-1 * u+ * diag(-1, 1), so its
+        conjugation is dropped once that product is certified.  Every
+        generator must be in the set or among the certified ones, and every
+        member of the set a generator."""
+        name = self.name
+        tuples = (self._conj_gens + [t for p in self._scalar_pairs for t in p]
+                  + (self._swap_word or []))
+        known = self.locate(tuples)
+        _check((known >= 0).all(), "%s: conjugating set and certificates, "
+               "tuples off the group" % name, [],
+               [t for t, i in zip(tuples, known.tolist()) if i < 0])
+        k, m = len(self._conj_gens), 2 * len(self._scalar_pairs)
+        keep, pairs, word = known[:k], known[k:k + m].reshape(-1, 2), known[k + m:]
+        z = self.right_mul(pairs[:, 0], pairs[:, 1])
+        a, b, c, d = (col[z] for col in self._arrays[1])
+        bad = z[(b != 0) | (c != 0)]
+        _check(not bad.size, "%s: diag(u, 1) * diag(1, u mod pi^l2), b = c "
+               "= 0" % name, "b = c = 0", self.elements_at(bad))
+        zg = self.right_mul(z[:, None], gi[None, :])
+        gz = self.right_mul(gi[None, :], z[:, None])
+        i, j = np.nonzero(zg != gz)
+        _check(not i.size, "%s: scalars z times the generators g, z * g against "
+               "g * z" % name, self.elements_at(zg[i, j]),
+               self.elements_at(gz[i, j]))
+        bad = z[d != a % self.s2]
+        _check(not bad.size, "%s: diag(u, 1) * diag(1, u mod pi^l2), d = a "
+               "mod pi^l2" % name, "d = a mod pi^l2", self.elements_at(bad))
+        swap = self.locate([SWAP] if word.size else [])
+        if word.size:
+            p = word[0]
+            for w in word[1:]:
+                p = self.right_mul(p, w)
+            _check(p == swap[0], "%s: u+ * u-^-1 * u+ * diag(-1, 1)" % name,
+                   SWAP, self.elements_at([p])[0])
+        cert = np.concatenate([keep, pairs[:, 0], swap])
+        off = np.concatenate([gi[~np.isin(gi, cert)], keep[~np.isin(keep, gi)]])
+        _check(not off.size, "%s: generators outside the conjugating set and "
+               "its certified rest, and members of the set that are no "
+               "generators" % name, [], self.elements_at(off))
 
     def elements_at(self, pos):
         """4-tuples of the elements at pos, from the columns."""
@@ -179,18 +283,44 @@ class AutGroup(GroupBase):
 
     def right_mul(self, idx, h):
         """Element indices of elements[idx] * elements[h]; idx and h are
-        index arrays that broadcast together.  For g = (a, b, c, d) and
-        h = (A, B, C, D) the product is (lift[a*A, b*C], dot[(a, b), (B, D)],
-        dot[(c, d), (A, C)], low[(c, d), (B, D)]) with the tables of
-        _mul_tables, so each coordinate is one gather; the row and column
-        operands are formed on the broadcast inputs before they meet.  A
-        product by one element whose other side is larger than the two
-        translation tables (s1*s2 + s2^2 entries) goes through _translate."""
+        index arrays that broadcast together.  A group within TABLE_ENTRIES
+        reads the stacked tables of _stacked, two gathers; a larger one
+        takes _translate for a product by one element whose other side is
+        larger than its two translation tables (s1*s2 + s2^2 entries), and
+        the coordinate kernel _kernel_mul otherwise."""
+        if self._stacked is not None:
+            T, r1, r2 = self._stacked
+            base = np.multiply(h, T.shape[1], dtype=np.intp)
+            return self._element_at(np.take(T, base + np.take(r1, idx))
+                                    + np.take(T, base + np.take(r2, idx)))
         tables = self.s2 * (self.s1 + self.s2)
         if np.ndim(h) == 0 and np.size(idx) > tables:
             return self._translate(idx, h, left=False)
         if np.ndim(idx) == 0 and np.size(h) > tables:
             return self._translate(h, idx, left=True)
+        return self._kernel_mul(idx, h)
+
+    @cached_property
+    def _stacked(self):
+        """(T, r1, r2) for a group within TABLE_ENTRIES, None above it: row
+        h of T holds the right translation tables t1, t2 of element h
+        (_translation_tables) side by side, and r1, r2 are each element's
+        row codes as intp, r2 offset past t1, so the code of x * h is
+        T[h, r1[x]] + T[h, r2[x]]."""
+        s1, s2 = self.s1, self.s2
+        if self.order * s2 * (s1 + s2) > TABLE_ENTRIES:
+            return None
+        t1, t2, u1, u2 = self._translation_tables(np.arange(self.order),
+                                                  left=False)
+        return (np.concatenate([t1, t2], axis=1), u1.astype(np.intp),
+                u2.astype(np.intp) + s1 * s2)
+
+    def _kernel_mul(self, idx, h):
+        """The coordinate kernel of right_mul.  For g = (a, b, c, d) and
+        h = (A, B, C, D) the product is (lift[a*A, b*C], dot[(a, b), (B, D)],
+        dot[(c, d), (A, C)], low[(c, d), (B, D)]) with the tables of
+        _mul_tables, so each coordinate is one gather; the row and column
+        operands are formed on the broadcast inputs before they meet."""
         (_, M1, _, M2), (ea, eb, ec, ed), _, _, _ = self._arrays
         dot, low, lift = self._mul_tables
         s2 = self.s2
@@ -241,7 +371,8 @@ class AutGroup(GroupBase):
         """Element indices of y * g (left False) or g * y (left True) for
         one element g, from _translation_tables."""
         t1, t2, u1, u2 = self._translation_tables(g, left)
-        return self._element_at(t1[u1[y]] + t2[u2[y]])
+        return self._element_at(np.take(t1, np.take(u1, y))
+                                + np.take(t2, np.take(u2, y)))
 
     def inverse(self, ridx):
         """Element indices of the inverses, in closed form: with Delta =
@@ -258,12 +389,13 @@ class AutGroup(GroupBase):
         return self._element_at(code * s2 + M1[a, D] % s2)
 
     def _element_at(self, code):
-        """Element indices of codes; raises on -1 rather than wrap around."""
-        out = self._arrays[2][code]
+        """Element indices of codes, as intp; raises on -1 rather than wrap
+        around."""
+        out = np.take(self._arrays[2], code)
         if (out < 0).any():
             raise ValueError("%s: %d results are not group elements"
                              % (self.name, int((out < 0).sum())))
-        return out
+        return out.astype(np.intp)
 
     def hom(self, kind, idx, m=0):
         """(Q, images): element indices in Q of the root indices idx under
@@ -402,7 +534,6 @@ class Subgroup(GroupBase):
         self.name = (parent.name + "." + name) if name else parent.name + ".sub"
         self.gen_idx = greedy_generators(self)  # refuses a list that is no group
         self._gen_checked = True
-        self.is_abelian = self.gens_commute()
         self._pullbacks = {}
 
     @property
@@ -448,7 +579,6 @@ class QuotientGroup(GroupBase):
                                 dtype=np.intp)
         self.name = parent.name + "/" + N.name.rsplit(".", 1)[-1]
         self.table = self._cayley_table()
-        self.is_abelian = self.gens_commute()
 
     def _cayley_table(self):
         """table[x, y] = x * y on coset indices, breadth first from the

@@ -283,24 +283,34 @@ def hook(lab, P, name="move"):
             return lab
         a, b = a[cut], b[cut]
         np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
-        while not np.array_equal(nxt := lab[lab], lab):
+        # np.take: fancy indexing would first convert the int32 labels
+        while not np.array_equal(nxt := np.take(lab, lab), lab):
             lab = nxt
+
+
+def label_orbits(lab):
+    """(first, sizes, orbit_of) of hooked labels lab (each the least
+    position of its orbit): the first position of each orbit, the orbit
+    sizes, and each position's orbit, numbered in the order of the firsts."""
+    is_first = lab == np.arange(len(lab))
+    orbit_of = (np.cumsum(is_first) - 1)[lab]
+    first = np.flatnonzero(is_first).tolist()
+    return first, np.bincount(orbit_of).tolist(), orbit_of
 
 
 def orbit_partition(points, perms):
     """Orbits of points under permutations of their positions (integer
-    arrays): (reps, sizes, orbit_of), each representative the first of its
-    orbit in points and orbits numbered in that order.  Labels start as
-    the positions and take in one move at a time (hook, which refuses a
-    move off the points or no permutation); a merge never parts two
-    points, so one pass over the moves suffices."""
+    arrays, or an iterator of them, which is read one at a time): (reps,
+    sizes, orbit_of), each representative the first of its orbit in points
+    and orbits numbered in that order.  Labels start as the positions and
+    take in one move at a time (hook, which refuses a move off the points
+    or no permutation); a merge never parts two points, so one pass over
+    the moves suffices."""
     lab = np.arange(len(points), dtype=np.int32)
     for j, P in enumerate(perms):
         lab = hook(lab, P, "move %d" % j)
-    is_first = lab == np.arange(len(points))
-    orbit_of = (np.cumsum(is_first) - 1)[lab]
-    first = np.flatnonzero(is_first).tolist()
-    return [points[j] for j in first], np.bincount(orbit_of).tolist(), orbit_of
+    first, sizes, orbit_of = label_orbits(lab)
+    return [points[j] for j in first], sizes, orbit_of
 
 
 class FiniteGroup:
@@ -400,7 +410,8 @@ class FiniteGroup:
         root indices, by default this group's elements) under x -> l * x * r
         for each move (l, r) of root indices, l None for the identity:
         permutations from the root group's right_mul and a root-to-point
-        lookup, both for this sweep only."""
+        lookup, both for this sweep only.  The permutations are made and
+        hooked one at a time."""
         R = self.root
         if idx is None:
             idx = self.idx if R is not self else np.arange(R.order)
@@ -408,13 +419,14 @@ class FiniteGroup:
         if len(idx) < R.order:
             pos = np.full(R.order, -1, dtype=np.int32)
             pos[idx] = np.arange(len(idx), dtype=np.int32)
-        perms = []
-        for l, r in moves:
-            y = R.right_mul(idx, r)
-            if l is not None:
-                y = R.right_mul(l, y)
-            perms.append(y if pos is None else pos[y])
-        return orbit_partition(range(len(idx)), perms)
+
+        def perms():  # one at a time: each is dropped once it is hooked
+            for l, r in moves:
+                y = R.right_mul(idx, r)
+                if l is not None:
+                    y = R.right_mul(l, y)
+                yield y if pos is None else pos[y]
+        return orbit_partition(range(len(idx)), perms())
 
     @property
     def cls_of(self):

@@ -618,8 +618,9 @@ def test_stacked_transfers_match_member_loop(case, data):
             assert np.array_equal(w, ref_twist(G, v, t))
     dup = stack([g, g[::-1], g[:1]])
     assert dup.fingerprint() == [ref_fingerprint(v) for v in dup.vals]
-    kept = dedupe(dup)
-    assert np.array_equal(kept.vals, g.vals)
+    kept = dedupe(dup)  # the first occurrences, in row_order's order
+    assert np.array_equal(kept.vals, g[row_order(g)[0]].vals)
+    assert kept.repeat.tolist() == [False] * n
     # the spectrum and the cuspidality battery on characters
     chars = assemble(backend, q, lam).members
     rows = chars[data.draw(st.lists(st.integers(0, len(chars) - 1),

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modrep2.groups import (AutGroup, QuotientGroup, Subgroup, aut_group,
-                            class_count_formula, order_formula)
+from modrep2.groups import (TABLE_ENTRIES, AutGroup, QuotientGroup, Subgroup,
+                            aut_group, class_count_formula, order_formula)
 from modrep2.orbits import cuspidal_parameters
 from modrep2.rings import (direct_product, greedy_generators, hook,
                            make_ring, orbit_partition, unit_group)
@@ -453,6 +453,18 @@ def test_heisenberg_and_floor_center():
     assert not H.is_abelian
 
 
+def test_is_abelian_read_on_first_use():
+    # building a subgroup or a quotient leaves is_abelian unread; the first
+    # read commutes the generators once and keeps the answer
+    G = AutGroup("padic", 2, (3, 1))
+    H, Z = G.subgroup("heisenberg"), G.subgroup("floor_torus_a")
+    Q = _floor_quotient()  # GL2(F_2)
+    for K, abelian in ((H, False), (Z, True), (Q, False)):
+        assert "is_abelian" not in vars(K)
+        assert K.is_abelian is abelian
+        assert vars(K)["is_abelian"] is abelian
+
+
 def test_cuspidal_subgroups_inside_normalizer():
     for backend, q, lam in [("padic", 2, (3, 2)), ("padic", 3, (3, 2)),
                             ("padic", 2, (4, 2))]:
@@ -882,6 +894,117 @@ def test_generators_are_two_unipotents_units_and_swap():
         rest = G.gens[2:len(G.gens) - G.rect]
         assert all(t[1:3] == (0, 0) and 1 in (t[0], t[3]) for t in rest)
         G.assert_generating()
+
+
+def _types_up_to(bound, backend):
+    """Every type (l1, l2), l2 >= 1, of order at most bound whose rings fit
+    the table arithmetic, over the residue sizes the backend takes."""
+    qs = [2, 3, 5, 7, 11, 13] + ([4, 8, 9] if backend == "tpoly" else [])
+    return [(q, (l1, l2)) for q in sorted(qs) for l1 in range(1, 13)
+            for l2 in range(1, l1 + 1)
+            if order_formula(q, (l1, l2)) <= bound and q ** l1 <= 4096]
+
+
+@pytest.mark.parametrize("backend", ["padic", "tpoly"])
+def test_streamed_classes_match_full_conjugation_sweep(backend):
+    # the one-pass classes (conjugation by u+, u- and the diag(1, v) only)
+    # against orbit_partition under conjugation by every generator, on
+    # every type of order <= 30,000: square types, and q=2 with l2 = 1,
+    # where units(R2) is trivial
+    types = _types_up_to(30000, backend)
+    assert len(types) > 40 and (2, (1, 1)) in types and (3, (2, 2)) in types
+    for q, lam in types:
+        G = AutGroup(backend, q, lam)
+        x, g = np.arange(G.order), G.gen_idx
+        perms = [G.right_mul(G.inverse(t), G.right_mul(x, t))
+                 for t in g.tolist()]
+        _, sizes, orbit_of = orbit_partition(x, perms)
+        assert np.array_equal(G.cls_of, orbit_of), (q, lam)
+        assert G.class_sizes.tolist() == sizes, (q, lam)
+        assert G.class_count == class_count_formula(q, lam), (q, lam)
+        assert len(G._conj_gens) < len(G.gens)
+
+
+def test_conjugating_set_certificate_refused_under_optimize():
+    # on padic q=3 (2,2), units(Z/9) has the one generator 2: a partner
+    # with b != 0, a partner that leaves diag(2, 1) not central, a swap
+    # word without diag(-1, 1), and a generator with no certificate
+    code = (
+        "from modrep2.groups import AutGroup\n"
+        "def not_diagonal(G):\n"
+        "    G._scalar_pairs = [((2, 0, 0, 1), (1, 1, 0, 2))]\n"
+        "def not_central(G):\n"
+        "    G._scalar_pairs = [((2, 0, 0, 1), (1, 0, 0, 1))]\n"
+        "def wrong_swap(G):\n"
+        "    G._swap_word = G._swap_word[:3]\n"
+        "def uncertified(G):\n"
+        "    G.gens = G.gens + [(1, 2, 0, 1)]\n"
+        "for mutate in (not_diagonal, not_central, wrong_swap, uncertified):\n"
+        "    G = AutGroup('padic', 3, (2, 2))\n"
+        "    assert G._scalar_pairs == [((2, 0, 0, 1), (1, 0, 0, 2))]\n"
+        "    mutate(G)\n"
+        "    try:\n"
+        "        G.class_count\n"
+        "    except AssertionError as e:\n"
+        "        print(e)\n"
+        "    else:\n"
+        "        print('accepted')\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    name = "Aut(padic,q=3,(2, 2))"
+    assert lines == [
+        name + ": diag(u, 1) * diag(1, u mod pi^l2), b = c = 0: expected "
+        "b = c = 0, computed [(2, 2, 0, 2)]",
+        name + ": scalars z times the generators g, z * g against g * z: "
+        "expected [(2, 2, 0, 1), (2, 0, 1, 1), (0, 2, 1, 0)], computed "
+        "[(2, 1, 0, 1), (2, 0, 2, 1), (0, 1, 2, 0)]",
+        name + ": u+ * u-^-1 * u+ * diag(-1, 1): expected (0, 1, 1, 0), "
+        "computed (0, 1, 8, 0)",
+        name + ": generators outside the conjugating set and its certified "
+        "rest, and members of the set that are no generators: expected [], "
+        "computed [(1, 2, 0, 1)]"], proc.stdout
+
+
+TABLE_GROUPS = [("padic", 2, (3, 2)), ("padic", 3, (2, 1)),
+                ("tpoly", 4, (1, 1))]
+
+
+@pytest.mark.parametrize("backend,q,lam", TABLE_GROUPS + [("padic", 2, (3, 3))])
+def test_table_product_matches_kernel(backend, q, lam):
+    # every pair, as the broadcast (n, 1) x (1, m), and every element as a
+    # scalar on either side, against the coordinate kernel; padic q=2 (3,3)
+    # is the smallest group above the table bound and keeps the kernel
+    G = AutGroup(backend, q, lam)
+    n = G.order
+    above = n * G.s2 * (G.s1 + G.s2) > TABLE_ENTRIES
+    assert above == ((backend, q, lam) not in TABLE_GROUPS)
+    assert (G._stacked is None) == above
+    x = np.arange(n)
+    want = G._kernel_mul(x[:, None], x[None, :])
+    got = G.right_mul(x[:, None], x[None, :])
+    assert got.dtype == np.intp and np.array_equal(got, want)
+    for h in range(n):
+        assert np.array_equal(G.right_mul(x, h), want[:, h])
+        assert np.array_equal(G.right_mul(h, x), want[h])
+        assert G.right_mul(h, np.int64(n - 1 - h)) == want[h, n - 1 - h]
+    assert np.array_equal(G.right_mul(x[::-1, None], [[0, 1, 2]]),
+                          want[::-1, :3])
+
+
+def test_element_at_refuses_codes_off_the_group():
+    # the codes of (0, 0, 0, 1) and (1, 0, 0, 0), whose determinants are no
+    # units, next to the identity's
+    G = AutGroup("padic", 2, (3, 2))
+    s2 = G.s2
+    codes = np.array([((0 * s2 + 0) * s2 + 0) * s2 + 1,
+                      ((1 * s2 + 0) * s2 + 0) * s2 + 0])
+    with pytest.raises(ValueError, match="2 results are not group elements"):
+        G._element_at(codes)
+    e = G._element_at(np.array([((1 * s2 + 0) * s2 + 0) * s2 + 1]))
+    assert e.dtype == np.intp and e.tolist() == [G.identity_pos]
 
 
 def reference_members(G, tag, **kw):
