@@ -8,6 +8,16 @@ o_{l2} -> o_{l1}, x2 -> pi^(l1-l2) * b * x2 on canonical lifts; in the square
 case l1 == l2 the tuple is an honest invertible 2x2 matrix.  The elements are
 kept as four columns of codes and handled by index, one product kernel for
 both shapes; tuples are built only for output and lookups by element.
+
+Products take one of three paths (AutGroup.right_mul): a group whose stacked
+right translation tables fit within TABLE_ENTRIES (measured, see there)
+reads them, two gathers a product; a larger one multiplies by one element
+through that element's two translation tables and array by array through
+the coordinate kernel.  Every path ends in _element_at, which refuses a
+code off the group.  The root group's conjugacy classes come with its span
+check from one streamed pass over the generators, conjugating by u+, u- and
+the diag(1, v) only, after a certificate through products that the other
+generators' conjugations lie in their span (AutGroup._compute_classes).
 """
 
 from functools import cached_property, lru_cache
@@ -291,8 +301,8 @@ class AutGroup(GroupBase):
         if self._stacked is not None:
             T, r1, r2 = self._stacked
             base = np.multiply(h, T.shape[1], dtype=np.intp)
-            return self._element_at(np.take(T, base + np.take(r1, idx))
-                                    + np.take(T, base + np.take(r2, idx)))
+            return self._element_at(T.take(base + r1.take(idx))
+                                    + T.take(base + r2.take(idx)))
         tables = self.s2 * (self.s1 + self.s2)
         if np.ndim(h) == 0 and np.size(idx) > tables:
             return self._translate(idx, h, left=False)
@@ -371,8 +381,7 @@ class AutGroup(GroupBase):
         """Element indices of y * g (left False) or g * y (left True) for
         one element g, from _translation_tables."""
         t1, t2, u1, u2 = self._translation_tables(g, left)
-        return self._element_at(np.take(t1, np.take(u1, y))
-                                + np.take(t2, np.take(u2, y)))
+        return self._element_at(t1.take(u1.take(y)) + t2.take(u2.take(y)))
 
     def inverse(self, ridx):
         """Element indices of the inverses, in closed form: with Delta =
@@ -391,7 +400,7 @@ class AutGroup(GroupBase):
     def _element_at(self, code):
         """Element indices of codes, as intp; raises on -1 rather than wrap
         around."""
-        out = np.take(self._arrays[2], code)
+        out = self._arrays[2].take(code)
         if (out < 0).any():
             raise ValueError("%s: %d results are not group elements"
                              % (self.name, int((out < 0).sum())))

@@ -11,6 +11,12 @@ constant coefficient in the lowest digit.  Under this encoding both backends
 share the same shift arithmetic: reduction to level m is x % q**m, the
 canonical lift between levels of one tower is the identity on codes, and
 multiplication by the uniformizer is x * q, truncated.
+
+The groups' orbit engine lives here too: orbit_partition and hook label
+orbits from permutations of positions taken one at a time (a sweep makes,
+hooks and drops each before the next), and pointer jumping gathers through
+ndarray.take, which skips the index conversion that fancy indexing with int32
+labels makes.
 """
 
 import math
@@ -283,8 +289,8 @@ def hook(lab, P, name="move"):
             return lab
         a, b = a[cut], b[cut]
         np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
-        # np.take: fancy indexing would first convert the int32 labels
-        while not np.array_equal(nxt := np.take(lab, lab), lab):
+        # take: fancy indexing would first convert the int32 labels
+        while not ((nxt := lab.take(lab)) == lab).all():
             lab = nxt
 
 
