@@ -17,7 +17,7 @@ the coordinate kernel.  Every path ends in _element_at, which refuses a
 code off the group.  The root group's conjugacy classes come with its span
 check from one streamed pass over the generators, conjugating by u+, u- and
 the diag(1, v) only, after a certificate through products that the other
-generators' conjugations lie in their span (AutGroup._compute_classes).
+generators' conjugations lie in their span (AutGroup._class_partition).
 """
 
 from functools import cached_property, lru_cache
@@ -65,9 +65,14 @@ class GroupBase(FiniteGroup):
     def _compute_classes(self):
         if self.is_abelian:
             return super()._compute_classes()
-        self.assert_generating()
-        _, sizes, cls_of = self.conj_orbits()
+        sizes, cls_of = self._class_partition()
         return np.array(sizes, dtype=np.int64), cls_of
+
+    def _class_partition(self):
+        """(class sizes, class index of each position): the span check, then
+        conjugation orbits under every generator."""
+        self.assert_generating()
+        return self.conj_orbits()[1:]
 
     @cached_property
     def is_abelian(self):
@@ -172,7 +177,7 @@ class AutGroup(GroupBase):
     def gen_idx(self):
         return self.locate(self.gens)
 
-    def _compute_classes(self):
+    def _class_partition(self):
         """Span check and conjugacy classes in one streamed pass over the
         generators g: the right translation x -> x * g is hooked into the
         span labels and, for g in the conjugating set, the same array is
@@ -201,8 +206,7 @@ class AutGroup(GroupBase):
                size)
         self._gen_checked = True
         self._certify_conjugating_set(gi)
-        _, sizes, cls_of = label_orbits(cls)
-        return np.array(sizes, dtype=np.int64), cls_of
+        return label_orbits(cls)[1:]
 
     def _certify_conjugating_set(self, gi):
         """Exact certificate that conjugation by the conjugating set spans
@@ -224,7 +228,8 @@ class AutGroup(GroupBase):
                "tuples off the group" % name, [],
                [t for t, i in zip(tuples, known.tolist()) if i < 0])
         k, m = len(self._conj_gens), 2 * len(self._scalar_pairs)
-        keep, pairs, word = known[:k], known[k:k + m].reshape(-1, 2), known[k + m:]
+        keep, word = known[:k], known[k + m:]
+        pairs = known[k:k + m].reshape(-1, 2)
         z = self.right_mul(pairs[:, 0], pairs[:, 1])
         a, b, c, d = (col[z] for col in self._arrays[1])
         bad = z[(b != 0) | (c != 0)]
@@ -233,8 +238,8 @@ class AutGroup(GroupBase):
         zg = self.right_mul(z[:, None], gi[None, :])
         gz = self.right_mul(gi[None, :], z[:, None])
         i, j = np.nonzero(zg != gz)
-        _check(not i.size, "%s: scalars z times the generators g, z * g against "
-               "g * z" % name, self.elements_at(zg[i, j]),
+        _check(not i.size, "%s: scalars z times the generators g, z * g "
+               "against g * z" % name, self.elements_at(zg[i, j]),
                self.elements_at(gz[i, j]))
         bad = z[d != a % self.s2]
         _check(not bad.size, "%s: diag(u, 1) * diag(1, u mod pi^l2), d = a "
@@ -247,7 +252,8 @@ class AutGroup(GroupBase):
             _check(p == swap[0], "%s: u+ * u-^-1 * u+ * diag(-1, 1)" % name,
                    SWAP, self.elements_at([p])[0])
         cert = np.concatenate([keep, pairs[:, 0], swap])
-        off = np.concatenate([gi[~np.isin(gi, cert)], keep[~np.isin(keep, gi)]])
+        off = np.concatenate([gi[~np.isin(gi, cert)],
+                              keep[~np.isin(keep, gi)]])
         _check(not off.size, "%s: generators outside the conjugating set and "
                "its certified rest, and members of the set that are no "
                "generators" % name, [], self.elements_at(off))

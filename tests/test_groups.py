@@ -972,7 +972,8 @@ TABLE_GROUPS = [("padic", 2, (3, 2)), ("padic", 3, (2, 1)),
                 ("tpoly", 4, (1, 1))]
 
 
-@pytest.mark.parametrize("backend,q,lam", TABLE_GROUPS + [("padic", 2, (3, 3))])
+@pytest.mark.parametrize("backend,q,lam",
+                         TABLE_GROUPS + [("padic", 2, (3, 3))])
 def test_table_product_matches_kernel(backend, q, lam):
     # every pair, as the broadcast (n, 1) x (1, m), and every element as a
     # scalar on either side, against the coordinate kernel; padic q=2 (3,3)
