@@ -140,8 +140,14 @@ class AutGroup(GroupBase):
         _check(len(code) == n, "%s elements" % self.name, n, len(code))
         table = np.full(mask.size, -1, dtype=np.int32)
         table[code] = np.arange(len(code), dtype=np.int32)
-        cols = tuple(x.astype(np.int32) for x in
-                     np.unravel_index(code, (s1, s2, s2, s2)))
+        # the columns by int32 divmods of the codes: np.unravel_index would
+        # hold four intp columns at once (155 MB on q=7 (2,2))
+        rest, cols = code.astype(np.int32), []
+        del code
+        for _ in range(3):
+            rest, x = np.divmod(rest, np.int32(s2))
+            cols.insert(0, x)
+        cols = tuple([rest] + cols)
         # M1 is widened to intp: the kernels form codes M1[a, A] * s2, which
         # would wrap in int16; the other tables are only indexed or added
         tables = (R1.add, R1.mul.astype(np.intp), R2.add, R2.mul)
@@ -189,11 +195,10 @@ class AutGroup(GroupBase):
         name, n, gi = self.name, self.order, self.gen_idx
         c = np.flatnonzero(np.isin(gi, self.locate(self._conj_gens)))
         inv = dict(zip(c.tolist(), self.inverse(gi[c]).tolist()))
-        x = np.arange(n)
         span = np.arange(n, dtype=np.int32)
         cls = span.copy()
         for j, g in enumerate(gi.tolist()):
-            P = self.right_mul(x, g)
+            P = self._translate(None, g, left=False)
             span = hook(span, P, "%s: right multiplication by generator %d"
                         % (name, j))
             if j in inv:
@@ -385,9 +390,12 @@ class AutGroup(GroupBase):
 
     def _translate(self, y, g, left):
         """Element indices of y * g (left False) or g * y (left True) for
-        one element g, from _translation_tables."""
+        one element g, from _translation_tables; y None for every element,
+        read at the line codes themselves."""
         t1, t2, u1, u2 = self._translation_tables(g, left)
-        return self._element_at(t1.take(u1.take(y)) + t2.take(u2.take(y)))
+        if y is not None:
+            u1, u2 = u1.take(y), u2.take(y)
+        return self._element_at(t1.take(u1) + t2.take(u2))
 
     def inverse(self, ridx):
         """Element indices of the inverses, in closed form: with Delta =

@@ -277,8 +277,13 @@ def hook(lab, P, name="move"):
         raise ValueError("%s sends %d of the %d points off them: they are "
                          "not closed under the moves"
                          % (name, int((P < 0).sum()), n))
-    hits = np.bincount(P, minlength=n)
-    if len(P) != n or (hits != 1).any():
+    # n images, all below n, that hit every point hit each once: a bool
+    # mask, not an int64 bincount (38.7 MB on 4.8 M points), decides it
+    hit = np.zeros(n, dtype=bool)
+    if len(P) == n and (not n or P.max() < n):
+        hit[P] = True
+    if len(P) != n or not hit.all():
+        hits = np.bincount(P, minlength=n)
         raise ValueError("%s is not a permutation of the %d points: %d of "
                          "them are not hit once" % (name, n,
                                                     int((hits != 1).sum())))
