@@ -36,8 +36,11 @@ SWAP = (0, 1, 1, 0)
 # numpy 2.4: the tables cost about 10 ns an entry to build (0.93 ms for
 # padic q=2 (5,2), 73,728 entries; 1.47 ms for q=2 (3,3), 196,608), and cut
 # a product of every element by one from 36 to 17 us on (5,2) and from 41
-# to 23 us on (3,3); a construct job makes 44 to 137 products per group, so
-# (5,2) gains and (3,3) about breaks even.
+# to 23 us on (3,3), while the four perfbench construct jobs make 14 to 137
+# products per group.  Their in-process CPU (median of 14 fresh processes)
+# read 0.270 s with no tables and 0.252 to 0.258 s at bounds 2^16 to 2^19;
+# 2^17 keeps q=2 (3,3) and larger on the kernel, and their tables out of
+# memory.
 TABLE_ENTRIES = 1 << 17
 
 
@@ -185,20 +188,27 @@ class AutGroup(GroupBase):
 
     def _class_partition(self):
         """Span check and conjugacy classes in one streamed pass over the
-        generators g: the right translation x -> x * g is hooked into the
-        span labels and, for g in the conjugating set, the same array is
-        left-translated by g^-1 and hooked into the class labels; then it
-        is dropped, so at most two translations are alive.  The identity's
-        span must be every element, and the conjugating set is certified
-        (_certify_conjugating_set) before its orbits are taken as the
-        classes: s + |set| translations for s generators, not 3s."""
+        generators g, the conjugating set first: the right translation
+        x -> x * g is hooked into the span labels and, for g in the set,
+        the same array is left-translated by g^-1 and hooked into the class
+        labels; then it is dropped, so at most two translations are alive.
+        A generator outside the set is translated only while the span falls
+        short of the group (on square types the set spans it alone).  The
+        identity's span must be every element, and the conjugating set is
+        certified (_certify_conjugating_set) before its orbits are taken as
+        the classes: at most s + |set| translations for s generators, not
+        3s."""
         name, n, gi = self.name, self.order, self.gen_idx
-        c = np.flatnonzero(np.isin(gi, self.locate(self._conj_gens)))
+        conj = np.isin(gi, self.locate(self._conj_gens))
+        c = np.flatnonzero(conj)
         inv = dict(zip(c.tolist(), self.inverse(gi[c]).tolist()))
+        e = self.identity_pos
         span = np.arange(n, dtype=np.int32)
         cls = span.copy()
-        for j, g in enumerate(gi.tolist()):
-            P = self._translate(None, g, left=False)
+        for j in np.r_[c, np.flatnonzero(~conj)].tolist():
+            if j not in inv and (span == span[e]).all():
+                break  # the rest would only hook a full span
+            P = self._translate(None, gi[j], left=False)
             span = hook(span, P, "%s: right multiplication by generator %d"
                         % (name, j))
             if j in inv:
@@ -206,7 +216,7 @@ class AutGroup(GroupBase):
                 cls = hook(cls, P, "%s: conjugation by generator %d"
                            % (name, j))
             del P
-        size = int(np.count_nonzero(span == span[self.identity_pos]))
+        size = int(np.count_nonzero(span == span[e]))
         _check(size == n, "%s: elements spanned by the generators" % name, n,
                size)
         self._gen_checked = True
