@@ -12,8 +12,9 @@ from .classfun import (ClassFunction, dedupe, geo_ind, ind, induce, inflate,
 from .dixon import character_degrees
 from .groups import Subgroup, aut_group
 from .orbits import CongruenceDual, cuspidal_parameters, eta_dual, inner_types
-from .rings import (MTOL, TOL, _check, character_group, twisting_characters,
-                    unit_characters, values_at)
+from .rings import (TOL, _check, at_one_plus, character_group,
+                    roots_of_unity, same_root, twisting_characters,
+                    unit_characters)
 
 
 class IrrFamily:
@@ -126,7 +127,8 @@ def cuspidal_rect_count(l, q):
 def build_rank1(backend, q, level):
     """All linear characters of the rank-one automorphism group."""
     A = aut_group(backend, q, (level, 0))
-    out = ClassFunction(A, [ch.values for ch in character_group(A)])
+    E, L = character_group(A)
+    out = ClassFunction(A, roots_of_unity(E)[L])
     n = q ** (level - 1) * (q - 1)
     _check(len(out) == n, "rank-one linear characters", n, len(out))
     return out
@@ -147,8 +149,8 @@ def build_l1(G):
 
     # one-dimensionals factor through the reduced diagonal pair
     A, _ = G.hom("diag_red", [])
-    one = dedupe(inflate(G, ClassFunction(A, [ch.values for ch in
-                                              character_group(A)]),
+    E, L = character_group(A)
+    one = dedupe(inflate(G, ClassFunction(A, roots_of_unity(E)[L]),
                          "diag_red"))
     one_dim = IrrFamily("one_dim", one)
     n = q ** (l1 - 2) * (q - 1) ** 2
@@ -162,8 +164,9 @@ def build_l1(G):
     # the q-dimensional family: induced from the triangular subgroup,
     # nontrivial on the central depth-one slice
     B = G.subgroup("parabolic_upper")
-    roots, L, cos = linear_characters(B)
-    heis = dedupe(induce(B, roots[L[_nontrivial_on(B, L, cos, Z)][:, cos]]))
+    E, L, cos = linear_characters(B)
+    heis = dedupe(induce(B, roots_of_unity(E)[
+        L[_nontrivial_on(B, L, cos, Z)][:, cos]]))
     heis_q = IrrFamily("heis_q", heis)
     n = q ** (l1 - 2) * (q - 1) ** 3
     _check(heis_q.count == n, "heis_q: count", n, heis_q.count)
@@ -177,9 +180,9 @@ def build_l1(G):
         S.idx[:, None], H.idx[None, :]).ravel())), "DH")
     n = q ** (l1 + 1) * (q - 1)
     _check(DH.order == n, "DH: order", n, DH.order)
-    roots, L, cos = linear_characters(DH)
+    E, L, cos = linear_characters(DH)
     keep = ~_nontrivial_on(DH, L, cos, Z) & _nontrivial_on(DH, L, cos, H)
-    dh = dedupe(induce(DH, roots[L[keep][:, cos]]))
+    dh = dedupe(induce(DH, roots_of_unity(E)[L[keep][:, cos]]))
     n = q ** (l1 - 2) * (q * q - 1)
     _check(len(dh) == n, "dh: count", n, len(dh))
     degs = sorted(_degree_counts(dh))
@@ -209,6 +212,15 @@ def build_l1(G):
     return fams
 
 
+def eta_extensions(N, D, theta):
+    """linear_characters(N) with only the rows that restrict to the dual
+    character theta of D's kernel K, matched by exponents at K's members."""
+    E, L, cos = linear_characters(N)
+    M, e = D.Ri.psi_exp
+    at_k = L[:, cos[N.positions(D.K.idx)]]
+    return E, L[same_root(E, at_k, M, e[D.codes([theta])]).all(axis=1)], cos
+
+
 def build_cuspidal_nonrect(G):
     """The cuspidal family for l1 > l2 >= 2: extend each anisotropic kernel
     character to its stabilizer and induce."""
@@ -221,14 +233,11 @@ def build_cuspidal_nonrect(G):
     for u_hat, w_hat in cuspidal_parameters(G):
         N = G.subgroup("cuspidal_normalizer", u_hat=u_hat, w_hat=w_hat)
         A = G.subgroup("cuspidal_abelian", u_hat=u_hat, w_hat=w_hat)
-        eta = D.values([eta_dual(u_hat, w_hat)])[0]
-        roots, L, cos = linear_characters(N)
-        at_k = L[:, cos[N.positions(D.K.idx)]]
-        exts = L[(np.abs(roots[at_k] - eta) < MTOL).all(axis=1)]
+        E, exts, cos = eta_extensions(N, D, eta_dual(u_hat, w_hat))
         inter = len(np.intersect1d(A.idx, D.K.idx, assume_unique=True))
         _check(len(exts) == A.order // inter, "cuspidal (%d, %d): extensions"
                " of eta" % (u_hat, w_hat), A.order // inter, len(exts))
-        parts.append(induce(N, roots[exts[:, cos]]))
+        parts.append(induce(N, roots_of_unity(E)[exts[:, cos]]))
     fam = IrrFamily("cuspidal_nonrect", dedupe(stack(parts)))
     n, deg = q ** (l1 + l2 - 3) * (q - 1) ** 2, q ** (l2 - 1) * (q - 1)
     _check(fam.count == n, "cuspidal_nonrect: count", n, fam.count)
@@ -236,11 +245,17 @@ def build_cuspidal_nonrect(G):
     return fam
 
 
-def primitive_unit_characters(ring):
-    """Unit characters nontrivial on the deepest congruence layer."""
-    chars = unit_characters(ring)
-    keep = (np.abs(values_at(chars, ring.one_plus) - 1) > TOL).any(axis=1)
-    return [ch for ch, k in zip(chars, keep.tolist()) if k]
+def inducing_pairs(R1, R2):
+    """Per pair (t1, t2) of unit characters of R1 and R2 (levels l1 >= l2,
+    t1 outer), whether its parabolic induction is irreducible: for l1 = l2,
+    t1 and t2 differ at the principal units, otherwise t1 is not trivial
+    there (a primitive unit character)."""
+    (E1, L1), (E2, L2) = unit_characters(R1), unit_characters(R2)
+    p1 = at_one_plus(R1, L1)
+    if R1.level > R2.level:
+        return np.repeat(p1.any(axis=1), len(L2))
+    p2 = at_one_plus(R2, L2)
+    return ~same_root(E1, p1[:, None], E2, p2[None]).all(axis=2).ravel()
 
 
 def build_geometric(G):
@@ -249,20 +264,16 @@ def build_geometric(G):
     q, l1, l2 = G.q, G.l1, G.l2
     _check(l2 >= 2, "build_geometric: level l2", ">= 2", l2)
 
+    (E1, L1), (E2, L2) = unit_characters(G.R1), unit_characters(G.R2)
+    i, j = np.divmod(np.flatnonzero(inducing_pairs(G.R1, G.R2)), len(L2))
+    raw = geo_ind(G, (E1, L1[i]), (E2, L2[j]))
     if l1 > l2:
-        t1s, t2s = primitive_unit_characters(G.R1), unit_characters(G.R2)
-        raw = geo_ind(G, [a for a in t1s for _ in t2s], t2s * len(t1s))
         n = q ** (l1 + l2 - 3) * (q - 1) ** 3
         _check(len(raw) == n, "geo_irred: raw inductions", n, len(raw))
         geo_irred = IrrFamily("geo_irred", raw)  # refuses repeated rows
         _check(geo_irred.degree == q ** l2, "geo_irred: degree", q ** l2,
                geo_irred.degree)
     else:
-        chars = unit_characters(G.R1)
-        V = values_at(chars, G.R1.one_plus)
-        i, j = np.nonzero((np.abs(V[:, None] - V[None]) > TOL).any(axis=2))
-        raw = geo_ind(G, [chars[a] for a in i.tolist()],
-                      [chars[b] for b in j.tolist()])
         geo = dedupe(raw)
         _check(2 * len(geo) == len(raw), "geo_irred: raw inductions, twice "
                "the distinct", 2 * len(geo), len(raw))

@@ -20,7 +20,7 @@ entries."""
 import numpy as np
 
 from .orbits import CongruenceDual, inner_types
-from .rings import (TOL, _check, character_exponents, roots_of_unity,
+from .rings import (TOL, _check, character_group, roots_of_unity,
                     twisting_characters, unit_characters)
 
 _ENTRIES = 1 << 16  # entries per row block of a wide temporary
@@ -185,12 +185,11 @@ def dedupe(funcs):
 
 def linear_characters(H):
     """The one-dimensional characters of H as exponent rows at its members,
-    pulled back from the abelianization Q: (roots, L, cos) with chi_t at
-    the member at position p equal to roots[L[t, cos[p]]], cos the coset of
+    pulled back from the abelianization Q: (E, L, cos) with chi_t at the
+    member at position p equal to zeta_E^L[t, cos[p]], cos the coset of
     each member; no class data of H is read."""
     Q = H.abelianization()
-    _, E, L = character_exponents(Q)
-    return roots_of_unity(E), L, Q.coset_of
+    return character_group(Q) + (Q.coset_of,)
 
 
 def induce(P, vals):
@@ -286,15 +285,15 @@ def invariants_pushforward(P, kind, f, m=0):
 
 
 def twist(chi, uchars):
-    """Multiply each row by each unit-group character composed with the
-    determinant, rows in (row, character) order: the characters' values
-    gathered at the det codes of the class representatives, found once per
-    group."""
+    """Multiply each row by each unit character uchars = (E, L) of R2
+    composed with the determinant, rows in (row, character) order: the
+    characters' values gathered at the det codes of the class
+    representatives, found once per group."""
     G = chi.group
     R2, codes = _once(G, "det", lambda: G.hom("det", G.rep_idx))
-    by_code = np.zeros((len(uchars), R2.size), dtype=np.complex128)
-    for t, uchar in enumerate(uchars):
-        by_code[t, uchar.group.elements] = uchar.values
+    E, L = uchars
+    by_code = np.zeros((len(L), R2.size), dtype=np.complex128)
+    by_code[:, R2.units] = roots_of_unity(E)[L]
     out = chi.vals[:, None, :] * by_code[:, codes]
     return ClassFunction(G, out.reshape(-1, G.class_count))
 
@@ -327,24 +326,27 @@ def res(G, f, side, m=0):
 
 
 def torus_character(G, t1, t2):
-    """The rows t1[i] x t2[i] on G.torus = units(R1) x units(R2), for two
-    equal-length lists of unit-group characters: the outer products of
-    their values, whose groups must list the units as the factors do."""
-    T = G.torus
-    for a, b in {(id(a.group), id(b.group)): (a.group, b.group)
-                 for a, b in zip(t1, t2)}.values():
-        _check([a.elements, b.elements] == [U.elements for U in T.factors],
-               "the characters' unit groups, listed as the torus factors",
-               T.name, (a.name, b.name))
-    A = np.array([t.values for t in t1])
-    B = np.array([t.values for t in t2])
-    return ClassFunction(T, (A[:, :, None] * B[:, None, :]).reshape(len(A),
-                                                                    -1))
+    """The rows t1[i] x t2[i] on G.torus = units(R1) x units(R2), for unit
+    characters t1 = (E1, L1) of R1 and t2 = (E2, L2) of R2 with as many
+    rows, their columns following the units: the outer products of their
+    values."""
+    (E1, L1), (E2, L2) = t1, t2
+    A, B = roots_of_unity(E1)[L1], roots_of_unity(E2)[L2]
+    return ClassFunction(G.torus, (A[:, :, None] * B[:, None, :]).reshape(
+        len(A), -1))
+
+
+def all_pairs(c1, c2):
+    """Every pair of rows of the characters c1 = (E1, L1) and c2 = (E2, L2),
+    c1's outer: two (E, L) with one row per pair, for torus_character."""
+    (E1, L1), (E2, L2) = c1, c2
+    return ((E1, np.repeat(L1, len(L2), axis=0)),
+            (E2, np.tile(L2, (len(L1), 1))))
 
 
 def geo_ind(G, t1, t2, side="upper"):
-    """Parabolic induction of the pairs (t1[i], t2[i]) of unit-group
-    characters."""
+    """Parabolic induction of the pairs of rows of the unit characters t1
+    and t2 (torus_character)."""
     return ind(G, torus_character(G, t1, t2), side)
 
 

@@ -32,7 +32,7 @@ algebra (_central_blocks); every central matrix is scalar on every block,
 so no central class matrix is built.  With a trivial centre this is the
 single identity block.  The characters theta of Z, and those of the twist
 group below, are the certified exponent rows L of the abelian engine
-rings.character_exponents, read in F_r as zeta^L (_fr_characters).
+rings.character_group, read in F_r as zeta^L (_fr_characters).
 
 Fewer class matrices: for a central element z the class sum of z C is z
 times the class sum of C, so N_{zC} = N_z N_C, and a block left whole by
@@ -75,7 +75,7 @@ import math
 
 import numpy as np
 
-from .rings import (TableGroup, _check, _poly_divmod, character_exponents,
+from .rings import (TableGroup, _check, _poly_divmod, character_group,
                     direct_product, is_prime, make_ring, unit_group)
 
 
@@ -362,9 +362,9 @@ def _primitive_root(r):
 
 def _fr_characters(A, r):
     """The characters of the abelian group A in F_r: theta[t, a] =
-    zeta^L[t, a] for the certified rows L of rings.character_exponents and
+    zeta^L[t, a] for the certified rows L of rings.character_group and
     zeta = g^((r-1)/E) of order E, g a primitive root mod r."""
-    _, E, L = character_exponents(A)
+    E, L = character_group(A)
     _check((r - 1) % E == 0, "%s: r - 1 mod the exponent E = %d"
            % (A.name, E), 0, (r - 1) % E)
     zeta = pow(_primitive_root(r), (r - 1) // E, r)
@@ -577,7 +577,7 @@ def _read_degrees(d2, r, order):
 
 def character_degrees(G, r_override=None):
     """Sorted degree multiset of the irreducible characters of G."""
-    if getattr(G, "is_abelian", False):
+    if G.is_abelian:
         return [1] * G.order
     if r_override is None and getattr(G, "_degree_multiset", None) is not None:
         return list(G._degree_multiset)
@@ -599,8 +599,5 @@ def character_degrees(G, r_override=None):
     _check(np.count_nonzero(s) == k, "nonzero norms", k, np.count_nonzero(s))
     degrees = _read_degrees(G.order * _inverses(s, r) % r, r, G.order)
     if r_override is None:
-        try:
-            G._degree_multiset = degrees
-        except AttributeError:
-            pass
+        G._degree_multiset = degrees
     return list(degrees)

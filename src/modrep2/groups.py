@@ -48,16 +48,6 @@ class GroupBase(FiniteGroup):
     """Shared machinery on generators (gen_idx): conjugacy classes by
     orbit sweep, commutators, abelianization."""
 
-    def assert_generating(self):
-        """Exact span check: right multiplication by the generators sweeps
-        the identity's orbit over every element."""
-        if getattr(self, "_gen_checked", False):
-            return
-        _, sizes, _ = self.sweep([(None, t) for t in self.gen_idx])
-        _check(sizes[0] == self.order, "%s: elements spanned by the generators"
-               % self.name, self.order, sizes[0])
-        self._gen_checked = True
-
     def conj_orbits(self, idx=None):
         """Orbits of conjugation on the root elements idx (by default this
         group's elements), a union of classes, through the generators; each
@@ -72,9 +62,10 @@ class GroupBase(FiniteGroup):
         return np.array(sizes, dtype=np.int64), cls_of
 
     def _class_partition(self):
-        """(class sizes, class index of each position): the span check, then
-        conjugation orbits under every generator."""
-        self.assert_generating()
+        """(class sizes, class index of each position): conjugation orbits
+        under every generator, which span the group exactly: a Subgroup's
+        by greedy_generators, a QuotientGroup's by its Cayley table
+        (AutGroup's class pass certifies its own)."""
         return self.conj_orbits()[1:]
 
     @cached_property
@@ -90,7 +81,6 @@ class GroupBase(FiniteGroup):
         of each pair; [h, g] is its inverse), formed by three batched root
         right_mul calls: the identity's orbit under right multiplication by
         them and conjugation by the generators."""
-        self.assert_generating()
         R, g = self.root, self.gen_idx
         gi = R.inverse(g)
         i, j = np.triu_indices(len(g), 1)
@@ -219,7 +209,6 @@ class AutGroup(GroupBase):
         size = int(np.count_nonzero(span == span[e]))
         _check(size == n, "%s: elements spanned by the generators" % name, n,
                size)
-        self._gen_checked = True
         self._certify_conjugating_set(gi)
         return label_orbits(cls)[1:]
 
@@ -272,6 +261,10 @@ class AutGroup(GroupBase):
         _check(not off.size, "%s: generators outside the conjugating set and "
                "its certified rest, and members of the set that are no "
                "generators" % name, [], self.elements_at(off))
+
+    def commutator_subgroup(self):
+        self._classes()  # the class pass certifies the generators' span
+        return super().commutator_subgroup()
 
     def elements_at(self, pos):
         """4-tuples of the elements at pos, from the columns."""
@@ -566,7 +559,6 @@ class Subgroup(GroupBase):
         self.identity = parent.identity
         self.name = (parent.name + "." + name) if name else parent.name + ".sub"
         self.gen_idx = greedy_generators(self)  # refuses a list that is no group
-        self._gen_checked = True
         self._pullbacks = {}
 
     @property

@@ -43,16 +43,21 @@ class CongruenceDual:
         self.duals = list(product(range(qi), range(qi), range(qs), range(qs)))
         self._orbit_data = None
 
-    def values(self, thetas):
-        """Values of the dual characters thetas (rows) at K's members
-        (columns): psi(uh u + vh v + pi^sigma (wh w + zh z)) at level i, as
-        one table gather on the coordinate arrays."""
+    def codes(self, thetas):
+        """The level-i codes uh u + vh v + pi^sigma (wh w + zh z) of the
+        dual characters thetas (rows) at K's members (columns), each value
+        psi of its code (Ri.psi_exp gives it as an exponent), as one table
+        gather on the coordinate arrays."""
         Ri, Rs = self.Ri, self.Rs
         T = np.array(thetas).T[:, :, None]
         C = self.coords.T[:, None, :]
         x = Ri.add[Ri.mul[T[0], C[0]], Ri.mul[T[1], C[1]]]
         y = Rs.add[Rs.mul[T[2], C[2]], Rs.mul[T[3], C[3]]]
-        return Ri.psi[Ri.add[x, Ri.pi_mul(y, self.sigma)]]
+        return Ri.add[x, Ri.pi_mul(y, self.sigma)]
+
+    def values(self, thetas):
+        """Values psi(codes) of the dual characters thetas at K's members."""
+        return self.Ri.psi[self.codes(thetas)]
 
     @cached_property
     def value_matrix(self):

@@ -12,6 +12,12 @@ share the same shift arithmetic: reduction to level m is x % q**m, the
 canonical lift between levels of one tower is the identity on codes, and
 multiplication by the uniformizer is x * q, truncated.
 
+A character of a finite abelian group has one form, its exponent row:
+(E, L) with chi_t(a) = zeta_E^L[t, a] (character_group, unit_characters,
+twisting_characters), psi too (LocalRing.psi_exp).  Two roots of unity are
+compared exactly, by exponents (same_root); roots_of_unity gives values only
+where characters become class functions.
+
 The groups' orbit engine lives here too: orbit_partition and hook label
 orbits from permutations of positions taken one at a time (a sweep makes,
 hooks and drops each before the next), and pointer jumping gathers through
@@ -24,8 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-TOL = 1e-6    # near-integer tolerance for character sums
-MTOL = 1e-9   # equality tolerance for unit-circle values
+TOL = 1e-6    # near-integer tolerance for class-function sums
 
 BACKENDS = ("padic", "tpoly")
 
@@ -223,14 +228,21 @@ class LocalRing:
         return tuple(layer.tolist())
 
     @cached_property
-    def psi(self):
-        """Values of a fixed primitive additive character at this level, by
-        code."""
+    def psi_exp(self):
+        """(M, e): a fixed primitive additive character at this level is
+        psi(x) = zeta_M^e[x] on codes x: x / q^level for padic, the trace
+        of the sum of the digits for tpoly."""
         if self.backend == "padic":
-            return roots_of_unity(self.size)
+            return self.size, np.arange(self.size)
         c, q = np.arange(self.size), self.q
         t = sum(self.field.trace[c // q ** j % q] for j in range(self.level))
-        return roots_of_unity(self.p)[t % self.p]
+        return self.p, t % self.p
+
+    @cached_property
+    def psi(self):
+        """The values of psi by code, from psi_exp."""
+        M, e = self.psi_exp
+        return roots_of_unity(M)[e]
 
 
 @lru_cache(maxsize=None)
@@ -546,7 +558,7 @@ def _powers(mul, x, m, e):
 
 
 def _decompose(A):
-    """(gens, orders, E, L) for character_exponents: A = <g_1> x ... x
+    """(gens, orders, E, L) for character_group: A = <g_1> x ... x
     <g_s> by index sweeps.  x of largest order m modulo H = <g_1, ...,
     g_{j-1}> has x^m = prod g_i^c_i with m | c_i (the order of x modulo
     g_1, ..., g_{i-1} divides m_i, the largest order there), so g_j = x
@@ -584,17 +596,18 @@ def _decompose(A):
     return gens, orders, E, t * (E // np.array(orders, np.int64)) @ coord.T % E
 
 
-def character_exponents(A):
-    """(orders, E, L) of the abelian group A, multiplied by its right_mul:
-    the cyclic orders, their lcm E, and the exponent matrix with chi_t(a) =
-    zeta_E^L[t, a], the trivial row first.  ValueError, naming two
-    elements, if the group is not abelian, and from right_mul if a product
-    is not an element.  Exact certificate in O(n^2 s) for the s generators,
-    which commute (_decompose): their right multiplications sweep one
-    orbit, so they generate the group; L[t, e] = 0 and L[t, a g_j] =
-    L[t, a] + L[t, g_j] mod E, so each row is a homomorphism onto Z/E; and
-    the n rows are distinct, so they are all n characters."""
-    gens, orders, E, L = _decompose(A)
+def character_group(A):
+    """(E, L) of the abelian group A, multiplied by its right_mul: the lcm
+    E of the cyclic orders and the exponent rows, chi_t(a) = zeta_E^L[t,
+    a] at the element positions a, the trivial row first, L read-only
+    (callers share cached rows).  ValueError, naming two elements, if the
+    group is not abelian, and from right_mul if a product is not an
+    element.  Exact certificate in O(n^2 s) for the s generators, which
+    commute (_decompose): their right multiplications sweep one orbit, so
+    they generate the group; L[t, e] = 0 and L[t, a g_j] = L[t, a] + L[t,
+    g_j] mod E, so each row is a homomorphism onto Z/E; and the n rows are
+    distinct, so they are all n characters."""
+    gens, _, E, L = _decompose(A)
     n, e, name = A.order, A.identity_pos, A.name
     perms = [A.right_mul(np.arange(n), g) for g in gens]
     sizes = orbit_partition(range(n), perms)[1]
@@ -614,69 +627,54 @@ def character_exponents(A):
     distinct = len({row.tobytes() for row in L})
     _check(distinct == len(L) == n, "distinct characters of %s" % name, n,
            distinct)
-    return orders, E, L
+    L.setflags(write=False)
+    return E, L
 
 
+@lru_cache(maxsize=None)
 def roots_of_unity(E):
-    """zeta_E^j = exp(2 pi i j / E) for j < E."""
-    return np.array([complex(math.cos(2 * math.pi * j / E),
-                             math.sin(2 * math.pi * j / E))
-                     for j in range(E)])
+    """zeta_E^j = exp(2 pi i j / E) for j < E, computed once per E and
+    read-only."""
+    z = np.array([complex(math.cos(2 * math.pi * j / E),
+                          math.sin(2 * math.pi * j / E)) for j in range(E)])
+    z.setflags(write=False)
+    return z
 
 
-class AbelianCharacter:
-    """A character of a finite abelian group: its exponent row over the
-    group's elements, in element order, into a table of E-th roots of 1."""
-
-    __slots__ = ("group", "row", "roots")
-
-    def __init__(self, group, row, roots):
-        self.group, self.row, self.roots = group, row, roots
-
-    @property
-    def values(self):
-        return self.roots[self.row]
-
-    def __call__(self, e):
-        return self.roots[self.row[self.group.index[e]]]
-
-
-def character_group(A):
-    """All |A| complex characters of a finite abelian group, the trivial
-    one first, from character_exponents on its right_mul; ValueError if A
-    is not abelian."""
-    _, E, L = character_exponents(A)
-    roots = roots_of_unity(E)
-    return [AbelianCharacter(A, row, roots) for row in L]
+def same_root(E, a, M, b):
+    """Whether zeta_E^a = zeta_M^b, exactly and elementwise (a, b integer
+    arrays that broadcast together): a M = b E mod E M."""
+    return (np.asarray(a, np.int64) * M - np.asarray(b, np.int64) * E) % (
+        E * M) == 0
 
 
 @lru_cache(maxsize=None)
 def unit_characters(ring):
-    """character_group(unit_group(ring)), computed once per ring."""
+    """character_group(unit_group(ring)), columns as ring.units, once."""
     return character_group(unit_group(ring))
+
+
+def at_one_plus(ring, L):
+    """The columns of unit-character rows L at the principal congruence
+    units ring.one_plus, in their order."""
+    return L[:, np.searchsorted(ring.units, ring.one_plus)]
 
 
 @lru_cache(maxsize=None)
 def twisting_characters(ring):
-    """The q unit-group characters extending the level-1 additive pattern on the
-    principal congruence units 1 + pi^(level-1) * (residue field); indexed by the
-    level-1 coefficient, with index 0 the trivial character; computed once per
-    ring."""
-    one_plus = ring.one_plus  # ValueError below level 2
-    chars = unit_characters(ring)
+    """(E, L): the q unit characters whose row zh restricts to s ->
+    psi(zh s) on the principal units 1 + pi^(level-1) s (row 0 trivial),
+    matched by exponents, computed once per ring."""
+    E, L = unit_characters(ring)
+    at = at_one_plus(ring, L)  # ValueError below level 2
     r1 = make_ring(ring.backend, ring.q, 1)
-    vals = values_at(chars, one_plus)
-    want = r1.psi[r1.mul]  # want[zh, s] = psi(zh s), s the coefficient
-    ext = (np.abs(vals[None] - want[:, None]) < MTOL).all(axis=2)
+    M, e = r1.psi_exp
+    want = e[r1.mul]  # psi(zh s) = zeta_M^want[zh, s]
+    ext = same_root(E, at[None], M, want[:, None]).all(axis=2)
     n = len(ring.units) // ring.q  # the extensions of each pattern
     for zh, count in enumerate(ext.sum(axis=1).tolist()):
         _check(count == n, "unit characters extending the level-1 pattern %d"
                % zh, n, count)
-    return [chars[i] for i in ext.argmax(axis=1).tolist()]
-
-
-def values_at(chars, elems):
-    """The values of characters of one abelian group at the given elements,
-    one row per character."""
-    pos = [chars[0].group.index[e] for e in elems]
-    return np.array([ch.values[pos] for ch in chars])
+    rows = L[ext.argmax(axis=1)]
+    rows.setflags(write=False)
+    return E, rows

@@ -6,14 +6,14 @@ from collections import Counter
 
 import numpy as np
 
-from .build import (assemble, cuspidal_rect_count,
-                    primitive_unit_characters, zeta_closed_form)
-from .classfun import (depth_one_dual, geo_ind, ind, is_cuspidal,
+from .build import (assemble, cuspidal_rect_count, inducing_pairs,
+                    zeta_closed_form)
+from .classfun import (all_pairs, depth_one_dual, geo_ind, ind, is_cuspidal,
                        is_primitive, res, torus_character)
 from .dixon import character_degrees
 from .groups import aut_group, class_count_formula, order_formula
 from .orbits import inner_types, orbits_on_kernel
-from .rings import MTOL, TOL, unit_characters, values_at
+from .rings import TOL, same_root, unit_characters
 
 
 class VerifyReport:
@@ -53,11 +53,6 @@ def expected_dual_orbit_table(q, lam):
             "irreducible": (q * (q - 1) // 2, q * q - q)}
 
 
-def _all_pairs(A, B):
-    """Two lists giving every pair (a, b), a in A, b in B, with a outer."""
-    return [a for a in A for _ in B], list(B) * len(A)
-
-
 def _adjoint(up, down, funcs, members):
     """<up[i], chi[j]> == <down[j], funcs[i]>, all as integer matrices."""
     return np.array_equal(up.mult(members), down.mult(funcs).T)
@@ -65,8 +60,8 @@ def _adjoint(up, down, funcs, members):
 
 def _check_geo_adjoint(G, members):
     """<ind(theta), chi> == <theta, res(chi)> for torus characters theta."""
-    thetas = torus_character(G, *_all_pairs(unit_characters(G.R1),
-                                            unit_characters(G.R2)))
+    thetas = torus_character(G, *all_pairs(unit_characters(G.R1),
+                                           unit_characters(G.R2)))
     return all(_adjoint(ind(G, thetas, side), res(G, members, side), thetas,
                         members) for side in ("upper", "lower"))
 
@@ -85,44 +80,40 @@ def _check_inf_adjoint(G, members):
 def _check_parabolic_both_sides(G):
     """Upper and lower parabolic induction agree on inducing pairs and are
     reducible exactly off them; rectangular pairs also swap."""
-    rect = G.l1 == G.l2
-    c1, c2 = unit_characters(G.R1), unit_characters(G.R2)
-    t1, t2 = _all_pairs(c1, c2)
+    t1, t2 = all_pairs(unit_characters(G.R1), unit_characters(G.R2))
     up = geo_ind(G, t1, t2, "upper")
     lo = geo_ind(G, t1, t2, "lower")
-    v1 = values_at(c1, G.R1.one_plus)
-    if rect:
-        v2 = values_at(c2, G.R1.one_plus)
-        inducing = (np.abs(v1[:, None] - v2[None]) > TOL).any(axis=2)
-    else:
-        inducing = np.repeat((np.abs(v1 - 1) > TOL).any(axis=1), len(c2))
-    inducing = inducing.ravel()
-    irreducible = up.mult() == 1
-    if not (irreducible == inducing).all():
+    inducing = inducing_pairs(G.R1, G.R2)
+    if not ((up.mult() == 1) == inducing).all():
         return False
     if not np.allclose(up.vals[inducing], lo.vals[inducing], atol=TOL):
         return False
-    if rect:
+    if G.rect:
         sw = geo_ind(G, t2, t1, "upper")
         return np.allclose(up.vals[inducing], sw.vals[inducing], atol=TOL)
     return True
 
 
+def _lifts(R, Rm):
+    """match[s, t]: whether unit character s of Rm, a lower level of R's
+    tower, inflates to unit character t of R, by exponents at R's units."""
+    (E, L), (Em, Lm) = unit_characters(R), unit_characters(Rm)
+    down = Lm[:, np.searchsorted(Rm.units, np.array(R.units) % Rm.size)]
+    return same_root(Em, down[:, None], E, L[None]).all(axis=2)
+
+
 def _check_mixed_composition(G):
-    """Parabolic induction of a floor pair equals the stable induction of the
-    floor parabolic induction."""
-    q = G.q
-    Gm = aut_group(G.backend, q, (G.l1, 1))
-    c1 = primitive_unit_characters(G.R1)
-    units = G.R2.units
-    lifts = values_at(unit_characters(G.R2), units)
-    down = values_at(unit_characters(Gm.R2), [u % q for u in units])
-    match = (np.abs(down[:, None] - lifts[None]) < MTOL).all(axis=2)
+    """Parabolic induction of a floor pair (an inducing pair of the (l1, 1)
+    group) equals the stable induction of the floor parabolic induction."""
+    Gm = aut_group(G.backend, G.q, (G.l1, 1))
+    match = _lifts(G.R2, Gm.R2)
     if not (match.sum(axis=1) == 1).all():
         return False
-    c2 = [unit_characters(G.R2)[i] for i in match.argmax(axis=1).tolist()]
-    lhs = geo_ind(G, *_all_pairs(c1, c2))
-    mid = geo_ind(Gm, *_all_pairs(c1, unit_characters(Gm.R2)))
+    (E1, L1), (E2, L2) = unit_characters(G.R1), unit_characters(G.R2)
+    Em, Lm = unit_characters(Gm.R2)
+    i, j = np.divmod(np.flatnonzero(inducing_pairs(G.R1, Gm.R2)), len(Lm))
+    lhs = geo_ind(G, (E1, L1[i]), (E2, L2[match.argmax(axis=1)[j]]))
+    mid = geo_ind(Gm, (E1, L1[i]), (Em, Lm[j]))
     return all(np.allclose(lhs.vals, ind(G, mid, side, 1).vals, atol=TOL)
                for side in ("embed", "quot"))
 

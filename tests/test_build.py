@@ -21,8 +21,8 @@ from modrep2.classfun import (geo_ind, ind, induce, inflate, is_cuspidal,
 from modrep2.dixon import character_degrees
 from modrep2.groups import aut_group
 from modrep2.orbits import CongruenceDual
-from modrep2.rings import (character_group, make_ring, twisting_characters,
-                           unit_group)
+from modrep2.rings import (character_group, make_ring, roots_of_unity,
+                           twisting_characters, unit_group)
 
 TOL = 1e-6
 
@@ -185,7 +185,12 @@ def test_cuspidal_vs_all_one_dim_twists():
 
 
 def _unit_chars(ring):
-    return character_group(unit_group(ring))
+    """Per unit character of ring: its row (E, L[t:t + 1]), as geo_ind
+    takes it, and its value at a unit, as a function."""
+    E, L = character_group(unit_group(ring))
+    col, z = {u: j for j, u in enumerate(ring.units)}, roots_of_unity(E)
+    return [((E, L[t:t + 1]), lambda u, row=L[t]: z[row[col[u]]])
+            for t in range(len(L))]
 
 
 def _deep_layer(ring):
@@ -198,10 +203,10 @@ def test_geo_upper_equals_lower():
     for lam in [(3, 2), (2, 2)]:
         G = aut_group("padic", 2, lam)
         layer = _deep_layer(G.R1)
-        for t1 in _unit_chars(G.R1):
-            for t2 in _unit_chars(G.R2):
-                up = geo_ind(G, [t1], [t2], "upper")
-                lo = geo_ind(G, [t1], [t2], "lower")
+        for r1, t1 in _unit_chars(G.R1):
+            for r2, t2 in _unit_chars(G.R2):
+                up = geo_ind(G, r1, r2, "upper")
+                lo = geo_ind(G, r1, r2, "lower")
                 if lam[0] > lam[1]:
                     inducing = any(abs(t1(u) - 1) > TOL for u in layer)
                 else:
@@ -243,7 +248,8 @@ def test_induction_composes_through_intermediate_subgroup():
                         members=[G.elements[j] for j in pre.tolist()])
         # the pullback from B to its preimage P2, read at P2's members
         _, at = G.hom("embed", P2.idx, 1)
-        roots, L, cos = linear_characters(B)
+        E, L, cos = linear_characters(B)
+        roots = roots_of_unity(E)
         lhs = induce(P2, roots[L[:, cos[B.positions(at)]]])
         up = inflate(P1, induce(B, roots[L[:, cos]]), "embed", 1)
         rhs = induce(P1, up.vals[:, P1.cls_of])
@@ -274,16 +280,16 @@ def test_parabolic_induction_commutes_with_stable_induction():
         G = aut_group("padic", 2, lam)
         Gm = aut_group("padic", 2, (lam[0], 1))
         q = G.q
-        for t1 in _unit_chars(G.R1):
+        for r1, t1 in _unit_chars(G.R1):
             if not any(abs(t1(u) - 1) > TOL for u in _deep_layer(G.R1)):
                 continue
-            for t2 in _unit_chars(Gm.R2):
-                lift = [c for c in _unit_chars(G.R2)
+            for r2, t2 in _unit_chars(Gm.R2):
+                lift = [r for r, c in _unit_chars(G.R2)
                         if all(abs(c(u) - t2(u % q)) < 1e-9
                                for u in unit_group(G.R2).elements)]
                 assert len(lift) == 1
-                lhs = geo_ind(G, [t1], lift)
-                mid = geo_ind(Gm, [t1], [t2])
+                lhs = geo_ind(G, r1, lift[0])
+                mid = geo_ind(Gm, r1, r2)
                 for side in ("embed", "quot"):
                     rhs = ind(G, mid, side, 1)
                     assert np.allclose(lhs.vals, rhs.vals, atol=TOL)
@@ -297,8 +303,8 @@ def test_pullback_twist_spectrum_parameter():
     triv = [f for f in sub.members
             if all(abs(v - 1) < TOL for v in f.vals[0])]
     assert len(triv) == 1
-    tws = twisting_characters(G.R2)
-    f = twist(inflate(G, triv[0], "floor"), [tws[1]])
+    E, tws = twisting_characters(G.R2)
+    f = twist(inflate(G, triv[0], "floor"), (E, tws[1:2]))
     D = CongruenceDual(G, 1, 0)
     [mults] = k_spectrum(G, f)
     support = [D.classify(t) for t, n in zip(D.duals, mults) if n > 0]

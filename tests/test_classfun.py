@@ -19,7 +19,7 @@ from modrep2.classfun import (ClassFunction, count_maps, dedupe,
                               torus_character, twist)
 from modrep2.groups import aut_group
 from modrep2.orbits import inner_types
-from modrep2.rings import (TOL, TableGroup, character_group,
+from modrep2.rings import (TOL, character_group, roots_of_unity,
                            twisting_characters, unit_group, unit_characters)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -73,8 +73,9 @@ def on_members(f):
 def class_linear_characters(G):
     """The exponent rows of linear_characters(G) as one stack of class
     functions, read at the cosets of G's class representatives."""
-    roots, L, cos = linear_characters(G)
-    return ClassFunction(G, roots[L[:, cos[G.positions(G.rep_idx)]]])
+    E, L, cos = linear_characters(G)
+    return ClassFunction(G, roots_of_unity(E)[L[:, cos[G.positions(
+        G.rep_idx)]]])
 
 
 def kinds_of(G, chi):
@@ -120,11 +121,12 @@ def ref_ind(G, v, side, m):
     return ref_induce(P, v[P.pullback(kind, m)[2]])
 
 
-def ref_twist(G, v, uchar):
+def ref_twist(G, v, E, row):
+    """v times the unit character zeta_E^row of R2 (its columns following
+    the units) composed with det, one class at a time."""
     R2, codes = G.hom("det", G.rep_idx)
-    by_code = np.zeros(R2.size, dtype=np.complex128)
-    by_code[uchar.group.elements] = uchar.values
-    return v * by_code[codes]
+    value = dict(zip(R2.units, roots_of_unity(E)[row]))
+    return v * np.array([value[c] for c in codes.tolist()])
 
 
 def ref_fingerprint(v):
@@ -153,10 +155,10 @@ def ref_is_cuspidal(G, v):
     subs = [G.subgroup("unipotent_upper"), G.subgroup("unipotent_lower")]
     subs += [G.subgroup(tag, m=m) for _, m in inner_types(G.lam)
              for tag in ("ker_embed", "ker_quot")]
-    twists = (twisting_characters(G.R2) if G.R2.level >= 2
-              else unit_characters(G.R2))
-    for t in twists:
-        tc = ref_twist(G, v, t)
+    E, twists = (twisting_characters(G.R2) if G.R2.level >= 2
+                 else unit_characters(G.R2))
+    for row in twists:
+        tc = ref_twist(G, v, E, row)
         for U in subs:
             if abs(tc[G.cls_of[U.idx]].sum()) > TOL * U.order:
                 return False
@@ -265,7 +267,8 @@ def test_induce_matches_class_loop():
     G = aut_group("padic", 2, (4, 2))
     for H in (G.subgroup("parabolic_upper"), G.subgroup("ker_embed", m=1),
               G.subgroup("cuspidal_normalizer", u_hat=0, w_hat=1)):
-        roots, L, cos = linear_characters(H)
+        E, L, cos = linear_characters(H)
+        roots = roots_of_unity(E)
         stacked = induce(H, roots[L[:, cos]]).vals  # every row at once
         for row, chi, got in zip(L, class_linear_characters(H), stacked):
             vals = roots[row[cos]]
@@ -354,9 +357,9 @@ def test_pushforward_matches_fiber_loop():
 
 def test_geo_ind_degree():
     G = aut_group("padic", 2, (3, 2))
-    t1 = character_group(unit_group(G.R1))[0]
-    t2 = character_group(unit_group(G.R2))[0]
-    chi = geo_ind(G, [t1], [t2])
+    E1, L1 = character_group(unit_group(G.R1))
+    E2, L2 = character_group(unit_group(G.R2))
+    chi = geo_ind(G, (E1, L1[:1]), (E2, L2[:1]))
     assert chi.degrees[0] == G.order // G.subgroup("parabolic_upper").order
     assert chi.degrees[0] == 4
 
@@ -369,26 +372,26 @@ def test_torus_character_matches_element_loop(backend, q, lam):
     # vector complex product may round differently from the scalar one)
     G = aut_group(backend, q, lam)
     T = G.torus
-    c2 = unit_characters(G.R2)
-    for t1 in unit_characters(G.R1)[::3]:
-        stacked = torus_character(G, [t1] * len(c2), c2).vals
-        for t2, got in zip(c2, stacked):
-            want = [t1(a) * t2(d) for a, d in T.elements]
+    (E1, L1), (E2, L2) = c1, c2 = unit_characters(G.R1), unit_characters(G.R2)
+    t1 = {u: roots_of_unity(E1)[col] for u, col in zip(G.R1.units, L1.T)}
+    t2 = {u: roots_of_unity(E2)[col] for u, col in zip(G.R2.units, L2.T)}
+    for i in range(0, len(L1), 3):
+        stacked = torus_character(G, (E1, L1[[i] * len(L2)]), c2).vals
+        for j, got in enumerate(stacked):
+            want = [t1[a][i] * t2[d][j] for a, d in T.elements]
             assert np.abs(got - want).max() < 1e-15
-    # a character whose group lists the units in another order is refused
-    U = unit_group(G.R2)
-    U = TableGroup(U.elements[::-1], U.order - 1 - U.table[::-1, ::-1], 1,
-                   name="reversed")
-    with pytest.raises(AssertionError, match="listed as the torus factors"):
-        torus_character(G, [unit_characters(G.R1)[0]],
-                        [character_group(U)[1]])
+    # rows over units other than the torus factor's give no torus function
+    # (q=2 (3, 2): 4 units of R1, 2 of R2)
+    if len(L1) != len(L2):
+        with pytest.raises(AssertionError, match="one column per class"):
+            torus_character(G, c1, c1)
 
 
 def test_twist():
     G = aut_group("padic", 2, (3, 2))
-    tw = twisting_characters(G.R2)
+    E, tw = twisting_characters(G.R2)
     one = trivial(G)
-    t0, t1 = twist(one, tw[:2])
+    t0, t1 = twist(one, (E, tw[:2]))
     assert np.allclose(t0.vals, one.vals)
     assert not np.allclose(t1.vals, one.vals)
     assert t1.degrees[0] == 1 and t1.mult().tolist() == [1]
@@ -397,10 +400,10 @@ def test_twist():
             assert abs(t1(G.mul(x, y)) - t1(x) * t1(y))[0] < 1e-9
     a = indicator(G, 3)
     b = indicator(G, 5)
-    ta, tb = twist(a, [tw[1]]), twist(b, [tw[1]])
+    ta, tb = twist(a, (E, tw[1:2])), twist(b, (E, tw[1:2]))
     assert abs(ta.inner(tb) - a.inner(b))[0, 0] < 1e-12
     # rows in (row, character) order
-    both = twist(stack([a, b]), tw)
+    both = twist(stack([a, b]), (E, tw))
     assert len(both) == 2 * len(tw)
     assert np.array_equal(both.vals[1], ta.vals[0])
     assert np.array_equal(both.vals[len(tw) + 1], tb.vals[0])
@@ -423,9 +426,9 @@ def test_k_spectrum_trivial_and_sums():
 
 def test_k_spectrum_of_deep_parabolic_induction():
     G = aut_group("padic", 2, (3, 2))
-    u1 = twisting_characters(G.R1)[1]
-    u2 = twisting_characters(G.R2)[0]
-    chi = geo_ind(G, [u1], [u2])
+    E1, u1 = twisting_characters(G.R1)
+    E2, u2 = twisting_characters(G.R2)
+    chi = geo_ind(G, (E1, u1[1:2]), (E2, u2[:1]))
     assert chi.mult().tolist() == [1]
     assert k_spectrum(G, chi).sum() == chi.degrees[0]
     assert kinds_of(G, chi) == [{"generic"}]
@@ -505,9 +508,12 @@ def test_inflate_and_twist_match_representative_loop():
         assert np.array_equal(inflate(S, f, kind, m).vals, want)
     for K in (G, H, L):
         chi = ClassFunction(K, rng.normal(size=(2, K.class_count)))
-        for uchar in unit_characters(K.R2):
-            dv = np.array([uchar(K.det(rep)) for rep in K.class_reps])
-            assert np.array_equal(twist(chi, [uchar]).vals, chi.vals * dv)
+        E, L = unit_characters(K.R2)
+        for row in L:
+            value = dict(zip(K.R2.units, roots_of_unity(E)[row]))
+            dv = np.array([value[K.det(rep)] for rep in K.class_reps])
+            assert np.array_equal(twist(chi, (E, row[None])).vals,
+                                  chi.vals * dv)
 
 
 def test_inflate_refuses_a_function_off_the_target():
@@ -609,13 +615,13 @@ def test_stacked_transfers_match_member_loop(case, data):
         h = random(Gf)
         for v, w in zip(h.vals, inflate(G, h, "floor").vals):
             assert np.array_equal(w, ref_inflate(G, v, "floor", 0))
-    tws = unit_characters(G.R2)
-    tws = [tws[i] for i in data.draw(st.lists(
-        st.integers(0, len(tws) - 1), min_size=1, max_size=3))]
-    got = twist(g, tws).vals.reshape(n, len(tws), -1)
+    E, tws = unit_characters(G.R2)
+    tws = tws[data.draw(st.lists(st.integers(0, len(tws) - 1), min_size=1,
+                                 max_size=3))]
+    got = twist(g, (E, tws)).vals.reshape(n, len(tws), -1)
     for v, rows in zip(g.vals, got):
         for t, w in zip(tws, rows):
-            assert np.array_equal(w, ref_twist(G, v, t))
+            assert np.array_equal(w, ref_twist(G, v, E, t))
     dup = stack([g, g[::-1], g[:1]])
     assert dup.fingerprint() == [ref_fingerprint(v) for v in dup.vals]
     kept = dedupe(dup)  # the first occurrences, in row_order's order

@@ -14,11 +14,21 @@ from hypothesis import strategies as st
 from modrep2 import rings
 from modrep2.groups import aut_group
 from modrep2.rings import (BACKENDS, MAX_RING_SIZE, FiniteField, LocalRing,
-                           MTOL, TOL, TableGroup, character_exponents,
-                           character_group, make_ring, prime_power,
-                           twisting_characters, unit_characters, unit_group)
+                           TOL, TableGroup, character_group, make_ring,
+                           prime_power, roots_of_unity, twisting_characters,
+                           unit_characters, unit_group)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+MTOL = 1e-9  # against complex references: values on the unit circle
+
+
+def row_funcs(elements, chars):
+    """The rows of chars = (E, L) as functions on the elements that index
+    their columns, in order."""
+    E, L = chars
+    col, z = {e: j for j, e in enumerate(elements)}, roots_of_unity(E)
+    return [lambda e, row=row: z[row[col[e]]] for row in L]
 
 SMALL = [("padic", 2, 3), ("padic", 3, 2), ("tpoly", 2, 3), ("tpoly", 4, 2)]
 
@@ -296,6 +306,8 @@ def test_largest_padic_ring_is_small():
 @pytest.mark.parametrize("backend,q,level", SMALL)
 def test_psi_additive_primitive_nondegenerate(backend, q, level):
     r = make_ring(backend, q, level)
+    M, e = r.psi_exp
+    assert np.array_equal(r.psi, roots_of_unity(M)[e])
     for x in range(r.size):
         for y in range(r.size):
             assert abs(r.psi[r.add[x][y]] - r.psi[x] * r.psi[y]) < MTOL
@@ -325,7 +337,7 @@ def _additive_group(r):
 
 def test_character_group_cyclic4():
     A = _additive_group(make_ring("padic", 2, 2))
-    chars = character_group(A)
+    chars = row_funcs(A.elements, character_group(A))
     assert len(chars) == 4
     assert all(abs(chars[0](e) - 1) < MTOL for e in A.elements)
     assert any(abs(ch(1) - 1j) < MTOL for ch in chars)
@@ -337,12 +349,12 @@ def test_character_group_cyclic4():
 
 def test_character_group_klein_and_cyclic6():
     U8 = unit_group(make_ring("padic", 2, 3))  # (Z/8)^* = C2 x C2
-    chars = character_group(U8)
+    chars = row_funcs(U8.elements, character_group(U8))
     assert len(chars) == 4
     for ch in chars:
         assert all(abs(ch(u).imag) < MTOL for u in U8.elements)
     U9 = unit_group(make_ring("padic", 3, 2))  # (Z/9)^* = C6
-    chars = character_group(U9)
+    chars = row_funcs(U9.elements, character_group(U9))
     assert len(chars) == 6
     prim = cmath.exp(2j * cmath.pi / 6)
     assert any(min(abs(ch(u) - prim) for u in U9.elements) < MTOL for ch in chars)
@@ -351,7 +363,7 @@ def test_character_group_klein_and_cyclic6():
 def test_character_orthogonality():
     for A in (unit_group(make_ring("padic", 3, 2)),
               _additive_group(make_ring("tpoly", 4, 1))):
-        chars = character_group(A)
+        chars = row_funcs(A.elements, character_group(A))
         n = A.order
         for i, ci in enumerate(chars):
             for j, cj in enumerate(chars):
@@ -378,7 +390,7 @@ def test_abelian_check_is_exact_on_large_lists():
         (0, s3[0]))
     with pytest.raises(ValueError, match="not abelian"):
         character_group(A)
-    assert len(character_group(unit_group(make_ring("padic", 3, 5)))) == 162
+    assert len(character_group(unit_group(make_ring("padic", 3, 5)))[1]) == 162
 
 
 def test_tuple_right_mul_refuses_non_elements():
@@ -413,20 +425,18 @@ def test_unit_characters_once_per_ring():
     r = make_ring("padic", 3, 2)
     chars = unit_characters(r)
     assert unit_characters(make_ring("padic", 3, 2)) is chars
-    want = character_group(unit_group(r))
-    assert [c.row.tolist() for c in chars] == [c.row.tolist() for c in want]
-    assert all(np.array_equal(c.values, w.values)
-               for c, w in zip(chars, want))
+    E, L = character_group(unit_group(r))
+    assert chars[0] == E and chars[1].tolist() == L.tolist()
 
 
 def test_twisting_characters():
     r = make_ring("padic", 2, 2)
-    tw = twisting_characters(r)
+    tw = row_funcs(r.units, twisting_characters(r))
     assert len(tw) == 2
     assert all(abs(tw[0](u) - 1.0) < MTOL for u in r.units)
     assert abs(tw[1](3) + 1) < MTOL
     r = make_ring("padic", 3, 2)
-    tw = twisting_characters(r)
+    tw = row_funcs(r.units, twisting_characters(r))
     assert len(tw) == 3
     assert abs(tw[1](4) - cmath.exp(2j * cmath.pi / 3)) < MTOL
     assert abs(tw[2](4) - cmath.exp(4j * cmath.pi / 3)) < MTOL
@@ -454,12 +464,11 @@ def test_tpoly_padic_differ_at_level2():
 def test_twisting_characters_missing_pattern_raises_under_optimize():
     # without the unit characters that extend the level-1 pattern 1, the
     # check names the pattern with expected and computed counts
-    code = ("import cmath\n"
-            "from modrep2 import rings\n"
+    code = ("from modrep2 import rings\n"
             "r = rings.make_ring('padic', 3, 2)\n"
-            "zeta = cmath.exp(2j * cmath.pi / 3)\n"
-            "keep = [ch for ch in rings.unit_characters(r)\n"
-            "        if abs(ch(4) - zeta) > 1e-6]\n"
+            "E, L = rings.unit_characters(r)\n"
+            "at4 = L[:, r.units.index(4)]  # zeta_3 at 4 = 1 + 3 * 1: out\n"
+            "keep = E, L[~rings.same_root(E, at4, 3, 1)]\n"
             "rings.unit_characters = lambda ring: keep\n"
             "try:\n"
             "    rings.twisting_characters(r)\n"
@@ -472,6 +481,34 @@ def test_twisting_characters_missing_pattern_raises_under_optimize():
     assert proc.returncode == 3, proc.stdout + proc.stderr
     assert proc.stdout == ("unit characters extending the level-1 pattern "
                            "1: expected 2, computed 0\n")
+
+
+def test_twisting_characters_shifted_exponent_raises_under_optimize():
+    # one exponent of one unit character shifted by one at the principal
+    # unit 4 = 1 + 3 * 1: that row extends no level-1 pattern any more, and
+    # the check names its pattern with expected and computed counts
+    r = make_ring("padic", 3, 2)
+    E, L = unit_characters(r)
+    j, t = r.units.index(4), 1
+    zh = int(L[t, j]) * 3 // E  # zeta_E^L[t, j] = psi(zh) = zeta_3^zh
+    code = ("import numpy as np\n"
+            "from modrep2 import rings\n"
+            "r = rings.make_ring('padic', 3, 2)\n"
+            "E, L = rings.unit_characters(r)\n"
+            "bad = L.copy()\n"
+            "bad[%d, %d] = (bad[%d, %d] + 1) %% E\n"
+            "rings.unit_characters = lambda ring: (E, bad)\n"
+            "try:\n"
+            "    rings.twisting_characters(r)\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n"
+            "    raise SystemExit(3)\n" % (t, j, t, j))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert proc.stdout == ("unit characters extending the level-1 pattern "
+                           "%d: expected 2, computed 1\n" % zh)
 
 
 def test_character_group_certificate_raises_under_optimize():
@@ -524,15 +561,15 @@ def test_certificate_refuses_one_wrong_entry(make, monkeypatch):
             monkeypatch.setattr(rings, "_decompose",
                                 lambda A, bad=bad: (gens, orders, E, bad))
             with pytest.raises(AssertionError, match="entries of L"):
-                character_exponents(A)
+                character_group(A)
     monkeypatch.setattr(rings, "_decompose", lambda A: (gens, orders, E, L))
-    assert character_exponents(A)[2] is L
+    assert character_group(A)[1] is L
 
 
-# The brute-force engine that character_exponents replaced, as a reference:
-# _abelian_basis, _key and character_group as they were, with the removed
-# FiniteGroup.pow and element_order as the functions _pow and _order, on
-# the tuple product mul of _table_mul.
+# The brute-force engine that the exponent engine character_group replaced,
+# as a reference: _abelian_basis, _key and the object character_group as
+# they were, with the removed FiniteGroup.pow and element_order as the
+# functions _pow and _order, on the tuple product mul of _table_mul.
 
 def _table_mul(A):
     """A's product on elements, read from one right_mul over all pairs."""
@@ -657,16 +694,16 @@ def test_engine_matches_reference(case):
     else:
         G = aut_group(backend, q, arg)
         A = G.abelianization() if kind == "abelianization" else G.torus
-    orders, E, L = character_exponents(A)
+    orders = rings._decompose(A)[1]
+    E, L = character_group(A)
     assert math.prod(orders) == A.order and E == math.lcm(*orders)
-    chars = character_group(A)
+    new = roots_of_unity(E)[L]
     ref = _reference_characters(A)
-    assert len(chars) == len(ref) == A.order
+    assert len(new) == len(ref) == A.order
     assert not L[0].any()
-    assert np.abs(chars[0].values - 1).max() < MTOL
+    assert np.abs(new[0] - 1).max() < MTOL
     assert all(abs(v - 1) < MTOL for v in ref[0][1].values())
     # the same multiset of value vectors, in element order
-    new = np.array([ch.values for ch in chars])
     old = np.array([[vals[e] for e in A.elements] for _, vals in ref])
     kn, ko = _exponents(new, E), _exponents(old, E)
     sn = np.lexsort(kn.T[::-1])

@@ -35,3 +35,28 @@ def test_every_definition_is_reached_from_src():
         and not any(n == name and not (g == f and start <= line <= end)
                     for n, g, line in refs))
     assert not unused, "defined but never reached from src: %s" % unused
+
+
+def test_one_tolerance_constant():
+    """src/modrep2 binds exactly one float constant below 1, the tolerance
+    TOL for class-function sums, and names nothing MTOL: characters of
+    abelian groups are compared by their exponents."""
+    tols, names = [], set()
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, float)
+                    and 0 < node.value.value < 1):
+                tols += ["%s:%s" % (path.name, ast.unparse(t))
+                         for t in node.targets]
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update({node.name, node.asname})
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+    assert tols == ["rings.py:TOL"]
+    assert "MTOL" not in names
