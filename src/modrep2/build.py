@@ -6,15 +6,14 @@ from collections import Counter
 
 import numpy as np
 
-from .classfun import (ClassFunction, dedupe, geo_ind, ind, induce, inflate,
-                       is_cuspidal, linear_characters, member_sums, row_order,
-                       spectrum_kinds, stack, twist)
+from .classfun import (ClassFunction, close, dedupe, geo_ind, ind, induce,
+                       inflate, integers, is_cuspidal, linear_characters,
+                       member_sums, row_order, spectrum_kinds, stack, twist)
 from .dixon import character_degrees
 from .groups import Subgroup, aut_group
 from .orbits import CongruenceDual, cuspidal_parameters, eta_dual, inner_types
-from .rings import (TOL, _check, at_one_plus, character_group,
-                    roots_of_unity, same_root, twisting_characters,
-                    unit_characters)
+from .rings import (_check, at_one_plus, character_group, roots_of_unity,
+                    same_root, twisting_characters, unit_characters)
 
 
 class IrrFamily:
@@ -36,40 +35,26 @@ class IrrFamily:
 
     def degree_counter(self):
         if self.members is not None:
-            return _degree_counts(self.members)
+            return Counter(self.members.degrees.tolist())
         if self.degree is None:
             return Counter(self.provenance["zeta"])
         return Counter({self.degree: self.count})
 
-    def __repr__(self):
-        return "IrrFamily(%s, count=%d)" % (self.label, self.count)
-
-
-def _degree_counts(funcs):
-    return Counter(np.round(funcs.degrees).astype(np.int64).tolist())
-
 
 def _checked_members(label, members):
     """(members, sorted distinct degrees), the members in the order of
-    row_order, all checked on their stacked values: norms integers within
-    TOL and equal to 1, distinct fingerprints (equal rows sort next to each
-    other) and real values at the identity.  Members from dedupe come in
-    that order with their repeat flags, and are not keyed again."""
+    row_order, all checked on their stacked values: norms integers (equal
+    to 1), degrees integers, distinct fingerprints (equal rows sort next to
+    each other).  Members from dedupe come in that order with their repeat
+    flags, and are not keyed again."""
     if not len(members):
         return members, []
     G, V = members.group, members.vals
-    norms = members.norms()
-    n = np.round(norms)
-    bad = np.abs(norms - n) >= TOL
-    _check(not bad.any(), "%s: norms, integers within %g" % (label, TOL),
-           "integers", norms[bad].tolist())
+    n = integers(members.norms(), "%s: norms" % label)
     _check((n == 1).all(), "%s: norms other than 1" % label, [],
-           n[n != 1].astype(np.int64).tolist())
-    d = V[:, G.identity_class]
-    off = np.abs(d.imag) >= TOL
-    _check(not off.any(), "%s: degrees, real values at the identity" % label,
-           "imaginary parts 0", d[off].tolist())
-    degs = sorted(set(np.round(d.real).astype(np.int64).tolist()))
+           n[n != 1].tolist())
+    degs = sorted(set(integers(V[:, G.identity_class],
+                               "%s: degrees" % label).tolist()))
     repeat = members.repeat
     if repeat is None:
         order, repeat = row_order(members)
@@ -185,10 +170,10 @@ def build_l1(G):
     dh = dedupe(induce(DH, roots_of_unity(E)[L[keep][:, cos]]))
     n = q ** (l1 - 2) * (q * q - 1)
     _check(len(dh) == n, "dh: count", n, len(dh))
-    degs = sorted(_degree_counts(dh))
+    degs = sorted(set(dh.degrees.tolist()))
     _check(degs == [q - 1], "dh: degrees", [q - 1], degs)
 
-    has_p, has_m = (np.abs(member_sums(U, dh) / U.order) > TOL for U in
+    has_p, has_m = (~close(member_sums(U, dh) / U.order, 0) for U in
                     (G.subgroup("unipotent_upper"),
                      G.subgroup("unipotent_lower")))
     both = int((has_p & has_m).sum())
@@ -339,9 +324,8 @@ def build_infinitesimal(G):
         for _, m in inner_types(G.lam):
             sigma = cuspidal_members(G.backend, q, (l1, m))
             a = ind(G, sigma, "embed", m)
-            off = sum(x != y for x, y in zip(a.fingerprint(),
-                                             ind(G, sigma, "quot", m)
-                                             .fingerprint()))
+            off = int((~close(a.vals, ind(G, sigma, "quot", m).vals))
+                      .any(axis=1).sum())
             _check(not off, "inf (%d, %d): members whose embed and quot "
                    "inductions differ" % (l1, m), 0, off)
             raw.append(twist(a, tws))
@@ -401,10 +385,9 @@ _ASSEMBLED = {}
 
 
 def _check_orthonormal(asm):
-    """Gram matrix of all members against the identity, entry by entry as
-    np.isclose(gram, identity, atol=TOL) reads it (|g - e| <= TOL + 1e-5
-    |e|).  The members are cut into blocks of at most 256 rows of one
-    family stack; for blocks i <= j, B_j (B_i w)^H is the conjugate
+    """Gram matrix of all members against the identity: every entry must
+    be close to the identity's.  The members are cut into blocks of at most
+    256 rows of one family stack; for blocks i <= j, B_j (B_i w)^H is the conjugate
     transpose of the Gram block (i, j), and the Hermitian Gram matrix holds
     its mirror image at (j, i), so entries off the identity count once on
     the diagonal blocks and twice off them: no k x k array and no joined
@@ -416,13 +399,10 @@ def _check_orthonormal(asm):
     for i, B in enumerate(blocks):
         Bt = (B * w).conj().T
         g = B @ Bt
-        diag = np.diag_indices(len(B))
-        g[diag] -= 1
-        d = np.abs(g[diag])
-        off += int((~(np.abs(g) <= TOL)).sum())
-        off -= int(((d > TOL) & (d <= TOL + 1e-5)).sum())
+        g[np.diag_indices(len(B))] -= 1
+        off += int((~close(g, 0)).sum())
         for C in blocks[i + 1:]:
-            off += 2 * int((~(np.abs(C @ Bt) <= TOL)).sum())
+            off += 2 * int((~close(C @ Bt, 0)).sum())
     _check(not off, "Gram matrix entries off the identity", 0, off)
     asm.checks["orthonormal"] = True
 

@@ -12,10 +12,15 @@ kept on the group it belongs to (_once): along each side, ind and res are
 linear maps stored as (source class, target class, count) triples from one
 pass over the parabolic's members (_Pairs); inflate keeps the classes of the
 representatives' images, twist the det codes of the representatives, and
-the cuspidality sums each subgroup's class counts.  A family's member order
+the cuspidality check each subgroup's class counts.  A family's member order
 (row_order) is one stable sort of order-preserving byte keys of its rounded
 rows.  Wide temporaries are taken in row blocks of about _ENTRIES
-entries."""
+entries.
+
+Values are compared by one rule, |a - b| <= TOL with no relative term
+(close); degrees, norms, inner products and multiplicities must each be
+that close to an integer (integers), which NaN and inf never are.  Rounded
+keys only find equal rows among many."""
 
 import numpy as np
 
@@ -40,6 +45,21 @@ def _once(G, key, build):
     if key not in maps:
         maps[key] = build()
     return maps[key]
+
+
+def close(a, b):
+    """Entrywise |a - b| <= TOL: the one tolerance rule for values."""
+    return np.abs(a - b) <= TOL
+
+
+def integers(v, what):
+    """The real or complex values v as int64, each close to an integer;
+    otherwise a _check failure naming what and the entries that are off."""
+    n = np.round(v.real)
+    ok = close(v, n)
+    _check(ok.all(), "%s, integers within %g" % (what, TOL), "integers",
+           v[~ok].tolist())
+    return n.astype(np.int64)
 
 
 def _rounded(V):
@@ -79,12 +99,8 @@ class ClassFunction:
 
     @property
     def degrees(self):
-        """The values at the identity, which must be real."""
-        d = self.vals[:, self.group.identity_class]
-        off = np.abs(d.imag) >= TOL
-        _check(not off.any(), "degrees: real values at the identity",
-               "imaginary parts 0", d[off].tolist())
-        return d.real
+        """The values at the identity, which must be integers."""
+        return integers(self.vals[:, self.group.identity_class], "degrees")
 
     def norms(self):
         """<f, f> of each row, the Gram diagonal without the matrix."""
@@ -104,11 +120,10 @@ class ClassFunction:
         """Inner products that must be non-negative integers: the (n, m)
         matrix against other, or the norms of the rows if other is None."""
         v = self.norms() if other is None else self.inner(other)
-        n = np.round(v.real)
-        bad = (np.abs(v - n) >= TOL) | (n < 0)
-        _check(not bad.any(), "mult: inner product", "a non-negative integer",
-               v[bad][0] if bad.any() else None)
-        return n.astype(np.int64)
+        n = integers(v, "mult: inner products")
+        _check((n >= 0).all(), "mult: negative inner products", [],
+               n[n < 0].tolist())
+        return n
 
     def fingerprint(self):
         """Per row, the bytes of its values rounded to 6 decimals, the same
@@ -368,12 +383,7 @@ def k_spectrum(G, chi):
         return cols, A.conj().T / D.K.order
 
     cols, A = _once(G, "k_spectrum", by_class)
-    m = chi.vals[:, cols] @ A
-    off = max(np.abs(m.imag).max(initial=0),
-              np.abs(m.real - np.round(m.real)).max(initial=0))
-    _check(off < TOL, "k_spectrum: integer multiplicities", "distance 0",
-           off)
-    return np.round(m.real).astype(np.int64)
+    return integers(chi.vals[:, cols] @ A, "k_spectrum: multiplicities")
 
 
 def spectrum_kinds(G, chi):
@@ -412,23 +422,23 @@ def member_sums(U, chi):
 def is_cuspidal(G, chi):
     """Per row: irreducible, primitive, and every determinant twist has no
     invariants under any unipotent or congruence kernel, i.e. all twists are
-    killed by all the restriction functors.  The twisted sums over every
+    killed by all the restriction functors.  The twisted means over every
     kernel are one product with the (classes, twists x kernels) matrix of
-    twist values times class counts, found once per group."""
-    def sums():
+    twist values times class counts over the kernel's order, found once per
+    group."""
+    def means():
         subs = [G.subgroup("unipotent_upper"), G.subgroup("unipotent_lower")]
         subs += [G.subgroup(tag, m=m) for _, m in inner_types(G.lam)
                  for tag in ("ker_embed", "ker_quot")]
         twists = (twisting_characters(G.R2) if G.R2.level >= 2
                   else unit_characters(G.R2))
         T = twist(ClassFunction(G, np.ones(G.class_count)), twists).vals
-        counts = np.array([_class_counts(U) for U in subs])
-        W = (T[:, None, :] * counts[None, :, :]).reshape(-1, G.class_count)
-        bound = TOL * np.array([U.order for U in subs], dtype=np.float64)
-        return W.T, np.tile(bound, len(T))
+        counts = np.array([_class_counts(U) / U.order for U in subs])
+        return (T[:, None, :] * counts[None, :, :]).reshape(
+            -1, G.class_count).T
 
     ok = chi.mult() == 1
     if G.l2 >= 2 and ok.any():
         ok[ok] = is_primitive(G, chi[ok])
-    W, bound = _once(G, "cuspidal_sums", sums)
-    return ok & (np.abs(chi.vals @ W) <= bound).all(axis=1)
+    W = _once(G, "cuspidal_means", means)
+    return ok & close(chi.vals @ W, 0).all(axis=1)

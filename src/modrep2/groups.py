@@ -279,9 +279,6 @@ class AutGroup(GroupBase):
         code = np.ravel_multi_index(E, dims, mode="clip")
         return np.where(ok, self._arrays[2][code], -1).astype(np.intp)
 
-    def det(self, g):
-        return int(self.hom("det", self.positions(self.locate([g])))[1][0])
-
     @cached_property
     def _mul_tables(self):
         """The product kernel's tables, built once from the ring tables, for
@@ -670,6 +667,5 @@ def aut_group(backend, q, lam):
         G.name = "Aut(%s,q=%d,%s)" % (backend, q, (l1, 0))
         G.backend, G.q, G.lam = backend, q, (l1, 0)
         G.rect = False
-        G.det = lambda x: x
         return G
     return AutGroup(backend, q, lam)

@@ -8,12 +8,12 @@ import numpy as np
 
 from .build import (assemble, cuspidal_rect_count, inducing_pairs,
                     zeta_closed_form)
-from .classfun import (all_pairs, depth_one_dual, geo_ind, ind, is_cuspidal,
-                       is_primitive, res, torus_character)
+from .classfun import (all_pairs, close, depth_one_dual, geo_ind, ind,
+                       is_cuspidal, is_primitive, res, torus_character)
 from .dixon import character_degrees
 from .groups import aut_group, class_count_formula, order_formula
 from .orbits import inner_types, orbits_on_kernel
-from .rings import TOL, same_root, unit_characters
+from .rings import same_root, unit_characters
 
 
 class VerifyReport:
@@ -86,11 +86,11 @@ def _check_parabolic_both_sides(G):
     inducing = inducing_pairs(G.R1, G.R2)
     if not ((up.mult() == 1) == inducing).all():
         return False
-    if not np.allclose(up.vals[inducing], lo.vals[inducing], atol=TOL):
+    if not close(up.vals[inducing], lo.vals[inducing]).all():
         return False
     if G.rect:
         sw = geo_ind(G, t2, t1, "upper")
-        return np.allclose(up.vals[inducing], sw.vals[inducing], atol=TOL)
+        return bool(close(up.vals[inducing], sw.vals[inducing]).all())
     return True
 
 
@@ -114,7 +114,7 @@ def _check_mixed_composition(G):
     i, j = np.divmod(np.flatnonzero(inducing_pairs(G.R1, Gm.R2)), len(Lm))
     lhs = geo_ind(G, (E1, L1[i]), (E2, L2[match.argmax(axis=1)[j]]))
     mid = geo_ind(Gm, (E1, L1[i]), (Em, Lm[j]))
-    return all(np.allclose(lhs.vals, ind(G, mid, side, 1).vals, atol=TOL)
+    return all(close(lhs.vals, ind(G, mid, side, 1).vals).all()
                for side in ("embed", "quot"))
 
 
@@ -127,11 +127,9 @@ def _check_stable_chain(backend, q):
     for side in ("embed", "quot"):
         direct = ind(G43, sigma, side, 1)
         stepped = ind(G43, ind(G42, sigma, side, 1), side, 2)
-        if not np.allclose(direct.vals, stepped.vals, atol=TOL):
-            return False
         back = res(G42, res(G43, direct, side, 2), side, 1)
-        if not np.allclose(back.vals, res(G43, direct, side, 1).vals,
-                           atol=TOL):
+        if not (close(direct.vals, stepped.vals).all()
+                and close(back.vals, res(G43, direct, side, 1).vals).all()):
             return False
     return True
 
@@ -207,7 +205,7 @@ def verify_all(backend, q, lam):
         remaining = Counter(oracle)
         for d, n in assemble(backend, q, (l1 - 1, l2 - 1)).zeta.items():
             remaining[d] -= q * n
-        explicit = Counter(np.round(a.members.degrees).astype(int).tolist())
+        explicit = Counter(a.members.degrees.tolist())
         remaining.subtract(explicit)
         remaining = {d: n for d, n in remaining.items() if n}
         rep.add("rect_subtraction", "unaccounted degrees = unconstructed "

@@ -509,9 +509,10 @@ def test_inflate_and_twist_match_representative_loop():
     for K in (G, H, L):
         chi = ClassFunction(K, rng.normal(size=(2, K.class_count)))
         E, L = unit_characters(K.R2)
+        det = K.hom("det", K.locate(K.class_reps))[1].tolist()
         for row in L:
             value = dict(zip(K.R2.units, roots_of_unity(E)[row]))
-            dv = np.array([value[K.det(rep)] for rep in K.class_reps])
+            dv = np.array([value[d] for d in det])
             assert np.array_equal(twist(chi, (E, row[None])).vals,
                                   chi.vals * dv)
 
@@ -538,8 +539,39 @@ def test_mult_refuses_a_non_integer_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 3, proc.stdout + proc.stderr
-    assert ("mult: inner product: expected a non-negative integer, "
-            "computed (0.25+0j)") in proc.stdout
+    assert proc.stdout == ("mult: inner products, integers within 1e-06: "
+                           "expected integers, computed [(0.25+0j)]\n")
+
+
+def test_nan_and_inf_are_refused_under_optimize():
+    # NaN and inf are no integers: mult, degrees and k_spectrum refuse them
+    # under python -O, naming the expected and the computed entries
+    code = ("import numpy as np\n"
+            "from modrep2.classfun import ClassFunction, k_spectrum\n"
+            "from modrep2.groups import aut_group\n"
+            "G = aut_group('padic', 2, (2, 2))\n"
+            "for bad in (np.nan, np.inf):\n"
+            "    v = np.ones(G.class_count)\n"
+            "    v[G.identity_class] = bad\n"
+            "    f = ClassFunction(G, v)\n"
+            "    for read in (f.mult, lambda: f.degrees,\n"
+            "                 lambda: k_spectrum(G, f)):\n"
+            "        try:\n"
+            "            print('returned', read())\n"
+            "        except AssertionError as e:\n"
+            "            print(e)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 6 and not any("returned" in x for x in lines)
+    for line, what in zip(lines, ["mult: inner products", "degrees",
+                                  "k_spectrum: multiplicities"] * 2):
+        assert line.startswith(what + ", integers within 1e-06: expected "
+                               "integers, computed [")
+    assert all("nan" in x for x in lines[:3])
+    assert all("inf" in x or "nan" in x for x in lines[3:])
 
 
 def _all_sides(lam):

@@ -1,6 +1,7 @@
 """Source-level guards on src/modrep2."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PKG = Path(__file__).resolve().parent.parent / "src" / "modrep2"
@@ -60,3 +61,46 @@ def test_one_tolerance_constant():
                 names.add(node.name)
     assert tols == ["rings.py:TOL"]
     assert "MTOL" not in names
+
+
+def _sites(match):
+    """'file' or 'file:function' (the innermost enclosing one) for each node
+    of src/modrep2 on which match holds."""
+    sites = []
+
+    def visit(node, where):
+        if match(node):
+            sites.append(where)
+        if isinstance(node, ast.FunctionDef):
+            where = "%s:%s" % (where.split(":")[0], node.name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(PKG.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name)
+    return Counter(sites)
+
+
+def _named(*names):
+    """Whether a node names one of names: as a name, an attribute or an
+    imported name."""
+    return lambda node: (
+        isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.alias) and node.name in names)
+
+
+def test_one_tolerance_rule():
+    """Every tolerance decision goes through classfun's close and integers:
+    TOL is bound in rings.py, imported by classfun and read only by those
+    two; nothing calls np.allclose or np.isclose or writes the float 1e-5;
+    and only integers and _rounded (the row keys) round."""
+    assert _sites(_named("TOL")) == {"rings.py": 1, "classfun.py": 1,
+                                     "classfun.py:close": 1,
+                                     "classfun.py:integers": 1}
+    assert not _sites(_named("allclose", "isclose"))
+    assert not _sites(lambda node: isinstance(node, ast.Constant)
+                      and isinstance(node.value, float)
+                      and node.value == 1e-5)
+    assert _sites(_named("round", "around", "rint")) == {
+        "classfun.py:integers": 1, "classfun.py:_rounded": 1}

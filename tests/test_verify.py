@@ -4,6 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from modrep2 import verify
+from modrep2.build import inducing_pairs
+from modrep2.groups import aut_group
 from modrep2.verify import (VerifyReport, expected_dual_orbit_table,
                             ring_compare, verify_all)
 
@@ -69,3 +74,23 @@ def test_depth_one_value_matrix_built_once():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == "True ['Aut(padic,q=3,(2, 2))']\n"
+
+
+def test_parabolic_check_refuses_a_small_absolute_error(monkeypatch):
+    # a 2e-6 error at the degree (>= 1) of one lower induction on an
+    # inducing pair is refused: the rule |a - b| <= TOL has no relative
+    # slack, such as np.allclose's 1e-5 |b|
+    G = aut_group("padic", 2, (2, 2))
+    assert verify._check_parabolic_both_sides(G)
+    row = np.flatnonzero(inducing_pairs(G.R1, G.R2))[0]
+    geo_ind = verify.geo_ind
+
+    def lower_off(G, t1, t2, side="upper"):
+        f = geo_ind(G, t1, t2, side)
+        if side == "lower":
+            assert f.vals[row, G.identity_class].real >= 1
+            f.vals[row, G.identity_class] += 2e-6
+        return f
+
+    monkeypatch.setattr(verify, "geo_ind", lower_off)
+    assert not verify._check_parabolic_both_sides(G)
