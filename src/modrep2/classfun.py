@@ -53,12 +53,12 @@ def close(a, b):
 
 
 def integers(v, what):
-    """The real or complex values v as int64, each close to an integer;
-    otherwise a _check failure naming what and the entries that are off."""
+    """The real or complex values v as int64, each close to an integer; else
+    a _check failure naming what and the first ten entries that are off."""
     n = np.round(v.real)
     ok = close(v, n)
     _check(ok.all(), "%s, integers within %g" % (what, TOL), "integers",
-           v[~ok].tolist())
+           v[~ok][:10].tolist())
     return n.astype(np.int64)
 
 

@@ -571,6 +571,7 @@ def test_nan_and_inf_are_refused_under_optimize():
         assert line.startswith(what + ", integers within 1e-06: expected "
                                "integers, computed [")
     assert all("nan" in x for x in lines[:3])
+    assert lines[2].count("(nan+nanj)") == 10  # the first ten of 16
     assert all("inf" in x or "nan" in x for x in lines[3:])
 
 
