@@ -94,9 +94,6 @@ class ClassFunction:
         """The stack of the selected rows (a view for an int or a slice)."""
         return ClassFunction(self.group, self.vals[rows])
 
-    def __call__(self, e):
-        return self.vals[:, self.group.cls_index(e)]
-
     @property
     def degrees(self):
         """The values at the identity, which must be integers."""
@@ -126,15 +123,10 @@ class ClassFunction:
         return n
 
     def fingerprint(self):
-        """Per row, the bytes of its values rounded to 6 decimals, the same
-        numbers as round() on each real and imaginary part; adding 0.0 turns
-        -0.0 into 0.0, so the two stay one key.  Rounded in row blocks."""
-        n, k = self.vals.shape
-        out = []
-        for rows in _blocks(n, k):
-            R = _rounded(self.vals[rows])
-            out.extend(R.view("V%d" % (16 * k)).ravel().tolist())
-        return out
+        """Per row, the bytes of its row_order key: equal exactly when the
+        rows are equal after rounding to 6 decimals."""
+        return _row_keys(self).view("V%d" % (16 * self.vals.shape[1])
+                                    ).ravel().tolist()
 
 
 _SIGN = np.uint64(1 << 63)
@@ -153,16 +145,23 @@ def row_order(funcs):
     return order, _repeats(key, order)
 
 
-def _keyed_order(funcs):
-    """(key, order): row_order's keys, one row of big-endian uint64 per row
-    of funcs, and their stable order."""
+def _row_keys(funcs):
+    """row_order's keys, one row of big-endian uint64 per row of funcs: a
+    bijection of the rounded doubles, -0.0 read as 0.0."""
     n, k = funcs.vals.shape
     key = np.empty((n, 2 * k), dtype=">u8")
     for rows in _blocks(n, 2 * k):
         bits = _rounded(funcs.vals[rows]).view(np.uint64)
         bits ^= -(bits >> 63) | _SIGN
         key[rows] = bits
-    return key, np.argsort(key.view("V%d" % (16 * k)).ravel(), kind="stable")
+    return key
+
+
+def _keyed_order(funcs):
+    """(key, order): _row_keys and their stable order."""
+    key = _row_keys(funcs)
+    return key, np.argsort(key.view("V%d" % (8 * key.shape[1])).ravel(),
+                           kind="stable")
 
 
 def _repeats(key, order):

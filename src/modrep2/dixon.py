@@ -10,10 +10,11 @@ exponent with r > max(2 sqrt|G|, k).  r = 1 mod the exponent gives r not
 dividing |G|, so the class algebra over F_r is split semisimple; r > k keeps
 every characteristic polynomial's degree below r (_squarefree).  The
 orthogonality relation gives d^2 mod r for each degree d, and since
-d <= sqrt|G| < r/2, d is the square root of d^2 mod r below r/2
-(_read_degrees); the integers then check 1 <= d, d^2 <= |G| and
-sum d^2 = |G|.  On padic q=2 (6,5) r is 2017 (k = 2000 sets the bound),
-against 524353 above |G|; on q=7 (2,2) it is 7057.
+d <= sqrt|G| < r/2, d -> d^2 mod r is injective on 1 <= d <= sqrt|G|, so
+each degree is read from one table of those squares (_read_degrees),
+which refuses a residue off it; the integers then check sum d^2 = |G|.
+On padic q=2 (6,5) r is 2017 (k = 2000 sets the bound), against 524353
+above |G|; on q=7 (2,2) it is 7057.
 
 Class matrices (_class_matrix): the products x * rep_m of a class's members
 by the k representatives are read from the representatives' right
@@ -57,7 +58,7 @@ one again.
 
 Roots: a characteristic polynomial f of degree at most k < r has the same
 roots as its squarefree part f / gcd(f, f') mod r, whose degree is the
-number of distinct eigenvalues; only that part is solved or scanned.
+number of distinct eigenvalues; only that part is scanned.
 
 Overflow: every matrix entry is reduced below r (class-matrix entries count
 members of one class, so a matrix is reduced mod r when its class has at
@@ -76,7 +77,8 @@ import math
 import numpy as np
 
 from .rings import (TableGroup, _check, _poly_divmod, character_group,
-                    direct_product, is_prime, make_ring, unit_group)
+                    code_positions, direct_product, is_prime, make_ring,
+                    unit_group)
 
 
 def _rep_powers(G):
@@ -225,30 +227,6 @@ def _charpoly(A, r):
     return P[n, ::-1]
 
 
-def _sqrt_mod(a, r):
-    """A square root of a modulo the odd prime r, or None when a is not a
-    square (Tonelli-Shanks)."""
-    a %= r
-    if a == 0:
-        return 0
-    if pow(a, (r - 1) // 2, r) != 1:
-        return None
-    q, s = r - 1, 0
-    while q % 2 == 0:
-        q, s = q // 2, s + 1
-    z = 2
-    while pow(z, (r - 1) // 2, r) != r - 1:
-        z += 1
-    m, c, t, x = s, pow(z, q, r), pow(a, q, r), pow(a, (q + 1) // 2, r)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2, i = t2 * t2 % r, i + 1
-        b = pow(c, 1 << (m - i - 1), r)
-        m, c, t, x = i, b * b % r, t * b * b % r, x * b % r
-    return x
-
-
 def _squarefree(f, r):
     """f / gcd(f, f') mod r, the product of the distinct irreducible factors
     of f: exact since deg f < r, so f' is nonzero and a factor of
@@ -263,20 +241,9 @@ def _squarefree(f, r):
 def _roots(coeffs, r):
     """Distinct roots in F_r of a polynomial of degree >= 1 and below r,
     leading coefficient first, ascending.  They are the roots of its
-    squarefree part g: a linear or quadratic g is solved by its formula,
-    with a square root mod r; a larger one is evaluated at every point,
-    2^16 at a time, until deg g roots are found."""
+    squarefree part g, which is evaluated at every point, 2^16 at a time,
+    until deg g roots are found."""
     g = _squarefree(coeffs, r)
-    inv = pow(int(g[0]), -1, r)
-    if len(g) == 2:
-        return [-int(g[1]) * inv % r]
-    if len(g) == 3:
-        b, c = int(g[1]) * inv % r, int(g[2]) * inv % r
-        s = _sqrt_mod(b * b - 4 * c, r)
-        if s is None:
-            return []
-        half = (r + 1) // 2
-        return sorted({(-b + s) * half % r, (-b - s) * half % r})
     roots = []
     for lo in range(0, r, 1 << 16):
         xs = np.arange(lo, min(lo + (1 << 16), r), dtype=np.int64)
@@ -387,11 +354,8 @@ def _twists(G, r):
     code, A = 0, None
     for what, R, x in maps:
         U = unit_group(R)
-        pos = U.locate(x.tolist())
-        bad = np.count_nonzero(pos < 0)
-        _check(not bad, "%s values at the class representatives that are "
-               "not units" % what, 0, bad)
-        code = code * U.order + pos
+        code = code * U.order + code_positions(
+            U, x, "%s values at the class representatives" % what)
         A = U if A is None else direct_product(A, U)
     Lam = _fr_characters(A, r)[:, code]
     distinct = len(set(map(tuple, Lam.tolist())))
@@ -482,8 +446,9 @@ def _eigenlines(G, jstar, r):
     shift = _product_classes(G, tables, rep_idx[central]).T
     # the centre on its classes, z_a z_b at the position of shift[a,
     # central[b]] in central
-    theta = _fr_characters(TableGroup(central.tolist(), np.searchsorted(
-        central, shift[:, central]), ic, "the centre"), r)
+    theta = _fr_characters(TableGroup(np.searchsorted(
+        central, shift[:, central]), int(np.searchsorted(central, ic)),
+        "the centre"), r)
     # one twist per restriction to the centre, the trivial one first
     Lam, first = _twists(G, r), {}
     for t, row in enumerate(map(tuple, Lam[:, central].tolist())):
@@ -557,21 +522,18 @@ def _eigenlines(G, jstar, r):
 
 
 def _read_degrees(d2, r, order):
-    """The degrees from their squares d2 mod r: each degree d is the square
-    root of d^2 mod r below r/2, since d <= sqrt|G| < r/2.  Checked in the
-    integers: 1 <= d, d^2 <= |G| and sum d^2 = |G|."""
-    roots = {a: _sqrt_mod(a, r) for a in set(d2.tolist())}
-    bad = sorted(a for a, s in roots.items() if s is None)
-    _check(not bad, "squared degrees mod %d with a square root" % r,
-           "squares", "non-squares %s" % bad)
-    d = np.array([min(roots[a], r - roots[a]) for a in d2.tolist()],
-                 dtype=np.int64)
-    bad = (d < 1) | (d * d > order)
-    _check(not bad.any(), "square roots below r/2 of the squared degrees "
-           "mod %d, in [1, sqrt |G|]" % r, "roots in [1, %d]" % math.isqrt(
-               order), "%s for %s" % (d[bad].tolist(), d2[bad].tolist()))
+    """The degrees from their squares d2 mod r, read from one table of d^2
+    mod r over 1 <= d <= sqrt|G|: d -> d^2 mod r is injective there, since
+    d + d' <= 2 sqrt|G| < r.  A residue off the table is refused, and the
+    degrees must satisfy sum d^2 = |G|."""
+    top, seen = math.isqrt(order), sorted(set(d2.tolist()))
+    root = {d * d % r: d for d in range(1, top + 1)}
+    off = [a for a in seen if a not in root]
+    _check(not off, "squared degrees mod %d, d^2 for 1 <= d <= %d" % (r, top),
+           "residues d^2 mod %d" % r, "others %s" % off)
+    d = np.array([root[a] for a in d2.tolist()], dtype=np.int64)
     _check(int((d * d).sum()) == order, "sum of squared degrees, read from "
-           "%s mod %d" % (sorted(roots), r), order, int((d * d).sum()))
+           "%s mod %d" % (seen, r), order, int((d * d).sum()))
     return sorted(d.tolist())
 
 

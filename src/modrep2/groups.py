@@ -7,7 +7,8 @@ level-l2 entry, and b is the level-l2 coefficient of the off-diagonal map
 o_{l2} -> o_{l1}, x2 -> pi^(l1-l2) * b * x2 on canonical lifts; in the square
 case l1 == l2 the tuple is an honest invertible 2x2 matrix.  The elements are
 kept as four columns of codes and handled by index, one product kernel for
-both shapes; tuples are built only for output and lookups by element.
+both shapes; 4-tuples appear only at the print boundary (locate,
+elements_at, class_reps) and as the generators and identity kept as data.
 
 Products take one of three paths (AutGroup.right_mul): a group whose stacked
 right translation tables fit within TABLE_ENTRIES (measured, see there)
@@ -24,9 +25,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from modrep2.rings import (FiniteGroup, _check, direct_product,
-                           greedy_generators, hook, label_orbits, make_ring,
-                           unit_group)
+from modrep2.rings import (FiniteGroup, TableGroup, _check, code_positions,
+                           direct_product, greedy_generators, hook,
+                           label_orbits, make_ring, unit_group)
 
 SWAP = (0, 1, 1, 0)
 
@@ -64,8 +65,7 @@ class GroupBase(FiniteGroup):
     def _class_partition(self):
         """(class sizes, class index of each position): conjugation orbits
         under every generator, which span the group exactly: a Subgroup's
-        by greedy_generators, a QuotientGroup's by its Cayley table
-        (AutGroup's class pass certifies its own)."""
+        by greedy_generators (AutGroup's class pass certifies its own)."""
         return self.conj_orbits()[1:]
 
     @cached_property
@@ -93,7 +93,39 @@ class GroupBase(FiniteGroup):
         return Subgroup(self, self.ridx(span), name="derived")
 
     def abelianization(self):
-        return QuotientGroup(self, self.commutator_subgroup())
+        """G / [G, G] as a TableGroup on coset indices, with coset_of the
+        coset of each position.  The commutator subgroup N must be normal
+        (its conjugation sweep), cosets are numbered by their first-seen
+        representatives (one sweep of right multiplication by N's
+        generators), and the Cayley table is filled breadth first from the
+        identity: with move[x] = x * g for a generator g (one root product
+        of the representatives), column y * g is move applied to column y.
+        Every coset must be reached."""
+        N = self.commutator_subgroup()
+        self.conj_orbits(N.idx)  # ValueError unless N is normal
+        reps, _, coset_of = self.sweep([(None, g) for g in N.gen_idx])
+        r = self.ridx(np.array(reps, dtype=np.intp))
+        e, name = int(coset_of[self.identity_pos]), self.name + "/derived"
+        gens = dict.fromkeys(coset_of[self.positions(self.gen_idx)].tolist())
+        moves = [coset_of[self.positions(self.root.right_mul(r, r[g]))]
+                 for g in gens if g != e]
+        T = np.full((len(r), len(r)), -1, dtype=np.int32)  # T[y]: column y
+        T[e] = np.arange(len(r))
+        front = np.array([e])
+        while front.size:
+            new = [front[:0]]  # no moves: the trivial group
+            for move in moves:
+                y = move[front]
+                fresh = T[y, 0] < 0
+                T[y[fresh]] = move[T[front[fresh]]]
+                new.append(y[fresh])
+            front = np.concatenate(new)
+        missing = int((T[:, 0] < 0).sum())
+        _check(not missing, "%s: cosets reached by the generators" % name,
+               len(r), len(r) - missing)
+        Q = TableGroup(T.T, e, name)
+        Q.coset_of = coset_of
+        return Q
 
 
 class AutGroup(GroupBase):
@@ -147,6 +179,7 @@ class AutGroup(GroupBase):
         # the ring tables, the element columns, the code table (-1 off the
         # group) and the two powers of pi that the product kernel reads
         self._arrays = (tables, cols, table, R1.pi_pow(dd), R2.pi_pow(dd))
+        self.identity_pos = int(self.locate([self.identity])[0])
 
         # two unipotents u+, u- (conjugation by the diagonal units scales b
         # and c by units, whose sums fill R2), diag(u, 1) and diag(1, v) for
@@ -157,9 +190,10 @@ class AutGroup(GroupBase):
         # diag(1, u mod pi^l2), whose product is central, and the swap with
         # the word u+ * u-^-1 * u+ * diag(-1, 1) equal to it
         up, low = (1, 1, 0, 1), (1, 0, 1, 1)
-        ones = [(1, 0, 0, v) for v in unit_group(R2).gens]
+        U1, U2 = unit_group(R1), unit_group(R2)
+        ones = [(1, 0, 0, v) for v in U2.codes[U2.gen_idx].tolist()]
         self._scalar_pairs = [((u, 0, 0, 1), (1, 0, 0, u % s2))
-                              for u in unit_group(R1).gens]
+                              for u in U1.codes[U1.gen_idx].tolist()]
         self._conj_gens = [up, low] + ones
         self.gens = [up, low] + [g for g, _ in self._scalar_pairs] + ones
         self._swap_word = None
@@ -269,6 +303,18 @@ class AutGroup(GroupBase):
     def elements_at(self, pos):
         """4-tuples of the elements at pos, from the columns."""
         return list(zip(*(c[pos].tolist() for c in self._arrays[1])))
+
+    @property
+    def class_reps(self):
+        """The 4-tuples of the class representatives."""
+        return self.elements_at(self.rep_idx)
+
+    def mul(self, x, y):
+        """The product of two 4-tuples, for callers outside the package.
+        perfbench/spans.py's count mode wraps self.mul on every AutGroup,
+        so the method stays."""
+        i, j = self.positions(self.locate([x, y]))
+        return self.elements_at([self.right_mul(i, j)])[0]
 
     def locate(self, elems):
         """Element indices of 4-tuples through the code table, -1 for a
@@ -443,9 +489,9 @@ class AutGroup(GroupBase):
                 self._tori[lv] = direct_product(unit_group(make_ring(
                     self.backend, q, lv)), unit_group(self.R2))
             T = self._tori[lv]
-            U1, U2 = (U.elements for U in T.factors)  # sorted unit codes
-            return T, (np.searchsorted(U1, a % q ** lv) * len(U2)
-                       + np.searchsorted(U2, d))
+            U1, U2 = T.factors
+            return T, (code_positions(U1, a % q ** lv, "hom " + kind)
+                       * U2.order + code_positions(U2, d, "hom " + kind))
         if kind == "floor":
             if l2 < 2:
                 raise ValueError("floor reduction stops at column levels %r"
@@ -472,19 +518,7 @@ class AutGroup(GroupBase):
     def subgroup(self, tag, **kw):
         """A tag's subgroup, cached: a mask of lower bounds on val(a - 1),
         val(b), val(c), val(d - 1) (a bound at the full level means equality
-        with 1 or 0), plus one condition for scalars and the cuspidal pair.
-        "custom" tuples are converted; a repeat or a non-element is refused."""
-        if tag == "custom":
-            pos = self.locate(kw["members"])
-            if (pos < 0).any():
-                raise ValueError("custom member %r is not an element of %s"
-                                 % (kw["members"][np.argmin(pos)], self.name))
-            mask = np.zeros(self.order, dtype=bool)
-            mask[pos] = True
-            if int(mask.sum()) != len(pos):
-                raise ValueError("custom members of %s repeat %d elements"
-                                 % (self.name, len(pos) - int(mask.sum())))
-            return Subgroup(self, np.flatnonzero(mask), kw.get("name", "custom"))
+        with 1 or 0), plus one condition for scalars and the cuspidal pair."""
         i, sigma, m = kw.get("i", 0), kw.get("sigma", 0), kw.get("m", 0)
         u, w = kw.get("u_hat"), kw.get("w_hat")
         key = (tag, i, sigma, m, u, w)
@@ -549,11 +583,10 @@ class AutGroup(GroupBase):
 
 class Subgroup(GroupBase):
     """Subgroup given by idx, the sorted root indices of its members (the
-    root's lexicographic order); tuples are derived on use."""
+    root's lexicographic order)."""
 
     def __init__(self, parent, idx, name=""):
         self.parent, self.idx = parent, idx
-        self.identity = parent.identity
         self.name = (parent.name + "." + name) if name else parent.name + ".sub"
         self.gen_idx = greedy_generators(self)  # refuses a list that is no group
         self._pullbacks = {}
@@ -565,9 +598,6 @@ class Subgroup(GroupBase):
     @property
     def order(self):
         return len(self.idx)
-
-    def elements_at(self, pos):
-        return self.root.elements_at(self.idx[pos])
 
     @cached_property
     def root_cls(self):
@@ -582,60 +612,6 @@ class Subgroup(GroupBase):
             Q, img = self.root.hom(kind, self.idx, m)
             self._pullbacks[kind, m] = Q, img, Q.cls_of[img]
         return self._pullbacks[kind, m]
-
-
-class QuotientGroup(GroupBase):
-    """Quotient by a normal subgroup on coset indices: cosets are numbered
-    by their first-seen representatives, and coset_of gives the coset of
-    each parent position; products are read from the Cayley table, tuples
-    are derived on use."""
-
-    def __init__(self, parent, N):
-        self.parent, self.N = parent, N
-        parent.conj_orbits(N.idx)  # ValueError unless N is normal
-        reps, _, self.coset_of = parent.sweep([(None, g) for g in N.gen_idx])
-        self._rep_ridx = parent.ridx(np.array(reps, dtype=np.intp))
-        self.identity_pos = e = int(self.coset_of[parent.identity_pos])
-        gens = self.coset_of[parent.positions(parent.gen_idx)].tolist()
-        self.gen_idx = np.array([x for x in dict.fromkeys(gens) if x != e],
-                                dtype=np.intp)
-        self.name = parent.name + "/" + N.name.rsplit(".", 1)[-1]
-        self.table = self._cayley_table()
-
-    def _cayley_table(self):
-        """table[x, y] = x * y on coset indices, breadth first from the
-        identity: with move[x] = x * g for a generator g (one root product
-        of the representatives), column y * g is move applied to column y.
-        Every coset must be reached."""
-        P, r, e = self.parent, self._rep_ridx, self.identity_pos
-        moves = [self.coset_of[P.positions(P.root.right_mul(r, r[g]))]
-                 for g in self.gen_idx]
-        T = np.full((len(r), len(r)), -1, dtype=np.int32)  # T[y]: column y
-        T[e] = np.arange(len(r))
-        front = np.array([e])
-        while front.size:
-            new = [front[:0]]  # no moves: the trivial group
-            for move in moves:
-                y = move[front]
-                fresh = T[y, 0] < 0
-                T[y[fresh]] = move[T[front[fresh]]]
-                new.append(y[fresh])
-            front = np.concatenate(new)
-        missing = int((T[:, 0] < 0).sum())
-        _check(not missing, "%s: cosets reached by the generators"
-               % self.name, len(r), len(r) - missing)
-        return T.T
-
-    @property
-    def order(self):
-        return len(self._rep_ridx)
-
-    def elements_at(self, pos):
-        return self.parent.root.elements_at(self._rep_ridx[pos])
-
-    def right_mul(self, idx, h):
-        """Coset indices of the products, one gather from the table."""
-        return self.table[idx, h]
 
 
 def class_count_formula(q, lam):

@@ -18,11 +18,12 @@ twisting_characters), psi too (LocalRing.psi_exp).  Two roots of unity are
 compared exactly, by exponents (same_root); roots_of_unity gives values only
 where characters become class functions.
 
-The groups' orbit engine lives here too: orbit_partition and hook label
-orbits from permutations of positions taken one at a time (a sweep makes,
-hooks and drops each before the next), and pointer jumping gathers through
-ndarray.take, which skips the index conversion that fancy indexing with int32
-labels makes.
+The groups' protocol and orbit engine live here too.  Groups are handled
+by element index alone (FiniteGroup); no group keeps a list of elements.
+orbit_partition and hook label orbits from permutations of positions taken
+one at a time (a sweep makes, hooks and drops each before the next), and
+pointer jumping gathers through ndarray.take, which skips the index
+conversion that fancy indexing with int32 labels makes.
 """
 
 import math
@@ -338,9 +339,8 @@ def orbit_partition(points, perms):
 
 class FiniteGroup:
     """Orbit sweeps and the class-function protocol on element positions,
-    through the root group's right_mul; the tuple elements, index, gens,
-    identity, mul and inv derive from elements_at, for output and lookups
-    by element.  Classes are computed once, on first use."""
+    through the root group's right_mul.  Classes are computed once, on
+    first use."""
 
     @property
     def root(self):
@@ -357,42 +357,14 @@ class FiniteGroup:
         """Root indices of generators, by greedy_generators."""
         return greedy_generators(self)
 
-    @cached_property
-    def elements(self):
-        return self.elements_at(np.arange(self.order))
-
-    @cached_property
-    def index(self):
-        return {e: i for i, e in enumerate(self.elements)}
-
-    @cached_property
-    def gens(self):
-        return self.elements_at(self.positions(self.gen_idx))
-
-    @cached_property
-    def identity(self):
-        return self.elements_at([self.identity_pos])[0]
-
-    def mul(self, x, y):
-        R = self.root
-        i, j = R.positions(R.locate([x, y]))
-        return R.elements_at([R.right_mul(i, j)])[0]
-
-    def inv(self, x):
-        R = self.root
-        return R.elements_at(R.inverse(R.positions(R.locate([x]))))[0]
-
     def ridx(self, pos):
         """Root indices of the elements at the positions pos."""
         return pos if self.root is self else self.idx[pos]
 
     @cached_property
     def identity_pos(self):
-        return int(self.positions(self.root.locate([self.identity])[0]))
-
-    def locate(self, elems):
-        """Positions of the elements elems, -1 for a non-member."""
-        return np.array([self.index.get(g, -1) for g in elems], dtype=np.intp)
+        """The position of the root's identity (a root group sets it)."""
+        return int(self.positions(self.root.identity_pos))
 
     def positions(self, ridx):
         """Positions of the root indices ridx; ValueError for non-members.
@@ -422,11 +394,6 @@ class FiniteGroup:
             if order.all():
                 return order, inv
             prev, x, m = x, self.right_mul(x, ridx), m + 1
-
-    def inverse(self, ridx):
-        """Root indices of the inverses of the elements ridx of this root
-        group, by power_sweep."""
-        return self.power_sweep(ridx)[1]
 
     def sweep(self, moves, idx=None):
         """orbit_partition of the positions of the root elements idx (sorted
@@ -478,10 +445,6 @@ class FiniteGroup:
         return data
 
     @property
-    def class_reps(self):
-        return self.root.elements_at(self.rep_idx)
-
-    @property
     def class_sizes(self):
         return self._classes()[0]
 
@@ -489,39 +452,41 @@ class FiniteGroup:
     def class_count(self):
         return len(self._classes()[0])
 
-    def cls_index(self, e):
-        return int(self.cls_of[self.positions(self.root.locate([e])[0])])
-
     @property
     def identity_class(self):
         return int(self.cls_of[self.identity_pos])
 
 
 class TableGroup(FiniteGroup):
-    """Finite abelian group on hashable elements, multiplied by index
-    through its Cayley table (table[i, j] the position of elements[i] *
-    elements[j], -1 for a product off the elements), with the
-    class-function protocol (every element is its own conjugacy class)."""
+    """Finite abelian group on positions 0, ..., n - 1, multiplied through
+    its Cayley table (table[i, j] the position of i * j, -1 off the group);
+    every element is its own class.  codes, if given, are the elements'
+    increasing codes (unit_group's ring codes), which code_positions reads
+    back and classes prints."""
 
     is_abelian = True
 
-    def __init__(self, elements, table, identity, name=""):
-        self.elements, self.table = list(elements), table
-        _check(len(self.index) == len(self.elements), "%s: distinct elements"
-               % name, len(self.elements), len(self.index))
-        self.identity, self.name = identity, name
+    def __init__(self, table, identity_pos, name="", codes=None):
+        self.table, self.identity_pos, self.name = table, identity_pos, name
+        if codes is not None:
+            up = int(np.count_nonzero(np.diff(codes) > 0)) + 1
+            _check(len(codes) == len(table) == up, "%s: increasing codes, "
+                   "one per element" % name, len(table), up)
+        self.codes = codes
 
     @property
     def order(self):
         return len(self.table)
 
-    def elements_at(self, pos):
-        return [self.elements[i] for i in np.asarray(pos).tolist()]
+    @property
+    def class_reps(self):
+        """The codes of the elements, one per class."""
+        return self.codes[self.rep_idx].tolist()
 
     def right_mul(self, idx, h):
-        """Element indices of elements[idx] * elements[h], for index arrays
-        idx and h that broadcast together: one table gather.  Raises
-        ValueError if a product is not an element."""
+        """Positions of the products idx * h, for index arrays idx and h
+        that broadcast together: one table gather.  Raises ValueError if a
+        product is not an element."""
         out = self.table[idx, h]
         if (out < 0).any():
             raise ValueError("%s: %d products are not group elements"
@@ -530,21 +495,34 @@ class TableGroup(FiniteGroup):
 
 
 def unit_group(ring):
-    """The units of ring in code order, 1 first; their table is the ring's
-    products of units, mapped to positions by one searchsorted."""
+    """The units of ring in code order, 1 first, with their codes; their
+    table is the ring's products of units, mapped to positions by one
+    searchsorted."""
     U = np.array(ring.units)
-    return TableGroup(ring.units, np.searchsorted(U, ring.mul[np.ix_(U, U)]),
-                      1, "units(%s,%d,%d)" % (ring.backend, ring.q, ring.level))
+    return TableGroup(np.searchsorted(U, ring.mul[np.ix_(U, U)]), 0,
+                      "units(%s,%d,%d)" % (ring.backend, ring.q, ring.level),
+                      codes=U)
+
+
+def code_positions(U, x, what):
+    """Positions in the TableGroup U of the codes x, by searchsorted; a
+    _check names the codes that are not U's."""
+    pos = np.minimum(np.searchsorted(U.codes, x), U.order - 1)
+    off = x[U.codes[pos] != x]
+    _check(not off.size, "%s: codes of %s" % (what, U.name), [],
+           sorted(set(off.tolist())))
+    return pos
 
 
 def direct_product(A, B):
-    """A x B on the pairs (a, b), a-major, as a TableGroup whose table is
-    the Kronecker sum of the factors' tables; factors holds (A, B)."""
+    """A x B on the pairs (a, b) at position a * |B| + b, as a TableGroup
+    whose table is the Kronecker sum of the factors' tables; factors holds
+    (A, B)."""
     n = B.order
-    P = TableGroup([(x, y) for x in A.elements for y in B.elements],
-                   (A.table[:, None, :, None] * n
+    P = TableGroup((A.table[:, None, :, None] * n
                     + B.table[None, :, None, :]).reshape(A.order * n, -1),
-                   (A.identity, B.identity), "(%s)x(%s)" % (A.name, B.name))
+                   A.identity_pos * n + B.identity_pos,
+                   "(%s)x(%s)" % (A.name, B.name))
     P.factors = (A, B)
     return P
 
@@ -580,8 +558,8 @@ def _decompose(A):
             x = int(mul(x, p[(-c // m) % len(p)]))
         bad = np.flatnonzero(mul(gens, x) != mul(x, gens))
         if bad.size:
-            raise ValueError("group is not abelian: %r and %r do not commute"
-                             % tuple(A.elements_at([gens[bad[0]], x])))
+            raise ValueError("%s is not abelian: elements %d and %d do not "
+                             "commute" % (A.name, gens[bad[0]], x))
         hs = np.flatnonzero(inH)
         gens.append(x)
         pows.append(_powers(mul, x, m, e))

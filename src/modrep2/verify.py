@@ -6,8 +6,8 @@ from collections import Counter
 
 import numpy as np
 
-from .build import (assemble, cuspidal_rect_count, inducing_pairs,
-                    zeta_closed_form)
+from .build import (assemble, cuspidal_members, cuspidal_rect_count,
+                    inducing_pairs, zeta_closed_form)
 from .classfun import (all_pairs, close, depth_one_dual, geo_ind, ind,
                        is_cuspidal, is_primitive, res, torus_character)
 from .dixon import character_degrees
@@ -139,8 +139,7 @@ def _check_cuspidal_induction(G):
     functor (the two sides coincide in the square case)."""
     outs = {"embed": [], "quot": []}
     for _, m in inner_types(G.lam):
-        label = "orbitC" if m == 1 else "cuspidal_nonrect"
-        sigma = assemble(G.backend, G.q, (G.l1, m)).family(label).members
+        sigma = cuspidal_members(G.backend, G.q, (G.l1, m))
         for side in ("embed", "quot"):
             f = ind(G, sigma, side, m)
             if not (f.mult() == 1).all():

@@ -35,6 +35,22 @@ def trivial(G):
     return ClassFunction(G, np.ones(G.class_count))
 
 
+def values_at(f, elems):
+    """The values of the stack f at the 4-tuples elems, one column each."""
+    G = f.group
+    return f.vals[:, G.cls_of[G.positions(G.root.locate(elems))]]
+
+
+def locate_in(Q, elems):
+    """Positions in the root group Q of elements given as tuples: through
+    Q.locate on an AutGroup, and as (a, d) pairs of unit codes on a
+    torus."""
+    if hasattr(Q, "locate"):
+        return Q.locate(elems)
+    U1, U2 = (U.codes.tolist() for U in Q.factors)
+    return np.array([U1.index(a) * len(U2) + U2.index(d) for a, d in elems])
+
+
 # Class-level references: the transfers through a subgroup's own classes
 # (the fusion of its classes into the root's) that the member-level kernel
 # of classfun replaced.
@@ -129,8 +145,17 @@ def ref_twist(G, v, E, row):
     return v * np.array([value[c] for c in codes.tolist()])
 
 
+def key_bytes(rounded):
+    """A row's fingerprint from its rounded values: each double as a
+    big-endian unsigned integer, every bit of the negatives flipped and the
+    sign bit of the others set."""
+    bits = np.asarray(rounded, dtype=np.complex128).view(np.uint64)
+    sign = np.uint64(1 << 63)
+    return np.where(bits & sign, ~bits, bits | sign).astype(">u8").tobytes()
+
+
 def ref_fingerprint(v):
-    return (np.round(v, 6) + 0.0).tobytes()
+    return key_bytes(np.round(v, 6) + 0.0)
 
 
 def ref_k_spectrum(G, v):
@@ -180,9 +205,11 @@ def test_linear_character_counts():
 def test_linear_characters_multiplicative():
     G = aut_group("padic", 2, (2, 1))
     chars = class_linear_characters(G)
-    for x in G.elements:
+    els = G.elements_at(G.idx)
+    for x in els:
         for y in G.gens:
-            off = chars(G.mul(x, y)) - chars(x) * chars(y)
+            off = (values_at(chars, [G.mul(x, y)])
+                   - values_at(chars, [x]) * values_at(chars, [y]))
             assert np.abs(off).max() < 1e-9
 
 
@@ -349,9 +376,9 @@ def test_pushforward_matches_fiber_loop():
         out = invariants_pushforward(P, kind, f, m)
         Q = out.group
         want = np.zeros(Q.order, dtype=np.complex128)
-        for x in P.elements:
-            want[Q.index[ref(x)]] += f(x)[0]
-        want = want[[Q.index[r] for r in Q.class_reps]] / (P.order // Q.order)
+        for x in G.elements_at(P.idx):
+            want[locate_in(Q, [ref(x)])[0]] += values_at(f, [x])[0, 0]
+        want = want[Q.rep_idx] / (P.order // Q.order)
         assert np.allclose(out.vals, want, rtol=0, atol=1e-12)
 
 
@@ -377,8 +404,10 @@ def test_torus_character_matches_element_loop(backend, q, lam):
     t2 = {u: roots_of_unity(E2)[col] for u, col in zip(G.R2.units, L2.T)}
     for i in range(0, len(L1), 3):
         stacked = torus_character(G, (E1, L1[[i] * len(L2)]), c2).vals
+        U1, U2 = T.factors  # (a, d) at position a * |U2| + d
         for j, got in enumerate(stacked):
-            want = [t1[a][i] * t2[d][j] for a, d in T.elements]
+            want = [t1[a][i] * t2[d][j] for a in U1.codes.tolist()
+                    for d in U2.codes.tolist()]
             assert np.abs(got - want).max() < 1e-15
     # rows over units other than the torus factor's give no torus function
     # (q=2 (3, 2): 4 units of R1, 2 of R2)
@@ -395,9 +424,10 @@ def test_twist():
     assert np.allclose(t0.vals, one.vals)
     assert not np.allclose(t1.vals, one.vals)
     assert t1.degrees[0] == 1 and t1.mult().tolist() == [1]
-    for x in G.elements[:50]:
+    for x in G.elements_at(np.arange(50)):
         for y in G.gens:
-            assert abs(t1(G.mul(x, y)) - t1(x) * t1(y))[0] < 1e-9
+            assert abs(values_at(t1, [G.mul(x, y)])
+                       - values_at(t1, [x]) * values_at(t1, [y]))[0, 0] < 1e-9
     a = indicator(G, 3)
     b = indicator(G, 5)
     ta, tb = twist(a, (E, tw[1:2])), twist(b, (E, tw[1:2]))
@@ -461,12 +491,12 @@ def test_fingerprint_matches_per_entry_round():
     for vals in rows:
         [fp] = ClassFunction(G, vals).fingerprint()
         assert type(fp) is bytes
-        assert fp == _round_each(ClassFunction(G, vals).vals[0]).tobytes()
+        assert fp == key_bytes(_round_each(ClassFunction(G, vals).vals[0]))
     # a stack over several row blocks gives the rows' fingerprints in order
     many = np.array(rows * 2000)
     assert len(many) * k > 2 * (1 << 16)
     assert ClassFunction(G, many).fingerprint() == [
-        _round_each(v).tobytes() for v in rows] * 2000
+        key_bytes(_round_each(v)) for v in rows] * 2000
 
 
 def test_dedupe_signed_zero_is_one_key():
@@ -503,8 +533,8 @@ def test_inflate_and_twist_match_representative_loop():
         Q = S.root.hom(kind, [], m)[0]
         f = ClassFunction(Q, rng.normal(size=(3, Q.class_count))
                           + 1j * rng.normal(size=(3, Q.class_count)))
-        want = np.array([[v[Q.cls_index(ref(rep))] for rep in S.class_reps]
-                         for v in f.vals])
+        reps = S.root.elements_at(S.rep_idx)
+        want = f.vals[:, Q.cls_of[locate_in(Q, [ref(g) for g in reps])]]
         assert np.array_equal(inflate(S, f, kind, m).vals, want)
     for K in (G, H, L):
         chi = ClassFunction(K, rng.normal(size=(2, K.class_count)))

@@ -226,6 +226,11 @@ PINNED_OUTPUT = [
      "b327e7a8c756d1276844c2bb13670d1187615c6bc36f9c014f8a3d4dd5eb335a"),
     (("verify-all", "--backend", "tpoly", "--q", "2", "--lambda", "3,2"),
      "d273a53fd2767e145c59e95b7ae1bfaa4633379fc2b92872dadf420111a744d7"),
+    # rank one: the unit group's codes as representatives
+    (("classes", "--p", "3", "--lambda", "2,0"),
+     "3cba0b8a9aa475ee5def0d4dd63694a7097b1c9550acf564c4f5badc51270cbf"),
+    (("classes", "--backend", "tpoly", "--q", "4", "--lambda", "2,0"),
+     "58eada539c259c168fd9d65c0937e7289288559593670528f416e80ff7d136e3"),
 ]
 
 

@@ -15,7 +15,7 @@ import pytest
 from modrep2 import dixon
 from modrep2.dixon import (_charpoly, _class_matrix, _class_tables,
                            _eigenspaces, _mm, _nullspace, _product_classes,
-                           _rep_powers, _roots, _rref, _sqrt_mod,
+                           _read_degrees, _rep_powers, _roots, _rref,
                            character_degrees, dixon_prime)
 from modrep2.groups import aut_group
 from modrep2.rings import TableGroup, is_prime, make_ring, unit_group
@@ -149,9 +149,10 @@ def test_override_at_or_below_the_bound_rejected_under_optimize():
 
 
 def test_degree_readout_raises_under_optimize():
-    # GL2(F2), |G| = 6, at r = 7 > 2 sqrt 6 with squares 1, 2, 4 mod 7: the
-    # squared degrees 1, 1, 4 read back; 3 has no square root; the root of 2
-    # below 7/2 is 3, whose square exceeds |G|; 1, 1, 1 sum to 3, not 6
+    # GL2(F2), |G| = 6, at r = 7 > 2 sqrt 6, with the table 1 -> 1, 4 -> 2
+    # of d^2 mod 7 for d <= sqrt 6: the squared degrees 1, 1, 4 read back; 3
+    # is no square mod 7; 2 = 3^2 mod 7, but 3 exceeds sqrt |G|; 1, 1, 1
+    # sum to 3, not 6
     code = ("import numpy as np\n"
             "from modrep2.dixon import _read_degrees\n"
             "print(_read_degrees(np.array([4, 1, 1]), 7, 6))\n"
@@ -168,30 +169,40 @@ def test_degree_readout_raises_under_optimize():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     ok, nonsquare, large, total = proc.stdout.splitlines()
     assert ok == "[1, 1, 2]"
-    assert nonsquare == ("squared degrees mod 7 with a square root: expected "
-                         "squares, computed non-squares [3]")
-    assert large == ("square roots below r/2 of the squared degrees mod 7, in "
-                     "[1, sqrt |G|]: expected roots in [1, 2], computed [3] "
-                     "for [2]")
+    assert nonsquare == ("squared degrees mod 7, d^2 for 1 <= d <= 2: "
+                         "expected residues d^2 mod 7, computed others [3]")
+    assert large == ("squared degrees mod 7, d^2 for 1 <= d <= 2: "
+                     "expected residues d^2 mod 7, computed others [2]")
     assert total == ("sum of squared degrees, read from [1] mod 7: expected 6,"
                      " computed 3")
+
+
+def _cls(G, g):
+    """The class of the 4-tuple g."""
+    return int(G.cls_of[G.locate([g])[0]])
+
+
+def _inverse_classes(G):
+    """The members of the class of the inverses of each class, in order."""
+    return [np.flatnonzero(G.cls_of == G.cls_of[x])
+            for x in G.inverse(G.rep_idx).tolist()]
 
 
 @pytest.mark.parametrize("q,lam", [(2, (2, 1)), (3, (1, 1))])
 def test_class_matrices_match_pair_count(q, lam):
     G = aut_group("padic", q, lam)
     k = G.class_count
-    reps, cls_of = G.class_reps, G.cls_of
+    reps, cls_of = G.class_reps, G.cls_of.tolist()
     rep_of = {x: m for m, x in enumerate(reps)}
     brute = np.zeros((k, k, k), dtype=np.int64)
-    for x in G.elements:
-        for y in G.elements:
+    els = G.elements_at(G.idx)
+    for x, cx in zip(els, cls_of):
+        for y, cy in zip(els, cls_of):
             m = rep_of.get(G.mul(x, y))
             if m is not None:
-                brute[G.cls_index(x), G.cls_index(y), m] += 1
+                brute[cx, cy, m] += 1
     tables = _class_tables(G)
-    for i, x in enumerate(reps):
-        members = np.flatnonzero(cls_of == G.cls_index(G.inv(x)))
+    for i, members in enumerate(_inverse_classes(G)):
         assert np.array_equal(_class_matrix(G, tables, members), brute[i])
 
 
@@ -231,16 +242,14 @@ def test_code_table_off_the_group_refused():
 def test_central_translate_matrix_is_a_product(backend, q, lam):
     # N_{zC} = N_z N_C: the matrix of a central translate splits nothing new
     G = aut_group(backend, q, lam)
-    reps, sizes, cls_of = G.class_reps, G.class_sizes, G.cls_of
+    reps, sizes = G.class_reps, G.class_sizes
     tables = _class_tables(G)
-    N = [_class_matrix(G, tables,
-                       np.flatnonzero(cls_of == G.cls_index(G.inv(x))))
-         for x in reps]
+    N = [_class_matrix(G, tables, members) for members in _inverse_classes(G)]
     center = np.flatnonzero(sizes == 1)
     assert len(center) > 1
     for c in center:
         for i, x in enumerate(reps):
-            zc = G.cls_index(G.mul(reps[c], x))
+            zc = _cls(G, G.mul(reps[c], x))
             assert np.array_equal(N[zc], N[c] @ N[i]), (c, i)
 
 
@@ -265,8 +274,7 @@ def _centre_characters(G, shift, central, r):
     pos = np.empty(G.class_count, dtype=np.intp)
     pos[central] = np.arange(len(central))
     return dixon._fr_characters(TableGroup(
-        central.tolist(), pos[shift[:, central]], G.identity_class,
-        "the centre"), r)
+        pos[shift[:, central]], int(pos[G.identity_class]), "the centre"), r)
 
 
 @pytest.mark.parametrize("group", [
@@ -279,11 +287,10 @@ def test_central_blocks_are_joint_eigenspaces(group):
     k = len(reps)
     central = np.flatnonzero(sizes == 1)
     # shift[a, i]: the class z_a C_i, from tuple products
-    shift = np.array([[G.cls_index(G.mul(reps[c], x)) for x in reps]
+    shift = np.array([[_cls(G, G.mul(reps[c], x)) for x in reps]
                       for c in central])
     tables = _class_tables(G)
-    N = [_class_matrix(G, tables, np.array([G.index[G.inv(reps[c])]]))
-         for c in central]
+    N = [_class_matrix(G, tables, G.inverse(G.rep_idx[[c]])) for c in central]
     r = dixon_prime(_rep_powers(G)[0], G.order)
     theta = _centre_characters(G, shift, central, r)
     # the trivial twist group: every central character leads its own orbit
@@ -597,13 +604,18 @@ def _scan_roots(coeffs, p):
 
 
 @pytest.mark.parametrize("p", QUADRATIC_PRIMES)
-def test_sqrt_mod(p):
-    squares = {x * x % p for x in range(p)}
-    for a in random.Random(p).sample(range(p), min(p, 300)):
-        s = _sqrt_mod(a, p)
-        assert (s is not None) == (a in squares)
-        if s is not None:
-            assert s * s % p == a
+def test_degree_readout_inverts_squares(p):
+    # with |G| = d^2 + 2, sqrt |G| rounds down to d, and 2d < p: the degrees
+    # d, 1, 1 read back from their squares mod p, for sampled d up to the
+    # largest with 2d < p, and the square of d + 1 is off the table
+    top = (p - 1) // 2
+    for d in random.Random(p).sample(range(1, top + 1), min(top, 100)):
+        order = d * d + 2
+        assert _read_degrees(np.array([d * d % p, 1, 1]), p, order) == \
+            sorted([d, 1, 1])
+        if d < top:
+            with pytest.raises(AssertionError, match="squared degrees mod"):
+                _read_degrees(np.array([(d + 1) ** 2 % p, 1, 1]), p, order)
 
 
 @pytest.mark.parametrize("p", QUADRATIC_PRIMES)

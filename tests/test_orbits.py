@@ -89,11 +89,12 @@ def test_coords_additive_bijective(backend, q, lam, depth):
     G = aut_group(backend, q, lam)
     D = CongruenceDual(G, *depth)
     K = D.K
-    for j1, k1 in enumerate(K.elements):
+    prod = K.positions(G.right_mul(K.idx[:, None], K.idx[None, :]))
+    for j1 in range(K.order):
         u1, v1, w1, z1 = D.coords[j1]
-        for j2, k2 in enumerate(K.elements):
+        for j2 in range(K.order):
             u2, v2, w2, z2 = D.coords[j2]
-            got = tuple(D.coords[K.index[K.mul(k1, k2)]].tolist())
+            got = tuple(D.coords[prod[j1, j2]].tolist())
             want = (D.Ri.add[u1][u2], D.Ri.add[v1][v2],
                     D.Rs.add[w1][w2], D.Rs.add[z1][z2])
             assert got == want
@@ -104,14 +105,15 @@ def test_duals_are_characters_and_separate():
     G = aut_group("padic", 2, (3, 2))
     D = CongruenceDual(G, 1, 0)
     K = D.K
+    prod = K.positions(G.right_mul(K.idx[:, None], K.idx[None, :]))
     rows = set()
     for theta in D.duals:
-        vals = {k: pair(D, theta, j) for j, k in enumerate(K.elements)}
-        for k1 in K.elements:
-            for k2 in K.elements:
-                assert abs(vals[K.mul(k1, k2)] - vals[k1] * vals[k2]) < 1e-9
-        rows.add(tuple(round(vals[k].real, 6) + 1j * round(vals[k].imag, 6)
-                       for k in K.elements))
+        vals = [pair(D, theta, j) for j in range(K.order)]
+        for k1 in range(K.order):
+            for k2 in range(K.order):
+                assert abs(vals[prod[k1, k2]] - vals[k1] * vals[k2]) < 1e-9
+        rows.add(tuple(round(v.real, 6) + 1j * round(v.imag, 6)
+                       for v in vals))
     assert len(rows) == K.order
     vm = D.value_matrix
     assert vm.shape == (K.order, K.order)
@@ -140,7 +142,7 @@ def test_dual_action_matches_conjugation(backend, q, lam):
     D = CongruenceDual(G, 1, 0)
     K = D.K
     rng = random.Random(4)
-    els = G.elements
+    els = G.elements_at(G.idx)
     for _ in range(30):
         j = rng.randrange(len(els))
         g, gi = els[j], G.power_sweep([j])[1]
@@ -217,12 +219,12 @@ def test_eta_invariants_and_stability():
         for u_hat, w_hat in cuspidal_parameters(G):
             theta = eta_dual(u_hat, w_hat)
             N = G.subgroup("cuspidal_normalizer", u_hat=u_hat, w_hat=w_hat)
-            for n in N.elements:
+            for n in G.elements_at(N.idx):
                 assert act(D, n, theta) == theta
             # orbit of eta has exactly one point per coset of the stabilizer
             orbit = {theta}
             stack = [theta]
-            dirs = [t for g in G.gens for t in (g, G.inv(g))]
+            dirs = G.gens + G.elements_at(G.inverse(G.gen_idx))
             while stack:
                 t = stack.pop()
                 for g in dirs:

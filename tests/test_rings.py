@@ -322,13 +322,13 @@ def test_psi_additive_primitive_nondegenerate(backend, q, level):
 
 
 def tabulate(elements, mul, identity, name=""):
-    """The TableGroup of a product given on elements, -1 where a product
-    leaves them."""
+    """The TableGroup of a product given on elements, each at its position
+    in the list, -1 where a product leaves them."""
     elements = list(elements)
     index = {e: i for i, e in enumerate(elements)}
-    return TableGroup(elements, np.array(
+    return TableGroup(np.array(
         [[index.get(mul(x, y), -1) for y in elements] for x in elements]),
-        identity, name)
+        index[identity], name)
 
 
 def _additive_group(r):
@@ -336,38 +336,41 @@ def _additive_group(r):
 
 
 def test_character_group_cyclic4():
-    A = _additive_group(make_ring("padic", 2, 2))
-    chars = row_funcs(A.elements, character_group(A))
+    A = _additive_group(make_ring("padic", 2, 2))  # the codes at themselves
+    els = range(A.order)
+    chars = row_funcs(els, character_group(A))
     assert len(chars) == 4
-    assert all(abs(chars[0](e) - 1) < MTOL for e in A.elements)
+    assert all(abs(chars[0](e) - 1) < MTOL for e in els)
     assert any(abs(ch(1) - 1j) < MTOL for ch in chars)
     for ch in chars:
-        for x in A.elements:
-            for y in A.elements:
-                assert abs(ch(A.mul(x, y)) - ch(x) * ch(y)) < MTOL
+        for x in els:
+            for y in els:
+                assert abs(ch(int(A.right_mul(x, y))) - ch(x) * ch(y)) < MTOL
 
 
 def test_character_group_klein_and_cyclic6():
     U8 = unit_group(make_ring("padic", 2, 3))  # (Z/8)^* = C2 x C2
-    chars = row_funcs(U8.elements, character_group(U8))
+    assert U8.codes.tolist() == [1, 3, 5, 7]
+    chars = row_funcs(U8.codes.tolist(), character_group(U8))
     assert len(chars) == 4
     for ch in chars:
-        assert all(abs(ch(u).imag) < MTOL for u in U8.elements)
+        assert all(abs(ch(u).imag) < MTOL for u in (1, 3, 5, 7))
     U9 = unit_group(make_ring("padic", 3, 2))  # (Z/9)^* = C6
-    chars = row_funcs(U9.elements, character_group(U9))
+    chars = row_funcs(U9.codes.tolist(), character_group(U9))
     assert len(chars) == 6
     prim = cmath.exp(2j * cmath.pi / 6)
-    assert any(min(abs(ch(u) - prim) for u in U9.elements) < MTOL for ch in chars)
+    assert any(min(abs(ch(u) - prim) for u in U9.codes.tolist()) < MTOL
+               for ch in chars)
 
 
 def test_character_orthogonality():
     for A in (unit_group(make_ring("padic", 3, 2)),
               _additive_group(make_ring("tpoly", 4, 1))):
-        chars = row_funcs(A.elements, character_group(A))
         n = A.order
+        chars = row_funcs(range(n), character_group(A))
         for i, ci in enumerate(chars):
             for j, cj in enumerate(chars):
-                s = sum(ci(e) * cj(e).conjugate() for e in A.elements) / n
+                s = sum(ci(e) * cj(e).conjugate() for e in range(n)) / n
                 assert abs(s - (1.0 if i == j else 0.0)) < TOL
 
 
@@ -404,12 +407,13 @@ def test_tuple_right_mul_refuses_non_elements():
 
 
 def test_repeated_element_refused_under_optimize():
-    # the check on distinct elements is a _check, so python -O keeps it
+    # the codes that searchsorted reads back must increase, one per
+    # element: a repeated code is refused by a _check, which python -O keeps
     code = ("import numpy as np\n"
             "from modrep2.rings import TableGroup\n"
             "try:\n"
-            "    TableGroup([1, 3, 3], np.zeros((3, 3), dtype=int), 1,\n"
-            "               name='dup')\n"
+            "    TableGroup(np.zeros((3, 3), dtype=int), 0, name='dup',\n"
+            "               codes=[1, 3, 3])\n"
             "except AssertionError as e:\n"
             "    print(e)\n"
             "    raise SystemExit(3)\n")
@@ -417,8 +421,8 @@ def test_repeated_element_refused_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 3, proc.stdout + proc.stderr
-    assert proc.stdout == ("dup: distinct elements: expected 3, "
-                           "computed 2\n")
+    assert proc.stdout == ("dup: increasing codes, one per element: "
+                           "expected 3, computed 2\n")
 
 
 def test_unit_characters_once_per_ring():
@@ -567,69 +571,69 @@ def test_certificate_refuses_one_wrong_entry(make, monkeypatch):
 
 
 # The brute-force engine that the exponent engine character_group replaced,
-# as a reference: _abelian_basis, _key and the object character_group as
-# they were, with the removed FiniteGroup.pow and element_order as the
-# functions _pow and _order, on the tuple product mul of _table_mul.
+# as a reference: _abelian_basis and the object character_group as they
+# were, with the removed FiniteGroup.pow and element_order as the functions
+# _pow and _order, on the element positions of a TableGroup and the product
+# of _table_mul; cosets are sets of elements, each named by its least one.
 
 def _table_mul(A):
-    """A's product on elements, read from one right_mul over all pairs."""
+    """A's product on positions, read from one right_mul over all pairs."""
     ar = np.arange(A.order)
     T = A.right_mul(ar[:, None], ar[None, :]).tolist()
-    els, index = A.elements, A.index
-    return lambda x, y: els[T[index[x]][index[y]]]
+    return lambda x, y: T[x][y]
 
 
-def _pow(A, mul, x, k):
-    out = A.identity
+def _pow(one, mul, x, k):
+    out = one
     for _ in range(k):
         out = mul(out, x)
     return out
 
 
-def _order(A, mul, x):
+def _order(one, mul, x):
     n, y = 1, x
-    while y != A.identity:
+    while y != one:
         y = mul(y, x)
         n += 1
     return n
 
 
-def _abelian_basis(A):
-    """Cyclic decomposition [(g, order)] by peeling a maximal-order element."""
-    els, mul = list(A.elements), _table_mul(A)
+def _abelian_basis(els, one, mul):
+    """Cyclic decomposition [(g, order)] of the abelian group on the elements
+    els with identity one, by peeling a maximal-order element."""
     if len(els) == 1:
         return []
-    orders = {e: _order(A, mul, e) for e in els}
+    orders = {e: _order(one, mul, e) for e in els}
     m = max(orders.values())
     # deterministic choice: maximal order, then least element
-    g = min((e for e in els if orders[e] == m), key=_key)
-    powers = [A.identity]
+    g = min(e for e in els if orders[e] == m)
+    powers = [one]
     for _ in range(m - 1):
         powers.append(mul(powers[-1], g))
     pindex = {e: i for i, e in enumerate(powers)}
-    reps, _, coset_of = A.sweep([(None, A.index[g])])
-    reps = A.elements_at(reps)
-    rep = {e: reps[c] for e, c in zip(els, coset_of.tolist())}
-    Q = tabulate(reps, lambda x, y: rep[mul(x, y)], rep[A.identity])
+    rep = {}
+    for e in els:
+        if e not in rep:
+            coset = [mul(e, p) for p in powers]
+            rep.update(dict.fromkeys(coset, min(coset)))
+    reps = sorted(set(rep.values()))
     out = [(g, m)]
-    for ebar, k in _abelian_basis(Q):
-        t = pindex[_pow(A, mul, ebar, k)]
+    for ebar, k in _abelian_basis(reps, rep[one], lambda x, y: rep[mul(x, y)]):
+        t = pindex[_pow(one, mul, ebar, k)]
         assert t % k == 0
-        e = mul(ebar, _pow(A, mul, g, (-(t // k)) % m))
-        assert _order(A, mul, e) == k
+        e = mul(ebar, _pow(one, mul, g, (-(t // k)) % m))
+        assert _order(one, mul, e) == k
         out.append((e, k))
     assert math.prod(k for _, k in out) == len(els)
     return out
 
 
-def _key(e):
-    return e if isinstance(e, tuple) else (e,)
-
-
 def _reference_characters(A):
-    """[(exps, values)] for every character, the trivial one first."""
-    basis, mul = _abelian_basis(A), _table_mul(A)
-    dlog = {A.identity: ()}
+    """[(exps, values)] for every character, the trivial one first, with
+    values by position."""
+    mul = _table_mul(A)
+    basis = _abelian_basis(list(range(A.order)), A.identity_pos, mul)
+    dlog = {A.identity_pos: ()}
     for g, m in basis:
         table = {}
         for e, vec in dlog.items():
@@ -704,7 +708,7 @@ def test_engine_matches_reference(case):
     assert np.abs(new[0] - 1).max() < MTOL
     assert all(abs(v - 1) < MTOL for v in ref[0][1].values())
     # the same multiset of value vectors, in element order
-    old = np.array([[vals[e] for e in A.elements] for _, vals in ref])
+    old = np.array([[vals[e] for e in range(A.order)] for _, vals in ref])
     kn, ko = _exponents(new, E), _exponents(old, E)
     sn = np.lexsort(kn.T[::-1])
     so = np.lexsort(ko.T[::-1])

@@ -7,9 +7,9 @@ from pathlib import Path
 PKG = Path(__file__).resolve().parent.parent / "src" / "modrep2"
 
 # Names defined for callers outside the package: the command line entry
-# point, and the tuple product and inverse that tests check the index
-# kernels against.
-ALLOWED = {"main", "mul", "inv"}
+# point, and AutGroup's tuple product, which tests call and which the
+# benchmark's count mode wraps on every AutGroup.
+ALLOWED = {"main", "mul"}
 
 
 def test_every_definition_is_reached_from_src():
@@ -36,6 +36,38 @@ def test_every_definition_is_reached_from_src():
         and not any(n == name and not (g == f and start <= line <= end)
                     for n, g, line in refs))
     assert not unused, "defined but never reached from src: %s" % unused
+
+
+def test_one_index_protocol():
+    """Groups are handled by element index alone: FiniteGroup and
+    TableGroup define none of the tuple members (elements, index and the
+    rest), and src/modrep2 defines no QuotientGroup (abelianizations are
+    TableGroups)."""
+    tuple_members = {"elements", "index", "gens", "identity", "inv",
+                     "inverse", "locate", "cls_index"}
+    found, quotients = {}, []
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if node.name == "QuotientGroup":
+                quotients.append(path.name)
+            if node.name in ("FiniteGroup", "TableGroup"):
+                # methods and class attributes, and attributes set on self
+                names = {item.name for item in node.body
+                         if isinstance(item, ast.FunctionDef)}
+                names.update(t.id for item in node.body
+                             if isinstance(item, ast.Assign)
+                             for t in item.targets if isinstance(t, ast.Name))
+                names.update(
+                    item.attr for item in ast.walk(node)
+                    if isinstance(item, ast.Attribute)
+                    and isinstance(item.ctx, ast.Store)
+                    and isinstance(item.value, ast.Name)
+                    and item.value.id == "self")
+                found[node.name] = sorted(names & tuple_members)
+    assert found == {"FiniteGroup": [], "TableGroup": []}
+    assert not quotients
 
 
 def test_one_tolerance_constant():
