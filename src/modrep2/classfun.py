@@ -124,9 +124,14 @@ class ClassFunction:
 
     def fingerprint(self):
         """Per row, the bytes of its row_order key: equal exactly when the
-        rows are equal after rounding to 6 decimals."""
-        return _row_keys(self).view("V%d" % (16 * self.vals.shape[1])
-                                    ).ravel().tolist()
+        rows are equal after rounding to 6 decimals.  Keyed in row blocks,
+        so no key array of the whole stack is held."""
+        n, k = self.vals.shape
+        out = []
+        for rows in _blocks(n, 2 * k):
+            key = _row_keys(self[rows])
+            out.extend(key.view("V%d" % (16 * k)).ravel().tolist())
+        return out
 
 
 _SIGN = np.uint64(1 << 63)

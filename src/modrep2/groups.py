@@ -310,9 +310,8 @@ class AutGroup(GroupBase):
         return self.elements_at(self.rep_idx)
 
     def mul(self, x, y):
-        """The product of two 4-tuples, for callers outside the package.
-        perfbench/spans.py's count mode wraps self.mul on every AutGroup,
-        so the method stays."""
+        """The product of two 4-tuples, for tests; it stays because
+        perfbench/spans.py's count mode wraps self.mul on every AutGroup."""
         i, j = self.positions(self.locate([x, y]))
         return self.elements_at([self.right_mul(i, j)])[0]
 
@@ -589,6 +588,7 @@ class Subgroup(GroupBase):
         self.parent, self.idx = parent, idx
         self.name = (parent.name + "." + name) if name else parent.name + ".sub"
         self.gen_idx = greedy_generators(self)  # refuses a list that is no group
+        self.identity_pos = int(self.positions(self.root.identity_pos))
         self._pullbacks = {}
 
     @property

@@ -361,11 +361,6 @@ class FiniteGroup:
         """Root indices of the elements at the positions pos."""
         return pos if self.root is self else self.idx[pos]
 
-    @cached_property
-    def identity_pos(self):
-        """The position of the root's identity (a root group sets it)."""
-        return int(self.positions(self.root.identity_pos))
-
     def positions(self, ridx):
         """Positions of the root indices ridx; ValueError for non-members.
         On a root group idx is arange(order), so positions are ridx."""
