@@ -8,7 +8,7 @@ the degree multisets produced by the explicit constructions.
 The prime (J. D. Dixon, Numer. Math. 10, 1967): the least r = 1 mod the
 exponent with r > max(2 sqrt|G|, k).  r = 1 mod the exponent gives r not
 dividing |G|, so the class algebra over F_r is split semisimple; r > k keeps
-every characteristic polynomial's degree below r (_squarefree).  The
+every characteristic polynomial's degree below r (_roots).  The
 orthogonality relation gives d^2 mod r for each degree d, and since
 d <= sqrt|G| < r/2, d -> d^2 mod r is injective on 1 <= d <= sqrt|G|, so
 each degree is read from one table of those squares (_read_degrees),
@@ -56,9 +56,9 @@ lambda(C_j) = lambda(C_t) lambda(C_m) wherever N[j, m] != 0 is checked, so
 D_lambda N = lambda(C_t) N D_lambda and a common eigenline times lambda is
 one again.
 
-Roots: a characteristic polynomial f of degree at most k < r has the same
-roots as its squarefree part f / gcd(f, f') mod r, whose degree is the
-number of distinct eigenvalues; only that part is scanned.
+The split: at each class, the non-scalar restricted matrices of the blocks
+of one dimension are one stack: one pass gives their characteristic
+polynomials, one scan their roots, and each profile group is peeled at once.
 
 Overflow: every matrix entry is reduced below r (class-matrix entries count
 members of one class, so a matrix is reduced mod r when its class has at
@@ -68,16 +68,16 @@ products through float64 BLAS (_mm), which is exact while every dot product
 stays below 2^53, so character_degrees refuses a prime with
 (k+1)*r^2 >= 2^53; the smaller products run in int64.  At the default
 prime (k+1)*r^2 is far below 2^53 = 9.0e15: 8.1e9 on padic q=2 (6,5),
-1.2e11 on q=7 (2,2).  The row reduction (_rref) is lazy: it reduces only
-the pivot column and the pivot row at each step and the whole matrix once
-at the end, so an entry stays below r + k*r^2 < 2^63."""
+1.2e11 on q=7 (2,2); the row reduction stays below 2^63 (_rref).  The
+class matrices and the blocks are held as float64."""
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
-from .rings import (TableGroup, _check, _poly_divmod, character_group,
-                    code_positions, direct_product, is_prime, make_ring,
+from .rings import (TableGroup, _check, character_group, code_positions,
+                    direct_product, is_prime, make_ring,
                     unit_group)
 
 
@@ -109,88 +109,70 @@ def _class_tables(G):
     return T1, T2, u1, u2, cls
 
 
-def _product_classes(G, tables, members):
-    """j[m, x] = the class of members[x] * rep_m, from the tables of
-    _class_tables; raises on a code off the group rather than wrap around."""
+def _product_classes(G, tables, members, rows=slice(None)):
+    """j[m, x] = the class of members[x] * rep_m, for the representatives
+    rep_m in rows, from the tables of _class_tables; raises on a code off
+    the group rather than wrap around."""
     T1, T2, u1, u2, cls = tables
     # np.take: several times faster than fancy indexing on these gathers
-    code = T1.take(u1[members], axis=1)
-    code += T2.take(u2[members], axis=1)
+    code = T1[rows].take(u1[members], axis=1)
+    code += T2[rows].take(u2[members], axis=1)
     j = cls.take(code)
-    off = np.count_nonzero(j < 0)
-    if off:
+    if j.min() < 0:
         raise ValueError("%s: %d products are not group elements"
-                         % (G.name, off))
+                         % (G.name, np.count_nonzero(j < 0)))
     return j
 
 
-def _class_matrix(G, tables, members):
+def _class_matrix(G, tables, members, NT, twists):
     """N[j, m] = #{x in C_i : x^-1 * rep_m in C_j}, counted from members, the
-    element indices of the inverse class C_i^-1: the classes of the
-    products members x reps (_product_classes) and one bincount, counted as
-    N^T so that each representative's counts stay in one row."""
+    inverse class C_i^-1: the classes of the products members x reps, into
+    NT = N^T by bincount, in row blocks of at most 2^18 products and counts,
+    checked by _check_twists with twists = (table, t, what)."""
     k = len(tables[0])
-    idx = _product_classes(G, tables, members).astype(np.intp)
-    idx += np.arange(0, k * k, k)[:, None]
-    return np.bincount(idx.ravel(), minlength=k * k).reshape(k, k).T
+    step = max(1, (1 << 18) // max(len(members), k))
+    for lo in range(0, k, step):
+        idx = _product_classes(G, tables, members, slice(lo, lo + step)
+                               ).astype(np.intp)
+        _check_twists(*twists, idx, np.arange(lo, lo + len(idx))[:, None])
+        idx += np.arange(0, len(idx) * k, k)[:, None]
+        NT[lo:lo + len(idx)] = np.bincount(idx.ravel(), minlength=idx.shape[
+            0] * k).reshape(-1, k)
+    return NT.T
 
 
-def _rref(B, r):
-    """Row-reduce mod r; returns (reduced rows, pivot columns).
-
-    Lazy reduction: each step reduces only the pivot column (for the pivot
-    search and the multipliers) and the pivot row, and subtracts the
-    multiples of the pivot row from the trailing block unreduced; the rows
-    are reduced once at the end.  Each step moves an entry by less than
-    r^2, so with at most k pivots every entry stays below r + k*r^2 in
-    absolute value, under 2^63 whenever (k+1)*r^2 < 2^53, which
-    character_degrees requires of its prime."""
+def _rref(B, r, w):
+    """Row-reduce each matrix of the stack B (n, a, b) mod r, pivoting in
+    the first w columns: (R, piv, rows), R[s] the rows of B[s] reduced, the
+    pivot rows first, by pivot piv[s] (w: none), rows[s] their indices in
+    B[s].  Row k pivots on its leading entry, cleared in every other row, so
+    the pivot rows are the unique reduced echelon form.  Lazy: a step
+    reduces row k and the pivot column, moving entries by under r^2, so
+    they stay below r + k*r^2 < 2^63 ((k+1)*r^2 < 2^53 is required)."""
     B = B % r
-    pivots = []
-    row = 0
-    for col in range(B.shape[1]):
-        if row == B.shape[0]:
-            break
-        nz = np.flatnonzero(B[row:, col] % r)
-        if not nz.size:
-            continue
-        sel = row + int(nz[0])
-        if sel != row:
-            B[[row, sel]] = B[[sel, row]]
-        # the pivot row is 0 mod r left of col, so those columns stay as
-        # they are
-        prow = B[row, col:] % r * pow(int(B[row, col] % r), -1, r) % r
-        f = B[:, col] % r
-        f[row] = 0
-        B[:, col:] -= np.outer(f, prow)
-        B[row, col:] = prow
-        pivots.append(col)
-        row += 1
-    B = B[:row]
+    n, a, _ = B.shape
+    at, pc = np.arange(n), np.full((a, n), w)  # pc[k]: row k's pivots
+    for k in range(a):
+        row = B[:, k] % r
+        lead = pc[k] = (row[:, :w] != 0).argmax(axis=1)
+        pv = row[at, lead]
+        if not pv.any():
+            continue  # row k is zero in every matrix
+        prow = row * _inverses(pv, r)[:, None] % r
+        f = B[at, :, lead] % r
+        f[:, k] -= 1  # row k becomes prow, mod r
+        B -= f[:, :, None] * prow[:, None]
     B %= r
-    return B, pivots
-
-
-def _nullspace(A, r):
-    """Basis K of the kernel of A mod r, as rows, one per free column of
-    rref(A); returns (K, free) with K[:, free] the identity."""
-    n = A.shape[1]
-    R, pivots = _rref(A, r)
-    free = np.ones(n, dtype=bool)
-    free[pivots] = False
-    free = np.flatnonzero(free)
-    K = np.zeros((free.size, n), dtype=np.int64)
-    K[np.arange(free.size), free] = 1
-    K[:, pivots] = (-R[:, free]).T % r
-    return K, free
+    # a pivot is 1, and a row zero in the first w columns has none
+    pc = np.where(B[at[:, None], np.arange(a), pc.T] != 0, pc.T, w)
+    rows = np.argsort(pc, axis=1, kind="stable")
+    return B[at[:, None], rows], pc[at[:, None], rows], rows
 
 
 def _mm(A, B, r):
-    """A @ B mod r through float64 BLAS: exact while every dot product stays
-    below 2^53, which character_degrees guarantees.  A product of fewer
-    than 4096 multiply-adds stays in numpy's int64 loop, which is as fast
-    there, so the oracle on a group with fewer than 16 classes never pages
-    in BLAS (about 0.4 MB of memory)."""
+    """A @ B mod r, of matrices or stacks, by float64 BLAS: exact while every
+    dot product stays below 2^53, as character_degrees guarantees; under
+    4096 multiply-adds in int64, as fast, so small groups skip BLAS (.4 MB)."""
     dtype = np.float64 if A.size * B.shape[-1] >= 4096 else np.int64
     P = (np.asarray(A, dtype=dtype) @ np.asarray(B, dtype=dtype)).astype(
         np.int64, copy=False)
@@ -199,120 +181,136 @@ def _mm(A, B, r):
 
 
 def _charpoly(A, r):
-    """Characteristic polynomial mod r, leading coefficient first, in O(n^3):
-    reduce to upper Hessenberg form H by elementary similarity transforms,
-    then p_m = (x - H[m-1, m-1]) p_{m-1}
-               - sum_{i<m-1} H[i, m-1] * prod_{t=i+1}^{m-1} H[t, t-1] * p_i."""
+    """Characteristic polynomials mod r of the stack A (n, d, d), leading
+    coefficient first, in O(d^3): reduce each matrix to upper Hessenberg
+    form H by elementary similarity transforms, pivoting on the first
+    nonzero entry below the subdiagonal, then
+      p_m = x p_{m-1} - sum_{i<m} H[i,m-1] prod_{t=i+1}^{m-1} H[t,t-1] p_i.
+    """
     H = A % r
-    n = H.shape[0]
-    for j in range(n - 2):
-        nz = np.flatnonzero(H[j + 1:, j])
-        if not nz.size:
-            continue
-        p = j + 1 + int(nz[0])
-        H[[j + 1, p]] = H[[p, j + 1]]
-        H[:, [j + 1, p]] = H[:, [p, j + 1]]
-        u = H[j + 2:, j] * pow(int(H[j + 1, j]), -1, r) % r
-        H[j + 2:] = (H[j + 2:] - np.outer(u, H[j + 1])) % r
-        H[:, j + 1] = (H[:, j + 1] + H[:, j + 2:] @ u) % r
-    P = np.zeros((n + 1, n + 1), dtype=np.int64)  # P[m] = p_m, constant first
-    P[0, 0] = 1
-    T = np.zeros(0, dtype=np.int64)  # T[i] = prod_{t=i+1}^{c} H[t, t-1]
-    for m in range(1, n + 1):
-        c = m - 1
-        if c:
-            T = np.append(T, 1) * H[c, c - 1] % r
-        P[m, 1:] = P[c, :-1]
-        P[m] = (P[m] - H[c, c] * P[c] - (T * H[:c, c] % r) @ P[:c]) % r
-    return P[n, ::-1]
+    n, d, _ = H.shape
+    for j in range(d - 2):
+        nz = H[:, j + 1:, j] != 0
+        if not nz[:, 1:].any():
+            continue  # column j is in Hessenberg form already
+        if not nz[:, 0].all():  # no pivot in row j + 1: swap one in
+            s = np.flatnonzero(~nz[:, 0])
+            p = j + 1 + nz[s].argmax(axis=1)
+            H[s, j + 1], H[s, p] = H[s, p], H[s, j + 1]
+            H[s, :, j + 1], H[s, :, p] = H[s, :, p], H[s, :, j + 1]
+        u = H[:, j + 2:, j] * _inverses(H[:, j + 1, j], r)[:, None] % r
+        H[:, j + 2:] -= u[:, :, None] * H[:, j + 1, None]
+        H[:, j + 2:] %= r
+        H[:, :, j + 1] += (H[:, :, j + 2:] @ u[:, :, None])[:, :, 0]
+        H[:, :, j + 1] %= r
+    G = np.ones_like(H)  # G[i, c] = prod_{t=i+1}^{c} H[t, t-1], i <= c
+    for c in range(1, d):
+        G[:, :c, c] = G[:, :c, c - 1] * H[:, c, c - 1, None] % r
+    G = np.triu(G * H % r)
+    P = np.zeros((n, d + 1, d + 1), dtype=np.int64)  # P[:, m] = p_m
+    P[:, 0, 0] = 1
+    for m in range(1, d + 1):
+        P[:, m, 1:] = P[:, m - 1, :-1]
+        P[:, m] -= (G[:, None, :m, m - 1] @ P[:, :m])[:, 0]
+        P[:, m] %= r
+    return P[:, d, ::-1]
 
 
-def _squarefree(f, r):
-    """f / gcd(f, f') mod r, the product of the distinct irreducible factors
-    of f: exact since deg f < r, so f' is nonzero and a factor of
-    multiplicity m >= 2 divides f' exactly m - 1 times."""
-    f = np.asarray(f, dtype=np.int64) % r
-    a, b = f, np.polyder(f) % r
-    while b.size:
-        a, b = b, _poly_divmod(a, b, r)[1]
-    return _poly_divmod(f, a, r)[0]
-
-
-def _roots(coeffs, r):
-    """Distinct roots in F_r of a polynomial of degree >= 1 and below r,
-    leading coefficient first, ascending.  They are the roots of its
-    squarefree part g, which is evaluated at every point, 2^16 at a time,
-    until deg g roots are found."""
-    g = _squarefree(coeffs, r)
-    roots = []
-    for lo in range(0, r, 1 << 16):
-        xs = np.arange(lo, min(lo + (1 << 16), r), dtype=np.int64)
-        acc = np.full(xs.size, g[0], dtype=np.int64)
-        for c in g[1:]:
+def _roots(F, r):
+    """The roots in F_r of each polynomial F[s] (leading coefficient first,
+    degree d, 1 <= d < r) with multiplicity: (lam, mult), both (n, d), by
+    multiplicity, largest first, then root, padded with multiplicity 0.
+    F_r is scanned 2^16 values at a time until all multiplicities sum to d
+    or it runs out.  The multiplicity of lam is the index of the first
+    nonzero coefficient of f(x + lam), exact as d < r: with a constant
+    first, lam^j [x^j] f(x + lam) = sum_i a_i lam^i binom(i, j)."""
+    n, d = F.shape[0], F.shape[1] - 1
+    a = F[:, ::-1] % r
+    fact = np.array(list(accumulate(range(1, d + 1), lambda f, i: f * i % r,
+                                    initial=1)))
+    inv, i = _inverses(fact, r), np.arange(d + 1)
+    binom = np.tril(fact[:, None] * inv % r * inv[np.maximum(
+        i[:, None] - i, 0)] % r)  # binom[i, j] = i! / (j! (i - j)!)
+    hits, count, todo, lo = [], np.zeros(n, dtype=np.int64), np.arange(n), 0
+    while lo < r and todo.size:
+        xs = np.arange(lo, min(lo + max(1, (1 << 16) // todo.size), r))
+        acc = np.repeat(a[todo, -1:], xs.size, axis=1)
+        for c in a[todo, -2::-1].T:
             acc *= xs
-            acc += c
+            acc += c[:, None]
             acc %= r
-        roots.extend(xs[acc == 0].tolist())
-        if len(roots) == len(g) - 1:
-            break
-    return roots
+        s, x = np.nonzero(acc == 0)
+        s, x = todo[s], xs[x]
+        pw = np.ones((x.size, d + 1), dtype=np.int64)  # x^i, by doubling
+        for w in (1 << e for e in range(d.bit_length())):
+            pw[:, w:2 * w] = pw[:, :min(w, d + 1 - w)] * (
+                pw[:, w - 1] * x % r)[:, None] % r
+        T = np.where(x[:, None] == 0, a[s], _mm(a[s] * pw % r, binom, r))
+        m = (T != 0).argmax(axis=1)
+        count += np.bincount(s, m, n).astype(np.int64)
+        hits.append((s, x, m))
+        todo, lo = todo[count[todo] < d], lo + xs.size
+    s, x, m = (np.concatenate(h) for h in zip(*hits))
+    order = np.lexsort((x, -m, s))
+    s, x, m = s[order], x[order], m[order]
+    lam, mult = np.zeros((2, n, d), dtype=np.int64)
+    pos = np.arange(s.size) - np.searchsorted(s, s)
+    lam[s, pos], mult[s, pos] = x, m
+    return lam, mult
 
 
-def _multiplicities(coeffs, roots, r):
-    """Multiplicity of each root of the polynomial, by synthetic division
-    of the deflated polynomial."""
-    p = [int(c) for c in coeffs]
-    mult = []
-    for lam in roots:
-        m = 0
-        while len(p) > 1:
-            q = [p[0]]
-            for c in p[1:]:
-                q.append((q[-1] * lam + c) % r)
-            if q[-1]:
-                break
-            p, m = q[:-1], m + 1
-        mult.append(m)
-    return mult
+def _peel(R, lam, dims, r):
+    """The eigenspaces {x : x R[b] = lam x} of a stack R (g, d, d) of
+    diagonalisable matrices mod r of one multiplicity profile dims, largest
+    first, lam (g, len(dims)) their roots in that order: (E, Q), the bases
+    stacked in that order, E[b][o:o+m, Q[b][o:o+m]] = I on each.  C spans
+    the eigenspaces not yet peeled, C[:, pc] = I, C R = RC C.  For each
+    root but the last, M = RC - lam I is diagonalisable, so F_r^c is its
+    left kernel (the eigenspace) plus its row space W, where C moves; one
+    reduction of [M | C] pivoting in M gives W in the pivot rows, and in
+    each other row j x C with x M = 0, x 1 at j and 0 at the other such
+    rows.  The last eigenspace is what is left of C."""
+    g, d, _ = R.shape
+    at, spaces = np.arange(g)[:, None], []
+    C, pc, RC = np.broadcast_to(np.eye(d, dtype=np.int64), R.shape), np.tile(
+        np.arange(d), (g, 1)), R
+    for s, m in enumerate(dims[:-1]):
+        c = d - sum(dims[:s])
+        A, pw, rows = _rref(np.concatenate([RC - lam[:, s, None, None] * (
+            np.eye(c, dtype=np.int64)), C], axis=2), r, c)
+        dim = (pw == c).sum(axis=1)
+        _check((dim == m).all(), "dimensions of the eigenspaces of "
+               "multiplicity %d" % m, m, dim[dim != m][:1].tolist())
+        W, pw = A[:, :c - m, :c], pw[:, :c - m]
+        spaces.append((A[:, c - m:, c:], pc[at, rows[:, c - m:]]))
+        C, RC = np.split(_mm(W, np.concatenate([C, RC], axis=2), r), [d], 2)
+        RC, pc = RC[at[:, None], np.arange(c - m)[:, None], pw[:, None]], pc[
+            at, pw]
+    off = int(np.count_nonzero(RC - lam[:, -1, None, None] * np.eye(
+        pc.shape[1], dtype=np.int64)))
+    _check(pc.shape[1] == dims[-1] and not off, "dimension of the last "
+           "eigenspaces, of multiplicity %d, and entries of their restricted "
+           "matrices off lam I" % dims[-1], (dims[-1], 0), (pc.shape[1], off))
+    spaces.append((C, pc))
+    return tuple(np.concatenate(x, axis=1) for x in zip(*spaces))
 
 
 def _eigenspaces(R, r):
-    """Eigenspaces {x : x R = lam x} of a diagonalisable, non-scalar R mod
-    r, as pairs (E, P): a row basis E with E[:, P] the identity.
-
-    The roots of the characteristic polynomial are peeled largest
-    multiplicity first.  C is a basis of the sum of the eigenspaces not yet
-    peeled, with C[:, pc] = I and C R = RC C.  For each root but the last,
-    M = RC - lam I is diagonalisable, so F_r^c is the left kernel of M (the
-    eigenspace, in C coordinates) plus the row space of M (the sum of the
-    other eigenspaces, invariant under RC); C moves to the row space.  The
-    last eigenspace is what is left of C.  Later kernels thus run on ever
-    smaller matrices."""
-    d = R.shape[0]
-    coeffs = _charpoly(R, r)
-    roots = _roots(coeffs, r)
-    peel = sorted(zip(_multiplicities(coeffs, roots, r), roots),
-                  key=lambda t: -t[0])
-    _check(sum(m for m, _ in peel) == d, "roots of the characteristic "
-           "polynomial in F_r, with multiplicity", d, peel)
-    C, pc, RC = None, np.arange(d), R  # C None: the identity
-    spaces = []
-    for m, lam in peel[:-1]:
-        M = (RC - lam * np.eye(len(pc), dtype=np.int64)) % r
-        K, free = _nullspace(M.T, r)
-        _check(K.shape[0] == m, "dimension of the eigenspace of %d" % lam,
-               m, K.shape[0])
-        spaces.append((K if C is None else _mm(K, C, r), pc[free]))
-        W, pw = _rref(M, r)
-        C = W if C is None else _mm(W, C, r)
-        pc, RC = pc[pw], _mm(W, RC, r)[:, pw]
-    m, lam = peel[-1]
-    off = np.count_nonzero(RC - lam * np.eye(len(pc), dtype=np.int64))
-    _check(len(pc) == m and not off, "dimension of the last eigenspace, of "
-           "%d, and entries of its restricted matrix off %d I" % (lam, lam),
-           (m, 0), (len(pc), off))
-    spaces.append((C, pc))
-    return spaces
+    """The eigenspaces of a stack R (n, d, d) of diagonalisable, non-scalar
+    matrices mod r: (rows, E, Q, dims) per profile dims, from _peel."""
+    n, d, _ = R.shape
+    if not n:
+        return
+    lam, mult = _roots(_charpoly(R, r), r)
+    total = mult.sum(axis=1)  # short of d: a root outside F_r
+    _check((total == d).all(), "roots of the characteristic polynomial in "
+           "F_r, with multiplicity", d, total[total != d][:1].tolist())
+    groups = {}
+    for b, profile in enumerate(map(tuple, mult.tolist())):
+        groups.setdefault(profile, []).append(b)
+    for profile, rows in groups.items():
+        dims = [m for m in profile if m]
+        yield (rows, *_peel(R[rows], lam[rows, :len(dims)], dims, r), dims)
 
 
 def _primitive_root(r):
@@ -364,23 +362,34 @@ def _twists(G, r):
     return Lam
 
 
-def _check_twists(Lam, j, t, m, r, what):
-    """The twist certificate on the class matrix N of class t, given its
-    nonzero entries N[j, m] (arrays that broadcast together):
-    lambda(C_j) = lambda(C_t) lambda(C_m) there, so D_lambda N =
-    lambda(C_t) N D_lambda and v D_lambda is a common eigenline whenever v
-    is one.  Lam holds the rows that write eigenlines."""
-    L = Lam.T  # the twists last, so that j, t and m broadcast in front
-    off = np.count_nonzero(L[j] != L[t] * L[m] % r)
+def _twist_table(Lam, r):
+    """(ids, prod): ids[C] numbers the distinct columns Lam[:, C], prod[x, y]
+    their products, -1 if none: lambda(C_j) = lambda(C_t) lambda(C_m) for
+    every twist iff ids[j] == prod[ids[t], ids[m]]."""
+    index = {}
+    ids = [index.setdefault(c, len(index)) for c in map(tuple, Lam.T.tolist())]
+    cols = np.array(list(index), dtype=np.int64)
+    prod = [[index.get(c, -1) for c in map(tuple, (x * cols % r).tolist())]
+            for x in cols]
+    return tuple(np.array(x, dtype=np.min_scalar_type(-len(index)))
+                 for x in (ids, prod))
+
+
+def _check_twists(table, t, what, j, m):
+    """The twist certificate on the class matrix N of class t, at its nonzero
+    entries N[j, m], the classes C_j of the products x * rep_m, x in C_t
+    (arrays that broadcast), through the table of _twist_table:
+    lambda(C_j) = lambda(C_t) lambda(C_m), so D_lambda N = lambda(C_t) N
+    D_lambda and v D_lambda is a common eigenline whenever v is one."""
+    ids, prod = table
+    off = np.count_nonzero(ids.take(j) != prod[ids[t], ids[m]])
     _check(not off, "entries of lambda(C_j) off lambda(C_t) lambda(C_m) "
            "where N[j, m] != 0, on %s" % what, 0, off)
 
 
 def _central_blocks(shift, theta, mu, r):
     """The joint eigenspaces of the central class matrices, one per twist
-    orbit of central characters, in the stacked form of character_degrees,
-    built with no linear algebra.
-
+    orbit of central characters, stacked, built with no linear algebra:
     shift[a, i] is the class z_a C_i for the central elements z_a, and
     theta[t, a] = theta_t(z_a) the characters of the centre Z.  A common
     eigenvector omega_chi satisfies omega_chi(z C) = theta(z) omega_chi(C),
@@ -388,9 +397,8 @@ def _central_blocks(shift, theta, mu, r):
     row per Z-orbit of classes whose stabiliser lies in ker theta:
     v[shift[a, c]] = theta(z_a) at the orbit's least class c, zero off the
     orbit.  Their supports are disjoint, so B[:, P] = I with P the orbit
-    representatives, and N_z is the scalar theta(z) on the block.
-
-    mu[j] are the distinct restrictions to Z of the twists, mu[0] = 1.
+    representatives, and N_z is the scalar theta(z) on the block.  mu[j]
+    are the distinct restrictions to Z of the twists, mu[0] = 1.
     Twisting by lambda carries the eigenspace of theta onto that of theta
     lambda|_Z, so only the representatives of the orbits {theta mu_j}, the
     least index of each, are built; the others are checked to have the same
@@ -415,21 +423,35 @@ def _central_blocks(shift, theta, mu, r):
     blocks = {}
     for d in set(dims[lead].tolist()):  # np.unique would load numpy.ma, 0.7 MB
         ts = lead[dims[lead] == d]
-        B = np.zeros((len(ts), d, k), dtype=np.int64)
-        for b, t in enumerate(ts):
-            B[b, np.arange(d)[:, None], orbit[:, ok[t]].T] = theta[t]
-        off = sum(np.count_nonzero(B[:, :, shift[a]]
-                                   != theta[ts, a, None, None] * B % r)
-                  for a in range(n))
-        _check(not off, "entries of v[z C] off theta(z) v[C] in the central "
-               "blocks of dimension %d" % d, 0, off)
+        S = np.stack([orbit[:, ok[t]].T for t in ts])  # the rows' supports
+        B = np.zeros((len(ts), d, k))  # float64, as _mm multiplies
+        B[np.arange(len(ts))[:, None, None], np.arange(d)[:, None], S] = \
+            theta[ts, None]
+        _check_central(B, S, shift, theta[ts], r)
         blocks[d] = (B, np.stack([reps[ok[t]] for t in ts]))
     return blocks
 
 
+def _check_central(B, S, shift, theta, r):
+    """v N_z = theta(z) v on the central blocks B (blocks, d, k) of one
+    dimension, checked on the supports: each row v is zero off its Z-orbit,
+    the classes S[b, o], and v[z_a C] = theta[b, a] v[C] for C on it."""
+    at = np.arange(len(B))[:, None, None], np.arange(B.shape[1])[:, None]
+    v = B[at + (S,)]
+    off = sum(np.count_nonzero(B[at + (shift[a].take(S),)]
+                               != theta[:, a, None, None] * v % r)
+              for a in range(len(shift)))
+    off += abs(np.count_nonzero(B) - S.size + np.count_nonzero(np.diff(
+        np.sort(S), axis=2) == 0))
+    _check(not off, "entries of v[z C] off theta(z) v[C] on the Z-orbits, or "
+           "nonzero off them, in the central blocks of dimension %d"
+           % B.shape[1], 0, off)
+
+
 def _inverses(x, r):
-    """Elementwise inverses mod r of nonzero residues."""
-    return np.array([pow(int(v), -1, r) for v in x], dtype=np.int64)
+    """Elementwise inverses mod r, 0 for 0."""
+    return np.array([pow(v, -1, r) if v else 0 for v in x.tolist()],
+                    dtype=np.int64)
 
 
 def _eigenlines(G, jstar, r):
@@ -438,12 +460,11 @@ def _eigenlines(G, jstar, r):
     identity class; jstar[i] is the class of the inverses of C_i."""
     k = G.class_count
     sizes, cls_of = G._classes()
-    rep_idx = G.rep_idx  # G is a root group: indices are positions
     ic = G.identity_class
     tables = _class_tables(G)
-    # shift[a, i]: the class z C_i for the a-th central element z
+    # shift[a, i]: the class z_a C_i (G is a root group: indices are positions)
     central = np.flatnonzero(sizes == 1)
-    shift = _product_classes(G, tables, rep_idx[central]).T
+    shift = _product_classes(G, tables, G.rep_idx[central]).T
     # the centre on its classes, z_a z_b at the position of shift[a,
     # central[b]] in central
     theta = _fr_characters(TableGroup(np.searchsorted(
@@ -454,22 +475,19 @@ def _eigenlines(G, jstar, r):
     for t, row in enumerate(map(tuple, Lam[:, central].tolist())):
         first.setdefault(row, t)
     Lam = Lam[list(first.values())]
+    table = _twist_table(Lam, r)
     # N_z of a central z is nonzero at (z C_m, C_m) alone
-    _check_twists(Lam[1:], shift, central[:, None], np.arange(k)[None], r,
-                  "the central classes")
+    _check_twists(table, central[:, None], "the central classes", shift,
+                  np.arange(k)[None])
     by_class = np.argsort(cls_of, kind="stable")
     starts = np.concatenate(([0], np.cumsum(sizes)))
     # The class algebra over F_r is split semisimple (r = 1 mod the
-    # exponent, so r does not divide |G|), so each restricted matrix R is
-    # diagonalisable: a block splits under class i exactly when R is not
-    # scalar.  Blocks of one dimension d are stacked: blocks[d] = (B, P), B
-    # of shape (n, d, k) with B[b][:, P[b]] = I, so row j of B[b] N^T in the
-    # span of B[b] is R[b, j] @ B[b] with R[b] = (B[b] N^T)[:, P[b]].  The
-    # split starts from the joint eigenspaces of the central classes, one
-    # per twist orbit, whose matrices are then scalar on every block; once
-    # class i is used, its central translates are covered (module
-    # docstring).
+    # exponent), so each restricted matrix R is diagonalisable: a block
+    # splits under class i exactly when R is not scalar.  blocks[d] = (B,
+    # P), B (n, d, k) with B[b][:, P[b]] = I, so row j of B[b] N^T in the
+    # span of B[b] is R[b, j] @ B[b] with R[b] = (B[b] N^T)[:, P[b]].
     blocks = _central_blocks(shift, theta, Lam[:, central], r)
+    NT = np.empty((k, k))  # N^T of the class in use, one buffer for all
     covered = np.zeros(k, dtype=bool)
     covered[central] = True
     for i in range(k):
@@ -478,19 +496,18 @@ def _eigenlines(G, jstar, r):
         if list(blocks) == [1]:
             break
         t = jstar[i]
-        NT = _class_matrix(G, tables, by_class[starts[t]:starts[t + 1]]).T
-        m, j = divmod(np.flatnonzero(NT), k)
-        _check_twists(Lam[1:], j, t, m, r, "class %d" % i)
+        _class_matrix(G, tables, by_class[starts[t]:starts[t + 1]], NT,
+                      (table, t, "class %d" % i))
         if sizes[t] >= r:  # a count can reach r only in a class that large
             NT %= r
-        NT = NT.astype(np.float64)
         parts = {}
         for d, (B, P) in blocks.items():
             if d == 1:
                 parts.setdefault(1, []).append((B, P))
                 continue
             Bi = _mm(B.reshape(-1, k), NT, r).reshape(B.shape)
-            R = np.take_along_axis(Bi, P[:, None, :], axis=2)
+            at = np.arange(len(B))[:, None]
+            R = Bi[at[:, None], np.arange(d)[:, None], P[:, None]]
             off = np.count_nonzero(_mm(R, B, r) != Bi)
             _check(not off, "entries of B N^T off the span of the blocks of "
                    "dimension %d under class %d" % (d, i), 0, off)
@@ -499,23 +516,27 @@ def _eigenlines(G, jstar, r):
                 axis=(1, 2))
             if scalar.any():
                 parts.setdefault(d, []).append((B[scalar], P[scalar]))
-            for b in np.flatnonzero(~scalar):
-                # (E @ B[b])[:, P[b][Q]] = E[:, Q] = I
-                for E, Q in _eigenspaces(R[b], r):
-                    parts.setdefault(len(Q), []).append(
-                        (_mm(E, B[b], r)[None], P[b][Q][None]))
-        blocks = {d: (np.concatenate([B for B, _ in ps]),
+            split = np.flatnonzero(~scalar)
+            for rows, E, Q, ms in _eigenspaces(R[split], r):
+                b = split[rows]
+                # (E @ B[b])[:, P[b][Q]] = E[:, Q] = I on each eigenspace
+                X, PQ = _mm(E, B[b], r), P[b[:, None], Q]
+                for o, m in zip(np.cumsum([0] + ms), ms):
+                    parts.setdefault(m, []).append((X[:, o:o + m],
+                                                    PQ[:, o:o + m]))
+        blocks = {d: (np.concatenate([B for B, _ in ps], dtype=np.float64),
                       np.concatenate([P for _, P in ps]))
                   for d, ps in parts.items()}
         dims = sum(B.shape[0] * d for d, (B, _) in blocks.items()) * len(Lam)
         _check(dims == k, "eigenspace dimensions after class %d, times %d "
                "twists" % (i, len(Lam)), k, dims)
         covered[shift[:, i]] = True
+    del NT  # k x k, not held while the eigenlines are written
     count = sum(B.shape[0] for B, _ in blocks.values()) * len(Lam)
     _check(list(blocks) == [1] and count == k, "one-dimensional common "
            "eigenspaces, times %d twists" % len(Lam), k, count)
     # the eigenlines of the other blocks of each orbit: v lambda elementwise
-    V = (blocks[1][0][:, 0][None] * Lam[:, None] % r).reshape(k, k)
+    V = (blocks[1][0][:, 0].astype(np.int64) * Lam[:, None] % r).reshape(k, k)
     _check(np.count_nonzero(V[:, ic]) == k, "eigenvectors nonzero at the "
            "identity class", k, np.count_nonzero(V[:, ic]))
     return V * _inverses(V[:, ic], r)[:, None] % r

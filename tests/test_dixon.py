@@ -12,15 +12,165 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from modrep2 import dixon
 from modrep2.dixon import (_charpoly, _class_matrix, _class_tables,
-                           _eigenspaces, _mm, _nullspace, _product_classes,
+                           _eigenspaces, _mm, _product_classes,
                            _read_degrees, _rep_powers, _roots, _rref,
                            character_degrees, dixon_prime)
 from modrep2.groups import aut_group
-from modrep2.rings import TableGroup, is_prime, make_ring, unit_group
+from modrep2.rings import (TableGroup, _check, _poly_divmod, is_prime,
+                           make_ring, unit_group)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+# The split one block at a time, as dixon ran it before its stacked forms:
+# the reference the stacked split is compared against.
+
+def _ref_rref(B, r):
+    """Row-reduce one matrix mod r, column by column: (rows, pivots)."""
+    B = B % r
+    pivots = []
+    row = 0
+    for col in range(B.shape[1]):
+        if row == B.shape[0]:
+            break
+        nz = np.flatnonzero(B[row:, col] % r)
+        if not nz.size:
+            continue
+        sel = row + int(nz[0])
+        if sel != row:
+            B[[row, sel]] = B[[sel, row]]
+        prow = B[row, col:] % r * pow(int(B[row, col] % r), -1, r) % r
+        f = B[:, col] % r
+        f[row] = 0
+        B[:, col:] -= np.outer(f, prow)
+        B[row, col:] = prow
+        pivots.append(col)
+        row += 1
+    B = B[:row]
+    B %= r
+    return B, pivots
+
+
+def _ref_nullspace(A, r):
+    """Kernel of A mod r as rows K, one per free column: (K, free), with
+    K[:, free] the identity."""
+    n = A.shape[1]
+    R, pivots = _ref_rref(A, r)
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    K = np.zeros((free.size, n), dtype=np.int64)
+    K[np.arange(free.size), free] = 1
+    K[:, pivots] = (-R[:, free]).T % r
+    return K, free
+
+
+def _ref_charpoly(A, r):
+    """Characteristic polynomial of one matrix mod r, leading first."""
+    H = A % r
+    n = H.shape[0]
+    for j in range(n - 2):
+        nz = np.flatnonzero(H[j + 1:, j])
+        if not nz.size:
+            continue
+        p = j + 1 + int(nz[0])
+        H[[j + 1, p]] = H[[p, j + 1]]
+        H[:, [j + 1, p]] = H[:, [p, j + 1]]
+        u = H[j + 2:, j] * pow(int(H[j + 1, j]), -1, r) % r
+        H[j + 2:] = (H[j + 2:] - np.outer(u, H[j + 1])) % r
+        H[:, j + 1] = (H[:, j + 1] + H[:, j + 2:] @ u) % r
+    P = np.zeros((n + 1, n + 1), dtype=np.int64)
+    P[0, 0] = 1
+    T = np.zeros(0, dtype=np.int64)
+    for m in range(1, n + 1):
+        c = m - 1
+        if c:
+            T = np.append(T, 1) * H[c, c - 1] % r
+        P[m, 1:] = P[c, :-1]
+        P[m] = (P[m] - H[c, c] * P[c] - (T * H[:c, c] % r) @ P[:c]) % r
+    return P[n, ::-1]
+
+
+def _ref_roots(coeffs, r):
+    """Distinct roots in F_r, ascending, scanned on the squarefree part
+    f / gcd(f, f')."""
+    f = np.asarray(coeffs, dtype=np.int64) % r
+    a, b = f, np.polyder(f) % r
+    while b.size:
+        a, b = b, _poly_divmod(a, b, r)[1]
+    g = _poly_divmod(f, a, r)[0]
+    roots = []
+    for lo in range(0, r, 1 << 16):
+        xs = np.arange(lo, min(lo + (1 << 16), r), dtype=np.int64)
+        acc = np.full(xs.size, g[0], dtype=np.int64)
+        for c in g[1:]:
+            acc = (acc * xs + c) % r
+        roots.extend(xs[acc == 0].tolist())
+        if len(roots) == len(g) - 1:
+            break
+    return roots
+
+
+def _ref_multiplicities(coeffs, roots, r):
+    """Multiplicity of each root, by synthetic division."""
+    p = [int(c) for c in coeffs]
+    mult = []
+    for lam in roots:
+        m = 0
+        while len(p) > 1:
+            q = [p[0]]
+            for c in p[1:]:
+                q.append((q[-1] * lam + c) % r)
+            if q[-1]:
+                break
+            p, m = q[:-1], m + 1
+        mult.append(m)
+    return mult
+
+
+def _ref_eigenspaces(R, r):
+    """Eigenspaces of one diagonalisable, non-scalar R mod r, peeled largest
+    multiplicity first, as pairs (E, P) with E[:, P] the identity."""
+    d = R.shape[0]
+    coeffs = _ref_charpoly(R, r)
+    roots = _ref_roots(coeffs, r)
+    peel = sorted(zip(_ref_multiplicities(coeffs, roots, r), roots),
+                  key=lambda t: -t[0])
+    _check(sum(m for m, _ in peel) == d, "roots of the characteristic "
+           "polynomial in F_r, with multiplicity", d, peel)
+    C, pc, RC = None, np.arange(d), R
+    spaces = []
+    for m, lam in peel[:-1]:
+        M = (RC - lam * np.eye(len(pc), dtype=np.int64)) % r
+        K, free = _ref_nullspace(M.T, r)
+        _check(K.shape[0] == m, "dimension of the eigenspace of %d" % lam,
+               m, K.shape[0])
+        spaces.append((K if C is None else _mm(K, C, r), pc[free]))
+        W, pw = _ref_rref(M, r)
+        C = W if C is None else _mm(W, C, r)
+        pc, RC = pc[pw], _mm(W, RC, r)[:, pw]
+    m, lam = peel[-1]
+    off = np.count_nonzero(RC - lam * np.eye(len(pc), dtype=np.int64))
+    _check(len(pc) == m and not off, "dimension of the last eigenspace",
+           (m, 0), (len(pc), off))
+    spaces.append((C, pc))
+    return spaces
+
+
+def _kernel(A, r):
+    """Kernel of one matrix A mod r, read as _peel reads it: the rows of
+    rref([A^T | I]) pivoting in A^T that are zero there.  (K, free) with
+    K[:, free] the identity."""
+    a = A.shape[0]
+    R, piv, rows = _rref(np.hstack([A.T, np.eye(A.shape[1], dtype=np.int64)]
+                                   )[None], r, a)
+    rank = int((piv < a).sum())
+    return R[0, rank:, a:], rows[0, rank:]
 
 DEGREES = [
     ("padic", 2, (1, 1), {1: 2, 2: 1}),
@@ -177,6 +327,15 @@ def test_degree_readout_raises_under_optimize():
                      " computed 3")
 
 
+def _class_matrix_of(G, tables, members):
+    """The class matrix N of the inverse class members, as integers, under
+    one trivial twist (its certificate holds everywhere)."""
+    k = G.class_count
+    NT = np.empty((k, k), dtype=np.int64)
+    trivial = (np.zeros(k, dtype=np.int8), np.zeros((1, 1), dtype=np.int8))
+    return _class_matrix(G, tables, members, NT, (trivial, 0, "no twist"))
+
+
 def _cls(G, g):
     """The class of the 4-tuple g."""
     return int(G.cls_of[G.locate([g])[0]])
@@ -203,7 +362,7 @@ def test_class_matrices_match_pair_count(q, lam):
                 brute[cx, cy, m] += 1
     tables = _class_tables(G)
     for i, members in enumerate(_inverse_classes(G)):
-        assert np.array_equal(_class_matrix(G, tables, members), brute[i])
+        assert np.array_equal(_class_matrix_of(G, tables, members), brute[i])
 
 
 @pytest.mark.parametrize("backend,q,lam", [
@@ -222,7 +381,7 @@ def test_class_tables_match_kernel_products(backend, q, lam):
         assert np.array_equal(_product_classes(G, tables, members), j.T)
         N = np.bincount((j * k + np.arange(k)).ravel(),
                         minlength=k * k).reshape(k, k)
-        assert np.array_equal(_class_matrix(G, tables, members), N), t
+        assert np.array_equal(_class_matrix_of(G, tables, members), N), t
 
 
 def test_code_table_off_the_group_refused():
@@ -233,7 +392,7 @@ def test_code_table_off_the_group_refused():
     cls = cls.copy()
     cls[T1[3, u1[members[-1]]] + T2[3, u2[members[-1]]]] = -1
     with pytest.raises(ValueError, match="1 products are not group elements"):
-        _class_matrix(G, (T1, T2, u1, u2, cls), members)
+        _class_matrix_of(G, (T1, T2, u1, u2, cls), members)
 
 
 @pytest.mark.parametrize("backend,q,lam", [("padic", 2, (2, 2)),
@@ -244,7 +403,8 @@ def test_central_translate_matrix_is_a_product(backend, q, lam):
     G = aut_group(backend, q, lam)
     reps, sizes = G.class_reps, G.class_sizes
     tables = _class_tables(G)
-    N = [_class_matrix(G, tables, members) for members in _inverse_classes(G)]
+    N = [_class_matrix_of(G, tables, members)
+         for members in _inverse_classes(G)]
     center = np.flatnonzero(sizes == 1)
     assert len(center) > 1
     for c in center:
@@ -257,9 +417,9 @@ def test_central_translates_build_no_matrix(monkeypatch):
     G = aut_group("padic", 2, (4, 4))
     built = []
 
-    def counted(G, tables, members):
+    def counted(G, tables, members, *args):
         built.append(len(members))
-        return _class_matrix(G, tables, members)
+        return _class_matrix(G, tables, members, *args)
 
     monkeypatch.setattr(dixon, "_class_matrix", counted)
     r = dixon_prime(_rep_powers(G)[0], G.order)
@@ -290,7 +450,8 @@ def test_central_blocks_are_joint_eigenspaces(group):
     shift = np.array([[_cls(G, G.mul(reps[c], x)) for x in reps]
                       for c in central])
     tables = _class_tables(G)
-    N = [_class_matrix(G, tables, G.inverse(G.rep_idx[[c]])) for c in central]
+    N = [_class_matrix_of(G, tables, G.inverse(G.rep_idx[[c]]))
+         for c in central]
     r = dixon_prime(_rep_powers(G)[0], G.order)
     theta = _centre_characters(G, shift, central, r)
     # the trivial twist group: every central character leads its own orbit
@@ -369,7 +530,7 @@ def _identity_start_degrees(G, r):
         if i == ic or covered[i] or list(blocks) == [1]:
             continue
         t = jstar[i]
-        NT = _class_matrix(G, tables, by_class[starts[t]:starts[t + 1]]).T
+        NT = _class_matrix_of(G, tables, by_class[starts[t]:starts[t + 1]]).T
         parts = {}
         for d, (B, P) in blocks.items():
             if d == 1:
@@ -382,7 +543,7 @@ def _identity_start_degrees(G, r):
                 if (R[b] == R[b, 0, 0] * np.eye(d, dtype=np.int64)).all():
                     parts.setdefault(d, []).append((B[b:b + 1], P[b:b + 1]))
                     continue
-                for E, Q in _eigenspaces(R[b], r):
+                for E, Q in _ref_eigenspaces(R[b], r):
                     parts.setdefault(len(Q), []).append(
                         (_mm(E, B[b], r)[None], P[b][Q][None]))
         blocks = {d: (np.concatenate([B for B, _ in ps]),
@@ -543,10 +704,20 @@ def _charpoly_cases(p):
 
 
 def test_charpoly_matches_determinant_expansion():
+    # the cases of one size as one stack, so that the pivot swaps of some
+    # matrices run beside the others' steps; and each alone
     p = 31
-    for A in _charpoly_cases(p):
+    cases = _charpoly_cases(p)
+    stacked = {}
+    for n in sorted({A.shape[0] for A in cases}):
+        same = [A for A in cases if A.shape[0] == n]
+        F = _charpoly(np.array(same, dtype=np.int64), p)
+        stacked.update((id(A), f) for A, f in zip(same, F))
+    for A in cases:
         n = A.shape[0]
-        coeffs = [int(c) for c in _charpoly(A.astype(np.int64), p)]
+        coeffs = [int(c) for c in _charpoly(A.astype(np.int64)[None], p)[0]]
+        assert coeffs == stacked[id(A)].tolist()
+        assert coeffs == _ref_charpoly(A.astype(np.int64), p).tolist()
         assert len(coeffs) == n + 1 and coeffs[0] == 1
         for x in range(p):
             value = 0
@@ -569,26 +740,45 @@ def test_abelian_shortcut():
     assert character_degrees(G) == [1] * 6
 
 
+def _rref_one(A, r):
+    """_rref of one matrix: (its reduced nonzero rows, pivot columns)."""
+    A = np.asarray(A, dtype=np.int64)
+    R, piv, _ = _rref(A[None], r, A.shape[1])
+    piv = [c for c in piv[0].tolist() if c < A.shape[1]]
+    return R[0, :len(piv)], piv
+
+
 def test_rref_and_nullspace():
     p = 31
     rng = random.Random(7)
+    by_shape = {}
     for _ in range(40):
         rows, cols = rng.randrange(1, 6), rng.randrange(1, 7)
         A = np.array([[rng.randrange(p) if rng.random() < 0.6 else 0
                        for _ in range(cols)] for _ in range(rows)])
-        R, piv = _rref(A, p)
+        R, piv = _rref_one(A, p)
         assert piv == sorted(set(piv)) and R.shape == (len(piv), cols)
         for s, c in enumerate(piv):
             assert not R[s, :c].any() and R[s, c] == 1
             assert np.count_nonzero(R[:, c]) == 1
+        assert (R.tolist(), piv) == tuple(
+            x.tolist() if hasattr(x, "tolist") else x for x in _ref_rref(A, p))
         # same row space: stacking A on R adds no rank
-        assert len(_rref(np.vstack([A, R]), p)[1]) == len(piv)
-        K, free = _nullspace(A, p)
+        assert len(_rref_one(np.vstack([A, R]), p)[1]) == len(piv)
+        K, free = _kernel(A, p)
         assert K.shape == (cols - len(piv), cols)
-        assert sorted(set(free) | set(piv)) == list(range(cols))
         assert np.array_equal(K[:, free], np.eye(len(free)))
         assert not (A @ K.T % p).any()
-        assert len(_rref(K, p)[1]) == K.shape[0]
+        assert len(_rref_one(K, p)[1]) == K.shape[0]
+        by_shape.setdefault(A.shape, []).append(A)
+    # a stack of matrices of one shape and mixed ranks reduces as each alone
+    for same in by_shape.values():
+        R, piv, _ = _rref(np.array(same), p, same[0].shape[1])
+        for A, Rs, ps in zip(same, R, piv):
+            ref, ref_piv = _ref_rref(A, p)
+            assert [c for c in ps.tolist() if c < A.shape[1]] == ref_piv
+            assert Rs[:len(ref_piv)].tolist() == ref.tolist()
+            assert not Rs[len(ref_piv):].any()
 
 
 # r = 1 mod 8 for 17, 41, 97, 257 and 25057, so Tonelli-Shanks loops
@@ -618,17 +808,32 @@ def test_degree_readout_inverts_squares(p):
                 _read_degrees(np.array([(d + 1) ** 2 % p, 1, 1]), p, order)
 
 
+def _distinct_roots(lam, mult):
+    return sorted(lam[mult > 0].tolist())
+
+
 @pytest.mark.parametrize("p", QUADRATIC_PRIMES)
 def test_quadratic_roots_match_scan(p):
+    # all the quadratics of a prime as one stack, and each alone
     rng = random.Random(p)
+    polys, expect = [], []
     for _ in range(25):
         a, b, u = rng.randrange(p), rng.randrange(p), rng.randrange(1, p)
-        coeffs = [u, -u * (a + b) % p, u * a * b % p]
-        assert _roots(coeffs, p) == sorted({a, b}) == _scan_roots(coeffs, p)
+        polys.append([u, -u * (a + b) % p, u * a * b % p])
+        expect.append(sorted({a, b}))
     # and the ones without roots in F_p
     for n in range(1, min(p, 40)):
-        coeffs = [1, 0, -n % p]
-        assert _roots(coeffs, p) == _scan_roots(coeffs, p)
+        polys.append([1, 0, -n % p])
+        expect.append(_scan_roots(polys[-1], p))
+    lam, mult = _roots(np.array(polys), p)
+    for coeffs, want, lr, mr in zip(polys, expect, lam, mult):
+        one = _roots(np.array([coeffs]), p)
+        assert (one[0][0].tolist(), one[1][0].tolist()) == (lr.tolist(),
+                                                            mr.tolist())
+        assert _distinct_roots(lr, mr) == want == _scan_roots(coeffs, p)
+        assert _distinct_roots(lr, mr) == _ref_roots(coeffs, p)
+        # a double root counts twice; no root, nothing
+        assert mr.sum() == (2 if want else 0)
 
 
 def _largest_admissible_prime(k, exponent):
@@ -658,7 +863,13 @@ def test_roots_with_repeats_match_scan(p, degrees):
         roots = distinct + [rng.choice(distinct) for _ in range(n - len(distinct))]
         coeffs = _poly_from_roots(roots, rng.randrange(1, p), p)
         assert len(coeffs) == n + 1
-        assert _roots(coeffs, p) == sorted(distinct) == _scan_roots(coeffs, p)
+        lam, mult = (x[0] for x in _roots(np.array([coeffs]), p))
+        assert _distinct_roots(lam, mult) == sorted(distinct) == \
+            _scan_roots(coeffs, p)
+        # with multiplicity, largest first, ties by root
+        count = Counter(roots)
+        assert [(int(m), int(x)) for m, x in zip(mult, lam) if m] == sorted(
+            ((m, x) for x, m in count.items()), key=lambda t: (-t[0], t[1]))
 
 
 def _rref_int(rows, p):
@@ -701,11 +912,12 @@ def test_exact_at_the_float64_bound():
         M = [[r - 1 if rng.random() < 0.3 else rng.randrange(r - 50, r)
               for _ in range(cols)] for _ in range(rows)]
         M[-1] = [(x + y) % r for x, y in zip(M[0], M[1])]  # rank deficient
-        R, piv = _rref(np.array(M), r)
+        R, piv = _rref_one(M, r)
         ref, ref_piv = _rref_int(M, r)
         assert (R.tolist(), piv) == (ref, ref_piv)
-        K, free = _nullspace(np.array(M), r)
-        assert list(free) == [c for c in range(cols) if c not in ref_piv]
+        K, free = _kernel(np.array(M), r)
+        assert K.shape == (cols - len(ref_piv), cols)
+        assert np.array_equal(K[:, free], np.eye(len(free), dtype=np.int64))
         assert all(sum(x * y for x, y in zip(row, kr)) % r == 0
                    for row in M for kr in K.tolist())
 
@@ -720,7 +932,7 @@ def test_lazy_rref_exact_over_many_pivots():
               else rng.randrange(r) for _ in range(cols)]
              for _ in range(rows)]
         M[5] = [(2 * x + y) % r for x, y in zip(M[0], M[3])]
-        R, piv = _rref(np.array(M), r)
+        R, piv = _rref_one(M, r)
         assert (R.tolist(), piv) == _rref_int(M, r)
 
 
@@ -753,42 +965,191 @@ def test_prime_above_the_float64_bound_rejected():
     assert proc.returncode == 3, proc.stdout + proc.stderr
 
 
-def _space(rows, p):
-    return _rref(np.array(rows, dtype=np.int64).reshape(-1, 12), p)[0].tolist()
+def _space(rows, p, d=12):
+    return _ref_rref(np.array(rows, dtype=np.int64).reshape(-1, d), p)[
+        0].tolist()
 
 
 def test_peeled_eigenspaces_match_per_eigenvalue_kernels():
     # R = S^-1 D S: row j of S is a left eigenvector for D[j]; one eigenvalue
     # of multiplicity d/2, a tie in multiplicity, and simple ones
+    # the four matrices share one profile, so they peel as one group
     p = 10007
     D = [5] * 6 + [7, 7, 11, 11, 13, 17]
     rng = random.Random(3)
     d = len(D)
+    Rs, Ss, perms = [], [], []
     for _ in range(4):
         while True:
             S = np.array([[rng.randrange(p) for _ in range(d)]
                           for _ in range(d)], dtype=np.int64)
-            rr, piv = _rref(np.hstack([S, np.eye(d, dtype=np.int64)]), p)
+            rr, piv = _ref_rref(np.hstack([S, np.eye(d, dtype=np.int64)]), p)
             if piv[:d] == list(range(d)):
                 break
         Sinv = rr[:, d:]
         assert (S.astype(object).dot(Sinv.astype(object)) % p
                 == np.eye(d, dtype=int)).all()
         perm = rng.sample(range(d), d)
-        R = (Sinv.astype(object).dot(np.diag([D[j] for j in perm]))
-             .dot(S.astype(object)) % p).astype(np.int64)
-        spaces = _eigenspaces(R, p)
-        dims = [len(P) for _, P in spaces]
-        assert dims[0] == 6 and dims == sorted(dims, reverse=True)
-        assert sum(dims) == d
+        Rs.append((Sinv.astype(object).dot(np.diag([D[j] for j in perm]))
+                   .dot(S.astype(object)) % p).astype(np.int64))
+        Ss.append(S)
+        perms.append(perm)
+    (rows, E, Q, dims), = _eigenspaces(np.array(Rs), p)
+    assert rows == [0, 1, 2, 3] and dims == [6, 2, 2, 1, 1]
+    for b, (R, S, perm) in enumerate(zip(Rs, Ss, perms)):
         seen = set()
-        for E, P in spaces:
-            assert np.array_equal(E[:, P], np.eye(len(P), dtype=np.int64))
-            lam = int(E[0].astype(object).dot(R.astype(object))[P[0]] % p)
+        for o, m in zip(np.cumsum([0] + dims), dims):
+            Eb, P = E[b, o:o + m], Q[b, o:o + m]
+            assert np.array_equal(Eb[:, P], np.eye(m, dtype=np.int64))
+            lam = int(Eb[0].astype(object).dot(R.astype(object))[P[0]] % p)
             seen.add(lam)
-            Kref, _ = _nullspace((R.T - lam * np.eye(d, dtype=np.int64)) % p,
-                                 p)
-            assert _space(E, p) == _space(Kref, p)
-            assert _space(E, p) == _space(
+            Kref, _ = _ref_nullspace(
+                (R.T - lam * np.eye(d, dtype=np.int64)) % p, p)
+            assert _space(Eb, p) == _space(Kref, p)
+            assert _space(Eb, p) == _space(
                 [S[i] for i in range(d) if D[perm[i]] == lam], p)
         assert seen == set(D)
+
+
+def _diagonalisable(rng, p, d, values):
+    """S^-1 diag(values) S mod p for a random invertible S."""
+    while True:
+        S = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(d)],
+                     dtype=np.int64)
+        rr, piv = _ref_rref(np.hstack([S, np.eye(d, dtype=np.int64)]), p)
+        if piv[:d] == list(range(d)):
+            break
+    return (rr[:, d:].astype(object).dot(np.diag(values)).dot(
+        S.astype(object)) % p).astype(np.int64)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_stacked_split_matches_per_block_reference(data):
+    # stacks of one or more diagonalisable, non-scalar matrices mod a small
+    # prime, eigenvalues drawn from a few values so that they repeat and
+    # the stack mixes multiplicity profiles
+    p = data.draw(st.sampled_from([5, 7, 11, 13, 31]))
+    d = data.draw(st.integers(2, min(6, p - 1)))
+    n = data.draw(st.integers(1, 5))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    pool = rng.sample(range(p), min(p, 3))
+    Rs = []
+    for _ in range(n):
+        values = [rng.choice(pool) for _ in range(d)]
+        values[0], values[1] = pool[0], pool[1]  # not scalar
+        Rs.append(_diagonalisable(rng, p, d, values))
+    seen, profiles = [], set()
+    for rows, E, Q, dims in _eigenspaces(np.array(Rs), p):
+        assert tuple(dims) not in profiles  # one peel per profile
+        profiles.add(tuple(dims))
+        for g, b in enumerate(rows):
+            seen.append(b)
+            ref = _ref_eigenspaces(Rs[b], p)
+            assert dims == [len(P) for _, P in ref]
+            for (Eref, _), o, m in zip(ref, np.cumsum([0] + dims), dims):
+                Eb, P = E[g, o:o + m], Q[g, o:o + m]
+                assert np.array_equal(Eb[:, P], np.eye(m, dtype=np.int64))
+                assert _space(Eb, p, d) == _space(Eref, p, d)
+    assert sorted(seen) == list(range(n))
+
+
+def test_bad_blocks_raise_under_optimize():
+    # each bad block beside a good one: a Jordan block, whose eigenspace of
+    # the double root 5 is a line; a scalar Jordan block, one root and no
+    # second eigenspace; and a block whose characteristic polynomial
+    # (x^2 - 3)(x - 2) has no root but 2 in F_7 (3 is no square mod 7)
+    code = ("import numpy as np\n"
+            "from modrep2.dixon import _eigenspaces\n"
+            "good = [[1, 0, 0], [0, 2, 0], [0, 0, 3]]\n"
+            "cases = [[good, [[5, 1, 0], [0, 5, 0], [0, 0, 3]]],\n"
+            "         [[[5, 1], [0, 5]], [[1, 0], [0, 2]]],\n"
+            "         [good, [[0, 3, 0], [1, 0, 0], [0, 0, 2]]]]\n"
+            "for stack in cases:\n"
+            "    try:\n"
+            "        list(_eigenspaces(np.array(stack), 7))\n"
+            "    except AssertionError as exc:\n"
+            "        print(exc)\n"
+            "    else:\n"
+            "        raise SystemExit(4)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    jordan, scalar, root = proc.stdout.splitlines()
+    assert jordan == ("dimensions of the eigenspaces of multiplicity 2: "
+                      "expected 2, computed [1]")
+    assert scalar == ("dimension of the last eigenspaces, of multiplicity 2, "
+                      "and entries of their restricted matrices off lam I: "
+                      "expected (2, 0), computed (2, 1)")
+    assert root == ("roots of the characteristic polynomial in F_r, with "
+                    "multiplicity: expected 3, computed [1]")
+
+
+def test_one_peel_per_class_dimension_and_profile(monkeypatch):
+    # padic q=2 (4,4) splits 81 non-scalar blocks; they peel in stacks, at
+    # most one per (class, dimension, multiplicity profile)
+    G = aut_group("padic", 2, (4, 4))
+    events = []
+    peel, class_matrix = dixon._peel, dixon._class_matrix
+
+    def spy_peel(R, lam, dims, r):
+        events.append((R.shape[1], tuple(dims), len(R)))
+        return peel(R, lam, dims, r)
+
+    def spy_class(*args):
+        events.append(None)
+        return class_matrix(*args)
+
+    monkeypatch.setattr(dixon, "_peel", spy_peel)
+    monkeypatch.setattr(dixon, "_class_matrix", spy_class)
+    r = dixon_prime(_rep_powers(G)[0], G.order)
+    assert Counter(character_degrees(G, r_override=r)) == {
+        1: 16, 2: 20, 3: 16, 4: 24, 6: 36, 8: 48, 12: 72, 24: 16}
+    groups, keys = [], set()
+    for event in events:
+        if event is None:
+            keys = set()
+            continue
+        assert event[:2] not in keys, event
+        keys.add(event[:2])
+        groups.append(event)
+    assert sum(n for _, _, n in groups) == 81
+    assert len(groups) < 81 and any(n > 1 for _, _, n in groups)
+
+
+def test_central_block_check_raises_under_optimize():
+    # one wrong entry in one central block: a value on a row's Z-orbit, and
+    # a nonzero off every orbit of the row
+    code = ("import numpy as np\n"
+            "from modrep2 import dixon\n"
+            "from modrep2.groups import aut_group\n"
+            "orig = dixon._check_central\n"
+            "def on_orbit(B, S, shift, theta, r):\n"
+            "    B = B.copy()\n"
+            "    B[-1, -1, S[-1, -1, -1]] += 1\n"
+            "    return orig(B, S, shift, theta, r)\n"
+            "def off_orbit(B, S, shift, theta, r):\n"
+            "    B = B.copy()\n"
+            "    off = np.setdiff1d(np.arange(B.shape[2]), S[0, 0])\n"
+            "    B[0, 0, off[0]] = 1\n"
+            "    return orig(B, S, shift, theta, r)\n"
+            "for bad in (on_orbit, off_orbit):\n"
+            "    dixon._check_central = bad\n"
+            "    try:\n"
+            "        dixon.character_degrees(aut_group('padic', 3, (2, 1)))\n"
+            "    except AssertionError as exc:\n"
+            "        print(exc)\n"
+            "    else:\n"
+            "        raise SystemExit(4)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    head = ("entries of v[z C] off theta(z) v[C] on the Z-orbits, or nonzero "
+            "off them, in the central blocks of dimension ")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert line.startswith(head) and ": expected 0, computed " in line
+        assert int(line.split()[-1]) > 0
