@@ -115,8 +115,8 @@ def _product_classes(G, tables, members, rows=slice(None)):
     the group rather than wrap around."""
     T1, T2, u1, u2, cls = tables
     # np.take: several times faster than fancy indexing on these gathers
-    code = T1[rows].take(u1[members], axis=1)
-    code += T2[rows].take(u2[members], axis=1)
+    code = np.add(T1[rows].take(u1[members], axis=1),
+                  T2[rows].take(u2[members], axis=1), dtype=np.intp)
     j = cls.take(code)
     if j.min() < 0:
         raise ValueError("%s: %d products are not group elements"
@@ -169,15 +169,14 @@ def _rref(B, r, w):
     return B[at[:, None], rows], pc[at[:, None], rows], rows
 
 
-def _mm(A, B, r):
-    """A @ B mod r, of matrices or stacks, by float64 BLAS: exact while every
-    dot product stays below 2^53, as character_degrees guarantees; under
-    4096 multiply-adds in int64, as fast, so small groups skip BLAS (.4 MB)."""
+def _mm(A, B, r=None):
+    """A @ B (mod r if given, as int64), of matrices or stacks, by float64
+    BLAS: exact while every dot product stays below 2^53, as
+    character_degrees guarantees; under 4096 multiply-adds in int64, as
+    fast, so small groups skip BLAS (.4 MB)."""
     dtype = np.float64 if A.size * B.shape[-1] >= 4096 else np.int64
-    P = (np.asarray(A, dtype=dtype) @ np.asarray(B, dtype=dtype)).astype(
-        np.int64, copy=False)
-    P %= r
-    return P
+    P = np.asarray(A, dtype=dtype) @ np.asarray(B, dtype=dtype)
+    return P if r is None else P.astype(np.int64, copy=False) % r
 
 
 def _charpoly(A, r):
@@ -505,10 +504,11 @@ def _eigenlines(G, jstar, r):
             if d == 1:
                 parts.setdefault(1, []).append((B, P))
                 continue
-            Bi = _mm(B.reshape(-1, k), NT, r).reshape(B.shape)
+            Bi = _mm(B.reshape(-1, k), NT).reshape(B.shape)  # not reduced
             at = np.arange(len(B))[:, None]
-            R = Bi[at[:, None], np.arange(d)[:, None], P[:, None]]
-            off = np.count_nonzero(_mm(R, B, r) != Bi)
+            R = Bi[at[:, None], np.arange(d)[:, None], P[:, None]].astype(
+                np.int64) % r
+            off = np.count_nonzero((_mm(R, B) - Bi).astype(np.int64) % r)
             _check(not off, "entries of B N^T off the span of the blocks of "
                    "dimension %d under class %d" % (d, i), 0, off)
             del Bi  # k x k on the first split, which sets the peak memory
