@@ -1,18 +1,20 @@
 """Explicit construction of the full irreducible character sets: the depth-one
 tower, deep cuspidal characters, geometric and infinitesimal induction, and
-the recursive assembly with its closed-form degree counts."""
+the recursive assembly with its closed-form degree counts.  Every value of
+one job is a residue mod one prime r (classfun, job_prime)."""
 
+import math
 from collections import Counter
 
 import numpy as np
 
-from .classfun import (ClassFunction, close, dedupe, geo_ind, ind, induce,
-                       inflate, integers, is_cuspidal, linear_characters,
-                       member_sums, row_order, spectrum_kinds, stack, twist)
-from .dixon import character_degrees
+from .classfun import (ClassFunction, dedupe, geo_ind, ind, induce, inflate,
+                       is_cuspidal, linear_characters, member_sums, row_order,
+                       spectrum_kinds, stack, twist)
+from .dixon import character_degrees, dixon_prime
 from .groups import Subgroup, aut_group
 from .orbits import CongruenceDual, cuspidal_parameters, eta_dual, inner_types
-from .rings import (_check, at_one_plus, character_group, roots_of_unity,
+from .rings import (_check, at_one_plus, character_group, fr_roots, is_prime,
                     same_root, twisting_characters, unit_characters)
 
 
@@ -43,25 +45,19 @@ class IrrFamily:
 
 def _checked_members(label, members):
     """(members, sorted distinct degrees), the members in the order of
-    row_order, all checked on their stacked values: norms integers (equal
-    to 1), degrees integers, distinct fingerprints (equal rows sort next to
-    each other).  Members from dedupe come in that order with their repeat
-    flags, and are not keyed again."""
+    row_order, all checked on their stacked values: degrees read, norms
+    read and equal to 1, distinct fingerprints (equal rows sort next to
+    each other)."""
     if not len(members):
         return members, []
-    G, V = members.group, members.vals
-    n = integers(members.norms(), "%s: norms" % label)
+    n = members.mult()
     _check((n == 1).all(), "%s: norms other than 1" % label, [],
            n[n != 1].tolist())
-    degs = sorted(set(integers(V[:, G.identity_class],
-                               "%s: degrees" % label).tolist()))
-    repeat = members.repeat
-    if repeat is None:
-        order, repeat = row_order(members)
-        members = members[order]
-    _check(not repeat.any(), "%s: distinct fingerprints" % label, len(V),
-           len(V) - int(repeat.sum()))
-    return members, degs
+    degs = sorted(set(members.degrees.tolist()))
+    order, repeat = row_order(members)
+    _check(not repeat.any(), "%s: distinct fingerprints" % label,
+           len(members), len(members) - int(repeat.sum()))
+    return members[order], degs
 
 
 def green_gl2(q):
@@ -109,11 +105,11 @@ def cuspidal_rect_count(l, q):
             q ** (l - 1) * (q - 1))
 
 
-def build_rank1(backend, q, level):
-    """All linear characters of the rank-one automorphism group."""
+def build_rank1(backend, q, level, r):
+    """All linear characters of the rank-one automorphism group, mod r."""
     A = aut_group(backend, q, (level, 0))
     E, L = character_group(A)
-    out = ClassFunction(A, roots_of_unity(E)[L])
+    out = ClassFunction(A, fr_roots(E, r)[L], r)
     n = q ** (level - 1) * (q - 1)
     _check(len(out) == n, "rank-one linear characters", n, len(out))
     return out
@@ -126,8 +122,8 @@ def _nontrivial_on(H, L, cos, S):
     return L[:, cos[H.positions(S.idx)]].any(axis=1)
 
 
-def build_l1(G):
-    """Complete labeled irreducible families of a depth-one group."""
+def build_l1(G, r):
+    """Complete labeled irreducible families of a depth-one group, mod r."""
     q, l1 = G.q, G.l1
     _check(G.l2 == 1 and l1 >= 2, "build_l1: module type", "(l1 >= 2, 1)",
            G.lam)
@@ -135,7 +131,7 @@ def build_l1(G):
     # one-dimensionals factor through the reduced diagonal pair
     A, _ = G.hom("diag_red", [])
     E, L = character_group(A)
-    one = dedupe(inflate(G, ClassFunction(A, roots_of_unity(E)[L]),
+    one = dedupe(inflate(G, ClassFunction(A, fr_roots(E, r)[L], r),
                          "diag_red"))
     one_dim = IrrFamily("one_dim", one)
     n = q ** (l1 - 2) * (q - 1) ** 2
@@ -150,8 +146,8 @@ def build_l1(G):
     # nontrivial on the central depth-one slice
     B = G.subgroup("parabolic_upper")
     E, L, cos = linear_characters(B)
-    heis = dedupe(induce(B, roots_of_unity(E)[
-        L[_nontrivial_on(B, L, cos, Z)][:, cos]]))
+    heis = dedupe(induce(B, fr_roots(E, r)[
+        L[_nontrivial_on(B, L, cos, Z)][:, cos]], r))
     heis_q = IrrFamily("heis_q", heis)
     n = q ** (l1 - 2) * (q - 1) ** 3
     _check(heis_q.count == n, "heis_q: count", n, heis_q.count)
@@ -167,13 +163,15 @@ def build_l1(G):
     _check(DH.order == n, "DH: order", n, DH.order)
     E, L, cos = linear_characters(DH)
     keep = ~_nontrivial_on(DH, L, cos, Z) & _nontrivial_on(DH, L, cos, H)
-    dh = dedupe(induce(DH, roots_of_unity(E)[L[keep][:, cos]]))
+    dh = dedupe(induce(DH, fr_roots(E, r)[L[keep][:, cos]], r))
     n = q ** (l1 - 2) * (q * q - 1)
     _check(len(dh) == n, "dh: count", n, len(dh))
     degs = sorted(set(dh.degrees.tolist()))
     _check(degs == [q - 1], "dh: degrees", [q - 1], degs)
 
-    has_p, has_m = (~close(member_sums(U, dh) / U.order, 0) for U in
+    # sums over U: |U| times a multiplicity below r, 0 mod r exactly when
+    # the multiplicity is 0
+    has_p, has_m = (member_sums(U, dh) != 0 for U in
                     (G.subgroup("unipotent_upper"),
                      G.subgroup("unipotent_lower")))
     both = int((has_p & has_m).sum())
@@ -206,9 +204,9 @@ def eta_extensions(N, D, theta):
     return E, L[same_root(E, at_k, M, e[D.codes([theta])]).all(axis=1)], cos
 
 
-def build_cuspidal_nonrect(G):
+def build_cuspidal_nonrect(G, r):
     """The cuspidal family for l1 > l2 >= 2: extend each anisotropic kernel
-    character to its stabilizer and induce."""
+    character to its stabilizer and induce, mod r."""
     q, l1, l2 = G.q, G.l1, G.l2
     _check(l1 > l2 >= 2, "build_cuspidal_nonrect: module type",
            "l1 > l2 >= 2", G.lam)
@@ -222,7 +220,7 @@ def build_cuspidal_nonrect(G):
         inter = len(np.intersect1d(A.idx, D.K.idx, assume_unique=True))
         _check(len(exts) == A.order // inter, "cuspidal (%d, %d): extensions"
                " of eta" % (u_hat, w_hat), A.order // inter, len(exts))
-        parts.append(induce(N, roots_of_unity(E)[exts[:, cos]]))
+        parts.append(induce(N, fr_roots(E, r)[exts[:, cos]], r))
     fam = IrrFamily("cuspidal_nonrect", dedupe(stack(parts)))
     n, deg = q ** (l1 + l2 - 3) * (q - 1) ** 2, q ** (l2 - 1) * (q - 1)
     _check(fam.count == n, "cuspidal_nonrect: count", n, fam.count)
@@ -243,15 +241,15 @@ def inducing_pairs(R1, R2):
     return ~same_root(E1, p1[:, None], E2, p2[None]).all(axis=2).ravel()
 
 
-def build_geometric(G):
+def build_geometric(G, r):
     """Geometric families: (irreducible parabolic inductions, stable range
-    inductions of the one-sided depth-one characters)."""
+    inductions of the one-sided depth-one characters), mod r."""
     q, l1, l2 = G.q, G.l1, G.l2
     _check(l2 >= 2, "build_geometric: level l2", ">= 2", l2)
 
     (E1, L1), (E2, L2) = unit_characters(G.R1), unit_characters(G.R2)
     i, j = np.divmod(np.flatnonzero(inducing_pairs(G.R1, G.R2)), len(L2))
-    raw = geo_ind(G, (E1, L1[i]), (E2, L2[j]))
+    raw = geo_ind(G, (E1, L1[i]), (E2, L2[j]), r)
     if l1 > l2:
         n = q ** (l1 + l2 - 3) * (q - 1) ** 3
         _check(len(raw) == n, "geo_irred: raw inductions", n, len(raw))
@@ -269,7 +267,7 @@ def build_geometric(G):
         _check(geo_irred.degree == deg, "geo_irred: degree", deg,
                geo_irred.degree)
 
-    floor = assemble(G.backend, q, (l1, 1))
+    floor = assemble(G.backend, q, (l1, 1), r)
     raw = stack([ind(G, floor.family("orbitB+").members, "embed", 1),
                  ind(G, floor.family("orbitB-").members, "quot", 1)])
     if l1 == l2:
@@ -288,22 +286,22 @@ def build_geometric(G):
     return geo_irred, geo_split
 
 
-def cuspidal_members(backend, q, lam):
-    """The cuspidal characters of the group of the given type (depth one
-    uses the anisotropic depth-one family)."""
+def cuspidal_members(backend, q, lam, r):
+    """The cuspidal characters of the group of the given type mod r (depth
+    one uses the anisotropic depth-one family)."""
     label = "orbitC" if lam[1] == 1 else "cuspidal_nonrect"
-    return assemble(backend, q, lam).family(label).members
+    return assemble(backend, q, lam, r).family(label).members
 
 
-def build_infinitesimal(G):
+def build_infinitesimal(G, r):
     """Stable range inductions of the cuspidal characters of every inner
-    type, through both the embedding and the quotient maps."""
+    type, through both the embedding and the quotient maps, mod r."""
     q, l1, l2 = G.q, G.l1, G.l2
     _check(l2 >= 2, "build_infinitesimal: level l2", ">= 2", l2)
     if l1 > l2:
         emb, quo = [], []
         for _, m in inner_types(G.lam):
-            sigma = cuspidal_members(G.backend, q, (l1, m))
+            sigma = cuspidal_members(G.backend, q, (l1, m), r)
             emb.append(ind(G, sigma, "embed", m))
             quo.append(ind(G, sigma, "quot", m))
         # IrrFamily refuses repeated rows within each
@@ -322,9 +320,9 @@ def build_infinitesimal(G):
         tws = twisting_characters(G.R2)
         raw = []
         for _, m in inner_types(G.lam):
-            sigma = cuspidal_members(G.backend, q, (l1, m))
+            sigma = cuspidal_members(G.backend, q, (l1, m), r)
             a = ind(G, sigma, "embed", m)
-            off = int((~close(a.vals, ind(G, sigma, "quot", m).vals))
+            off = int((a.vals != ind(G, sigma, "quot", m).vals)
                       .any(axis=1).sum())
             _check(not off, "inf (%d, %d): members whose embed and quot "
                    "inductions differ" % (l1, m), 0, off)
@@ -385,24 +383,20 @@ _ASSEMBLED = {}
 
 
 def _check_orthonormal(asm):
-    """Gram matrix of all members against the identity: every entry must
-    be close to the identity's.  The members are cut into blocks of at most
-    256 rows of one family stack; for blocks i <= j, B_j (B_i w)^H is the conjugate
-    transpose of the Gram block (i, j), and the Hermitian Gram matrix holds
-    its mirror image at (j, i), so entries off the identity count once on
-    the diagonal blocks and twice off them: no k x k array and no joined
-    copy of the members."""
-    w = asm.G.class_sizes / asm.G.order
-    blocks = [f.vals[r:r + 256] for f in asm.stacks()
-              for r in range(0, len(f), 256)]
+    """Gram matrix of all members against the identity, on integers: the
+    members' degrees are read (IrrFamily), so each entry, at most the
+    product of two degrees, is below r, and a residue equal to the
+    identity's entry is that integer.  The members are cut into blocks of
+    at most 256 rows of one family stack; the Gram matrix is symmetric (the
+    pairing with inverse classes), so blocks i < j stand for their mirror
+    image too, entries off the identity counting twice: no k x k array and
+    no joined copy of the members."""
+    blocks = [f[s:s + 256] for f in asm.stacks() for s in range(0, len(f), 256)]
     off = 0
     for i, B in enumerate(blocks):
-        Bt = (B * w).conj().T
-        g = B @ Bt
-        g[np.diag_indices(len(B))] -= 1
-        off += int((~close(g, 0)).sum())
+        off += int(np.count_nonzero(B.inner(B) != np.eye(len(B))))
         for C in blocks[i + 1:]:
-            off += 2 * int((~close(C @ Bt, 0)).sum())
+            off += 2 * int(np.count_nonzero(C.inner(B)))
     _check(not off, "Gram matrix entries off the identity", 0, off)
     asm.checks["orthonormal"] = True
 
@@ -434,14 +428,45 @@ def _check_totals(asm):
     asm.checks["class_count"] = True
 
 
-def assemble(backend, q, lam):
-    """Build, verify and cache the complete irreducible data for one type."""
+def assembled_types(lam):
+    """The types assemble(lam) assembles, lam among them."""
+    l1, l2 = lam
+    subs = [(l1 - 1, l2 - 1)] + [(l1, m) for m in range(1, l2)]
+    return {tuple(lam)}.union(*map(assembled_types, subs * (l2 >= 2)))
+
+
+def check_prime(r, D, k):
+    """r, refused unless a prime above D^2 (degrees up to D and products of
+    two read exactly) with (k+1) r^2 < 2^53 (exact float64 products)."""
+    _check(is_prime(r) and r > D * D and (k + 1) * r * r < 2 ** 53,
+           "the prime of the class functions: a prime above D^2 = %d with "
+           "(k+1) r^2 below 2^53 for k = %d" % (D * D, k), "such a prime", r)
+    return r
+
+
+def job_prime(backends, q, lam):
+    """The prime of a job assembling lam on the backends: the least r = 1
+    mod the exponents of the groups of assembled_types(lam), r > D^2 for D
+    the largest degree of their members, the degrees assemble reads."""
+    types = assembled_types(lam)
+    groups = [aut_group(b, q, t) for b in backends for t in types]
+    D = max(max(zeta_closed_form(q, t)) for t in types)
+    r = dixon_prime(math.lcm(*(G.powers[0] for G in groups)), D * D)
+    return check_prime(r, D, max(G.class_count for G in groups))
+
+
+def assemble(backend, q, lam, r=None):
+    """Build, verify and cache the complete irreducible data for one type,
+    mod r (by default job_prime); a given r is refused by check_prime before
+    any value is built, and by fr_roots if F_r lacks a root of unity."""
     lam = tuple(lam)
-    key = (backend, q, lam)
+    r = r or job_prime([backend], q, lam)
+    key = (backend, q, lam, r)
     if key in _ASSEMBLED:
         return _ASSEMBLED[key]
     l1, l2 = lam
     G = aut_group(backend, q, lam)
+    check_prime(r, max(zeta_closed_form(q, lam)), G.class_count)
 
     if lam == (1, 1):
         zeta = dict(Counter(character_degrees(G)))
@@ -453,25 +478,25 @@ def assemble(backend, q, lam):
         asm.checks["dixon_matches_green"] = True
     else:
         if l2 == 0:
-            fams = [IrrFamily("one_dim", build_rank1(backend, q, l1))]
+            fams = [IrrFamily("one_dim", build_rank1(backend, q, l1, r))]
         elif l2 == 1:
-            fams = build_l1(G)
+            fams = build_l1(G, r)
         elif l1 > l2:
-            sub = assemble(backend, q, (l1 - 1, l2 - 1))
+            sub = assemble(backend, q, (l1 - 1, l2 - 1), r)
             # q * |sub| twists, all distinct: IrrFamily refuses repeats
             fams = [IrrFamily("pullback_twist", twist(
                 inflate(G, sub.members, "floor"), twisting_characters(G.R2))),
-                    build_cuspidal_nonrect(G)]
-            fams.extend(build_infinitesimal(G))
-            fams.extend(build_geometric(G)[::-1])
+                    build_cuspidal_nonrect(G, r)]
+            fams.extend(build_infinitesimal(G, r))
+            fams.extend(build_geometric(G, r)[::-1])
         else:
-            sub = assemble(backend, q, (l1 - 1, l2 - 1))
+            sub = assemble(backend, q, (l1 - 1, l2 - 1), r)
             pull_zeta = {d: q * n for d, n in sub.zeta.items()}
             fams = [IrrFamily("pullback_twist",
                               count=sum(pull_zeta.values()),
                               provenance={"zeta": pull_zeta})]
-            fams.extend(build_infinitesimal(G))
-            fams.extend(build_geometric(G)[::-1])
+            fams.extend(build_infinitesimal(G, r))
+            fams.extend(build_geometric(G, r)[::-1])
             cn, cd = cuspidal_rect_count(l1, q)
             fams.append(IrrFamily("cuspidal_rect_count", count=cn,
                                   degree=cd))

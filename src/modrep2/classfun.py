@@ -12,20 +12,23 @@ kept on the group it belongs to (_once): along each side, ind and res are
 linear maps stored as (source class, target class, count) triples from one
 pass over the parabolic's members (_Pairs); inflate keeps the classes of the
 representatives' images, twist the det codes of the representatives, and
-the cuspidality check each subgroup's class counts.  A family's member order
-(row_order) is one stable sort of order-preserving byte keys of its rounded
-rows.  Wide temporaries are taken in row blocks of about _ENTRIES
-entries.
+the cuspidality check each subgroup's class counts.  Wide temporaries are
+taken in row blocks of about _ENTRIES entries.
 
-Values are compared by one rule, |a - b| <= TOL with no relative term
-(close); degrees, norms, inner products and multiplicities must each be
-that close to an integer (integers), which NaN and inf never are.  Rounded
-keys only find equal rows among many."""
+Values are int64 residues mod one prime r = 1 mod the exponents of the job
+(rings.fr_roots), Z[zeta_N] modulo a prime above r, r prime to |G|:
+distinct irreducible characters stay distinct, conjugation is the value at
+the inverse class (FiniteGroup.powers), division an inverse mod r, a row's
+key its bytes.  Integers are read (_read) in ranges characters obey:
+degrees in [0, isqrt(r - 1)], inner products of rows of degrees d, d' in
+[0, d d'], multiplicities in restrictions in [0, d]."""
+
+import math
 
 import numpy as np
 
 from .orbits import CongruenceDual, inner_types
-from .rings import (TOL, _check, character_group, roots_of_unity,
+from .rings import (_check, _inverses, _mm, character_group, fr_roots,
                     twisting_characters, unit_characters)
 
 _ENTRIES = 1 << 16  # entries per row block of a wide temporary
@@ -40,47 +43,39 @@ def _blocks(n, width):
 
 def _once(G, key, build):
     """build(), kept on G under key: a map that does not depend on the
-    rows it is applied to."""
+    rows it is applied to (keyed by the prime where it holds values)."""
     maps = vars(G).setdefault("_classfun_maps", {})
     if key not in maps:
         maps[key] = build()
     return maps[key]
 
 
-def close(a, b):
-    """Entrywise |a - b| <= TOL: the one tolerance rule for values."""
-    return np.abs(a - b) <= TOL
+def _read(v, hi, what, r):
+    """The residues v as the integers in [0, hi] they stand for (hi < r,
+    broadcast against v), or a _check failure naming the first ten off."""
+    off = (v < 0) | (v > hi)
+    _check(not off.any(), "%s, integers mod %d within their bounds" % (what, r),
+           np.broadcast_to(hi, v.shape)[off][:10].tolist(), v[off][:10].tolist())
+    return v
 
 
-def integers(v, what):
-    """The real or complex values v as int64, each close to an integer; else
-    a _check failure naming what and the first ten entries that are off."""
-    n = np.round(v.real)
-    ok = close(v, n)
-    _check(ok.all(), "%s, integers within %g" % (what, TOL), "integers",
-           v[~ok][:10].tolist())
-    return n.astype(np.int64)
-
-
-def _rounded(V):
-    """V rounded to 6 decimals into a new C-ordered array, -0.0 read as
-    0.0."""
-    R = np.round(V, 6, out=np.empty(V.shape, V.dtype))
-    R += 0.0
-    return R
+def _over_sizes(G, index, r):
+    """index / |C| mod r for the classes C of G, the scale of an induction
+    of that index; the inverses are kept per (G, r)."""
+    return index % r * _once(G, ("1 / |C|", r), lambda: _inverses(
+        G.class_sizes, r)) % r
 
 
 class ClassFunction:
-    """A stack of class functions of one group: vals is an (n, k) complex
-    array, one row per function, one column per class.  repeat is None, or
-    (on dedupe's output, whose rows are then in row_order's order) whether
-    each row's key equals the one before it."""
+    """A stack of class functions of one group: vals is an (n, k) int64
+    array of residues mod the prime r, one row per function, one column per
+    class."""
 
-    __slots__ = ("group", "vals", "repeat")
+    __slots__ = ("group", "vals", "r")
 
-    def __init__(self, group, vals):
-        self.group, self.repeat = group, None
-        vals = np.asarray(vals, dtype=np.complex128)
+    def __init__(self, group, vals, r):
+        self.group, self.r = group, r
+        vals = np.asarray(vals, dtype=np.int64)
         self.vals = vals.reshape(1, -1) if vals.ndim == 1 else vals
         _check(self.vals.ndim == 2
                and self.vals.shape[1] == group.class_count, "class function "
@@ -92,114 +87,79 @@ class ClassFunction:
 
     def __getitem__(self, rows):
         """The stack of the selected rows (a view for an int or a slice)."""
-        return ClassFunction(self.group, self.vals[rows])
+        return ClassFunction(self.group, self.vals[rows], self.r)
 
     @property
     def degrees(self):
-        """The values at the identity, which must be integers."""
-        return integers(self.vals[:, self.group.identity_class], "degrees")
+        """The values at the identity read in [0, isqrt(r - 1)]."""
+        return _read(self.vals[:, self.group.identity_class],
+                     math.isqrt(self.r - 1), "degrees", self.r)
 
     def norms(self):
-        """<f, f> of each row, the Gram diagonal without the matrix."""
-        G, V = self.group, self.vals
-        w = G.class_sizes / G.order
-        return (np.einsum("ij,ij,j->i", V.real, V.real, w)
-                + np.einsum("ij,ij,j->i", V.imag, V.imag, w))
-
-    def inner(self, other):
-        """Hermitian inner products with class-size weights, (n, m)."""
-        _check(other.group is self.group, "inner: both on one group",
-               self.group.name, other.group.name)
-        G = self.group
-        return (self.vals * G.class_sizes) @ other.vals.conj().T / G.order
-
-    def mult(self, other=None):
-        """Inner products that must be non-negative integers: the (n, m)
-        matrix against other, or the norms of the rows if other is None."""
-        v = self.norms() if other is None else self.inner(other)
-        n = integers(v, "mult: inner products")
-        _check((n >= 0).all(), "mult: negative inner products", [],
-               n[n < 0].tolist())
-        return n
-
-    def fingerprint(self):
-        """Per row, the bytes of its row_order key: equal exactly when the
-        rows are equal after rounding to 6 decimals.  Keyed in row blocks,
-        so no key array of the whole stack is held."""
-        n, k = self.vals.shape
-        out = []
-        for rows in _blocks(n, 2 * k):
-            key = _row_keys(self[rows])
-            out.extend(key.view("V%d" % (16 * k)).ravel().tolist())
+        """<f, f> of each row mod r, the Gram diagonal without the matrix."""
+        G, V, r = self.group, self.vals, self.r
+        w = G.class_sizes % r * pow(G.order, -1, r) % r  # |C| / |G|
+        out = np.empty(len(V), dtype=np.int64)
+        for rows in _blocks(len(V), V.shape[1]):
+            out[rows] = _mm(V[rows] * V[rows][:, G.powers[1]] % r, w, r)
         return out
 
+    def inner(self, other):
+        """<f, g> = sum_C |C| f(C) g(C^-1) / |G| mod r, (n, m): the pairing
+        with the inverse classes, on characters the Hermitian one."""
+        G, r = self.group, self.r
+        _check(other.group is G and other.r == r, "inner: both on one group, "
+               "mod one prime", (G.name, r), (other.group.name, other.r))
+        w = G.class_sizes % r * pow(G.order, -1, r) % r
+        return _mm(self.vals * w % r, other.vals[:, G.powers[1]].T, r)
 
-_SIGN = np.uint64(1 << 63)
+    def mult(self, other=None):
+        """Inner products read in [0, d d'] for the degrees d, d' of the two
+        rows, as on characters: the (n, m) matrix against other, or the
+        norms of the rows if other is None."""
+        d = self.degrees
+        if other is None:
+            return _read(self.norms(), d * d, "mult: inner products", self.r)
+        return _read(self.inner(other), np.outer(d, other.degrees),
+                     "mult: inner products", self.r)
+
+    def fingerprint(self):
+        """Per row, its bytes: equal exactly when the rows are."""
+        return _keys(self).tolist()
+
+
+def _keys(funcs):
+    """One void item per row, the row's bytes."""
+    V = np.ascontiguousarray(funcs.vals)
+    return V.view("V%d" % (8 * V.shape[1])).ravel()
 
 
 def row_order(funcs):
-    """(order, repeat): the stable order of the rows rounded to 6 decimals
-    (the fingerprints' numbers) read as (re, im) pairs, first entry most
-    significant, as np.lexsort would give on the columns, and whether each
-    row in that order equals the one before it.  Each row's key is its rounded
-    doubles as big-endian unsigned integers, every bit of the negatives
-    flipped and the sign bit of the others set, so that comparing keys
-    bytewise compares the rows; keys are built in row blocks, and one
-    stable argsort sorts them as one void field per row."""
-    key, order = _keyed_order(funcs)
-    return order, _repeats(key, order)
-
-
-def _row_keys(funcs):
-    """row_order's keys, one row of big-endian uint64 per row of funcs: a
-    bijection of the rounded doubles, -0.0 read as 0.0."""
-    n, k = funcs.vals.shape
-    key = np.empty((n, 2 * k), dtype=">u8")
-    for rows in _blocks(n, 2 * k):
-        bits = _rounded(funcs.vals[rows]).view(np.uint64)
-        bits ^= -(bits >> 63) | _SIGN
-        key[rows] = bits
-    return key
-
-
-def _keyed_order(funcs):
-    """(key, order): _row_keys and their stable order."""
-    key = _row_keys(funcs)
-    return key, np.argsort(key.view("V%d" % (8 * key.shape[1])).ravel(),
-                           kind="stable")
-
-
-def _repeats(key, order):
-    """Whether each key in the given order equals the one before it."""
-    w = key.shape[1]
-    repeat = np.zeros(len(order), dtype=bool)
-    for rows in _blocks(len(order) - 1, w):
-        repeat[1:][rows] = (key[order[1:][rows]]
-                            == key[order[:-1][rows]]).all(axis=1)
-    return repeat
+    """(order, repeat): the stable order of the rows by their bytes (one
+    stable argsort of the keys, which compares them bytewise; any total
+    order serves, as equal rows sort next to each other), and whether each
+    row in that order equals the one before it."""
+    order = np.argsort(_keys(funcs), kind="stable")
+    key = _keys(funcs[order])
+    return order, np.r_[False, key[1:] == key[:-1]]
 
 
 def stack(parts):
     """One stack of the rows of the given stacks, in order; all must be on
-    one group."""
-    G = parts[0].group
-    _check(all(p.group is G for p in parts), "stack: parts on one group",
-           G.name, sorted({p.group.name for p in parts}))
-    return ClassFunction(G, np.concatenate([p.vals for p in parts]))
+    one group, mod one prime."""
+    G, r = parts[0].group, parts[0].r
+    _check(all(p.group is G and p.r == r for p in parts), "stack: parts on "
+           "one group, mod one prime", (G.name, r),
+           sorted({(p.group.name, p.r) for p in parts}))
+    return ClassFunction(G, np.concatenate([p.vals for p in parts]), r)
 
 
 def dedupe(funcs):
-    """Drop rows equal to an earlier one after rounding (equal
-    fingerprints), keeping first occurrences, and hand the rest over in
-    row_order's order: the rows equal to the one before them in its stable
-    order are the repeats.  The result's repeat reads the same keys again
-    over the kept rows (all False), for IrrFamily's distinct-fingerprint
-    check, so a family is keyed once."""
-    key, order = _keyed_order(funcs)
-    keep = order[~_repeats(key, order)]
-    out = funcs[keep]
-    out.repeat = _repeats(key, keep)
-    return out
+    """Drop rows equal to an earlier one (equal fingerprints), keeping first
+    occurrences, and hand the rest over in row_order's order: the rows
+    equal to the one before them in its stable order are the repeats."""
+    order, repeat = row_order(funcs)
+    return funcs[order[~repeat]]
 
 
 def linear_characters(H):
@@ -211,26 +171,25 @@ def linear_characters(H):
     return character_group(Q) + (Q.coset_of,)
 
 
-def induce(P, vals):
+def induce(P, vals, r):
     """Induction to P's root group G of the class functions of P with the
-    rows of vals (n, |P|) as values at P's members (by position): one
-    bincount over the flattened (row, root class) indices, so each sum runs
-    in member order, scaled by |G| / (|P| |C|); no class data of P is
-    read."""
+    rows of vals (n, |P|) as residues mod r at P's members (by position):
+    one bincount over the flattened (row, root class) indices, its float64
+    sums below |P| r < 2^53, scaled by |G| / (|P| |C|) mod r; no class data
+    of P is read."""
     G = P.root
     k = G.class_count
     vals = np.atleast_2d(vals)
     _check(vals.ndim == 2 and vals.shape[1] == P.order, "induce: values at "
            "the members of " + P.name, ("n", P.order), vals.shape)
-    out = np.empty((len(vals), k), dtype=np.complex128)
+    out = np.empty((len(vals), k), dtype=np.int64)
     for rows in _blocks(len(vals), P.order):
         V = vals[rows]
         at = (np.arange(len(V))[:, None] * k + P.root_cls).ravel()
-        out[rows] = (np.bincount(at, V.real.ravel(), len(V) * k)
-                     + 1j * np.bincount(at, V.imag.ravel(), len(V) * k)
-                     ).reshape(len(V), k)
-    out *= (G.order // P.order) / G.class_sizes
-    return ClassFunction(G, out)
+        out[rows] = np.bincount(at, V.ravel(), len(V) * k).reshape(
+            len(V), k) % r
+    return ClassFunction(G, out * _over_sizes(G, G.order // P.order, r) % r,
+                         r)
 
 
 def inflate(G, f, kind, m=0):
@@ -244,31 +203,33 @@ def inflate(G, f, kind, m=0):
     Q, cls = _once(G, ("inflate", kind, m), images)
     _check(f.group is Q, "inflate: a class function on the target of "
            + kind, Q.name, f.group.name)
-    return ClassFunction(G, f.vals[:, cls])
+    return ClassFunction(G, f.vals[:, cls], f.r)
 
 
 class _Pairs:
     """A linear map between class functions kept as (source class, target
     class, count) triples sorted by target: out[:, t] is the sum of count *
-    V[:, s] over the triples (s, t, count).  Built from one pair code
+    V[:, s] over the triples (s, t, count), mod r.  Built from one pair code
     target * k_source + source per member; no dense matrix is formed."""
 
     def __init__(self, code, k_src, k_dst):
         code = np.sort(code)
         first = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
-        self.count = np.diff(np.r_[first, len(code)]).astype(np.float64)
+        self.count = np.diff(np.r_[first, len(code)])
         self.dst, self.src = np.divmod(code[first], k_src)
         self.starts = np.flatnonzero(np.r_[True, self.dst[1:]
                                            != self.dst[:-1]])
         self.cols = self.dst[self.starts]
         self.k_dst = k_dst
 
-    def __call__(self, vals):
-        out = np.zeros((len(vals), self.k_dst), dtype=np.complex128)
+    def __call__(self, vals, r):
+        out = np.zeros((len(vals), self.k_dst), dtype=np.int64)
+        count = self.count % r
         for rows in _blocks(len(vals), len(self.src)):
             T = vals[rows][:, self.src]
-            T *= self.count
-            out[rows, self.cols] = np.add.reduceat(T, self.starts, axis=1)
+            T *= count
+            T %= r
+            out[rows, self.cols] = np.add.reduceat(T, self.starts, axis=1) % r
         return out
 
 
@@ -296,11 +257,13 @@ def invariants_pushforward(P, kind, f, m=0):
     """Restrict class functions f on P's root group to P and average them
     over the fibers of the map kind onto its target Q, which on characters
     takes the kernel's invariants: the count map down of count_maps, divided
-    by the fiber size |P|/|Q|."""
+    by the fiber size |P|/|Q| mod r."""
     _check(f.group is P.root, "invariants_pushforward: a class function on "
            "the root group of P", P.root.name, f.group.name)
     Q, _, down = count_maps(P, kind, m)
-    return ClassFunction(Q, down(f.vals) / (P.order // Q.order))
+    r = f.r
+    return ClassFunction(Q, down(f.vals, r) * pow(P.order // Q.order, -1, r)
+                         % r, r)
 
 
 def twist(chi, uchars):
@@ -308,13 +271,13 @@ def twist(chi, uchars):
     composed with the determinant, rows in (row, character) order: the
     characters' values gathered at the det codes of the class
     representatives, found once per group."""
-    G = chi.group
+    G, r = chi.group, chi.r
     R2, codes = _once(G, "det", lambda: G.hom("det", G.rep_idx))
     E, L = uchars
-    by_code = np.zeros((len(L), R2.size), dtype=np.complex128)
-    by_code[:, R2.units] = roots_of_unity(E)[L]
-    out = chi.vals[:, None, :] * by_code[:, codes]
-    return ClassFunction(G, out.reshape(-1, G.class_count))
+    by_code = np.zeros((len(L), R2.size), dtype=np.int64)
+    by_code[:, R2.units] = fr_roots(E, r)[L]
+    out = chi.vals[:, None, :] * by_code[:, codes] % r
+    return ClassFunction(G, out.reshape(-1, G.class_count), r)
 
 
 # side -> (parabolic, its map onto the torus or onto the (l1, m) group)
@@ -326,15 +289,15 @@ _SIDES = {"upper": ("parabolic_upper", "diag"),
 
 def ind(G, f, side, m=0):
     """Inflate f to the side's parabolic P along its map and induce up to
-    G: the count map up of count_maps, scaled by |G| / (|P| |C|)."""
+    G: the count map up of count_maps, scaled by |G| / (|P| |C|) mod r."""
     tag, kind = _SIDES[side]
     P = G.subgroup(tag, m=m)
     Q, up, _ = count_maps(P, kind, m)
     _check(f.group is Q, "ind: a class function on the target of " + kind,
            Q.name, f.group.name)
-    out = up(f.vals)
-    out *= (G.order // P.order) / G.class_sizes
-    return ClassFunction(G, out)
+    r = f.r
+    return ClassFunction(G, up(f.vals, r) * _over_sizes(
+        G, G.order // P.order, r) % r, r)
 
 
 def res(G, f, side, m=0):
@@ -344,15 +307,15 @@ def res(G, f, side, m=0):
     return invariants_pushforward(G.subgroup(tag, m=m), kind, f, m)
 
 
-def torus_character(G, t1, t2):
-    """The rows t1[i] x t2[i] on G.torus = units(R1) x units(R2), for unit
-    characters t1 = (E1, L1) of R1 and t2 = (E2, L2) of R2 with as many
-    rows, their columns following the units: the outer products of their
-    values."""
+def torus_character(G, t1, t2, r):
+    """The rows t1[i] x t2[i] on G.torus = units(R1) x units(R2), mod r,
+    for unit characters t1 = (E1, L1) of R1 and t2 = (E2, L2) of R2 with as
+    many rows, their columns following the units: the outer products of
+    their values."""
     (E1, L1), (E2, L2) = t1, t2
-    A, B = roots_of_unity(E1)[L1], roots_of_unity(E2)[L2]
-    return ClassFunction(G.torus, (A[:, :, None] * B[:, None, :]).reshape(
-        len(A), -1))
+    A, B = fr_roots(E1, r)[L1], fr_roots(E2, r)[L2]
+    return ClassFunction(G.torus, (A[:, :, None] * B[:, None, :] % r).reshape(
+        len(A), -1), r)
 
 
 def all_pairs(c1, c2):
@@ -363,10 +326,10 @@ def all_pairs(c1, c2):
             (E2, np.tile(L2, (len(L1), 1))))
 
 
-def geo_ind(G, t1, t2, side="upper"):
+def geo_ind(G, t1, t2, r, side="upper"):
     """Parabolic induction of the pairs of rows of the unit characters t1
-    and t2 (torus_character)."""
-    return ind(G, torus_character(G, t1, t2), side)
+    and t2 (torus_character), mod r."""
+    return ind(G, torus_character(G, t1, t2, r), side)
 
 
 def depth_one_dual(G):
@@ -377,17 +340,21 @@ def depth_one_dual(G):
 def k_spectrum(G, chi):
     """Multiplicity of each depth-one congruence-kernel character in the
     restriction of each row, (n, duals) indexed like CongruenceDual(G, 1,
-    0).duals: the rows at the classes meeting K times the conjugated dual
-    values summed per class, found once per group."""
+    0).duals, read in [0, deg]: the rows at the classes meeting K times the
+    dual values at the inverses summed per class over |K|, kept per r."""
+    r = chi.r
+
     def by_class():
         D = depth_one_dual(G)
+        M, X = D.exponents
         cls = G.cls_of[D.K.idx]
         cols = np.flatnonzero(np.bincount(cls, minlength=G.class_count))
-        A = D.value_matrix @ (cls[:, None] == cols).astype(np.float64)
-        return cols, A.conj().T / D.K.order
+        A = _mm(fr_roots(M, r)[-X % M], cls[:, None] == cols, r)
+        return cols, A.T * pow(D.K.order, -1, r) % r
 
-    cols, A = _once(G, "k_spectrum", by_class)
-    return integers(chi.vals[:, cols] @ A, "k_spectrum: multiplicities")
+    cols, A = _once(G, ("k_spectrum", r), by_class)
+    return _read(_mm(chi.vals[:, cols], A, r), chi.degrees[:, None],
+                 "k_spectrum: multiplicities", r)
 
 
 def spectrum_kinds(G, chi):
@@ -414,35 +381,41 @@ def _class_counts(U):
     """The number of members of the subgroup U in each class of its root
     group, found once per U."""
     return _once(U, "class_counts", lambda: np.bincount(
-        U.root_cls, minlength=U.root.class_count).astype(np.float64))
+        U.root_cls, minlength=U.root.class_count))
 
 
 def member_sums(U, chi):
     """Per row, the sum of its values over the members of the subgroup U of
-    its group: the rows times U's class counts."""
-    return chi.vals @ _class_counts(U)
+    its group mod r, the rows times U's class counts: on a character, |U|
+    times a multiplicity below r, so 0 exactly when that is."""
+    return _mm(chi.vals, _class_counts(U) % chi.r, chi.r)
 
 
 def is_cuspidal(G, chi):
     """Per row: irreducible, primitive, and every determinant twist has no
     invariants under any unipotent or congruence kernel, i.e. all twists are
     killed by all the restriction functors.  The twisted means over every
-    kernel are one product with the (classes, twists x kernels) matrix of
-    twist values times class counts over the kernel's order, found once per
-    group."""
+    kernel, multiplicities read in [0, deg], are one product with the
+    (classes, twists x kernels) matrix of twist values times class counts
+    over the kernel's order, kept per (group, prime)."""
+    r = chi.r
+
     def means():
         subs = [G.subgroup("unipotent_upper"), G.subgroup("unipotent_lower")]
         subs += [G.subgroup(tag, m=m) for _, m in inner_types(G.lam)
                  for tag in ("ker_embed", "ker_quot")]
         twists = (twisting_characters(G.R2) if G.R2.level >= 2
                   else unit_characters(G.R2))
-        T = twist(ClassFunction(G, np.ones(G.class_count)), twists).vals
-        counts = np.array([_class_counts(U) / U.order for U in subs])
-        return (T[:, None, :] * counts[None, :, :]).reshape(
+        T = twist(ClassFunction(G, np.ones(G.class_count), r), twists).vals
+        counts = np.array([_class_counts(U) % r * pow(U.order, -1, r) % r
+                           for U in subs])
+        return (T[:, None, :] * counts[None, :, :] % r).reshape(
             -1, G.class_count).T
 
     ok = chi.mult() == 1
     if G.l2 >= 2 and ok.any():
         ok[ok] = is_primitive(G, chi[ok])
-    W = _once(G, "cuspidal_means", means)
-    return ok & close(chi.vals @ W, 0).all(axis=1)
+    W = _once(G, ("cuspidal_means", r), means)
+    return ok & (_read(_mm(chi.vals, W, r), chi.degrees[:, None],
+                       "is_cuspidal: twisted kernel means", r) == 0).all(
+                           axis=1)

@@ -76,16 +76,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .rings import (TableGroup, _check, character_group, code_positions,
-                    direct_product, is_prime, make_ring,
-                    unit_group)
-
-
-def _rep_powers(G):
-    """The exponent of G and the root indices of the inverses of the class
-    representatives, from one power sweep of rep_idx through the root."""
-    order, inv = G.root.power_sweep(G.rep_idx)
-    return math.lcm(*order.tolist()), inv
+from .rings import (TableGroup, _check, _inverses, _mm, character_group,
+                    code_positions, direct_product, fr_roots, is_prime,
+                    make_ring, unit_group)
 
 
 def dixon_prime(exponent, bound):
@@ -169,16 +162,6 @@ def _rref(B, r, w):
     return B[at[:, None], rows], pc[at[:, None], rows], rows
 
 
-def _mm(A, B, r=None):
-    """A @ B (mod r if given, as int64), of matrices or stacks, by float64
-    BLAS: exact while every dot product stays below 2^53, as
-    character_degrees guarantees; under 4096 multiply-adds in int64, as
-    fast, so small groups skip BLAS (.4 MB)."""
-    dtype = np.float64 if A.size * B.shape[-1] >= 4096 else np.int64
-    P = np.asarray(A, dtype=dtype) @ np.asarray(B, dtype=dtype)
-    return P if r is None else P.astype(np.int64, copy=False) % r
-
-
 def _charpoly(A, r):
     """Characteristic polynomials mod r of the stack A (n, d, d), leading
     coefficient first, in O(d^3): reduce each matrix to upper Hessenberg
@@ -219,10 +202,12 @@ def _roots(F, r):
     """The roots in F_r of each polynomial F[s] (leading coefficient first,
     degree d, 1 <= d < r) with multiplicity: (lam, mult), both (n, d), by
     multiplicity, largest first, then root, padded with multiplicity 0.
-    F_r is scanned 2^16 values at a time until all multiplicities sum to d
-    or it runs out.  The multiplicity of lam is the index of the first
-    nonzero coefficient of f(x + lam), exact as d < r: with a constant
-    first, lam^j [x^j] f(x + lam) = sum_i a_i lam^i binom(i, j)."""
+    F_r is scanned 2^16 values at a time, x and r - 1 - x for x from 0 up
+    in the same chunk, so a root -c is met as early as c - 1, until all
+    multiplicities sum to d or it runs out.  The multiplicity of lam is the
+    index of the first nonzero coefficient of f(x + lam), exact as d < r:
+    with a constant first, lam^j [x^j] f(x + lam) = sum_i a_i lam^i
+    binom(i, j)."""
     n, d = F.shape[0], F.shape[1] - 1
     a = F[:, ::-1] % r
     fact = np.array(list(accumulate(range(1, d + 1), lambda f, i: f * i % r,
@@ -231,8 +216,11 @@ def _roots(F, r):
     binom = np.tril(fact[:, None] * inv % r * inv[np.maximum(
         i[:, None] - i, 0)] % r)  # binom[i, j] = i! / (j! (i - j)!)
     hits, count, todo, lo = [], np.zeros(n, dtype=np.int64), np.arange(n), 0
-    while lo < r and todo.size:
-        xs = np.arange(lo, min(lo + max(1, (1 << 16) // todo.size), r))
+    half = (r + 1) // 2  # x < half low, r - 1 - x above it for x < r // 2
+    while lo < half and todo.size:
+        h = max(1, (1 << 15) // todo.size)
+        xs = np.arange(lo, min(lo + h, half))
+        xs = np.concatenate([xs, r - 1 - xs[:r // 2 - lo]])
         acc = np.repeat(a[todo, -1:], xs.size, axis=1)
         for c in a[todo, -2::-1].T:
             acc *= xs
@@ -248,7 +236,7 @@ def _roots(F, r):
         m = (T != 0).argmax(axis=1)
         count += np.bincount(s, m, n).astype(np.int64)
         hits.append((s, x, m))
-        todo, lo = todo[count[todo] < d], lo + xs.size
+        todo, lo = todo[count[todo] < d], lo + h
     s, x, m = (np.concatenate(h) for h in zip(*hits))
     order = np.lexsort((x, -m, s))
     s, x, m = s[order], x[order], m[order]
@@ -312,27 +300,11 @@ def _eigenspaces(R, r):
         yield (rows, *_peel(R[rows], lam[rows, :len(dims)], dims, r), dims)
 
 
-def _primitive_root(r):
-    """Least primitive root modulo the prime r."""
-    m = r - 1
-    ps = [p for p in range(2, math.isqrt(r) + 1) if m % p == 0 and is_prime(p)]
-    for p in ps:
-        while m % p == 0:
-            m //= p
-    ps += [m] * (m > 1)  # at most one prime factor above sqrt(r)
-    return next(g for g in range(2, r)
-                if all(pow(g, (r - 1) // p, r) != 1 for p in ps))
-
-
 def _fr_characters(A, r):
     """The characters of the abelian group A in F_r: theta[t, a] =
-    zeta^L[t, a] for the certified rows L of rings.character_group and
-    zeta = g^((r-1)/E) of order E, g a primitive root mod r."""
+    zeta_E^L[t, a] for the rows of rings.character_group, by fr_roots."""
     E, L = character_group(A)
-    _check((r - 1) % E == 0, "%s: r - 1 mod the exponent E = %d"
-           % (A.name, E), 0, (r - 1) % E)
-    zeta = pow(_primitive_root(r), (r - 1) // E, r)
-    return np.array([pow(zeta, i, r) for i in range(E)], dtype=np.int64)[L]
+    return fr_roots(E, r)[L]
 
 
 def _twists(G, r):
@@ -447,12 +419,6 @@ def _check_central(B, S, shift, theta, r):
            % B.shape[1], 0, off)
 
 
-def _inverses(x, r):
-    """Elementwise inverses mod r, 0 for 0."""
-    return np.array([pow(v, -1, r) if v else 0 for v in x.tolist()],
-                    dtype=np.int64)
-
-
 def _eigenlines(G, jstar, r):
     """The k common eigenvectors of the class matrices of the root group G
     over F_r, one row per irreducible character, scaled to 1 at the
@@ -565,7 +531,7 @@ def character_degrees(G, r_override=None):
     if r_override is None and getattr(G, "_degree_multiset", None) is not None:
         return list(G._degree_multiset)
     k = G.class_count
-    exponent, inv_idx = _rep_powers(G)
+    exponent, jstar = G.powers
     bound = max(math.isqrt(4 * G.order), k)  # r > bound: r > 2 sqrt|G|, r > k
     r = r_override if r_override is not None else dixon_prime(exponent, bound)
     if not (is_prime(r) and r > bound and (r - 1) % exponent == 0):
@@ -575,8 +541,7 @@ def character_degrees(G, r_override=None):
     if (k + 1) * r * r >= 2 ** 53:
         raise ValueError("Dixon prime %d too large for exact float64 products "
                          "with %d classes" % (r, k))
-    sizes, cls_of = G._classes()
-    jstar = cls_of[inv_idx]
+    sizes = G.class_sizes
     W = _eigenlines(G, jstar, r)
     s = (W * W[:, jstar] % r * _inverses(sizes, r) % r).sum(axis=1) % r
     _check(np.count_nonzero(s) == k, "nonzero norms", k, np.count_nonzero(s))

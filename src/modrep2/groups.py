@@ -223,13 +223,13 @@ class AutGroup(GroupBase):
         the classes: at most s + |set| translations for s generators, not
         3s."""
         name, n, gi = self.name, self.order, self.gen_idx
-        conj = np.isin(gi, self.locate(self._conj_gens))
-        c = np.flatnonzero(conj)
+        in_set = np.isin(gi, self.locate(self._conj_gens))
+        c = np.flatnonzero(in_set)
         inv = dict(zip(c.tolist(), self.inverse(gi[c]).tolist()))
         e = self.identity_pos
         span = np.arange(n, dtype=np.int32)
         cls = span.copy()
-        for j in np.r_[c, np.flatnonzero(~conj)].tolist():
+        for j in np.r_[c, np.flatnonzero(~in_set)].tolist():
             if j not in inv and (span == span[e]).all():
                 break  # the rest would only hook a full span
             P = self._translate(None, gi[j], left=False)

@@ -55,28 +55,26 @@ class CongruenceDual:
         y = Rs.add[Rs.mul[T[2], C[2]], Rs.mul[T[3], C[3]]]
         return Ri.add[x, Ri.pi_mul(y, self.sigma)]
 
-    def values(self, thetas):
-        """Values psi(codes) of the dual characters thetas at K's members."""
-        return self.Ri.psi[self.codes(thetas)]
-
     @cached_property
-    def value_matrix(self):
-        """|duals| x |K| table of character values, computed once."""
-        return self.values(self.duals)
+    def exponents(self):
+        """(M, X): the duals at K's members as exponents, theta_j(k) =
+        zeta_M^X[j, k] for (M, e) = Ri.psi_exp, X = e[codes], computed once."""
+        M, e = self.Ri.psi_exp
+        return M, e[self.codes(self.duals)]
 
     def orbits(self):
         """Orbit decomposition of the dual under the group action (g.theta)(k)
         = theta(g^-1 k g): (reps, sizes, orbit_of), with orbit_of aligned with
         self.duals.  Conjugating K's members by a generator permutes the
-        columns of the value matrix; each permuted row is the value row of
-        the moved dual, found bit for bit."""
+        columns of the exponent rows; each permuted row is the exponent row
+        of the moved dual, found by its bytes."""
         if self._orbit_data is None:
-            G, K, V = self.G, self.K, self.value_matrix
-            row = {r.tobytes(): j for j, r in enumerate(V)}
-            _check(len(row) == len(V), "distinct value rows of the duals",
-                   len(V), len(row))
+            G, K, X = self.G, self.K, self.exponents[1]
+            row = {r.tobytes(): j for j, r in enumerate(X)}
+            _check(len(row) == len(X), "distinct exponent rows of the duals",
+                   len(X), len(row))
             g = G.gen_idx
-            perms = [[row.get(r.tobytes(), -1) for r in V[:, K.positions(
+            perms = [[row.get(r.tobytes(), -1) for r in X[:, K.positions(
                 G.right_mul(gi, G.right_mul(K.idx, t)))]]
                 for gi, t in zip(G.inverse(g), g)]
             self._orbit_data = orbit_partition(self.duals, perms)

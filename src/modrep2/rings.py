@@ -15,8 +15,8 @@ multiplication by the uniformizer is x * q, truncated.
 A character of a finite abelian group has one form, its exponent row:
 (E, L) with chi_t(a) = zeta_E^L[t, a] (character_group, unit_characters,
 twisting_characters), psi too (LocalRing.psi_exp).  Two roots of unity are
-compared exactly, by exponents (same_root); roots_of_unity gives values only
-where characters become class functions.
+compared exactly, by exponents (same_root); class functions read zeta_E in
+F_r (fr_roots), with products and inverses mod r by _mm and _inverses.
 
 The groups' protocol and orbit engine live here too.  Groups are handled
 by element index alone (FiniteGroup); no group keeps a list of elements.
@@ -30,8 +30,6 @@ import math
 from functools import cached_property, lru_cache
 
 import numpy as np
-
-TOL = 1e-6    # near-integer tolerance for class-function sums
 
 BACKENDS = ("padic", "tpoly")
 
@@ -232,18 +230,12 @@ class LocalRing:
     def psi_exp(self):
         """(M, e): a fixed primitive additive character at this level is
         psi(x) = zeta_M^e[x] on codes x: x / q^level for padic, the trace
-        of the sum of the digits for tpoly."""
+        of the sum of the digits for tpoly; e is int16, as the codes."""
         if self.backend == "padic":
-            return self.size, np.arange(self.size)
+            return self.size, np.arange(self.size, dtype=np.int16)
         c, q = np.arange(self.size), self.q
         t = sum(self.field.trace[c // q ** j % q] for j in range(self.level))
         return self.p, t % self.p
-
-    @cached_property
-    def psi(self):
-        """The values of psi by code, from psi_exp."""
-        M, e = self.psi_exp
-        return roots_of_unity(M)[e]
 
 
 @lru_cache(maxsize=None)
@@ -374,6 +366,13 @@ class FiniteGroup:
         if (self.idx[pos] != ridx).any():
             raise ValueError("%s: root elements are not members" % self.name)
         return pos
+
+    @cached_property
+    def powers(self):
+        """(exponent, inv_cls): the exponent and the class of the inverses
+        of each class, from one power sweep of the class representatives."""
+        order, inv = self.root.power_sweep(self.rep_idx)
+        return math.lcm(*order.tolist()), self.cls_of[self.positions(inv)]
 
     def power_sweep(self, ridx):
         """(orders, inverses) of the elements ridx of this root group, from
@@ -604,14 +603,47 @@ def character_group(A):
     return E, L
 
 
+def _inverses(x, r):
+    """Elementwise inverses mod r, 0 for 0."""
+    return np.array([pow(v, -1, r) if v else 0 for v in x.tolist()],
+                    dtype=np.int64)
+
+
+def _mm(A, B, r=None):
+    """A @ B (mod r if given, as int64), of matrices or stacks, by float64
+    BLAS: exact while every dot product stays below 2^53 (callers bound r);
+    under 4096 multiply-adds in int64, as fast, so small groups skip BLAS
+    (.4 MB)."""
+    dtype = np.float64 if A.size * B.shape[-1] >= 4096 else np.int64
+    P = np.asarray(A, dtype=dtype) @ np.asarray(B, dtype=dtype)
+    return P if r is None else P.astype(np.int64, copy=False) % r
+
+
 @lru_cache(maxsize=None)
-def roots_of_unity(E):
-    """zeta_E^j = exp(2 pi i j / E) for j < E, computed once per E and
-    read-only."""
-    z = np.array([complex(math.cos(2 * math.pi * j / E),
-                          math.sin(2 * math.pi * j / E)) for j in range(E)])
-    z.setflags(write=False)
-    return z
+def _primitive_root(r):
+    """Least primitive root modulo the prime r."""
+    m = r - 1
+    ps = [p for p in range(2, math.isqrt(r) + 1) if m % p == 0 and is_prime(p)]
+    for p in ps:
+        while m % p == 0:
+            m //= p
+    ps += [m] * (m > 1)  # at most one prime factor above sqrt(r)
+    return next(g for g in range(2, r)
+                if all(pow(g, (r - 1) // p, r) != 1 for p in ps))
+
+
+@lru_cache(maxsize=None)
+def fr_roots(E, r):
+    """zeta_E^j in F_r for j < E, read-only, zeta_E = g^((r-1)/E) for the
+    least primitive root g mod the prime r: one reduction of Z[zeta_N] for
+    all E | r - 1, so zeta_E^a = zeta_M^b in F_r exactly when same_root
+    says so.  _check refuses an E not dividing r - 1."""
+    _check((r - 1) % E == 0, "roots of unity of order E = %d in F_%d: r - 1 "
+           "mod E" % (E, r), 0, (r - 1) % E)
+    z = pow(_primitive_root(r), (r - 1) // E, r)
+    out = np.array([pow(z, j, r) for j in range(E)], dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 def same_root(E, a, M, b):

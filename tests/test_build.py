@@ -2,6 +2,7 @@
 cuspidal battery, and the induction-restriction compatibility identities."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,20 +12,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from complex_ref import TOL, roots_of_unity
 from modrep2.build import (IrrFamily, _check_orthonormal, assemble,
                            build_rank1, cuspidal_rect_count, green_gl2,
-                           zeta_closed_form)
+                           job_prime, zeta_closed_form)
 from modrep2.classfun import (geo_ind, ind, induce, inflate, is_cuspidal,
                               is_primitive, k_spectrum, linear_characters,
-                              res, spectrum_kinds, stack, twist,
+                              member_sums, res, spectrum_kinds, stack, twist,
                               ClassFunction, dedupe)
-from modrep2.dixon import character_degrees
+from modrep2.dixon import character_degrees, dixon_prime
 from modrep2.groups import Subgroup, aut_group
 from modrep2.orbits import CongruenceDual
-from modrep2.rings import (character_group, make_ring, roots_of_unity,
-                           twisting_characters, unit_group)
-
-TOL = 1e-6
+from modrep2.rings import (character_group, fr_roots, twisting_characters,
+                           unit_group)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -59,10 +59,10 @@ def test_cuspidal_rect_count_values():
 
 
 def test_rank1():
-    out = build_rank1("padic", 2, 2)
-    assert len(out) == 2
-    out = build_rank1("padic", 3, 1)
-    assert len(out) == 2
+    for q, level in ((2, 2), (3, 1)):
+        r = job_prime(["padic"], q, (level, 0))
+        out = build_rank1("padic", q, level, r)
+        assert len(out) == 2 and out.r == r
     a = assemble("padic", 3, (2, 0))
     assert a.zeta == {1: 6} and a.complete
     assert a.members[0].group is a.G
@@ -135,10 +135,9 @@ def test_cuspidal_battery(backend, q, lam, count, degree):
     assert is_cuspidal(G, fam.members).all()
     kinds, present = spectrum_kinds(G, fam.members)
     assert (present == [k == "off_diag" for k in kinds]).all()
-    for f in fam.members.vals:
-        assert abs(f[Vp.root_cls].sum()) < TOL
-        assert abs(f[Vm.root_cls].sum()) < TOL
-        assert abs(f[V1.root_cls].sum()) > TOL
+    assert (member_sums(Vp, fam.members) == 0).all()
+    assert (member_sums(Vm, fam.members) == 0).all()
+    assert (member_sums(V1, fam.members) != 0).all()
     # the cuspidality filter recovers exactly this family
     cusp = set(a.members[is_cuspidal(G, a.members)].fingerprint())
     assert cusp == set(fam.members.fingerprint())
@@ -162,10 +161,11 @@ def _restriction_battery(G, chi, twists):
     for m in range(1, G.l2):
         subs.append(G.subgroup("ker_embed", m=m))
         subs.append(G.subgroup("ker_quot", m=m))
+    r = chi.r
     for t in twists:
-        tc = ClassFunction(G, chi.vals * t.vals)
+        tc = ClassFunction(G, chi.vals * t.vals % r, r)
         for U in subs:
-            if abs(tc.vals[0, U.root_cls].sum()) > TOL * U.order:
+            if tc.vals[0, U.root_cls].sum() % r:
                 return False
     return True
 
@@ -175,7 +175,7 @@ def test_cuspidal_vs_all_one_dim_twists():
     # determinant twists must cut out the same set
     for backend, q, lam in [("padic", 2, (3, 2)), ("padic", 3, (2, 1))]:
         a = assemble(backend, q, lam)
-        ones = [f for f in a.members if round(f.degrees[0]) == 1]
+        ones = [f for f in a.members if f.degrees[0] == 1]
         cusp = is_cuspidal(a.G, a.members)
         for f, want in zip(a.members, cusp):
             strong = f.mult()[0] == 1 and _restriction_battery(a.G, f, ones)
@@ -202,17 +202,18 @@ def test_geo_upper_equals_lower():
     # both parabolic inductions of an inducing pair agree and are irreducible
     for lam in [(3, 2), (2, 2)]:
         G = aut_group("padic", 2, lam)
+        r = dixon_prime(G.powers[0], 64)
         layer = _deep_layer(G.R1)
         for r1, t1 in _unit_chars(G.R1):
             for r2, t2 in _unit_chars(G.R2):
-                up = geo_ind(G, r1, r2, "upper")
-                lo = geo_ind(G, r1, r2, "lower")
+                up = geo_ind(G, r1, r2, r, "upper")
+                lo = geo_ind(G, r1, r2, r, "lower")
                 if lam[0] > lam[1]:
                     inducing = any(abs(t1(u) - 1) > TOL for u in layer)
                 else:
                     inducing = any(abs(t1(u) - t2(u)) > TOL for u in layer)
                 if inducing:
-                    assert np.allclose(up.vals, lo.vals, atol=TOL)
+                    assert np.array_equal(up.vals, lo.vals)
                     assert up.mult()[0] == 1
                 else:
                     assert up.mult()[0] > 1
@@ -225,7 +226,7 @@ def test_restriction_splits_induction_on_cuspidal():
     for side in ("embed", "quot"):
         up = ind(G, sigma, side, 1)
         back = res(G, up, side, 1)
-        assert np.allclose(back.vals, sigma.vals, atol=TOL)
+        assert np.array_equal(back.vals, sigma.vals)
 
 
 def _product_set_subgroup(G, name="DH"):
@@ -242,18 +243,19 @@ def test_induction_composes_through_intermediate_subgroup():
     P1 = G.subgroup("parabolic_embed", m=1)
     Q, img = G.hom("embed", P1.idx, 1)
     assert Q is Gf
+    r = dixon_prime(G.powers[0], 256)
     for B in [Gf.subgroup("parabolic_upper"), _product_set_subgroup(Gf)]:
         pre = P1.idx[np.isin(img, B.idx)]
         P2 = Subgroup(G, pre, "preimage")
         # the pullback from B to its preimage P2, read at P2's members
         _, at = G.hom("embed", P2.idx, 1)
         E, L, cos = linear_characters(B)
-        roots = roots_of_unity(E)
-        lhs = induce(P2, roots[L[:, cos[B.positions(at)]]])
-        up = inflate(P1, induce(B, roots[L[:, cos]]), "embed", 1)
-        rhs = induce(P1, up.vals[:, P1.cls_of])
+        roots = fr_roots(E, r)
+        lhs = induce(P2, roots[L[:, cos[B.positions(at)]]], r)
+        up = inflate(P1, induce(B, roots[L[:, cos]], r), "embed", 1)
+        rhs = induce(P1, up.vals[:, P1.cls_of], r)
         assert len(lhs) == len(L)
-        assert np.allclose(lhs.vals, rhs.vals, atol=TOL)
+        assert np.array_equal(lhs.vals, rhs.vals)
 
 
 def test_stable_functors_compose_along_tower():
@@ -265,11 +267,10 @@ def test_stable_functors_compose_along_tower():
     for side in ("embed", "quot"):
         direct = ind(G43, sigma, side, 1)
         stepped = ind(G43, ind(G42, sigma, side, 1), side, 2)
-        assert np.allclose(direct.vals, stepped.vals, atol=TOL)
+        assert np.array_equal(direct.vals, stepped.vals)
         rho = direct
         back = res(G42, res(G43, rho, side, 2), side, 1)
-        assert np.allclose(back.vals, res(G43, rho, side, 1).vals,
-                           atol=TOL)
+        assert np.array_equal(back.vals, res(G43, rho, side, 1).vals)
 
 
 def test_parabolic_induction_commutes_with_stable_induction():
@@ -278,7 +279,7 @@ def test_parabolic_induction_commutes_with_stable_induction():
     for lam in [(3, 2), (2, 2)]:
         G = aut_group("padic", 2, lam)
         Gm = aut_group("padic", 2, (lam[0], 1))
-        q = G.q
+        q, r = G.q, dixon_prime(G.powers[0], 64)
         for r1, t1 in _unit_chars(G.R1):
             if not any(abs(t1(u) - 1) > TOL for u in _deep_layer(G.R1)):
                 continue
@@ -287,11 +288,11 @@ def test_parabolic_induction_commutes_with_stable_induction():
                         if all(abs(c(u) - t2(u % q)) < 1e-9
                                for u in G.R2.units)]
                 assert len(lift) == 1
-                lhs = geo_ind(G, r1, lift[0])
-                mid = geo_ind(Gm, r1, r2)
+                lhs = geo_ind(G, r1, lift[0], r)
+                mid = geo_ind(Gm, r1, r2, r)
                 for side in ("embed", "quot"):
                     rhs = ind(G, mid, side, 1)
-                    assert np.allclose(lhs.vals, rhs.vals, atol=TOL)
+                    assert np.array_equal(lhs.vals, rhs.vals)
 
 
 def test_pullback_twist_spectrum_parameter():
@@ -299,8 +300,7 @@ def test_pullback_twist_spectrum_parameter():
     # the matching central parameter
     G = aut_group("padic", 2, (3, 2))
     sub = assemble("padic", 2, (2, 1))
-    triv = [f for f in sub.members
-            if all(abs(v - 1) < TOL for v in f.vals[0])]
+    triv = [f for f in sub.members if (f.vals[0] == 1).all()]
     assert len(triv) == 1
     E, tws = twisting_characters(G.R2)
     f = twist(inflate(G, triv[0], "floor"), (E, tws[1:2]))
@@ -431,10 +431,10 @@ def test_repeated_member_refused_under_optimize():
     # a 1 off the Gram diagonal twice, and python -O keeps the check
     code = ("import modrep2.build as b\n"
             "orig = b.build_geometric\n"
-            "def repeat(G):\n"
-            "    geo_irred, geo_split = orig(G)\n"
+            "def repeat(G, r):\n"
+            "    geo_irred, geo_split = orig(G, r)\n"
             "    geo_split.members.vals[0] = "
-            "b.build_infinitesimal(G)[0].members.vals[0]\n"
+            "b.build_infinitesimal(G, r)[0].members.vals[0]\n"
             "    return geo_irred, geo_split\n"
             "b.build_geometric = repeat\n"
             "try:\n"
@@ -453,12 +453,15 @@ def test_repeated_member_refused_under_optimize():
 def test_family_checks_raise_under_optimize():
     # IrrFamily's stacked checks survive python -O and name the expected and
     # computed values: a norm-2 member (the sum of two irreducibles), a
-    # member given twice, and a half character (norm 1/4)
+    # member given twice, and a half character (degree 1/2 mod r, above
+    # every degree read mod r)
     code = ("from modrep2.build import IrrFamily, assemble\n"
             "from modrep2.classfun import ClassFunction, stack\n"
             "a, b = assemble('padic', 2, (2, 1)).members[:2]\n"
-            "two = ClassFunction(a.group, a.vals + b.vals)\n"
-            "half = ClassFunction(a.group, a.vals / 2)\n"
+            "r = a.r\n"
+            "two = ClassFunction(a.group, (a.vals + b.vals) % r, r)\n"
+            "half = ClassFunction(a.group, a.vals * (r + 1) // 2 % r, r)\n"
+            "print(r)\n"
             "for members in ([a, two, b], [b, a, b], [half, b]):\n"
             "    try:\n"
             "        IrrFamily('fam', stack(members))\n"
@@ -468,63 +471,125 @@ def test_family_checks_raise_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == ("fam: norms other than 1: expected [], computed "
-                           "[2]\nfam: distinct fingerprints: expected 3, "
-                           "computed 2\nfam: norms, integers within 1e-06: "
-                           "expected integers, computed [0.25]\n")
+    r, rest = proc.stdout.split("\n", 1)
+    r = int(r)
+    assert rest == ("fam: norms other than 1: expected [], computed "
+                    "[2]\nfam: distinct fingerprints: expected 3, "
+                    "computed 2\ndegrees, integers mod %d within their "
+                    "bounds: expected [%d], computed [%d]\n"
+                    % (r, math.isqrt(r - 1), (r + 1) // 2))
 
 
 def _tuple_fingerprint(f):
-    """The key IrrFamily sorted its members by before the bytes key: the
-    rounded values as (re, im) pairs of Python floats."""
-    r = np.round(f.vals[0], 6)
-    return tuple(zip(r.real.tolist(), r.imag.tolist()))
+    """A member's key as a tuple of Python ints: the bytes of its row."""
+    return tuple(f.vals[0].tobytes())
 
 
 @pytest.mark.parametrize("backend,q,lam", [("padic", 2, (3, 2)),
                                            ("tpoly", 4, (2, 1))])
 def test_family_order_matches_tuple_fingerprint_sort(backend, q, lam):
     a = assemble(backend, q, lam)
-    # negatives bring -0.0 entries and ties broken deep in the vector
-    fs = dedupe(stack([a.members, ClassFunction(a.G, -a.members.vals),
-                       ClassFunction(a.G, a.members.vals.conj())]))
+    # with the complex conjugates (the values at the inverse classes), which
+    # are members again: dedupe folds them back
+    fs = dedupe(stack([a.members, ClassFunction(
+        a.G, a.members.vals[:, a.G.powers[1]], a.members.r)]))
     rng = np.random.default_rng(3)
     shuffled = fs[rng.permutation(len(fs))]
     fam = IrrFamily("mixed", shuffled)
     want = sorted(shuffled, key=_tuple_fingerprint)
     assert np.array_equal(fam.members.vals, stack(want).vals)
-    assert fam.count == len(fs) > len(a.members)
+    assert fam.count == len(fs) == len(a.members)
 
 
 class _Stub:
     pass
 
 
+# The characters of the cyclic group Z/600 mod r = 601: chi_i(c) = z^(ic)
+# for z of order 600, each element its own class, the inverse of c at -c.
+K, R = 600, 601
+
+
 def _gram_asm(vals):
     asm, G = _Stub(), _Stub()
-    k = vals.shape[1]
-    G.class_sizes, G.order, G.class_count = np.ones(k), k, k
+    G.class_sizes, G.order, G.class_count = np.ones(K, dtype=np.int64), K, K
+    G.powers, G.name = (K, -np.arange(K) % K), "Z/600"
     asm.G, asm.checks = G, {}
     # three uneven family stacks, so row blocks cross their boundaries
-    asm.stacks = lambda: [ClassFunction(G, vals[:100]),
-                          ClassFunction(G, vals[100:450]),
-                          ClassFunction(G, vals[450:])]
+    asm.stacks = lambda: [ClassFunction(G, vals[:100], R),
+                          ClassFunction(G, vals[100:450], R),
+                          ClassFunction(G, vals[450:], R)]
     return asm
 
 
 def test_orthonormal_check_in_blocks_counts_every_entry():
-    # k = 600: three row blocks; the count must be the whole-matrix count
-    # of entries off the identity by more than TOL, with no relative slack
-    k = 600
-    F = np.exp(2j * np.pi * np.outer(np.arange(k), np.arange(k)) / k)
+    # three row blocks; the count must be the whole-matrix count of entries
+    # off the identity mod r
+    F = fr_roots(K, R)[np.outer(np.arange(K), np.arange(K)) % K]
     asm = _gram_asm(F)
     _check_orthonormal(asm)
     assert asm.checks == {"orthonormal": True}
-    F[[3, 300, 599], [5, 7, 11]] *= 1.01
-    F[100] *= 1 + 3e-6  # a diagonal entry off by 6e-6: counted
-    gram = (F * (np.ones(k) / k)) @ F.conj().T  # the whole-matrix check
-    want = int((~(np.abs(gram - np.eye(k)) <= TOL)).sum())
-    assert want > 3 and abs(gram[100, 100] - 1) > 5e-6
+    F[[3, 300, 599], [5, 7, 11]] += 1
+    F[100] = F[100] * 2 % R  # a diagonal entry off: counted
+    gram = F * pow(K, -1, R) % R @ F[:, -np.arange(K) % K].T % R
+    want = int(np.count_nonzero(gram != np.eye(K)))
+    assert want > 3 and gram[100, 100] == 4
     with pytest.raises(AssertionError, match=r"off the identity: expected "
                        r"0, computed %d$" % want):
         _check_orthonormal(_gram_asm(F))
+
+
+def _run_optimized(code):
+    """stdout of code run under python -O, which must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+def test_altered_member_caught_by_the_gram_check_under_optimize():
+    # one member of an assembled set off by 1 mod r at one class: its inner
+    # products with the members on which that class is nonzero move off the
+    # identity, twice each off the diagonal
+    out = _run_optimized(
+        "from modrep2.build import assemble, _check_orthonormal\n"
+        "a = assemble('padic', 2, (3, 2))\n"
+        "f = a.family('geo_irred').members\n"
+        "f.vals[0, 1] = (f.vals[0, 1] + 1) % f.r\n"
+        "try:\n"
+        "    _check_orthonormal(a)\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n")
+    assert out == "Gram matrix entries off the identity: expected 0, " \
+                  "computed 27\n"
+
+
+def test_prime_missing_a_root_of_unity_refused_under_optimize():
+    # 11 lies above D^2 = 9 on padic q=3 (2,1), but F_11 has no sixth root
+    # of unity, which the linear characters of its Borel subgroup take
+    out = _run_optimized(
+        "from modrep2.build import assemble\n"
+        "try:\n"
+        "    assemble('padic', 3, (2, 1), 11)\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n")
+    assert out == ("roots of unity of order E = 6 in F_11: r - 1 mod E: "
+                   "expected 0, computed 4\n")
+
+
+def test_prime_at_or_below_the_squared_degree_refused_under_optimize():
+    # 13 is a prime, but not above D^2 = 16 on padic q=2 (3,2), whose
+    # largest degree is 4: refused before any root table (so any value) is
+    # built
+    out = _run_optimized(
+        "from modrep2.build import assemble\n"
+        "from modrep2.rings import fr_roots\n"
+        "try:\n"
+        "    assemble('padic', 2, (3, 2), 13)\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n"
+        "print(fr_roots.cache_info().currsize)\n")
+    assert out == ("the prime of the class functions: a prime above D^2 = 16 "
+                   "with (k+1) r^2 below 2^53 for k = 26: expected such a "
+                   "prime, computed 13\n0\n")

@@ -17,12 +17,11 @@ from hypothesis import strategies as st
 
 from modrep2 import dixon
 from modrep2.dixon import (_charpoly, _class_matrix, _class_tables,
-                           _eigenspaces, _mm, _product_classes,
-                           _read_degrees, _rep_powers, _roots, _rref,
-                           character_degrees, dixon_prime)
+                           _eigenspaces, _product_classes, _read_degrees,
+                           _roots, _rref, character_degrees, dixon_prime)
 from modrep2.groups import aut_group
-from modrep2.rings import (TableGroup, _check, _poly_divmod, is_prime,
-                           make_ring, unit_group)
+from modrep2.rings import (TableGroup, _check, _inverses, _mm, _poly_divmod,
+                           is_prime, make_ring, unit_group)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -196,7 +195,7 @@ def test_degree_multisets(backend, q, lam, expect):
 
 def test_prime_independence():
     G = aut_group("padic", 3, (2, 1))
-    e = _rep_powers(G)[0]
+    e = G.powers[0]
     r1 = dixon_prime(e, G.order)
     r2 = dixon_prime(e, r1)
     assert r2 > r1 > G.order
@@ -249,7 +248,7 @@ K_BOUND = [("padic", 2, (8, 1)), ("padic", 3, (4, 1)), ("tpoly", 4, (2, 1))]
 def test_default_prime_is_the_least_above_the_bound(backend, q, lam,
                                                     monkeypatch):
     G = aut_group(backend, q, lam)
-    k, e = G.class_count, _rep_powers(G)[0]
+    k, e = G.class_count, G.powers[0]
     r, _ = _default_prime(G, monkeypatch)
     assert is_prime(r) and (r - 1) % e == 0
     assert r * r > 4 * G.order and r > k
@@ -264,7 +263,7 @@ def test_default_prime_is_the_least_above_the_bound(backend, q, lam,
 def test_default_prime_gives_the_degrees_of_a_prime_above_the_order(
         backend, q, lam, monkeypatch):
     G = aut_group(backend, q, lam)
-    r_big = dixon_prime(_rep_powers(G)[0], G.order)
+    r_big = dixon_prime(G.powers[0], G.order)
     r, degrees = _default_prime(G, monkeypatch)
     assert r < r_big
     assert degrees == character_degrees(G, r_override=r_big)
@@ -422,7 +421,7 @@ def test_central_translates_build_no_matrix(monkeypatch):
         return _class_matrix(G, tables, members, *args)
 
     monkeypatch.setattr(dixon, "_class_matrix", counted)
-    r = dixon_prime(_rep_powers(G)[0], G.order)
+    r = dixon_prime(G.powers[0], G.order)
     assert Counter(character_degrees(G, r_override=r)) == {
         1: 16, 2: 20, 3: 16, 4: 24, 6: 36, 8: 48, 12: 72, 24: 16}
     assert len(built) <= 40  # 132 with every class matrix built
@@ -452,7 +451,7 @@ def test_central_blocks_are_joint_eigenspaces(group):
     tables = _class_tables(G)
     N = [_class_matrix_of(G, tables, G.inverse(G.rep_idx[[c]]))
          for c in central]
-    r = dixon_prime(_rep_powers(G)[0], G.order)
+    r = dixon_prime(G.powers[0], G.order)
     theta = _centre_characters(G, shift, central, r)
     # the trivial twist group: every central character leads its own orbit
     blocks = dixon._central_blocks(
@@ -515,11 +514,10 @@ def _identity_start_degrees(G, r):
     block, central classes used like the others, translates of a used
     non-central class skipped.  A reference for character_degrees."""
     k = G.class_count
-    _, inv_idx = dixon._rep_powers(G)
+    jstar = G.powers[1]
     sizes, cls_of = G._classes()
     rep_idx, ic = G.rep_idx, G.identity_class
     tables = _class_tables(G)
-    jstar = cls_of[inv_idx]
     center = rep_idx[sizes == 1]
     shift = cls_of[G.right_mul(center[:, None], rep_idx[None, :])]
     by_class = np.argsort(cls_of, kind="stable")
@@ -553,9 +551,9 @@ def _identity_start_degrees(G, r):
             covered[shift[:, i]] = True
     assert list(blocks) == [1]
     V = blocks[1][0][:, 0]
-    W = V * dixon._inverses(V[:, ic], r)[:, None] % r
-    s = (W * W[:, jstar] % r * dixon._inverses(sizes, r) % r).sum(axis=1) % r
-    d2 = G.order * dixon._inverses(s, r) % r
+    W = V * _inverses(V[:, ic], r)[:, None] % r
+    s = (W * W[:, jstar] % r * _inverses(sizes, r) % r).sum(axis=1) % r
+    d2 = G.order * _inverses(s, r) % r
     return sorted(math.isqrt(int(x)) for x in d2)
 
 
@@ -564,8 +562,8 @@ def _identity_start_degrees(G, r):
     ("padic", 3, (2, 2)), ("tpoly", 4, (1, 1)), ("tpoly", 4, (2, 1))])
 def test_central_start_matches_identity_start(backend, q, lam):
     G = aut_group(backend, q, lam)
-    r1 = dixon_prime(_rep_powers(G)[0], G.order)
-    r2 = dixon_prime(_rep_powers(G)[0], r1)
+    r1 = dixon_prime(G.powers[0], G.order)
+    r2 = dixon_prime(G.powers[0], r1)
     assert character_degrees(G) == _identity_start_degrees(G, r1)
     assert (character_degrees(G, r_override=r2)
             == _identity_start_degrees(G, r2))
@@ -576,8 +574,7 @@ def _trivial_twists(G, r):
 
 
 def _eigenline_set(G, r):
-    _, inv_idx = dixon._rep_powers(G)
-    W = dixon._eigenlines(G, G.cls_of[inv_idx], r)
+    W = dixon._eigenlines(G, G.powers[1], r)
     assert W.shape == (G.class_count,) * 2
     return set(map(tuple, W.tolist()))
 
@@ -589,7 +586,7 @@ def test_twisted_eigenlines_match_all_blocks(backend, q, lam, monkeypatch):
     # the eigenlines written as twists of the orbit representatives' are the
     # ones the split finds from every central block
     G = aut_group(backend, q, lam)
-    e = _rep_powers(G)[0]
+    e = G.powers[0]
     r1 = dixon_prime(e, G.order)
     for r in (r1, dixon_prime(e, r1)):
         twisted = _eigenline_set(G, r)
@@ -608,7 +605,7 @@ def test_central_blocks_one_per_twist_orbit(backend, q, lam, orbit):
     k = len(sizes)
     central = np.flatnonzero(sizes == 1)
     shift = cls_of[G.right_mul(rep_idx[central][:, None], rep_idx[None, :])]
-    r = dixon_prime(_rep_powers(G)[0], G.order)
+    r = dixon_prime(G.powers[0], G.order)
     theta = _centre_characters(G, shift, central, r)
     Lam = dixon._twists(G, r)
     assert (Lam[0] == 1).all() and len(set(map(tuple, Lam.tolist()))) == len(Lam)
@@ -729,8 +726,8 @@ def test_charpoly_matches_determinant_expansion():
 
 
 def test_exponents():
-    assert _rep_powers(aut_group("padic", 2, (1, 1)))[0] == 6
-    assert _rep_powers(aut_group("padic", 2, (2, 1)))[0] == 4
+    assert aut_group("padic", 2, (1, 1)).powers[0] == 6
+    assert aut_group("padic", 2, (2, 1)).powers[0] == 4
     assert dixon_prime(6, 6) == 7
     assert dixon_prime(6, 7) == 13
 
@@ -938,14 +935,14 @@ def test_lazy_rref_exact_over_many_pivots():
 
 def test_largest_admissible_prime_gives_the_same_degrees():
     G = aut_group("padic", 2, (2, 1))
-    r = _largest_admissible_prime(G.class_count, _rep_powers(G)[0])
-    assert r > dixon_prime(_rep_powers(G)[0], G.order)
+    r = _largest_admissible_prime(G.class_count, G.powers[0])
+    assert r > dixon_prime(G.powers[0], G.order)
     assert character_degrees(G, r_override=r) == character_degrees(G)
 
 
 def test_prime_above_the_float64_bound_rejected():
     G = aut_group("padic", 2, (2, 1))
-    k, e = G.class_count, _rep_powers(G)[0]
+    k, e = G.class_count, G.powers[0]
     r = _largest_admissible_prime(k, e) + e
     while not is_prime(r):
         r += e
@@ -1103,7 +1100,7 @@ def test_one_peel_per_class_dimension_and_profile(monkeypatch):
 
     monkeypatch.setattr(dixon, "_peel", spy_peel)
     monkeypatch.setattr(dixon, "_class_matrix", spy_class)
-    r = dixon_prime(_rep_powers(G)[0], G.order)
+    r = dixon_prime(G.powers[0], G.order)
     assert Counter(character_degrees(G, r_override=r)) == {
         1: 16, 2: 20, 3: 16, 4: 24, 6: 36, 8: 48, 12: 72, 24: 16}
     groups, keys = [], set()

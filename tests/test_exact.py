@@ -1,6 +1,7 @@
 """Exact comparisons of roots of unity by their exponents, against the
-complex references they replaced: the rule zeta_E^a = zeta_M^b, and each
-selection of abelian characters that build and verify make on it."""
+complex references they replaced: the rule zeta_E^a = zeta_M^b, its F_r
+tables, and each selection of abelian characters that build and verify make
+on it."""
 
 import math
 import os
@@ -11,13 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from complex_ref import TOL, roots_of_unity
 from modrep2.build import eta_extensions, inducing_pairs
 from modrep2.classfun import linear_characters
+from modrep2.dixon import dixon_prime
 from modrep2.groups import aut_group
 from modrep2.orbits import CongruenceDual, cuspidal_parameters, eta_dual
-from modrep2.rings import (BACKENDS, TOL, make_ring, prime_power,
-                           roots_of_unity, same_root, twisting_characters,
-                           unit_characters)
+from modrep2.rings import (BACKENDS, fr_roots, make_ring, prime_power,
+                           same_root, twisting_characters, unit_characters)
 from modrep2.verify import _lifts
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -37,6 +39,12 @@ def test_same_root_is_complex_equality(E, M):
     assert np.array_equal(same_root(E, a - 3 * E, M, b + 2 * M),
                           near < 1e-9)
     assert same_root(E, a, M, b).sum() == math.gcd(E, M)
+    # the F_r tables of E and M agree with each other as in C, for the
+    # least prime r = 1 mod lcm(E, M) above 2 and one further
+    r = dixon_prime(math.lcm(E, M), 2)
+    for p in (r, dixon_prime(math.lcm(E, M), r)):
+        assert np.array_equal(fr_roots(E, p)[a] == fr_roots(M, p)[b],
+                              near < 1e-9)
 
 
 def _rings_up_to(size):
@@ -184,8 +192,10 @@ def test_shifted_eta_exponent_raises_under_optimize():
             "def shifted(self, thetas):\n"
             "    return (codes(self, thetas) + 1) % self.Ri.size\n"
             "orbits.CongruenceDual.codes = shifted\n"
+            "G = aut_group('padic', 2, (3, 2))\n"
             "try:\n"
-            "    build.build_cuspidal_nonrect(aut_group('padic', 2, (3, 2)))\n"
+            "    build.build_cuspidal_nonrect(G, build.job_prime(['padic'], 2, "
+            "(3, 2)))\n"
             "except AssertionError as e:\n"
             "    print(e)\n"
             "    raise SystemExit(3)\n")

@@ -16,17 +16,19 @@ def act_perms(points, moves, act):
     return [[index.get(act(x, t), -1) for x in points] for t in moves]
 
 
-# Tuple references for CongruenceDual: the per-element pairing that values()
-# replaced and the tuple formula for the dual action that orbits() replaced.
+# Tuple references for CongruenceDual: the per-element pairing that the
+# exponent gather replaced and the tuple formula for the dual action that
+# orbits() replaced.
 
 def pair(D, theta, k):
-    """Value of the dual character theta at the kernel member at position k."""
+    """Exponent of the value of the dual character theta at the kernel
+    member at position k: theta(k) = zeta_M^pair, (M, e) = Ri.psi_exp."""
     u, v, w, z = D.coords[k]
     uh, vh, wh, zh = theta
     Ri, Rs = D.Ri, D.Rs
     x = Ri.add[Ri.mul[uh][u]][Ri.mul[vh][v]]
     y = Rs.add[Rs.mul[wh][w]][Rs.mul[zh][z]]
-    return Ri.psi[Ri.add[x][Ri.pi_mul(y, D.sigma)]]
+    return int(Ri.psi_exp[1][Ri.add[x][Ri.pi_mul(y, D.sigma)]])
 
 
 def act(D, g, theta):
@@ -106,17 +108,16 @@ def test_duals_are_characters_and_separate():
     D = CongruenceDual(G, 1, 0)
     K = D.K
     prod = K.positions(G.right_mul(K.idx[:, None], K.idx[None, :]))
+    M = D.exponents[0]
     rows = set()
     for theta in D.duals:
         vals = [pair(D, theta, j) for j in range(K.order)]
         for k1 in range(K.order):
             for k2 in range(K.order):
-                assert abs(vals[prod[k1, k2]] - vals[k1] * vals[k2]) < 1e-9
-        rows.add(tuple(round(v.real, 6) + 1j * round(v.imag, 6)
-                       for v in vals))
+                assert vals[prod[k1, k2]] == (vals[k1] + vals[k2]) % M
+        rows.add(tuple(vals))
     assert len(rows) == K.order
-    vm = D.value_matrix
-    assert vm.shape == (K.order, K.order)
+    assert D.exponents[1].shape == (K.order, K.order)
 
 
 @pytest.mark.parametrize("backend,q,lam,depth", [
@@ -129,8 +130,8 @@ def test_value_gather_matches_pairing(backend, q, lam, depth):
     D = CongruenceDual(aut_group(backend, q, lam), *depth)
     want = np.array([[pair(D, t, k) for k in range(D.K.order)]
                      for t in D.duals])
-    assert np.array_equal(D.value_matrix, want)
-    assert np.array_equal(D.values(D.duals[3:5]), want[3:5])
+    assert np.array_equal(D.exponents[1], want)
+    assert D.exponents[0] == D.Ri.psi_exp[0]
 
 
 @pytest.mark.parametrize("backend,q,lam", [
@@ -151,7 +152,7 @@ def test_dual_action_matches_conjugation(backend, q, lam):
         for theta in D.duals[:: max(1, len(D.duals) // 16)]:
             t2 = act(D, g, theta)
             for k in range(K.order):
-                assert abs(pair(D, t2, k) - pair(D, theta, gkg[k])) < 1e-9
+                assert pair(D, t2, k) == pair(D, theta, gkg[k])
     # action property: (gh).theta = g.(h.theta)
     for _ in range(200):
         g, h = els[rng.randrange(len(els))], els[rng.randrange(len(els))]
@@ -168,7 +169,7 @@ def test_dual_action_matches_conjugation(backend, q, lam):
     ("padic", 3, (4, 2), (2, 1)),
 ])
 def test_dual_orbits_match_tuple_action(backend, q, lam, depth):
-    # the value-row permutations against the tuple formula's orbits
+    # the exponent-row permutations against the tuple formula's orbits
     G = aut_group(backend, q, lam)
     D = CongruenceDual(G, *depth)
     reps, sizes, orbit_of = orbit_partition(D.duals, act_perms(

@@ -70,31 +70,6 @@ def test_one_index_protocol():
     assert not quotients
 
 
-def test_one_tolerance_constant():
-    """src/modrep2 binds exactly one float constant below 1, the tolerance
-    TOL for class-function sums, and names nothing MTOL: characters of
-    abelian groups are compared by their exponents."""
-    tols, names = [], set()
-    for path in sorted(PKG.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Assign)
-                    and isinstance(node.value, ast.Constant)
-                    and isinstance(node.value.value, float)
-                    and 0 < node.value.value < 1):
-                tols += ["%s:%s" % (path.name, ast.unparse(t))
-                         for t in node.targets]
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.update({node.name, node.asname})
-            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names.add(node.name)
-    assert tols == ["rings.py:TOL"]
-    assert "MTOL" not in names
-
-
 def _sites(match):
     """'file' or 'file:function' (the innermost enclosing one) for each node
     of src/modrep2 on which match holds."""
@@ -122,17 +97,29 @@ def _named(*names):
         or isinstance(node, ast.alias) and node.name in names)
 
 
-def test_one_tolerance_rule():
-    """Every tolerance decision goes through classfun's close and integers:
-    TOL is bound in rings.py, imported by classfun and read only by those
-    two; nothing calls np.allclose or np.isclose or writes the float 1e-5;
-    and only integers and _rounded (the row keys) round."""
-    assert _sites(_named("TOL")) == {"rings.py": 1, "classfun.py": 1,
-                                     "classfun.py:close": 1,
-                                     "classfun.py:integers": 1}
-    assert not _sites(_named("allclose", "isclose"))
-    assert not _sites(lambda node: isinstance(node, ast.Constant)
-                      and isinstance(node.value, float)
-                      and node.value == 1e-5)
-    assert _sites(_named("round", "around", "rint")) == {
-        "classfun.py:integers": 1, "classfun.py:_rounded": 1}
+# The complex number system classfun used before residues mod a prime, with
+# its tolerance rule, its rounded keys and its second table of roots of
+# unity: none of it may come back.
+INEXACT = {"TOL", "close", "integers", "roots_of_unity", "psi", "round",
+           "rint", "around", "conj", "conjugate", "complex128", "complex64",
+           "complex", "allclose", "isclose", "imag"}
+
+
+def test_values_are_exact():
+    """Class functions are residues mod one prime, decided exactly:
+    src/modrep2 binds no float constant below 1 (a tolerance), and names
+    no tolerance rule, rounding, conjugation, complex type or complex table
+    of roots of unity, as a name, an attribute, an imported name or a
+    definition."""
+    floats = []
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, float)
+                    and 0 < node.value.value < 1):
+                floats += ["%s:%s" % (path.name, ast.unparse(t))
+                           for t in node.targets]
+    assert not floats
+    assert not _sites(lambda node: _named(*INEXACT)(node) or isinstance(
+        node, (ast.FunctionDef, ast.ClassDef)) and node.name in INEXACT)

@@ -58,16 +58,16 @@ def test_ring_compare_rows():
 
 def test_depth_one_value_matrix_built_once():
     # the spectrum checks and the orbit census share one depth-one dual, so
-    # its |K| x |K| value matrix is built once per group (in a fresh
-    # process: the groups and their duals are cached)
+    # its |K| x |K| matrix of value exponents is built once per group (in a
+    # fresh process: the groups and their duals are cached)
     code = ("from modrep2 import orbits\n"
             "from modrep2.verify import verify_all\n"
-            "built, values = [], orbits.CongruenceDual.values\n"
+            "built, codes = [], orbits.CongruenceDual.codes\n"
             "def counted(self, thetas):\n"
             "    if len(thetas) == len(self.duals):\n"
             "        built.append(self.G.name)\n"
-            "    return values(self, thetas)\n"
-            "orbits.CongruenceDual.values = counted\n"
+            "    return codes(self, thetas)\n"
+            "orbits.CongruenceDual.codes = counted\n"
             "print(verify_all('padic', 3, (2, 2)).ok, built)\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -77,20 +77,20 @@ def test_depth_one_value_matrix_built_once():
 
 
 def test_parabolic_check_refuses_a_small_absolute_error(monkeypatch):
-    # a 2e-6 error at the degree (>= 1) of one lower induction on an
-    # inducing pair is refused: the rule |a - b| <= TOL has no relative
-    # slack, such as np.allclose's 1e-5 |b|
+    # one lower induction on an inducing pair off by 1 mod r at one class
+    # is refused: values are compared exactly
     G = aut_group("padic", 2, (2, 2))
-    assert verify._check_parabolic_both_sides(G)
+    r = verify.job_prime(["padic"], 2, (2, 2))
+    assert verify._check_parabolic_both_sides(G, r)
     row = np.flatnonzero(inducing_pairs(G.R1, G.R2))[0]
     geo_ind = verify.geo_ind
 
-    def lower_off(G, t1, t2, side="upper"):
-        f = geo_ind(G, t1, t2, side)
+    def lower_off(G, t1, t2, r, side="upper"):
+        f = geo_ind(G, t1, t2, r, side)
         if side == "lower":
-            assert f.vals[row, G.identity_class].real >= 1
-            f.vals[row, G.identity_class] += 2e-6
+            c = G.class_count - 1
+            f.vals[row, c] = (f.vals[row, c] + 1) % r
         return f
 
     monkeypatch.setattr(verify, "geo_ind", lower_off)
-    assert not verify._check_parabolic_both_sides(G)
+    assert not verify._check_parabolic_both_sides(G, r)
