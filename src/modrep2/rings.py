@@ -628,7 +628,7 @@ def _primitive_root(r):
         while m % p == 0:
             m //= p
     ps += [m] * (m > 1)  # at most one prime factor above sqrt(r)
-    return next(g for g in range(2, r)
+    return next(g for g in range(1, r)
                 if all(pow(g, (r - 1) // p, r) != 1 for p in ps))
 
 

@@ -66,6 +66,10 @@ def test_rank1():
     a = assemble("padic", 3, (2, 0))
     assert a.zeta == {1: 6} and a.complete
     assert a.members[0].group is a.G
+    # the trivial group, whose prime is 2 (1 its primitive root)
+    for backend in ("padic", "tpoly"):
+        a = assemble(backend, 2, (1, 0))
+        assert a.zeta == {1: 1} and a.members.r == 2
 
 
 FAMILY_TABLES = {
