@@ -105,12 +105,10 @@ INEXACT = {"TOL", "close", "integers", "roots_of_unity", "psi", "round",
            "complex", "allclose", "isclose", "imag"}
 
 
-def test_values_are_exact():
-    """Class functions are residues mod one prime, decided exactly:
-    src/modrep2 binds no float constant below 1 (a tolerance), and names
-    no tolerance rule, rounding, conjugation, complex type or complex table
-    of roots of unity, as a name, an attribute, an imported name or a
-    definition."""
+def test_one_tolerance_constant():
+    """Class functions are residues mod one prime, decided exactly, so the
+    one tolerance src/modrep2 had, TOL, is gone with nothing in its place:
+    src/modrep2 binds no float constant below 1 and names no TOL or MTOL."""
     floats = []
     for path in sorted(PKG.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -121,5 +119,16 @@ def test_values_are_exact():
                 floats += ["%s:%s" % (path.name, ast.unparse(t))
                            for t in node.targets]
     assert not floats
+    assert not _sites(_named("TOL", "MTOL"))
+
+
+def test_one_tolerance_rule():
+    """No tolerance decision is left to make: src/modrep2 names no
+    tolerance rule, rounding, conjugation, complex type or complex table of
+    roots of unity, as a name, an attribute, an imported name or a
+    definition, and writes no float 1e-5."""
     assert not _sites(lambda node: _named(*INEXACT)(node) or isinstance(
         node, (ast.FunctionDef, ast.ClassDef)) and node.name in INEXACT)
+    assert not _sites(lambda node: isinstance(node, ast.Constant)
+                      and isinstance(node.value, float)
+                      and node.value == 1e-5)
