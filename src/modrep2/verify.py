@@ -118,9 +118,10 @@ def _check_mixed_composition(G, r):
                for side in ("embed", "quot"))
 
 
-def _check_stable_chain(backend, q, r):
+def _check_stable_chain(backend, q):
     """One-step stable functors along (4,1)->(4,2)->(4,3) compose to the
-    two-step ones."""
+    two-step ones, mod the job prime of (4,3)."""
+    r = job_prime([backend], q, (4, 3))
     G43 = aut_group(backend, q, (4, 3))
     G42 = aut_group(backend, q, (4, 2))
     sigma = assemble(backend, q, (4, 1), r).family("orbitC").members
@@ -161,10 +162,7 @@ def verify_all(backend, q, lam):
     # the oracle first, once: its peak memory then stacks on the group and
     # its classes only, not on the assembled families
     oracle = Counter(character_degrees(G))
-    # the stable chain of q=2 (3,2) assembles within (4,3); the q=2 battery
-    # reads degrees [G:P] deg sigma of 4 = [G:B] and 2 * 2 = [G:P_1] d(3,1)
-    # on (3,2), 6 and 3 * 2 on (2,2), within D = 8 and 6
-    r = job_prime([backend], q, (4, 3) if (q, lam) == (2, (3, 2)) else lam)
+    r = job_prime([backend], q, lam)
     a = assemble(backend, q, lam, r)
     rep.add("zeta_closed_form", "degree-count recursion",
             _zeta_json(zeta_closed_form(q, lam)), _zeta_json(a.zeta))
@@ -234,7 +232,7 @@ def verify_all(backend, q, lam):
                 True, _check_cuspidal_induction(G, r))
         if lam == (3, 2):
             rep.add("stable_chain", "two-step functor composition",
-                    True, _check_stable_chain(backend, q, r))
+                    True, _check_stable_chain(backend, q))
     return rep
 
 

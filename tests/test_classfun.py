@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import complex_ref as cr
-from modrep2.build import eta_extensions
+from modrep2.build import assemble, eta_extensions
 from modrep2.classfun import (ClassFunction, all_pairs, count_maps, dedupe,
-                              geo_ind, induce, ind, inflate,
+                              depth_one_dual, geo_ind, induce, ind, inflate,
                               invariants_pushforward, is_cuspidal, k_spectrum,
                               linear_characters, member_sums, res, row_order,
                               spectrum_kinds, is_primitive, stack,
@@ -166,6 +166,50 @@ def ref_twist(G, v, E, row, r):
     value = dict(zip(R2.units, fr_roots(E, r)[row].tolist()))
     return np.array([int(x) * value[c] % r
                      for x, c in zip(v, codes.tolist())])
+
+
+def ref_k_spectrum(G, v, r):
+    """Per depth-one dual theta, sum_k v(k) theta(k)^-1 / |K| over the
+    members k of the kernel K, read as an integer in [0, deg]."""
+    D = depth_one_dual(G)
+    M, X = D.exponents
+    zeta = fr_roots(M, r).tolist()
+    at_k = [int(v[c]) for c in G.cls_of[D.K.idx].tolist()]
+    inv = pow(D.K.order, -1, r)
+    out = [sum(x * zeta[-e % M] for x, e in zip(at_k, row)) * inv % r
+           for row in X.tolist()]
+    assert max(out) <= int(v[G.identity_class])
+    return np.array(out)
+
+
+def ref_is_primitive(G, v, r):
+    labels = depth_one_dual(G).labels
+    kinds = {labels[j][0] for j in np.flatnonzero(ref_k_spectrum(G, v, r))}
+    return not kinds & {"central", "scalar"}
+
+
+def ref_is_cuspidal(G, v, r):
+    """Norm 1 (the values at the inverse classes through G.inverse),
+    primitive at depth >= 2, and every twist sums to 0 over the members of
+    each unipotent and congruence kernel, one class at a time."""
+    inv_cls = G.cls_of[G.inverse(G.rep_idx)].tolist()
+    norm = sum(int(s) * int(v[c]) * int(v[i]) for c, (s, i) in enumerate(
+        zip(G.class_sizes.tolist(), inv_cls)))
+    if norm * pow(G.order, -1, r) % r != 1:
+        return False
+    if G.l2 >= 2 and not ref_is_primitive(G, v, r):
+        return False
+    subs = [G.subgroup("unipotent_upper"), G.subgroup("unipotent_lower")]
+    subs += [G.subgroup(tag, m=m) for _, m in inner_types(G.lam)
+             for tag in ("ker_embed", "ker_quot")]
+    E, twists = (twisting_characters(G.R2) if G.R2.level >= 2
+                 else unit_characters(G.R2))
+    for row in twists:
+        tc = ref_twist(G, v, E, row, r).tolist()
+        for U in subs:
+            if sum(tc[c] for c in G.cls_of[U.idx].tolist()) % r:
+                return False
+    return True
 
 
 def test_linear_character_counts():
@@ -654,6 +698,17 @@ def test_stacked_transfers_match_member_loop(case, data):
     assert dup.fingerprint() == [v.tobytes() for v in dup.vals]
     kept = dedupe(dup)  # the first occurrences, in row_order's order
     assert np.array_equal(kept.vals, g[row_order(g)[0]].vals)
+    # the spectrum and the cuspidality battery on characters
+    chars = assemble(backend, q, lam).members
+    rows = chars[data.draw(st.lists(st.integers(0, len(chars) - 1),
+                                    min_size=1, max_size=6))]
+    assert [bool(c) for c in is_cuspidal(G, rows)] == [
+        ref_is_cuspidal(G, v, rows.r) for v in rows.vals]
+    if lam[1] >= 2:
+        for v, w in zip(rows.vals, k_spectrum(G, rows)):
+            assert np.array_equal(w, ref_k_spectrum(G, v, rows.r))
+        assert is_primitive(G, rows).tolist() == [
+            ref_is_primitive(G, v, rows.r) for v in rows.vals]
 
 
 class _Classes:
