@@ -1,7 +1,13 @@
 """Explicit construction of the full irreducible character sets: the depth-one
 tower, deep cuspidal characters, geometric and infinitesimal induction, and
-the recursive assembly with its closed-form degree counts.  Every value of
-one job is a residue mod one prime r (classfun, job_prime)."""
+the recursive assembly with its closed-form degree counts.
+
+Every value of one job is a residue mod one prime r (classfun), chosen by
+job_prime from the top group alone and shared with the Dixon oracle: r = 1
+mod its exponent, r > max(D^2, 2 sqrt|G|, k) for D its largest degree.  It
+serves every type assemble visits, the image of a subgroup of the top
+group, so of exponent dividing the top's and of degrees at most D; each
+assemble admits it again (dixon.admit_prime) before any value is built."""
 
 import math
 from collections import Counter
@@ -11,53 +17,41 @@ import numpy as np
 from .classfun import (ClassFunction, dedupe, geo_ind, ind, induce, inflate,
                        is_cuspidal, linear_characters, member_sums, row_order,
                        spectrum_kinds, stack, twist)
-from .dixon import character_degrees, dixon_prime
+from .dixon import admit_prime, character_degrees, dixon_prime
 from .groups import Subgroup, aut_group
 from .orbits import CongruenceDual, cuspidal_parameters, eta_dual, inner_types
-from .rings import (_check, at_one_plus, character_group, fr_roots, is_prime,
+from .rings import (_check, at_one_plus, character_group, fr_roots,
                     same_root, twisting_characters, unit_characters)
 
 
 class IrrFamily:
     """A labeled batch of irreducible characters (one stack), or a
-    count-only record."""
+    count-only record of their degrees, zeta = {degree: count}; count and
+    degree (None unless one) are read from zeta."""
 
-    def __init__(self, label, members=None, count=None, degree=None,
-                 provenance=None):
+    def __init__(self, label, members=None, zeta=None):
         self.label = label
         if members is not None:
-            members, degs = _checked_members(label, members)
-            self.count = len(members)
-            self.degree = degs[0] if len(degs) == 1 else None
-        else:
-            self.count = count
-            self.degree = degree
-        self.members = members
-        self.provenance = provenance or {}
-
-    def degree_counter(self):
-        if self.members is not None:
-            return Counter(self.members.degrees.tolist())
-        if self.degree is None:
-            return Counter(self.provenance["zeta"])
-        return Counter({self.degree: self.count})
+            members = _checked_members(label, members)
+            zeta = Counter(members.degrees.tolist())
+        self.members, self.zeta = members, Counter(zeta)
+        self.count = sum(self.zeta.values())
+        self.degree = next(iter(self.zeta)) if len(self.zeta) == 1 else None
 
 
 def _checked_members(label, members):
-    """(members, sorted distinct degrees), the members in the order of
-    row_order, all checked on their stacked values: degrees read, norms
-    read and equal to 1, distinct fingerprints (equal rows sort next to
-    each other)."""
+    """The members in the order of row_order, checked on their stacked
+    values: degrees read, norms read and equal to 1, distinct fingerprints
+    (equal rows sort next to each other)."""
     if not len(members):
-        return members, []
+        return members
     n = members.mult()
     _check((n == 1).all(), "%s: norms other than 1" % label, [],
            n[n != 1].tolist())
-    degs = sorted(set(members.degrees.tolist()))
     order, repeat = row_order(members)
     _check(not repeat.any(), "%s: distinct fingerprints" % label,
            len(members), len(members) - int(repeat.sum()))
-    return members[order], degs
+    return members[order]
 
 
 def green_gl2(q):
@@ -328,8 +322,7 @@ def build_infinitesimal(G, r):
                    "inductions differ" % (l1, m), 0, off)
             raw.append(twist(a, tws))
         # q twists of each cuspidal; IrrFamily refuses repeated rows
-        fams = [IrrFamily("inf_embed", stack(raw),
-                          provenance={"note": "embed and quot coincide"})]
+        fams = [IrrFamily("inf_embed", stack(raw))]
         deg = q ** (l1 - 2) * (q * q - 1)
         _check(fams[0].degree == deg, "inf_embed: degree", deg,
                fams[0].degree)
@@ -428,37 +421,27 @@ def _check_totals(asm):
     asm.checks["class_count"] = True
 
 
-def assembled_types(lam):
-    """The types assemble(lam) assembles, lam among them."""
-    l1, l2 = lam
-    subs = [(l1 - 1, l2 - 1)] + [(l1, m) for m in range(1, l2)]
-    return {tuple(lam)}.union(*map(assembled_types, subs * (l2 >= 2)))
-
-
-def check_prime(r, D, k):
-    """r, refused unless a prime above D^2 (degrees up to D and products of
-    two read exactly) with (k+1) r^2 < 2^53 (exact float64 products)."""
-    _check(is_prime(r) and r > D * D and (k + 1) * r * r < 2 ** 53,
-           "the prime of the class functions: a prime above D^2 = %d with "
-           "(k+1) r^2 below 2^53 for k = %d" % (D * D, k), "such a prime", r)
-    return r
-
-
 def job_prime(backends, q, lam):
-    """The prime of a job assembling lam on the backends: the least r = 1
-    mod the exponents of the groups of assembled_types(lam), r > D^2 for D
-    the largest degree of their members, the degrees assemble reads."""
-    types = assembled_types(lam)
-    groups = [aut_group(b, q, t) for b in backends for t in types]
-    D = max(max(zeta_closed_form(q, t)) for t in types)
-    r = dixon_prime(math.lcm(*(G.powers[0] for G in groups)), D * D)
-    return check_prime(r, D, max(G.class_count for G in groups))
+    """The prime of a job on lam over the backends, read from the top groups
+    alone: the least r = 1 mod the lcm of their exponents with r > max(D^2,
+    2 sqrt|G|, k), D the largest degree of zeta_closed_form(q, lam), so one
+    prime serves the oracle and every type assemble visits (the image of a
+    subgroup of the top group under floor, embed or quot: its exponent
+    divides the top's, its degrees are at most D), admitted by
+    admit_prime."""
+    groups = [aut_group(b, q, tuple(lam)) for b in backends]
+    exponent = math.lcm(*(G.powers[0] for G in groups))
+    k = max(G.class_count for G in groups)
+    bound = max(max(zeta_closed_form(q, lam)) ** 2,
+                math.isqrt(4 * max(G.order for G in groups)), k)
+    return admit_prime(dixon_prime(exponent, bound), exponent, bound, k)
 
 
 def assemble(backend, q, lam, r=None):
     """Build, verify and cache the complete irreducible data for one type,
-    mod r (by default job_prime); a given r is refused by check_prime before
-    any value is built, and by fr_roots if F_r lacks a root of unity."""
+    mod r (by default job_prime), which admit_prime refuses before any value
+    is built unless r > D^2 for the largest degree D (products of two
+    degrees read exactly) and r = 1 mod the exponent."""
     lam = tuple(lam)
     r = r or job_prime([backend], q, lam)
     key = (backend, q, lam, r)
@@ -466,10 +449,11 @@ def assemble(backend, q, lam, r=None):
         return _ASSEMBLED[key]
     l1, l2 = lam
     G = aut_group(backend, q, lam)
-    check_prime(r, max(zeta_closed_form(q, lam)), G.class_count)
+    admit_prime(r, G.powers[0], max(zeta_closed_form(q, lam)) ** 2,
+                G.class_count)
 
     if lam == (1, 1):
-        zeta = dict(Counter(character_degrees(G)))
+        zeta = dict(Counter(character_degrees(G, r)))
         green = green_gl2(q)
         _check(zeta == green, "Dixon degrees of %s q=%d (1,1) against "
                "green_gl2" % (backend, q), sorted(green.items()),
@@ -492,17 +476,14 @@ def assemble(backend, q, lam, r=None):
         else:
             sub = assemble(backend, q, (l1 - 1, l2 - 1), r)
             pull_zeta = {d: q * n for d, n in sub.zeta.items()}
-            fams = [IrrFamily("pullback_twist",
-                              count=sum(pull_zeta.values()),
-                              provenance={"zeta": pull_zeta})]
+            fams = [IrrFamily("pullback_twist", zeta=pull_zeta)]
             fams.extend(build_infinitesimal(G, r))
             fams.extend(build_geometric(G, r)[::-1])
             cn, cd = cuspidal_rect_count(l1, q)
-            fams.append(IrrFamily("cuspidal_rect_count", count=cn,
-                                  degree=cd))
+            fams.append(IrrFamily("cuspidal_rect_count", zeta={cd: cn}))
         zeta = Counter()
         for fam in fams:
-            zeta.update(fam.degree_counter())
+            zeta.update(fam.zeta)
         asm = AssembledSet(G, backend, q, lam, fams,
                            {d: n for d, n in zeta.items() if n > 0},
                            l2 < 2 or l1 > l2)

@@ -8,27 +8,27 @@ values, one row per function and one column per class of its group; a single
 class function is a stack of one row.  Every transfer takes a stack and
 returns a stack (or one entry per row), so a family moves between groups in
 a few numpy calls.  What does not depend on the rows is computed once and
-kept on the group it belongs to (_once): along each side, ind and res are
-linear maps stored as (source class, target class, count) triples from one
-pass over the parabolic's members (_Pairs); inflate keeps the classes of the
-representatives' images, twist the det codes of the representatives, and
-the cuspidality check each subgroup's class counts.  Wide temporaries are
-taken in row blocks of about _ENTRIES entries.
+kept on the group it belongs to (rings._once): along each side, ind and res
+are linear maps stored as (source class, target class, count) triples from
+one pass over the parabolic's members (_Pairs); inflate keeps the classes
+of the representatives' images, twist the det codes of the
+representatives, and the cuspidality check each subgroup's class counts.
+Wide temporaries are taken in row blocks of about _ENTRIES entries.
 
-Values are int64 residues mod one prime r = 1 mod the exponents of the job
-(rings.fr_roots), Z[zeta_N] modulo a prime above r, r prime to |G|:
-distinct irreducible characters stay distinct, conjugation is the value at
-the inverse class (FiniteGroup.powers), division an inverse mod r, a row's
-key its bytes.  Integers are read (_read) in ranges characters obey:
-degrees in [0, isqrt(r - 1)], inner products of rows of degrees d, d' in
-[0, d d'], multiplicities in restrictions in [0, d]."""
+Values are int64 residues mod one prime r = 1 mod the exponent of the job
+(build.job_prime, rings.fr_roots), Z[zeta_N] modulo a prime above r, r
+prime to |G|: distinct irreducible characters stay distinct, conjugation is
+the value at the inverse class (FiniteGroup.powers), division an inverse mod
+r, a row's key its bytes.  Integers are read (_read) in ranges characters
+obey: degrees in [0, isqrt(r - 1)], inner products of rows of degrees d, d'
+in [0, d d'], multiplicities in restrictions in [0, d]."""
 
 import math
 
 import numpy as np
 
 from .orbits import CongruenceDual, inner_types
-from .rings import (_check, _inverses, _mm, character_group, fr_roots,
+from .rings import (_check, _inverses, _mm, _once, character_group, fr_roots,
                     twisting_characters, unit_characters)
 
 _ENTRIES = 1 << 16  # entries per row block of a wide temporary
@@ -39,15 +39,6 @@ def _blocks(n, width):
     width each."""
     step = max(1, _ENTRIES // max(width, 1))
     return [slice(s, s + step) for s in range(0, n, step)]
-
-
-def _once(G, key, build):
-    """build(), kept on G under key: a map that does not depend on the
-    rows it is applied to (keyed by the prime where it holds values)."""
-    maps = vars(G).setdefault("_classfun_maps", {})
-    if key not in maps:
-        maps[key] = build()
-    return maps[key]
 
 
 def _read(v, hi, what, r):

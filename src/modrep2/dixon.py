@@ -5,16 +5,18 @@ identity class, and read the degree from the second orthogonality relation.
 Everything is exact integer arithmetic, so this is an independent oracle for
 the degree multisets produced by the explicit constructions.
 
-The prime (J. D. Dixon, Numer. Math. 10, 1967): the least r = 1 mod the
-exponent with r > max(2 sqrt|G|, k).  r = 1 mod the exponent gives r not
-dividing |G|, so the class algebra over F_r is split semisimple; r > k keeps
-every characteristic polynomial's degree below r (_roots).  The
+The prime (J. D. Dixon, Numer. Math. 10, 1967): r = 1 mod the exponent
+with r > max(2 sqrt|G|, k), by default the least (dixon_prime); verify-all
+passes the job's prime (build.job_prime), which the construction shares.
+One rule admits every prime (admit_prime).  r = 1 mod the exponent gives r
+not dividing |G|, so the class algebra over F_r is split semisimple; r > k
+keeps every characteristic polynomial's degree below r (_roots).  The
 orthogonality relation gives d^2 mod r for each degree d, and since
 d <= sqrt|G| < r/2, d -> d^2 mod r is injective on 1 <= d <= sqrt|G|, so
 each degree is read from one table of those squares (_read_degrees),
 which refuses a residue off it; the integers then check sum d^2 = |G|.
-On padic q=2 (6,5) r is 2017 (k = 2000 sets the bound), against 524353
-above |G|; on q=7 (2,2) it is 7057.
+On padic q=2 (6,5) the default r is 2017 (k = 2000 sets the bound),
+against 524353 above |G|; on q=7 (2,2) it is 7057.
 
 Class matrices (_class_matrix): the products x * rep_m of a class's members
 by the k representatives are read from the representatives' right
@@ -65,8 +67,8 @@ members of one class, so a matrix is reduced mod r when its class has at
 least r members), so a product of two entries is below r^2 and a dot
 product of length at most k below k*r^2.  The split takes its larger matrix
 products through float64 BLAS (_mm), which is exact while every dot product
-stays below 2^53, so character_degrees refuses a prime with
-(k+1)*r^2 >= 2^53; the smaller products run in int64.  At the default
+stays below 2^53, so admit_prime refuses a prime with (k+1)*r^2 >= 2^53;
+the smaller products run in int64.  At the default
 prime (k+1)*r^2 is far below 2^53 = 9.0e15: 8.1e9 on padic q=2 (6,5),
 1.2e11 on q=7 (2,2); the row reduction stays below 2^63 (_rref).  The
 class matrices and the blocks are held as float64."""
@@ -76,9 +78,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .rings import (TableGroup, _check, _inverses, _mm, character_group,
-                    code_positions, direct_product, fr_roots, is_prime,
-                    make_ring, unit_group)
+from .rings import (TableGroup, _check, _inverses, _mm, _once,
+                    character_group, code_positions, direct_product, fr_roots,
+                    is_prime, make_ring, unit_group)
 
 
 def dixon_prime(exponent, bound):
@@ -86,6 +88,22 @@ def dixon_prime(exponent, bound):
     r = bound + 1 + (-(bound)) % exponent
     while not is_prime(r):
         r += exponent
+    return r
+
+
+def admit_prime(r, exponent, bound, k):
+    """r, refused by a ValueError naming the first term it fails unless r is
+    a prime, r = 1 mod the exponent (so F_r holds the roots of unity and r
+    does not divide |G|), r > bound, and (k+1) r^2 < 2^53 (a dot product of
+    k residues exact in float64, the row reduction's lazy sums in int64)."""
+    terms = ["r prime", "r = 1 mod the exponent %d" % exponent,
+             "r > %d" % bound, "(k+1) r^2 < 2^53 for k = %d, exact float64 "
+             "products" % k]
+    ok = [is_prime(r), (r - 1) % exponent == 0, r > bound,
+          (k + 1) * r * r < 2 ** 53]
+    if not all(ok):
+        raise ValueError("the prime r = %d fails %s (of: %s)"
+                         % (r, terms[ok.index(False)], "; ".join(terms)))
     return r
 
 
@@ -524,28 +542,23 @@ def _read_degrees(d2, r, order):
     return sorted(d.tolist())
 
 
-def character_degrees(G, r_override=None):
-    """Sorted degree multiset of the irreducible characters of G."""
+def character_degrees(G, r=None):
+    """Sorted degree multiset of the irreducible characters of G, split mod
+    r (by default the least prime = 1 mod the exponent above max(2 sqrt|G|,
+    k)), admitted by admit_prime and kept on G per r."""
     if G.is_abelian:
         return [1] * G.order
-    if r_override is None and getattr(G, "_degree_multiset", None) is not None:
-        return list(G._degree_multiset)
     k = G.class_count
     exponent, jstar = G.powers
     bound = max(math.isqrt(4 * G.order), k)  # r > bound: r > 2 sqrt|G|, r > k
-    r = r_override if r_override is not None else dixon_prime(exponent, bound)
-    if not (is_prime(r) and r > bound and (r - 1) % exponent == 0):
-        raise ValueError("Dixon prime must be a prime r > max(2 sqrt|G|, k) = "
-                         "%d with r = 1 mod exponent %d, got %d"
-                         % (bound, exponent, r))
-    if (k + 1) * r * r >= 2 ** 53:
-        raise ValueError("Dixon prime %d too large for exact float64 products "
-                         "with %d classes" % (r, k))
-    sizes = G.class_sizes
-    W = _eigenlines(G, jstar, r)
-    s = (W * W[:, jstar] % r * _inverses(sizes, r) % r).sum(axis=1) % r
-    _check(np.count_nonzero(s) == k, "nonzero norms", k, np.count_nonzero(s))
-    degrees = _read_degrees(G.order * _inverses(s, r) % r, r, G.order)
-    if r_override is None:
-        G._degree_multiset = degrees
-    return list(degrees)
+    r = admit_prime(dixon_prime(exponent, bound) if r is None else r,
+                    exponent, bound, k)
+
+    def degrees():
+        W = _eigenlines(G, jstar, r)
+        s = (W * W[:, jstar] % r * _inverses(G.class_sizes, r) % r).sum(
+            axis=1) % r
+        _check(np.count_nonzero(s) == k, "nonzero norms", k,
+               np.count_nonzero(s))
+        return _read_degrees(G.order * _inverses(s, r) % r, r, G.order)
+    return list(_once(G, ("degrees", r), degrees))

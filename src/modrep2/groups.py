@@ -25,9 +25,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from modrep2.rings import (FiniteGroup, TableGroup, _check, code_positions,
-                           direct_product, greedy_generators, hook,
-                           label_orbits, make_ring, unit_group)
+from modrep2.rings import (FiniteGroup, TableGroup, _check, _once,
+                           code_positions, direct_product, greedy_generators,
+                           hook, label_orbits, make_ring, unit_group)
 
 SWAP = (0, 1, 1, 0)
 
@@ -146,7 +146,6 @@ class AutGroup(GroupBase):
         dd = l1 - l2
         self.identity = (1, 0, 0, 1)
         self.name = "Aut(%s,q=%d,%s)" % (backend, q, (l1, l2))
-        self._subgroup_cache, self._tori = {}, {}
 
         # (a, b, c, d) is an element when its determinant a*d - pi^(l1-l2)*b*c
         # is a unit, which is decided mod pi: a mask over the mixed-radix
@@ -484,10 +483,8 @@ class AutGroup(GroupBase):
                    0, off)
             _check(kind == "diag" or l2 == 1, "hom diag_red: level l2", 1, l2)
             lv = l1 if kind == "diag" else l1 - 1
-            if lv not in self._tori:
-                self._tori[lv] = direct_product(unit_group(make_ring(
-                    self.backend, q, lv)), unit_group(self.R2))
-            T = self._tori[lv]
+            T = _once(self, ("torus", lv), lambda: direct_product(unit_group(
+                make_ring(self.backend, q, lv)), unit_group(self.R2)))
             U1, U2 = T.factors
             return T, (code_positions(U1, a % q ** lv, "hom " + kind)
                        * U2.order + code_positions(U2, d, "hom " + kind))
@@ -520,9 +517,10 @@ class AutGroup(GroupBase):
         with 1 or 0), plus one condition for scalars and the cuspidal pair."""
         i, sigma, m = kw.get("i", 0), kw.get("sigma", 0), kw.get("m", 0)
         u, w = kw.get("u_hat"), kw.get("w_hat")
-        key = (tag, i, sigma, m, u, w)
-        if key in self._subgroup_cache:
-            return self._subgroup_cache[key]
+        return _once(self, ("subgroup", tag, i, sigma, m, u, w),
+                     lambda: self._subgroup(tag, i, sigma, m, u, w))
+
+    def _subgroup(self, tag, i, sigma, m, u, w):
         l1, l2, s2 = self.l1, self.l2, self.s2
         l, eps = self.half_levels()
         if tag == "floor_kernel" and l2 < 2:
@@ -571,8 +569,7 @@ class AutGroup(GroupBase):
         if tag == "cuspidal_abelian":  # every unit a and every c give a unit d
             _check(len(idx) == len(self.R1.units) * s2,
                    "cuspidal_abelian: members", len(self.R1.units) * s2, len(idx))
-        self._subgroup_cache[key] = Subgroup(self, idx, name=tag)
-        return self._subgroup_cache[key]
+        return Subgroup(self, idx, name=tag)
 
     def half_levels(self):
         """(l, eps) with l2 = 2l - eps: the depth at which cuspidal data lives."""
@@ -589,7 +586,6 @@ class Subgroup(GroupBase):
         self.name = (parent.name + "." + name) if name else parent.name + ".sub"
         self.gen_idx = greedy_generators(self)  # refuses a list that is no group
         self.identity_pos = int(self.positions(self.root.identity_pos))
-        self._pullbacks = {}
 
     @property
     def root(self):
@@ -608,10 +604,10 @@ class Subgroup(GroupBase):
         """(Q, img, Q.cls_of[img]): the members' images under the root's
         map kind onto Q (AutGroup.hom) and their classes there, cached per
         (kind, m)."""
-        if (kind, m) not in self._pullbacks:
+        def build():
             Q, img = self.root.hom(kind, self.idx, m)
-            self._pullbacks[kind, m] = Q, img, Q.cls_of[img]
-        return self._pullbacks[kind, m]
+            return Q, img, Q.cls_of[img]
+        return _once(self, ("pullback", kind, m), build)
 
 
 def class_count_formula(q, lam):

@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 
-from modrep2.rings import _check, make_ring, orbit_partition
+from modrep2.rings import _check, _once, make_ring, orbit_partition
 
 
 class CongruenceDual:
@@ -15,8 +15,9 @@ class CongruenceDual:
     level i - sigma, additive under the group law."""
 
     def __init__(self, G, i, sigma):
-        if not (0 <= sigma <= 1 and sigma < i <= G.l2 and i <= G.l1 - 1
-                and i - sigma <= G.l2 - 1):
+        l1, l2 = G.lam
+        if not (0 <= sigma <= 1 and sigma < i <= l2 and i <= l1 - 1
+                and i - sigma <= l2 - 1):
             raise ValueError("depth (%d,%d) gives no proper coordinate window"
                              % (i, sigma))
         self.G, self.i, self.sigma = G, i, sigma
@@ -41,7 +42,6 @@ class CongruenceDual:
                "distinct coordinates and order of the congruence kernel",
                qi * qi * qs * qs, (distinct, self.K.order))
         self.duals = list(product(range(qi), range(qi), range(qs), range(qs)))
-        self._orbit_data = None
 
     def codes(self, thetas):
         """The level-i codes uh u + vh v + pi^sigma (wh w + zh z) of the
@@ -68,7 +68,7 @@ class CongruenceDual:
         self.duals.  Conjugating K's members by a generator permutes the
         columns of the exponent rows; each permuted row is the exponent row
         of the moved dual, found by its bytes."""
-        if self._orbit_data is None:
+        def build():
             G, K, X = self.G, self.K, self.exponents[1]
             row = {r.tobytes(): j for j, r in enumerate(X)}
             _check(len(row) == len(X), "distinct exponent rows of the duals",
@@ -77,8 +77,8 @@ class CongruenceDual:
             perms = [[row.get(r.tobytes(), -1) for r in X[:, K.positions(
                 G.right_mul(gi, G.right_mul(K.idx, t)))]]
                 for gi, t in zip(G.inverse(g), g)]
-            self._orbit_data = orbit_partition(self.duals, perms)
-        return self._orbit_data
+            return orbit_partition(self.duals, perms)
+        return _once(self, "orbits", build)
 
     def classify(self, theta):
         """Orbit label at depth (1, 0): a (kind, parameter) pair."""

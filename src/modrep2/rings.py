@@ -41,6 +41,15 @@ def _check(ok, what, expected, computed):
                              % (what, expected, computed))
 
 
+def _once(obj, key, build):
+    """build(), kept on obj under key on first use: data derived from obj
+    alone (keyed by the prime where it holds values)."""
+    memo = vars(obj).setdefault("_memo", {})
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 def is_prime(n):
     if n < 2:
         return False
@@ -432,11 +441,7 @@ class FiniteGroup:
 
     def _classes(self):
         """(class sizes, class index of each position)."""
-        data = getattr(self, "_class_data", None)
-        if data is None:
-            data = self._compute_classes()
-            self._class_data = data
-        return data
+        return _once(self, "classes", self._compute_classes)
 
     @property
     def class_sizes(self):

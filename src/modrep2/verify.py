@@ -118,10 +118,9 @@ def _check_mixed_composition(G, r):
                for side in ("embed", "quot"))
 
 
-def _check_stable_chain(backend, q):
+def _check_stable_chain(backend, q, r):
     """One-step stable functors along (4,1)->(4,2)->(4,3) compose to the
-    two-step ones, mod the job prime of (4,3)."""
-    r = job_prime([backend], q, (4, 3))
+    two-step ones, mod r, which job_prime of (4,3) admits."""
     G43 = aut_group(backend, q, (4, 3))
     G42 = aut_group(backend, q, (4, 2))
     sigma = assemble(backend, q, (4, 1), r).family("orbitC").members
@@ -159,10 +158,13 @@ def verify_all(backend, q, lam):
             order_formula(q, lam), G.order)
     rep.add("class_count", "almost-cyclic class census formula",
             class_count_formula(q, lam), G.class_count)
-    # the oracle first, once: its peak memory then stacks on the group and
-    # its classes only, not on the assembled families
-    oracle = Counter(character_degrees(G))
-    r = job_prime([backend], q, lam)
+    # one prime for the oracle and every assembled set, the stable chain's
+    # (4,3) tower on q=2 (3,2) included; the oracle first, once: its peak
+    # memory then stacks on the group and its classes only, not on the
+    # assembled families
+    chain = q == 2 and lam == (3, 2)
+    r = job_prime([backend], q, (4, 3) if chain else lam)
+    oracle = Counter(character_degrees(G, r))
     a = assemble(backend, q, lam, r)
     rep.add("zeta_closed_form", "degree-count recursion",
             _zeta_json(zeta_closed_form(q, lam)), _zeta_json(a.zeta))
@@ -206,8 +208,8 @@ def verify_all(backend, q, lam):
         remaining = Counter(oracle)
         for d, n in assemble(backend, q, (l1 - 1, l2 - 1), r).zeta.items():
             remaining[d] -= q * n
-        explicit = sum((f.degree_counter() for f in a.families
-                        if f.members is not None), Counter())
+        explicit = sum((f.zeta for f in a.families if f.members is not None),
+                       Counter())
         remaining.subtract(explicit)
         remaining = {d: n for d, n in remaining.items() if n}
         rep.add("rect_subtraction", "unaccounted degrees = unconstructed "
@@ -230,9 +232,9 @@ def verify_all(backend, q, lam):
                 True, _check_mixed_composition(G, r))
         rep.add("cuspidal_induction", "irreducible and injective",
                 True, _check_cuspidal_induction(G, r))
-        if lam == (3, 2):
+        if chain:
             rep.add("stable_chain", "two-step functor composition",
-                    True, _check_stable_chain(backend, q))
+                    True, _check_stable_chain(backend, q, r))
     return rep
 
 

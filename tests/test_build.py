@@ -21,10 +21,10 @@ from modrep2.classfun import (geo_ind, ind, induce, inflate, is_cuspidal,
                               member_sums, res, spectrum_kinds, stack, twist,
                               ClassFunction, dedupe)
 from modrep2.dixon import character_degrees, dixon_prime
-from modrep2.groups import Subgroup, aut_group
+from modrep2.groups import Subgroup, aut_group, order_formula
 from modrep2.orbits import CongruenceDual
-from modrep2.rings import (character_group, fr_roots, twisting_characters,
-                           unit_group)
+from modrep2.rings import (BACKENDS, character_group, fr_roots,
+                           twisting_characters, unit_group)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -66,10 +66,46 @@ def test_rank1():
     a = assemble("padic", 3, (2, 0))
     assert a.zeta == {1: 6} and a.complete
     assert a.members[0].group is a.G
-    # the trivial group, whose prime is 2 (1 its primitive root)
+    # the trivial group: its job prime is 3 (above 2 sqrt|G| = 2), and it
+    # also assembles at r = 2 (1 its primitive root)
     for backend in ("padic", "tpoly"):
-        a = assemble(backend, 2, (1, 0))
+        assert assemble(backend, 2, (1, 0)).members.r == 3
+        a = assemble(backend, 2, (1, 0), 2)
         assert a.zeta == {1: 1} and a.members.r == 2
+
+
+def assembled_types(lam):
+    """The types assemble(lam) assembles, lam among them: the reference
+    that job_prime, which reads the top type alone, is checked against."""
+    l1, l2 = lam
+    subs = [(l1 - 1, l2 - 1)] + [(l1, m) for m in range(1, l2)]
+    return {tuple(lam)}.union(*map(assembled_types, subs * (l2 >= 2)))
+
+
+def _small_types():
+    """(backend, q, lam) for every type with |G| <= 30 000 and a ring of
+    at most 1024 codes, q in 2..5 on both backends (padic: q prime)."""
+    return [(b, q, (l1, l2)) for b in BACKENDS for q in (2, 3, 4, 5)
+            if b == "tpoly" or q != 4
+            for l1 in range(1, 11) if q ** l1 <= 1024
+            for l2 in range(l1 + 1) if order_formula(q, (l1, l2)) <= 30000]
+
+
+def test_top_group_bounds_its_tower():
+    # job_prime reads the top group alone: on every small type, the lcm of
+    # the exponents of the types assemble visits is the top's exponent, and
+    # their largest degree the top's; the job prime is admitted by each
+    types = _small_types()
+    assert len(types) > 100
+    for backend, q, lam in types:
+        tower = assembled_types(lam)
+        exps = [aut_group(backend, q, t).powers[0] for t in tower]
+        top = aut_group(backend, q, lam).powers[0]
+        assert math.lcm(*exps) == top, (backend, q, lam)
+        D = max(zeta_closed_form(q, lam))
+        assert max(max(zeta_closed_form(q, t)) for t in tower) == D
+        r = job_prime([backend], q, lam)
+        assert all((r - 1) % e == 0 for e in exps) and r > D * D
 
 
 FAMILY_TABLES = {
@@ -381,7 +417,8 @@ def test_assemble_builds_no_subgroup_classes():
             "assemble('padic', 2, (4, 3))\n"
             "subs = [H for H in gc.get_objects() if isinstance(H, Subgroup)]\n"
             "print(len(subs), swept,\n"
-            "      [H.name for H in subs if '_class_data' in vars(H)\n"
+            "      [H.name for H in subs\n"
+            "       if 'classes' in vars(H).get('_memo', {})\n"
             "       or '_linear_chars' in vars(H)])\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -570,30 +607,40 @@ def test_altered_member_caught_by_the_gram_check_under_optimize():
 
 
 def test_prime_missing_a_root_of_unity_refused_under_optimize():
-    # 11 lies above D^2 = 9 on padic q=3 (2,1), but F_11 has no sixth root
-    # of unity, which the linear characters of its Borel subgroup take
+    # 11 lies above D^2 = 9 on padic q=3 (2,1), but not 1 mod its exponent
+    # 6: refused at admission, before any root table; F_11 has no sixth root
+    # of unity, which fr_roots refuses on its own
     out = _run_optimized(
         "from modrep2.build import assemble\n"
+        "from modrep2.rings import fr_roots\n"
         "try:\n"
         "    assemble('padic', 3, (2, 1), 11)\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+        "print(fr_roots.cache_info().currsize)\n"
+        "try:\n"
+        "    fr_roots(6, 11)\n"
         "except AssertionError as e:\n"
         "    print(e)\n")
-    assert out == ("roots of unity of order E = 6 in F_11: r - 1 mod E: "
+    assert out == ("the prime r = 11 fails r = 1 mod the exponent 6 (of: r "
+                   "prime; r = 1 mod the exponent 6; r > 9; (k+1) r^2 < 2^53 "
+                   "for k = 20, exact float64 products)\n0\n"
+                   "roots of unity of order E = 6 in F_11: r - 1 mod E: "
                    "expected 0, computed 4\n")
 
 
 def test_prime_at_or_below_the_squared_degree_refused_under_optimize():
-    # 13 is a prime, but not above D^2 = 16 on padic q=2 (3,2), whose
-    # largest degree is 4: refused before any root table (so any value) is
-    # built
+    # 13 is a prime = 1 mod the exponent 4, but not above D^2 = 16 on padic
+    # q=2 (3,2), whose largest degree is 4: refused before any root table
+    # (so any value) is built
     out = _run_optimized(
         "from modrep2.build import assemble\n"
         "from modrep2.rings import fr_roots\n"
         "try:\n"
         "    assemble('padic', 2, (3, 2), 13)\n"
-        "except AssertionError as e:\n"
+        "except ValueError as e:\n"
         "    print(e)\n"
         "print(fr_roots.cache_info().currsize)\n")
-    assert out == ("the prime of the class functions: a prime above D^2 = 16 "
-                   "with (k+1) r^2 below 2^53 for k = 26: expected such a "
-                   "prime, computed 13\n0\n")
+    assert out == ("the prime r = 13 fails r > 16 (of: r prime; r = 1 mod the "
+                   "exponent 4; r > 16; (k+1) r^2 < 2^53 for k = 26, exact "
+                   "float64 products)\n0\n")

@@ -180,6 +180,18 @@ def test_orbits_needs_depth(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("backend", ["padic", "tpoly"])
+@pytest.mark.parametrize("lam", ["1,0", "2,0"])
+def test_orbits_refuses_rank_one(capsys, backend, lam):
+    # a rank-one type has no depth-one congruence dual either: an invalid
+    # job, exit 2, with no report
+    rc = main(["orbits", "--backend", backend, "--p", "2", "--lambda", lam])
+    cap = capsys.readouterr()
+    assert rc == 2 and cap.out == ""
+    assert cap.err == ("invalid job: depth (1,0) gives no proper coordinate "
+                       "window\n")
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["bogus", "--p", "2", "--lambda", "2,1"])

@@ -199,13 +199,13 @@ def test_prime_independence():
     r1 = dixon_prime(e, G.order)
     r2 = dixon_prime(e, r1)
     assert r2 > r1 > G.order
-    assert character_degrees(G, r_override=r1) == character_degrees(G, r_override=r2)
+    assert character_degrees(G, r=r1) == character_degrees(G, r=r2)
 
 
 def test_bad_override_rejected():
     G = aut_group("padic", 2, (2, 1))
     with pytest.raises(ValueError):
-        character_degrees(G, r_override=G.order + 1)
+        character_degrees(G, r=G.order + 1)
 
 
 def test_bad_override_rejected_under_optimize():
@@ -213,13 +213,20 @@ def test_bad_override_rejected_under_optimize():
     code = ("from modrep2.dixon import character_degrees\n"
             "from modrep2.groups import aut_group\n"
             "try:\n"
-            "    character_degrees(aut_group('padic', 2, (2, 1)), r_override=19)\n"
+            "    character_degrees(aut_group('padic', 2, (2, 1)), r=19)\n"
             "except ValueError:\n"
             "    raise SystemExit(3)\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 3, proc.stdout + proc.stderr
+
+
+def _forget_degrees(G, monkeypatch):
+    """Put aside the degrees kept on G, so the next call splits again."""
+    memo = vars(G).get("_memo", {})
+    for key in [k for k in memo if isinstance(k, tuple) and k[0] == "degrees"]:
+        monkeypatch.delitem(memo, key)
 
 
 def _default_prime(G, monkeypatch):
@@ -232,7 +239,7 @@ def _default_prime(G, monkeypatch):
         return eigenlines(G, jstar, r)
 
     eigenlines = dixon._eigenlines
-    monkeypatch.setattr(G, "_degree_multiset", None, raising=False)
+    _forget_degrees(G, monkeypatch)
     monkeypatch.setattr(dixon, "_eigenlines", spy)
     degrees = character_degrees(G)
     monkeypatch.undo()
@@ -266,7 +273,7 @@ def test_default_prime_gives_the_degrees_of_a_prime_above_the_order(
     r_big = dixon_prime(G.powers[0], G.order)
     r, degrees = _default_prime(G, monkeypatch)
     assert r < r_big
-    assert degrees == character_degrees(G, r_override=r_big)
+    assert degrees == character_degrees(G, r=r_big)
 
 
 def test_override_at_or_below_the_bound_rejected_under_optimize():
@@ -278,7 +285,7 @@ def test_override_at_or_below_the_bound_rejected_under_optimize():
             "for lam, r in (((8, 1), 257), ((2, 1), 5)):\n"
             "    G = aut_group('padic', 2, lam)\n"
             "    try:\n"
-            "        character_degrees(G, r_override=r)\n"
+            "        character_degrees(G, r=r)\n"
             "    except ValueError as exc:\n"
             "        print(exc)\n"
             "    else:\n"
@@ -291,9 +298,11 @@ def test_override_at_or_below_the_bound_rejected_under_optimize():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == ("Dixon prime must be a prime r > max(2 sqrt|G|, k) = "
-                        "320 with r = 1 mod exponent 64, got 257")
-    assert lines[1].endswith("= 5 with r = 1 mod exponent 4, got 5")
+    assert lines[0] == ("the prime r = 257 fails r > 320 (of: r prime; r = 1 "
+                        "mod the exponent 64; r > 320; (k+1) r^2 < 2^53 for "
+                        "k = 320, exact float64 products)")
+    assert lines[1].startswith("the prime r = 5 fails r > 5 (of: r prime; "
+                               "r = 1 mod the exponent 4; r > 5;")
     assert lines[2:] == ["True", "[1, 1, 1, 1, 2]"]
 
 
@@ -421,8 +430,9 @@ def test_central_translates_build_no_matrix(monkeypatch):
         return _class_matrix(G, tables, members, *args)
 
     monkeypatch.setattr(dixon, "_class_matrix", counted)
+    _forget_degrees(G, monkeypatch)
     r = dixon_prime(G.powers[0], G.order)
-    assert Counter(character_degrees(G, r_override=r)) == {
+    assert Counter(character_degrees(G, r=r)) == {
         1: 16, 2: 20, 3: 16, 4: 24, 6: 36, 8: 48, 12: 72, 24: 16}
     assert len(built) <= 40  # 132 with every class matrix built
     assert min(built) > 1  # the central blocks leave no central class to use
@@ -565,7 +575,7 @@ def test_central_start_matches_identity_start(backend, q, lam):
     r1 = dixon_prime(G.powers[0], G.order)
     r2 = dixon_prime(G.powers[0], r1)
     assert character_degrees(G) == _identity_start_degrees(G, r1)
-    assert (character_degrees(G, r_override=r2)
+    assert (character_degrees(G, r=r2)
             == _identity_start_degrees(G, r2))
 
 
@@ -937,7 +947,7 @@ def test_largest_admissible_prime_gives_the_same_degrees():
     G = aut_group("padic", 2, (2, 1))
     r = _largest_admissible_prime(G.class_count, G.powers[0])
     assert r > dixon_prime(G.powers[0], G.order)
-    assert character_degrees(G, r_override=r) == character_degrees(G)
+    assert character_degrees(G, r=r) == character_degrees(G)
 
 
 def test_prime_above_the_float64_bound_rejected():
@@ -948,12 +958,12 @@ def test_prime_above_the_float64_bound_rejected():
         r += e
     assert (k + 1) * r * r >= 2 ** 53
     with pytest.raises(ValueError, match="float64"):
-        character_degrees(G, r_override=r)
+        character_degrees(G, r=r)
     code = ("from modrep2.dixon import character_degrees\n"
             "from modrep2.groups import aut_group\n"
             "try:\n"
             "    character_degrees(aut_group('padic', 2, (2, 1)), "
-            "r_override=%d)\n"
+            "r=%d)\n"
             "except ValueError:\n"
             "    raise SystemExit(3)\n" % r)
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -1100,8 +1110,9 @@ def test_one_peel_per_class_dimension_and_profile(monkeypatch):
 
     monkeypatch.setattr(dixon, "_peel", spy_peel)
     monkeypatch.setattr(dixon, "_class_matrix", spy_class)
+    _forget_degrees(G, monkeypatch)
     r = dixon_prime(G.powers[0], G.order)
-    assert Counter(character_degrees(G, r_override=r)) == {
+    assert Counter(character_degrees(G, r=r)) == {
         1: 16, 2: 20, 3: 16, 4: 24, 6: 36, 8: 48, 12: 72, 24: 16}
     groups, keys = [], set()
     for event in events:

@@ -132,3 +132,25 @@ def test_one_tolerance_rule():
     assert not _sites(lambda node: isinstance(node, ast.Constant)
                       and isinstance(node.value, float)
                       and node.value == 1e-5)
+
+
+def test_one_prime_admission_and_one_memo():
+    """A job's prime is admitted by one function, dixon.admit_prime, the
+    only site of the float64 bound 2^53, called by the oracle and by
+    assemble; per-object derived data is kept by one memo, rings._once, the
+    only site that writes into vars(obj).  The second admission rule, the
+    hand-mirrored recursion and the hand-rolled memos are gone."""
+    pow53 = _sites(lambda node: isinstance(node, ast.BinOp)
+                   and ast.unparse(node) == "2 ** 53")
+    assert pow53 == Counter({"dixon.py:admit_prime": 1})
+    calls = _sites(lambda node: isinstance(node, ast.Call)
+                   and _named("admit_prime")(node.func))
+    assert set(calls) == {"dixon.py:character_degrees", "build.py:job_prime",
+                          "build.py:assemble"}
+    memo = _sites(lambda node: isinstance(node, ast.Call)
+                  and _named("vars")(node.func))
+    assert memo == Counter({"rings.py:_once": 1})
+    assert not _sites(_named(
+        "check_prime", "assembled_types", "r_override", "_degree_multiset",
+        "_class_data", "_subgroup_cache", "_tori", "_pullbacks",
+        "_orbit_data", "_classfun_maps", "provenance", "degree_counter"))

@@ -5,8 +5,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from modrep2 import verify
+from modrep2 import build, verify
 from modrep2.build import inducing_pairs
 from modrep2.groups import aut_group
 from modrep2.verify import (VerifyReport, expected_dual_orbit_table,
@@ -94,3 +95,20 @@ def test_parabolic_check_refuses_a_small_absolute_error(monkeypatch):
 
     monkeypatch.setattr(verify, "geo_ind", lower_off)
     assert not verify._check_parabolic_both_sides(G, r)
+
+
+@pytest.mark.parametrize("lam", [(2, 2), (3, 2)])
+def test_oracle_and_assembly_share_the_job_prime(lam, monkeypatch):
+    # one prime per job: the oracle, the floor's oracle on (2,2), and every
+    # set assemble builds for the job (the floors, and on (3,2) the stable
+    # chain's (4,3) tower) work mod it
+    built, seen = {}, []
+    monkeypatch.setattr(build, "_ASSEMBLED", built)
+    for mod in (verify, build):
+        monkeypatch.setattr(mod, "character_degrees",
+                            lambda G, r=None, f=mod.character_degrees:
+                            seen.append(r) or f(G, r))
+    assert verify_all("padic", 2, lam).ok
+    r = verify.job_prime(["padic"], 2, (4, 3) if lam == (3, 2) else lam)
+    assert seen == [r] * (2 if lam == (2, 2) else 1)
+    assert {key[3] for key in built} == {r} and len(built) >= 3
