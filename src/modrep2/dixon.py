@@ -68,10 +68,10 @@ least r members), so a product of two entries is below r^2 and a dot
 product of length at most k below k*r^2.  The split takes its larger matrix
 products through float64 BLAS (_mm), which is exact while every dot product
 stays below 2^53, so admit_prime refuses a prime with (k+1)*r^2 >= 2^53;
-the smaller products run in int64.  At the default
-prime (k+1)*r^2 is far below 2^53 = 9.0e15: 8.1e9 on padic q=2 (6,5),
-1.2e11 on q=7 (2,2); the row reduction stays below 2^63 (_rref).  The
-class matrices and the blocks are held as float64."""
+the smaller products run in int64.  At the default prime (k+1)*r^2 is far
+below 2^53 = 9.0e15: 8.1e9 on padic q=2 (6,5), 1.2e11 on q=7 (2,2); the
+row reduction stays below 2^63 (_rref).  The class matrices and the blocks
+are held as float64."""
 
 import math
 from itertools import accumulate
