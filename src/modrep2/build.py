@@ -7,7 +7,7 @@ job_prime from the top group alone and shared with the Dixon oracle: r = 1
 mod its exponent, r > max(D^2, 2 sqrt|G|, k) for D its largest degree.  It
 serves every type assemble visits, the image of a subgroup of the top
 group, so of exponent dividing the top's and of degrees at most D; each
-assemble admits it again (dixon.admit_prime) before any value is built."""
+assemble admits it (dixon.admit_prime) before any value is built."""
 
 import math
 from collections import Counter
@@ -427,14 +427,12 @@ def job_prime(backends, q, lam):
     2 sqrt|G|, k), D the largest degree of zeta_closed_form(q, lam), so one
     prime serves the oracle and every type assemble visits (the image of a
     subgroup of the top group under floor, embed or quot: its exponent
-    divides the top's, its degrees are at most D), admitted by
-    admit_prime."""
+    divides the top's, its degrees are at most D)."""
     groups = [aut_group(b, q, tuple(lam)) for b in backends]
-    exponent = math.lcm(*(G.powers[0] for G in groups))
-    k = max(G.class_count for G in groups)
-    bound = max(max(zeta_closed_form(q, lam)) ** 2,
-                math.isqrt(4 * max(G.order for G in groups)), k)
-    return admit_prime(dixon_prime(exponent, bound), exponent, bound, k)
+    return dixon_prime(math.lcm(*(G.powers[0] for G in groups)), max(
+        max(zeta_closed_form(q, lam)) ** 2,
+        math.isqrt(4 * max(G.order for G in groups)),
+        max(G.class_count for G in groups)))
 
 
 def assemble(backend, q, lam, r=None):

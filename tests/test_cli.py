@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from modrep2 import cli
+from modrep2 import build, cli, verify
 from modrep2.cli import main
+from modrep2.rings import is_prime
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -154,6 +156,24 @@ def test_internal_error_is_a_json_envelope(monkeypatch, capsys):
     assert doc["error"].startswith("internal error: KeyError: 'missing' "
                                    "(in broken, line ")
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("command", ["construct", "verify-all"])
+def test_prime_past_the_float64_bound_is_an_invalid_job(command, monkeypatch,
+                                                         capsys):
+    # a job prime with (k+1) r^2 >= 2^53 is refused at admission, before any
+    # value is built: exit 2, one line on stderr naming the failing term
+    r = math.isqrt(2 ** 53 // 6) + 1  # q=2 (2,1): k = 5, exponent 4
+    while not (is_prime(r) and r % 4 == 1):
+        r += 1
+    assert 6 * r * r >= 2 ** 53
+    monkeypatch.setattr(build, "job_prime", lambda backends, q, lam: r)
+    monkeypatch.setattr(verify, "job_prime", lambda backends, q, lam: r)
+    rc = main([command, "--p", "2", "--lambda", "2,1"])
+    cap = capsys.readouterr()
+    assert rc == 2 and cap.out == ""
+    assert cap.err.startswith("invalid job: the prime r = %d fails (k+1) r^2 "
+                              "< 2^53 for k = 5" % r)
 
 
 def test_cap_exceeded(capsys):
