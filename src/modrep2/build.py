@@ -20,7 +20,7 @@ from .classfun import (ClassFunction, dedupe, geo_ind, ind, induce, inflate,
 from .dixon import admit_prime, character_degrees, dixon_prime
 from .groups import Subgroup, aut_group
 from .orbits import CongruenceDual, cuspidal_parameters, eta_dual, inner_types
-from .rings import (_check, at_one_plus, character_group, fr_roots,
+from .rings import (_check, _once, at_one_plus, character_group, fr_roots,
                     same_root, twisting_characters, unit_characters)
 
 
@@ -372,9 +372,6 @@ class AssembledSet:
         raise KeyError(label)
 
 
-_ASSEMBLED = {}
-
-
 def _check_orthonormal(asm):
     """Gram matrix of all members against the identity, on integers: the
     members' degrees are read (IrrFamily), so each entry, at most the
@@ -436,19 +433,24 @@ def job_prime(backends, q, lam):
 
 
 def assemble(backend, q, lam, r=None):
-    """Build, verify and cache the complete irreducible data for one type,
-    mod r (by default job_prime), which admit_prime refuses before any value
-    is built unless r > D^2 for the largest degree D (products of two
-    degrees read exactly) and r = 1 mod the exponent."""
+    """Build, verify and keep in the group's memo (key ("assembled", r))
+    the complete irreducible data for one type, mod r (by default
+    job_prime), which admit_prime refuses before any value is built unless
+    r > D^2 for the largest degree D (products of two degrees read
+    exactly) and r = 1 mod the exponent."""
     lam = tuple(lam)
     r = r or job_prime([backend], q, lam)
-    key = (backend, q, lam, r)
-    if key in _ASSEMBLED:
-        return _ASSEMBLED[key]
-    l1, l2 = lam
     G = aut_group(backend, q, lam)
     admit_prime(r, G.powers[0], max(zeta_closed_form(q, lam)) ** 2,
                 G.class_count)
+    return _once(G, ("assembled", r), lambda: _assemble(G, r))
+
+
+def _assemble(G, r):
+    """assemble's set for G, returned (and so kept) only once every check
+    passes."""
+    backend, q, lam = G.backend, G.q, G.lam
+    l1, l2 = lam
 
     if lam == (1, 1):
         zeta = dict(Counter(character_degrees(G, r)))
@@ -491,5 +493,4 @@ def assemble(backend, q, lam, r=None):
         _check_orthonormal(asm)
     if l2 >= 2:
         _check_spectra(asm)
-    _ASSEMBLED[key] = asm
     return asm

@@ -12,7 +12,8 @@ from .build import assemble
 from .classfun import depth_one_dual
 from .dixon import character_degrees
 from .groups import aut_group, order_formula
-from .verify import ring_compare, verify_all
+from .rings import residue_size
+from .verify import ring_compare, verify_all, zeta_json
 
 
 def _lam(text):
@@ -46,6 +47,7 @@ def _rep_str(rep):
 
 
 def cmd_order(args):
+    residue_size(args.backend, args.q)
     return {"order": order_formula(args.q, args.lam)}
 
 
@@ -67,7 +69,7 @@ def cmd_orbits(args):
 
 def cmd_zeta(args):
     a = assemble(args.backend, args.q, args.lam)
-    return {"zeta": {str(d): n for d, n in sorted(a.zeta.items())}}
+    return {"zeta": zeta_json(a.zeta)}
 
 
 def cmd_construct(args):
@@ -75,14 +77,13 @@ def cmd_construct(args):
     fams = [{"label": f.label, "count": f.count, "degree": f.degree}
             for f in a.families]
     return {"families": fams,
-            "zeta": {str(d): n for d, n in sorted(a.zeta.items())},
+            "zeta": zeta_json(a.zeta),
             "checks": a.checks, "complete": a.complete}
 
 
 def cmd_dixon(args):
     G = aut_group(args.backend, args.q, args.lam)
-    degs = Counter(character_degrees(G))
-    return {"degrees": {str(d): n for d, n in sorted(degs.items())}}
+    return {"degrees": zeta_json(Counter(character_degrees(G)))}
 
 
 def cmd_verify_all(args):

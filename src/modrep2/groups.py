@@ -16,9 +16,9 @@ reads them, two gathers a product; a larger one multiplies by one element
 through that element's two translation tables and array by array through
 the coordinate kernel.  Every path ends in _element_at, which refuses a
 code off the group.  The root group's conjugacy classes come with its span
-check from one streamed pass over the generators, conjugating by u+, u- and
-the diag(1, v) only, after a certificate through products that the other
-generators' conjugations lie in their span (AutGroup._class_partition).
+check from one streamed pass over the generators: the orbits of conjugation
+by u+, u- and the diag(1, v) only, checked to be fixed by conjugation by
+every other generator (AutGroup._class_partition).
 """
 
 from functools import cached_property, lru_cache
@@ -182,23 +182,16 @@ class AutGroup(GroupBase):
 
         # two unipotents u+, u- (conjugation by the diagonal units scales b
         # and c by units, whose sums fill R2), diag(u, 1) and diag(1, v) for
-        # generators u, v of the unit groups, and the swap on square types.
-        # Classes conjugate by the conjugating set u+, u-, diag(1, v) only;
-        # the rest come with what certifies that their conjugations lie in
-        # its span (_certify_conjugating_set): diag(u, 1) with its partner
-        # diag(1, u mod pi^l2), whose product is central, and the swap with
-        # the word u+ * u-^-1 * u+ * diag(-1, 1) equal to it
+        # generators u, v of the unit groups, and the swap on square types;
+        # classes conjugate by the conjugating set u+, u-, diag(1, v) only,
+        # and _class_partition checks that the rest fix each of its orbits
         up, low = (1, 1, 0, 1), (1, 0, 1, 1)
         U1, U2 = unit_group(R1), unit_group(R2)
         ones = [(1, 0, 0, v) for v in U2.codes[U2.gen_idx].tolist()]
-        self._scalar_pairs = [((u, 0, 0, 1), (1, 0, 0, u % s2))
-                              for u in U1.codes[U1.gen_idx].tolist()]
+        diag = [(u, 0, 0, 1) for u in U1.codes[U1.gen_idx].tolist()]
         self._conj_gens = [up, low] + ones
-        self.gens = [up, low] + [g for g, _ in self._scalar_pairs] + ones
-        self._swap_word = None
-        if self.rect:  # R1 is R2
-            m1 = int(R1.neg[1])
-            self._swap_word = [up, (1, 0, m1, 1), up, (m1, 0, 0, 1)]
+        self.gens = [up, low] + diag + ones
+        if self.rect:
             self.gens.append(SWAP)
 
     @property
@@ -212,88 +205,37 @@ class AutGroup(GroupBase):
     def _class_partition(self):
         """Span check and conjugacy classes in one streamed pass over the
         generators g, the conjugating set first: the right translation
-        x -> x * g is hooked into the span labels and, for g in the set,
-        the same array is left-translated by g^-1 and hooked into the class
-        labels; then it is dropped, so at most two translations are alive.
-        A generator outside the set is translated only while the span falls
-        short of the group (on square types the set spans it alone).  The
-        identity's span must be every element, and the conjugating set is
-        certified (_certify_conjugating_set) before its orbits are taken as
-        the classes: at most s + |set| translations for s generators, not
-        3s."""
+        x -> x * g is hooked into the span labels while the span falls short
+        of the group, then left-translated by g^-1.  For g in the set that
+        conjugation is hooked into the class labels; for the rest, which
+        come after, it must send every element into its own class label.
+        Then the set's orbits, on a full span, are the classes: every
+        generator fixes each of them.  At most two translations are alive:
+        2s translations for s generators."""
         name, n, gi = self.name, self.order, self.gen_idx
         in_set = np.isin(gi, self.locate(self._conj_gens))
-        c = np.flatnonzero(in_set)
-        inv = dict(zip(c.tolist(), self.inverse(gi[c]).tolist()))
+        inv = self.inverse(gi)
         e = self.identity_pos
         span = np.arange(n, dtype=np.int32)
         cls = span.copy()
-        for j in np.r_[c, np.flatnonzero(~in_set)].tolist():
-            if j not in inv and (span == span[e]).all():
-                break  # the rest would only hook a full span
+        for j in np.r_[np.flatnonzero(in_set), np.flatnonzero(~in_set)]:
             P = self._translate(None, gi[j], left=False)
-            span = hook(span, P, "%s: right multiplication by generator %d"
-                        % (name, j))
-            if j in inv:
-                P = self.right_mul(inv[j], P)
+            if not (span == span[e]).all():
+                span = hook(span, P, "%s: right multiplication by generator "
+                            "%d" % (name, j))
+            P = self.right_mul(inv[j], P)
+            if in_set[j]:
                 cls = hook(cls, P, "%s: conjugation by generator %d"
                            % (name, j))
+            else:
+                moved = int(np.count_nonzero(cls.take(P) != cls))
+                _check(not moved, "%s: elements moved off their class by "
+                       "conjugation by generator %d" % (name, j), 0, moved)
             del P
         size = int(np.count_nonzero(span == span[e]))
         _check(size == n, "%s: elements spanned by the generators" % name, n,
                size)
-        self._certify_conjugating_set(gi)
         return label_orbits(cls)[1:]
-
-    def _certify_conjugating_set(self, gi):
-        """Exact certificate that conjugation by the conjugating set spans
-        every inner automorphism, given that the generators gi span the
-        group.  Conjugation by diag(u, 1) is conjugation by diag(1, ubar)^-1
-        (ubar = u mod pi^l2) times the scalar z = diag(u, 1) * diag(1, ubar),
-        so it is dropped once z has b = c = 0, commutes with every
-        generator (so is central) and has d = a mod pi^l2; diag(1, ubar)
-        lies in the span of the diag(1, v), which generate units(R2).  On
-        square types the swap is u+ * u-^-1 * u+ * diag(-1, 1), so its
-        conjugation is dropped once that product is certified.  Every
-        generator must be in the set or among the certified ones, and every
-        member of the set a generator."""
-        name = self.name
-        tuples = (self._conj_gens + [t for p in self._scalar_pairs for t in p]
-                  + (self._swap_word or []))
-        known = self.locate(tuples)
-        _check((known >= 0).all(), "%s: conjugating set and certificates, "
-               "tuples off the group" % name, [],
-               [t for t, i in zip(tuples, known.tolist()) if i < 0])
-        k, m = len(self._conj_gens), 2 * len(self._scalar_pairs)
-        keep, word = known[:k], known[k + m:]
-        pairs = known[k:k + m].reshape(-1, 2)
-        z = self.right_mul(pairs[:, 0], pairs[:, 1])
-        a, b, c, d = (col[z] for col in self._arrays[1])
-        bad = z[(b != 0) | (c != 0)]
-        _check(not bad.size, "%s: diag(u, 1) * diag(1, u mod pi^l2), b = c "
-               "= 0" % name, "b = c = 0", self.elements_at(bad))
-        zg = self.right_mul(z[:, None], gi[None, :])
-        gz = self.right_mul(gi[None, :], z[:, None])
-        i, j = np.nonzero(zg != gz)
-        _check(not i.size, "%s: scalars z times the generators g, z * g "
-               "against g * z" % name, self.elements_at(zg[i, j]),
-               self.elements_at(gz[i, j]))
-        bad = z[d != a % self.s2]
-        _check(not bad.size, "%s: diag(u, 1) * diag(1, u mod pi^l2), d = a "
-               "mod pi^l2" % name, "d = a mod pi^l2", self.elements_at(bad))
-        swap = self.locate([SWAP] if word.size else [])
-        if word.size:
-            p = word[0]
-            for w in word[1:]:
-                p = self.right_mul(p, w)
-            _check(p == swap[0], "%s: u+ * u-^-1 * u+ * diag(-1, 1)" % name,
-                   SWAP, self.elements_at([p])[0])
-        cert = np.concatenate([keep, pairs[:, 0], swap])
-        off = np.concatenate([gi[~np.isin(gi, cert)],
-                              keep[~np.isin(keep, gi)]])
-        _check(not off.size, "%s: generators outside the conjugating set and "
-               "its certified rest, and members of the set that are no "
-               "generators" % name, [], self.elements_at(off))
 
     def commutator_subgroup(self):
         self._classes()  # the class pass certifies the generators' span

@@ -78,6 +78,18 @@ def prime_power(q):
     return p, f
 
 
+def residue_size(backend, q):
+    """(p, f) with q = p^f, the residue size of a backend's rings, or
+    ValueError: the backend must be known, q a prime power, prime for
+    padic."""
+    if backend not in BACKENDS:
+        raise ValueError("unknown backend %r" % (backend,))
+    p, f = prime_power(q)
+    if backend == "padic" and f != 1:
+        raise ValueError("padic backend requires prime residue size, got %d" % q)
+    return p, f
+
+
 def _poly_divmod(a, b, r):
     """Quotient and remainder of a by b mod r, coefficients leading first,
     b with a nonzero leading coefficient; the remainder has no leading
@@ -178,13 +190,9 @@ class LocalRing:
     and val as int16 tables on codes, which are below MAX_RING_SIZE."""
 
     def __init__(self, backend, q, level):
-        if backend not in BACKENDS:
-            raise ValueError("unknown backend %r" % (backend,))
+        p, f = residue_size(backend, q)
         if level < 1:
             raise ValueError("level must be >= 1")
-        p, f = prime_power(q)
-        if backend == "padic" and f != 1:
-            raise ValueError("padic backend requires prime residue size, got %d" % q)
         self.backend, self.q, self.level = backend, q, level
         self.p, self.f = p, f
         self.size = s = q ** level

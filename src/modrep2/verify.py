@@ -35,7 +35,9 @@ class VerifyReport:
         return {"ok": self.ok, "rows": self.rows}
 
 
-def _zeta_json(z):
+def zeta_json(z):
+    """{degree: count} as the reports print it: string keys in degree
+    order."""
     return {str(d): n for d, n in sorted(z.items())}
 
 
@@ -167,9 +169,9 @@ def verify_all(backend, q, lam):
     oracle = Counter(character_degrees(G, r))
     a = assemble(backend, q, lam, r)
     rep.add("zeta_closed_form", "degree-count recursion",
-            _zeta_json(zeta_closed_form(q, lam)), _zeta_json(a.zeta))
+            zeta_json(zeta_closed_form(q, lam)), zeta_json(a.zeta))
     rep.add("zeta_degree_oracle", "independent modular eigenvalue splitting",
-            _zeta_json(a.zeta), _zeta_json(oracle))
+            zeta_json(a.zeta), zeta_json(oracle))
     rep.add("family_checks", "construction invariants",
             {k: True for k in a.checks}, a.checks)
 
@@ -213,7 +215,7 @@ def verify_all(backend, q, lam):
         remaining.subtract(explicit)
         remaining = {d: n for d, n in remaining.items() if n}
         rep.add("rect_subtraction", "unaccounted degrees = unconstructed "
-                "cuspidal count", {str(cd): cn}, _zeta_json(remaining))
+                "cuspidal count", {str(cd): cn}, zeta_json(remaining))
         degrees = sorted(set(explicit) | {cd})
         rep.add("primitive_degree_polynomials", "report-only: degrees are "
                 "polynomial values in q of degree <= level",
@@ -246,7 +248,7 @@ def ring_compare(q, lam):
     a = assemble("padic", q, lam, r)
     b = assemble("tpoly", q, lam, r)
     rep.add("zeta_equal", "base-ring independence of degree counts",
-            _zeta_json(a.zeta), _zeta_json(b.zeta))
+            zeta_json(a.zeta), zeta_json(b.zeta))
     rep.add("class_count_equal", "base-ring independence of class counts",
             a.G.class_count, b.G.class_count)
     return rep

@@ -195,6 +195,20 @@ def test_bad_residue_size(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("q,error", [
+    ("1", "residue size must be >= 2"),
+    ("6", "residue size 6 is not a prime power"),
+    ("4", "padic backend requires prime residue size, got 4")])
+def test_order_refuses_a_bad_residue_size(capsys, q, error):
+    # order builds no ring, yet refuses what classes and zeta refuse, with
+    # the same message: it printed order 0, 5400 and 576 and exited 0
+    for command in ("order", "classes", "zeta"):
+        rc = main([command, "--p", q, "--lambda", "2,1"])
+        cap = capsys.readouterr()
+        assert rc == 2 and cap.out == "", command
+        assert cap.err == "invalid job: %s\n" % error, command
+
+
 def test_orbits_needs_depth(capsys):
     rc = main(["orbits", "--p", "2", "--lambda", "2,1"])
     assert rc == 2

@@ -101,9 +101,15 @@ def test_parabolic_check_refuses_a_small_absolute_error(monkeypatch):
 def test_oracle_and_assembly_share_the_job_prime(lam, monkeypatch):
     # one prime per job: the oracle, the floor's oracle on (2,2), and every
     # set assemble builds for the job (the floors, and on (3,2) the stable
-    # chain's (4,3) tower) work mod it
-    built, seen = {}, []
-    monkeypatch.setattr(build, "_ASSEMBLED", built)
+    # chain's (4,3) tower) work mod it.  The sets are read from the memos
+    # of the groups up to level 4, emptied of earlier jobs' sets first
+    groups = [aut_group("padic", 2, (l1, l2)) for l1 in range(1, 5)
+              for l2 in range(l1 + 1)]
+    for G in groups:
+        monkeypatch.setattr(G, "_memo", {
+            k: v for k, v in vars(G).get("_memo", {}).items()
+            if k[0] != "assembled"}, raising=False)
+    seen = []
     for mod in (verify, build):
         monkeypatch.setattr(mod, "character_degrees",
                             lambda G, r=None, f=mod.character_degrees:
@@ -111,4 +117,5 @@ def test_oracle_and_assembly_share_the_job_prime(lam, monkeypatch):
     assert verify_all("padic", 2, lam).ok
     r = verify.job_prime(["padic"], 2, (4, 3) if lam == (3, 2) else lam)
     assert seen == [r] * (2 if lam == (2, 2) else 1)
-    assert {key[3] for key in built} == {r} and len(built) >= 3
+    built = [k[1] for G in groups for k in G._memo if k[0] == "assembled"]
+    assert set(built) == {r} and len(built) >= 3
