@@ -27,9 +27,11 @@ from .rings import (_check, _once, at_one_plus, character_group, fr_roots,
 class IrrFamily:
     """A labeled batch of irreducible characters (one stack), or a
     count-only record of their degrees, zeta = {degree: count}; count and
-    degree (None unless one) are read from zeta."""
+    degree (None unless one) are read from zeta, and checked against the
+    paper's count and degree where they are given."""
 
-    def __init__(self, label, members=None, zeta=None):
+    def __init__(self, label, members=None, zeta=None, count=None,
+                 degree=None):
         self.label = label
         if members is not None:
             members = _checked_members(label, members)
@@ -37,6 +39,10 @@ class IrrFamily:
         self.members, self.zeta = members, Counter(zeta)
         self.count = sum(self.zeta.values())
         self.degree = next(iter(self.zeta)) if len(self.zeta) == 1 else None
+        for name, want in (("count", count), ("degree", degree)):
+            got = getattr(self, name)
+            _check(want is None or got == want, "%s: %s" % (label, name),
+                   want, got)
 
 
 def _checked_members(label, members):
@@ -127,10 +133,8 @@ def build_l1(G, r):
     E, L = character_group(A)
     one = dedupe(inflate(G, ClassFunction(A, fr_roots(E, r)[L], r),
                          "diag_red"))
-    one_dim = IrrFamily("one_dim", one)
-    n = q ** (l1 - 2) * (q - 1) ** 2
-    _check(one_dim.count == n, "one_dim: count", n, one_dim.count)
-    _check(one_dim.degree == 1, "one_dim: degree", 1, one_dim.degree)
+    one_dim = IrrFamily("one_dim", one, count=q ** (l1 - 2) * (q - 1) ** 2,
+                        degree=1)
 
     Z = G.subgroup("floor_torus_a")
     H = G.subgroup("heisenberg")
@@ -142,10 +146,8 @@ def build_l1(G, r):
     E, L, cos = linear_characters(B)
     heis = dedupe(induce(B, fr_roots(E, r)[
         L[_nontrivial_on(B, L, cos, Z)][:, cos]], r))
-    heis_q = IrrFamily("heis_q", heis)
-    n = q ** (l1 - 2) * (q - 1) ** 3
-    _check(heis_q.count == n, "heis_q: count", n, heis_q.count)
-    _check(heis_q.degree == q, "heis_q: degree", q, heis_q.degree)
+    heis_q = IrrFamily("heis_q", heis, count=q ** (l1 - 2) * (q - 1) ** 3,
+                       degree=q)
 
     # the (q-1)-dimensional family: induced from the product of the scalars
     # with the depth-one Heisenberg subgroup, its members sorted and once
@@ -171,22 +173,13 @@ def build_l1(G, r):
     both = int((has_p & has_m).sum())
     _check(not both, "dh: members with nonzero averages on the upper and "
            "lower unipotents", 0, both)
-    orbit_bp = IrrFamily("orbitB+", dh[has_p])
-    orbit_bm = IrrFamily("orbitB-", dh[has_m])
-    orbit_c = IrrFamily("orbitC", dh[~(has_p | has_m)])
     n = q ** (l1 - 2) * (q - 1)
-    _check(orbit_bp.count == orbit_bm.count == n, "orbitB+, orbitB-: counts",
-           (n, n), (orbit_bp.count, orbit_bm.count))
-    _check(orbit_c.count == n * (q - 1), "orbitC: count", n * (q - 1),
-           orbit_c.count)
+    orbit_bp = IrrFamily("orbitB+", dh[has_p], count=n)
+    orbit_bm = IrrFamily("orbitB-", dh[has_m], count=n)
+    orbit_c = IrrFamily("orbitC", dh[~(has_p | has_m)], count=n * (q - 1))
     off = int((~is_cuspidal(G, orbit_c.members)).sum())
     _check(not off, "orbitC: members that are not cuspidal", 0, off)
-
-    fams = [one_dim, orbit_bp, orbit_bm, orbit_c, heis_q]
-    total = sum(f.count * f.degree ** 2 for f in fams)
-    _check(total == G.order, "depth one: sum of count * degree^2", G.order,
-           total)
-    return fams
+    return [one_dim, orbit_bp, orbit_bm, orbit_c, heis_q]
 
 
 def eta_extensions(N, D, theta):
@@ -215,11 +208,9 @@ def build_cuspidal_nonrect(G, r):
         _check(len(exts) == A.order // inter, "cuspidal (%d, %d): extensions"
                " of eta" % (u_hat, w_hat), A.order // inter, len(exts))
         parts.append(induce(N, fr_roots(E, r)[exts[:, cos]], r))
-    fam = IrrFamily("cuspidal_nonrect", dedupe(stack(parts)))
-    n, deg = q ** (l1 + l2 - 3) * (q - 1) ** 2, q ** (l2 - 1) * (q - 1)
-    _check(fam.count == n, "cuspidal_nonrect: count", n, fam.count)
-    _check(fam.degree == deg, "cuspidal_nonrect: degree", deg, fam.degree)
-    return fam
+    return IrrFamily("cuspidal_nonrect", dedupe(stack(parts)),
+                     count=q ** (l1 + l2 - 3) * (q - 1) ** 2,
+                     degree=q ** (l2 - 1) * (q - 1))
 
 
 def inducing_pairs(R1, R2):
@@ -244,39 +235,29 @@ def build_geometric(G, r):
     (E1, L1), (E2, L2) = unit_characters(G.R1), unit_characters(G.R2)
     i, j = np.divmod(np.flatnonzero(inducing_pairs(G.R1, G.R2)), len(L2))
     raw = geo_ind(G, (E1, L1[i]), (E2, L2[j]), r)
-    if l1 > l2:
-        n = q ** (l1 + l2 - 3) * (q - 1) ** 3
-        _check(len(raw) == n, "geo_irred: raw inductions", n, len(raw))
-        geo_irred = IrrFamily("geo_irred", raw)  # refuses repeated rows
-        _check(geo_irred.degree == q ** l2, "geo_irred: degree", q ** l2,
-               geo_irred.degree)
+    if l1 > l2:  # IrrFamily refuses repeated rows
+        geo_irred = IrrFamily("geo_irred", raw,
+                              count=q ** (l1 + l2 - 3) * (q - 1) ** 3,
+                              degree=q ** l2)
     else:
         geo = dedupe(raw)
         _check(2 * len(geo) == len(raw), "geo_irred: raw inductions, twice "
                "the distinct", 2 * len(geo), len(raw))
-        n = q ** (2 * l1 - 3) * (q - 1) ** 3 // 2
-        _check(len(geo) == n, "geo_irred: count", n, len(geo))
-        geo_irred = IrrFamily("geo_irred", geo)
-        deg = q ** (l1 - 1) * (q + 1)
-        _check(geo_irred.degree == deg, "geo_irred: degree", deg,
-               geo_irred.degree)
+        geo_irred = IrrFamily("geo_irred", geo,
+                              count=q ** (2 * l1 - 3) * (q - 1) ** 3 // 2,
+                              degree=q ** (l1 - 1) * (q + 1))
 
     floor = assemble(G.backend, q, (l1, 1), r)
     raw = stack([ind(G, floor.family("orbitB+").members, "embed", 1),
                  ind(G, floor.family("orbitB-").members, "quot", 1)])
     if l1 == l2:
-        split = dedupe(twist(raw, twisting_characters(G.R2)))
-        n = q ** (l1 - 1) * (q - 1)
-        _check(len(split) == n, "geo_split: count", n, len(split))
-        expect_deg = q ** (l1 - 2) * (q * q - 1)
-    else:
-        split = raw  # IrrFamily refuses repeated rows
-        n = 2 * q ** (l1 - 2) * (q - 1)
-        _check(len(raw) == n, "geo_split: raw inductions", n, len(raw))
-        expect_deg = q ** (l2 - 1) * (q - 1)
-    geo_split = IrrFamily("geo_split", split)
-    _check(geo_split.degree == expect_deg, "geo_split: degree", expect_deg,
-           geo_split.degree)
+        geo_split = IrrFamily(
+            "geo_split", dedupe(twist(raw, twisting_characters(G.R2))),
+            count=q ** (l1 - 1) * (q - 1), degree=q ** (l1 - 2) * (q * q - 1))
+    else:  # IrrFamily refuses repeated rows
+        geo_split = IrrFamily("geo_split", raw,
+                              count=2 * q ** (l1 - 2) * (q - 1),
+                              degree=q ** (l2 - 1) * (q - 1))
     return geo_irred, geo_split
 
 
@@ -298,18 +279,15 @@ def build_infinitesimal(G, r):
             sigma = cuspidal_members(G.backend, q, (l1, m), r)
             emb.append(ind(G, sigma, "embed", m))
             quo.append(ind(G, sigma, "quot", m))
-        # IrrFamily refuses repeated rows within each
         emb, quo = stack(emb), stack(quo)
-        expect = sum(q ** (l1 + m - 3) * (q - 1) ** 2
-                     for _, m in inner_types(G.lam))
-        _check(len(emb) == len(quo) == expect, "inf_embed, inf_quot: counts",
-               (expect, expect), (len(emb), len(quo)))
         shared = len(set(emb.fingerprint()) & set(quo.fingerprint()))
         _check(not shared, "inf_embed, inf_quot: shared members", 0, shared)
-        fams = [IrrFamily("inf_embed", emb), IrrFamily("inf_quot", quo)]
+        # IrrFamily refuses repeated rows within each
+        n = sum(q ** (l1 + m - 3) * (q - 1) ** 2
+                for _, m in inner_types(G.lam))
         deg = q ** (l2 - 1) * (q - 1)
-        _check(fams[0].degree == fams[1].degree == deg, "inf_embed, inf_quot:"
-               " degrees", (deg, deg), (fams[0].degree, fams[1].degree))
+        fams = [IrrFamily("inf_embed", emb, count=n, degree=deg),
+                IrrFamily("inf_quot", quo, count=n, degree=deg)]
     else:
         tws = twisting_characters(G.R2)
         raw = []
@@ -322,10 +300,8 @@ def build_infinitesimal(G, r):
                    "inductions differ" % (l1, m), 0, off)
             raw.append(twist(a, tws))
         # q twists of each cuspidal; IrrFamily refuses repeated rows
-        fams = [IrrFamily("inf_embed", stack(raw))]
-        deg = q ** (l1 - 2) * (q * q - 1)
-        _check(fams[0].degree == deg, "inf_embed: degree", deg,
-               fams[0].degree)
+        fams = [IrrFamily("inf_embed", stack(raw),
+                          degree=q ** (l1 - 2) * (q * q - 1))]
     return fams
 
 
@@ -342,16 +318,13 @@ _SPECTRUM_OF = {
 class AssembledSet:
     """The assembled irreducible data of one group: labeled families, the
     degree-count dictionary, and the outcome of the structural checks.  The
-    families keep the members' values, one stack each."""
+    families keep the members' values, one stack each; the set is complete
+    when there are families and every one lists its members."""
 
-    def __init__(self, G, backend, q, lam, families, zeta, complete):
-        self.G = G
-        self.backend = backend
-        self.q = q
-        self.lam = lam
-        self.families = families
-        self.zeta = zeta
-        self.complete = complete
+    def __init__(self, G, families, zeta):
+        self.G, self.families, self.zeta = G, families, zeta
+        self.complete = bool(families) and all(
+            f.members is not None for f in families)
         self.checks = {}
 
     def stacks(self):
@@ -405,7 +378,7 @@ def _check_spectra(asm):
 
 
 def _check_totals(asm):
-    want = zeta_closed_form(asm.q, asm.lam)
+    want = zeta_closed_form(asm.G.q, asm.G.lam)
     _check(asm.zeta == want, "degree counts against the closed form",
            sorted(want.items()), sorted(asm.zeta.items()))
     total = sum(d * d * n for d, n in asm.zeta.items())
@@ -458,7 +431,7 @@ def _assemble(G, r):
         _check(zeta == green, "Dixon degrees of %s q=%d (1,1) against "
                "green_gl2" % (backend, q), sorted(green.items()),
                sorted(zeta.items()))
-        asm = AssembledSet(G, backend, q, lam, [], zeta, False)
+        asm = AssembledSet(G, [], zeta)
         asm.checks["dixon_matches_green"] = True
     else:
         if l2 == 0:
@@ -484,9 +457,8 @@ def _assemble(G, r):
         zeta = Counter()
         for fam in fams:
             zeta.update(fam.zeta)
-        asm = AssembledSet(G, backend, q, lam, fams,
-                           {d: n for d, n in zeta.items() if n > 0},
-                           l2 < 2 or l1 > l2)
+        asm = AssembledSet(G, fams,
+                           {d: n for d, n in zeta.items() if n > 0})
 
     _check_totals(asm)
     if asm.stacks():

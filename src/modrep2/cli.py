@@ -47,7 +47,6 @@ def _rep_str(rep):
 
 
 def cmd_order(args):
-    residue_size(args.backend, args.q)
     return {"order": order_formula(args.q, args.lam)}
 
 
@@ -187,15 +186,16 @@ def main(argv=None):
         _add_common(sub)
     args = parser.parse_args(argv)
 
-    if order_formula(args.q, args.lam) > args.cap:
-        print("group order %d exceeds --cap %d" %
-              (order_formula(args.q, args.lam), args.cap), file=sys.stderr)
-        return 2
-
     envelope = {"schema": "1", "command": args.command,
                 "backend": args.backend, "q": args.q,
                 "lambda": list(args.lam)}
     try:
+        residue_size(args.backend, args.q)  # before the cap reads the order
+        order = order_formula(args.q, args.lam)
+        if order > args.cap:
+            print("group order %d exceeds --cap %d" % (order, args.cap),
+                  file=sys.stderr)
+            return 2
         payload = COMMANDS[args.command](args)
     except ValueError as e:
         print("invalid job: %s" % e, file=sys.stderr)

@@ -17,8 +17,7 @@ through that element's two translation tables and array by array through
 the coordinate kernel.  Every path ends in _element_at, which refuses a
 code off the group.  The root group's conjugacy classes come with its span
 check from one streamed pass over the generators: the orbits of conjugation
-by u+, u- and the diag(1, v) only, checked to be fixed by conjugation by
-every other generator (AutGroup._class_partition).
+by every generator (AutGroup._class_partition).
 """
 
 from functools import cached_property, lru_cache
@@ -182,14 +181,11 @@ class AutGroup(GroupBase):
 
         # two unipotents u+, u- (conjugation by the diagonal units scales b
         # and c by units, whose sums fill R2), diag(u, 1) and diag(1, v) for
-        # generators u, v of the unit groups, and the swap on square types;
-        # classes conjugate by the conjugating set u+, u-, diag(1, v) only,
-        # and _class_partition checks that the rest fix each of its orbits
+        # generators u, v of the unit groups, and the swap on square types
         up, low = (1, 1, 0, 1), (1, 0, 1, 1)
         U1, U2 = unit_group(R1), unit_group(R2)
         ones = [(1, 0, 0, v) for v in U2.codes[U2.gen_idx].tolist()]
         diag = [(u, 0, 0, 1) for u in U1.codes[U1.gen_idx].tolist()]
-        self._conj_gens = [up, low] + ones
         self.gens = [up, low] + diag + ones
         if self.rect:
             self.gens.append(SWAP)
@@ -204,33 +200,24 @@ class AutGroup(GroupBase):
 
     def _class_partition(self):
         """Span check and conjugacy classes in one streamed pass over the
-        generators g, the conjugating set first: the right translation
-        x -> x * g is hooked into the span labels while the span falls short
-        of the group, then left-translated by g^-1.  For g in the set that
-        conjugation is hooked into the class labels; for the rest, which
-        come after, it must send every element into its own class label.
-        Then the set's orbits, on a full span, are the classes: every
-        generator fixes each of them.  At most two translations are alive:
-        2s translations for s generators."""
+        generators g: the right translation x -> x * g is hooked into the
+        span labels while the span falls short of the group, then
+        left-translated by g^-1 and that conjugation hooked into the class
+        labels.  On a full span, the orbits of conjugation by the generators
+        are the classes.  At most two translations are alive: 2s
+        translations for s generators."""
         name, n, gi = self.name, self.order, self.gen_idx
-        in_set = np.isin(gi, self.locate(self._conj_gens))
         inv = self.inverse(gi)
         e = self.identity_pos
         span = np.arange(n, dtype=np.int32)
         cls = span.copy()
-        for j in np.r_[np.flatnonzero(in_set), np.flatnonzero(~in_set)]:
+        for j in range(len(gi)):
             P = self._translate(None, gi[j], left=False)
             if not (span == span[e]).all():
                 span = hook(span, P, "%s: right multiplication by generator "
                             "%d" % (name, j))
             P = self.right_mul(inv[j], P)
-            if in_set[j]:
-                cls = hook(cls, P, "%s: conjugation by generator %d"
-                           % (name, j))
-            else:
-                moved = int(np.count_nonzero(cls.take(P) != cls))
-                _check(not moved, "%s: elements moved off their class by "
-                       "conjugation by generator %d" % (name, j), 0, moved)
+            cls = hook(cls, P, "%s: conjugation by generator %d" % (name, j))
             del P
         size = int(np.count_nonzero(span == span[e]))
         _check(size == n, "%s: elements spanned by the generators" % name, n,

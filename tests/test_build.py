@@ -521,6 +521,37 @@ def test_family_checks_raise_under_optimize():
                     % (r, math.isqrt(r - 1), (r + 1) // 2))
 
 
+def test_family_count_and_degree_refused_under_optimize():
+    # the family contract survives python -O and names the label, the
+    # paper's value and the computed one: heis_q of padic q=3 (2,1) (8
+    # members of degree 3) given a wrong count, and a count-only family
+    # given a wrong degree
+    out = _run_optimized(
+        "from modrep2.build import IrrFamily, assemble\n"
+        "heis = assemble('padic', 3, (2, 1)).family('heis_q').members\n"
+        "for label, kw in (('heis_q', dict(members=heis, count=9)),\n"
+        "                  ('rect', dict(zeta={6: 24}, degree=4))):\n"
+        "    try:\n"
+        "        IrrFamily(label, **kw)\n"
+        "    except AssertionError as e:\n"
+        "        print(e)\n"
+        "    else:\n"
+        "        print('accepted')\n")
+    assert out == ("heis_q: count: expected 9, computed 8\n"
+                   "rect: degree: expected 4, computed 6\n")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("lam", [(2, 0), (1, 1), (3, 1), (3, 2), (2, 2)])
+def test_complete_when_every_family_lists_its_members(backend, lam):
+    # rank-one, (1,1), depth-one, non-square and square: only (1,1) (no
+    # families) and the square types (count-only families) are incomplete
+    l1, l2 = lam
+    a = assemble(backend, 2, lam)
+    assert a.complete == (lam != (1, 1) and (l2 < 2 or l1 > l2))
+    assert a.complete == (lam in [(2, 0), (3, 1), (3, 2)])
+
+
 def _tuple_fingerprint(f):
     """A member's key as a tuple of Python ints: the bytes of its row."""
     return tuple(f.vals[0].tobytes())

@@ -201,12 +201,15 @@ def test_bad_residue_size(capsys):
     ("4", "padic backend requires prime residue size, got 4")])
 def test_order_refuses_a_bad_residue_size(capsys, q, error):
     # order builds no ring, yet refuses what classes and zeta refuse, with
-    # the same message: it printed order 0, 5400 and 576 and exited 0
+    # the same message: it printed order 0, 5400 and 576 and exited 0; the
+    # residue size is read before --cap, so on 5,5, whose formal order is
+    # above the cap at q=4 and 6, the refusal is the same
     for command in ("order", "classes", "zeta"):
-        rc = main([command, "--p", q, "--lambda", "2,1"])
-        cap = capsys.readouterr()
-        assert rc == 2 and cap.out == "", command
-        assert cap.err == "invalid job: %s\n" % error, command
+        for lam in ("2,1", "5,5"):
+            rc = main([command, "--p", q, "--lambda", lam])
+            cap = capsys.readouterr()
+            assert rc == 2 and cap.out == "", (command, lam)
+            assert cap.err == "invalid job: %s\n" % error, (command, lam)
 
 
 def test_orbits_needs_depth(capsys):
