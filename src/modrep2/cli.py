@@ -12,7 +12,7 @@ from .build import assemble
 from .classfun import depth_one_dual
 from .dixon import character_degrees
 from .groups import aut_group, order_formula
-from .rings import residue_size
+from .rings import BACKENDS, residue_size
 from .verify import ring_compare, verify_all, zeta_json
 
 
@@ -190,7 +190,14 @@ def main(argv=None):
                 "backend": args.backend, "q": args.q,
                 "lambda": list(args.lam)}
     try:
-        residue_size(args.backend, args.q)  # before the cap reads the order
+        backends = [args.backend]
+        if args.command == "ring-compare":  # reads both, so chooses none
+            if args.backend != "padic":
+                raise ValueError("ring-compare compares both backends and "
+                                 "takes no --backend %s" % args.backend)
+            backends = BACKENDS
+        for backend in backends:  # before the cap reads the order
+            residue_size(backend, args.q)
         order = order_formula(args.q, args.lam)
         if order > args.cap:
             print("group order %d exceeds --cap %d" % (order, args.cap),

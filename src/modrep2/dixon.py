@@ -21,11 +21,12 @@ against 524353 above |G|; on q=7 (2,2) it is 7057.
 Class matrices (_class_matrix): the products x * rep_m of a class's members
 by the k representatives are read from the representatives' right
 translation tables, T1[m, row1(x)] + T2[m, row2(x)]
-(AutGroup._translation_tables), and their classes from one code -> class
-table, -1 off the group (_class_tables).  The tables are built once per
-character_degrees call, k*(s1*s2 + s2^2) int32 entries and s1*s2^3 of the
-narrowest signed dtype: 24 + 4 MB on padic q=2 (6,5), 46 + 12 MB on
-q=7 (2,2).
+(AutGroup._translation_tables: the group's product kernel on the lines
+(a, b, 0, 0) and (0, 0, c, d) times every representative, one stacked call
+each), and their classes from one code -> class table, -1 off the group
+(_class_tables).  The tables are built once per character_degrees call,
+k*(s1*s2 + s2^2) int32 entries and s1*s2^3 of the narrowest signed dtype:
+24 + 4 MB on padic q=2 (6,5), 46 + 12 MB on q=7 (2,2).
 
 Central blocks: for z in the centre Z, omega_chi(z C) = theta_chi(z)
 omega_chi(C), theta_chi the central character of chi.  So the split starts

@@ -10,12 +10,14 @@ kept as four columns of codes and handled by index, one product kernel for
 both shapes; 4-tuples appear only at the print boundary (locate,
 elements_at, class_reps) and as the generators and identity kept as data.
 
-Products take one of three paths (AutGroup.right_mul): a group whose stacked
+The product is derived once, in the coordinate kernel AutGroup._codes, and
+taken on one of three paths (AutGroup.right_mul): a group whose stacked
 right translation tables fit within TABLE_ENTRIES (measured, see there)
 reads them, two gathers a product; a larger one multiplies by one element
 through that element's two translation tables and array by array through
-the coordinate kernel.  Every path ends in _element_at, which refuses a
-code off the group.  The root group's conjugacy classes come with its span
+the kernel itself.  The translation tables are the kernel evaluated on line
+elements.  Every path ends in _element_at, which refuses a code off the
+group.  The root group's conjugacy classes come with its span
 check from one streamed pass over the generators: the orbits of conjugation
 by every generator (AutGroup._class_partition).
 """
@@ -171,8 +173,10 @@ class AutGroup(GroupBase):
             rest, x = np.divmod(rest, np.int32(s2))
             cols.insert(0, x)
         cols = tuple([rest] + cols)
-        # M1 is widened to intp: the kernels form codes M1[a, A] * s2, which
-        # would wrap in int16; the other tables are only indexed or added
+        # M1 is widened to intp: inverse forms codes M1[d, D] * s2, which
+        # would wrap in int16, and _codes indexes lift by a broadcast view of
+        # M1's gather, which numpy would convert at full size; the other
+        # tables are only indexed or added
         tables = (R1.add, R1.mul.astype(np.intp), R2.add, R2.mul)
         # the ring tables, the element columns, the code table (-1 off the
         # group) and the two powers of pi that the product kernel reads
@@ -255,15 +259,16 @@ class AutGroup(GroupBase):
     @cached_property
     def _mul_tables(self):
         """The product kernel's tables, built once from the ring tables, for
-        level-l2 pairs x, y, X, Y, a level-l1 u and a level-l2 z:
-        dot[((x*s2 + y)*s2 + X)*s2 + Y] = x*X + y*Y and low[same] = y*Y +
-        pi^(l1-l2)*x*X at level l2, and lift[u*s2 + z] = u + pi^(l1-l2)*z at
+        level-l2 pairs (x, y), (X, Y), a level-l1 u and a level-l2 z:
+        dot[x*s2 + y, X*s2 + Y] = x*X + y*Y and low[same] = y*Y +
+        pi^(l1-l2)*x*X at level l2, and lift[u, z] = u + pi^(l1-l2)*z at
         level l1: s1*s2 + 2*s2^4 entries in all."""
         A1, M1, A2, M2 = self.R1.add, self.R1.mul, self.R2.add, self.R2.mul
         _, _, _, d1c, d2c = self._arrays
         xX, yY = M2[:, None, :, None], M2[None, :, None, :]
-        return (A2[xX, yY].ravel(), A2[M2[d2c, xX], yY].ravel(),
-                A1[:, M1[d1c, :self.s2]].astype(np.int32).ravel())
+        s = self.s2 * self.s2
+        return (A2[xX, yY].reshape(s, s), A2[M2[d2c, xX], yY].reshape(s, s),
+                A1[:, M1[d1c, :self.s2]].astype(np.int32))
 
     @cached_property
     def _lines(self):
@@ -309,57 +314,63 @@ class AutGroup(GroupBase):
         return (np.concatenate([t1, t2], axis=1), u1.astype(np.intp),
                 u2.astype(np.intp) + s1 * s2)
 
-    def _kernel_mul(self, idx, h):
-        """The coordinate kernel of right_mul.  For g = (a, b, c, d) and
-        h = (A, B, C, D) the product is (lift[a*A, b*C], dot[(a, b), (B, D)],
-        dot[(c, d), (A, C)], low[(c, d), (B, D)]) with the tables of
-        _mul_tables, so each coordinate is one gather; the row and column
-        operands are formed on the broadcast inputs before they meet."""
-        (_, M1, _, M2), (ea, eb, ec, ed), _, _, _ = self._arrays
+    def _codes(self, a, b, c, d, A, B, C, D):
+        """The product codes of (a, b, c, d) * (A, B, C, D), coordinate
+        arrays that broadcast together, int32: ((lift[a*A, b*C]*s2 +
+        dot[(a, b), (B, D)])*s2 + dot[(c, d), (A, C)])*s2 + low[(c, d),
+        (B, D)] with the 2-D tables of _mul_tables.  The row and column
+        operands are formed on the inputs before they meet.  The lift
+        gather is read at the full broadcast shape (its row index, from the
+        intp M1, a broadcast view) and the other gathers are added to it in
+        place, so no full-size index array or sum temporary is formed."""
+        (_, M1, _, M2), _, _, _, _ = self._arrays
         dot, low, lift = self._mul_tables
         s2 = self.s2
-        a, b, c, d = ea[idx], eb[idx], ec[idx], ed[idx]
-        A, B, C, D = ea[h], eb[h], ec[h], ed[h]
-        cd, BD = (c * s2 + d) * (s2 * s2), B * s2 + D
-        code = lift[M1[a, A] * s2 + M2[b, C]]
-        code = code * s2 + dot[(a % s2 * s2 + b) * (s2 * s2) + BD]
-        code = code * s2 + dot[cd + (A % s2 * s2 + C)]
-        code = code * s2 + low[cd + BD]
-        return self._element_at(code)
+        shape = np.broadcast(a, b, c, d, A, B, C, D).shape
+        cd, BD = c * s2 + d, B * s2 + D
+        code = lift[np.broadcast_to(M1[a, A], shape), M2[b, C]]
+        code *= s2
+        code += dot[a % s2 * s2 + b, BD]
+        code *= s2
+        code += dot[cd, A % s2 * s2 + C]
+        code *= s2
+        code += low[cd, BD]
+        return code
+
+    def _kernel_mul(self, idx, h):
+        """The coordinate kernel of right_mul: _codes on the columns of
+        the elements idx and h."""
+        cols = self._arrays[1]
+        return self._element_at(self._codes(*(x[idx] for x in cols),
+                                            *(x[h] for x in cols)))
 
     def _translation_tables(self, g, left):
         """(t1, t2, u1, u2): the product code of y * g (left False) or
         g * y (left True) is t1[u1[y]] + t2[u2[y]], for one element g or
         stacked over an array of them (t1[..., u1[y]] + t2[..., u2[y]]).
-        In y * g the product's a and b depend only on y's row (a, b) and
-        its c and d on the row (c, d); in g * y its a and c depend only on
-        y's column (A, C) and its b and d on (B, D).  So the code is the
-        sum of two tables over those pairs, s1*s2 and s2^2 int32 entries
-        per g, read at y's line codes u1, u2.  With g fixed, the kernel's
-        gathers from dot and low become rows or columns of them.  Stacked,
-        the int16 ring tables times s stay in int32, so no int64 temporary
-        of the tables' size is formed; for one element the level-l1 table
-        is the intp one, whose products index lift on numpy's fast path."""
-        dot, low, lift = self._mul_tables
-        s = np.int32(self.s2)
-        dot, low = dot.reshape(s * s, -1), low.reshape(s * s, -1)
-        pair = np.arange(self.s1)[:, None] % s * s + np.arange(s)
-        # rows of the tables at g's coordinates, g's shape in front: a view
-        # for one element
-        a, b, c, d = (x[g] for x in self._arrays[1])
-        M1 = self.R1.mul if a.ndim else self._arrays[0][1]
-        M2 = self.R2.mul
-        if left:  # g = (a, b, c, d) times y's (A, C), then (B, D)
-            t1 = (lift[M1[a][..., :, None] * s + M2[b][..., None, :]] * s * s
-                  + dot[c * s + d][..., pair]) * s
-            t2 = dot[a % s * s + b] * s * s + low[c * s + d]
+        They are _codes on line elements: y * g = (a, b, 0, 0) * g +
+        (0, 0, c, d) * g in codes, and g * y = g * (A, 0, C, 0) + g * (0, B,
+        0, D), since a zero line adds nothing to any gather (lift[0, 0] and
+        dot and low of a zero pair are 0).  So the tables are the kernel on
+        the grids of y's row (a, b), then (c, d), resp. column (A, C), then
+        (B, D), against g's columns, shaped (..., 1, 1) when stacked: s1*s2
+        and s2^2 int32 entries per g, read at y's line codes u1, u2
+        (_lines)."""
+        s1, s2 = self.s1, self.s2
+        g = [x[g][..., None, None] if np.ndim(g) else x[g]
+             for x in self._arrays[1]]
+        # a line's first coordinate at level l1 (i) or l2 (k), its second (j)
+        i, k, j = np.arange(s1)[:, None], np.arange(s2)[:, None], np.arange(s2)
+        if left:
+            t1 = self._codes(*g, i, 0, j, 0)
+            t2 = self._codes(*g, 0, k, 0, j)
             u1, u2 = self._lines[2:]
-        else:  # y's (a, b), then (c, d), times g = (A, B, C, D)
-            t1 = (lift[M1.T[a][..., :, None] * s + M2.T[c][..., None, :]] * s
-                  + dot.T[b * s + d][..., pair]) * s * s
-            t2 = dot.T[a % s * s + c] * s + low.T[b * s + d]
+        else:
+            t1 = self._codes(i, j, 0, 0, *g)
+            t2 = self._codes(0, 0, k, j, *g)
             u1, u2 = self._lines[:2]
-        return t1.reshape(t2.shape[:-1] + (-1,)), t2, u1, u2
+        return (t1.reshape(t1.shape[:-2] + (-1,)),
+                t2.reshape(t2.shape[:-2] + (-1,)), u1, u2)
 
     def _translate(self, y, g, left):
         """Element indices of y * g (left False) or g * y (left True) for
@@ -376,13 +387,20 @@ class AutGroup(GroupBase):
         (a, b, c, d)^-1 = (d*Delta, -b*Delta, -c*Delta, a*Delta), the last
         three reduced to level l2: the adjugate over the lift of d, whose
         product with g is the identity at both levels."""
-        (A1, M1, _, _), cols, _, d1c, _ = self._arrays
-        N1, I1 = self.R1.neg, self.R1.inv
+        (_, M1, _, _), cols, _, _, _ = self._arrays
+        N1 = self.R1.neg
         a, b, c, d = (x[ridx] for x in cols)
-        D = I1[A1[M1[a, d], N1[M1[d1c, M1[b, c]]]]]
+        D = self.R1.inv[self._det(a, b, c, d)]
         s2 = self.s2
         code = (M1[d, D] * s2 + N1[M1[b, D]] % s2) * s2 + N1[M1[c, D]] % s2
         return self._element_at(code * s2 + M1[a, D] % s2)
+
+    def _det(self, a, b, c, d):
+        """The determinant a*d - pi^(l1-l2)*b*c at level l1 of coordinate
+        arrays, b, c and d lifted as their codes: inverse reads it, and
+        hom("det") reads it mod s2, which is its level-l2 value."""
+        (A1, M1, _, _), _, _, d1c, _ = self._arrays
+        return A1[M1[a, d], self.R1.neg[M1[d1c, M1[b, c]]]]
 
     def _element_at(self, code):
         """Element indices of codes, as intp; raises on -1 rather than wrap
@@ -400,12 +418,10 @@ class AutGroup(GroupBase):
         (val(c), resp. val(b), >= l2-m) onto type (l1, m).  diag: (a, d) of
         the parabolics onto torus.  diag_red: (a mod pi^(l1-1), d) of type
         (l1, 1).  det: onto the codes of Q = R2.  Off the domain: _check."""
-        (_, _, A2, M2), cols, _, _, d2c = self._arrays
-        a, b, c, d = (x[idx] for x in cols)
+        a, b, c, d = (x[idx] for x in self._arrays[1])
         q, l1, l2 = self.q, self.l1, self.l2
         if kind == "det":
-            N2 = self.R2.neg
-            return self.R2, A2[M2[a % self.s2, d], N2[M2[d2c, M2[b, c]]]]
+            return self.R2, self._det(a, b, c, d) % self.s2
         if kind in ("diag", "diag_red"):
             off = int(((b != 0) & (c != 0)).sum()) if kind == "diag" else 0
             _check(not off, "hom diag: elements with b and c both nonzero",

@@ -90,33 +90,8 @@ def residue_size(backend, q):
     return p, f
 
 
-def _poly_divmod(a, b, r):
-    """Quotient and remainder of a by b mod r, coefficients leading first,
-    b with a nonzero leading coefficient; the remainder has no leading
-    zeros (empty for zero).  One vector update per quotient coefficient."""
-    a, b = np.array(a, dtype=np.int64) % r, np.asarray(b, dtype=np.int64)
-    nb, n = len(b), max(len(a) - len(b) + 1, 0)
-    inv = pow(int(b[0]), -1, r)
-    quo = np.zeros(n, dtype=np.int64)
-    for s in range(n):
-        c = quo[s] = int(a[s]) * inv % r
-        if c:
-            a[s:s + nb] = (a[s:s + nb] - c * b) % r
-    rem = a[n:]
-    nz = np.flatnonzero(rem)
-    return quo, rem[nz[0]:] if nz.size else rem[:0]
-
-
 def _digits(x, base, n):
     return [x // base ** i % base for i in range(n)]
-
-
-def _poly_irreducible(m, p):
-    """Brute irreducibility over F_p of m (constant coefficient first): no
-    monic divisor of degree 1..deg/2."""
-    deg = len(m) - 1
-    return all(_poly_divmod(m[::-1], [1] + _digits(c, p, d)[::-1], p)[1].size
-               for d in range(1, deg // 2 + 1) for c in range(p ** d))
 
 
 def _poly_tables(cadd, cmul, n, top):
@@ -152,22 +127,23 @@ def _solve(table, e):
 
 class FiniteField:
     """F_q as int16 tables on codes: the base-p digits of a code are its
-    coefficients, the constant one lowest, modulo the first monic
-    irreducible in code order."""
+    coefficients, the constant one lowest, modulo the first monic M of
+    degree f in code order whose product table has no zero divisors: F_p[t]
+    /(M) is a field exactly when M is irreducible."""
 
     def __init__(self, q):
         p, f = prime_power(q)
         self.p, self.f, self.q = p, f, q
-        self.modulus, top = None, 0
-        if f > 1:
-            self.modulus = next(m for m in (_digits(c, p, f) + [1]
-                                            for c in range(q))
-                                if _poly_irreducible(m, p))
-            top = sum(-a % p * p ** i for i, a in enumerate(self.modulus[:f]))
         x = np.arange(p)
-        self.add, self.mul = _poly_tables(
-            ((x[:, None] + x) % p).astype(np.int16),
-            (np.outer(x, x) % p).astype(np.int16), f, top)
+        cadd = ((x[:, None] + x) % p).astype(np.int16)
+        cmul = (np.outer(x, x) % p).astype(np.int16)
+        for c in range(q):
+            m = _digits(c, p, f)  # M = t^f + m, t^f = -m
+            self.add, self.mul = _poly_tables(
+                cadd, cmul, f, sum(-a % p * p ** i for i, a in enumerate(m)))
+            if (self.mul[1:, 1:] != 0).all():
+                break
+        self.modulus = m + [1] if f > 1 else None
         self.neg, self.inv = _solve(self.add, 0), _solve(self.mul, 1)
         # Tr(x) = x + x^p + ... + x^(p^(f-1)), landing in the prime field
         t = y = np.arange(q)
@@ -633,27 +609,23 @@ def _mm(A, B, r=None):
 
 
 @lru_cache(maxsize=None)
-def _primitive_root(r):
-    """Least primitive root modulo the prime r."""
+def fr_roots(E, r):
+    """zeta_E^j in F_r for j < E, read-only, zeta_E = g^((r-1)/E) for the
+    least primitive root g mod the prime r: one reduction of Z[zeta_N] for
+    all E | r - 1, so zeta_E^a = zeta_M^b in F_r exactly when same_root
+    says so.  _check refuses an E not dividing r - 1.  g is the least g
+    with g^((r-1)/p) != 1 for every prime p | r - 1."""
+    _check((r - 1) % E == 0, "roots of unity of order E = %d in F_%d: r - 1 "
+           "mod E" % (E, r), 0, (r - 1) % E)
     m = r - 1
     ps = [p for p in range(2, math.isqrt(r) + 1) if m % p == 0 and is_prime(p)]
     for p in ps:
         while m % p == 0:
             m //= p
     ps += [m] * (m > 1)  # at most one prime factor above sqrt(r)
-    return next(g for g in range(1, r)
-                if all(pow(g, (r - 1) // p, r) != 1 for p in ps))
-
-
-@lru_cache(maxsize=None)
-def fr_roots(E, r):
-    """zeta_E^j in F_r for j < E, read-only, zeta_E = g^((r-1)/E) for the
-    least primitive root g mod the prime r: one reduction of Z[zeta_N] for
-    all E | r - 1, so zeta_E^a = zeta_M^b in F_r exactly when same_root
-    says so.  _check refuses an E not dividing r - 1."""
-    _check((r - 1) % E == 0, "roots of unity of order E = %d in F_%d: r - 1 "
-           "mod E" % (E, r), 0, (r - 1) % E)
-    z = pow(_primitive_root(r), (r - 1) // E, r)
+    g = next(g for g in range(1, r)
+             if all(pow(g, (r - 1) // p, r) != 1 for p in ps))
+    z = pow(g, (r - 1) // E, r)
     out = np.array([pow(z, j, r) for j in range(E)], dtype=np.int64)
     out.setflags(write=False)
     return out

@@ -88,6 +88,63 @@ def test_ring_compare(capsys):
     assert json.loads(out)["ok"]
 
 
+def _no_build(*args, **kwargs):
+    raise AssertionError("a refused job built a group")
+
+
+@pytest.mark.parametrize("q,lam", [("2", "2,1"), ("4", "2,2"), ("4", "5,5")])
+def test_ring_compare_refuses_a_backend(capsys, monkeypatch, q, lam):
+    # ring-compare reads both backends, so --backend tpoly chose nothing:
+    # the envelope said "tpoly" for a padic-against-tpoly report, and on
+    # q=4 the job was refused only after the tpoly group was built.  Now
+    # it exits 2 before anything is built or the cap is read
+    monkeypatch.setattr(verify, "assemble", _no_build)
+    monkeypatch.setattr(verify, "job_prime", _no_build)
+    rc = main(["ring-compare", "--backend", "tpoly", "--q", q, "--lambda",
+               lam])
+    cap = capsys.readouterr()
+    assert rc == 2 and cap.out == ""
+    assert cap.err == ("invalid job: ring-compare compares both backends "
+                       "and takes no --backend tpoly\n")
+
+
+def test_ring_compare_checks_both_backends_before_the_cap(capsys,
+                                                          monkeypatch):
+    # the residue size is checked against padic, then tpoly, before --cap:
+    # q=4 is refused as no prime on 5,5, whose order is above the cap, and
+    # an admitted q reaches the cap only after both checks
+    seen = []
+
+    def residue_size(backend, q):
+        seen.append((backend, q))
+        return real(backend, q)
+
+    real = cli.residue_size
+    monkeypatch.setattr(cli, "residue_size", residue_size)
+    monkeypatch.setattr(verify, "assemble", _no_build)
+    for argv, err in [
+            (("--q", "4"), "invalid job: padic backend requires prime "
+             "residue size, got 4\n"),
+            (("--backend", "padic", "--q", "4"), "invalid job: padic backend "
+             "requires prime residue size, got 4\n"),
+            (("--q", "3"), "group order 2066242608 exceeds --cap 500000\n")]:
+        seen.clear()
+        rc = main(["ring-compare", *argv, "--lambda", "5,5"])
+        cap = capsys.readouterr()
+        assert rc == 2 and cap.out == "" and cap.err == err, argv
+        q = int(argv[-1])
+        assert seen == [("padic", q), ("tpoly", q)][:1 if q == 4 else 2]
+
+
+def test_ring_compare_envelope_names_padic(capsys):
+    # the default envelope is unchanged: backend "padic", as before
+    for argv in ([], ["--backend", "padic"]):
+        rc, out = run(capsys, "ring-compare", "--p", "2", "--lambda", "1,1",
+                      *argv)
+        doc = json.loads(out)
+        assert rc == 0 and doc["ok"] and doc["backend"] == "padic"
+
+
 def test_deterministic_output(capsys):
     _, first = run(capsys, "construct", "--p", "2", "--lambda", "2,2")
     _, second = run(capsys, "construct", "--p", "2", "--lambda", "2,2")

@@ -20,8 +20,8 @@ from modrep2.dixon import (_charpoly, _class_matrix, _class_tables,
                            _eigenspaces, _product_classes, _read_degrees,
                            _roots, _rref, character_degrees, dixon_prime)
 from modrep2.groups import aut_group
-from modrep2.rings import (TableGroup, _check, _inverses, _mm, _poly_divmod,
-                           is_prime, make_ring, unit_group)
+from modrep2.rings import (TableGroup, _check, _inverses, _mm, is_prime,
+                           make_ring, unit_group)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -93,6 +93,21 @@ def _ref_charpoly(A, r):
         P[m, 1:] = P[c, :-1]
         P[m] = (P[m] - H[c, c] * P[c] - (T * H[:c, c] % r) @ P[:c]) % r
     return P[n, ::-1]
+
+
+def _poly_divmod(a, b, r):
+    """Quotient and remainder of a by b mod r, coefficients leading first,
+    b with a nonzero leading coefficient; the remainder has no leading
+    zeros (empty for zero)."""
+    a, b = np.array(a, dtype=np.int64) % r, np.asarray(b, dtype=np.int64)
+    n = max(len(a) - len(b) + 1, 0)
+    inv = pow(int(b[0]), -1, r)
+    quo = np.zeros(n, dtype=np.int64)
+    for s in range(n):
+        quo[s] = int(a[s]) * inv % r
+        a[s:s + len(b)] = (a[s:s + len(b)] - quo[s] * b) % r
+    rem = np.trim_zeros(a[n:], "f")
+    return quo, rem
 
 
 def _ref_roots(coeffs, r):

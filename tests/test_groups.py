@@ -297,6 +297,30 @@ def test_translations_match_kernel(backend, q, lam):
             assert np.array_equal(T1[m], t1) and np.array_equal(T2[m], t2)
 
 
+@pytest.mark.parametrize("backend,q,lam", [
+    ("padic", 2, (2, 2)), ("padic", 3, (2, 1)), ("padic", 2, (4, 2)),
+    ("tpoly", 4, (1, 1)), ("tpoly", 2, (3, 2)), ("tpoly", 4, (2, 1))])
+def test_translations_match_tuple_ops(backend, q, lam):
+    # y * h and h * y over every y, through _translate and through the
+    # translation tables of one h and of six stacked, against the tuple
+    # product: the tables come from the kernel, so this is their reference,
+    # on square and non-square types of both backends
+    G = AutGroup(backend, q, lam)
+    els, mul = tuples(G), tuple_ops(G)[0]
+    x, code = np.arange(G.order), G._arrays[2]
+    hs = np.random.default_rng(3).integers(0, G.order, 6)
+    for left in (False, True):
+        T1, T2, u1, u2 = G._translation_tables(hs, left)
+        for m, h in enumerate(hs.tolist()):
+            want = G.locate([mul(els[h], y) if left else mul(y, els[h])
+                             for y in els])
+            assert np.array_equal(G._translate(x, h, left), want)
+            assert np.array_equal(G._translate(None, h, left), want)
+            t1, t2, v1, v2 = G._translation_tables(h, left)
+            assert np.array_equal(code[t1[v1] + t2[v2]], want)
+            assert np.array_equal(code[T1[m, u1] + T2[m, u2]], want)
+
+
 def test_aut_group_on_the_largest_ring_is_small():
     # only the level-l1 product table is widened to intp for the kernels;
     # with all four widened the peak was 440 MB.  VmHWM of a fresh process,

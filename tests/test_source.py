@@ -153,3 +153,17 @@ def test_one_prime_admission_and_one_memo():
         "check_prime", "assembled_types", "r_override", "_degree_multiset",
         "_class_data", "_subgroup_cache", "_tori", "_pullbacks",
         "_orbit_data", "_classfun_maps", "provenance", "degree_counter"))
+
+
+def test_one_product_derivation():
+    """The product of the groups Aut(o_l1 + o_l2) is derived once: only the
+    coordinate kernel, AutGroup._codes, reads the product tables (the one
+    read of _mul_tables) and indexes dot, low or lift.  The translation
+    tables are that kernel on line elements, with no formula of their
+    own."""
+    reads = _sites(_named("_mul_tables"))
+    gathers = _sites(lambda node: isinstance(node, ast.Subscript)
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id in ("dot", "low", "lift"))
+    assert reads == Counter({"groups.py:_codes": 1})
+    assert gathers == Counter({"groups.py:_codes": 4})
