@@ -11,15 +11,13 @@ both shapes; 4-tuples appear only at the print boundary (locate,
 elements_at, class_reps) and as the generators and identity kept as data.
 
 The product is derived once, in the coordinate kernel AutGroup._codes, and
-taken on one of three paths (AutGroup.right_mul): a group whose stacked
-right translation tables fit within TABLE_ENTRIES (measured, see there)
-reads them, two gathers a product; a larger one multiplies by one element
-through that element's two translation tables and array by array through
-the kernel itself.  The translation tables are the kernel evaluated on line
-elements.  Every path ends in _element_at, which refuses a code off the
-group.  The root group's conjugacy classes come with its span
-check from one streamed pass over the generators: the orbits of conjugation
-by every generator (AutGroup._class_partition).
+taken on one of two paths (AutGroup.right_mul): a product by one element,
+on either side, reads that element's two translation tables, the kernel
+evaluated on line elements and kept per (element, side); an array-by-array
+product runs the kernel itself.  Every path ends in _element_at, which
+refuses a code off the group.  The root group's conjugacy classes come
+with its span check from one streamed pass over the generators: the
+orbits of conjugation by every generator (AutGroup._class_partition).
 """
 
 from functools import cached_property, lru_cache
@@ -31,19 +29,6 @@ from modrep2.rings import (FiniteGroup, TableGroup, _check, _once,
                            hook, label_orbits, make_ring, unit_group)
 
 SWAP = (0, 1, 1, 0)
-
-# A root group whose stacked right translation tables, n * s2 * (s1 + s2)
-# int32 entries over its n elements, stay within this many entries (512 KB)
-# multiplies by table (AutGroup._stacked).  Measured on a 2-core x86 box,
-# numpy 2.4: the tables cost about 10 ns an entry to build (0.93 ms for
-# padic q=2 (5,2), 73,728 entries; 1.47 ms for q=2 (3,3), 196,608), and cut
-# a product of every element by one from 36 to 17 us on (5,2) and from 41
-# to 23 us on (3,3), while the four perfbench construct jobs make 14 to 137
-# products per group.  Their in-process CPU (median of 14 fresh processes)
-# read 0.270 s with no tables and 0.252 to 0.258 s at bounds 2^16 to 2^19;
-# 2^17 keeps q=2 (3,3) and larger on the kernel, and their tables out of
-# memory.
-TABLE_ENTRIES = 1 << 17
 
 
 class GroupBase(FiniteGroup):
@@ -282,37 +267,14 @@ class AutGroup(GroupBase):
 
     def right_mul(self, idx, h):
         """Element indices of elements[idx] * elements[h]; idx and h are
-        index arrays that broadcast together.  A group within TABLE_ENTRIES
-        reads the stacked tables of _stacked, two gathers; a larger one
-        takes _translate for a product by one element whose other side is
-        larger than its two translation tables (s1*s2 + s2^2 entries), and
-        the coordinate kernel _kernel_mul otherwise."""
-        if self._stacked is not None:
-            T, r1, r2 = self._stacked
-            base = np.multiply(h, T.shape[1], dtype=np.intp)
-            return self._element_at(T.take(base + r1.take(idx))
-                                    + T.take(base + r2.take(idx)))
-        tables = self.s2 * (self.s1 + self.s2)
-        if np.ndim(h) == 0 and np.size(idx) > tables:
+        index arrays that broadcast together.  A product by one element, on
+        either side, takes _translate; an array-by-array product the
+        coordinate kernel _kernel_mul."""
+        if np.ndim(h) == 0:
             return self._translate(idx, h, left=False)
-        if np.ndim(idx) == 0 and np.size(h) > tables:
+        if np.ndim(idx) == 0:
             return self._translate(h, idx, left=True)
         return self._kernel_mul(idx, h)
-
-    @cached_property
-    def _stacked(self):
-        """(T, r1, r2) for a group within TABLE_ENTRIES, None above it: row
-        h of T holds the right translation tables t1, t2 of element h
-        (_translation_tables) side by side, and r1, r2 are each element's
-        row codes as intp, r2 offset past t1, so the code of x * h is
-        T[h, r1[x]] + T[h, r2[x]]."""
-        s1, s2 = self.s1, self.s2
-        if self.order * s2 * (s1 + s2) > TABLE_ENTRIES:
-            return None
-        t1, t2, u1, u2 = self._translation_tables(np.arange(self.order),
-                                                  left=False)
-        return (np.concatenate([t1, t2], axis=1), u1.astype(np.intp),
-                u2.astype(np.intp) + s1 * s2)
 
     def _codes(self, a, b, c, d, A, B, C, D):
         """The product codes of (a, b, c, d) * (A, B, C, D), coordinate
@@ -374,9 +336,11 @@ class AutGroup(GroupBase):
 
     def _translate(self, y, g, left):
         """Element indices of y * g (left False) or g * y (left True) for
-        one element g, from _translation_tables; y None for every element,
-        read at the line codes themselves."""
-        t1, t2, u1, u2 = self._translation_tables(g, left)
+        one element g, from its _translation_tables, built on first use and
+        kept per (g, side); y None for every element, read at the line
+        codes themselves."""
+        t1, t2, u1, u2 = _once(self, ("translation", int(g), left),
+                               lambda: self._translation_tables(g, left))
         if y is not None:
             u1, u2 = u1.take(y), u2.take(y)
         return self._element_at(t1.take(u1) + t2.take(u2))

@@ -94,29 +94,36 @@ def _digits(x, base, n):
     return [x // base ** i % base for i in range(n)]
 
 
-def _poly_tables(cadd, cmul, n, top):
-    """(add, mul) of C[t]/(M) on codes of n base-b digits, the constant
+def _poly_sums(cadd, cmul, n):
+    """(add, sm) of C[t]/(M) on codes of n base-b digits, the constant
     coefficient lowest, for the coefficient ring C with b x b tables cadd,
-    cmul and M monic of degree n, t^n = top mod M (a code; 0 for M = t^n).
-    Sums and the scalar rows sm[a] = a * y act digit by digit, so each
-    table takes one more digit per step by broadcasting.  Products follow
-    x = x0 + t x', x y = x0 y + t (x' y): the rows of the x with n digits
-    come from those of the x' with n - 1 digits, one gather per digit."""
+    cmul and any M monic of degree n: sums and the scalar rows sm[a] = a * y
+    act digit by digit, so each table takes one more digit per step by
+    broadcasting."""
     b = len(cadd)
     add, sm = cadd, cmul
     for _ in range(n - 1):
         add = (add[:, None, :, None] * b + cadd[None, :, None, :]).reshape(
             len(add) * b, -1)
         sm = (sm[:, :, None] * b + cmul[:, None, :]).reshape(b, -1)
-    s = len(add)
+    return add, sm
+
+
+def _poly_mul(add, sm, top, d):
+    """The product rows of the x with at most d digits in C[t]/(M), from
+    the tables of _poly_sums on n digits, t^n = top mod M (a code; 0 for
+    M = t^n).  Products follow
+    x = x0 + t x', x y = x0 y + t (x' y): the rows of the x with k digits
+    come from those of the x' with k - 1 digits, one gather per digit."""
+    b, s = sm.shape
     c = np.arange(s)
     shift = add[c % (s // b) * b, sm[c // (s // b), top]]  # t * c
-    mul = np.empty((s, s), dtype=np.int16)
+    mul = np.empty((b ** d, s), dtype=np.int16)
     mul[:b] = sm
-    for k in range(1, n):
+    for k in range(1, d):
         lo, hi = b ** (k - 1), b ** k
         mul[hi:hi * b] = add[sm[None], shift[mul[lo:hi, None]]].reshape(-1, s)
-    return add, mul
+    return mul
 
 
 def _solve(table, e):
@@ -128,21 +135,25 @@ def _solve(table, e):
 class FiniteField:
     """F_q as int16 tables on codes: the base-p digits of a code are its
     coefficients, the constant one lowest, modulo the first monic M of
-    degree f in code order whose product table has no zero divisors: F_p[t]
-    /(M) is a field exactly when M is irreducible."""
+    degree f in code order with no zero divisors among the product rows of
+    degree <= f/2: F_p[t]/(M) is a field exactly when M is irreducible, and
+    a reducible M = A * B has deg A <= f/2 and A * B = 0."""
 
     def __init__(self, q):
         p, f = prime_power(q)
         self.p, self.f, self.q = p, f, q
         x = np.arange(p)
-        cadd = ((x[:, None] + x) % p).astype(np.int16)
-        cmul = (np.outer(x, x) % p).astype(np.int16)
+        self.add, sm = _poly_sums(((x[:, None] + x) % p).astype(np.int16),
+                                  (np.outer(x, x) % p).astype(np.int16), f)
+        low = f // 2 + 1  # the digits of the rows of degree <= f/2
         for c in range(q):
             m = _digits(c, p, f)  # M = t^f + m, t^f = -m
-            self.add, self.mul = _poly_tables(
-                cadd, cmul, f, sum(-a % p * p ** i for i, a in enumerate(m)))
+            top = sum(-a % p * p ** i for i, a in enumerate(m))
+            self.mul = _poly_mul(self.add, sm, top, low)
             if (self.mul[1:, 1:] != 0).all():
                 break
+        if low < f:
+            self.mul = _poly_mul(self.add, sm, top, f)
         self.modulus = m + [1] if f > 1 else None
         self.neg, self.inv = _solve(self.add, 0), _solve(self.mul, 1)
         # Tr(x) = x + x^p + ... + x^(p^(f-1)), landing in the prime field
@@ -187,8 +198,8 @@ class LocalRing:
                     c[i:i + 512].astype(np.int32), c) % s
         else:
             self.field = FiniteField(q)
-            self.add, self.mul = _poly_tables(self.field.add, self.field.mul,
-                                              level, 0)
+            self.add, sm = _poly_sums(self.field.add, self.field.mul, level)
+            self.mul = _poly_mul(self.add, sm, 0, level)
         self.neg, self.inv = _solve(self.add, 0), _solve(self.mul, 1)
         self.val = sum(c % q ** j == 0 for j in range(1, level + 1)).astype(
             np.int16)

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modrep2.groups import (TABLE_ENTRIES, AutGroup, Subgroup, aut_group,
+from modrep2.groups import (AutGroup, Subgroup, aut_group,
                             class_count_formula, order_formula)
 from modrep2.orbits import cuspidal_parameters
 from modrep2.rings import (direct_product, greedy_generators, hook,
@@ -275,7 +276,6 @@ def test_translations_match_kernel(backend, q, lam):
     # types of both backends
     G = aut_group(backend, q, lam)
     n = G.order
-    assert n > G.s2 * (G.s1 + G.s2)
     x = np.arange(n)
     hs = G.gen_idx.tolist()
     hs += np.random.default_rng(11).integers(0, n, 20).tolist()
@@ -978,31 +978,59 @@ def test_class_pass_span_check_refused_under_optimize():
                            "generators: expected 3888, computed 648\n")
 
 
-TABLE_GROUPS = [("padic", 2, (3, 2)), ("padic", 3, (2, 1)),
-                ("tpoly", 4, (1, 1))]
-
-
-@pytest.mark.parametrize("backend,q,lam",
-                         TABLE_GROUPS + [("padic", 2, (3, 3))])
+@pytest.mark.parametrize("backend,q,lam", [
+    ("padic", 2, (3, 2)), ("padic", 3, (2, 1)), ("tpoly", 4, (1, 1)),
+    ("padic", 2, (3, 3)), ("tpoly", 2, (3, 3))])
 def test_table_product_matches_kernel(backend, q, lam):
-    # every pair, as the broadcast (n, 1) x (1, m), and every element as a
-    # scalar on either side, against the coordinate kernel; padic q=2 (3,3)
-    # is the smallest group above the table bound and keeps the kernel
+    # every element as a scalar on either side (its translation tables),
+    # one scalar by another, and the broadcast products, against the
+    # coordinate kernel on every pair, all as intp
     G = AutGroup(backend, q, lam)
     n = G.order
-    above = n * G.s2 * (G.s1 + G.s2) > TABLE_ENTRIES
-    assert above == ((backend, q, lam) not in TABLE_GROUPS)
-    assert (G._stacked is None) == above
     x = np.arange(n)
     want = G._kernel_mul(x[:, None], x[None, :])
+    assert want.dtype == np.intp
     got = G.right_mul(x[:, None], x[None, :])
     assert got.dtype == np.intp and np.array_equal(got, want)
     for h in range(n):
-        assert np.array_equal(G.right_mul(x, h), want[:, h])
-        assert np.array_equal(G.right_mul(h, x), want[h])
-        assert G.right_mul(h, np.int64(n - 1 - h)) == want[h, n - 1 - h]
-    assert np.array_equal(G.right_mul(x[::-1, None], [[0, 1, 2]]),
-                          want[::-1, :3])
+        right, left = G.right_mul(x, h), G.right_mul(h, x)
+        assert right.dtype == left.dtype == np.intp
+        assert np.array_equal(right, want[:, h])
+        assert np.array_equal(left, want[h])
+        one = G.right_mul(h, np.int64(n - 1 - h))
+        assert one.dtype == np.intp and one == want[h, n - 1 - h]
+    for h in (0, n // 2, n - 1):
+        col = G.right_mul(x[::-1, None], np.int64(h))
+        assert col.dtype == np.intp
+        assert np.array_equal(col, want[::-1, h, None])
+    got = G.right_mul(x[::-1, None], [[0, 1, 2]])
+    assert got.dtype == np.intp and np.array_equal(got, want[::-1, :3])
+
+
+def test_translation_tables_kept_per_element_and_side(monkeypatch):
+    # repeated products by one element build its tables once per side, and
+    # its left and right tables are kept apart: the left product is not
+    # read from the right tables
+    G = AutGroup("padic", 2, (3, 2))
+    built = Counter()
+    tables = AutGroup._translation_tables
+
+    def count(self, g, left):
+        built[int(g), left] += 1
+        return tables(self, g, left)
+
+    monkeypatch.setattr(AutGroup, "_translation_tables", count)
+    x = np.arange(G.order)
+    for h in (5, 77):
+        right, left = G._kernel_mul(x, h), G._kernel_mul(h, x)
+        assert not np.array_equal(right, left)
+        for _ in range(3):
+            assert np.array_equal(G.right_mul(x, h), right)
+            assert np.array_equal(G.right_mul(x[::-1], np.int64(h)),
+                                  right[::-1])
+            assert np.array_equal(G.right_mul(h, x), left)
+    assert built == Counter({(5, False): 1, (5, True): 1, (77, False): 1,
+                             (77, True): 1})
 
 
 def test_element_at_refuses_codes_off_the_group():

@@ -167,3 +167,18 @@ def test_one_product_derivation():
                      and node.value.id in ("dot", "low", "lift"))
     assert reads == Counter({"groups.py:_codes": 1})
     assert gathers == Counter({"groups.py:_codes": 4})
+
+
+def test_one_translation_path():
+    """AutGroup multiplies on two paths: by one element through that
+    element's translation tables, kept once per side (_translate), and
+    array by array through the kernel.  Only _translate and the Dixon
+    oracle's stacked class tables build translation tables, and the
+    size-tuned stacked tier, TABLE_ENTRIES and _stacked, is gone."""
+    calls = _sites(lambda node: isinstance(node, ast.Call)
+                   and _named("_translation_tables")(node.func))
+    assert calls == Counter({"groups.py:_translate": 1,
+                             "dixon.py:_class_tables": 1})
+    gone = ("TABLE_ENTRIES", "_stacked")
+    assert not _sites(lambda node: _named(*gone)(node) or isinstance(
+        node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone)
