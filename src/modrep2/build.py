@@ -14,9 +14,9 @@ from collections import Counter
 
 import numpy as np
 
-from .classfun import (ClassFunction, dedupe, geo_ind, ind, induce, inflate,
+from .classfun import (ClassFunction, dedupe, ind, induce, inflate,
                        is_cuspidal, linear_characters, member_sums, row_order,
-                       spectrum_kinds, stack, twist)
+                       spectrum_kinds, stack, torus_character, twist)
 from .dixon import admit_prime, character_degrees, dixon_prime
 from .groups import Subgroup, aut_group
 from .orbits import CongruenceDual, cuspidal_parameters, eta_dual, inner_types
@@ -115,11 +115,11 @@ def build_rank1(backend, q, level, r):
     return out
 
 
-def _nontrivial_on(H, L, cos, S):
-    """Per exponent row of H's linear characters (L, cos as returned by
+def _nontrivial_on(H, Q, L, S):
+    """Per exponent row of H's linear characters (Q, L as returned by
     linear_characters), whether it is not 1 on some member of the subgroup
     S: exact, on the exponents."""
-    return L[:, cos[H.positions(S.idx)]].any(axis=1)
+    return L[:, Q.coset_of[H.positions(S.idx)]].any(axis=1)
 
 
 def build_l1(G, r):
@@ -143,9 +143,9 @@ def build_l1(G, r):
     # the q-dimensional family: induced from the triangular subgroup,
     # nontrivial on the central depth-one slice
     B = G.subgroup("parabolic_upper")
-    E, L, cos = linear_characters(B)
-    heis = dedupe(induce(B, fr_roots(E, r)[
-        L[_nontrivial_on(B, L, cos, Z)][:, cos]], r))
+    Q, E, L = linear_characters(B)
+    heis = dedupe(induce(B, ClassFunction(Q, fr_roots(E, r)[
+        L[_nontrivial_on(B, Q, L, Z)]], r)))
     heis_q = IrrFamily("heis_q", heis, count=q ** (l1 - 2) * (q - 1) ** 3,
                        degree=q)
 
@@ -157,9 +157,9 @@ def build_l1(G, r):
         S.idx[:, None], H.idx[None, :]).ravel())), "DH")
     n = q ** (l1 + 1) * (q - 1)
     _check(DH.order == n, "DH: order", n, DH.order)
-    E, L, cos = linear_characters(DH)
-    keep = ~_nontrivial_on(DH, L, cos, Z) & _nontrivial_on(DH, L, cos, H)
-    dh = dedupe(induce(DH, fr_roots(E, r)[L[keep][:, cos]], r))
+    Q, E, L = linear_characters(DH)
+    keep = ~_nontrivial_on(DH, Q, L, Z) & _nontrivial_on(DH, Q, L, H)
+    dh = dedupe(induce(DH, ClassFunction(Q, fr_roots(E, r)[L[keep]], r)))
     n = q ** (l1 - 2) * (q * q - 1)
     _check(len(dh) == n, "dh: count", n, len(dh))
     degs = sorted(set(dh.degrees.tolist()))
@@ -185,10 +185,10 @@ def build_l1(G, r):
 def eta_extensions(N, D, theta):
     """linear_characters(N) with only the rows that restrict to the dual
     character theta of D's kernel K, matched by exponents at K's members."""
-    E, L, cos = linear_characters(N)
+    Q, E, L = linear_characters(N)
     M, e = D.Ri.psi_exp
-    at_k = L[:, cos[N.positions(D.K.idx)]]
-    return E, L[same_root(E, at_k, M, e[D.codes([theta])]).all(axis=1)], cos
+    at_k = L[:, Q.coset_of[N.positions(D.K.idx)]]
+    return Q, E, L[same_root(E, at_k, M, e[D.codes([theta])]).all(axis=1)]
 
 
 def build_cuspidal_nonrect(G, r):
@@ -203,11 +203,12 @@ def build_cuspidal_nonrect(G, r):
     for u_hat, w_hat in cuspidal_parameters(G):
         N = G.subgroup("cuspidal_normalizer", u_hat=u_hat, w_hat=w_hat)
         A = G.subgroup("cuspidal_abelian", u_hat=u_hat, w_hat=w_hat)
-        E, exts, cos = eta_extensions(N, D, eta_dual(u_hat, w_hat))
+        Q, E, exts = eta_extensions(N, D, eta_dual(u_hat, w_hat))
         inter = len(np.intersect1d(A.idx, D.K.idx, assume_unique=True))
         _check(len(exts) == A.order // inter, "cuspidal (%d, %d): extensions"
                " of eta" % (u_hat, w_hat), A.order // inter, len(exts))
-        parts.append(induce(N, fr_roots(E, r)[exts[:, cos]], r))
+        parts.append(induce(N, ClassFunction(Q, fr_roots(E, r)[exts], r)))
+        del Q  # its |Q|^2 Cayley table goes before the next Q is built
     return IrrFamily("cuspidal_nonrect", dedupe(stack(parts)),
                      count=q ** (l1 + l2 - 3) * (q - 1) ** 2,
                      degree=q ** (l2 - 1) * (q - 1))
@@ -234,7 +235,7 @@ def build_geometric(G, r):
 
     (E1, L1), (E2, L2) = unit_characters(G.R1), unit_characters(G.R2)
     i, j = np.divmod(np.flatnonzero(inducing_pairs(G.R1, G.R2)), len(L2))
-    raw = geo_ind(G, (E1, L1[i]), (E2, L2[j]), r)
+    raw = ind(G, torus_character(G, (E1, L1[i]), (E2, L2[j]), r), "upper")
     if l1 > l2:  # IrrFamily refuses repeated rows
         geo_irred = IrrFamily("geo_irred", raw,
                               count=q ** (l1 + l2 - 3) * (q - 1) ** 3,

@@ -7,13 +7,16 @@ Everything moves by the stack.  A ClassFunction holds an (n, k) array of
 values, one row per function and one column per class of its group; a single
 class function is a stack of one row.  Every transfer takes a stack and
 returns a stack (or one entry per row), so a family moves between groups in
-a few numpy calls.  What does not depend on the rows is computed once and
-kept on the group it belongs to (rings._once): along each side, ind and res
-are linear maps stored as (source class, target class, count) triples from
-one pass over the parabolic's members (_Pairs); inflate keeps the classes
-of the representatives' images, twist the det codes of the
-representatives, and the cuspidality check each subgroup's class counts.
-Wide temporaries are taken in row blocks of about _ENTRIES entries.
+a few numpy calls.  Member values are summed per class in one way only: a
+linear map stored as (source class, target class, count) triples from one
+pass over a subgroup's members (_Pairs), for ind and res along each side,
+for induce from a subgroup's abelianization and for the depth-one duals of
+k_spectrum.  What does not depend on the rows is computed once and kept on
+the group it belongs to (rings._once): the count maps of each side, the
+classes of the representatives' images for inflate, the det codes of the
+representatives for twist, and each subgroup's class counts for the
+cuspidality check.  Wide temporaries are taken in row blocks of about
+_ENTRIES entries.
 
 Values are int64 residues mod one prime r = 1 mod the exponent of the job
 (build.job_prime, rings.fr_roots), Z[zeta_N] modulo a prime above r, r
@@ -48,13 +51,6 @@ def _read(v, hi, what, r):
     _check(not off.any(), "%s, integers mod %d within their bounds" % (what, r),
            np.broadcast_to(hi, v.shape)[off][:10].tolist(), v[off][:10].tolist())
     return v
-
-
-def _over_sizes(G, index, r):
-    """index / |C| mod r for the classes C of G, the scale of an induction
-    of that index; the inverses are kept per (G, r)."""
-    return index % r * _once(G, ("1 / |C|", r), lambda: _inverses(
-        G.class_sizes, r)) % r
 
 
 class ClassFunction:
@@ -154,33 +150,12 @@ def dedupe(funcs):
 
 
 def linear_characters(H):
-    """The one-dimensional characters of H as exponent rows at its members,
-    pulled back from the abelianization Q: (E, L, cos) with chi_t at the
-    member at position p equal to zeta_E^L[t, cos[p]], cos the coset of
-    each member; no class data of H is read."""
+    """The one-dimensional characters of H, pulled back from its
+    abelianization Q: (Q, E, L) with chi_t at the member at position p equal
+    to zeta_E^L[t, Q.coset_of[p]], so the rows fr_roots(E, r)[L] are class
+    functions on Q for induce; no class data of H is read."""
     Q = H.abelianization()
-    return character_group(Q) + (Q.coset_of,)
-
-
-def induce(P, vals, r):
-    """Induction to P's root group G of the class functions of P with the
-    rows of vals (n, |P|) as residues mod r at P's members (by position):
-    one bincount over the flattened (row, root class) indices, its float64
-    sums below |P| r < 2^53, scaled by |G| / (|P| |C|) mod r; no class data
-    of P is read."""
-    G = P.root
-    k = G.class_count
-    vals = np.atleast_2d(vals)
-    _check(vals.ndim == 2 and vals.shape[1] == P.order, "induce: values at "
-           "the members of " + P.name, ("n", P.order), vals.shape)
-    out = np.empty((len(vals), k), dtype=np.int64)
-    for rows in _blocks(len(vals), P.order):
-        V = vals[rows]
-        at = (np.arange(len(V))[:, None] * k + P.root_cls).ravel()
-        out[rows] = np.bincount(at, V.ravel(), len(V) * k).reshape(
-            len(V), k) % r
-    return ClassFunction(G, out * _over_sizes(G, G.order // P.order, r) % r,
-                         r)
+    return (Q,) + character_group(Q)
 
 
 def inflate(G, f, kind, m=0):
@@ -224,6 +199,27 @@ class _Pairs:
         return out
 
 
+def _fibers(P, img, Q, what):
+    """Check that the map what from the subgroup P onto Q, img the image of
+    each member, has |P|/|Q| members over every element of Q."""
+    n = P.order // Q.order
+    sizes = np.bincount(img, minlength=Q.order)
+    _check((sizes == n).all(), "%s: fiber sizes of %s onto %s"
+           % (P.name, what, Q.name), n, sorted(set(sizes.tolist())))
+
+
+def _induced(P, sums, r):
+    """The class functions on P's root group G whose sums over P's members
+    per class C of G are sums, scaled by |G| / (|P| |C|) mod r in place, so
+    no second (n, k) array is formed: the last step of ind and induce; the
+    inverses of the |C| are kept per (G, r)."""
+    G = P.root
+    inv = _once(G, ("1 / |C|", r), lambda: _inverses(G.class_sizes, r))
+    sums *= G.order // P.order % r * inv % r
+    sums %= r
+    return ClassFunction(G, sums, r)
+
+
 def count_maps(P, kind, m=0):
     """(Q, up, down) for the map kind from the subgroup P onto Q, once per
     (P, kind, m), from one pass over P's members: up counts the members by
@@ -232,16 +228,29 @@ def count_maps(P, kind, m=0):
     members; then up = |C_Q| * down on every pair (Frobenius reciprocity)."""
     def build():
         Q, img, cls = P.pullback(kind, m)
-        n = P.order // Q.order
-        sizes = np.bincount(img, minlength=Q.order)
-        _check((sizes == n).all(), "%s: fiber sizes of %s onto %s"
-               % (P.name, kind, Q.name), n, sorted(set(sizes.tolist())))
+        _fibers(P, img, Q, kind)
         kQ, kG = Q.class_count, P.root.class_count
         at = img == Q.rep_idx[cls]
         return (Q, _Pairs(P.root_cls * kQ + cls, kQ, kG),
                 _Pairs(cls[at] * kG + P.root_cls[at], kG, kQ))
 
     return _once(P, ("pairs", kind, m), build)
+
+
+def induce(P, f):
+    """Induction to P's root group of the class functions f on P's
+    abelianization Q (linear_characters), pulled back to P along
+    Q.coset_of: the count map of (coset, root class) pairs over P's
+    members, every coset checked to have |P|/|Q| members; no class data of
+    P is read."""
+    Q = f.group
+    cos = getattr(Q, "coset_of", ())
+    _check(len(cos) == P.order, "induce: a class function on the "
+           "abelianization of " + P.name, P.order, len(cos))
+    _fibers(P, cos, Q, "coset_of")
+    k = P.root.class_count
+    return _induced(P, _Pairs(P.root_cls * Q.order + cos, Q.order, k)(
+        f.vals, f.r), f.r)
 
 
 def invariants_pushforward(P, kind, f, m=0):
@@ -286,9 +295,7 @@ def ind(G, f, side, m=0):
     Q, up, _ = count_maps(P, kind, m)
     _check(f.group is Q, "ind: a class function on the target of " + kind,
            Q.name, f.group.name)
-    r = f.r
-    return ClassFunction(G, up(f.vals, r) * _over_sizes(
-        G, G.order // P.order, r) % r, r)
+    return _induced(P, up(f.vals, f.r), f.r)
 
 
 def res(G, f, side, m=0):
@@ -317,12 +324,6 @@ def all_pairs(c1, c2):
             (E2, np.tile(L2, (len(L1), 1))))
 
 
-def geo_ind(G, t1, t2, r, side="upper"):
-    """Parabolic induction of the pairs of rows of the unit characters t1
-    and t2 (torus_character), mod r."""
-    return ind(G, torus_character(G, t1, t2, r), side)
-
-
 def depth_one_dual(G):
     """The depth-one congruence dual of G, built once per group."""
     return _once(G, "depth_one_dual", lambda: CongruenceDual(G, 1, 0))
@@ -332,16 +333,19 @@ def k_spectrum(G, chi):
     """Multiplicity of each depth-one congruence-kernel character in the
     restriction of each row, (n, duals) indexed like CongruenceDual(G, 1,
     0).duals, read in [0, deg]: the rows at the classes meeting K times the
-    dual values at the inverses summed per class over |K|, kept per r."""
+    dual values at the inverses summed per class (one pair per member of
+    K, the classes numbered among those meeting K) over |K|, kept per r."""
     r = chi.r
 
     def by_class():
         D = depth_one_dual(G)
         M, X = D.exponents
-        cls = G.cls_of[D.K.idx]
-        cols = np.flatnonzero(np.bincount(cls, minlength=G.class_count))
-        A = _mm(fr_roots(M, r)[-X % M], cls[:, None] == cols, r)
-        return cols, A.T * pow(D.K.order, -1, r) % r
+        n = D.K.order
+        cols = np.flatnonzero(_class_counts(D.K))
+        at = np.searchsorted(cols, D.K.root_cls)
+        A = _Pairs(at * n + np.arange(n), n, len(cols))(
+            fr_roots(M, r)[-X % M], r)
+        return cols, A.T * pow(n, -1, r) % r
 
     cols, A = _once(G, ("k_spectrum", r), by_class)
     return _read(_mm(chi.vals[:, cols], A, r), chi.degrees[:, None],

@@ -432,27 +432,21 @@ class AutGroup(GroupBase):
     def _subgroup(self, tag, i, sigma, m, u, w):
         l1, l2, s2 = self.l1, self.l2, self.s2
         l, eps = self.half_levels()
-        if tag == "floor_kernel" and l2 < 2:
-            raise ValueError("floor kernel needs column levels >= 2")
         if tag == "congruence" and not (0 <= sigma <= 1 and sigma <= i <= l2):
             raise ValueError("congruence depth (%d,%d) out of range" % (i, sigma))
         if tag == "heisenberg" and l2 != 1:
             raise ValueError("heisenberg subgroup lives over column levels (l,1)")
         depths = {
-            "floor_kernel": (l1 - 1, l2 - 1, l2 - 1, l2 - 1),
             "congruence": (l1 - i, l2 - i, l2 - i + sigma, l2 - i + sigma),
-            "parabolic_upper": (0, 0, l2, 0), "borel": (0, 0, l2, 0),
+            "parabolic_upper": (0, 0, l2, 0),
             "parabolic_lower": (0, l2, 0, 0),
             "parabolic_embed": (0, 0, l2 - m, 0),
             "parabolic_quot": (0, l2 - m, 0, 0),
             "ker_embed": (l1, m, l2, m), "ker_quot": (l1, l2, m, m),
             "unipotent_upper": (l1, 0, l2, l2),
             "unipotent_lower": (l1, l2, 0, l2),
-            "unipotent_upper_floor": (l1, l2 - 1, l2, l2),
-            "unipotent_lower_floor": (l1, l2, l2 - 1, l2),
             "floor_torus_a": (l1 - 1, l2, l2, l2),
-            "floor_torus_d": (l1, l2, l2, l2 - 1),
-            "scalars": (0, l2, l2, 0), "torus": (0, l2, l2, 0),
+            "scalars": (0, l2, l2, 0),
             "heisenberg": (l1 - 1, 0, 0, l2),
             "cuspidal_abelian": (0, 0, 0, 0), "cuspidal_normalizer": (0, 0, 0, 0),
         }

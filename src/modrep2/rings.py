@@ -611,12 +611,10 @@ def _inverses(x, r):
 
 def _mm(A, B, r=None):
     """A @ B (mod r if given, as int64), of matrices or stacks, by float64
-    BLAS: exact while every dot product stays below 2^53 (callers bound r);
-    under 4096 multiply-adds in int64, as fast, so small groups skip BLAS
-    (.4 MB)."""
-    dtype = np.float64 if A.size * B.shape[-1] >= 4096 else np.int64
-    P = np.asarray(A, dtype=dtype) @ np.asarray(B, dtype=dtype)
-    return P if r is None else P.astype(np.int64, copy=False) % r
+    BLAS at every size: exact while every dot product stays below 2^53
+    (callers bound r)."""
+    P = np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64)
+    return P if r is None else P.astype(np.int64) % r
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .build import (assemble, cuspidal_members, cuspidal_rect_count,
                     inducing_pairs, job_prime, zeta_closed_form)
-from .classfun import (all_pairs, depth_one_dual, geo_ind, ind, is_cuspidal,
+from .classfun import (all_pairs, depth_one_dual, ind, is_cuspidal,
                        is_primitive, res, torus_character)
 from .dixon import character_degrees
 from .groups import aut_group, class_count_formula, order_formula
@@ -83,15 +83,15 @@ def _check_parabolic_both_sides(G, r):
     """Upper and lower parabolic induction agree on inducing pairs and are
     reducible exactly off them; rectangular pairs also swap."""
     t1, t2 = all_pairs(unit_characters(G.R1), unit_characters(G.R2))
-    up = geo_ind(G, t1, t2, r, "upper")
-    lo = geo_ind(G, t1, t2, r, "lower")
+    pairs = torus_character(G, t1, t2, r)
+    up, lo = ind(G, pairs, "upper"), ind(G, pairs, "lower")
     inducing = inducing_pairs(G.R1, G.R2)
     if not ((up.mult() == 1) == inducing).all():
         return False
     if not np.array_equal(up.vals[inducing], lo.vals[inducing]):
         return False
     if G.rect:
-        sw = geo_ind(G, t2, t1, r, "upper")
+        sw = ind(G, torus_character(G, t2, t1, r), "upper")
         return np.array_equal(up.vals[inducing], sw.vals[inducing])
     return True
 
@@ -114,8 +114,9 @@ def _check_mixed_composition(G, r):
     (E1, L1), (E2, L2) = unit_characters(G.R1), unit_characters(G.R2)
     Em, Lm = unit_characters(Gm.R2)
     i, j = np.divmod(np.flatnonzero(inducing_pairs(G.R1, Gm.R2)), len(Lm))
-    lhs = geo_ind(G, (E1, L1[i]), (E2, L2[match.argmax(axis=1)[j]]), r)
-    mid = geo_ind(Gm, (E1, L1[i]), (Em, Lm[j]), r)
+    lhs = ind(G, torus_character(
+        G, (E1, L1[i]), (E2, L2[match.argmax(axis=1)[j]]), r), "upper")
+    mid = ind(Gm, torus_character(Gm, (E1, L1[i]), (Em, Lm[j]), r), "upper")
     return all(np.array_equal(lhs.vals, ind(G, mid, side, 1).vals)
                for side in ("embed", "quot"))
 

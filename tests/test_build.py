@@ -16,10 +16,10 @@ from complex_ref import TOL, roots_of_unity
 from modrep2.build import (IrrFamily, _check_orthonormal, assemble,
                            build_rank1, cuspidal_rect_count, green_gl2,
                            job_prime, zeta_closed_form)
-from modrep2.classfun import (geo_ind, ind, induce, inflate, is_cuspidal,
+from modrep2.classfun import (ind, induce, inflate, is_cuspidal,
                               is_primitive, k_spectrum, linear_characters,
-                              member_sums, res, spectrum_kinds, stack, twist,
-                              ClassFunction, dedupe)
+                              member_sums, res, spectrum_kinds, stack,
+                              torus_character, twist, ClassFunction, dedupe)
 from modrep2.dixon import character_degrees, dixon_prime
 from modrep2.groups import Subgroup, aut_group, order_formula
 from modrep2.orbits import CongruenceDual
@@ -169,8 +169,10 @@ def test_cuspidal_battery(backend, q, lam, count, degree):
     fam = a.family("cuspidal_nonrect")
     assert fam.count == count and fam.degree == degree
     G = a.G
-    Vp = G.subgroup("unipotent_upper_floor")
-    Vm = G.subgroup("unipotent_lower_floor")
+    # the unipotent radicals' members in the depth-one congruence kernel
+    K = G.subgroup("congruence", i=1, sigma=0).idx
+    Vp, Vm = (Subgroup(G, np.intersect1d(G.subgroup(tag).idx, K), tag)
+              for tag in ("unipotent_upper", "unipotent_lower"))
     V1 = G.subgroup("floor_torus_a")
     assert is_cuspidal(G, fam.members).all()
     kinds, present = spectrum_kinds(G, fam.members)
@@ -225,8 +227,8 @@ def test_cuspidal_vs_all_one_dim_twists():
 
 
 def _unit_chars(ring):
-    """Per unit character of ring: its row (E, L[t:t + 1]), as geo_ind
-    takes it, and its value at a unit, as a function."""
+    """Per unit character of ring: its row (E, L[t:t + 1]), as
+    torus_character takes it, and its value at a unit, as a function."""
     E, L = character_group(unit_group(ring))
     col, z = {u: j for j, u in enumerate(ring.units)}, roots_of_unity(E)
     return [((E, L[t:t + 1]), lambda u, row=L[t]: z[row[col[u]]])
@@ -246,8 +248,8 @@ def test_geo_upper_equals_lower():
         layer = _deep_layer(G.R1)
         for r1, t1 in _unit_chars(G.R1):
             for r2, t2 in _unit_chars(G.R2):
-                up = geo_ind(G, r1, r2, r, "upper")
-                lo = geo_ind(G, r1, r2, r, "lower")
+                pair = torus_character(G, r1, r2, r)
+                up, lo = ind(G, pair, "upper"), ind(G, pair, "lower")
                 if lam[0] > lam[1]:
                     inducing = any(abs(t1(u) - 1) > TOL for u in layer)
                 else:
@@ -287,13 +289,19 @@ def test_induction_composes_through_intermediate_subgroup():
     for B in [Gf.subgroup("parabolic_upper"), _product_set_subgroup(Gf)]:
         pre = P1.idx[np.isin(img, B.idx)]
         P2 = Subgroup(G, pre, "preimage")
-        # the pullback from B to its preimage P2, read at P2's members
+        # the pullback from B to its preimage P2, read at P2's members and
+        # put on P2's abelianization, on whose cosets it is constant
         _, at = G.hom("embed", P2.idx, 1)
-        E, L, cos = linear_characters(B)
-        roots = fr_roots(E, r)
-        lhs = induce(P2, roots[L[:, cos[B.positions(at)]]], r)
-        up = inflate(P1, induce(B, roots[L[:, cos]], r), "embed", 1)
-        rhs = induce(P1, up.vals[:, P1.cls_of], r)
+        Q, E, L = linear_characters(B)
+        X = fr_roots(E, r)[L]
+        V = X[:, Q.coset_of[B.positions(at)]]
+        Q2 = P2.abelianization()
+        X2 = np.zeros((len(X), Q2.order), dtype=np.int64)
+        X2[:, Q2.coset_of] = V
+        assert np.array_equal(X2[:, Q2.coset_of], V)
+        lhs = induce(P2, ClassFunction(Q2, X2, r))
+        # induced to B, then inflated to P1 and induced up: ind
+        rhs = ind(G, induce(B, ClassFunction(Q, X, r)), "embed", 1)
         assert len(lhs) == len(L)
         assert np.array_equal(lhs.vals, rhs.vals)
 
@@ -328,8 +336,8 @@ def test_parabolic_induction_commutes_with_stable_induction():
                         if all(abs(c(u) - t2(u % q)) < 1e-9
                                for u in G.R2.units)]
                 assert len(lift) == 1
-                lhs = geo_ind(G, r1, lift[0], r)
-                mid = geo_ind(Gm, r1, r2, r)
+                lhs = ind(G, torus_character(G, r1, lift[0], r), "upper")
+                mid = ind(Gm, torus_character(Gm, r1, r2, r), "upper")
                 for side in ("embed", "quot"):
                     rhs = ind(G, mid, side, 1)
                     assert np.array_equal(lhs.vals, rhs.vals)

@@ -1,9 +1,11 @@
 """Induction, restriction, transfer maps and depth-one spectra."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import complex_ref as cr
+from modrep2 import build
 from modrep2.build import assemble, eta_extensions
 from modrep2.classfun import (ClassFunction, all_pairs, count_maps, dedupe,
-                              depth_one_dual, geo_ind, induce, ind, inflate,
+                              depth_one_dual, induce, ind, inflate,
                               invariants_pushforward, is_cuspidal, k_spectrum,
                               linear_characters, member_sums, res, row_order,
                               spectrum_kinds, is_primitive, stack,
@@ -103,15 +106,25 @@ def induce_by_fusion(H, f):
 
 
 def on_members(f):
-    """Class functions on a subgroup read at its members, for induce."""
+    """Class functions on a subgroup read at its members."""
     return f.vals[:, f.group.cls_of]
+
+
+def on_cosets(P, vals, r):
+    """The rows vals (n, |P|) of values at P's members, constant on the
+    cosets of P's abelianization Q, as a stack on Q, for induce."""
+    Q = P.abelianization()
+    X = np.zeros((len(vals), Q.order), dtype=np.int64)
+    X[:, Q.coset_of] = vals
+    assert np.array_equal(X[:, Q.coset_of], vals)
+    return ClassFunction(Q, X, r)
 
 
 def class_linear_characters(G, r):
     """The exponent rows of linear_characters(G) as one stack of class
     functions mod r, read at the cosets of G's class representatives."""
-    E, L, cos = linear_characters(G)
-    return ClassFunction(G, fr_roots(E, r)[L[:, cos[G.positions(
+    Q, E, L = linear_characters(G)
+    return ClassFunction(G, fr_roots(E, r)[L[:, Q.coset_of[G.positions(
         G.rep_idx)]]], r)
 
 
@@ -239,19 +252,23 @@ def test_linear_characters_multiplicative():
 def test_frobenius_reciprocity():
     G = aut_group("padic", 2, (3, 2))
     r = prime(G)
-    B = G.subgroup("borel")
-    f = ClassFunction(B, np.eye(B.class_count), r)  # every class indicator
-    fi = induce(B, on_members(f), r)
+    B = G.subgroup("parabolic_upper")
+    Q = B.abelianization()
+    f = ClassFunction(Q, np.eye(Q.order), r)  # every coset indicator
+    fi = induce(B, f)
+    # the same functions on B's classes
+    fB = ClassFunction(B, f.vals[:, Q.coset_of[B.positions(B.rep_idx)]], r)
     g = ClassFunction(G, np.eye(G.class_count), r)
-    assert np.array_equal(fi.inner(g), f.inner(restrict(B, g)))
+    assert np.array_equal(fi.inner(g), fB.inner(restrict(B, g)))
+    assert np.array_equal(fi.vals, induce_by_fusion(B, fB).vals)
 
 
 def test_induced_trivial_degree_and_permutation_character():
     for q, expect in [(2, 3), (3, 4)]:
         G = aut_group("padic", q, (1, 1))
         r = prime(G)
-        B = G.subgroup("borel")
-        pi = induce(B, np.ones(B.order), r)
+        B = G.subgroup("parabolic_upper")
+        pi = induce(B, trivial(B.abelianization(), r))
         assert pi.degrees[0] == G.order // B.order == expect
         assert pi.mult().tolist() == [2]
         assert pi.mult(trivial(G, r)).tolist() == [[1]]
@@ -288,7 +305,7 @@ def test_geo_adjointness(lam, side):
     for t in range(T.class_count):
         h = indicator(T, t, r)
         ih = ind(G, h, side)
-        up = induce(P, on_members(inflate(P, h, "diag")), r)
+        up = induce(P, on_cosets(P, on_members(inflate(P, h, "diag")), r))
         assert np.array_equal(ih.vals, up.vals)
         assert np.array_equal(ih.inner(g), h.inner(res(G, g, side)))
 
@@ -314,6 +331,38 @@ def test_congruence_kernel_orders():
             assert K.order == 2 ** (2 * (lam[1] - 1))
 
 
+def test_induce_refuses_a_stack_off_the_abelianization():
+    # a stack on a group without cosets of P, and cosets of unequal sizes
+    G = aut_group("padic", 2, (2, 2))
+    r = prime(G)
+    P = G.subgroup("parabolic_upper")
+    with pytest.raises(AssertionError, match="abelianization of"):
+        induce(P, trivial(G.torus, r))
+    Q = P.abelianization()
+    assert induce(P, trivial(Q, r)).degrees.tolist() == [G.order // P.order]
+    Q.coset_of = Q.coset_of.copy()
+    Q.coset_of[Q.coset_of == 0] = 1
+    with pytest.raises(AssertionError, match="fiber sizes"):
+        induce(P, trivial(Q, r))
+
+
+def test_no_abelianization_outlives_the_build(monkeypatch):
+    # each abelianization holds its |Q|^2 Cayley table, so none is kept in a
+    # memo: all that are made while a type's families are built are freed
+    made = []
+
+    def tracked(H):
+        Q, E, L = linear_characters(H)
+        made.append(weakref.ref(Q))
+        return Q, E, L
+
+    monkeypatch.setattr(build, "linear_characters", tracked)
+    G = aut_group("padic", 2, (3, 2))  # builds the cuspidal_nonrect family
+    build._assemble(G, build.job_prime(["padic"], 2, (3, 2)))
+    gc.collect()
+    assert made and all(ref() is None for ref in made)
+
+
 def test_induce_matches_class_loop():
     # against the accumulation over the members in member order, and the
     # per-class accumulation through the fusion of a subgroup's own classes,
@@ -322,13 +371,14 @@ def test_induce_matches_class_loop():
     r = prime(G, G.order)
     for H in (G.subgroup("parabolic_upper"), G.subgroup("ker_embed", m=1),
               G.subgroup("cuspidal_normalizer", u_hat=0, w_hat=1)):
-        E, L, cos = linear_characters(H)
-        roots = fr_roots(E, r)
-        stacked = induce(H, roots[L[:, cos]], r).vals  # every row at once
-        for row, chi, got in zip(L, class_linear_characters(H, r), stacked):
-            vals = roots[row[cos]]
+        Q, E, L = linear_characters(H)
+        X = fr_roots(E, r)[L]
+        stacked = induce(H, ClassFunction(Q, X, r)).vals  # every row at once
+        for row, chi, got in zip(X, class_linear_characters(H, r), stacked):
+            vals = row[Q.coset_of]
             assert np.array_equal(vals, on_members(chi)[0])
-            assert np.array_equal(induce(H, vals, r).vals[0], got)
+            assert np.array_equal(induce(H, ClassFunction(Q, row, r)).vals[0],
+                                  got)
             assert np.array_equal(got, ref_induce(H, vals, r))
             assert np.array_equal(got, induce_by_fusion(H, chi).vals[0])
 
@@ -402,7 +452,8 @@ def test_geo_ind_degree():
     G = aut_group("padic", 2, (3, 2))
     E1, L1 = character_group(unit_group(G.R1))
     E2, L2 = character_group(unit_group(G.R2))
-    chi = geo_ind(G, (E1, L1[:1]), (E2, L2[:1]), prime(G))
+    chi = ind(G, torus_character(G, (E1, L1[:1]), (E2, L2[:1]), prime(G)),
+              "upper")
     assert chi.degrees[0] == G.order // G.subgroup("parabolic_upper").order
     assert chi.degrees[0] == 4
 
@@ -462,8 +513,8 @@ def test_k_spectrum_trivial_and_sums():
     m = k_spectrum(G, trivial(G, r))[0]
     assert m[0] == 1 and m.sum() == 1
     assert kinds_of(G, trivial(G, r)) == [{"central"}]
-    B = G.subgroup("borel")
-    pi = induce(B, np.ones(B.order), r)
+    B = G.subgroup("parabolic_upper")
+    pi = induce(B, trivial(B.abelianization(), r))
     mp = k_spectrum(G, pi)
     assert mp.sum() == pi.degrees[0]
     sign = class_linear_characters(aut_group("padic", 2, (2, 1)), r)[1]
@@ -477,7 +528,7 @@ def test_k_spectrum_of_deep_parabolic_induction():
     r = prime(G)
     E1, u1 = twisting_characters(G.R1)
     E2, u2 = twisting_characters(G.R2)
-    chi = geo_ind(G, (E1, u1[1:2]), (E2, u2[:1]), r)
+    chi = ind(G, torus_character(G, (E1, u1[1:2]), (E2, u2[:1]), r), "upper")
     assert chi.mult().tolist() == [1]
     assert k_spectrum(G, chi).sum() == chi.degrees[0]
     assert kinds_of(G, chi) == [{"generic"}]
@@ -489,8 +540,9 @@ def test_is_cuspidal_small():
     r = prime(G)
     chars = class_linear_characters(G, r)
     assert is_cuspidal(G, chars).tolist() == [False, True]  # triv, sign
-    B = G.subgroup("borel")
-    assert is_cuspidal(G, induce(B, np.ones(B.order), r)).tolist() == [False]
+    B = G.subgroup("parabolic_upper")
+    pi = induce(B, trivial(B.abelianization(), r))
+    assert is_cuspidal(G, pi).tolist() == [False]
 
 
 def test_fingerprint_is_the_row_bytes():
@@ -677,9 +729,10 @@ def test_stacked_transfers_match_member_loop(case, data):
     P = G.subgroup(tag, m=m)
     for v, w in zip(g.vals, res(G, g, side, m).vals):
         assert np.array_equal(w, ref_pushforward(P, kind, v, m, r))
-    vals = rng.integers(0, r, (n, P.order))
-    for v, w in zip(vals, induce(P, vals, r).vals):
-        assert np.array_equal(w, ref_induce(P, v, r))
+    Qab = P.abelianization()
+    fab = random(Qab, n, r, rng)
+    for v, w in zip(fab.vals, induce(P, fab).vals):
+        assert np.array_equal(w, ref_induce(P, v[Qab.coset_of], r))
     if lam[1] >= 2:
         h = random(aut_group(backend, q, (lam[0] - 1, lam[1] - 1)), n, r, rng)
         for v, w in zip(h.vals, inflate(G, h, "floor").vals):
@@ -745,9 +798,23 @@ COMPLEX_TYPES = [("padic", 2, (2, 1)), ("padic", 2, (2, 2)),
                  ("tpoly", 2, (3, 2)), ("tpoly", 4, (2, 1))]
 
 
+def _exact_induce(H, X, Q, r):
+    """induce of the rows X, values on H's abelianization Q."""
+    return induce(H, ClassFunction(Q, X, r))
+
+
+def _complex_induce(H, X, Q, r):
+    """complex_ref's induce of the rows X read at H's members."""
+    return cr.induce(H, X[:, Q.coset_of], r)
+
+
+def _exact_geo_ind(G, t1, t2, r, side):
+    return ind(G, torus_character(G, t1, t2, r), side)
+
+
 # each path's root table, induce, geo_ind and stack constructor
-EXACT = (fr_roots, induce, geo_ind, ClassFunction)
-COMPLEX = (lambda E, r: cr.roots_of_unity(E), cr.induce, cr.geo_ind,
+EXACT = (fr_roots, _exact_induce, _exact_geo_ind, ClassFunction)
+COMPLEX = (lambda E, r: cr.roots_of_unity(E), _complex_induce, cr.geo_ind,
            cr.ClassFunction)
 
 
@@ -760,8 +827,8 @@ def _stacks(path, G, how, r):
     kind, arg = how
     if kind == "induce":
         H = G.subgroup(arg)
-        E, L, cos = linear_characters(H)
-        return induce_(H, roots(E, r)[L[:, cos]], r)
+        Q, E, L = linear_characters(H)
+        return induce_(H, roots(E, r)[L], Q, r)
     if kind == "geo":
         t1, t2 = all_pairs(unit_characters(G.R1), unit_characters(G.R2))
         return geo_ind_(G, t1, t2, r, arg)
@@ -769,8 +836,8 @@ def _stacks(path, G, how, r):
     parts = []
     for u_hat, w_hat in cuspidal_parameters(G):
         N = G.subgroup("cuspidal_normalizer", u_hat=u_hat, w_hat=w_hat)
-        E, exts, cos = eta_extensions(N, D, eta_dual(u_hat, w_hat))
-        parts.append(induce_(N, roots(E, r)[exts[:, cos]], r).vals)
+        Q, E, exts = eta_extensions(N, D, eta_dual(u_hat, w_hat))
+        parts.append(induce_(N, roots(E, r)[exts], Q, r).vals)
     return make(G, np.concatenate(parts), r)
 
 

@@ -920,7 +920,7 @@ def test_exact_at_the_float64_bound():
     r = _largest_admissible_prime(k, 2)
     assert 0.9999 * 2 ** 53 < (k + 1) * r * r < 2 ** 53
     rng = random.Random(11)
-    # 4 x k by k x 8 runs through BLAS, 4 x 10 by 10 x 8 through int64
+    # 4 x k by k x 8 and 4 x 10 by 10 x 8, both through float64 BLAS
     for n in (k, 10):
         A = [[r - 1] * n] + [[rng.randrange(r - 50, r) for _ in range(n)]
                              for _ in range(3)]

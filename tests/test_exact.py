@@ -169,11 +169,12 @@ def test_eta_extensions_match_complex_reference(backend, q, lam):
     for u, w in cuspidal_parameters(G):
         N = G.subgroup("cuspidal_normalizer", u_hat=u, w_hat=w)
         eta = _psi(D.Ri)[D.codes([eta_dual(u, w)])[0]]
-        E, L, cos = linear_characters(N)
-        at_k = roots_of_unity(E)[L[:, cos[N.positions(D.K.idx)]]]
+        Q, E, L = linear_characters(N)
+        at_k = roots_of_unity(E)[L[:, Q.coset_of[N.positions(D.K.idx)]]]
         want = L[(np.abs(at_k - eta) < MTOL).all(axis=1)]
-        E2, got, cos2 = eta_extensions(N, D, eta_dual(u, w))
-        assert E2 == E and np.array_equal(cos2, cos) and len(want) > 0
+        Q2, E2, got = eta_extensions(N, D, eta_dual(u, w))
+        assert E2 == E and len(want) > 0
+        assert np.array_equal(Q2.coset_of, Q.coset_of)
         assert np.array_equal(got, want)
 
 
@@ -185,7 +186,7 @@ def test_shifted_eta_exponent_raises_under_optimize():
     D = CongruenceDual(G, *G.half_levels())
     u, w = cuspidal_parameters(G)[0]
     N = G.subgroup("cuspidal_normalizer", u_hat=u, w_hat=w)
-    n = len(eta_extensions(N, D, eta_dual(u, w))[1])
+    n = len(eta_extensions(N, D, eta_dual(u, w))[2])
     code = ("from modrep2 import build, orbits\n"
             "from modrep2.groups import aut_group\n"
             "codes = orbits.CongruenceDual.codes\n"

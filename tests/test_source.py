@@ -70,15 +70,15 @@ def test_one_index_protocol():
     assert not quotients
 
 
-def _sites(match):
-    """'file' or 'file:function' (the innermost enclosing one) for each node
-    of src/modrep2 on which match holds."""
+def _sites(match, outer=False):
+    """'file' or 'file:function' (the innermost enclosing one, or with outer
+    the outermost) for each node of src/modrep2 on which match holds."""
     sites = []
 
     def visit(node, where):
         if match(node):
             sites.append(where)
-        if isinstance(node, ast.FunctionDef):
+        if isinstance(node, ast.FunctionDef) and not (outer and ":" in where):
             where = "%s:%s" % (where.split(":")[0], node.name)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -182,3 +182,42 @@ def test_one_translation_path():
     gone = ("TABLE_ENTRIES", "_stacked")
     assert not _sites(lambda node: _named(*gone)(node) or isinstance(
         node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone)
+
+
+# Subgroup tags that repeated another tag's mask (borel, floor_kernel) or
+# that no code in src/modrep2 asked for.  "torus" also keys the memo of the
+# torus group, so of it only a dict key (a tag's depths) is refused.
+GONE_TAGS = {"borel", "floor_kernel", "torus", "unipotent_upper_floor",
+             "unipotent_lower_floor", "floor_torus_d"}
+
+
+def test_one_summation_path():
+    """classfun sums member values per class in one way, the count maps of
+    _Pairs: only count_maps (for ind and res), induce and k_spectrum build
+    one, and bincount is left for counts alone, the class counts and the
+    fiber sizes.  The parabolic-induction wrapper geo_ind, the one-hot
+    product of k_spectrum, _mm's choice of dtype by operand size and the
+    subgroup tags in GONE_TAGS are gone."""
+    pairs = _sites(lambda node: isinstance(node, ast.Call)
+                   and _named("_Pairs")(node.func), outer=True)
+    assert pairs == Counter({"classfun.py:count_maps": 2,
+                             "classfun.py:induce": 1,
+                             "classfun.py:k_spectrum": 1})
+    counts = _sites(lambda node: isinstance(node, ast.Call)
+                    and _named("bincount")(node.func), outer=True)
+    assert {site: n for site, n in counts.items()
+            if site.startswith("classfun.py")} == {
+                "classfun.py:_class_counts": 1, "classfun.py:_fibers": 1}
+    assert not _sites(lambda node: _named("geo_ind")(node) or isinstance(
+        node, ast.FunctionDef) and node.name == "geo_ind")
+    assert not _sites(lambda node: isinstance(node, ast.Call)
+                      and _named("_mm")(node.func)
+                      and any(isinstance(a, ast.Compare) for a in node.args))
+    sizes = _sites(lambda node: isinstance(node, ast.Attribute)
+                   and node.attr in ("size", "shape"), outer=True)
+    assert "rings.py:_mm" not in sizes
+    assert not _sites(lambda node: isinstance(node, ast.Constant)
+                      and node.value in GONE_TAGS - {"torus"})
+    assert not _sites(lambda node: isinstance(node, ast.Dict) and any(
+        isinstance(k, ast.Constant) and k.value in GONE_TAGS
+        for k in node.keys))

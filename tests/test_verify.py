@@ -84,16 +84,16 @@ def test_parabolic_check_refuses_a_small_absolute_error(monkeypatch):
     r = verify.job_prime(["padic"], 2, (2, 2))
     assert verify._check_parabolic_both_sides(G, r)
     row = np.flatnonzero(inducing_pairs(G.R1, G.R2))[0]
-    geo_ind = verify.geo_ind
+    ind = verify.ind
 
-    def lower_off(G, t1, t2, r, side="upper"):
-        f = geo_ind(G, t1, t2, r, side)
+    def lower_off(G, f, side, m=0):
+        f = ind(G, f, side, m)
         if side == "lower":
             c = G.class_count - 1
             f.vals[row, c] = (f.vals[row, c] + 1) % r
         return f
 
-    monkeypatch.setattr(verify, "geo_ind", lower_off)
+    monkeypatch.setattr(verify, "ind", lower_off)
     assert not verify._check_parabolic_both_sides(G, r)
 
 
