@@ -148,6 +148,7 @@ def build_l1(G, r):
         L[_nontrivial_on(B, Q, L, Z)]], r)))
     heis_q = IrrFamily("heis_q", heis, count=q ** (l1 - 2) * (q - 1) ** 3,
                        degree=q)
+    del Q  # its |Q|^2 Cayley table goes before DH's abelianization is built
 
     # the (q-1)-dimensional family: induced from the product of the scalars
     # with the depth-one Heisenberg subgroup, its members sorted and once

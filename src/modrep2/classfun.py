@@ -48,8 +48,10 @@ def _read(v, hi, what, r):
     """The residues v as the integers in [0, hi] they stand for (hi < r,
     broadcast against v), or a _check failure naming the first ten off."""
     off = (v < 0) | (v > hi)
-    _check(not off.any(), "%s, integers mod %d within their bounds" % (what, r),
-           np.broadcast_to(hi, v.shape)[off][:10].tolist(), v[off][:10].tolist())
+    if off.any():  # the lists cost four times the test: built on failure
+        _check(False, "%s, integers mod %d within their bounds" % (what, r),
+               np.broadcast_to(hi, v.shape)[off][:10].tolist(),
+               v[off][:10].tolist())
     return v
 
 

@@ -2,7 +2,9 @@
 construction reports, the independent degree oracle, and verification runs."""
 
 import argparse
+import atexit
 import csv
+import gc
 import io
 import json
 import sys
@@ -185,6 +187,10 @@ def main(argv=None):
         sub = subs.add_parser(name)
         _add_common(sub)
     args = parser.parse_args(argv)
+    # the exit collections then skip the import heap (numpy and the package,
+    # about 21k objects); nothing is frozen while the process runs
+    atexit.unregister(gc.freeze)  # once per process, however often main runs
+    atexit.register(gc.freeze)
 
     envelope = {"schema": "1", "command": args.command,
                 "backend": args.backend, "q": args.q,

@@ -109,21 +109,53 @@ def _poly_sums(cadd, cmul, n):
     return add, sm
 
 
-def _poly_mul(add, sm, top, d):
-    """The product rows of the x with at most d digits in C[t]/(M), from
-    the tables of _poly_sums on n digits, t^n = top mod M (a code; 0 for
-    M = t^n).  Products follow
-    x = x0 + t x', x y = x0 y + t (x' y): the rows of the x with k digits
-    come from those of the x' with k - 1 digits, one gather per digit."""
+def _times_t(add, sm, top):
+    """t * c for each code c of C[t]/(M), from the tables of _poly_sums on
+    n digits, t^n = top mod M (a code; 0 for M = t^n)."""
     b, s = sm.shape
     c = np.arange(s)
-    shift = add[c % (s // b) * b, sm[c // (s // b), top]]  # t * c
+    return add[c % (s // b) * b, sm[c // (s // b), top]]
+
+
+def _next_digit(add, sm, shift, rows):
+    """The product rows of the x0 + t x' for each row of an x' and each
+    digit x0, in code order: x y = x0 y + t (x' y), gathered from the flat
+    add table about 2^18 entries at a time (faster than add[i, j] with two
+    broadcast index arrays)."""
+    b, s = sm.shape
+    flat, at = add.ravel(), sm.astype(np.intp) * s
+    out = np.empty((len(rows), b, s), dtype=np.int16)
+    step = max(1, (1 << 18) // (b * s))
+    for i in range(0, len(rows), step):
+        out[i:i + step] = flat[at + shift[rows[i:i + step, None]]]
+    return out.reshape(-1, s)
+
+
+def _poly_mul(add, sm, top, d):
+    """The product rows of the x with at most d digits in C[t]/(M) (the
+    arguments of _times_t): the rows of the x with k digits come from those
+    of the x' with k - 1 digits, one gather per digit."""
+    b, s = sm.shape
+    shift = _times_t(add, sm, top)
     mul = np.empty((b ** d, s), dtype=np.int16)
     mul[:b] = sm
     for k in range(1, d):
         lo, hi = b ** (k - 1), b ** k
-        mul[hi:hi * b] = add[sm[None], shift[mul[lo:hi, None]]].reshape(-1, s)
+        mul[hi:hi * b] = _next_digit(add, sm, shift, mul[lo:hi])
     return mul
+
+
+def _reducible(add, sm, top, f):
+    """Whether M of degree f (the arguments of _times_t) has a monic factor
+    A of degree 1 to f/2, read as a zero off the column of 0 in the product
+    rows of those A (A * B = 0 for B = M / A).  The rows of the A of each
+    degree come from those of one degree less, from the row of 1."""
+    shift, rows = _times_t(add, sm, top), np.arange(sm.shape[1])[None]
+    for _ in range(f // 2):
+        rows = _next_digit(add, sm, shift, rows)
+        if not rows[:, 1:].all():
+            return True
+    return False
 
 
 def _solve(table, e):
@@ -135,9 +167,8 @@ def _solve(table, e):
 class FiniteField:
     """F_q as int16 tables on codes: the base-p digits of a code are its
     coefficients, the constant one lowest, modulo the first monic M of
-    degree f in code order with no zero divisors among the product rows of
-    degree <= f/2: F_p[t]/(M) is a field exactly when M is irreducible, and
-    a reducible M = A * B has deg A <= f/2 and A * B = 0."""
+    degree f in code order with no monic factor of degree 1 to f/2
+    (_reducible): F_p[t]/(M) is a field exactly when M is irreducible."""
 
     def __init__(self, q):
         p, f = prime_power(q)
@@ -145,15 +176,12 @@ class FiniteField:
         x = np.arange(p)
         self.add, sm = _poly_sums(((x[:, None] + x) % p).astype(np.int16),
                                   (np.outer(x, x) % p).astype(np.int16), f)
-        low = f // 2 + 1  # the digits of the rows of degree <= f/2
         for c in range(q):
             m = _digits(c, p, f)  # M = t^f + m, t^f = -m
             top = sum(-a % p * p ** i for i, a in enumerate(m))
-            self.mul = _poly_mul(self.add, sm, top, low)
-            if (self.mul[1:, 1:] != 0).all():
+            if not _reducible(self.add, sm, top, f):
                 break
-        if low < f:
-            self.mul = _poly_mul(self.add, sm, top, f)
+        self.mul = _poly_mul(self.add, sm, top, f)
         self.modulus = m + [1] if f > 1 else None
         self.neg, self.inv = _solve(self.add, 0), _solve(self.mul, 1)
         # Tr(x) = x + x^p + ... + x^(p^(f-1)), landing in the prime field

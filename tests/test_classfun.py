@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import complex_ref as cr
 from modrep2 import build
 from modrep2.build import assemble, eta_extensions
-from modrep2.classfun import (ClassFunction, all_pairs, count_maps, dedupe,
-                              depth_one_dual, induce, ind, inflate,
+from modrep2.classfun import (ClassFunction, _read, all_pairs, count_maps,
+                              dedupe, depth_one_dual, induce, ind, inflate,
                               invariants_pushforward, is_cuspidal, k_spectrum,
                               linear_characters, member_sums, res, row_order,
                               spectrum_kinds, is_primitive, stack,
@@ -363,6 +363,27 @@ def test_no_abelianization_outlives_the_build(monkeypatch):
     assert made and all(ref() is None for ref in made)
 
 
+@pytest.mark.parametrize("builder,lam", [("build_l1", (3, 1)),
+                                         ("build_cuspidal_nonrect", (4, 3))])
+def test_each_abelianization_goes_before_the_next(monkeypatch, builder, lam):
+    # build_l1 drops B's abelianization before DH's, and
+    # build_cuspidal_nonrect each normalizer's before the next (two
+    # normalizers on (4, 3)): no two |Q|^2 Cayley tables are alive at once
+    made = []
+
+    def tracked(H):
+        gc.collect()
+        assert all(ref() is None for ref in made), H.name
+        Q, E, L = linear_characters(H)
+        made.append(weakref.ref(Q))
+        return Q, E, L
+
+    monkeypatch.setattr(build, "linear_characters", tracked)
+    G = aut_group("padic", 2, lam)
+    getattr(build, builder)(G, build.job_prime(["padic"], 2, lam))
+    assert len(made) == 2
+
+
 def test_induce_matches_class_loop():
     # against the accumulation over the members in member order, and the
     # per-class accumulation through the fusion of a subgroup's own classes,
@@ -670,6 +691,21 @@ def test_nan_and_inf_are_refused_under_optimize():
     assert len(lines) == 6 and not any("returned" in x for x in lines)
     assert all(x.startswith("degrees, integers mod 37 within their bounds: "
                             "expected [6], computed [-") for x in lines)
+
+
+def test_read_names_the_first_ten_off():
+    # the bounds broadcast against the values; in bounds, v itself comes back
+    v = np.arange(20)[None]
+    assert _read(v, 19, "mult: test", 23) is v
+    cases = [(v - 5, 2, "expected [2, 2, 2, 2, 2, 2, 2, 2, 2, 2], computed "
+              "[-5, -4, -3, -2, -1, 3, 4, 5, 6, 7]"),
+             (np.array([[0, 5, -1], [2, 3, 9]]), np.array([[3], [4]]),
+              "expected [3, 3, 4], computed [5, -1, 9]")]
+    for vals, hi, lists in cases:
+        with pytest.raises(AssertionError) as e:
+            _read(vals, hi, "mult: test", 17)
+        assert str(e.value) == ("mult: test, integers mod 17 within their "
+                                "bounds: " + lists)
 
 
 def _all_sides(lam):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -352,6 +353,30 @@ def test_tpoly_backend(capsys):
                   "--backend", "tpoly")
     assert rc == 0
     assert json.loads(out)["zeta"] == {"1": 9, "3": 15, "4": 27}
+
+
+def test_heap_is_frozen_at_exit():
+    # main registers gc.freeze with atexit, so the interpreter's exit
+    # collections skip the import heap; a hook registered before main runs
+    # after the freeze (atexit runs last in, first out)
+    code = ("import atexit, gc, os\n"
+            "atexit.register(lambda: print('at exit',\n"
+            "                              gc.get_freeze_count() > 0))\n"
+            "from modrep2 import cli\n"
+            "for _ in range(2):\n"
+            "    assert cli.main(['order', '--p', '2', '--lambda', '2,1',\n"
+            "                     '--out', os.devnull]) == 0\n"
+            "print('after main', gc.get_freeze_count())\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "after main 0\nat exit True\n"
+
+
+def test_nothing_is_frozen_while_a_process_runs(capsys):
+    rc, _ = run(capsys, "construct", "--p", "2", "--lambda", "2,1")
+    assert rc == 0 and gc.get_freeze_count() == 0
 
 
 def test_no_root_tuples_on_dixon_construct_verify_all():

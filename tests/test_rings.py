@@ -254,7 +254,7 @@ def _check_tables(got, want):
         assert t.tolist() == [0 if x is None else x for x in w]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 49])
 def test_field_tables_match_reference(q):
     f = FiniteField(q)
     modulus, *want = reference_field(q)
