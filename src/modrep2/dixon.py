@@ -10,7 +10,7 @@ with r > max(2 sqrt|G|, k), by default the least (dixon_prime); verify-all
 passes the job's prime (build.job_prime), which the construction shares.
 One rule admits every prime (admit_prime).  r = 1 mod the exponent gives r
 not dividing |G|, so the class algebra over F_r is split semisimple; r > k
-keeps every characteristic polynomial's degree below r (_roots).  The
+keeps every characteristic polynomial's degree below r.  The
 orthogonality relation gives d^2 mod r for each degree d, and since
 d <= sqrt|G| < r/2, d -> d^2 mod r is injective on 1 <= d <= sqrt|G|, so
 each degree is read from one table of those squares (_read_degrees),
@@ -61,7 +61,11 @@ one again.
 
 The split: at each class, the non-scalar restricted matrices of the blocks
 of one dimension are one stack: one pass gives their characteristic
-polynomials, one scan their roots, and each profile group is peeled at once.
+polynomials, one scan of F_r their roots, and each eigenspace is read as
+the left kernel of R - lam I, one reduction for the roots met in a chunk of
+the scan.  Since eigenspaces of distinct roots are independent, their
+dimensions add up to d exactly when R is diagonalisable with every
+eigenvalue in F_r, which is checked (_eigenspaces).
 
 Overflow: every matrix entry is reduced below r (class-matrix entries count
 members of one class, so a matrix is reduced mod r when its class has at
@@ -75,7 +79,6 @@ row reduction stays below 2^63 (_rref).  The class matrices and the blocks
 are held as float64."""
 
 import math
-from itertools import accumulate
 
 import numpy as np
 
@@ -217,106 +220,47 @@ def _charpoly(A, r):
     return P[:, d, ::-1]
 
 
-def _roots(F, r):
-    """The roots in F_r of each polynomial F[s] (leading coefficient first,
-    degree d, 1 <= d < r) with multiplicity: (lam, mult), both (n, d), by
-    multiplicity, largest first, then root, padded with multiplicity 0.
-    F_r is scanned 2^16 values at a time, x and r - 1 - x for x from 0 up
-    in the same chunk, so a root -c is met as early as c - 1, until all
-    multiplicities sum to d or it runs out.  The multiplicity of lam is the
-    index of the first nonzero coefficient of f(x + lam), exact as d < r:
-    with a constant first, lam^j [x^j] f(x + lam) = sum_i a_i lam^i
-    binom(i, j)."""
-    n, d = F.shape[0], F.shape[1] - 1
-    a = F[:, ::-1] % r
-    fact = np.array(list(accumulate(range(1, d + 1), lambda f, i: f * i % r,
-                                    initial=1)))
-    inv, i = _inverses(fact, r), np.arange(d + 1)
-    binom = np.tril(fact[:, None] * inv % r * inv[np.maximum(
-        i[:, None] - i, 0)] % r)  # binom[i, j] = i! / (j! (i - j)!)
-    hits, count, todo, lo = [], np.zeros(n, dtype=np.int64), np.arange(n), 0
+def _eigenspaces(R, r):
+    """The eigenspaces {x : x R[b] = lam x} of a stack R (n, d, d) of
+    non-scalar matrices mod r, for the roots lam in F_r of their
+    characteristic polynomials: (b, E, Q) per scan chunk, matrix b and
+    dimension m, E (c, m, d) the bases of the c eigenspaces of R[b] of
+    dimension m met in the chunk, E[s][:, Q[s]] = I.  F_r is scanned 2^16
+    values at a time, x and r - 1 - x for x from 0 up in the same chunk, so
+    a root -c is met as early as c - 1.  The eigenspace of lam is the left
+    kernel of M = R[b] - lam I: one reduction of the stack [M | I] over the
+    roots met in a chunk, pivoting in M, leaves in each row j with no pivot
+    an x with x M = 0, 1 at j and 0 at the other such rows.  A matrix is
+    done once its eigenspace dimensions add up to d, which the check
+    requires of each: R[b] is diagonalisable with every eigenvalue in F_r."""
+    n, d, _ = R.shape
+    if not n:
+        return
+    F, eye = _charpoly(R, r), np.eye(d, dtype=np.int64)
+    dim, todo, lo = np.zeros(n, dtype=np.int64), np.arange(n), 0
     half = (r + 1) // 2  # x < half low, r - 1 - x above it for x < r // 2
     while lo < half and todo.size:
         h = max(1, (1 << 15) // todo.size)
         xs = np.arange(lo, min(lo + h, half))
         xs = np.concatenate([xs, r - 1 - xs[:r // 2 - lo]])
-        acc = np.repeat(a[todo, -1:], xs.size, axis=1)
-        for c in a[todo, -2::-1].T:
+        acc = np.repeat(F[todo, :1], xs.size, axis=1)
+        for c in F[todo, 1:].T:
             acc *= xs
             acc += c[:, None]
             acc %= r
         s, x = np.nonzero(acc == 0)
-        s, x = todo[s], xs[x]
-        pw = np.ones((x.size, d + 1), dtype=np.int64)  # x^i, by doubling
-        for w in (1 << e for e in range(d.bit_length())):
-            pw[:, w:2 * w] = pw[:, :min(w, d + 1 - w)] * (
-                pw[:, w - 1] * x % r)[:, None] % r
-        T = np.where(x[:, None] == 0, a[s], _mm(a[s] * pw % r, binom, r))
-        m = (T != 0).argmax(axis=1)
-        count += np.bincount(s, m, n).astype(np.int64)
-        hits.append((s, x, m))
-        todo, lo = todo[count[todo] < d], lo + h
-    s, x, m = (np.concatenate(h) for h in zip(*hits))
-    order = np.lexsort((x, -m, s))
-    s, x, m = s[order], x[order], m[order]
-    lam, mult = np.zeros((2, n, d), dtype=np.int64)
-    pos = np.arange(s.size) - np.searchsorted(s, s)
-    lam[s, pos], mult[s, pos] = x, m
-    return lam, mult
-
-
-def _peel(R, lam, dims, r):
-    """The eigenspaces {x : x R[b] = lam x} of a stack R (g, d, d) of
-    diagonalisable matrices mod r of one multiplicity profile dims, largest
-    first, lam (g, len(dims)) their roots in that order: (E, Q), the bases
-    stacked in that order, E[b][o:o+m, Q[b][o:o+m]] = I on each.  C spans
-    the eigenspaces not yet peeled, C[:, pc] = I, C R = RC C.  For each
-    root but the last, M = RC - lam I is diagonalisable, so F_r^c is its
-    left kernel (the eigenspace) plus its row space W, where C moves; one
-    reduction of [M | C] pivoting in M gives W in the pivot rows, and in
-    each other row j x C with x M = 0, x 1 at j and 0 at the other such
-    rows.  The last eigenspace is what is left of C."""
-    g, d, _ = R.shape
-    at, spaces = np.arange(g)[:, None], []
-    C, pc, RC = np.broadcast_to(np.eye(d, dtype=np.int64), R.shape), np.tile(
-        np.arange(d), (g, 1)), R
-    for s, m in enumerate(dims[:-1]):
-        c = d - sum(dims[:s])
-        A, pw, rows = _rref(np.concatenate([RC - lam[:, s, None, None] * (
-            np.eye(c, dtype=np.int64)), C], axis=2), r, c)
-        dim = (pw == c).sum(axis=1)
-        _check((dim == m).all(), "dimensions of the eigenspaces of "
-               "multiplicity %d" % m, m, dim[dim != m][:1].tolist())
-        W, pw = A[:, :c - m, :c], pw[:, :c - m]
-        spaces.append((A[:, c - m:, c:], pc[at, rows[:, c - m:]]))
-        C, RC = np.split(_mm(W, np.concatenate([C, RC], axis=2), r), [d], 2)
-        RC, pc = RC[at[:, None], np.arange(c - m)[:, None], pw[:, None]], pc[
-            at, pw]
-    off = int(np.count_nonzero(RC - lam[:, -1, None, None] * np.eye(
-        pc.shape[1], dtype=np.int64)))
-    _check(pc.shape[1] == dims[-1] and not off, "dimension of the last "
-           "eigenspaces, of multiplicity %d, and entries of their restricted "
-           "matrices off lam I" % dims[-1], (dims[-1], 0), (pc.shape[1], off))
-    spaces.append((C, pc))
-    return tuple(np.concatenate(x, axis=1) for x in zip(*spaces))
-
-
-def _eigenspaces(R, r):
-    """The eigenspaces of a stack R (n, d, d) of diagonalisable, non-scalar
-    matrices mod r: (rows, E, Q, dims) per profile dims, from _peel."""
-    n, d, _ = R.shape
-    if not n:
-        return
-    lam, mult = _roots(_charpoly(R, r), r)
-    total = mult.sum(axis=1)  # short of d: a root outside F_r
-    _check((total == d).all(), "roots of the characteristic polynomial in "
-           "F_r, with multiplicity", d, total[total != d][:1].tolist())
-    groups = {}
-    for b, profile in enumerate(map(tuple, mult.tolist())):
-        groups.setdefault(profile, []).append(b)
-    for profile, rows in groups.items():
-        dims = [m for m in profile if m]
-        yield (rows, *_peel(R[rows], lam[rows, :len(dims)], dims, r), dims)
+        b = todo[s]
+        M = R[b] - xs[x, None, None] * eye
+        K, piv, rows = _rref(np.concatenate([M, np.broadcast_to(eye, M.shape)],
+                                            axis=2), r, d)
+        m = (piv == d).sum(axis=1)
+        dim += np.bincount(b, m, n).astype(np.int64)
+        for j, mj in set(zip(b.tolist(), m.tolist())):
+            at = np.flatnonzero((b == j) & (m == mj))
+            yield j, K[at, d - mj:, d:], rows[at, d - mj:]
+        todo, lo = todo[dim[todo] < d], lo + h
+    _check((dim == d).all(), "sum of the eigenspace dimensions over the roots "
+           "in F_r", d, dim[dim != d][:1].tolist())
 
 
 def _fr_characters(A, r):
@@ -502,13 +446,11 @@ def _eigenlines(G, jstar, r):
             if scalar.any():
                 parts.setdefault(d, []).append((B[scalar], P[scalar]))
             split = np.flatnonzero(~scalar)
-            for rows, E, Q, ms in _eigenspaces(R[split], r):
-                b = split[rows]
+            for b, E, Q in _eigenspaces(R[split], r):
                 # (E @ B[b])[:, P[b][Q]] = E[:, Q] = I on each eigenspace
-                X, PQ = _mm(E, B[b], r), P[b[:, None], Q]
-                for o, m in zip(np.cumsum([0] + ms), ms):
-                    parts.setdefault(m, []).append((X[:, o:o + m],
-                                                    PQ[:, o:o + m]))
+                b = split[b]
+                parts.setdefault(E.shape[1], []).append((_mm(E, B[b], r),
+                                                         P[b][Q]))
         blocks = {d: (np.concatenate([B for B, _ in ps], dtype=np.float64),
                       np.concatenate([P for _, P in ps]))
                   for d, ps in parts.items()}

@@ -28,8 +28,6 @@ from modrep2.rings import (FiniteGroup, TableGroup, _check, _once,
                            code_positions, direct_product, greedy_generators,
                            hook, label_orbits, make_ring, unit_group)
 
-SWAP = (0, 1, 1, 0)
-
 
 class GroupBase(FiniteGroup):
     """Shared machinery on generators (gen_idx): conjugacy classes by
@@ -169,15 +167,18 @@ class AutGroup(GroupBase):
         self.identity_pos = int(self.locate([self.identity])[0])
 
         # two unipotents u+, u- (conjugation by the diagonal units scales b
-        # and c by units, whose sums fill R2), diag(u, 1) and diag(1, v) for
-        # generators u, v of the unit groups, and the swap on square types
+        # and c by units, whose sums fill R2) and diag(u, 1) for generators
+        # u of units(R1): on a square type, GL2 of a local ring, conjugating
+        # u+, u- by diag(u, 1) gives e12(u) and e21(u^-1), and every element
+        # reduces to diag(det, 1) by those; non-square types add diag(1, v)
+        # for generators v of units(R2), since a mod pi^(l1-l2) and det
+        # need both diagonals
         up, low = (1, 1, 0, 1), (1, 0, 1, 1)
         U1, U2 = unit_group(R1), unit_group(R2)
-        ones = [(1, 0, 0, v) for v in U2.codes[U2.gen_idx].tolist()]
-        diag = [(u, 0, 0, 1) for u in U1.codes[U1.gen_idx].tolist()]
-        self.gens = [up, low] + diag + ones
-        if self.rect:
-            self.gens.append(SWAP)
+        self.gens = [up, low] + [(u, 0, 0, 1)
+                                 for u in U1.codes[U1.gen_idx].tolist()]
+        if not self.rect:
+            self.gens += [(1, 0, 0, v) for v in U2.codes[U2.gen_idx].tolist()]
 
     @property
     def order(self):

@@ -173,15 +173,20 @@ class FiniteField:
     def __init__(self, q):
         p, f = prime_power(q)
         self.p, self.f, self.q = p, f, q
-        x = np.arange(p)
-        self.add, sm = _poly_sums(((x[:, None] + x) % p).astype(np.int16),
-                                  (np.outer(x, x) % p).astype(np.int16), f)
+        # F_p's tables 256 rows at a time in int32 (p^2 < 2^24): no p x p
+        # temporary, and for f = 1 the product table is mul itself, uncopied
+        x, add, mul = np.arange(p, dtype=np.int32), *np.empty(
+            (2, p, p), dtype=np.int16)
+        for lo in range(0, p, 256):
+            y = x[lo:lo + 256, None]
+            add[lo:lo + 256], mul[lo:lo + 256] = (y + x) % p, y * x % p
+        self.add, sm = _poly_sums(add, mul, f)
         for c in range(q):
             m = _digits(c, p, f)  # M = t^f + m, t^f = -m
             top = sum(-a % p * p ** i for i, a in enumerate(m))
             if not _reducible(self.add, sm, top, f):
                 break
-        self.mul = _poly_mul(self.add, sm, top, f)
+        self.mul = _poly_mul(self.add, sm, top, f) if f > 1 else sm
         self.modulus = m + [1] if f > 1 else None
         self.neg, self.inv = _solve(self.add, 0), _solve(self.mul, 1)
         # Tr(x) = x + x^p + ... + x^(p^(f-1)), landing in the prime field

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from modrep2 import dixon
 from modrep2.dixon import (_charpoly, _class_matrix, _class_tables,
                            _eigenspaces, _product_classes, _read_degrees,
-                           _roots, _rref, character_degrees, dixon_prime)
+                           _rref, character_degrees, dixon_prime)
 from modrep2.groups import aut_group
 from modrep2.rings import (TableGroup, _check, _inverses, _mm, is_prime,
                            make_ring, unit_group)
@@ -177,8 +177,8 @@ def _ref_eigenspaces(R, r):
 
 
 def _kernel(A, r):
-    """Kernel of one matrix A mod r, read as _peel reads it: the rows of
-    rref([A^T | I]) pivoting in A^T that are zero there.  (K, free) with
+    """Kernel of one matrix A mod r, read as _eigenspaces reads it: the rows
+    of rref([A^T | I]) pivoting in A^T that are zero there.  (K, free) with
     K[:, free] the identity."""
     a = A.shape[0]
     R, piv, rows = _rref(np.hstack([A.T, np.eye(A.shape[1], dtype=np.int64)]
@@ -830,32 +830,64 @@ def test_degree_readout_inverts_squares(p):
                 _read_degrees(np.array([(d + 1) ** 2 % p, 1, 1]), p, order)
 
 
-def _distinct_roots(lam, mult):
-    return sorted(lam[mult > 0].tolist())
+def _diagonalisable(rng, p, d, values):
+    """S^-1 diag(values) S mod p for a random invertible S."""
+    while True:
+        S = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(d)],
+                     dtype=np.int64)
+        rr, piv = _ref_rref(np.hstack([S, np.eye(d, dtype=np.int64)]), p)
+        if piv[:d] == list(range(d)):
+            break
+    return (rr[:, d:].astype(object).dot(np.diag(values)).dot(
+        S.astype(object)) % p).astype(np.int64)
+
+
+def _split(Rs, p):
+    """_eigenspaces of the stack Rs mod p, each space checked: E[:, Q] = I
+    and E R = lam E, lam read at E[0, Q[0]] = 1.  {b: sorted pairs (lam,
+    dimension of its eigenspace)}."""
+    found = {}
+    for b, E, Q in _eigenspaces(np.array(Rs), p):
+        R = np.asarray(Rs[b]).astype(object)
+        for Es, Qs in zip(E, Q):
+            assert np.array_equal(Es[:, Qs], np.eye(len(Qs), dtype=np.int64))
+            X = Es.astype(object).dot(R) % p
+            lam = int(X[0, Qs[0]])
+            assert (X == Es * lam % p).all()
+            found.setdefault(b, []).append((lam, len(Qs)))
+    return {b: sorted(v) for b, v in found.items()}
 
 
 @pytest.mark.parametrize("p", QUADRATIC_PRIMES)
 def test_quadratic_roots_match_scan(p):
-    # all the quadratics of a prime as one stack, and each alone
+    # 2 x 2 matrices with the roots of quadratics mod p as eigenvalues, as
+    # one stack and each alone: each root is found, with its multiplicity
+    # as the dimension of its eigenspace (a double root gives a scalar)
     rng = random.Random(p)
-    polys, expect = [], []
+    Rs, expect = [], []
     for _ in range(25):
         a, b, u = rng.randrange(p), rng.randrange(p), rng.randrange(1, p)
-        polys.append([u, -u * (a + b) % p, u * a * b % p])
-        expect.append(sorted({a, b}))
-    # and the ones without roots in F_p
+        coeffs = [u, -u * (a + b) % p, u * a * b % p]
+        assert _scan_roots(coeffs, p) == _ref_roots(coeffs, p) == sorted(
+            {a, b})
+        Rs.append(_diagonalisable(rng, p, 2, [a, b]))
+        expect.append(sorted(Counter([a, b]).items()))
+    # the companion matrix of x^2 - n splits when n is a square mod p, and
+    # is refused when x^2 - n has no root in F_p
     for n in range(1, min(p, 40)):
-        polys.append([1, 0, -n % p])
-        expect.append(_scan_roots(polys[-1], p))
-    lam, mult = _roots(np.array(polys), p)
-    for coeffs, want, lr, mr in zip(polys, expect, lam, mult):
-        one = _roots(np.array([coeffs]), p)
-        assert (one[0][0].tolist(), one[1][0].tolist()) == (lr.tolist(),
-                                                            mr.tolist())
-        assert _distinct_roots(lr, mr) == want == _scan_roots(coeffs, p)
-        assert _distinct_roots(lr, mr) == _ref_roots(coeffs, p)
-        # a double root counts twice; no root, nothing
-        assert mr.sum() == (2 if want else 0)
+        coeffs, C = [1, 0, -n % p], np.array([[0, 1], [n, 0]])
+        roots = _scan_roots(coeffs, p)
+        assert roots == _ref_roots(coeffs, p)
+        if roots:
+            Rs.append(C)
+            expect.append([(x, 1) for x in roots])
+            continue
+        with pytest.raises(AssertionError,
+                           match=r": expected 2, computed \[0\]"):
+            list(_eigenspaces(C[None], p))
+    stack = _split(Rs, p)
+    for b, (R, want) in enumerate(zip(Rs, expect)):
+        assert stack[b] == _split([R], p)[0] == want
 
 
 def _largest_admissible_prime(k, exponent):
@@ -879,19 +911,19 @@ def _poly_from_roots(roots, lead, p):
     # the largest prime with exact float64 products at k = 1008
     (_largest_admissible_prime(1008, 2), (3, 12, 40))])
 def test_roots_with_repeats_match_scan(p, degrees):
+    # a diagonalisable matrix of each degree n with eigenvalues that repeat:
+    # each root of its characteristic polynomial is found, by the scan's
+    # roots, with its multiplicity as the dimension of its eigenspace
     rng = random.Random(p)
     for n in degrees:
         distinct = rng.sample(range(p), rng.randrange(1, (n + 1) // 2 + 1))
         roots = distinct + [rng.choice(distinct) for _ in range(n - len(distinct))]
-        coeffs = _poly_from_roots(roots, rng.randrange(1, p), p)
-        assert len(coeffs) == n + 1
-        lam, mult = (x[0] for x in _roots(np.array([coeffs]), p))
-        assert _distinct_roots(lam, mult) == sorted(distinct) == \
-            _scan_roots(coeffs, p)
-        # with multiplicity, largest first, ties by root
-        count = Counter(roots)
-        assert [(int(m), int(x)) for m, x in zip(mult, lam) if m] == sorted(
-            ((m, x) for x, m in count.items()), key=lambda t: (-t[0], t[1]))
+        R = _diagonalisable(rng, p, n, roots)
+        coeffs = _ref_charpoly(R, p)
+        assert coeffs.tolist() == _poly_from_roots(roots, 1, p)
+        assert sorted(distinct) == _ref_roots(coeffs, p) == _scan_roots(
+            coeffs, p)
+        assert _split([R], p) == {0: sorted(Counter(roots).items())}
 
 
 def _rref_int(rows, p):
@@ -992,10 +1024,10 @@ def _space(rows, p, d=12):
         0].tolist()
 
 
-def test_peeled_eigenspaces_match_per_eigenvalue_kernels():
+def test_eigenspaces_match_per_eigenvalue_kernels():
     # R = S^-1 D S: row j of S is a left eigenvector for D[j]; one eigenvalue
-    # of multiplicity d/2, a tie in multiplicity, and simple ones
-    # the four matrices share one profile, so they peel as one group
+    # of multiplicity d/2, a tie in multiplicity, and simple ones, in four
+    # matrices split as one stack
     p = 10007
     D = [5] * 6 + [7, 7, 11, 11, 13, 17]
     rng = random.Random(3)
@@ -1016,41 +1048,29 @@ def test_peeled_eigenspaces_match_per_eigenvalue_kernels():
                    .dot(S.astype(object)) % p).astype(np.int64))
         Ss.append(S)
         perms.append(perm)
-    (rows, E, Q, dims), = _eigenspaces(np.array(Rs), p)
-    assert rows == [0, 1, 2, 3] and dims == [6, 2, 2, 1, 1]
-    for b, (R, S, perm) in enumerate(zip(Rs, Ss, perms)):
-        seen = set()
-        for o, m in zip(np.cumsum([0] + dims), dims):
-            Eb, P = E[b, o:o + m], Q[b, o:o + m]
-            assert np.array_equal(Eb[:, P], np.eye(m, dtype=np.int64))
+    seen = [[] for _ in Rs]
+    for b, E, Q in _eigenspaces(np.array(Rs), p):
+        R, S, perm = Rs[b], Ss[b], perms[b]
+        for Eb, P in zip(E, Q):
+            assert np.array_equal(Eb[:, P], np.eye(len(P), dtype=np.int64))
             lam = int(Eb[0].astype(object).dot(R.astype(object))[P[0]] % p)
-            seen.add(lam)
+            seen[b].append(lam)
+            assert len(P) == D.count(lam)
             Kref, _ = _ref_nullspace(
                 (R.T - lam * np.eye(d, dtype=np.int64)) % p, p)
             assert _space(Eb, p) == _space(Kref, p)
             assert _space(Eb, p) == _space(
                 [S[i] for i in range(d) if D[perm[i]] == lam], p)
-        assert seen == set(D)
-
-
-def _diagonalisable(rng, p, d, values):
-    """S^-1 diag(values) S mod p for a random invertible S."""
-    while True:
-        S = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(d)],
-                     dtype=np.int64)
-        rr, piv = _ref_rref(np.hstack([S, np.eye(d, dtype=np.int64)]), p)
-        if piv[:d] == list(range(d)):
-            break
-    return (rr[:, d:].astype(object).dot(np.diag(values)).dot(
-        S.astype(object)) % p).astype(np.int64)
+    assert all(sorted(lams) == sorted(set(D)) for lams in seen)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_stacked_split_matches_per_block_reference(data):
     # stacks of one or more diagonalisable, non-scalar matrices mod a small
-    # prime, eigenvalues drawn from a few values so that they repeat and
-    # the stack mixes multiplicity profiles
+    # prime, eigenvalues drawn from a few values so that they repeat: each
+    # space found spans an eigenspace of the per-block reference, and each
+    # matrix's spaces are all of the reference's
     p = data.draw(st.sampled_from([5, 7, 11, 13, 31]))
     d = data.draw(st.integers(2, min(6, p - 1)))
     n = data.draw(st.integers(1, 5))
@@ -1061,25 +1081,20 @@ def test_stacked_split_matches_per_block_reference(data):
         values = [rng.choice(pool) for _ in range(d)]
         values[0], values[1] = pool[0], pool[1]  # not scalar
         Rs.append(_diagonalisable(rng, p, d, values))
-    seen, profiles = [], set()
-    for rows, E, Q, dims in _eigenspaces(np.array(Rs), p):
-        assert tuple(dims) not in profiles  # one peel per profile
-        profiles.add(tuple(dims))
-        for g, b in enumerate(rows):
-            seen.append(b)
-            ref = _ref_eigenspaces(Rs[b], p)
-            assert dims == [len(P) for _, P in ref]
-            for (Eref, _), o, m in zip(ref, np.cumsum([0] + dims), dims):
-                Eb, P = E[g, o:o + m], Q[g, o:o + m]
-                assert np.array_equal(Eb[:, P], np.eye(m, dtype=np.int64))
-                assert _space(Eb, p, d) == _space(Eref, p, d)
-    assert sorted(seen) == list(range(n))
+    spaces = [[] for _ in Rs]
+    for b, E, Q in _eigenspaces(np.array(Rs), p):
+        for Eb, P in zip(E, Q):
+            assert np.array_equal(Eb[:, P], np.eye(len(P), dtype=np.int64))
+            spaces[b].append(_space(Eb, p, d))
+    for R, found in zip(Rs, spaces):
+        assert sorted(found) == sorted(_space(E, p, d)
+                                       for E, _ in _ref_eigenspaces(R, p))
 
 
 def test_bad_blocks_raise_under_optimize():
     # each bad block beside a good one: a Jordan block, whose eigenspace of
-    # the double root 5 is a line; a scalar Jordan block, one root and no
-    # second eigenspace; and a block whose characteristic polynomial
+    # the double root 5 is a line; a scalar Jordan block, one root whose
+    # eigenspace is a line; and a block whose characteristic polynomial
     # (x^2 - 3)(x - 2) has no root but 2 in F_7 (3 is no square mod 7)
     code = ("import numpy as np\n"
             "from modrep2.dixon import _eigenspaces\n"
@@ -1099,46 +1114,47 @@ def test_bad_blocks_raise_under_optimize():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     jordan, scalar, root = proc.stdout.splitlines()
-    assert jordan == ("dimensions of the eigenspaces of multiplicity 2: "
-                      "expected 2, computed [1]")
-    assert scalar == ("dimension of the last eigenspaces, of multiplicity 2, "
-                      "and entries of their restricted matrices off lam I: "
-                      "expected (2, 0), computed (2, 1)")
-    assert root == ("roots of the characteristic polynomial in F_r, with "
-                    "multiplicity: expected 3, computed [1]")
+    what = "sum of the eigenspace dimensions over the roots in F_r"
+    assert jordan == what + ": expected 3, computed [2]"
+    assert scalar == what + ": expected 2, computed [1]"
+    assert root == what + ": expected 3, computed [1]"
 
 
-def test_one_peel_per_class_dimension_and_profile(monkeypatch):
-    # padic q=2 (4,4) splits 81 non-scalar blocks; they peel in stacks, at
-    # most one per (class, dimension, multiplicity profile)
+def test_one_reduction_per_class_and_scan_chunk(monkeypatch):
+    # padic q=2 (4,4) splits 81 non-scalar blocks, in one stack per class
+    # and block dimension; a stack's scan reads F_r in chunks of at least
+    # 2^15 // n values from each end, and the kernels of every root met in
+    # a chunk are one reduction
     G = aut_group("padic", 2, (4, 4))
     events = []
-    peel, class_matrix = dixon._peel, dixon._class_matrix
+    split, rref = dixon._eigenspaces, dixon._rref
 
-    def spy_peel(R, lam, dims, r):
-        events.append((R.shape[1], tuple(dims), len(R)))
-        return peel(R, lam, dims, r)
+    def spy_split(R, r):
+        events.append(("stack", len(R)))
+        return split(R, r)
 
-    def spy_class(*args):
-        events.append(None)
-        return class_matrix(*args)
+    def spy_rref(B, r, w):
+        events.append(("rref", len(B)))
+        return rref(B, r, w)
 
-    monkeypatch.setattr(dixon, "_peel", spy_peel)
-    monkeypatch.setattr(dixon, "_class_matrix", spy_class)
+    monkeypatch.setattr(dixon, "_eigenspaces", spy_split)
+    monkeypatch.setattr(dixon, "_rref", spy_rref)
     _forget_degrees(G, monkeypatch)
     r = dixon_prime(G.powers[0], G.order)
     assert Counter(character_degrees(G, r=r)) == {
         1: 16, 2: 20, 3: 16, 4: 24, 6: 36, 8: 48, 12: 72, 24: 16}
-    groups, keys = [], set()
-    for event in events:
-        if event is None:
-            keys = set()
-            continue
-        assert event[:2] not in keys, event
-        keys.add(event[:2])
-        groups.append(event)
-    assert sum(n for _, _, n in groups) == 81
-    assert len(groups) < 81 and any(n > 1 for _, _, n in groups)
+    assert events[0][0] == "stack"
+    stacks = []  # (n, the heights of the stack's reductions)
+    for kind, n in events:
+        if kind == "stack":
+            stacks.append((n, []))
+        else:
+            stacks[-1][1].append(n)
+    assert sum(n for n, _ in stacks) == 81
+    half = (r + 1) // 2
+    for n, heights in stacks:
+        assert len(heights) <= -(-half // (2 ** 15 // max(n, 1)))
+    assert sum(len(h) for _, h in stacks) < sum(sum(h) for _, h in stacks)
 
 
 def test_central_block_check_raises_under_optimize():

@@ -950,14 +950,20 @@ def test_generators_without_lower_unipotent_refused_under_optimize():
                              "%d, computed %d" % (n, n // q ** lam[1])), line
 
 
-def test_generators_are_two_unipotents_units_and_swap():
+def test_generators_are_two_unipotents_and_units():
+    # u+, u-, diag(u, 1) for the generators u of units(R1), and on
+    # non-square types diag(1, v) for those v of units(R2); no swap
     for backend, q, lam in [("padic", 2, (3, 2)), ("padic", 3, (2, 2)),
-                            ("tpoly", 4, (2, 2)), ("tpoly", 2, (3, 1))]:
+                            ("tpoly", 4, (2, 2)), ("tpoly", 2, (3, 1)),
+                            ("padic", 2, (1, 1)), ("padic", 5, (1, 1)),
+                            ("padic", 2, (3, 3)), ("tpoly", 9, (1, 1))]:
         G = aut_group(backend, q, lam)
-        assert G.gens[:2] == [(1, 1, 0, 1), (1, 0, 1, 1)]
-        assert ((0, 1, 1, 0) in G.gens) == G.rect
-        rest = G.gens[2:len(G.gens) - G.rect]
-        assert all(t[1:3] == (0, 0) and 1 in (t[0], t[3]) for t in rest)
+        U1, U2 = unit_group(G.R1), unit_group(G.R2)
+        want = [(1, 1, 0, 1), (1, 0, 1, 1)] + [
+            (u, 0, 0, 1) for u in U1.codes[U1.gen_idx].tolist()]
+        if not G.rect:
+            want += [(1, 0, 0, v) for v in U2.codes[U2.gen_idx].tolist()]
+        assert G.gens == want and (0, 1, 1, 0) not in G.gens
         # the class pass refuses generators that do not span the group
         assert G.class_count == class_count_formula(q, lam)
 

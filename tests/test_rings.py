@@ -304,6 +304,23 @@ def test_largest_padic_ring_is_small():
     assert int(peak_kb) < 150 * 1024, peak_kb
 
 
+def test_large_prime_field_is_small():
+    # F_4093's add and mul tables are two int16 arrays of 33.5 MB; the int64
+    # p x p temporaries they were cast from took the peak to about 315 MB
+    code = ("from modrep2.rings import FiniteField\n"
+            "F = FiniteField(4093)\n"
+            "hwm = [line for line in open('/proc/self/status')\n"
+            "       if line.startswith('VmHWM:')]\n"
+            "print(F.mul.shape[0], hwm[0].split()[1])\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    size, peak_kb = proc.stdout.split()
+    assert int(size) == 4093
+    assert int(peak_kb) < 130 * 1024, peak_kb
+
+
 @pytest.mark.parametrize("backend,q,level", SMALL)
 def test_psi_additive_primitive_nondegenerate(backend, q, level):
     r = make_ring(backend, q, level)

@@ -1,6 +1,7 @@
 """Source-level guards on src/modrep2."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -221,3 +222,20 @@ def test_one_summation_path():
     assert not _sites(lambda node: isinstance(node, ast.Dict) and any(
         isinstance(k, ast.Constant) and k.value in GONE_TAGS
         for k in node.keys))
+
+
+def test_one_eigenspace_path():
+    """The Dixon split reads every eigenspace as the kernel of R - lam I:
+    _rref is called only by dixon._eigenspaces, which scans the roots with
+    no multiplicities.  The multiplicity code (_roots, with its factorial
+    and binomial tables) and the peeling on a shrinking complement (_peel)
+    are neither defined nor named in src/modrep2, comments included."""
+    calls = _sites(lambda node: isinstance(node, ast.Call)
+                   and _named("_rref")(node.func))
+    assert calls == Counter({"dixon.py:_eigenspaces": 1})
+    named = [path.name for path in sorted(PKG.glob("*.py"))
+             if re.search(r"\b_(roots|peel)\b", path.read_text())]
+    assert not named
+    tables = _sites(_named("accumulate", "factorial", "comb", "binom",
+                           "fact"))
+    assert not [site for site in tables if site.startswith("dixon.py")]
