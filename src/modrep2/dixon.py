@@ -243,12 +243,15 @@ def _eigenspaces(R, r):
         h = max(1, (1 << 15) // todo.size)
         xs = np.arange(lo, min(lo + h, half))
         xs = np.concatenate([xs, r - 1 - xs[:r // 2 - lo]])
+        lo += h
         acc = np.repeat(F[todo, :1], xs.size, axis=1)
         for c in F[todo, 1:].T:
             acc *= xs
             acc += c[:, None]
             acc %= r
         s, x = np.nonzero(acc == 0)
+        if not s.size:
+            continue  # no root in the chunk: nothing to reduce
         b = todo[s]
         M = R[b] - xs[x, None, None] * eye
         K, piv, rows = _rref(np.concatenate([M, np.broadcast_to(eye, M.shape)],
@@ -258,7 +261,7 @@ def _eigenspaces(R, r):
         for j, mj in set(zip(b.tolist(), m.tolist())):
             at = np.flatnonzero((b == j) & (m == mj))
             yield j, K[at, d - mj:, d:], rows[at, d - mj:]
-        todo, lo = todo[dim[todo] < d], lo + h
+        todo = todo[dim[todo] < d]
     _check((dim == d).all(), "sum of the eigenspace dimensions over the roots "
            "in F_r", d, dim[dim != d][:1].tolist())
 

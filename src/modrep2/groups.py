@@ -18,6 +18,8 @@ product runs the kernel itself.  Every path ends in _element_at, which
 refuses a code off the group.  The root group's conjugacy classes come
 with its span check from one streamed pass over the generators: the
 orbits of conjugation by every generator (AutGroup._class_partition).
+An abelianization is read off one sweep whose orbits are the cosets of the
+commutator subgroup, which is never built (GroupBase.abelianization).
 """
 
 from functools import cached_property, lru_cache
@@ -31,7 +33,8 @@ from modrep2.rings import (FiniteGroup, TableGroup, _check, _once,
 
 class GroupBase(FiniteGroup):
     """Shared machinery on generators (gen_idx): conjugacy classes by
-    orbit sweep, commutators, abelianization."""
+    orbit sweep, and the abelianization from one sweep whose orbits are the
+    cosets of the commutator subgroup."""
 
     def conj_orbits(self, idx=None):
         """Orbits of conjugation on the root elements idx (by default this
@@ -60,39 +63,31 @@ class GroupBase(FiniteGroup):
         prods = self.root.right_mul(g[:, None], g[None, :])
         return bool((prods == prods.T).all())
 
-    def commutator_subgroup(self):
-        """Normal closure of the commutators [g, h] of the generators (one
-        of each pair; [h, g] is its inverse), formed by three batched root
-        right_mul calls: the identity's orbit under right multiplication by
-        them and conjugation by the generators."""
+    def abelianization(self):
+        """G / [G, G] as a TableGroup on coset indices, with coset_of the
+        coset of each position: the orbits of one sweep, numbered by their
+        least positions, of right multiplication by the commutators [g, h]
+        of the generators (one of each pair; [h, g] is its inverse) and
+        conjugation by them (x^g = x * [x, g]).  With move[y] the coset of
+        rep(y) * g for a generator g, the Cayley table is filled breadth
+        first from the identity (column y * g is move applied to column y);
+        every coset must be reached, which refuses generators that span
+        less, and the coset of x * g must be move[coset of x] for every
+        member x, through a root-size coset table."""
         R, g = self.root, self.gen_idx
         gi = R.inverse(g)
         i, j = np.triu_indices(len(g), 1)
         seeds = R.right_mul(gi[i], R.right_mul(gi[j], R.right_mul(g[i], g[j])))
         seeds = dict.fromkeys(seeds.tolist())
         seeds.pop(R.identity_pos, None)
-        moves = [(None, s) for s in seeds] + list(zip(gi, g))
-        _, _, orbit_of = self.sweep(moves)
-        span = np.flatnonzero(orbit_of == orbit_of[self.identity_pos])
-        return Subgroup(self, self.ridx(span), name="derived")
-
-    def abelianization(self):
-        """G / [G, G] as a TableGroup on coset indices, with coset_of the
-        coset of each position.  The commutator subgroup N must be normal
-        (its conjugation sweep), cosets are numbered by their first-seen
-        representatives (one sweep of right multiplication by N's
-        generators), and the Cayley table is filled breadth first from the
-        identity: with move[x] = x * g for a generator g (one root product
-        of the representatives), column y * g is move applied to column y.
-        Every coset must be reached."""
-        N = self.commutator_subgroup()
-        self.conj_orbits(N.idx)  # ValueError unless N is normal
-        reps, _, coset_of = self.sweep([(None, g) for g in N.gen_idx])
+        reps, _, coset_of = self.sweep([(None, s) for s in seeds]
+                                       + list(zip(gi, g)))
         r = self.ridx(np.array(reps, dtype=np.intp))
         e, name = int(coset_of[self.identity_pos]), self.name + "/derived"
-        gens = dict.fromkeys(coset_of[self.positions(self.gen_idx)].tolist())
-        moves = [coset_of[self.positions(self.root.right_mul(r, r[g]))]
-                 for g in gens if g != e]
+        x = self.idx if R is not self else np.arange(R.order)
+        C = np.full(R.order, -1, dtype=np.int32)  # root element -> coset
+        C[x] = coset_of
+        moves = [C[R.right_mul(r, h)] for h in g]
         T = np.full((len(r), len(r)), -1, dtype=np.int32)  # T[y]: column y
         T[e] = np.arange(len(r))
         front = np.array([e])
@@ -107,6 +102,10 @@ class GroupBase(FiniteGroup):
         missing = int((T[:, 0] < 0).sum())
         _check(not missing, "%s: cosets reached by the generators" % name,
                len(r), len(r) - missing)
+        for k, (h, move) in enumerate(zip(g, moves)):
+            off = int(np.count_nonzero(C[R.right_mul(x, h)] != move[coset_of]))
+            _check(not off, "%s: members x whose coset of x * generator %d "
+                   "is not move[coset of x]" % (name, k), 0, off)
         Q = TableGroup(T.T, e, name)
         Q.coset_of = coset_of
         return Q
@@ -213,10 +212,6 @@ class AutGroup(GroupBase):
         _check(size == n, "%s: elements spanned by the generators" % name, n,
                size)
         return label_orbits(cls)[1:]
-
-    def commutator_subgroup(self):
-        self._classes()  # the class pass certifies the generators' span
-        return super().commutator_subgroup()
 
     def elements_at(self, pos):
         """4-tuples of the elements at pos, from the columns."""

@@ -1157,6 +1157,23 @@ def test_one_reduction_per_class_and_scan_chunk(monkeypatch):
     assert sum(len(h) for _, h in stacks) < sum(sum(h) for _, h in stacks)
 
 
+def test_no_reduction_of_a_chunk_without_roots(monkeypatch):
+    # at r = 25057 some scan chunks of padic q=2 (4,4) meet no root; they
+    # are passed over, with no reduction of an empty stack
+    G = aut_group("padic", 2, (4, 4))
+    heights, rref = [], dixon._rref
+
+    def spy_rref(B, r, w):
+        heights.append(len(B))
+        return rref(B, r, w)
+
+    monkeypatch.setattr(dixon, "_rref", spy_rref)
+    _forget_degrees(G, monkeypatch)
+    assert Counter(character_degrees(G, r=25057)) == {
+        1: 16, 2: 20, 3: 16, 4: 24, 6: 36, 8: 48, 12: 72, 24: 16}
+    assert heights and min(heights) > 0
+
+
 def test_central_block_check_raises_under_optimize():
     # one wrong entry in one central block: a value on a row's Z-orbit, and
     # a nonzero off every orbit of the row

@@ -689,12 +689,19 @@ def test_maps_refuse_elements_off_their_domain():
         G.hom("diagonal", [0])
 
 
+def derived(H, Q):
+    """Root indices of [H, H]: the members of the identity's coset of H's
+    abelianization Q."""
+    return H.ridx(np.flatnonzero(Q.coset_of == Q.identity_pos))
+
+
 def test_commutator_and_abelianization():
     G = aut_group("padic", 2, (1, 1))  # GL2(F2), symmetric group on 3 letters
-    D = G.commutator_subgroup()
-    assert D.order == 3
     A = G.abelianization()
     assert A.order == 2 and A.is_abelian
+    D = derived(G, A)
+    assert len(D) == 3
+    assert G.elements_at(D) == normal_closure_reference(G)
     G = aut_group("padic", 2, (2, 1))
     A = G.abelianization()
     assert A.order == 4
@@ -705,24 +712,25 @@ def test_commutator_and_abelianization():
 
 
 def test_derived_subgroup_names_its_parent_once():
+    # no subgroup is built for [H, H]: the quotient names its group once
     G = aut_group("padic", 2, (4, 2))
-    assert G.commutator_subgroup().name == "Aut(padic,q=2,(4, 2)).derived"
+    assert G.abelianization().name == "Aut(padic,q=2,(4, 2))/derived"
     N = G.subgroup("cuspidal_normalizer", u_hat=0, w_hat=1)
-    assert N.commutator_subgroup().name == ("Aut(padic,q=2,(4, 2))."
-                                            "cuspidal_normalizer.derived")
+    Q = N.abelianization()
+    assert Q.name == "Aut(padic,q=2,(4, 2)).cuspidal_normalizer/derived"
+    assert G.elements_at(derived(N, Q)) == normal_closure_reference(N)
 
 
 def test_quotient_group_projection():
     # the projection onto the abelianization is a homomorphism on every
     # pair, and its kernel is the commutator subgroup
     G = aut_group("padic", 2, (2, 1))
-    N = G.commutator_subgroup()
     Q = G.abelianization()
     assert Q.order == 4 and Q.name == G.name + "/derived"
     x, y = np.divmod(np.arange(G.order ** 2), G.order)
     cos = Q.coset_of
     assert np.array_equal(cos[G.right_mul(x, y)], Q.right_mul(cos[x], cos[y]))
-    assert np.array_equal(np.flatnonzero(cos == Q.identity_pos), N.idx)
+    assert G.elements_at(derived(G, Q)) == normal_closure_reference(G)
 
 
 def _quotients():
@@ -1195,8 +1203,11 @@ def test_greedy_generators_match_closure_reference():
     G = aut_group("padic", 2, (3, 2))
     subs = [subgroup(G, tag, **kw) for tag, kw in _tag_cases((3, 2))]
     subs += [aut_group("tpoly", 4, (2, 1)).subgroup("heisenberg"),
-             aut_group("padic", 3, (2, 2)).subgroup("parabolic_upper"),
-             G.commutator_subgroup()]
+             aut_group("padic", 3, (2, 2)).subgroup("parabolic_upper")]
+    Q = G.abelianization()
+    D = Subgroup(G, derived(G, Q), "derived")
+    assert tuples(D) == normal_closure_reference(G)
+    subs.append(D)
     for H in subs:
         R = H.root
         assert R.elements_at(H.gen_idx) == greedy_reference(
@@ -1208,14 +1219,13 @@ def test_greedy_generators_match_closure_reference():
         assert U.codes[greedy_generators(U)].tolist() == greedy_reference(
             list(r.units), 1, lambda x, y: int(r.mul[x, y])), \
             (backend, q, level)
-    Q = G.abelianization()
     assert greedy_generators(Q).tolist() == greedy_reference(
         range(Q.order), Q.identity_pos, lambda x, y: int(Q.right_mul(x, y)))
 
 
 def normal_closure_reference(G):
-    """Tuple reference for commutator_subgroup: close the commutators of the
-    generators under multiplication, then under conjugation, until stable."""
+    """Tuple reference for [G, G]: close the commutators of the generators
+    under multiplication, then under conjugation, until stable."""
     R = G.root
     (mul, inv, _), gens, one = tuple_ops(R), R.elements_at(G.gen_idx), R.identity
     seeds = {mul(inv(g), mul(inv(h), mul(g, h))) for g in gens for h in gens}
@@ -1241,9 +1251,50 @@ def test_commutator_subgroup_matches_normal_closure(case):
     else:
         backend, q, lam = case.split("-")
         G = aut_group(backend, int(q), tuple(int(x) for x in lam[1:-1].split(",")))
-    D = G.commutator_subgroup()
-    assert tuples(D) == normal_closure_reference(G)
-    assert D.parent is G and D.root is G.root
+    Q = G.abelianization()
+    D = derived(G, Q)
+    assert G.root.elements_at(D) == normal_closure_reference(G)
+    # the other cosets are as large: the orbits are the cosets of [G, G]
+    assert np.bincount(Q.coset_of).tolist() == [len(D)] * Q.order
+
+
+def test_abelianization_checks_raise_under_optimize():
+    # parabolic_upper on padic q=2 (3,2): cosets 1 and 2 merged in the
+    # labels of the one sweep are no congruence, and with its last greedy
+    # generator dropped (outside the span of the others) H's generators
+    # reach only some of the cosets
+    code = ("from modrep2.groups import Subgroup, aut_group\n"
+            "H = aut_group('padic', 2, (3, 2)).subgroup('parabolic_upper')\n"
+            "sweep = Subgroup.sweep\n"
+            "def merged(self, moves, idx=None):\n"
+            "    reps, sizes, orbit_of = sweep(self, moves, idx)\n"
+            "    orbit_of = orbit_of.copy()\n"
+            "    orbit_of[orbit_of == 2] = 1\n"
+            "    orbit_of[orbit_of > 2] -= 1\n"
+            "    return reps[:2] + reps[3:], sizes, orbit_of\n"
+            "D = Subgroup(H.parent, H.idx, 'dropped')\n"
+            "D.gen_idx = D.gen_idx[:-1]\n"
+            "for G, patch in ((H, merged), (D, sweep)):\n"
+            "    Subgroup.sweep = patch\n"
+            "    try:\n"
+            "        G.abelianization()\n"
+            "    except AssertionError as exc:\n"
+            "        print(exc)\n"
+            "    else:\n"
+            "        raise SystemExit(4)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    congruence, reached = proc.stdout.splitlines()
+    head = "Aut(padic,q=2,(3, 2)).parabolic_upper/derived: members x whose "
+    assert congruence.startswith(head + "coset of x * generator ")
+    assert " is not move[coset of x]: expected 0, computed " in congruence
+    assert int(congruence.split()[-1]) > 0
+    assert reached.startswith("Aut(padic,q=2,(3, 2)).dropped/derived: "
+                              "cosets reached by the generators: expected ")
+    cosets, met = (int(w.strip(",")) for w in reached.split()[-3::2])
+    assert 0 < met < cosets
 
 
 def test_custom_members_refused():

@@ -239,3 +239,61 @@ def test_one_eigenspace_path():
     tables = _sites(_named("accumulate", "factorial", "comb", "binom",
                            "fact"))
     assert not [site for site in tables if site.startswith("dixon.py")]
+
+
+def test_one_abelianization_sweep():
+    """An abelianization reads the cosets of [G, G] off one sweep:
+    GroupBase.abelianization calls sweep once and builds no Subgroup, and
+    commutator_subgroup is neither defined nor named in src/modrep2,
+    comments included."""
+    sweeps = _sites(lambda node: isinstance(node, ast.Call)
+                    and _named("sweep")(node.func))
+    assert sweeps["groups.py:abelianization"] == 1
+    subgroups = _sites(lambda node: isinstance(node, ast.Call)
+                       and _named("Subgroup")(node.func))
+    assert "groups.py:abelianization" not in subgroups
+    named = [path.name for path in sorted(PKG.glob("*.py"))
+             if "commutator_subgroup" in path.read_text()]
+    assert not named
+
+
+def _top_level(tree, cls=None):
+    """Names of the functions defined in the module tree's own body, or in
+    the body of its class cls."""
+    body = tree.body
+    if cls is not None:
+        body = next(node.body for node in body
+                    if isinstance(node, ast.ClassDef) and node.name == cls)
+    return {node.name for node in body if isinstance(node, ast.FunctionDef)}
+
+
+def test_perfbench_targets_are_defined():
+    """perfbench/spans.py wraps code of src/modrep2 by name: trace mode
+    each METHODS target through vars(cls)[meth], so each must be defined in
+    its class's own body, not inherited; count mode AutGroup.mul; and the
+    EXTRAS module functions.  A refactor that moves one of them breaks
+    --trace 1 while the package's own tests pass."""
+    spans = ast.parse((PKG.parent.parent / "perfbench" / "spans.py")
+                      .read_text())
+    tables = {node.targets[0].id: node.value for node in spans.body
+              if isinstance(node, ast.Assign)
+              and isinstance(node.targets[0], ast.Name)}
+    methods = ast.literal_eval(tables["METHODS"]).values()
+    extras = [ast.literal_eval(k).split(".") for k in tables["EXTRAS"].keys]
+    assert {cls for _, cls, _ in methods} == {"GroupBase", "AutGroup",
+                                               "ClassFunction"}
+    assert extras == [["dixon", "character_degrees"], ["classfun", "dedupe"]]
+    trees = {}
+
+    def tree(layer):
+        if layer not in trees:
+            trees[layer] = ast.parse((PKG / (layer + ".py")).read_text())
+        return trees[layer]
+
+    missing = ["%s.%s.%s" % m for m in methods
+               if m[2] not in _top_level(tree(m[0]), m[1])]
+    missing += ["%s.%s" % e for e in extras
+                if e[1] not in _top_level(tree(e[0]))]
+    if "mul" not in _top_level(tree("groups"), "AutGroup"):
+        missing.append("groups.AutGroup.mul")
+    assert not missing
